@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
@@ -67,6 +68,7 @@ from repro.wankeeper.fractional import (
     ReadLeaseGrant,
     ReadLeaseRequest,
 )
+from repro.wankeeper.hubqueue import HubQueue, QueuedTxn
 from repro.wankeeper.policy import ConsecutiveAccessPolicy, MigrationPolicy
 from repro.wankeeper.tokens import HubTokenState, SiteTokenState, token_key, token_keys
 from repro.zab.config import EnsembleConfig
@@ -162,21 +164,6 @@ class WanConfig:
             for key, site in self.initial_tokens.items()
             if site != self.l2_site
         }
-
-
-@dataclass
-class _QueuedTxn:
-    """A transaction parked at the hub until its tokens come home.
-
-    ``admin_keys``/``admin_grant`` implement the paper's primary-site
-    assignment knob: a no-op transaction that forces the named keys'
-    tokens to a chosen site regardless of the migration policy.
-    """
-
-    txn: Txn
-    origin_site: str
-    admin_keys: Optional[Tuple[str, ...]] = None
-    admin_grant: Optional[str] = None
 
 
 class WanKeeperServer(ZkServer):
@@ -315,8 +302,7 @@ class WanKeeperServer(ZkServer):
         self._last_hub_contact = self.env.now
         # Level-2 role.
         self._policy: MigrationPolicy = self.wan.policy_factory()
-        self._hub_queue: List[_QueuedTxn] = []
-        self._hub_queued_ids: Set[Tuple[str, int]] = set()
+        self._hub_queue = HubQueue()
         # Re-entrancy latch: serializing a queue entry can commit
         # synchronously (single-voter ensembles), and the commit hook
         # pumps again — which would mutate the queue mid-iteration.
@@ -392,6 +378,7 @@ class WanKeeperServer(ZkServer):
             },
         )
         self.hub_tokens = HubTokenState(dict(self.wan.initial_tokens))
+        self._hub_queue.stale = True
         self._grant_counts = {}
         self._seen_wan_ids = set()
         self._wan_history = []
@@ -489,14 +476,9 @@ class WanKeeperServer(ZkServer):
 
     # ----------------------------------------------------- hub serialization
 
-    def _hub_needed_keys(self, txn: Txn) -> Set[str]:
-        op = txn.op
-        if isinstance(op, CloseSessionOp):
-            return {
-                token_key(path)
-                for path in self.tree.ephemerals_of(op.session_id)
-            }
-        return token_keys(op)
+    def _ephemeral_keys(self, session_id: str) -> Set[str]:
+        """Tokens a session teardown needs, per the tree as it is now."""
+        return {token_key(path) for path in self.tree.ephemerals_of(session_id)}
 
     def assign_token(self, key: str, site: str) -> None:
         """Admin knob (paper §I): move ``key``'s token to ``site`` now.
@@ -516,32 +498,35 @@ class WanKeeperServer(ZkServer):
             op=SyncOp("/"),
             origin_site=self.site,
         )
-        self._hub_queue.append(
-            _QueuedTxn(
+        self._hub_queue.add(
+            QueuedTxn(
                 txn,
                 origin_site=self.site,
                 admin_keys=(key,),
                 admin_grant=site,
             )
         )
-        self._hub_queued_ids.add(wan_id_of(txn))
         self._hub_pump()
 
     def _hub_admit(self, txn: Txn, origin_site: str) -> None:
         wid = wan_id_of(txn)
         if (
             wid in self._seen_wan_ids
-            or wid in self._hub_queued_ids
+            or wid in self._hub_queue
             or wid in self._hub_inflight_ids
         ):
             return
-        self._hub_queue.append(_QueuedTxn(txn, origin_site))
-        self._hub_queued_ids.add(wid)
+        self._hub_queue.add(QueuedTxn(txn, origin_site))
         self._hub_pump()
 
     def _hub_pump(self) -> None:
-        """Serialize every queued txn whose tokens are home; recall the rest."""
-        if not self.peer.is_leader:
+        """Serialize every queued txn whose tokens are home; recall the rest.
+
+        A full FIFO pass runs only when ``_hub_pass_due``; otherwise the
+        verdict on every entry already found blocked still stands, and
+        only entries admitted since the last pump are evaluated.
+        """
+        if not self.peer.is_leader or not self._hub_queue.entries:
             return
         if self._hub_pumping:
             # Nested pump (a serialize committed synchronously and its
@@ -555,37 +540,74 @@ class WanKeeperServer(ZkServer):
             while progress:
                 progress = False
                 self._hub_pump_again = False
-                for entry in list(self._hub_queue):
-                    if entry not in self._hub_queue:
+                queue = self._hub_queue
+                if self._hub_pass_due(queue):
+                    batch = queue.begin_pass()
+                else:
+                    batch = queue.take_fresh()
+                    if not batch:
+                        break
+                for entry in batch:
+                    if self._hub_queue.entries.get(entry.wan_id) is not entry:
                         continue  # removed by a deeper call this pass
-                    if entry.admin_keys is not None:
-                        needed = set(entry.admin_keys)
-                    else:
-                        needed = self._hub_needed_keys(entry.txn)
-                    missing = {
-                        key for key in needed if not self.hub_tokens.at_hub(key)
-                    }
-                    lease_holders = self._live_lease_holders(needed)
-                    if missing or lease_holders:
-                        if missing:
-                            self._request_recalls(missing)
-                        if lease_holders:
-                            # §VI: a write needs all read tokens back first.
-                            self._send_invalidates(lease_holders)
-                        continue
-                    self._hub_queue.remove(entry)
-                    self._hub_queued_ids.discard(wan_id_of(entry.txn))
-                    self._hub_serialize(
-                        entry.txn, needed, entry.origin_site,
-                        admin_grant=entry.admin_grant,
-                    )
-                    progress = True
+                    if self._hub_try(entry):
+                        progress = True
                 progress = progress or self._hub_pump_again
+        except BaseException:
+            # Entries after the failure were never looked at.
+            self._hub_queue.stale = True
+            raise
         finally:
             self._hub_pumping = False
 
-    def _request_recalls(self, keys: Set[str]) -> None:
+    def _hub_pass_due(self, queue: HubQueue) -> bool:
+        """Can re-evaluating an already-blocked entry do anything?
+
+        Only if a token moved or a read lease dropped since the last full
+        pass began (``stale``), leases can expire by the clock, a queued
+        session teardown re-reads the tree, or the oldest outstanding
+        recall is due a retry — the same comparison ``_request_recalls``
+        makes per key, applied to the minimum stamp.
+        """
+        return (
+            queue.stale
+            or bool(self._read_holders)
+            or bool(queue.tree_dependent)
+            or not (
+                self.env.now - queue.oldest_recall < self.wan.recall_retry_ms
+            )
+        )
+
+    def _hub_try(self, entry: QueuedTxn) -> bool:
+        """Serialize ``entry`` if nothing blocks it; else chase what does."""
+        needed = entry.needed
+        if needed is None:
+            needed = self._ephemeral_keys(entry.txn.op.session_id)
+        at_hub = self.hub_tokens.at_hub
+        missing = {key for key in needed if not at_hub(key)}
+        lease_holders = self._live_lease_holders(needed)
+        if missing or lease_holders:
+            if missing:
+                self._hub_queue.note_recall(self._request_recalls(missing))
+            if lease_holders:
+                # §VI: a write needs all read tokens back first.
+                self._send_invalidates(lease_holders)
+            return False
+        self._hub_queue.remove(entry)
+        self._hub_serialize(
+            entry.txn, needed, entry.origin_site,
+            admin_grant=entry.admin_grant,
+        )
+        return True
+
+    def _request_recalls(self, keys: Set[str]) -> float:
+        """Recall ``keys`` from their owners, at most once per retry period.
+
+        Returns the oldest recall stamp among the keys still away: no
+        retry for any of them is due before that plus ``recall_retry_ms``.
+        """
         now = self.env.now
+        oldest = inf
         by_site: Dict[str, List[str]] = {}
         for key in sorted(keys):
             owner = self.hub_tokens.where(key)
@@ -593,8 +615,12 @@ class WanKeeperServer(ZkServer):
                 continue
             last = self._recall_sent_at.get(key, -1e18)
             if now - last < self.wan.recall_retry_ms:
+                if last < oldest:
+                    oldest = last
                 continue
             self._recall_sent_at[key] = now
+            if now < oldest:
+                oldest = now
             by_site.setdefault(owner, []).append(key)
         for site, site_keys in by_site.items():
             counts = tuple(
@@ -617,10 +643,15 @@ class WanKeeperServer(ZkServer):
                     leader,
                     TokenRecall(tuple(site_keys), counts),
                 )
+        return oldest
 
     def _key_wanted_by_queue(self, key: str) -> bool:
-        return any(
-            key in self._hub_needed_keys(entry.txn) for entry in self._hub_queue
+        queue = self._hub_queue
+        if key in queue.waiters:
+            return True
+        return bool(queue.tree_dependent) and any(
+            key in self._ephemeral_keys(entry.txn.op.session_id)
+            for entry in queue.tree_dependent.values()
         )
 
     def _hub_serialize(
@@ -631,17 +662,18 @@ class WanKeeperServer(ZkServer):
         admin_grant: Optional[str] = None,
     ) -> None:
         """Commit a txn in the hub ensemble with policy-decided grants."""
+        ordered = sorted(needed)
         grants: List[TokenGrant] = []
         if admin_grant is not None:
             # Primary-site assignment knob: force the placement.
             if admin_grant != self.current_l2_site:
-                grants = [TokenGrant(key, admin_grant) for key in sorted(needed)]
-        else:
-            for key in sorted(needed):
-                if origin_site == self.current_l2_site:
-                    continue  # the hub site's own locality needs no grant
-                if isinstance(txn.op, CloseSessionOp):
-                    continue  # teardown of dying records: not an access pattern
+                grants = [TokenGrant(key, admin_grant) for key in ordered]
+        elif origin_site != self.current_l2_site and not isinstance(
+            txn.op, CloseSessionOp
+        ):
+            # (The hub site's own locality needs no grant, and teardown of
+            # dying records is not an access pattern.)
+            for key in ordered:
                 migrate = self._policy.observe_and_decide(key, origin_site)
                 if (
                     migrate
@@ -653,12 +685,13 @@ class WanKeeperServer(ZkServer):
             self.sentinel.on_hub_serialize(self, needed)
         if self._trace is not None:
             self._trace.emit(self.env.now, "wan", "hub-serialize", self.name,
-                             {"keys": sorted(needed),
+                             {"keys": ordered,
                               "origin": origin_site,
                               "grants": [(g.key, g.site) for g in grants]})
         self._hub_inflight_ids.add(wan_id_of(txn))
-        for key in sorted(needed):
-            self._inflight_hub_keys[key] = self._inflight_hub_keys.get(key, 0) + 1
+        inflight = self._inflight_hub_keys
+        for key in ordered:
+            inflight[key] = inflight.get(key, 0) + 1
         op = txn.op
         if isinstance(op, CloseSessionOp) and op.paths is None:
             # Pin the exact ephemeral set so all sites delete the same nodes.
@@ -730,6 +763,7 @@ class WanKeeperServer(ZkServer):
                 self.hub_tokens.accept_return(key)
         for key in op.keys:  # lint: iteration-order-ok (Tuple[str, ...])
             self.hub_tokens.grant(key, op.site)
+        self._hub_queue.stale = True
         if self.peer.is_leader and self.is_hub_site:
             self._hub_pump()
 
@@ -738,6 +772,9 @@ class WanKeeperServer(ZkServer):
         self._hub_inflight_ids.discard(wan_txn.wan_id)
         for grant in wan_txn.grants:
             self.hub_tokens.grant(grant.key, grant.site)
+            if grant.key in self._hub_queue.waiters:
+                # A key some queued entry waits for just left the hub.
+                self._hub_queue.stale = True
             counter_key = (grant.key, grant.site)
             self._grant_counts[counter_key] = (
                 self._grant_counts.get(counter_key, 0) + 1
@@ -850,6 +887,7 @@ class WanKeeperServer(ZkServer):
             self._accepts_in_flight.discard(key)
             self._recall_sent_at.pop(key, None)
             self._policy.forget(key)
+        self._hub_queue.stale = True
         if self.peer.is_leader and self.is_hub_site:
             self._hub_pump()
             self._pump_lease_reads()
@@ -1474,12 +1512,15 @@ class WanKeeperServer(ZkServer):
                 holders.pop(msg.sender, None)
                 if not holders:
                     del self._read_holders[key]
+                    self._hub_queue.stale = True
         self._hub_pump()
 
     def _live_lease_holders(self, keys) -> Dict[str, List[NodeAddress]]:
         """Unexpired leaseholders per key, pruning expired entries."""
-        now = self.env.now
         result: Dict[str, List[NodeAddress]] = {}
+        if not self._read_holders:
+            return result
+        now = self.env.now
         # ``keys`` is often a set; sort so downstream invalidate sends
         # happen in a PYTHONHASHSEED-independent order.
         for key in sorted(keys):
@@ -1496,6 +1537,7 @@ class WanKeeperServer(ZkServer):
                 result[key] = sorted(live)
             else:
                 del self._read_holders[key]
+                self._hub_queue.stale = True
         return result
 
     def _send_invalidates(self, holders: Dict[str, List[NodeAddress]]) -> None:

@@ -198,3 +198,40 @@ def test_pin_away_then_back_to_hub_site_keeps_serving():
         "/roundtrip"
         not in deployment.site_leader(FRANKFURT).site_tokens.owned
     )
+
+
+def test_pin_queued_behind_a_write_leaves_one_owner():
+    """A write waiting at the hub ahead of a pin on the same key must not
+    be granted the key by the migration policy: the pin's forced grant
+    followed in the same pump, and two sites applied a grant of one token
+    (the sentinel's single-token-ownership trip on a quorum hub)."""
+    from repro.wankeeper.policy import AlwaysMigratePolicy
+
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo, policy_factory=AlwaysMigratePolicy)
+    owner = deployment.client(FRANKFURT)
+    writer = deployment.client(CALIFORNIA)
+
+    def app():
+        yield owner.connect()
+        yield writer.connect()
+        yield owner.create("/contested", b"0")  # token migrates to Frankfurt
+        yield env.timeout(500.0)
+        hub = deployment.hub_leader
+        assert hub.hub_tokens.where("/contested") == FRANKFURT
+        recalled = hub.tokens_recalled
+        write = writer.set_data("/contested", b"1")
+        yield env.timeout(50.0)  # the write is parked at the hub by now
+        deployment.pin_token("/contested", FRANKFURT)
+        assert len(hub._hub_queue) == 2
+        yield write
+        yield env.timeout(3000.0)
+        return hub.tokens_recalled - recalled
+
+    assert run_app(env, app(), timeout_ms=120000.0) == 1
+    assert deployment.hub_leader.hub_tokens.where("/contested") == FRANKFURT
+    assert "/contested" in deployment.site_leader(FRANKFURT).site_tokens.owned
+    assert (
+        "/contested"
+        not in deployment.site_leader(CALIFORNIA).site_tokens.owned
+    )

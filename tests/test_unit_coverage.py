@@ -275,11 +275,3 @@ def test_wan_config_validation():
             hub_server_addrs=(),
             initial_tokens={"/k": "mars"},
         )
-
-
-def test_queued_txn_admin_fields_default_none():
-    from repro.wankeeper.server import _QueuedTxn
-    from repro.zk.ops import SyncOp, Txn
-
-    entry = _QueuedTxn(Txn("s", 1, None, SyncOp()), "a")
-    assert entry.admin_keys is None and entry.admin_grant is None
