@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
+
+from repro.net.message import record
 
 __all__ = ["AddAck", "AddEntry", "FenceAck", "FenceLedger", "ReadEntry", "ReadReply"]
 
 
-@dataclass(frozen=True)
+@record
 class AddEntry:
     sender: Any  # NodeAddress of the client
     ledger_id: int
@@ -16,28 +17,28 @@ class AddEntry:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@record
 class AddAck:
     ledger_id: int
     entry_id: int
     ok: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class ReadEntry:
     sender: Any
     ledger_id: int
     entry_id: int
 
 
-@dataclass(frozen=True)
+@record
 class ReadReply:
     ledger_id: int
     entry_id: int
     payload: Optional[bytes]  # None = not stored here
 
 
-@dataclass(frozen=True)
+@record
 class FenceLedger:
     """Recovery-opener -> bookie: reject all further adds to this ledger.
 
@@ -50,7 +51,7 @@ class FenceLedger:
     ledger_id: int
 
 
-@dataclass(frozen=True)
+@record
 class FenceAck:
     ledger_id: int
     last_entry: int  # highest entry id this bookie stores (-1 = none)

@@ -1,10 +1,18 @@
-"""Message envelope carried by the simulated network."""
+"""Message envelope carried by the simulated network, and the record policy."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Envelope"]
+__all__ = ["Envelope", "record"]
+
+#: Decorator for every wire message and value record in the repo: slots, a
+#: plain-assignment ``__init__``, field-tuple ``==`` and ``hash``, and a
+#: ``Name(field=...)`` repr. Not frozen on purpose: a frozen ``__init__``
+#: is a chain of ``object.__setattr__`` calls, 4-5x slower per message
+#: (docs/PERFORMANCE.md, "Protocol layer").
+record = dataclass(slots=True, unsafe_hash=True)
 
 
 class Envelope:
@@ -14,9 +22,7 @@ class Envelope:
     inspects it. ``seq`` is a global send sequence number used for stable
     ordering and debugging.
 
-    A hand-written ``__slots__`` class rather than a dataclass: the network
-    allocates one per message and the per-instance ``__dict__`` plus the
-    generated keyword-argument ``__init__`` showed up in profiles.
+    Not a :data:`record`: envelopes compare by identity and print short.
     """
 
     __slots__ = ("src", "dst", "body", "send_time", "deliver_time", "seq",

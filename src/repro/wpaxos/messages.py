@@ -7,9 +7,9 @@ and compare deterministically. Slots are per-object log positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple
 
+from repro.net.message import record
 from repro.net.topology import NodeAddress
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 Ballot = Tuple[int, str]
 
 
-@dataclass(frozen=True)
+@record
 class Prepare:
     """Phase-1a: ``src`` tries to take ownership of ``obj`` at ``ballot``.
 
@@ -43,7 +43,7 @@ class Prepare:
     applied: int
 
 
-@dataclass(frozen=True)
+@record
 class Promise:
     """Phase-1b grant: promiser will reject ballots below ``ballot``.
 
@@ -59,7 +59,7 @@ class Promise:
     chosen: Tuple[Tuple[int, Ballot, Any], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Reject:
     """Phase-1b refusal: ``promised`` is the ballot that outranks the bid."""
 
@@ -69,7 +69,7 @@ class Reject:
     promised: Ballot
 
 
-@dataclass(frozen=True)
+@record
 class Accept:
     """Phase-2a from the object owner to its zone quorum."""
 
@@ -80,7 +80,7 @@ class Accept:
     src: NodeAddress
 
 
-@dataclass(frozen=True)
+@record
 class Accepted:
     """Phase-2b ack."""
 
@@ -90,7 +90,7 @@ class Accepted:
     src: NodeAddress
 
 
-@dataclass(frozen=True)
+@record
 class Learn:
     """Commit notification fanned out to every member (learners included)."""
 
@@ -101,7 +101,7 @@ class Learn:
     src: NodeAddress
 
 
-@dataclass(frozen=True)
+@record
 class SubmitReq:
     """A transaction forwarded by an observer (or any non-proposer)."""
 
@@ -109,7 +109,7 @@ class SubmitReq:
     txn: Any
 
 
-@dataclass(frozen=True)
+@record
 class ResyncReq:
     """Catch-up request: ``versions`` maps objects to the requester's
     contiguous chosen prefix, as a sorted ``(obj, next_slot)`` tuple.
@@ -119,7 +119,7 @@ class ResyncReq:
     versions: Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ResyncRsp:
     """Catch-up reply: chosen entries the requester was missing."""
 

@@ -1,18 +1,15 @@
 """Zab protocol messages.
 
-Message classes are hand-written ``__slots__`` records; the network layer
-delivers them opaquely. Names follow the ZooKeeper implementation where one
-exists. Equality and hash match the frozen dataclasses they replaced
-(field-tuple equality, ``hash(field tuple)``) so container iteration
-orders are unchanged; the ``__slots__`` form exists because message
-allocation is the protocol layer's hottest loop and the generated frozen
-``__init__`` (a chain of ``object.__setattr__`` calls) was measurable.
+The network layer delivers them opaquely. Names follow the ZooKeeper
+implementation where one exists.
 """
 
 from __future__ import annotations
 
+from dataclasses import field
 from typing import Any, List, Optional
 
+from repro.net.message import record
 from repro.net.topology import NodeAddress
 from repro.zab.log import LogEntry
 from repro.zab.zxid import Zxid
@@ -42,278 +39,99 @@ __all__ = [
 # -- election ---------------------------------------------------------------
 
 
+@record
 class Vote:
     """A candidate preference: compare by (last_zxid, node id)."""
 
-    __slots__ = ('node', 'last_zxid')
-
-    def __init__(self, node: NodeAddress, last_zxid: Zxid):
-        self.node = node
-        self.last_zxid = last_zxid
+    node: NodeAddress
+    last_zxid: Zxid
 
     def beats(self, other: "Vote") -> bool:
         return (self.last_zxid, self.node) > (other.last_zxid, other.node)
 
-    def _astuple(self) -> tuple:
-        return (self.node, self.last_zxid)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Vote:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return f"Vote(node={self.node!r}, last_zxid={self.last_zxid!r})"
-
-
+@record
 class VoteNotification:
     """Election gossip: the sender's current vote in its current round."""
 
-    __slots__ = ('sender', 'vote', 'round', 'sender_state')
-
-    def __init__(
-        self,
-        sender: NodeAddress,
-        vote: Vote,
-        round: int,
-        sender_state: str,  # PeerState value of the sender
-    ):
-        self.sender = sender
-        self.vote = vote
-        self.round = round
-        self.sender_state = sender_state
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.vote, self.round, self.sender_state)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not VoteNotification:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"VoteNotification(sender={self.sender!r}, vote={self.vote!r}, "
-            f"round={self.round!r}, sender_state={self.sender_state!r})"
-        )
+    sender: NodeAddress
+    vote: Vote
+    round: int
+    sender_state: str  # PeerState value of the sender
 
 
 # -- discovery --------------------------------------------------------------
 
 
+@record
 class FollowerInfo:
     """Follower -> prospective leader: my accepted epoch and log tail."""
 
-    __slots__ = ('sender', 'accepted_epoch', 'last_zxid')
-
-    def __init__(
-        self, sender: NodeAddress, accepted_epoch: int, last_zxid: Zxid
-    ):
-        self.sender = sender
-        self.accepted_epoch = accepted_epoch
-        self.last_zxid = last_zxid
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.accepted_epoch, self.last_zxid)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FollowerInfo:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"FollowerInfo(sender={self.sender!r}, "
-            f"accepted_epoch={self.accepted_epoch!r}, "
-            f"last_zxid={self.last_zxid!r})"
-        )
+    sender: NodeAddress
+    accepted_epoch: int
+    last_zxid: Zxid
 
 
+@record
 class LeaderInfo:
     """Leader -> follower: the new epoch (a.k.a. NEWEPOCH)."""
 
-    __slots__ = ('sender', 'new_epoch')
-
-    def __init__(self, sender: NodeAddress, new_epoch: int):
-        self.sender = sender
-        self.new_epoch = new_epoch
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.new_epoch)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LeaderInfo:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return f"LeaderInfo(sender={self.sender!r}, new_epoch={self.new_epoch!r})"
+    sender: NodeAddress
+    new_epoch: int
 
 
+@record
 class AckEpoch:
     """Follower -> leader: epoch accepted; carries history position."""
 
-    __slots__ = ('sender', 'current_epoch', 'last_zxid')
-
-    def __init__(
-        self, sender: NodeAddress, current_epoch: int, last_zxid: Zxid
-    ):
-        self.sender = sender
-        self.current_epoch = current_epoch
-        self.last_zxid = last_zxid
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.current_epoch, self.last_zxid)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AckEpoch:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"AckEpoch(sender={self.sender!r}, "
-            f"current_epoch={self.current_epoch!r}, "
-            f"last_zxid={self.last_zxid!r})"
-        )
+    sender: NodeAddress
+    current_epoch: int
+    last_zxid: Zxid
 
 
 # -- synchronization ----------------------------------------------------------
 
 
+@record
 class Diff:
     """Leader -> follower: entries the follower is missing."""
 
-    __slots__ = ('sender', 'entries')
-
-    def __init__(self, sender: NodeAddress, entries: List[LogEntry]):
-        self.sender = sender
-        self.entries = entries
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Diff:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Diff(sender={self.sender!r}, entries={self.entries!r})"
+    sender: NodeAddress
+    entries: List[LogEntry]
 
 
+@record
 class Trunc:
     """Leader -> follower: drop log entries after ``truncate_to``."""
 
-    __slots__ = ('sender', 'truncate_to', 'entries')
-
-    def __init__(
-        self,
-        sender: NodeAddress,
-        truncate_to: Zxid,
-        entries: Optional[List[LogEntry]] = None,
-    ):
-        self.sender = sender
-        self.truncate_to = truncate_to
-        self.entries = [] if entries is None else entries
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.truncate_to, self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Trunc:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (
-            f"Trunc(sender={self.sender!r}, truncate_to={self.truncate_to!r}, "
-            f"entries={self.entries!r})"
-        )
+    sender: NodeAddress
+    truncate_to: Zxid
+    entries: List[LogEntry] = field(default_factory=list)
 
 
+@record
 class Snap:
     """Leader -> follower: full log snapshot."""
 
-    __slots__ = ('sender', 'entries')
-
-    def __init__(self, sender: NodeAddress, entries: List[LogEntry]):
-        self.sender = sender
-        self.entries = entries
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Snap:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Snap(sender={self.sender!r}, entries={self.entries!r})"
+    sender: NodeAddress
+    entries: List[LogEntry]
 
 
+@record
 class NewLeader:
     """Leader -> follower: end of sync for the new epoch."""
 
-    __slots__ = ('sender', 'epoch')
-
-    def __init__(self, sender: NodeAddress, epoch: int):
-        self.sender = sender
-        self.epoch = epoch
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.epoch)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not NewLeader:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return f"NewLeader(sender={self.sender!r}, epoch={self.epoch!r})"
+    sender: NodeAddress
+    epoch: int
 
 
+@record
 class AckNewLeader:
-    __slots__ = ('sender', 'epoch')
-
-    def __init__(self, sender: NodeAddress, epoch: int):
-        self.sender = sender
-        self.epoch = epoch
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.epoch)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AckNewLeader:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return f"AckNewLeader(sender={self.sender!r}, epoch={self.epoch!r})"
+    sender: NodeAddress
+    epoch: int
 
 
+@record
 class UpToDate:
     """Leader -> follower: the new epoch now serves traffic.
 
@@ -321,39 +139,15 @@ class UpToDate:
     learner holds beyond it are still in flight and must not be applied yet.
     """
 
-    __slots__ = ('sender', 'epoch', 'committed_to')
-
-    def __init__(
-        self,
-        sender: NodeAddress,
-        epoch: int,
-        committed_to: Zxid = Zxid.ZERO,
-    ):
-        self.sender = sender
-        self.epoch = epoch
-        self.committed_to = committed_to
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.epoch, self.committed_to)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not UpToDate:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"UpToDate(sender={self.sender!r}, epoch={self.epoch!r}, "
-            f"committed_to={self.committed_to!r})"
-        )
+    sender: NodeAddress
+    epoch: int
+    committed_to: Zxid = Zxid.ZERO
 
 
 # -- broadcast ---------------------------------------------------------------
 
 
+@record
 class SubmitRequest:
     """Any server -> leader: please broadcast this transaction.
 
@@ -361,117 +155,45 @@ class SubmitRequest:
     so the request-processor layer can find the waiting client.
     """
 
-    __slots__ = ('sender', 'txn', 'ctx')
-
-    def __init__(self, sender: NodeAddress, txn: Any, ctx: Any = None):
-        self.sender = sender
-        self.txn = txn
-        self.ctx = ctx
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.txn, self.ctx)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SubmitRequest:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (
-            f"SubmitRequest(sender={self.sender!r}, txn={self.txn!r}, "
-            f"ctx={self.ctx!r})"
-        )
+    sender: NodeAddress
+    txn: Any
+    ctx: Any = None
 
 
+@record
 class Propose:
-    """Leader -> follower: vote on this transaction.
+    """Leader -> follower: vote on this transaction."""
 
-    One is allocated per send on the hot path, where the frozen-dataclass
-    ``__init__`` overhead was measurable.
-    """
-
-    __slots__ = ('sender', 'zxid', 'txn')
-
-    def __init__(self, sender: NodeAddress, zxid: Zxid, txn: Any):
-        self.sender = sender
-        self.zxid = zxid
-        self.txn = txn
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.zxid, self.txn)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Propose:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Propose(sender={self.sender!r}, zxid={self.zxid!r}, txn={self.txn!r})"
+    sender: NodeAddress
+    zxid: Zxid
+    txn: Any
 
 
+@record
 class Ack:
-    __slots__ = ('sender', 'zxid')
-
-    def __init__(self, sender: NodeAddress, zxid: Zxid):
-        self.sender = sender
-        self.zxid = zxid
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.zxid)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Ack:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Ack(sender={self.sender!r}, zxid={self.zxid!r})"
+    sender: NodeAddress
+    zxid: Zxid
 
 
+@record
 class Commit:
-    __slots__ = ('sender', 'zxid')
-
-    def __init__(self, sender: NodeAddress, zxid: Zxid):
-        self.sender = sender
-        self.zxid = zxid
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.zxid)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Commit:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Commit(sender={self.sender!r}, zxid={self.zxid!r})"
+    sender: NodeAddress
+    zxid: Zxid
 
 
+@record
 class Inform:
     """Leader -> observer: a committed transaction (observers skip voting)."""
 
-    __slots__ = ('sender', 'zxid', 'txn')
-
-    def __init__(self, sender: NodeAddress, zxid: Zxid, txn: Any):
-        self.sender = sender
-        self.zxid = zxid
-        self.txn = txn
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.zxid, self.txn)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Inform:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Inform(sender={self.sender!r}, zxid={self.zxid!r}, txn={self.txn!r})"
+    sender: NodeAddress
+    zxid: Zxid
+    txn: Any
 
 
 # -- liveness ---------------------------------------------------------------
 
 
+@record
 class Ping:
     """Leader -> members: liveness probe.
 
@@ -479,39 +201,12 @@ class Ping:
     can detect gaps (they resync via FollowerInfo if needed).
     """
 
-    __slots__ = ('sender', 'epoch', 'last_committed')
-
-    def __init__(self, sender: NodeAddress, epoch: int, last_committed: Optional[Zxid] = None):
-        self.sender = sender
-        self.epoch = epoch
-        self.last_committed = last_committed
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.epoch, self.last_committed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Ping:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Ping(sender={self.sender!r}, epoch={self.epoch!r}, last_committed={self.last_committed!r})"
+    sender: NodeAddress
+    epoch: int
+    last_committed: Optional[Zxid] = None
 
 
+@record
 class Pong:
-    __slots__ = ('sender', 'epoch')
-
-    def __init__(self, sender: NodeAddress, epoch: int):
-        self.sender = sender
-        self.epoch = epoch
-
-    def _astuple(self) -> tuple:
-        return (self.sender, self.epoch)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Pong:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"Pong(sender={self.sender!r}, epoch={self.epoch!r})"
+    sender: NodeAddress
+    epoch: int

@@ -198,6 +198,7 @@ def paths_touched(op: Any) -> Set[str]:
     raise TypeError(f"not an op: {op!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class Txn:
     """The replicated transaction envelope for one write op.
 
@@ -205,32 +206,15 @@ class Txn:
     (it replies to the client once it applies the commit). ``session_id`` and
     ``cxid`` correlate the reply. WanKeeper wraps this envelope with token
     metadata; the tree only looks at ``op``.
-
-    Hand-written ``__slots__`` class (one per write, shipped through every
-    broadcast message); equality matches the frozen dataclass it replaces.
     """
 
-    __slots__ = ("session_id", "cxid", "origin", "op", "origin_site", "wan_seq")
-
-    def __init__(
-        self,
-        session_id: str,
-        cxid: int,
-        origin: Any,  # NodeAddress of the accepting server
-        op: Op,
-        # WanKeeper cross-site metadata (None for plain ZooKeeper).
-        origin_site: Optional[str] = None,
-        wan_seq: Optional[int] = None,
-    ):
-        object.__setattr__(self, "session_id", session_id)
-        object.__setattr__(self, "cxid", cxid)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "origin_site", origin_site)
-        object.__setattr__(self, "wan_seq", wan_seq)
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"Txn is immutable (tried to set {key!r})")
+    session_id: str
+    cxid: int
+    origin: Any  # NodeAddress of the accepting server
+    op: Op
+    # WanKeeper cross-site metadata (None for plain ZooKeeper).
+    origin_site: Optional[str] = None
+    wan_seq: Optional[int] = None
 
     def replace_op(self, op: Op) -> "Txn":
         """A copy of this txn carrying ``op`` instead of the original."""
@@ -241,26 +225,4 @@ class Txn:
             op,
             self.origin_site,
             self.wan_seq,
-        )
-
-    def _astuple(self) -> tuple:
-        return (
-            self.session_id,
-            self.cxid,
-            self.origin,
-            self.op,
-            self.origin_site,
-            self.wan_seq,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Txn:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (
-            f"Txn(session_id={self.session_id!r}, cxid={self.cxid!r}, "
-            f"origin={self.origin!r}, op={self.op!r}, "
-            f"origin_site={self.origin_site!r}, wan_seq={self.wan_seq!r})"
         )

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.net.message import record
 from repro.zk.records import WatchEvent
 
 __all__ = [
@@ -19,84 +19,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ConnectRequest:
     client: Any  # NodeAddress of the client
     timeout_ms: float
 
 
-@dataclass(frozen=True)
+@record
 class ConnectReply:
     session_id: str
     timeout_ms: float
 
 
+@record
 class OpRequest:
-    """Client -> server: one operation.
+    """Client -> server: one operation."""
 
-    A hand-written ``__slots__`` class (with :class:`OpReply`): one of
-    each is allocated per client operation, where the frozen-dataclass
-    ``__init__`` overhead was measurable.
-    """
-
-    __slots__ = ('session_id', 'cxid', 'op')
-
-    def __init__(self, session_id: str, cxid: int, op: Any):
-        self.session_id = session_id
-        self.cxid = cxid
-        self.op = op
-
-    def _astuple(self) -> tuple:
-        return (self.session_id, self.cxid, self.op)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OpRequest:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"OpRequest(session_id={self.session_id!r}, cxid={self.cxid!r}, op={self.op!r})"
+    session_id: str
+    cxid: int
+    op: Any
 
 
+@record
 class OpReply:
-    __slots__ = ('session_id', 'cxid', 'ok', 'value', 'error_code', 'error_path')
-
-    def __init__(self, session_id: str, cxid: int, ok: bool, value: Any = None, error_code: Optional[str] = None, error_path: str = ""):
-        self.session_id = session_id
-        self.cxid = cxid
-        self.ok = ok
-        self.value = value
-        self.error_code = error_code
-        self.error_path = error_path
-
-    def _astuple(self) -> tuple:
-        return (self.session_id, self.cxid, self.ok, self.value, self.error_code, self.error_path)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OpReply:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return f"OpReply(session_id={self.session_id!r}, cxid={self.cxid!r}, ok={self.ok!r}, value={self.value!r}, error_code={self.error_code!r}, error_path={self.error_path!r})"
+    session_id: str
+    cxid: int
+    ok: bool
+    value: Any = None
+    error_code: Optional[str] = None
+    error_path: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class WatchNotify:
     session_id: str
     event: WatchEvent
 
 
-@dataclass(frozen=True)
+@record
 class SessionHeartbeat:
     session_id: str
 
 
-@dataclass(frozen=True)
+@record
 class HeartbeatAck:
     session_id: str
 
 
-@dataclass(frozen=True)
+@record
 class SessionExpiredNotice:
     session_id: str

@@ -3,66 +3,27 @@
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import Optional, Set
 
+from repro.net.message import record
 from repro.zab.zxid import Zxid
 
 __all__ = ["Stat", "WatchEvent", "WatchType", "Znode"]
 
 
+@record
 class Stat:
-    """Znode metadata, as returned by read operations (ZooKeeper Stat).
+    """Znode metadata, as returned by read operations (ZooKeeper Stat)."""
 
-    A hand-written ``__slots__`` class rather than a frozen dataclass: one
-    is allocated per read reply, and the frozen ``__init__`` (a chain of
-    ``object.__setattr__`` calls) was measurable on the read path.
-    """
-
-    __slots__ = ("czxid", "mzxid", "pzxid", "version", "cversion",
-                 "ephemeral_owner", "data_length", "num_children")
-
-    def __init__(
-        self,
-        czxid: Zxid,
-        mzxid: Zxid,
-        pzxid: Zxid,
-        version: int,
-        cversion: int,
-        ephemeral_owner: Optional[str],
-        data_length: int,
-        num_children: int,
-    ):
-        self.czxid = czxid
-        self.mzxid = mzxid
-        self.pzxid = pzxid
-        self.version = version
-        self.cversion = cversion
-        self.ephemeral_owner = ephemeral_owner
-        self.data_length = data_length
-        self.num_children = num_children
-
-    def _astuple(self) -> tuple:
-        return (self.czxid, self.mzxid, self.pzxid, self.version,
-                self.cversion, self.ephemeral_owner, self.data_length,
-                self.num_children)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Stat:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"Stat(czxid={self.czxid!r}, mzxid={self.mzxid!r}, "
-            f"pzxid={self.pzxid!r}, version={self.version!r}, "
-            f"cversion={self.cversion!r}, "
-            f"ephemeral_owner={self.ephemeral_owner!r}, "
-            f"data_length={self.data_length!r}, "
-            f"num_children={self.num_children!r})"
-        )
+    czxid: Zxid
+    mzxid: Zxid
+    pzxid: Zxid
+    version: int
+    cversion: int
+    ephemeral_owner: Optional[str]
+    data_length: int
+    num_children: int
 
     @property
     def is_ephemeral(self) -> bool:
@@ -78,33 +39,12 @@ class WatchType(str, enum.Enum):
     NODE_CHILDREN_CHANGED = "node_children_changed"
 
 
+@dataclass(frozen=True, slots=True)
 class WatchEvent:
-    """A fired watch, delivered asynchronously to the watching client.
+    """A fired watch, delivered asynchronously to the watching client."""
 
-    Hand-written ``__slots__`` class (watch events are allocated on every
-    committed write); equality and hash match the frozen dataclass it
-    replaces.
-    """
-
-    __slots__ = ("type", "path")
-
-    def __init__(self, type: WatchType, path: str):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "path", path)
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"WatchEvent is immutable (tried to set {key!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not WatchEvent:
-            return NotImplemented
-        return self.type == other.type and self.path == other.path
-
-    def __hash__(self) -> int:
-        return hash((self.type, self.path))
-
-    def __repr__(self) -> str:
-        return f"WatchEvent(type={self.type!r}, path={self.path!r})"
+    type: WatchType
+    path: str
 
 
 class Znode:

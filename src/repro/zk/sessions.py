@@ -8,11 +8,13 @@ the session's ephemeral nodes everywhere.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 __all__ = ["Session", "SessionTracker"]
 
 
+@dataclass(slots=True)
 class Session:
     """One client session.
 
@@ -20,42 +22,13 @@ class Session:
     ``now - last_heard <= timeout_ms``, so a heartbeat landing exactly at
     the timeout keeps it alive. Expiry requires strictly more than
     ``timeout_ms`` of silence.
-
-    Hand-written ``__slots__`` class: ``last_heard``/``expired`` are
-    touched on every client request and every ticker pass.
     """
 
-    __slots__ = ("session_id", "client", "timeout_ms", "last_heard", "expired")
-
-    def __init__(
-        self,
-        session_id: str,
-        client: Any,  # NodeAddress
-        timeout_ms: float,
-        last_heard: float,
-        expired: bool = False,
-    ):
-        self.session_id = session_id
-        self.client = client
-        self.timeout_ms = timeout_ms
-        self.last_heard = last_heard
-        self.expired = expired
-
-    def _astuple(self) -> tuple:
-        return (self.session_id, self.client, self.timeout_ms,
-                self.last_heard, self.expired)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Session:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return (
-            f"Session(session_id={self.session_id!r}, client={self.client!r}, "
-            f"timeout_ms={self.timeout_ms!r}, last_heard={self.last_heard!r}, "
-            f"expired={self.expired!r})"
-        )
+    session_id: str
+    client: Any  # NodeAddress
+    timeout_ms: float
+    last_heard: float
+    expired: bool = False
 
 
 class SessionTracker:

@@ -1,0 +1,178 @@
+"""One record idiom: every wire message and value record is a stdlib
+slots dataclass (``repro.net.message.record``), with no hand-expanded
+``__init__``/``__eq__``/``__hash__``/``__repr__`` beside it.
+
+The hand-written ``__slots__`` classes this replaces had drifted (13 of
+them defined ``__eq__`` without ``__hash__`` and were silently
+unhashable); this file is the guard that keeps a second idiom from
+growing back.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import repro.bookkeeper.messages
+import repro.wankeeper.messages
+import repro.wpaxos.messages
+import repro.zab.messages
+import repro.zk.protocol
+from repro.zab.messages import Trunc
+from repro.zab.zxid import Zxid
+from repro.zk.ops import Txn
+from repro.zk.protocol import OpRequest
+from repro.zk.records import Stat, WatchEvent
+from repro.zk.sessions import Session
+
+MESSAGE_MODULES = (
+    repro.zab.messages,
+    repro.wankeeper.messages,
+    repro.wpaxos.messages,
+    repro.bookkeeper.messages,
+    repro.zk.protocol,
+)
+
+#: class -> the module that must define it.
+RECORDS = {
+    getattr(module, name): module.__name__
+    for module in MESSAGE_MODULES
+    for name in module.__all__
+    if inspect.isclass(getattr(module, name))
+}
+RECORDS.update({
+    Stat: "repro.zk.records",
+    WatchEvent: "repro.zk.records",
+    Txn: "repro.zk.ops",
+    Session: "repro.zk.sessions",
+})
+
+FROZEN = (Txn, WatchEvent)
+UNHASHABLE = (Session,)  # mutated in place by the session tracker
+
+#: Every field default, as the pre-dataclass signatures had them. A class
+#: not listed has none.
+DEFAULTS = {
+    "Trunc": {"entries": []},
+    "UpToDate": {"committed_to": Zxid.ZERO},
+    "SubmitRequest": {"ctx": None},
+    "Ping": {"last_committed": None},
+    "WanTxn": {"grants": ()},
+    "WanHello": {"is_site_leader": True},
+    "RemoteApply": {"to_origin": False},
+    "TokenRecall": {"grant_counts": None},
+    "TokenReturn": {"seq": 0},
+    "WanHeartbeat": {
+        "live_sessions": (), "applied_relay_seq": 0, "owned_tokens": None,
+    },
+    "WanHeartbeatAck": {
+        "known_sites": (), "absorbed": 0, "need_inventory": False,
+    },
+    "AddAck": {"ok": True},
+    "OpReply": {"value": None, "error_code": None, "error_path": ""},
+    "Txn": {"origin_site": None, "wan_seq": None},
+    "Session": {"expired": False},
+}
+
+all_records = pytest.mark.parametrize(
+    "cls", list(RECORDS), ids=lambda cls: cls.__name__
+)
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _make(cls, **overrides):
+    """An instance whose every field holds a distinct hashable value."""
+    values = {name: f"{name}-value" for name in _names(cls)}
+    values.update(overrides)
+    return cls(**values)
+
+
+def test_roster_is_complete():
+    assert len(RECORDS) == 18 + 20 + 9 + 6 + 8 + 4
+
+
+@all_records
+def test_is_a_slots_dataclass_defined_in_its_module(cls):
+    assert dataclasses.is_dataclass(cls)
+    assert cls.__module__ == RECORDS[cls]
+    assert not hasattr(_make(cls), "__dict__")
+    assert not hasattr(cls, "_astuple")
+    params = cls.__dataclass_params__
+    assert params.frozen == (cls in FROZEN)
+    assert params.eq
+
+
+@all_records
+def test_no_hand_written_dunder(cls):
+    module_file = inspect.getsourcefile(inspect.getmodule(cls))
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__"):
+        method = vars(cls).get(name)
+        if method is not None:
+            assert inspect.unwrap(method).__code__.co_filename != module_file, name
+
+
+@all_records
+def test_equality_is_fieldwise_and_class_strict(cls):
+    x = _make(cls)
+    assert x == _make(cls)
+    assert not (x != _make(cls))
+    for name in _names(cls):
+        assert x != _make(cls, **{name: "other"})
+    values = tuple(getattr(x, name) for name in _names(cls))
+    assert x != values
+    lookalike = type(cls.__name__, (cls,), {"__slots__": ()})
+    assert x != lookalike(*values)
+
+
+@all_records
+def test_hash_is_hash_of_field_tuple(cls):
+    x = _make(cls)
+    if cls in UNHASHABLE:
+        assert cls.__hash__ is None
+        return
+    assert hash(x) == hash(tuple(getattr(x, name) for name in _names(cls)))
+    assert x in {_make(cls)}
+
+
+@all_records
+def test_repr_names_every_field(cls):
+    x = _make(cls)
+    inner = ", ".join(f"{name}='{name}-value'" for name in _names(cls))
+    assert repr(x) == f"{cls.__name__}({inner})"
+
+
+@all_records
+def test_defaults_match_the_old_signatures(cls):
+    got = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            got[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            got[f.name] = f.default_factory()
+    assert got == DEFAULTS.get(cls.__name__, {})
+
+
+def test_trunc_default_entries_are_not_shared():
+    a, b = Trunc("n", Zxid.ZERO), Trunc("n", Zxid.ZERO)
+    a.entries.append("entry")
+    assert b.entries == []
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_reject_assignment(cls):
+    x = _make(cls)
+    name = _names(cls)[0]
+    with pytest.raises(AttributeError):
+        setattr(x, name, "changed")
+    assert getattr(x, name) == f"{name}-value"
+
+
+def test_recycled_op_request_is_reassigned_in_place():
+    # The fleet station's freelist re-fills a delivered request shell.
+    req = OpRequest("s1", 1, "op-a")
+    req.session_id, req.cxid, req.op = "s2", 7, "op-b"
+    assert req == OpRequest("s2", 7, "op-b")
+    assert hash(req) == hash(("s2", 7, "op-b"))
