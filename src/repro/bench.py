@@ -33,9 +33,12 @@ every write appends a ``{commit, label, events_per_sec}`` point to the
 file's ``history`` list (``--label`` names the point) so BENCH files keep
 a trajectory instead of losing prior numbers. ``--check`` compares a fresh
 run against the file's ``after`` section — hardware-normalized via a
-calibration loop — and fails when events/sec regresses by more than the
-per-bench tolerance (20% for ycsb, 30% elsewhere); CI runs it with
-``--quick``.
+calibration loop — and fails when a bench's rate regresses by more than
+its tolerance (20% for ycsb, 30% elsewhere); CI runs it with ``--quick``.
+The rate is events/sec for the kernel/burst/transport microloops, whose
+event count is fixed by their size, and ops/sec for the full-stack ycsb
+bench: events/sec only compares runs at equal events per op, and a change
+that removes events from the request path makes it *fall*.
 """
 
 from __future__ import annotations
@@ -73,13 +76,18 @@ EXPERIMENTS_BENCH_FILE = "BENCH_experiments.json"
 SERVER_BENCH_FILE = "BENCH_server.json"
 FLEET_BENCH_FILE = "BENCH_fleet.json"
 
-# --check fails when normalized events/sec fall more than this fraction
+# --check fails when a normalized rate falls more than this fraction
 # below the committed baseline (per-bench overrides in _TOLERANCES).
 CHECK_TOLERANCE = 0.30
 
 #: Per-bench --check tolerances. YCSB is the end-to-end headline number
 #: and the quietest of the three, so it gets the tighter CI gate.
 _TOLERANCES = {"ycsb": 0.20}
+
+#: Benches compared on a rate other than the suite's own: the full-stack
+#: ycsb bench does a fixed number of ops in a number of kernel events
+#: that optimizations change, so only its domain rate is comparable.
+_RATE_METRICS = {"ycsb": "ops_per_wall_sec"}
 
 #: BENCH files keep at most this many trajectory points.
 HISTORY_LIMIT = 20
@@ -1087,7 +1095,8 @@ def _check(
     Returns a list of failure messages (empty = pass). Only benches present
     in both results are compared, and the baseline must have been taken at
     the same size (quick vs full) to be comparable. Each bench uses its own
-    tolerance (_TOLERANCES, default CHECK_TOLERANCE).
+    tolerance (_TOLERANCES, default CHECK_TOLERANCE) and its own rate
+    (_RATE_METRICS, default ``metric``).
     """
     failures = []
     if bool(baseline.get("quick")) != bool(results.get("quick")):
@@ -1103,12 +1112,13 @@ def _check(
         if name not in baseline or name not in results:
             continue
         tolerance = _TOLERANCES.get(name, CHECK_TOLERANCE)
-        measured = results[name][metric]
-        expected = baseline[name][metric] * scale
+        rate = _RATE_METRICS.get(name, metric)
+        measured = results[name][rate]
+        expected = baseline[name][rate] * scale
         floor = expected * (1.0 - tolerance)
         if measured < floor:
             failures.append(
-                f"{name}: {measured:,.0f} {metric} is more than "
+                f"{name}: {measured:,.0f} {rate} is more than "
                 f"{tolerance:.0%} below the normalized baseline "
                 f"{expected:,.0f} (floor {floor:,.0f})"
             )
@@ -1158,11 +1168,11 @@ def _write_payload(
     before = payload.get("before")
     after = payload.get("after")
     if before and after:
-        speedup = {
-            name: round(after[name][metric] / before[name][metric], 3)
-            for name in benches
-            if name in before and name in after
-        }
+        speedup = {}
+        for name in benches:
+            if name in before and name in after:
+                rate = _RATE_METRICS.get(name, metric)
+                speedup[name] = round(after[name][rate] / before[name][rate], 3)
         if speedup:
             product = 1.0
             for value in speedup.values():
@@ -1266,7 +1276,8 @@ def main(argv=None) -> int:
         action="store_true",
         help=(
             "compare against the committed baseline in BENCH_kernel.json "
-            f"and fail on a >{CHECK_TOLERANCE:.0%} events/sec regression"
+            f"and fail on a >{CHECK_TOLERANCE:.0%}% rate regression "
+            "(ycsb: ops/sec at 20%%; the microloops: events/sec)"
         ),
     )
     parser.add_argument(

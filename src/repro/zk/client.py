@@ -15,16 +15,30 @@ possibly-stale local reads. Failures surface as exceptions raised at the
 ``yield``: :class:`ApiError` subclasses for replicated outcomes,
 :class:`ConnectionLossError` on request timeout,
 :class:`SessionExpiredError` when the session is gone.
+
+Request path (one for every call, connect included): a logical operation
+is ONE :class:`Event` — the one the caller yields — and one
+:class:`_Request` record; no kernel ``Process`` is involved. The op gets
+one cxid, reused verbatim by every retry, so the server's reply cache
+(keyed ``(session_id, cxid)``) answers a timed-out-but-committed write
+instead of applying it twice. The reply handler triggers the caller's
+event directly. Timeouts cost one heap entry per *client*, not per
+request: outstanding requests sit in issue order with their deadlines and
+a single ``call_at`` guard is armed for the earliest one; when it fires it
+expires what is overdue — retry after backoff while ``max_retries`` lasts,
+else :class:`ConnectionLossError` — and re-arms for the next live deadline.
+The plain calls (``get_data``, ``connect``, ...) are the ``max_retries=0``
+case of the ``*_retrying`` ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
 from repro.sim.kernel import Environment, Event, Interrupt
-from repro.sim.store import StoreClosed
 from repro.zk.errors import (
     ConnectionLossError,
     SessionExpiredError,
@@ -57,6 +71,27 @@ from repro.zk.server import SESSION_EXPIRED_CODE
 
 __all__ = ["ZkClient"]
 
+_INF = float("inf")
+
+
+class _Request:
+    """One logical operation: the caller's event plus its retry state.
+
+    ``cxid is None`` marks a connect. The record is in the client's
+    outstanding queue while a reply is awaited, and nowhere during backoff.
+    """
+
+    __slots__ = ("event", "cxid", "op", "retries_left", "delay", "deadline")
+
+    def __init__(self, event: Event, cxid: Optional[int], op: Any,
+                 retries_left: int, delay: float):
+        self.event = event
+        self.cxid = cxid
+        self.op = op
+        self.retries_left = retries_left
+        self.delay = delay
+        self.deadline = 0.0
+
 
 class ZkClient:
     """A coordination-service client bound to one server."""
@@ -87,6 +122,11 @@ class ZkClient:
         self._cxid = 0
         self._pending: Dict[int, Event] = {}
         self._connect_event: Optional[Event] = None
+        # Requests awaiting a reply, in issue order; completed ones are
+        # dropped from the head at the next send and when the guard fires.
+        self._outstanding: Deque[_Request] = deque()
+        # Deadline the one live timeout guard is armed for (inf: none).
+        self._armed_at = _INF
 
         #: Watch events received, in arrival order.
         self.watch_events: List[WatchEvent] = []
@@ -99,8 +139,9 @@ class ZkClient:
         self.ops_completed = 0
         self.ops_failed = 0
         self.retries_performed = 0
-        # One bound method reused for every request-timeout guard.
-        self._expire_cb = self._expire_request
+        # Bound methods reused for every guard and backoff callback.
+        self._on_deadline_cb = self._on_deadline
+        self._resend_cb = self._resend
 
         self._alive = True
         self._procs = [
@@ -115,17 +156,7 @@ class ZkClient:
 
     def connect(self) -> Event:
         """Open a session with the bound server."""
-        event = Event(self.env)
-        if self._connect_event is not None and not self._connect_event.triggered:
-            raise RuntimeError(f"{self.name}: connect already in flight")
-        self._connect_event = event
-        self.net.send(
-            self.addr,
-            self.server_addr,
-            ConnectRequest(self.addr, self.session_timeout_ms),
-        )
-        self._watch_timeout(event, what="connect")
-        return event
+        return self.connect_retrying(max_retries=0)
 
     def reconnect(self, server_addr: NodeAddress) -> Event:
         """Bind to a different server and open a fresh session.
@@ -148,31 +179,31 @@ class ZkClient:
         sequential: bool = False,
     ) -> Event:
         """Create a znode; resolves to the actual (sequence-expanded) path."""
-        return self._submit(CreateOp(path, data, ephemeral, sequential))
+        return self.submit_retrying(CreateOp(path, data, ephemeral, sequential), 0)
 
     def delete(self, path: str, version: int = -1) -> Event:
         """Delete a znode (version -1 = unconditional)."""
-        return self._submit(DeleteOp(path, version))
+        return self.submit_retrying(DeleteOp(path, version), 0)
 
     def set_data(self, path: str, data: bytes, version: int = -1) -> Event:
         """Overwrite a znode's data; resolves to the new Stat."""
-        return self._submit(SetDataOp(path, data, version))
+        return self.submit_retrying(SetDataOp(path, data, version), 0)
 
     def get_data(self, path: str, watch: bool = False) -> Event:
         """Read a znode; resolves to ``(data, stat)``."""
-        return self._submit(GetDataOp(path, watch))
+        return self.submit_retrying(GetDataOp(path, watch), 0)
 
     def exists(self, path: str, watch: bool = False) -> Event:
         """Resolves to the node's Stat, or None if it doesn't exist."""
-        return self._submit(ExistsOp(path, watch))
+        return self.submit_retrying(ExistsOp(path, watch), 0)
 
     def get_children(self, path: str, watch: bool = False) -> Event:
         """Resolves to the sorted list of child names."""
-        return self._submit(GetChildrenOp(path, watch))
+        return self.submit_retrying(GetChildrenOp(path, watch), 0)
 
     def multi(self, ops) -> Event:
         """Atomic batch of write ops; resolves to a list of results."""
-        return self._submit(MultiOp(tuple(ops)))
+        return self.submit_retrying(MultiOp(tuple(ops)), 0)
 
     def check_version(self, path: str, version: int) -> CheckVersionOp:
         """Build a version-check op for use inside :meth:`multi`."""
@@ -180,23 +211,15 @@ class ZkClient:
 
     def sync(self, path: str = "/") -> Event:
         """Flush the commit pipeline to this client's server."""
-        return self._submit(SyncOp(path))
+        return self.submit_retrying(SyncOp(path), 0)
 
     def close(self) -> Event:
         """Explicitly close the session (deletes ephemerals)."""
         if self.session_id is None:
             raise RuntimeError(f"{self.name}: not connected")
-        event = self._submit(CloseSessionOp(self.session_id))
-        return event
+        return self.submit_retrying(CloseSessionOp(self.session_id), 0)
 
     # -- retrying operations ------------------------------------------------
-    #
-    # Each logical operation gets ONE cxid, reused verbatim across every
-    # retry. The server's reply cache keys on (session_id, cxid), so a
-    # timed-out-but-committed write is recognized as a retry and answered
-    # from the cache instead of being applied a second time. Retrying with
-    # a fresh cxid (as a naive loop around set_data() would) silently
-    # double-applies under loss.
 
     def submit_retrying(
         self,
@@ -209,51 +232,14 @@ class ZkClient:
         Backoff doubles per attempt (capped); replicated failures (ApiError,
         session expiry) are not retried — they are definitive outcomes.
         """
-        cxid = self._next_cxid()
-        result = Event(self.env)
-        self.env.process(
-            self._retry_driver(op, cxid, result, max_retries, backoff_ms),
-            name=f"{self.name}.retry",
-        )
-        return result
-
-    def _retry_driver(
-        self,
-        op: Any,
-        cxid: int,
-        result: Event,
-        max_retries: int,
-        backoff_ms: float,
-    ):
-        delay = backoff_ms
-        attempt = 0
-        while True:
-            try:
-                value = yield self._submit_with_cxid(op, cxid)
-            except ConnectionLossError as exc:
-                attempt += 1
-                if attempt > max_retries:
-                    if not result.triggered:
-                        result.fail(exc)
-                    return
-                self.retries_performed += 1
-                try:
-                    yield self.env.timeout(delay)
-                except Interrupt:
-                    return
-                delay = min(delay * 2.0, 4000.0)
-                if self.expired or self.session_id is None:
-                    if not result.triggered:
-                        result.fail(SessionExpiredError(self.name))
-                    return
-                continue
-            except Exception as exc:  # definitive replicated outcome
-                if not result.triggered:
-                    result.fail(exc)
-                return
-            if not result.triggered:
-                result.succeed(value)
-            return
+        if self.expired:
+            raise SessionExpiredError(self.name)
+        if self.session_id is None:
+            raise RuntimeError(f"{self.name}: not connected")
+        self._cxid = cxid = self._cxid + 1
+        event = Event(self.env)
+        self._send(_Request(event, cxid, op, max_retries, backoff_ms))
+        return event
 
     def create_retrying(
         self,
@@ -296,33 +282,11 @@ class ZkClient:
         Safe because the server answers a retried ConnectRequest with the
         already-created session instead of minting a second one.
         """
-        result = Event(self.env)
-
-        def driver():
-            delay = backoff_ms
-            attempt = 0
-            while True:
-                try:
-                    session_id = yield self.connect()
-                except ConnectionLossError as exc:
-                    attempt += 1
-                    if attempt > max_retries:
-                        if not result.triggered:
-                            result.fail(exc)
-                        return
-                    self.retries_performed += 1
-                    try:
-                        yield self.env.timeout(delay)
-                    except Interrupt:
-                        return
-                    delay = min(delay * 2.0, 4000.0)
-                    continue
-                if not result.triggered:
-                    result.succeed(session_id)
-                return
-
-        self.env.process(driver(), name=f"{self.name}.connect-retry")
-        return result
+        if self._connect_event is not None and not self._connect_event.triggered:
+            raise RuntimeError(f"{self.name}: connect already in flight")
+        event = Event(self.env)
+        self._send(_Request(event, None, None, max_retries, backoff_ms))
+        return event
 
     def wait_watch(self, path: Optional[str] = None) -> Event:
         """Event that fires on the next watch notification (for ``path``).
@@ -336,51 +300,76 @@ class ZkClient:
 
     # ----------------------------------------------------------------- guts
 
-    def _next_cxid(self) -> int:
-        if self.expired:
-            raise SessionExpiredError(self.name)
-        if self.session_id is None:
-            raise RuntimeError(f"{self.name}: not connected")
-        self._cxid += 1
-        return self._cxid
+    def _send(self, req: _Request) -> None:
+        """(Re-)issue ``req`` and put it under the timeout guard."""
+        if req.cxid is None:
+            self._connect_event = req.event
+            body: Any = ConnectRequest(self.addr, self.session_timeout_ms)
+        else:
+            self._pending[req.cxid] = req.event
+            body = OpRequest(self.session_id, req.cxid, req.op)
+        self.net.send(self.addr, self.server_addr, body)
+        req.deadline = deadline = self.env._now + self.request_timeout_ms
+        outstanding = self._outstanding
+        while outstanding and outstanding[0].event._ok is not None:
+            outstanding.popleft()
+        outstanding.append(req)
+        # request_timeout_ms is reassignable, so a later request may be due
+        # earlier than the armed guard: arm a second one and let the first
+        # find itself superseded.
+        if deadline < self._armed_at:
+            self._armed_at = deadline
+            self.env.call_at(deadline, self._on_deadline_cb, deadline)
 
-    def _submit(self, op: Any) -> Event:
-        return self._submit_with_cxid(op, self._next_cxid())
+    def _on_deadline(self, armed_for: float) -> None:
+        """The guard fired: expire overdue requests, re-arm for the rest."""
+        if armed_for != self._armed_at:
+            return  # superseded by a guard armed for an earlier deadline
+        live: Deque[_Request] = deque()
+        next_deadline = _INF
+        for req in self._outstanding:
+            if req.event._ok is not None:
+                continue  # answered (or failed by session expiry)
+            if req.deadline <= armed_for:
+                self._expire(req)
+            else:
+                live.append(req)
+                if req.deadline < next_deadline:
+                    next_deadline = req.deadline
+        self._outstanding = live
+        self._armed_at = next_deadline
+        if live:
+            self.env.call_at(next_deadline, self._on_deadline_cb, next_deadline)
 
-    def _submit_with_cxid(self, op: Any, cxid: int) -> Event:
-        event = Event(self.env)
-        self._pending[cxid] = event
-        self.net.send(
-            self.addr,
-            self.server_addr,
-            OpRequest(self.session_id, cxid, op),
-        )
-        self._watch_timeout(event, cxid=cxid, what=type(op).__name__)
-        return event
-
-    def _watch_timeout(
-        self, event: Event, cxid: Optional[int] = None, what: str = ""
-    ) -> None:
-        # Fire-and-forget guard scheduled as a bare callback — one heap
-        # entry instead of a Process per request. call_in cannot be
-        # cancelled, so the callback detects staleness itself.
-        self.env.call_in(
-            self.request_timeout_ms, self._expire_cb, (event, cxid, what)
-        )
-
-    def _expire_request(self, args: Tuple[Event, Optional[int], str]) -> None:
-        event, cxid, what = args
-        if event.triggered:
-            return
-        if cxid is not None:
-            self._pending.pop(cxid, None)
+    def _expire(self, req: _Request) -> None:
+        # No reply in time. Forget the request (a late reply is dropped),
+        # then either back off and resend under the same cxid or give up.
+        if req.cxid is None:
+            self._connect_event = None
+        else:
+            self._pending.pop(req.cxid, None)
         self.ops_failed += 1
-        event.fail(
-            ConnectionLossError(
-                f"{self.name}: {what} timed out after "
-                f"{self.request_timeout_ms} ms"
+        if req.retries_left <= 0:
+            what = "connect" if req.cxid is None else type(req.op).__name__
+            req.event.fail(
+                ConnectionLossError(
+                    f"{self.name}: {what} timed out after "
+                    f"{self.request_timeout_ms} ms"
+                )
             )
-        )
+            return
+        req.retries_left -= 1
+        self.retries_performed += 1
+        self.env.call_in(req.delay, self._resend_cb, req)
+        req.delay = min(req.delay * 2.0, 4000.0)
+
+    def _resend(self, req: _Request) -> None:
+        # Backoff over. An op whose session died meanwhile fails for good;
+        # a connect has no session to lose.
+        if req.cxid is not None and (self.expired or self.session_id is None):
+            req.event.fail(SessionExpiredError(self.name))
+        else:
+            self._send(req)
 
     def _on_envelope(self, envelope) -> None:
         # Inbox consumer: replaces the old _pump process.

@@ -12,6 +12,7 @@ import pytest
 from repro.net import CALIFORNIA, VIRGINIA, LinkProfile
 from repro.zk import ConnectionLossError, NodeExistsError, SetDataOp
 from repro.zk.ops import Txn
+from repro.zk.protocol import OpReply, OpRequest
 
 from tests.support import fresh_world, plain_zk, run_app
 
@@ -28,18 +29,29 @@ def test_duplicate_request_answered_from_reply_cache():
     client = deployment.client(VIRGINIA)
     server = bound_server(deployment, client)
 
+    sent, replies = [], []
+
+    def tap(envelope):
+        if isinstance(envelope.body, OpRequest):
+            sent.append(envelope.body)
+        elif isinstance(envelope.body, OpReply) and envelope.dst == client.addr:
+            replies.append(envelope.body)
+
+    net.tap(tap)
+
     def app():
         yield client.connect()
         yield client.create("/cached", b"v0")
-        op = SetDataOp("/cached", b"v1")
-        cxid = client._next_cxid()
-        first = yield client._submit_with_cxid(op, cxid)
+        first = yield client.set_data("/cached", b"v1")
         # Re-send the exact same request (a retry after a lost reply).
-        second = yield client._submit_with_cxid(op, cxid)
+        net.send(client.addr, client.server_addr, sent[-1])
+        yield env.timeout(500.0)
+        second = replies[-1].value
         _data, stat = yield client.get_data("/cached")
         return first, second, stat
 
     first, second, stat = run_app(env, app())
+    assert [reply.cxid for reply in replies] == [1, 2, 2, 3]
     assert first.version == second.version == 1
     assert stat.version == 1  # applied exactly once
     assert server.replies_from_cache == 1

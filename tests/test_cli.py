@@ -92,3 +92,39 @@ def test_cli_experiments_list_prints_all_suites(capsys):
     assert "fleet:" in output
     assert "(opt-in)" in output
     assert "fleet:20 sites" in output
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    [None, "bench", "profile", "fuzz", "experiments", "cache", "trace",
+     "diff-traces"],
+)
+def test_every_subcommand_renders_help(subcommand, capsys):
+    """argparse %-formats help strings at render time, so a bare ``%`` in
+    one only blows up when somebody asks for ``--help``."""
+    argv = ["--help"] if subcommand is None else [subcommand, "--help"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_bench_check_gates_ycsb_on_ops_per_sec_not_events_per_sec():
+    """Fewer kernel events for the same ops is a speed-up even though
+    events/sec falls; the microloops stay gated on events/sec."""
+    from repro.bench import _check
+
+    def suite(kernel_events, ycsb_events, ycsb_ops):
+        return {
+            "quick": True,
+            "calibration_events_per_sec": 1e6,
+            "kernel": {"events_per_sec": kernel_events},
+            "ycsb": {"events_per_sec": ycsb_events, "ops_per_wall_sec": ycsb_ops},
+        }
+
+    baseline = suite(500_000.0, 200_000.0, 7_000.0)
+    assert _check(suite(500_000.0, 140_000.0, 9_000.0), baseline) == []
+    (failure,) = _check(suite(500_000.0, 260_000.0, 5_000.0), baseline)
+    assert failure.startswith("ycsb:") and "ops_per_wall_sec" in failure
+    (failure,) = _check(suite(300_000.0, 200_000.0, 7_000.0), baseline)
+    assert failure.startswith("kernel:") and "events_per_sec" in failure
