@@ -12,10 +12,11 @@ Subcommands:
   go to stdout (byte-identical for any ``--jobs``), progress/timing to
   stderr.
 * ``python -m repro cache stats|clear`` — inspect or empty the cache.
-* ``python -m repro bench`` — simulator-throughput benchmarks.
-* ``python -m repro profile <target>`` — cProfile a bench workload or a
-  runner suite; top-N hotspots plus a per-layer tottime rollup
-  (kernel/net/zab/zk/wankeeper/workload), JSON-diffable across PRs.
+* ``python -m repro profile <suite>`` — cProfile a runner suite; prints
+  top-N hotspots plus a per-layer tottime rollup
+  (kernel/net/zab/wpaxos/zk/wankeeper/fleet/workload). Performance is
+  *measured* by the ledger (``python3 benchmarks/ledger/run.py``), which
+  is not a subcommand.
 * ``python -m repro trace --out FILE`` — run a small traced WanKeeper
   workload (sentinel on) and dump the structured event trace as JSONL.
 * ``python -m repro diff-traces A B`` — first divergence of two JSONL
@@ -382,13 +383,6 @@ def _diff_traces_main(argv: List[str]) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # Simulator-throughput benchmarks live behind their own subcommand
-        # with bench-specific flags (--quick/--json/--check); everything
-        # else goes through the figure-experiment parser below.
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "profile":
         from repro.profiling import main as profile_main
 
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Regenerate the WanKeeper paper's evaluation figures "
         "('experiments' runs them in parallel with result caching; "
-        "'bench' runs the simulator throughput benchmarks).",
+        "'profile' runs a suite under cProfile).",
     )
     parser.add_argument(
         "experiment",

@@ -14,11 +14,10 @@ simulated network, on either broadcast substrate. Three mechanisms make
   :meth:`~repro.sim.kernel.Environment.call_at`. After scheduling a busy
   tick it re-arms itself at the next tick boundary; across quiescent
   stretches it just keeps iterating — simulated time jumps from burst to
-  burst with *zero* kernel events in between. With ``fast_forward``
-  off, a generator process performs the identical draws one
-  ``env.sleep(tick_ms)`` at a time, so both modes issue bit-identical
-  schedules and differ only in wall-clock time (the property the
-  equality tests pin).
+  burst with *zero* kernel events in between. The per-tick generator
+  it replaced (one ``env.sleep(tick_ms)`` per tick, identical draws)
+  lives on as ``tests/reference_fleet.py``; the equality tests pin that
+  both issue bit-identical schedules.
 
 * **Flyweight sessions** — one :class:`FleetStation` per site owns a
   single physical inbox shared by all of the site's sessions through
@@ -40,23 +39,23 @@ simulated network, on either broadcast substrate. Three mechanisms make
   drop it after replying, writes copy its fields into the ``Txn``). The
   per-op kind/latency bookkeeping lives in an int-keyed dict with the
   sign bit of the issue timestamp encoding read-vs-write, so the steady
-  state allocates nothing but the envelopes themselves. ``recycle
-  _messages=False`` rebuilds every record per op for before/after
-  profiling; payloads are bit-identical either way.
+  state allocates nothing but the envelopes themselves. The
+  fresh-records-per-op station is the second oracle in
+  ``tests/reference_fleet.py``; payloads are bit-identical either way.
 
 Determinism: all stochastic choices draw from per-site named
 ``seeded_rng`` streams consumed in (tick, site, arrival) order, the scan
 inserts operations in exactly the order the per-tick generator process
 would, and no unordered collection is ever iterated. Payloads are pure
-functions of the spec (``fast_forward`` and ``recycle_messages``
-excluded), bit-identical across PYTHONHASHSEED values and executors.
+functions of the spec, bit-identical across PYTHONHASHSEED values and
+executors.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.fleet.engine import _poisson
@@ -108,8 +107,6 @@ class FleetFullSpec:
     settle_ms: float = 500.0
     drain_ms: float = 2000.0
     payload_bytes: int = 16
-    fast_forward: bool = True
-    recycle_messages: bool = True
     reservoir_size: int = 1024
     seed: int = 42
 
@@ -137,14 +134,20 @@ class FleetFullSpec:
             raise ValueError("hub_index out of range")
         if self.tick_ms <= 0 or self.duration_ms <= 0:
             raise ValueError("durations must be positive")
+        if self.diurnal_period_ms <= 0:
+            raise ValueError("diurnal_period_ms must be positive")
+        if not 0.0 <= self.hotspot_fraction <= 1.0:
+            raise ValueError("hotspot_fraction must be in [0, 1]")
+        if self.site_ops_per_sec < 0 or self.load_multiplier < 0:
+            raise ValueError("offered load must not be negative")
+        if self.payload_bytes < 0:
+            raise ValueError("payload_bytes must not be negative")
+        if min(self.connect_window_ms, self.settle_ms, self.drain_ms) < 0:
+            raise ValueError("phase windows must not be negative")
 
     @property
     def total_sessions(self) -> int:
         return self.n_sites * self.sessions_per_site
-
-    def as_params(self) -> Dict[str, Any]:
-        """Flat kwargs dict (for Scenario specs)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class FleetStation:
@@ -162,7 +165,7 @@ class FleetStation:
         "connected", "ops_issued", "ops_completed", "ops_failed",
         "not_connected_drops", "unexpected_messages", "inflight",
         "_inflight_reqs", "_req_free", "_read_ops", "_write_ops",
-        "_key_paths", "_write_data", "_recycle", "_issue_cb",
+        "_key_paths", "_issue_cb",
         "_connect_batch_cb",
     )
 
@@ -221,8 +224,6 @@ class FleetStation:
         self._read_ops = read_ops
         self._write_ops = write_ops
         self._key_paths = key_paths
-        self._write_data = b"w" * spec.payload_bytes
-        self._recycle = spec.recycle_messages
         self._issue_cb = self._issue
         self._connect_batch_cb = self._connect_batch
 
@@ -263,36 +264,23 @@ class FleetStation:
             return
         cxid = self.cxids[sess] + 1
         self.cxids[sess] = cxid
-        recycle = self._recycle
-        if recycle:
-            op = (
-                self._write_ops[key_index]
-                if is_write
-                else self._read_ops[key_index]
-            )
-            free = self._req_free
-            if free:
-                req = free.pop()
-                req.session_id = session_id
-                req.cxid = cxid
-                req.op = op
-            else:
-                req = OpRequest(session_id, cxid, op)
+        op = (
+            self._write_ops[key_index]
+            if is_write
+            else self._read_ops[key_index]
+        )
+        free = self._req_free
+        if free:
+            req = free.pop()
+            req.session_id = session_id
+            req.cxid = cxid
+            req.op = op
         else:
-            # Unoptimized comparison path: fresh records per op, exactly
-            # what a naive per-session client would allocate.
-            path = self._key_paths[key_index]
-            op = (
-                SetDataOp(path, self._write_data)
-                if is_write
-                else GetDataOp(path)
-            )
             req = OpRequest(session_id, cxid, op)
         key = sess * _CXID_SPAN + cxid
         now = self.env._now
         self.inflight[key] = -now if is_write else now
-        if recycle:
-            self._inflight_reqs[key] = req
+        self._inflight_reqs[key] = req
         self.ops_issued += 1
         self.net.send(self.aliases[sess], self.server_addr, req)
 
@@ -308,13 +296,11 @@ class FleetStation:
             if issued is None:
                 self.unexpected_messages += 1
                 return
-            if self._recycle:
-                req = self._inflight_reqs.pop(key, None)
-                if req is not None:
-                    # The server never retains the request shell past the
-                    # handler that answered it: safe to reuse.
-                    req.op = None
-                    self._req_free.append(req)
+            # The server never retains the request shell past the
+            # handler that answered it: safe to reuse.
+            req = self._inflight_reqs.pop(key)
+            req.op = None
+            self._req_free.append(req)
             now = self.env._now
             if body.ok:
                 self.ops_completed += 1
@@ -336,6 +322,10 @@ class FleetStation:
 
 class _FleetFullEngine:
     """All run state for one full-stack fleet cell (built fresh per run)."""
+
+    #: Client layer built per site. With :meth:`_start_driver`, the seam
+    #: through which tests/reference_fleet.py substitutes its oracles.
+    station_class = FleetStation
 
     def __init__(self, spec: FleetFullSpec):
         self.spec = spec
@@ -435,7 +425,7 @@ class _FleetFullEngine:
             substrate="zab",
         )
 
-    # -- arrival planning (shared by both driver modes) ----------------------
+    # -- arrival planning ----------------------------------------------------
 
     def _rate_multiplier(self, site_index: int, rel_ms: float) -> float:
         spec = self.spec
@@ -453,8 +443,8 @@ class _FleetFullEngine:
 
         Draw and insertion order is (site, arrival) within the tick —
         identical whether called from the fast-forward scan or the
-        per-tick generator, which is what makes the two modes produce
-        bit-identical schedules.
+        per-tick generator of tests/reference_fleet.py, which is what
+        makes the two produce bit-identical schedules.
         """
         flat_threshold = self._flat_threshold
         rngs = self.rngs
@@ -555,15 +545,9 @@ class _FleetFullEngine:
                 call_at(t0 + tick_index * tick_ms, self._scan_cb, tick_index)
                 return
 
-    def _naive_driver(self, ticks: int):
-        """Reference driver: one kernel wake per tick, identical draws."""
-        env = self.env
-        tick_ms = self.spec.tick_ms
-        schedule = self._schedule_tick
-        for tick_index in range(ticks):
-            schedule(tick_index)
-            if tick_index + 1 < ticks:
-                yield env.sleep(tick_ms)
+    def _start_driver(self) -> None:
+        """Arm the scan at tick 0 of the driven window (``_t0`` is now)."""
+        self.env.call_soon(self._scan_cb, 0)
 
     # -- run -----------------------------------------------------------------
 
@@ -595,7 +579,7 @@ class _FleetFullEngine:
         if t_connect > env.now:
             env.run(until=t_connect)
         for i in range(spec.n_sites):
-            station = FleetStation(
+            station = self.station_class(
                 env, self.net, spec, i, self.names[i],
                 self.deployment.server_at(self.names[i]).client_addr,
                 self.read_ops, self.write_ops, self.key_paths,
@@ -609,10 +593,7 @@ class _FleetFullEngine:
                 f"only {connected}/{spec.total_sessions} sessions connected"
             )
         self._t0 = env.now
-        if spec.fast_forward:
-            env.call_soon(self._scan_cb, 0)
-        else:
-            env.process(self._naive_driver(self._ticks), name="fleet-driver")
+        self._start_driver()
         env.run(until=self._t0 + self._ticks * spec.tick_ms + spec.drain_ms)
         return self.payload()
 

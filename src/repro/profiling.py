@@ -1,22 +1,20 @@
-"""Profiling harness: ``repro profile <target>``.
+"""Profiling harness: ``repro profile <suite>``.
 
-Wraps any runner scenario suite or bench workload in :mod:`cProfile` and
-reports where the wall-clock goes, two ways:
+Wraps any runner scenario suite in :mod:`cProfile` and prints where the
+wall-clock goes, two ways:
 
 * a **top-N hotspot table** (tottime-ordered, like ``pstats``), and
 * a **cumulative-by-module rollup** that buckets every profiled frame
   into one of the repo's layers — ``kernel`` (sim), ``net``, ``zab``,
-  ``zk``, ``wankeeper``, ``fleet``, ``workload``
+  ``wpaxos``, ``zk``, ``wankeeper``, ``fleet``, ``workload``
   (workloads/experiments/runner), or ``other`` (stdlib and everything
   else).
 
-The rollup is the number that matters across PRs: a perf pass aimed at
-the protocol layer should show the zk/wankeeper *share* of tottime
-shrinking while the kernel/net share grows (the substrate becoming the
-bottleneck again). Reports are JSON (``BENCH_profile.json``-style) so
-hotspot shifts are diffable; ``--section before|after`` merges runs into
-one committed artifact the same way ``BENCH_kernel.json`` keeps its
-pre-optimization numbers.
+It is a hotspot finder, not a meter: it prints (``--json`` for a
+machine-readable report) and writes no file. Before/after layer shares
+that back a claim come from the ledger's traced set
+(``benchmarks/ledger/run.py --trace 1``, ``<layer>.self_share``), which
+also books built-ins and generated methods to the layer that called them.
 
 Profiling is observation-only: the simulation under the profiler makes
 exactly the same RNG draws and scheduling decisions as an unprofiled
@@ -34,7 +32,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "PROFILE_FILE",
     "available_targets",
     "main",
     "module_group",
@@ -42,14 +39,16 @@ __all__ = [
     "profile_target",
 ]
 
-PROFILE_FILE = "BENCH_profile.json"
-
 #: Layer buckets, matched against the path of each profiled code object.
 #: First match wins; anything outside src/repro lands in "other".
 _GROUP_MARKERS: Tuple[Tuple[str, str], ...] = (
     ("repro/sim/", "kernel"),
     ("repro/net/", "net"),
     ("repro/zab/", "zab"),
+    # The registry seam runs at build time only; booked to the default
+    # backend so it stays on the protocol side of the headline ratio.
+    ("repro/substrate/", "zab"),
+    ("repro/wpaxos/", "wpaxos"),
     ("repro/zk/", "zk"),
     ("repro/wankeeper/", "wankeeper"),
     ("repro/fleet/", "fleet"),
@@ -63,7 +62,8 @@ _GROUP_MARKERS: Tuple[Tuple[str, str], ...] = (
 
 #: Rollup group order for reports (stable, layer-stack order).
 GROUPS = (
-    "kernel", "net", "zab", "zk", "wankeeper", "fleet", "workload", "other"
+    "kernel", "net", "zab", "wpaxos", "zk", "wankeeper", "fleet", "workload",
+    "other",
 )
 
 
@@ -137,10 +137,9 @@ def profile_callable(
             bucket["tottime_s"] / total_tottime, 4
         ) if total_tottime else 0.0
 
-    protocol = (
-        modules["zab"]["tottime_s"]
-        + modules["zk"]["tottime_s"]
-        + modules["wankeeper"]["tottime_s"]
+    protocol = sum(
+        modules[group]["tottime_s"]
+        for group in ("zab", "wpaxos", "zk", "wankeeper")
     )
     substrate = modules["kernel"]["tottime_s"] + modules["net"]["tottime_s"]
     report = {
@@ -172,45 +171,30 @@ def _short_path(filename: str) -> str:
 # -- targets ------------------------------------------------------------------
 
 
-_BENCH_TARGETS = ("kernel", "transport", "ycsb", "fleet")
-
-
 def available_targets() -> List[str]:
-    """Profile targets: bench workloads plus every runner suite."""
+    """Profile targets: every runner suite."""
     from repro.runner import SUITES
 
-    return ["bench:" + name for name in _BENCH_TARGETS] + sorted(SUITES)
+    return sorted(SUITES)
 
 
 def _target_callable(
     target: str, small: bool, seed: int
 ) -> Callable[[], Any]:
-    """Resolve a target name to a zero-arg callable to profile.
-
-    ``bench:kernel|transport|ycsb|fleet`` (bare bench names accepted
-    too) run the corresponding bench workload; any runner suite name
-    (fig4, fig7, ablations, soak, fleet_full, ...) runs every cell of
-    that suite in-process, serially — the same work ``repro experiments
+    """Resolve a runner suite name (fig4, fig7, ablations, soak,
+    fleet_full, ...) to a zero-arg callable that runs every cell of the
+    suite in-process, serially — the same work ``repro experiments
     <name> --jobs 1`` does, minus rendering.
     """
-    name = target[len("bench:") :] if target.startswith("bench:") else target
-    if name in _BENCH_TARGETS:
-        from repro import bench
-
-        fn = getattr(bench, f"bench_{name}")
-        if name in ("ycsb", "fleet"):
-            return lambda: fn(quick=small, seed=seed)
-        return lambda: fn(quick=small)
-
     from repro.runner import SUITES, build_suite
     from repro.runner.cells import run_cell
 
-    if name not in SUITES:
+    if target not in SUITES:
         raise KeyError(
             f"unknown profile target {target!r} "
             f"(available: {', '.join(available_targets())})"
         )
-    scenarios = build_suite(name, small, seed)
+    scenarios = build_suite(target, small, seed)
 
     def run_suite_cells() -> Dict[str, Any]:
         return {
@@ -235,7 +219,7 @@ def profile_target(
     return report
 
 
-# -- report rendering / file merge --------------------------------------------
+# -- report rendering ---------------------------------------------------------
 
 
 def _format_report(report: Dict[str, Any], top: int) -> str:
@@ -286,27 +270,6 @@ def _format_report(report: Dict[str, Any], top: int) -> str:
     return "\n".join(lines)
 
 
-def _merge_profile_file(
-    path: str, section: str, report: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Insert ``report`` under ``payload[section][target]``, keeping the
-    other section (before/after) and other targets intact."""
-    import os
-
-    payload: Dict[str, Any] = {"schema": "bench_profile/v1"}
-    if os.path.exists(path):
-        with open(path) as handle:
-            existing = json.load(handle)
-        for key in ("before", "after"):
-            if key in existing:
-                payload[key] = existing[key]
-    payload.setdefault(section, {})[report["target"]] = report
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return payload
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -314,17 +277,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description=(
-            "Profile a bench workload or runner suite under cProfile and "
-            "report top hotspots plus a per-layer (kernel/net/zab/zk/"
-            "wankeeper/fleet/workload) rollup of tottime."
+            "Profile a runner suite under cProfile and print top hotspots "
+            "plus a per-layer (kernel/net/zab/wpaxos/zk/wankeeper/fleet/"
+            "workload) rollup of tottime. Writes no file."
         ),
     )
     parser.add_argument(
         "target",
         help=(
-            "what to profile: bench:kernel, bench:transport, bench:ycsb, "
-            "bench:fleet, or any runner suite (fig4..fig10, ablations, "
-            "soak, fleet_full)"
+            "runner suite to profile (fig4..fig10, fig_wpaxos, ablations, "
+            "soak, fleet, fleet_full)"
         ),
     )
     parser.add_argument(
@@ -336,22 +298,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true", help="print the report as JSON"
-    )
-    parser.add_argument(
-        "--out",
-        default=PROFILE_FILE,
-        help=f"merge the report into this JSON file (default {PROFILE_FILE})",
-    )
-    parser.add_argument(
-        "--section",
-        choices=("before", "after"),
-        default="after",
-        help="which section of the profile file to write (default after)",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print only; do not touch the profile file",
     )
     args = parser.parse_args(argv)
 
@@ -367,9 +313,6 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(_format_report(report, args.top))
-    if not args.no_write:
-        _merge_profile_file(args.out, args.section, report)
-        print(f"wrote {args.out} [{args.section}][{args.target}]")
     return 0
 
 

@@ -490,10 +490,8 @@ def cell_fleet_full(**kwargs) -> Dict[str, Any]:
 
     The open-loop fleet driver injects its ops into a *real*
     ZK/WanKeeper deployment; parameters are
-    :class:`repro.fleet.FleetFullSpec` fields (all JSON scalars). The
-    payload excludes ``fast_forward``/``recycle_messages`` — those only
-    change wall-clock time, so a cell run with either toggle lands on
-    the same digestible result.
+    :class:`repro.fleet.FleetFullSpec` fields (all JSON scalars), and
+    the payload is a pure function of them.
     """
     from repro.fleet import FleetFullSpec, run_fleet_full
 

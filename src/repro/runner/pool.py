@@ -3,10 +3,10 @@
 The original parallel executor spawned one pristine process per cell, so
 every cell paid interpreter start-up plus a full ``repro`` import — on
 machines where a cell runs for a second or two, parallel runs were
-*slower* than serial (BENCH_experiments.json recorded a 0.68–0.75
-"speedup"). This module replaces spawn-per-cell with a small fleet of
-**long-lived workers**: spawn-started once, importing the package once,
-then serving many cells over a duplex pipe.
+*slower* than serial (0.68–0.75× serial speed, measured on the full
+experiment set). This module replaces spawn-per-cell with a small fleet
+of **long-lived workers**: spawn-started once, importing the package
+once, then serving many cells over a duplex pipe.
 
 Design points:
 

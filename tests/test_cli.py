@@ -12,8 +12,11 @@ def test_all_experiments_registered():
 
 
 def test_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        main(["fig99"])
+    # "bench" is retired: to argparse, one more unknown name (exit 2).
+    for name in ("fig99", "bench"):
+        with pytest.raises(SystemExit) as info:
+            main([name])
+        assert info.value.code == 2
 
 
 def test_cli_runs_small_fig5(capsys):
@@ -37,19 +40,6 @@ def test_cli_seed_changes_nothing_structural(capsys):
     # Determinism: identical output for identical seed (modulo timing line).
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("[")]
     assert strip(first) == strip(second)
-
-
-def test_cli_bench_quick_writes_results(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--quick"]) == 0
-    output = capsys.readouterr().out
-    assert "Simulator throughput" in output
-    assert (tmp_path / "BENCH_kernel.json").exists()
-
-
-def test_cli_bench_check_without_baseline_fails(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--quick", "--check"]) == 2
 
 
 def test_cli_trace_dump_and_diff(tmp_path, capsys):
@@ -96,8 +86,7 @@ def test_cli_experiments_list_prints_all_suites(capsys):
 
 @pytest.mark.parametrize(
     "subcommand",
-    [None, "bench", "profile", "fuzz", "experiments", "cache", "trace",
-     "diff-traces"],
+    [None, "profile", "fuzz", "experiments", "cache", "trace", "diff-traces"],
 )
 def test_every_subcommand_renders_help(subcommand, capsys):
     """argparse %-formats help strings at render time, so a bare ``%`` in
@@ -107,24 +96,3 @@ def test_every_subcommand_renders_help(subcommand, capsys):
         main(argv)
     assert info.value.code == 0
     assert "usage:" in capsys.readouterr().out
-
-
-def test_bench_check_gates_ycsb_on_ops_per_sec_not_events_per_sec():
-    """Fewer kernel events for the same ops is a speed-up even though
-    events/sec falls; the microloops stay gated on events/sec."""
-    from repro.bench import _check
-
-    def suite(kernel_events, ycsb_events, ycsb_ops):
-        return {
-            "quick": True,
-            "calibration_events_per_sec": 1e6,
-            "kernel": {"events_per_sec": kernel_events},
-            "ycsb": {"events_per_sec": ycsb_events, "ops_per_wall_sec": ycsb_ops},
-        }
-
-    baseline = suite(500_000.0, 200_000.0, 7_000.0)
-    assert _check(suite(500_000.0, 140_000.0, 9_000.0), baseline) == []
-    (failure,) = _check(suite(500_000.0, 260_000.0, 5_000.0), baseline)
-    assert failure.startswith("ycsb:") and "ops_per_wall_sec" in failure
-    (failure,) = _check(suite(300_000.0, 200_000.0, 7_000.0), baseline)
-    assert failure.startswith("kernel:") and "events_per_sec" in failure

@@ -136,8 +136,9 @@ def test_hundred_thousand_sessions_memory_lean():
     tracemalloc.stop()
     assert payload["sessions"] == 100_000
     assert payload["active_sessions"] > 0
-    # ~12 bytes/session of columns plus recorders; 48 MB is the same
-    # ceiling `repro bench --fleet --check` gates in CI.
+    # ~12 bytes/session of columns plus recorders; the committed cells
+    # sit under 10 MB, so 48 MB trips on a per-session object or a
+    # per-op tuple, not on noise.
     assert peak < 48 * 1024 * 1024
 
 

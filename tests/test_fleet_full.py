@@ -1,14 +1,19 @@
-"""Full-stack fleet cells: driver-mode equivalence, message recycling,
-flyweight sessions, and the kernel/session primitives they lean on."""
+"""Full-stack fleet cells: the product against its per-tick-driver and
+fresh-allocation oracles (tests/reference_fleet.py), flyweight sessions,
+spec validation, the 10^4-session resource anchor, and the
+kernel/session primitives they lean on."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from repro.fleet import FleetFullSpec, run_fleet_full
+from repro.fleet.full import _FleetFullEngine
 from repro.sim.kernel import Environment, SimulationError
 from repro.zk.sessions import SessionTracker
+from tests.reference_fleet import FreshAllocationEngine, PerTickEngine
 
 # Small cell used by most tests: three sites, real WanKeeper stack,
 # diurnal modulation ON so the generic (non-flat) draw path runs.
@@ -43,7 +48,12 @@ def _run(base, **overrides):
     return run_fleet_full(FleetFullSpec(**{**base, **overrides}))
 
 
-# -- determinism and driver-mode equivalence ----------------------------------
+def _run_engine(engine_cls, base):
+    engine = engine_cls(FleetFullSpec(**base))
+    return engine, engine.run()
+
+
+# -- determinism and equivalence with the reference oracles -------------------
 
 
 def test_repeat_runs_bit_identical():
@@ -52,22 +62,25 @@ def test_repeat_runs_bit_identical():
 
 def test_fast_forward_matches_naive_driver():
     # Diurnal cell: generic draw path under both drivers.
-    assert _canon(_run(_SMALL, fast_forward=True)) == _canon(
-        _run(_SMALL, fast_forward=False)
-    )
+    _, reference = _run_engine(PerTickEngine, _SMALL)
+    assert _canon(_run(_SMALL)) == _canon(reference)
 
 
 def test_fast_forward_matches_naive_on_sparse_flat_cell():
     # Flat cell: inline-threshold fast path under both drivers.
-    assert _canon(_run(_SPARSE, fast_forward=True)) == _canon(
-        _run(_SPARSE, fast_forward=False)
-    )
+    product, payload = _run_engine(_FleetFullEngine, _SPARSE)
+    reference, reference_payload = _run_engine(PerTickEngine, _SPARSE)
+    assert _canon(payload) == _canon(reference_payload)
+    # Quiescent ticks cost zero kernel events, exactly: the reference
+    # spends one more event than the product per tick on which no site
+    # had an arrival (4 000 ticks, 49 busy), and not one besides.
+    quiescent = reference._ticks - reference.busy_ticks
+    assert reference.env._seq - product.env._seq == quiescent == 3951
 
 
 def test_recycled_messages_match_fresh_allocations():
-    assert _canon(_run(_SMALL, recycle_messages=True)) == _canon(
-        _run(_SMALL, recycle_messages=False)
-    )
+    _, reference = _run_engine(FreshAllocationEngine, _SMALL)
+    assert _canon(_run(_SMALL)) == _canon(reference)
 
 
 def test_seed_changes_payload():
@@ -101,9 +114,25 @@ def test_zk_wpaxos_cell_completes_ops():
     assert payload["completed_ops"] > 0
 
 
-def test_wankeeper_requires_zab():
-    with pytest.raises(ValueError):
-        FleetFullSpec(**{**_SMALL, "system": "wankeeper", "substrate": "wpaxos"})
+_BAD_SPECS = [
+    (dict(system="wankeeper", substrate="wpaxos"), "zab substrate only"),
+    (dict(diurnal_period_ms=0.0), "diurnal_period_ms"),
+    (dict(hotspot_fraction=1.5), "hotspot_fraction"),
+    (dict(site_ops_per_sec=-1.0), "offered load"),
+    (dict(load_multiplier=-2), "offered load"),
+    (dict(payload_bytes=-3), "payload_bytes"),
+    (dict(connect_window_ms=-1), "phase windows"),
+    (dict(drain_ms=-5000.0), "phase windows"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, complaint", _BAD_SPECS, ids=["-".join(bad) for bad, _ in _BAD_SPECS]
+)
+def test_bad_spec_is_rejected_at_construction(bad, complaint):
+    # A diagnostic from the spec, never a stack trace from inside the run.
+    with pytest.raises(ValueError, match=complaint):
+        FleetFullSpec(**{**_SMALL, **bad})
 
 
 def test_all_sessions_connect_and_ops_flow():
@@ -123,9 +152,25 @@ def test_all_sessions_connect_and_ops_flow():
 
 def test_payload_is_json_plain_and_excludes_perf_toggles():
     payload = _run(_SMALL)
-    assert json.loads(_canon(payload)) == json.loads(_canon(payload))
-    assert "fast_forward" not in payload
-    assert "recycle_messages" not in payload
+    assert json.loads(_canon(payload)) == payload
+
+
+def test_ten_thousand_real_sessions_memory_lean():
+    """The full-stack anchor: 8 sites x 1250 real sessions on wankeeper x
+    zab, every op answered by the horizon, traced peak under 50 MB (a
+    floor of 200 000 sessions per GB). Host time is the ledger's job
+    (``fleet_open`` ``host_ops_per_s``), so no wall-clock ceiling."""
+    spec = FleetFullSpec(n_sites=8, sessions_per_site=1250, duration_ms=6000.0)
+    tracemalloc.start()
+    try:
+        payload = run_fleet_full(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["sessions"] == 10_000
+    assert payload["failed_ops"] == 0
+    assert payload["in_flight_at_horizon"] == 0
+    assert peak < 50e6
 
 
 # -- kernel: call_at ----------------------------------------------------------

@@ -4,7 +4,7 @@ Pins three properties:
 
 * the report shape — per-module rollup over the repo's layer buckets,
   shares that sum to one, tottime-ordered hotspots, JSON-plain;
-* the file-merge semantics of ``--section before|after``;
+* print-only — the CLI takes runner suites and writes no file;
 * observation-only profiling — running a seeded workload under cProfile
   yields the exact same client-visible history as an unprofiled run.
 """
@@ -29,9 +29,14 @@ def test_module_group_buckets():
     assert module_group("/x/src/repro/zab/peer.py") == "zab"
     assert module_group("/x/src/repro/zk/data_tree.py") == "zk"
     assert module_group("/x/src/repro/wankeeper/server.py") == "wankeeper"
+    assert module_group("/x/src/repro/wpaxos/peer.py") == "wpaxos"
+    assert module_group("/x/src/repro/wpaxos/messages.py") == "wpaxos"
+    # The substrate registry is consensus-side, not workload time.
+    assert module_group("/x/src/repro/substrate/__init__.py") == "zab"
+    assert module_group("/x/src/repro/fleet/full.py") == "fleet"
     assert module_group("/x/src/repro/workloads/driver.py") == "workload"
     assert module_group("/x/src/repro/runner/cells.py") == "workload"
-    assert module_group("/x/src/repro/bench.py") == "workload"
+    assert module_group("/x/src/repro/profiling.py") == "workload"
     assert module_group("/usr/lib/python3.11/json/encoder.py") == "other"
     # Windows-style separators normalize to the same buckets.
     assert module_group("C:\\x\\src\\repro\\zk\\records.py") == "zk"
@@ -52,10 +57,11 @@ def test_profile_callable_returns_result_and_report():
 
 
 def test_available_targets_cover_benches_and_suites():
-    targets = available_targets()
-    assert "bench:kernel" in targets
-    assert "bench:ycsb" in targets
-    assert "fig4" in targets
+    # The ledger is the only bench; every target is a runner suite.
+    from repro.runner import SUITES
+
+    assert available_targets() == sorted(SUITES)
+    assert "fig4" in available_targets()
 
 
 def test_unknown_target_raises_with_listing():
@@ -64,10 +70,11 @@ def test_unknown_target_raises_with_listing():
 
 
 def test_profile_target_small_ycsb_report_is_json_plain():
-    report = profile_target("bench:ycsb", small=True, seed=4242, top=10)
+    # Cheapest suite that runs every stack: wk x zab, zk x zab, zk x wpaxos.
+    report = profile_target("fleet_full", small=True, seed=4242, top=10)
     # Full stack ran: every protocol layer appears in the rollup.
-    assert report["target"] == "bench:ycsb"
-    for group in ("kernel", "net", "zab", "zk"):
+    assert report["target"] == "fleet_full"
+    for group in ("kernel", "net", "zab", "wpaxos", "zk", "wankeeper", "fleet"):
         assert report["modules"][group]["tottime_s"] >= 0.0
         assert report["modules"][group]["calls"] > 0
     assert report["protocol_over_substrate"] is not None
@@ -77,36 +84,16 @@ def test_profile_target_small_ycsb_report_is_json_plain():
     assert decoded["modules"].keys() == report["modules"].keys()
 
 
-def test_merge_profile_file_keeps_other_section(tmp_path):
-    out = tmp_path / "BENCH_profile.json"
-    before = {"target": "bench:ycsb", "wall_s": 1.0}
-    after = {"target": "bench:ycsb", "wall_s": 0.5}
-    other = {"target": "fig4", "wall_s": 9.0}
-    profiling._merge_profile_file(str(out), "before", before)
-    profiling._merge_profile_file(str(out), "before", other)
-    payload = profiling._merge_profile_file(str(out), "after", after)
-    assert payload["schema"] == "bench_profile/v1"
-    assert payload["before"]["bench:ycsb"]["wall_s"] == 1.0
-    assert payload["before"]["fig4"]["wall_s"] == 9.0
-    assert payload["after"]["bench:ycsb"]["wall_s"] == 0.5
-    on_disk = json.loads(out.read_text())
-    assert on_disk == payload
-
-
-def test_cli_no_write_leaves_file_alone(tmp_path, capsys):
-    out = tmp_path / "profile.json"
-    rc = profiling.main(
-        ["bench:kernel", "--small", "--no-write", "--json",
-         "--out", str(out)]
-    )
-    assert rc == 0
-    assert not out.exists()
+def test_cli_prints_report_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert profiling.main(["fleet_full", "--small", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["target"] == "bench:kernel"
+    assert report["target"] == "fleet_full"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unknown_target_fails_cleanly(capsys):
-    rc = profiling.main(["bench:nope", "--no-write"])
+    rc = profiling.main(["no-such-suite"])
     assert rc == 2
     assert "unknown profile target" in capsys.readouterr().out
 
