@@ -129,8 +129,10 @@ def _event_to_json(event: TraceEvent) -> str:
     record = {"seq": seq, "t": t, "cat": cat, "kind": kind, "node": node}
     if detail:
         record["detail"] = detail
-    # default=repr: NodeAddress, Zxid, bytes etc. serialize as their repr —
-    # deterministic, and good enough for divergence comparison.
+    # default=repr: NodeAddress, bytes etc. serialize as their repr —
+    # deterministic, and good enough for divergence comparison. (A Zxid is
+    # a tuple, so it would serialize as a two-element array; no trace
+    # detail carries one today.)
     return json.dumps(record, sort_keys=True, default=repr)
 
 

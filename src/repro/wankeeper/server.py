@@ -768,8 +768,12 @@ class WanKeeperServer(ZkServer):
             self._hub_pump()
 
     def _commit_wan_txn(self, zxid: Zxid, wan_txn: WanTxn) -> None:
-        self._seen_wan_ids.add(wan_txn.wan_id)
-        self._hub_inflight_ids.discard(wan_txn.wan_id)
+        txn = wan_txn.txn
+        # wan_id_of(txn), inlined: this runs once per commit per replica.
+        wan_id = (txn.session_id, txn.cxid)
+        serialized_at = wan_txn.serialized_at
+        self._seen_wan_ids.add(wan_id)
+        self._hub_inflight_ids.discard(wan_id)
         for grant in wan_txn.grants:
             self.hub_tokens.grant(grant.key, grant.site)
             if grant.key in self._hub_queue.waiters:
@@ -791,28 +795,26 @@ class WanKeeperServer(ZkServer):
         # any site can take over as hub after a level-2 failover.
         self._wan_history.append(wan_txn)
         for site, stream in self._relay_streams.items():
-            if wan_txn.serialized_at != site:
+            if serialized_at != site:
                 stream.append(wan_txn)
-        if wan_txn.serialized_at == self.site:
+        if serialized_at == self.site:
             self._replicate_stream.append(wan_txn)
         else:
             self._applied_relay_count += 1
-            if wan_txn.serialized_at != HUB:
-                origin = wan_txn.serialized_at
-                self._absorbed_from_site[origin] = (
-                    self._absorbed_from_site.get(origin, 0) + 1
+            if serialized_at != HUB:
+                self._absorbed_from_site[serialized_at] = (
+                    self._absorbed_from_site.get(serialized_at, 0) + 1
                 )
 
-        self._commit_client_txn(zxid, wan_txn.txn)
+        self._commit_client_txn(zxid, txn)
 
         if not self.peer.is_leader:
             return
         # ---- leader-only post-commit duties ----
-        serialized_at = wan_txn.serialized_at
         if self.is_hub_site:
             if serialized_at == HUB:
                 inflight = self._inflight_hub_keys
-                for key in token_keys(wan_txn.txn.op):
+                for key in token_keys(txn.op):
                     count = inflight.get(key, 0) - 1
                     if count > 0:
                         inflight[key] = count
@@ -830,7 +832,7 @@ class WanKeeperServer(ZkServer):
                 # broker's access log covers migrated-token activity too).
                 # Nearly every op needs exactly one token; skip the sort
                 # allocation for that case.
-                keys = token_keys(wan_txn.txn.op)
+                keys = token_keys(txn.op)
                 ordered = keys if len(keys) == 1 else sorted(keys)
                 for key in ordered:  # lint: iteration-order-ok (single element or sorted)
                     self._policy.observe(key, serialized_at)
@@ -839,12 +841,12 @@ class WanKeeperServer(ZkServer):
             self._pump_lease_reads()
         else:
             if serialized_at == self.site:
-                ready = self.site_tokens.retire(token_keys(wan_txn.txn.op))
+                ready = self.site_tokens.retire(token_keys(txn.op))
                 if ready:
                     self._release_keys(ready)
                 self._flush_replicates()
             else:
-                self._submit_unacked.pop(wan_txn.wan_id, None)
+                self._submit_unacked.pop(wan_id, None)
                 if self._l2_addr is not None:
                     self.net.send(
                         self.client_addr,

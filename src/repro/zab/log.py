@@ -7,23 +7,29 @@ the three synchronization modes Zab uses to catch a follower up:
 * ``TRUNC`` — tell the follower to drop entries the new leader never saw;
 * ``SNAP``  — ship a full state snapshot when the follower is too far back.
 
-Entries are strictly increasing in zxid, so lookups and range queries are
-binary searches (the apply path runs once per commit per replica and must
-not be linear in history length).
+Entries are strictly increasing in zxid and **counter-contiguous inside an
+epoch** (the leader counts by one, followers refuse holes, :meth:`append`
+enforces it), so an entry's position is its epoch's offset plus its
+counter: lookups are arithmetic, with no per-entry index to keep. The
+apply path runs once per commit per replica and walks ``entries`` forward
+from a cursor the peer keeps.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from bisect import bisect_right
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
+from repro.net.message import record
 from repro.zab.zxid import Zxid
 
 __all__ = ["LogEntry", "TxnLog"]
 
+_zxid_of = attrgetter("zxid")
 
-@dataclass(frozen=True)
+
+@record
 class LogEntry:
     """A single accepted transaction."""
 
@@ -32,74 +38,113 @@ class LogEntry:
 
 
 class TxnLog:
-    """Ordered, strictly-increasing-zxid transaction log."""
+    """Ordered transaction log, contiguous inside each epoch."""
 
     def __init__(self):
-        self._entries: List[LogEntry] = []
-        # Parallel packed-zxid keys for binary search.
-        self._keys: List[int] = []
+        #: The entries in zxid order. The same list for the log's whole
+        #: life (mutated in place), so an index into it stays meaningful.
+        self.entries: List[LogEntry] = []
+        #: Zxid of the newest entry; ``Zxid.ZERO`` when empty.
+        self.last_zxid = Zxid.ZERO
+        # epoch -> position of that epoch's first entry minus its counter.
+        # An offset may outlive its entries (truncation): lookups check the
+        # entry they land on, and re-opening the epoch overwrites it.
+        self._offsets: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self):
-        return iter(self._entries)
-
-    @property
-    def last_zxid(self) -> Zxid:
-        return self._entries[-1].zxid if self._entries else Zxid.ZERO
+        return iter(self.entries)
 
     def append(self, zxid: Zxid, txn: Any) -> LogEntry:
-        """Append a transaction; zxids must be strictly increasing."""
-        if self._entries and zxid <= self._entries[-1].zxid:
-            raise ValueError(
-                f"zxid {zxid} not after log tail {self._entries[-1].zxid}"
-            )
+        """Append the successor of the log's tail.
+
+        Inside an epoch that is ``counter + 1``; a later epoch starts at
+        counter 1. An empty log takes any first entry. Anything else would
+        leave a hole and raises ``ValueError``.
+        """
+        entries = self.entries
+        epoch, counter = zxid
+        last_epoch, last_counter = self.last_zxid
+        if epoch == last_epoch and entries:
+            follows = counter == last_counter + 1
+        else:
+            follows = not entries or (epoch > last_epoch and counter == 1)
+        if not follows:
+            raise ValueError(f"zxid {zxid} does not follow log tail {self.last_zxid}")
+        if epoch != last_epoch or not entries:
+            self._offsets[epoch] = len(entries) - counter
         entry = LogEntry(zxid, txn)
-        self._entries.append(entry)
-        self._keys.append(zxid.packed())
+        entries.append(entry)
+        self.last_zxid = zxid
         return entry
+
+    def position_of(self, zxid: Zxid) -> int:
+        """Index of the entry with exactly ``zxid``; -1 if not held."""
+        epoch, counter = zxid
+        offset = self._offsets.get(epoch)
+        if offset is not None:
+            index = offset + counter
+            entries = self.entries
+            if 0 <= index < len(entries) and entries[index].zxid == zxid:
+                return index
+        return -1
+
+    def position_after(self, zxid: Zxid) -> int:
+        """Index of the first entry with zxid strictly greater than ``zxid``."""
+        index = self.position_of(zxid)
+        if index >= 0:
+            return index + 1
+        return bisect_right(self.entries, zxid, key=_zxid_of)
+
+    def contains(self, zxid: Zxid) -> bool:
+        return self.position_of(zxid) >= 0
+
+    def get(self, zxid: Zxid) -> Optional[LogEntry]:
+        index = self.position_of(zxid)
+        return self.entries[index] if index >= 0 else None
 
     def entries_after(self, zxid: Zxid) -> List[LogEntry]:
         """All entries with zxid strictly greater than ``zxid``."""
-        start = bisect.bisect_right(self._keys, zxid.packed())
-        return self._entries[start:]
-
-    def entries_range(self, after: Zxid, upto: Zxid) -> List[LogEntry]:
-        """Entries with ``after < zxid <= upto``."""
-        start = bisect.bisect_right(self._keys, after.packed())
-        end = bisect.bisect_right(self._keys, upto.packed())
-        return self._entries[start:end]
-
-    def contains(self, zxid: Zxid) -> bool:
-        index = bisect.bisect_left(self._keys, zxid.packed())
-        return index < len(self._keys) and self._keys[index] == zxid.packed()
+        return self.entries[self.position_after(zxid):]
 
     def truncate_after(self, zxid: Zxid) -> List[LogEntry]:
         """Drop entries after ``zxid``; returns what was dropped."""
-        cut = bisect.bisect_right(self._keys, zxid.packed())
-        dropped = self._entries[cut:]
-        del self._entries[cut:]
-        del self._keys[cut:]
+        entries = self.entries
+        cut = self.position_after(zxid)
+        dropped = entries[cut:]
+        if dropped:
+            del entries[cut:]
+            self.last_zxid = entries[-1].zxid if entries else Zxid.ZERO
         return dropped
 
-    def get(self, zxid: Zxid) -> Optional[LogEntry]:
-        index = bisect.bisect_left(self._keys, zxid.packed())
-        if index < len(self._keys) and self._keys[index] == zxid.packed():
-            return self._entries[index]
-        return None
-
     def replace_all(self, entries: List[LogEntry]) -> None:
-        """Install a snapshot: replace the whole log."""
-        for previous, current in zip(entries, entries[1:]):
-            if current.zxid <= previous.zxid:
+        """Install a snapshot: replace the whole log.
+
+        The entries must be strictly increasing and contiguous inside each
+        epoch; a snapshot may open an epoch at any counter.
+        """
+        offsets: Dict[int, int] = {}
+        previous = None
+        for index, entry in enumerate(entries):
+            epoch, counter = entry.zxid
+            if previous is not None and entry.zxid <= previous:
                 raise ValueError("snapshot entries not strictly increasing")
-        self._entries = list(entries)
-        self._keys = [entry.zxid.packed() for entry in self._entries]
+            if epoch not in offsets:
+                offsets[epoch] = index - counter
+            elif offsets[epoch] + counter != index:
+                raise ValueError(
+                    f"snapshot has a hole before {entry.zxid} in epoch {epoch}"
+                )
+            previous = entry.zxid
+        self.entries[:] = entries
+        self._offsets = offsets
+        self.last_zxid = previous if previous is not None else Zxid.ZERO
 
     def tail(self, count: int) -> List[LogEntry]:
-        return self._entries[-count:] if count > 0 else []
+        return self.entries[-count:] if count > 0 else []
 
     def snapshot(self) -> List[LogEntry]:
-        """A copy of the full log (entries are immutable)."""
-        return list(self._entries)
+        """A copy of the full log."""
+        return list(self.entries)

@@ -142,12 +142,12 @@ class DataTree:
 
     def apply(self, op: Any, zxid: Zxid, session_id: str) -> ApplyOutcome:
         """Apply one committed write op; never raises for API errors."""
+        if isinstance(op, SetDataOp):  # the common write, so tested first
+            return self._apply_set_data(op, zxid)
         if isinstance(op, CreateOp):
             return self._apply_create(op, zxid, session_id)
         if isinstance(op, DeleteOp):
             return self._apply_delete(op, zxid)
-        if isinstance(op, SetDataOp):
-            return self._apply_set_data(op, zxid)
         if isinstance(op, CheckVersionOp):
             return self._apply_check(op)
         if isinstance(op, MultiOp):

@@ -446,7 +446,8 @@ class ZkServer:
         Returns None for a suppressed duplicate.
         """
         key = (txn.session_id, txn.cxid)
-        self._inflight_txns.pop(key, None)
+        if self._inflight_txns:  # empty on a replica that accepts no writes
+            self._inflight_txns.pop(key, None)
         if self.reply_cache_enabled:
             cached = self._reply_cache.get(key)
             if cached is not None:
@@ -473,7 +474,8 @@ class ZkServer:
                     self._trace.emit(self.env.now, "zk", "session-close",
                                      self.name,
                                      {"session": txn.op.session_id})
-        outcome = self._apply_txn(zxid, txn)
+        self.commits_applied += 1
+        outcome = self.tree.apply(txn.op, zxid, txn.session_id)
         counts = self.apply_counts
         counts[key] = counts.get(key, 0) + 1
         if len(counts) > APPLY_COUNT_LIMIT:
@@ -484,27 +486,39 @@ class ZkServer:
                              {"session": txn.session_id, "cxid": txn.cxid,
                               "op": type(txn.op).__name__,
                               "ok": outcome.ok})
-        self._fire_watches(outcome)
-        reply = self._build_reply(txn, outcome)
+        if outcome.events:
+            self._fire_watches(outcome)
+        if outcome.ok:
+            reply = OpReply(txn.session_id, txn.cxid, ok=True, value=outcome.value)
+        else:
+            error = outcome.error
+            assert error is not None
+            reply = OpReply(
+                txn.session_id,
+                txn.cxid,
+                ok=False,
+                error_code=error.code,
+                error_path=error.path,
+            )
         if self.sentinel is not None:
             self.sentinel.on_apply(self, txn, reply)
         if self.reply_cache_enabled:
             self._reply_cache[key] = reply
             while len(self._reply_cache) > REPLY_CACHE_LIMIT:
                 self._reply_cache.popitem(last=False)
-        self._maybe_reply(txn, reply)
+        # Reply if the write came in here and its client still waits (none
+        # does for a system txn or a retry the client abandoned).
+        origin = txn.origin
+        mine = self.client_addr
+        if self._pending_writes and (origin is mine or origin == mine):
+            client = self._pending_writes.pop(key, None)
+            if client is not None:
+                self.net.send(mine, client, reply)
         return outcome
 
-    def _apply_txn(self, zxid: Zxid, txn: Txn) -> ApplyOutcome:
-        self.commits_applied += 1
-        return self.tree.apply(txn.op, zxid, txn.session_id)
-
     def _fire_watches(self, outcome: ApplyOutcome) -> None:
-        events = outcome.events
-        if not events:
-            return
         trigger = self.watches.trigger
-        for event in events:
+        for event in outcome.events:
             for session_id, fired in trigger(event):
                 session = self.sessions.get(session_id)
                 if session is not None and not session.expired:
@@ -519,28 +533,6 @@ class ZkServer:
                         session.client,
                         WatchNotify(session_id, fired),
                     )
-
-    @staticmethod
-    def _build_reply(txn: Txn, outcome: ApplyOutcome) -> OpReply:
-        if outcome.ok:
-            return OpReply(txn.session_id, txn.cxid, ok=True, value=outcome.value)
-        assert outcome.error is not None
-        return OpReply(
-            txn.session_id,
-            txn.cxid,
-            ok=False,
-            error_code=outcome.error.code,
-            error_path=outcome.error.path,
-        )
-
-    def _maybe_reply(self, txn: Txn, reply: OpReply) -> None:
-        if txn.origin != self.client_addr:
-            return
-        key = (txn.session_id, txn.cxid)
-        client = self._pending_writes.pop(key, None)
-        if client is None:
-            return  # system txn or a retry the client abandoned
-        self.net.send(self.client_addr, client, reply)
 
     def _on_tree_reset(self, _peer: Any) -> None:
         """SNAP sync rewrote the log: rebuild the tree from zero.

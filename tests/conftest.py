@@ -11,4 +11,19 @@ Setting ``REPRO_SENTINEL=0`` in the environment turns it back off (the
 
 import os
 
+import pytest
+
 os.environ.setdefault("REPRO_SENTINEL", "1")
+
+
+@pytest.fixture
+def zab_reference():
+    """Register the pre-PR-18 Zab peer (``tests/reference_zab.py``) as
+    substrate ``"zab-reference"`` for one test: the product never knows
+    the name."""
+    from repro.substrate import SUBSTRATES
+    from tests import reference_zab
+
+    reference_zab.register()
+    yield reference_zab
+    del SUBSTRATES["zab-reference"]

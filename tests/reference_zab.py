@@ -1,25 +1,33 @@
-"""The Zab peer state machine.
+"""The pre-PR-18 Zab replica — ``Zxid``, ``LogEntry``, ``TxnLog`` and ``ZabPeer``
+verbatim (imports adjusted) — kept as a differential oracle.
 
-One :class:`ZabPeer` per server. A peer is LOOKING until an election
-completes, then LEADING or FOLLOWING (or OBSERVING for non-voting learners).
-The peer owns a durable transaction log; the replicated state machine above
-it registers ``on_commit`` and applies transactions in commit (zxid) order.
+``repro.zab`` has one peer: a positional log, tuple-ordered zxids, a
+one-hop inbox consumer and an apply cursor. What that replaced lives
+here, unchanged: hand-written zxid comparison dunders, a bisected log
+with a parallel packed-key list, the ``_on_envelope -> _dispatch ->
+handler`` double hop, and ``entries_range`` slicing per commit.
 
-Protocol structure follows Zab's four phases (election, discovery,
-synchronization, broadcast); see the package docstring for the mapping.
+Slow, but the specification: ``tests/test_zab_commit_path.py`` runs the
+same seeded worlds over this and the product and demands the identical
+message sequence, commit sequences and kernel event count; the substrate
+contract suite and the golden histories run over it too. Registered by
+the tests as substrate ``"zab-reference"`` (:func:`register`) — nothing
+under ``src/`` may import this.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
 from repro.sim.kernel import Environment, Interrupt
+from repro.substrate import SubstrateSpec, register_substrate
 from repro.zab.config import EnsembleConfig
-from repro.zab.log import TxnLog
 from repro.zab.messages import (
     Ack,
     AckEpoch,
@@ -40,41 +48,192 @@ from repro.zab.messages import (
     Vote,
     VoteNotification,
 )
-from repro.zab.zxid import Zxid
+from repro.zab.peer import SUBMIT_DEDUP_LIMIT, PeerState, submit_dedup_id
 
-__all__ = ["PeerState", "ZabPeer"]
-
-
-#: How many distinct forwarded-transaction ids a leader remembers for
-#: duplicate suppression (bounds memory; far above any in-flight window).
-SUBMIT_DEDUP_LIMIT = 4096
+__all__ = ["Zxid", "LogEntry", "TxnLog", "ZabPeer", "register"]
 
 
-def submit_dedup_id(payload: Any) -> Optional[Tuple[Any, ...]]:
-    """Stable identity of a forwarded transaction, for duplicate suppression.
+# -- zab/zxid.py ------------------------------------------------------------------
 
-    Client transactions are identified by ``(session_id, cxid)`` — the same
-    pair whether they travel bare (:class:`~repro.zk.ops.Txn`) or wrapped
-    (``WanTxn.wan_id``), so a retransmitted forward is recognized no matter
-    how the leader first saw the transaction. Payloads without an identity
-    (marker ops) return None and are never deduplicated.
+
+class Zxid:
+    """A Zab transaction id: ``(epoch, counter)``, totally ordered.
+
+    A hand-written ``__slots__`` class rather than a frozen ordered
+    dataclass: zxids are compared on every proposal, ack, commit, and log
+    append, and the generated dataclass comparisons (which build a field
+    tuple per operand per compare) dominated the broadcast hot path. The
+    hash matches the old dataclass hash — ``hash((epoch, counter))`` — so
+    dict and set iteration orders are unchanged.
     """
-    wan_id = getattr(payload, "wan_id", None)
-    if wan_id is not None:
-        return tuple(wan_id)
-    session_id = getattr(payload, "session_id", None)
-    cxid = getattr(payload, "cxid", None)
-    if session_id is not None and cxid is not None:
-        return (session_id, cxid)
-    return None
+
+    __slots__ = ("epoch", "counter", "_hash")
+
+    ZERO: ClassVar["Zxid"]
+
+    def __init__(self, epoch: int = 0, counter: int = 0):
+        object.__setattr__(self, "epoch", epoch)
+        object.__setattr__(self, "counter", counter)
+        object.__setattr__(self, "_hash", hash((epoch, counter)))
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"Zxid is immutable (tried to set {key!r})")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        return self.epoch == other.epoch and self.counter == other.counter
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        return self.epoch != other.epoch or self.counter != other.counter
+
+    def __lt__(self, other: "Zxid") -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        if self.epoch != other.epoch:
+            return self.epoch < other.epoch
+        return self.counter < other.counter
+
+    def __le__(self, other: "Zxid") -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        if self.epoch != other.epoch:
+            return self.epoch < other.epoch
+        return self.counter <= other.counter
+
+    def __gt__(self, other: "Zxid") -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        if self.epoch != other.epoch:
+            return self.epoch > other.epoch
+        return self.counter > other.counter
+
+    def __ge__(self, other: "Zxid") -> bool:
+        if other.__class__ is not Zxid:
+            return NotImplemented
+        if self.epoch != other.epoch:
+            return self.epoch > other.epoch
+        return self.counter >= other.counter
+
+    def __repr__(self) -> str:
+        return f"Zxid(epoch={self.epoch!r}, counter={self.counter!r})"
+
+    def next(self) -> "Zxid":
+        """The next zxid in the same epoch."""
+        return Zxid(self.epoch, self.counter + 1)
+
+    def new_epoch(self, epoch: int) -> "Zxid":
+        """The first zxid of a later epoch."""
+        if epoch <= self.epoch:
+            raise ValueError(f"epoch {epoch} not newer than {self.epoch}")
+        return Zxid(epoch, 0)
+
+    def packed(self) -> int:
+        """ZooKeeper-style 64-bit packed representation."""
+        return (self.epoch << 32) | (self.counter & 0xFFFFFFFF)
+
+    @classmethod
+    def unpack(cls, packed: int) -> "Zxid":
+        return cls(packed >> 32, packed & 0xFFFFFFFF)
+
+    def __str__(self) -> str:
+        return f"{self.epoch}:{self.counter}"
 
 
-class PeerState(str, enum.Enum):
-    LOOKING = "looking"
-    FOLLOWING = "following"
-    LEADING = "leading"
-    OBSERVING = "observing"
-    DOWN = "down"
+Zxid.ZERO = Zxid(0, 0)
+
+
+# -- zab/log.py -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LogEntry:
+    """A single accepted transaction."""
+
+    zxid: Zxid
+    txn: Any
+
+
+class TxnLog:
+    """Ordered, strictly-increasing-zxid transaction log."""
+
+    def __init__(self):
+        self._entries: List[LogEntry] = []
+        # Parallel packed-zxid keys for binary search.
+        self._keys: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    @property
+    def last_zxid(self) -> Zxid:
+        return self._entries[-1].zxid if self._entries else Zxid.ZERO
+
+    def append(self, zxid: Zxid, txn: Any) -> LogEntry:
+        """Append a transaction; zxids must be strictly increasing."""
+        if self._entries and zxid <= self._entries[-1].zxid:
+            raise ValueError(
+                f"zxid {zxid} not after log tail {self._entries[-1].zxid}"
+            )
+        entry = LogEntry(zxid, txn)
+        self._entries.append(entry)
+        self._keys.append(zxid.packed())
+        return entry
+
+    def entries_after(self, zxid: Zxid) -> List[LogEntry]:
+        """All entries with zxid strictly greater than ``zxid``."""
+        start = bisect.bisect_right(self._keys, zxid.packed())
+        return self._entries[start:]
+
+    def entries_range(self, after: Zxid, upto: Zxid) -> List[LogEntry]:
+        """Entries with ``after < zxid <= upto``."""
+        start = bisect.bisect_right(self._keys, after.packed())
+        end = bisect.bisect_right(self._keys, upto.packed())
+        return self._entries[start:end]
+
+    def contains(self, zxid: Zxid) -> bool:
+        index = bisect.bisect_left(self._keys, zxid.packed())
+        return index < len(self._keys) and self._keys[index] == zxid.packed()
+
+    def truncate_after(self, zxid: Zxid) -> List[LogEntry]:
+        """Drop entries after ``zxid``; returns what was dropped."""
+        cut = bisect.bisect_right(self._keys, zxid.packed())
+        dropped = self._entries[cut:]
+        del self._entries[cut:]
+        del self._keys[cut:]
+        return dropped
+
+    def get(self, zxid: Zxid) -> Optional[LogEntry]:
+        index = bisect.bisect_left(self._keys, zxid.packed())
+        if index < len(self._keys) and self._keys[index] == zxid.packed():
+            return self._entries[index]
+        return None
+
+    def replace_all(self, entries: List[LogEntry]) -> None:
+        """Install a snapshot: replace the whole log."""
+        for previous, current in zip(entries, entries[1:]):
+            if current.zxid <= previous.zxid:
+                raise ValueError("snapshot entries not strictly increasing")
+        self._entries = list(entries)
+        self._keys = [entry.zxid.packed() for entry in self._entries]
+
+    def tail(self, count: int) -> List[LogEntry]:
+        return self._entries[-count:] if count > 0 else []
+
+    def snapshot(self) -> List[LogEntry]:
+        """A copy of the full log (entries are immutable)."""
+        return list(self._entries)
+
+
+# -- zab/peer.py ------------------------------------------------------------------
 
 
 class ZabPeer:
@@ -97,8 +256,9 @@ class ZabPeer:
         self.name = name or str(addr)
         self.is_observer = config.is_observer(addr)
 
-        # Message-type handler table, built once: the inbox consumer looks
-        # a handler up for every delivered message.
+        # Message-type dispatch table, built once: _dispatch runs for every
+        # delivered message and rebuilding a 17-entry dict per message was
+        # one of the hottest lines in the whole simulation.
         self._handlers: Dict[type, Callable[[NodeAddress, Any], None]] = {
             VoteNotification: self._on_vote_notification,
             FollowerInfo: self._on_follower_info,
@@ -132,11 +292,6 @@ class ZabPeer:
         self.leader_addr: Optional[NodeAddress] = None
         self.last_committed = Zxid.ZERO
         self._last_applied = Zxid.ZERO
-        # Apply cursor: how many log entries have been applied, i.e. the
-        # position of the next one. Invariant: zero with nothing applied,
-        # else ``log.entries[_cursor - 1].zxid == _last_applied``.
-        self._cursor = 0
-        self._quorum = config.quorum_size
 
         # Election state.
         self._round = 0
@@ -249,7 +404,6 @@ class ZabPeer:
         self.leader_addr = None
         self.last_committed = Zxid.ZERO
         self._last_applied = Zxid.ZERO
-        self._cursor = 0
         if self.sentinel is not None:
             # The durable log replays from zero; applied-zxid tracking
             # restarts with it.
@@ -314,14 +468,10 @@ class ZabPeer:
     # -------------------------------------------------------------- processes
 
     def _on_envelope(self, envelope) -> None:
-        # Inbox consumer: one hop from the delivered envelope to its
-        # handler. A crashed peer consumes and ignores.
+        # Inbox consumer: replaces the old _main_loop pump process. The
+        # aliveness check mirrors the pump's `while self._alive` guard.
         if self._alive:
-            body = envelope.body
-            handler = self._handlers.get(body.__class__)
-            if handler is None:
-                raise ValueError(f"{self.name}: unhandled message {body!r}")
-            handler(envelope.src, body)
+            self._dispatch(envelope.src, envelope.body)
 
     def _ticker(self):
         interval = self.config.heartbeat_interval_ms
@@ -340,12 +490,11 @@ class ZabPeer:
         if self.state == PeerState.LOOKING:
             self._broadcast_vote()
         elif self.state == PeerState.LEADING:
-            send, addr = self.net.send, self.addr
-            ping = Ping(addr, self.current_epoch, self.last_committed)
+            ping = Ping(self.addr, self.current_epoch, self.last_committed)
             for member in self._fanout_followers:
-                send(addr, member, ping)
+                self._send(member, ping)
             for member in self._fanout_observers:
-                send(addr, member, ping)
+                self._send(member, ping)
             if self._broadcast_active:
                 self._retransmit_pending()
                 heard = sum(
@@ -355,7 +504,7 @@ class ZabPeer:
                     and now - self._last_heard.get(voter, now) <= timeout
                 )
                 # Count ourselves; step down if we cannot reach a quorum.
-                if heard + 1 < self._quorum:
+                if not self.config.is_quorum(heard + 1):
                     self._abandon_leadership()
         elif self.state == PeerState.FOLLOWING:
             if now - self._last_leader_contact > timeout:
@@ -372,6 +521,16 @@ class ZabPeer:
     def _abandon_leadership(self) -> None:
         self._reset_leader_state()
         self._enter_looking()
+
+    # -------------------------------------------------------------- dispatch
+
+    def _dispatch(self, src: NodeAddress, msg: Any) -> None:
+        if not self._alive:
+            return
+        handler = self._handlers.get(type(msg))
+        if handler is None:
+            raise ValueError(f"{self.name}: unhandled message {msg!r}")
+        handler(src, msg)
 
     # -------------------------------------------------------------- election
 
@@ -445,7 +604,7 @@ class ZabPeer:
         supporters = sum(
             1 for vote in self._round_votes.values() if vote == self._vote
         )
-        if supporters < self._quorum:
+        if not self.config.is_quorum(supporters):
             return
         self.elections_completed += 1
         if self._vote.node == self.addr:
@@ -513,7 +672,7 @@ class ZabPeer:
     def _maybe_establish_epoch(self) -> None:
         if self._epoch_established:
             return
-        if len(self._discovery_epochs) < self._quorum:
+        if not self.config.is_quorum(len(self._discovery_epochs)):
             return
         new_epoch = max(self._discovery_epochs.values()) + 1
         self.accepted_epoch = new_epoch
@@ -612,29 +771,18 @@ class ZabPeer:
         if src != self.leader_addr:
             return
         self._last_leader_contact = self.env.now
-        self._append_new(msg.entries)
+        for entry in msg.entries:
+            if entry.zxid > self.log.last_zxid:
+                self.log.append(entry.zxid, entry.txn)
 
     def _on_trunc(self, src: NodeAddress, msg: Trunc) -> None:
         if src != self.leader_addr:
             return
         self._last_leader_contact = self.env.now
         self.log.truncate_after(msg.truncate_to)
-        # Committed entries are never truncated, but the cursor's validity
-        # should not rest on the leader being right about that.
-        self._cursor = self.log.position_after(self._last_applied)
-        self._append_new(msg.entries)
-
-    def _append_new(self, entries: List[Any]) -> None:
-        """Append the synced entries we do not hold yet.
-
-        The leader cuts a DIFF/TRUNC suffix right after the tail we
-        reported, so what is new follows our tail; the log raises on a
-        hole rather than storing one.
-        """
-        log = self.log
-        for entry in entries:
-            if entry.zxid > log.last_zxid:
-                log.append(entry.zxid, entry.txn)
+        for entry in msg.entries:
+            if entry.zxid > self.log.last_zxid:
+                self.log.append(entry.zxid, entry.txn)
 
     def _on_snap(self, src: NodeAddress, msg: Snap) -> None:
         if src != self.leader_addr:
@@ -644,7 +792,6 @@ class ZabPeer:
         # A snapshot may rewrite history below our applied point; the state
         # machine is rebuilt from scratch by re-applying from zero.
         self._last_applied = Zxid.ZERO
-        self._cursor = 0
         self.last_committed = Zxid.ZERO
         if self._trace is not None:
             self._trace.emit(self.env.now, "zab", "snap-reset", self.name,
@@ -678,7 +825,7 @@ class ZabPeer:
         voter_acks = sum(
             1 for peer in self._newleader_acks if self.config.is_voter(peer)
         )
-        if voter_acks < self._quorum:
+        if not self.config.is_quorum(voter_acks):
             return
         self._broadcast_active = True
         # Entries surviving into the new epoch are now committed.
@@ -723,18 +870,12 @@ class ZabPeer:
         zxid = Zxid(self.current_epoch, self._next_counter)
         self.log.append(zxid, txn)
         self._pending.append(zxid)
-        addr = self.addr
-        self._acks[zxid] = {addr}
-        self._proposed_at[zxid] = self.env._now
-        if self._alive:
-            send = self.net.send
-            message = Propose(addr, zxid, txn)
-            for follower in self._fanout_followers:
-                send(addr, follower, message)
-        if self._quorum == 1:
-            # Our own ack is the only one so far: on any larger ensemble
-            # the proposal matures in _on_ack.
-            self._maybe_commit()
+        self._acks[zxid] = {self.addr}
+        self._proposed_at[zxid] = self.env.now
+        message = Propose(self.addr, zxid, txn)
+        for follower in self._fanout_followers:
+            self._send(follower, message)
+        self._maybe_commit()
         return zxid
 
     def _remember_submit(self, dedup_id: Optional[Tuple[Any, ...]]) -> None:
@@ -794,39 +935,29 @@ class ZabPeer:
         return nxt.epoch > last.epoch and nxt.counter == 1
 
     def _on_propose(self, src: NodeAddress, msg: Propose) -> None:
-        leader = self.leader_addr
-        if (
-            src is not leader and src != leader
-        ) or self.state != PeerState.FOLLOWING:
+        if src != self.leader_addr or self.state != PeerState.FOLLOWING:
             return
-        self._last_leader_contact = self.env._now
-        log = self.log
-        zxid = msg.zxid
-        last = log.last_zxid
-        if zxid > last:
-            # _follows(last, zxid), inlined: a later epoch opens at 1.
-            if zxid.counter != (
-                last.counter + 1 if zxid.epoch == last.epoch else 1
-            ):
-                # Gap: a proposal in between was lost. Never append out of
-                # order — the log must stay contiguous — ask the leader to
-                # resync instead.
-                self._request_resync()
-                return
-            log.append(zxid, msg.txn)
-        # Ack what we hold, newly appended or not: re-acking a duplicate or
-        # retransmission keeps a lost ACK from stalling the quorum forever.
-        if self._alive:
-            addr = self.addr
-            self.net.send(addr, src, Ack(addr, zxid))
+        self._last_leader_contact = self.env.now
+        last = self.log.last_zxid
+        if msg.zxid <= last:
+            # Duplicate or retransmission of an entry we already hold:
+            # re-ack so a lost ACK cannot stall the quorum forever.
+            self._send(src, Ack(self.addr, msg.zxid))
+            return
+        if self._follows(last, msg.zxid):
+            self.log.append(msg.zxid, msg.txn)
+            self._send(src, Ack(self.addr, msg.zxid))
+            return
+        # Gap: a proposal in between was lost. Never append out of order —
+        # the log must stay contiguous — ask the leader to resync instead.
+        self._request_resync()
 
     def _on_ack(self, src: NodeAddress, msg: Ack) -> None:
         if self.state != PeerState.LEADING:
             return
-        self._last_heard[src] = self.env._now
-        acked = self._acks.get(msg.zxid)
-        if acked is not None:
-            acked.add(src)
+        self._last_heard[src] = self.env.now
+        if msg.zxid in self._acks:
+            self._acks[msg.zxid].add(src)
             self._maybe_commit()
 
     def _maybe_commit(self) -> None:
@@ -839,74 +970,51 @@ class ZabPeer:
         one Inform per entry — Inform carries the txn payload.
         """
         pending = self._pending
-        acks = self._acks
-        quorum = self._quorum
-        matured = 0
-        zxid = None
+        committed: List[Any] = []
         while pending:
-            head = pending[0]
-            if len(acks.get(head, ())) < quorum:
+            zxid = pending[0]
+            if not self.config.is_quorum(len(self._acks.get(zxid, ()))):
                 break
-            zxid = pending.popleft()
-            acks.pop(zxid, None)
+            pending.popleft()
+            self._acks.pop(zxid, None)
             self._proposed_at.pop(zxid, None)
-            matured += 1
-        if zxid is None:
+            entry = self.log.get(zxid)
+            assert entry is not None
+            committed.append(entry)
+        if not committed:
             return
+        zxid = committed[-1].zxid
         self.last_committed = zxid
         self._apply_up_to(zxid)
-        if not self._alive:
-            return
-        send, addr = self.net.send, self.addr
-        commit = Commit(addr, zxid)
+        commit = Commit(self.addr, zxid)
         for follower in self._fanout_followers:
-            send(addr, follower, commit)
-        if self._fanout_observers:
-            # Pending proposals sit side by side in the log, so the matured
-            # ones are the slice ending at the newest.
-            end = self.log.position_of(zxid) + 1
-            assert end >= matured
-            committed = self.log.entries[end - matured:end]
-            for observer in self._fanout_observers:
-                for entry in committed:
-                    send(addr, observer, Inform(addr, entry.zxid, entry.txn))
+            self._send(follower, commit)
+        for observer in self._fanout_observers:
+            for entry in committed:
+                self._send(observer, Inform(self.addr, entry.zxid, entry.txn))
 
     def _on_commit_msg(self, src: NodeAddress, msg: Commit) -> None:
-        leader = self.leader_addr
-        if src is not leader and src != leader:
+        if src != self.leader_addr:
             return
-        self._last_leader_contact = self.env._now
-        zxid = msg.zxid
-        if zxid <= self.last_committed:
+        self._last_leader_contact = self.env.now
+        if msg.zxid <= self.last_committed:
             return  # duplicate commit
-        if self.log.position_of(zxid) < 0:
+        if not self.log.contains(msg.zxid):
             # The proposal itself was lost: don't advance the commit point
             # past entries we don't hold — resync with the leader instead.
             self._request_resync()
             return
-        self.last_committed = zxid
-        self._apply_up_to(zxid)
+        self.last_committed = msg.zxid
+        self._apply_up_to(msg.zxid)
 
     def _on_inform(self, src: NodeAddress, msg: Inform) -> None:
-        leader = self.leader_addr
-        if self.state != PeerState.OBSERVING or (
-            src is not leader and src != leader
-        ):
+        if self.state != PeerState.OBSERVING or src != self.leader_addr:
             return
-        self._last_leader_contact = self.env._now
-        zxid = msg.zxid
-        last = self.log.last_zxid
-        if zxid > last:
-            if not self._follows(last, zxid):
-                # Gap: an Inform in between was lost. Appending past it
-                # would apply past the hole and put our tail beyond what a
-                # later DIFF could fill — resync like a follower does.
-                self._request_resync()
-                return
-            self.log.append(zxid, msg.txn)
-        if zxid > self.last_committed:
-            self.last_committed = zxid
-        self._apply_up_to(zxid)
+        self._last_leader_contact = self.env.now
+        if msg.zxid > self.log.last_zxid:
+            self.log.append(msg.zxid, msg.txn)
+        self.last_committed = max(self.last_committed, msg.zxid)
+        self._apply_up_to(msg.zxid)
 
     def _on_submit_request(self, src: NodeAddress, msg: SubmitRequest) -> None:
         if not self.is_leader:
@@ -923,56 +1031,50 @@ class ZabPeer:
             self._propose(msg.txn)
 
     def _apply_up_to(self, zxid: Zxid) -> None:
-        """Deliver every logged entry up to ``zxid`` not yet delivered.
-
-        Walks forward from the apply cursor. The cursor is re-read after
-        each delivery: ``on_commit`` may propose, and on a one-voter
-        ensemble that proposal commits and applies inside the call.
-        """
         if zxid <= self._last_applied:
             return
-        on_commit = self.on_commit
-        if on_commit is None:
+        if self.on_commit is None:
             self._last_applied = zxid
-            self._cursor = self.log.position_after(zxid)
             return
-        entries = self.log.entries
-        # Anything appended from here on is a newer proposal: past ``zxid``.
-        end = len(entries)
-        while self._cursor < end:
-            entry = entries[self._cursor]
-            entry_zxid = entry.zxid
-            if entry_zxid > zxid:
-                break
-            self._cursor += 1
-            self._last_applied = entry_zxid
+        for entry in self.log.entries_range(self._last_applied, zxid):
+            self._last_applied = entry.zxid
             self.commits_delivered += 1
             if self.sentinel is not None:
-                self.sentinel.on_peer_commit(self, entry_zxid, entry.txn)
-            on_commit(entry_zxid, entry.txn)
+                self.sentinel.on_peer_commit(self, entry.zxid, entry.txn)
+            self.on_commit(entry.zxid, entry.txn)
 
     # -------------------------------------------------------------- liveness
 
     def _on_ping(self, src: NodeAddress, msg: Ping) -> None:
-        leader = self.leader_addr
-        if src is not leader and src != leader:
+        if src != self.leader_addr:
             return
-        self._last_leader_contact = self.env._now
-        committed = msg.last_committed
-        if (
-            committed is not None
-            and committed > self.last_committed
-            and self.state in (PeerState.FOLLOWING, PeerState.OBSERVING)
-        ):
-            if self.log.contains(committed):
-                # A lost Commit/UpToDate: the entries are here, advance.
-                self.last_committed = committed
-                self._apply_up_to(committed)
-            else:
-                # The leader committed entries we never received.
-                self._request_resync()
+        self._last_leader_contact = self.env.now
+        if msg.last_committed is not None and self.state == PeerState.FOLLOWING:
+            if msg.last_committed > self.last_committed:
+                if self.log.contains(msg.last_committed):
+                    self.last_committed = msg.last_committed
+                    self._apply_up_to(msg.last_committed)
+                else:
+                    # The leader committed entries we never received.
+                    self._request_resync()
         self._send(src, Pong(self.addr, self.current_epoch))
 
     def _on_pong(self, src: NodeAddress, msg: Pong) -> None:
         if self.state == PeerState.LEADING:
             self._last_heard[src] = self.env.now
+
+
+# -- registration -----------------------------------------------------------------
+
+
+def register() -> None:
+    """Register this peer as substrate ``"zab-reference"``."""
+    register_substrate(
+        SubstrateSpec(
+            name="zab-reference",
+            factory=ZabPeer,
+            single_leader=True,
+            description="the pre-PR-18 Zab peer, log and zxid "
+            "(test-only differential oracle)",
+        )
+    )

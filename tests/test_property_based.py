@@ -88,13 +88,15 @@ def test_zxid_order_matches_packed_order(pairs):
 # -- txn log ---------------------------------------------------------------------
 
 
-@given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=40))
-def test_log_append_monotone_and_truncate(counters):
+@given(st.lists(st.booleans(), min_size=1, max_size=40))
+def test_log_append_monotone_and_truncate(opens_epoch):
     log = TxnLog()
     appended = []
-    last = Zxid.ZERO
-    for counter in counters:
-        candidate = Zxid(1, last.counter + counter)
+    last = Zxid(1, 0)
+    for new_epoch in opens_epoch:
+        # The log is contiguous: the tail's successor is the next counter
+        # or the first entry of a later epoch.
+        candidate = Zxid(last.epoch + 1, 1) if new_epoch else last.next()
         log.append(candidate, f"txn-{candidate}")
         appended.append(candidate)
         last = candidate
@@ -105,6 +107,119 @@ def test_log_append_monotone_and_truncate(counters):
     log.truncate_after(cut)
     kept = [entry.zxid for entry in log]
     assert kept + after == appended
+
+
+class _ModelLog:
+    """What ``TxnLog`` must behave like: a plain sorted list, searched."""
+
+    def __init__(self):
+        self.items = []  # [(zxid, txn)]
+
+    def zxids(self):
+        return [zxid for zxid, _txn in self.items]
+
+    def last(self):
+        return self.items[-1][0] if self.items else Zxid.ZERO
+
+    def get(self, zxid):
+        return next((txn for z, txn in self.items if z == zxid), None)
+
+    def after(self, zxid):
+        return [z for z in self.zxids() if z > zxid]
+
+    def successors(self):
+        """The zxids ``append`` must accept after the current tail."""
+        last = self.last()
+        return [last.next(), Zxid(last.epoch + 1, 1), Zxid(last.epoch + 3, 1)]
+
+
+def _probe_zxids(rng, model):
+    """Held zxids, their neighbours, and a few that cannot be held."""
+    probes = [Zxid.ZERO, Zxid(99, 1), model.last().next()]
+    for zxid in rng.sample(model.zxids(), min(4, len(model.items))):
+        probes += [zxid, Zxid(zxid.epoch, zxid.counter + 50), Zxid(zxid.epoch, 0)]
+    return probes
+
+
+def test_txn_log_matches_a_sorted_list_model():
+    """append / truncate_after / replace_all / get / contains /
+    entries_after / position_after and a cursor walk, across epoch changes,
+    against a sorted-list model: positional lookup is an optimisation, not
+    a behaviour."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        log, model = TxnLog(), _ModelLog()
+        cursor = 0  # the way ZabPeer walks: index of the next entry
+        applied = Zxid.ZERO
+        for step in range(120):
+            where = f"seed {seed} step {step}"
+            action = rng.random()
+            if action < 0.55 or not model.items:
+                if model.items:
+                    zxid = rng.choice(model.successors())
+                else:
+                    zxid = Zxid(rng.randint(1, 3), rng.randint(1, 5))
+                log.append(zxid, f"t{step}")
+                model.items.append((zxid, f"t{step}"))
+            elif action < 0.65:
+                # A hole, a repeat, an older epoch: refused, nothing changes.
+                last = model.last()
+                bad = rng.choice([
+                    last, Zxid(last.epoch, last.counter + 2),
+                    Zxid(last.epoch + 1, 2), Zxid(last.epoch + 1, 0),
+                    Zxid(max(last.epoch - 1, 0), last.counter + 1),
+                ])
+                try:
+                    log.append(bad, "bad")
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError(f"{where}: append took {bad} after {last}")
+            elif action < 0.80:
+                cut = rng.choice(_probe_zxids(rng, model))
+                dropped = log.truncate_after(cut)
+                assert [e.zxid for e in dropped] == model.after(cut), where
+                model.items = [(z, t) for z, t in model.items if z <= cut]
+                # What the peer does after TRUNC: re-seek from what it applied.
+                applied = min(applied, model.last())
+                cursor = log.position_after(applied)
+            elif action < 0.88:
+                # A snapshot: a contiguous log of its own, any first entry.
+                source = TxnLog()
+                zxid = Zxid(rng.randint(1, 4), rng.randint(1, 9))
+                for index in range(rng.randint(0, 12)):
+                    source.append(zxid, f"s{step}.{index}")
+                    zxid = (
+                        Zxid(zxid.epoch + 1, 1) if rng.random() < 0.3 else zxid.next()
+                    )
+                log.replace_all(source.snapshot())
+                model.items = [(e.zxid, e.txn) for e in source]
+                cursor, applied = 0, Zxid.ZERO
+            else:
+                # Walk the cursor forward the way _apply_up_to does.
+                target = rng.choice(_probe_zxids(rng, model))
+                while cursor < len(log.entries) and log.entries[cursor].zxid <= target:
+                    applied = log.entries[cursor].zxid
+                    cursor += 1
+                assert applied == max(
+                    [z for z in model.zxids() if z <= max(target, applied)],
+                    default=Zxid.ZERO,
+                ), where
+            assert [e.zxid for e in log] == model.zxids(), where
+            assert len(log) == len(model.items), where
+            assert log.last_zxid == model.last(), where
+            assert cursor == len([z for z in model.zxids() if z <= applied]), where
+            for probe in _probe_zxids(rng, model):
+                held = model.get(probe)
+                assert log.contains(probe) == (held is not None), (where, probe)
+                entry = log.get(probe)
+                assert (entry.txn if entry else None) == held, (where, probe)
+                assert [e.zxid for e in log.entries_after(probe)] == model.after(
+                    probe
+                ), (where, probe)
+                assert log.position_after(probe) == len(model.items) - len(
+                    model.after(probe)
+                ), (where, probe)
 
 
 # -- data tree --------------------------------------------------------------------

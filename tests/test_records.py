@@ -18,6 +18,7 @@ import repro.wankeeper.messages
 import repro.wpaxos.messages
 import repro.zab.messages
 import repro.zk.protocol
+from repro.zab.log import LogEntry
 from repro.zab.messages import Trunc
 from repro.zab.zxid import Zxid
 from repro.zk.ops import Txn
@@ -45,6 +46,7 @@ RECORDS.update({
     WatchEvent: "repro.zk.records",
     Txn: "repro.zk.ops",
     Session: "repro.zk.sessions",
+    LogEntry: "repro.zab.log",
 })
 
 FROZEN = (Txn, WatchEvent)
@@ -91,7 +93,7 @@ def _make(cls, **overrides):
 
 
 def test_roster_is_complete():
-    assert len(RECORDS) == 18 + 20 + 9 + 6 + 8 + 4
+    assert len(RECORDS) == 18 + 20 + 9 + 6 + 8 + 5
 
 
 @all_records

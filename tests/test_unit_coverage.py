@@ -176,12 +176,11 @@ def test_txn_log_tail_and_len():
     assert len(log) == 5
     assert [e.txn for e in log.tail(2)] == ["t4", "t5"]
     assert log.tail(0) == []
-    assert log.entries_range(Zxid(1, 1), Zxid(1, 3)) == log.entries_range(
-        Zxid(1, 1), Zxid(1, 3)
-    )
-    assert [e.txn for e in log.entries_range(Zxid(1, 1), Zxid(1, 3))] == [
-        "t2", "t3"
-    ]
+    # The range (after, upto] is the slice between two positions.
+    start, end = log.position_after(Zxid(1, 1)), log.position_after(Zxid(1, 3))
+    assert [e.txn for e in log.entries[start:end]] == ["t2", "t3"]
+    assert log.position_of(Zxid(1, 3)) == 2
+    assert log.position_of(Zxid(1, 6)) == log.position_of(Zxid(2, 1)) == -1
 
 
 # -- workloads ------------------------------------------------------------------

@@ -316,6 +316,155 @@ def test_log_truncate_and_entries_after():
     assert log.last_zxid == Zxid(1, 3)
 
 
+def test_log_refuses_holes_and_keeps_positional_lookup_exact():
+    from repro.zab import TxnLog
+
+    log = TxnLog()
+    log.append(Zxid(2, 7), "a")  # an empty log takes any first entry
+    log.append(Zxid(2, 8), "b")
+    for hole in (Zxid(2, 10), Zxid(2, 7), Zxid(3, 2), Zxid(3, 0), Zxid(1, 9)):
+        with pytest.raises(ValueError):
+            log.append(hole, "x")
+    log.append(Zxid(4, 1), "c")  # a later epoch opens at counter 1
+    log.append(Zxid(4, 2), "d")
+    assert [e.txn for e in log] == ["a", "b", "c", "d"]
+    assert [log.position_of(e.zxid) for e in log] == [0, 1, 2, 3]
+    assert log.get(Zxid(4, 2)).txn == "d" and log.contains(Zxid(2, 8))
+    # Arithmetic that lands inside another epoch's stretch is not a hit.
+    for absent in (Zxid(2, 9), Zxid(2, 6), Zxid(4, 0), Zxid(4, 3), Zxid(3, 1),
+                   Zxid.ZERO):
+        assert not log.contains(absent) and log.get(absent) is None
+    # Zxids the log does not hold still cut it at the right place.
+    assert [e.txn for e in log.entries_after(Zxid(3, 5))] == ["c", "d"]
+    assert [e.txn for e in log.entries_after(Zxid(2, 6))] == ["a", "b", "c", "d"]
+    assert log.entries_after(Zxid(9, 9)) == []
+
+
+def test_log_truncate_then_reopen_epochs():
+    from repro.zab import TxnLog
+
+    log = TxnLog()
+    for zxid in (Zxid(1, 1), Zxid(1, 2), Zxid(2, 1), Zxid(2, 2), Zxid(3, 1)):
+        log.append(zxid, str(zxid))
+    assert [e.zxid for e in log.truncate_after(Zxid(2, 1))] == [
+        Zxid(2, 2), Zxid(3, 1)
+    ]
+    assert log.last_zxid == Zxid(2, 1) and not log.contains(Zxid(3, 1))
+    with pytest.raises(ValueError):
+        log.append(Zxid(3, 2), "hole")  # epoch 3 must open at 1 again
+    log.append(Zxid(2, 2), "again")
+    log.append(Zxid(5, 1), "e5")
+    assert log.position_of(Zxid(5, 1)) == 4 and log.position_of(Zxid(3, 1)) == -1
+    assert log.truncate_after(Zxid.ZERO) and len(log) == 0
+    assert log.last_zxid == Zxid.ZERO and not log.contains(Zxid(1, 1))
+    log.append(Zxid(7, 3), "fresh")
+    assert log.position_of(Zxid(7, 3)) == 0
+
+
+def test_log_replace_all_checks_order_and_holes():
+    from repro.zab import LogEntry, TxnLog
+
+    log = TxnLog()
+    log.append(Zxid(1, 1), "old")
+    entries = log.entries  # the peer's cursor indexes this very list
+    with pytest.raises(ValueError, match="strictly increasing"):
+        log.replace_all([LogEntry(Zxid(1, 2), "a"), LogEntry(Zxid(1, 2), "b")])
+    with pytest.raises(ValueError, match="hole"):
+        log.replace_all([LogEntry(Zxid(1, 2), "a"), LogEntry(Zxid(1, 4), "b")])
+    assert [e.txn for e in log] == ["old"]  # a refused snapshot changes nothing
+    # A snapshot may open an epoch at any counter.
+    log.replace_all(
+        [LogEntry(Zxid(1, 5), "a"), LogEntry(Zxid(1, 6), "b"), LogEntry(Zxid(3, 4), "c")]
+    )
+    assert log.entries is entries and [e.txn for e in log] == ["a", "b", "c"]
+    assert log.last_zxid == Zxid(3, 4) and log.position_of(Zxid(3, 4)) == 2
+    assert not log.contains(Zxid(1, 1))
+    log.append(Zxid(3, 5), "d")
+    log.replace_all([])
+    assert len(log) == 0 and log.last_zxid == Zxid.ZERO
+
+
+def applied_prefix_is_what_the_cursor_says(peer):
+    entries = peer.log.entries
+    if peer._cursor == 0:
+        return peer._last_applied == Zxid.ZERO
+    return entries[peer._cursor - 1].zxid == peer._last_applied
+
+
+def test_apply_cursor_survives_trunc_snap_and_restart():
+    """TRUNC re-seeks the cursor, SNAP and restart reset it: after each,
+    commits resume from exactly the first entry not yet delivered."""
+    from repro.zab.messages import Snap, Trunc
+
+    env, topo, net = fresh()
+    _config, peers = build_ensemble(env, net, topo)
+    env.run(until=1000.0)
+    leader = leader_of(peers)
+    follower = next(p for p in peers if p is not leader)
+    applied = []
+    follower.on_commit = lambda zxid, txn: applied.append(txn)
+    for i in range(6):
+        leader.submit(f"t{i}")
+    env.run(until=2000.0)
+    assert applied == [f"t{i}" for i in range(6)] and follower._cursor == 6
+    # An uncommitted tail the next leader never saw is truncated away.
+    epoch = leader.current_epoch
+    follower.log.append(Zxid(epoch, 7), "orphan-7")
+    follower.log.append(Zxid(epoch, 8), "orphan-8")
+    follower._on_trunc(leader.addr, Trunc(leader.addr, Zxid(epoch, 6)))
+    assert len(follower.log) == 6 and follower._cursor == 6
+    assert applied_prefix_is_what_the_cursor_says(follower)
+    # A TRUNC below the applied point (a leader that is wrong about what
+    # committed) must not leave the cursor past the end of the log.
+    follower._on_trunc(leader.addr, Trunc(leader.addr, Zxid(epoch, 4)))
+    assert follower._cursor == len(follower.log) == 4
+    # SNAP rewrites history: delivery restarts from the first entry.
+    del applied[:]
+    follower.on_reset = lambda peer: applied.append("reset")
+    follower._on_snap(leader.addr, Snap(leader.addr, leader.log.snapshot()))
+    assert follower._cursor == 0 and applied_prefix_is_what_the_cursor_says(follower)
+    leader.submit("t6")
+    env.run(until=3000.0)
+    assert applied == ["reset"] + [f"t{i}" for i in range(7)]
+    assert follower._cursor == 7 and applied_prefix_is_what_the_cursor_says(follower)
+    # Restart replays the durable log from zero, once.
+    del applied[:]
+    follower.crash()
+    env.run(until=3500.0)
+    follower.restart()
+    assert follower._cursor == 0
+    env.run(until=8000.0)
+    assert applied == [f"t{i}" for i in range(7)]
+    assert applied_prefix_is_what_the_cursor_says(follower)
+
+
+def test_commit_during_on_commit_is_delivered_once():
+    """On a one-voter ensemble a proposal made inside ``on_commit`` commits
+    and applies before the outer delivery loop resumes; the shared cursor
+    keeps the loop from delivering it a second time."""
+    env, topo, net = fresh()
+    _config, (peer,) = build_ensemble(env, net, topo, voter_sites=(VIRGINIA,))
+    env.run(until=100.0)
+    delivered = []
+
+    def on_commit(zxid, txn):
+        delivered.append(txn)
+        if txn == "a":
+            peer.submit("from-a")
+
+    peer.on_commit = on_commit
+    peer.submit("a")
+    peer.submit("b")
+    assert delivered == ["a", "from-a", "b"]
+    # Replay after a restart walks several entries in one call.
+    del delivered[:]
+    peer.on_commit = lambda zxid, txn: delivered.append(txn)
+    peer.crash()
+    peer.restart()
+    env.run(until=env.now + 1000.0)
+    assert delivered == ["a", "from-a", "b"]
+
+
 def test_ensemble_config_validation():
     env, topo, net = fresh()
     a = topo.site(VIRGINIA).address("a")

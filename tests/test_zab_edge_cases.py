@@ -143,3 +143,66 @@ def test_restart_running_peer_rejected():
     _config, peers = build_ensemble(env, net, topo)
     with pytest.raises(RuntimeError):
         peers[0].restart()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_observer_that_loses_informs_resyncs_and_converges(seed):
+    """Informs carry committed state over links that may drop them, and an
+    observer used to append whatever came next: it applied past the hole,
+    and its tail was then beyond anything a DIFF could fill. It must detect
+    the gap like a follower does — and notice from the leader's pings when
+    the lost Inform was the last one."""
+    from repro.experiments.common import build_world
+    from repro.net import LinkProfile
+    from tests.support import run_app
+
+    world = build_world("zk_observer", seed=seed)
+    env, net, deployment = world.env, world.net, world.deployment
+    for site in (CALIFORNIA, FRANKFURT):
+        net.degrade(VIRGINIA, site, LinkProfile(loss=0.2))
+    client = world.client(VIRGINIA)
+
+    def app():
+        yield client.connect()
+        yield client.create("/k", b"0")
+        for i in range(200):
+            yield client.set_data("/k", b"%d" % i)
+        for i in range(19):
+            yield client.create(f"/k/c{i}", b"")
+
+    run_app(env, app())
+    net.restore_all()
+    env.run(until=env.now + 60000.0)
+    leader = deployment.leader.peer
+    observers = [s.peer for s in deployment.servers if s.peer.is_observer]
+    assert len(observers) == 2 and len(leader.log) >= 220
+    assert [len(peer.log) for peer in observers] == [len(leader.log)] * 2
+    assert len(set(deployment.tree_fingerprints().values())) == 1
+    for peer in observers:
+        assert [e.zxid for e in peer.log] == [e.zxid for e in leader.log]
+
+
+def test_observer_that_loses_the_last_inform_learns_it_from_a_ping():
+    """Nothing follows the last Inform to expose the gap; the leader's
+    pings carry its commit point, and an observer checks it as a follower
+    does."""
+    from repro.net import LinkProfile
+
+    env, topo, net = fresh()
+    _config, peers = build_ensemble(env, net, topo, observer_sites=(CALIFORNIA,))
+    observer = peers[-1]
+    applied = []
+    observer.on_commit = lambda zxid, txn: applied.append(txn)
+    env.run(until=2000.0)
+    leader = leader_of(peers[:3])
+    leader.submit("first")
+    env.run(until=3000.0)
+    # Shorter than the election timeout: the observer never goes probing.
+    net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(loss=1.0), symmetric=False)
+    leader.submit("lost")
+    env.run(until=env.now + 120.0)
+    net.restore_all()
+    assert applied == ["first"]
+    env.run(until=env.now + 2000.0)
+    assert [entry.txn for entry in observer.log] == ["first", "lost"]
+    assert applied == ["first", "lost"]
