@@ -15,7 +15,7 @@ The topology stores **one-way** delays; ``Topology.rtt`` doubles them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "CALIFORNIA",
@@ -41,52 +41,19 @@ DEFAULT_WAN_ONE_WAY_MS: Dict[FrozenSet[str], float] = {
 DEFAULT_LOCAL_ONE_WAY_MS = 0.25
 
 
-class NodeAddress:
+class NodeAddress(NamedTuple):
     """Address of a simulated node: ``site`` plus a name unique in the run.
 
-    Immutable and hashable, like the frozen ordered dataclass it replaces —
-    but with the hash computed once at construction: addresses key every
-    inbox/FIFO/routing dict on the message hot path, so the per-lookup
-    tuple-build of the generated ``__hash__`` was measurable.
+    A tuple subclass: addresses key every inbox, FIFO, routing, session and
+    vote table on the message path, so equality, order and hash are the
+    tuple's own, at C speed. The hash is ``hash((site, name))`` — what the
+    hand-written class before this one cached — so dict and set iteration
+    orders are unchanged. It follows that an address equals a bare
+    ``(site, name)`` tuple and JSON-dumps as a two-element array.
     """
 
-    __slots__ = ("site", "name", "_hash")
-
-    def __init__(self, site: str, name: str):
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((site, name)))
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"NodeAddress is immutable (tried to set {key!r})")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not NodeAddress:
-            return NotImplemented
-        return self.site == other.site and self.name == other.name
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is not NodeAddress:
-            return NotImplemented
-        return self.site != other.site or self.name != other.name
-
-    def __lt__(self, other: "NodeAddress") -> bool:
-        return (self.site, self.name) < (other.site, other.name)
-
-    def __le__(self, other: "NodeAddress") -> bool:
-        return (self.site, self.name) <= (other.site, other.name)
-
-    def __gt__(self, other: "NodeAddress") -> bool:
-        return (self.site, self.name) > (other.site, other.name)
-
-    def __ge__(self, other: "NodeAddress") -> bool:
-        return (self.site, self.name) >= (other.site, other.name)
-
-    def __repr__(self) -> str:
-        return f"NodeAddress(site={self.site!r}, name={self.name!r})"
+    site: str
+    name: str
 
     def __str__(self) -> str:
         return f"{self.site}/{self.name}"

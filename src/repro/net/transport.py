@@ -73,7 +73,18 @@ class LinkProfile:
 
 
 class Network:
-    """Routes messages between registered node inboxes with WAN delays."""
+    """Routes messages between registered node inboxes with WAN delays.
+
+    ``send`` has two paths and one whole-network switch between them. While
+    no fault of any kind is installed and the topology is jitter-free, a
+    message is a delay lookup and a heap push (the *fast* path: no RNG draw,
+    no FIFO table). Otherwise every message takes the *tracked* path — crash
+    and partition checks, the link profile's loss and duplication draws, one
+    jitter draw per copy and the per-ordered-pair FIFO floor — as
+    straight-line code in the same frame. There is no per-link switch: with
+    jitter on no link is ever fast, and a tracked send costs what a fast one
+    does plus its draw and its FIFO probe (docs/PERFORMANCE.md, "Transport").
+    """
 
     __slots__ = (
         "env",
@@ -118,18 +129,16 @@ class Network:
         # Directed (src site, dst site) -> degradation profile.
         self._link_profiles: Dict[Tuple[str, str], LinkProfile] = {}
         self._last_delivery: Dict[Tuple[NodeAddress, NodeAddress], float] = {}
-        # Fast-path state: while no fault of any kind is injected (and the
-        # topology is jitter-free) a send needs no RNG draws and no per-pair
-        # FIFO bookkeeping — delays are per-pair constants, so delivery
-        # times are monotone by construction. The watermarks make the
-        # transitions safe:
+        # The fast path tracks nothing per message (delays are per-pair
+        # constants, so delivery times are monotone by construction); three
+        # watermarks make the transitions between the paths safe:
         #  * _fast_horizon   — latest delivery time ever scheduled by the
         #    fast path (fast sends are not tracked in _last_delivery);
         #  * _slow_floor     — _fast_horizon frozen at the moment a fault
         #    appears; a shrinking link (delay_factor < 1) may not undercut
         #    untracked fast-path messages still in flight;
         #  * _fast_ok_after  — when faults clear, the fast path re-arms only
-        #    once every tracked slow-path delivery is in the past.
+        #    once every delivery tracked under a fault is in the past.
         self._fast = True
         self._fast_horizon = 0.0
         self._slow_floor = 0.0
@@ -224,10 +233,22 @@ class Network:
     def is_down(self, addr: NodeAddress) -> bool:
         return addr in self._down
 
+    def _check_sites(self, *sites: str) -> None:
+        """Installing a fault on a site the topology does not have would
+        match no message and still take the whole network off the fast
+        path; the lenient heal*/restore* calls need no such check."""
+        known = self.topology.sites
+        for site in sites:
+            if site not in known:
+                raise ValueError(
+                    f"unknown site {site!r} (known sites: {', '.join(known)})"
+                )
+
     def partition(self, site_a: str, site_b: str) -> None:
         """Sever connectivity between two sites (both directions)."""
         if site_a == site_b:
             raise ValueError("cannot partition a site from itself")
+        self._check_sites(site_a, site_b)
         self._partitions.add(frozenset({site_a, site_b}))
         self._trace_fault("partition", f"{site_a}~{site_b}")
         self._refresh_fast_path()
@@ -240,6 +261,7 @@ class Network:
         """
         if src_site == dst_site:
             raise ValueError("cannot partition a site from itself")
+        self._check_sites(src_site, dst_site)
         self._oneway_partitions.add((src_site, dst_site))
         self._trace_fault("oneway-partition", f"{src_site}->{dst_site}")
         self._refresh_fast_path()
@@ -286,6 +308,7 @@ class Network:
         With ``symmetric=False`` only the ``site_a -> site_b`` direction is
         degraded (asymmetric gray failure).
         """
+        self._check_sites(site_a, site_b)
         self._link_profiles[(site_a, site_b)] = profile
         if symmetric:
             self._link_profiles[(site_b, site_a)] = profile
@@ -386,49 +409,72 @@ class Network:
                 )
             return
 
-        if src in self._down or dst in self._down:
+        # Tracked path: a fault is installed somewhere or the topology
+        # jitters, so every message of the run comes through here — hence
+        # straight-line, no Python call per message. The order of the
+        # checks, the RNG draws and the float operations is the contract:
+        # tests/reference_transport.py is the specification.
+        down = self._down
+        if down and (src in down or dst in down):
             self._drop("crash", envelope)
             return
-        if self.partitioned_one_way(src.site, dst.site):
+        pair = (src.site, dst.site)
+        if (self._partitions or self._oneway_partitions) and (
+            frozenset(pair) in self._partitions
+            or pair in self._oneway_partitions
+        ):
             self._drop("partition", envelope)
             return
 
-        profile = self._link_profiles.get((src.site, dst.site))
-        if profile is not None and profile.loss > 0.0:
-            if self.rng.random() < profile.loss:
+        draw = self.rng.random
+        profile = self._link_profiles.get(pair)
+        factor = 1.0
+        copies = 1
+        if profile is not None:
+            if profile.loss > 0.0 and draw() < profile.loss:
                 self._drop("loss", envelope)
                 return
-        copies = 1
-        if profile is not None and profile.duplicate > 0.0:
-            if self.rng.random() < profile.duplicate:
+            if profile.duplicate > 0.0 and draw() < profile.duplicate:
                 copies = 2
                 self.messages_duplicated += 1
-        for _copy in range(copies):
-            self._schedule_delivery(inbox, envelope, profile)
-
-    def _schedule_delivery(
-        self, inbox: Store, envelope: Envelope, profile: Optional[LinkProfile]
-    ) -> None:
-        delay = self.topology.one_way(envelope.src, envelope.dst)
-        if profile is not None:
-            delay *= profile.delay_factor
+            factor = profile.delay_factor
+        try:
+            delay = self._pair_delay[pair] * factor
+        except KeyError:
+            delay = self.topology.one_way(src, dst) * factor  # raises ValueError
         jitter = self.topology.jitter_fraction
-        if jitter > 0:
-            delay *= 1.0 + self.rng.uniform(0.0, jitter)
-
-        # Enforce FIFO per ordered pair: never deliver before the previous
-        # message (or copy) on this connection.
-        key = (envelope.src, envelope.dst)
-        deliver_at = max(self.env.now + delay, self._last_delivery.get(key, 0.0))
-        if profile is not None and profile.delay_factor < 1.0:
-            # A shrinking link may not undercut fast-path messages that were
-            # in flight (untracked) when the degradation was installed.
-            deliver_at = max(deliver_at, self._slow_floor)
-        self._last_delivery[key] = deliver_at
-        envelope.deliver_time = deliver_at
-        self.env.call_in(
-            deliver_at - self.env.now, self._deliver_cb, (inbox, envelope)
-        )
+        now = env._now
+        key = (src, dst)
+        last_delivery = self._last_delivery
+        entry = (self._deliver_cb, (inbox, envelope))
+        while copies:
+            copies -= 1
+            # One jitter draw per copy; rng.uniform(0.0, jitter) is
+            # jitter * rng.random() bit for bit.
+            if jitter > 0:
+                deliver_at = now + delay * (1.0 + jitter * draw())
+            else:
+                deliver_at = now + delay
+            # FIFO per ordered pair: never deliver before the previous
+            # message (or copy) on this connection.
+            floor = last_delivery.get(key, 0.0)
+            if floor > deliver_at:
+                deliver_at = floor
+            if factor < 1.0 and self._slow_floor > deliver_at:
+                # A shrinking link may not undercut fast-path messages that
+                # were in flight (untracked) when it was degraded.
+                deliver_at = self._slow_floor
+            last_delivery[key] = deliver_at
+            envelope.deliver_time = deliver_at
+            env._seq += 1
+            # The kernel instant is the delay added back onto the clock —
+            # what env.call_in(deliver_at - now) computes — which can sit
+            # one ULP off deliver_at when now is small beside the delay.
+            when = now + (deliver_at - now)
+            if when == now:
+                env._normal_now.append(entry)
+            else:
+                heappush(env._queue, (when, PRIORITY_NORMAL, env._seq, entry))
 
     def _deliver(self, item: Tuple[Store, Envelope]) -> None:
         # Re-check liveness at delivery time: a crash or partition that
