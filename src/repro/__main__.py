@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro <experiment>``."""
+"""Entry point: ``python -m repro <subcommand>``."""
 
 import sys
 

@@ -1,22 +1,18 @@
-"""Command-line experiment runner: ``python -m repro <experiment>``.
+"""Command line of the reproduction: ``python -m repro <subcommand>``.
 
-Regenerates any of the paper's figures (or the ablations) from the shell
-and prints the result tables. ``--small`` runs a reduced configuration for
-a quick look; the full-size runs match the benchmark suite.
-
-Subcommands:
-
-* ``python -m repro <experiment>`` — legacy serial path (kept stable).
-* ``python -m repro experiments [names|--all] --jobs N`` — the parallel
-  scenario runner with content-addressed result caching; result tables
-  go to stdout (byte-identical for any ``--jobs``), progress/timing to
-  stderr.
+* ``python -m repro experiments [names|--all] --jobs N`` — the one way to
+  regenerate a paper figure (fig4 … fig10, the ablations, the opt-in
+  suites): runs the suite's scenario cells in-process (``--jobs 1``) or
+  through the warm worker pool, with content-addressed result caching;
+  result tables go to stdout (byte-identical for any ``--jobs``),
+  progress/timing to stderr. ``--small`` runs a reduced configuration.
 * ``python -m repro cache stats|clear`` — inspect or empty the cache.
 * ``python -m repro profile <suite>`` — cProfile a runner suite; prints
   top-N hotspots plus a per-layer tottime rollup
   (kernel/net/zab/wpaxos/zk/wankeeper/fleet/workload). Performance is
   *measured* by the ledger (``python3 benchmarks/ledger/run.py``), which
   is not a subcommand.
+* ``python -m repro fuzz`` — the coverage-guided fault-schedule fuzzer.
 * ``python -m repro trace --out FILE`` — run a small traced WanKeeper
   workload (sentinel on) and dump the structured event trace as JSONL.
 * ``python -m repro diff-traces A B`` — first divergence of two JSONL
@@ -31,32 +27,7 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-__all__ = ["EXPERIMENTS", "main"]
-
-
-def _run_suite_serial(name: str, small: bool, seed: int) -> str:
-    """Legacy single-experiment path: in-process, uncached, serial."""
-    from repro.runner import build_suite, execute, render_suite
-
-    scenarios = build_suite(name, small, seed)
-    report = execute(scenarios, jobs=1)
-    report.raise_on_failure()
-    return render_suite(name, small, seed, report.results)
-
-
-def _legacy_runner(name: str) -> Callable[[bool, int], str]:
-    def run(small: bool, seed: int) -> str:
-        return _run_suite_serial(name, small, seed)
-
-    return run
-
-
-#: Legacy registry: experiment name -> ``fn(small, seed) -> table text``.
-#: (The ``soak`` suite is reachable via ``experiments soak`` only.)
-EXPERIMENTS: Dict[str, Callable[[bool, int], str]] = {
-    name: _legacy_runner(name)
-    for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig10", "ablations")
-}
+__all__ = ["main"]
 
 
 # -- `experiments` subcommand -------------------------------------------------
@@ -101,7 +72,8 @@ def _experiments_main(argv: List[str]) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (1 = in-process serial; 0 = one per CPU)",
+        help="1 = in-process serial (default); N > 1 = N warm pool "
+        "workers; 0 = one per CPU",
     )
     parser.add_argument(
         "--timeout",
@@ -119,21 +91,6 @@ def _experiments_main(argv: List[str]) -> int:
         "--no-cache",
         action="store_true",
         help="always recompute; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=True,
-        help="run parallel cells through the persistent warm worker pool "
-        "(default)",
-    )
-    parser.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="escape hatch: spawn one fresh process per cell instead of "
-        "using the warm pool",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="per-cell progress on stderr"
@@ -199,7 +156,6 @@ def _experiments_main(argv: List[str]) -> int:
         cache=cache,
         timeout_s=args.timeout,
         progress=progress,
-        pool=args.pool,
     )
 
     # Tables always print, in request order, for every cell that has a
@@ -380,50 +336,41 @@ def _diff_traces_main(argv: List[str]) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _profile_main(argv: List[str]) -> int:
+    from repro.profiling import main as profile_main
+
+    return profile_main(argv)
+
+
+def _fuzz_main(argv: List[str]) -> int:
+    from repro.fuzz.cli import main as fuzz_main
+
+    return fuzz_main(argv)
+
+
+_SUBCOMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "profile": _profile_main,
+    "fuzz": _fuzz_main,
+    "experiments": _experiments_main,
+    "cache": _cache_main,
+    "trace": _trace_main,
+    "diff-traces": _diff_traces_main,
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "profile":
-        from repro.profiling import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        from repro.fuzz.cli import main as fuzz_main
-
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "experiments":
-        return _experiments_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "diff-traces":
-        return _diff_traces_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate the WanKeeper paper's evaluation figures "
-        "('experiments' runs them in parallel with result caching; "
-        "'profile' runs a suite under cProfile).",
+        description="Reproduction of the WanKeeper paper. 'experiments' "
+        "regenerates the evaluation figures (in parallel, with result "
+        "caching); every subcommand has its own --help.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="which figure to regenerate",
-    )
-    parser.add_argument(
-        "--small", action="store_true", help="reduced size for a quick look"
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
-
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        started = time.time()
-        print(f"== {name} (seed {args.seed}"
-              f"{', small' if args.small else ''}) ==")
-        print(EXPERIMENTS[name](args.small, args.seed))
-        print(f"[{time.time() - started:.1f}s]\n")
-    return 0
+    parser.add_argument("subcommand", choices=list(_SUBCOMMANDS))
+    # Only the subcommand is parsed here; the rest belongs to its parser.
+    args = parser.parse_args(argv[:1])
+    return _SUBCOMMANDS[args.subcommand](argv[1:])
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Experiment harness: one module per paper figure plus ablations.
+"""Experiment cells: one module per paper figure plus the ablations.
 
-Each module exposes a ``run_*`` function that builds a fresh simulated
-world, drives the workload, and returns structured results; the
-``benchmarks/`` suite wraps these to regenerate the paper's tables/figures
-and assert their shapes, and the ``examples/`` scripts reuse them.
+Each module exposes per-cell ``run_*_cell`` functions that build a fresh
+simulated world, drive one workload and return a structured result.
+:mod:`repro.runner.cells` wraps them as JSON-plain scenario cells,
+:mod:`repro.runner.suites` holds each figure's grid and table, and
+``python -m repro experiments`` is the one way to regenerate a figure;
+the ``examples/`` scripts reuse the cells directly.
 """
 
 from repro.experiments.common import (

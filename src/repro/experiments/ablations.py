@@ -1,4 +1,4 @@
-"""Ablations of WanKeeper's design choices (DESIGN.md A1–A4).
+"""Ablations of WanKeeper's design choices (DESIGN.md A1–A5), one cell each.
 
 * **A1** — migration threshold ``r``: the paper recommends ``r = 2``; the
   sweep shows r=1 thrashing under contention and large r wasting locality.
@@ -8,12 +8,14 @@
   when the lock is used from one site, with and without token migration.
 * **A4** — fractional read/write tokens (§VI): read-mostly cross-site
   workload under the three read modes (local / forward / fractional).
+* **A5** — hub placement (§I, "changing the primary site assignment"): a
+  California-heavy workload with the level-2 broker in each region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
@@ -27,11 +29,6 @@ from repro.workloads.driver import ClientPlan, run_ycsb
 from repro.zk.recipes import FairLock
 
 __all__ = [
-    "run_ablation_bulk_tokens",
-    "run_ablation_hub_placement",
-    "run_ablation_migration_threshold",
-    "run_ablation_prediction",
-    "run_ablation_read_modes",
     "run_bulk_token_cell",
     "run_hub_placement_cell",
     "run_prediction_cell",
@@ -99,26 +96,6 @@ def run_threshold_cell(
     )
 
 
-def run_ablation_migration_threshold(
-    r_values: Sequence[Optional[int]] = (1, 2, 4, 8, None),
-    seed: int = 42,
-    record_count: int = 300,
-    operations_per_client: int = 1500,
-    overlap: float = 0.3,
-) -> List[ThresholdCell]:
-    """Two contending sites, 100% writes, varying ``r`` (None = never)."""
-    return [
-        run_threshold_cell(
-            r,
-            seed=seed,
-            record_count=record_count,
-            operations_per_client=operations_per_client,
-            overlap=overlap,
-        )
-        for r in r_values
-    ]
-
-
 # ---------------------------------------------------------- A2: Markov model
 
 
@@ -160,7 +137,13 @@ def run_prediction_cell(
     phase_len: int = 32,
     phases: int = 6,
 ) -> PredictionCell:
-    """One cell of A2: the phase-shifting workload under one policy."""
+    """One cell of A2: the phase-shifting workload under one policy.
+
+    Site phases alternate over a shared key set. The Markov model learns
+    that, once a site touches a record, the same site keeps touching it
+    through the phase — and migrates on the first access of each phase
+    instead of the second.
+    """
     factory = PREDICTION_POLICIES[policy]
     world = build_world("wk", seed=seed, policy_factory=factory)
     env = world.env
@@ -202,30 +185,6 @@ def run_prediction_cell(
     )
 
 
-def run_ablation_prediction(
-    seed: int = 42,
-    record_count: int = 8,
-    phase_len: int = 32,
-    phases: int = 6,
-) -> List[PredictionCell]:
-    """Alternating site phases over a shared key set.
-
-    The Markov model learns that, once a site touches a record, the same
-    site keeps touching it through the phase — and migrates on the first
-    access of each phase instead of the second.
-    """
-    return [
-        run_prediction_cell(
-            policy,
-            seed=seed,
-            record_count=record_count,
-            phase_len=phase_len,
-            phases=phases,
-        )
-        for policy in PREDICTION_POLICIES
-    ]
-
-
 # --------------------------------------------------------- A3: bulk tokens
 
 
@@ -247,7 +206,12 @@ def run_bulk_token_cell(
     seed: int = 42,
     rounds: int = 30,
 ) -> BulkTokenCell:
-    """One cell of A3: fair-lock rounds under one migration policy."""
+    """One cell of A3: fair-lock rounds, all contenders in California.
+
+    With migration on, the lock root's bulk token moves to California and
+    every acquire/release round is site-local; pinned at the hub
+    (NeverMigrate), every round pays WAN trips.
+    """
     factory = BULK_TOKEN_POLICIES[policy]
     world = build_world("wk", seed=seed, policy_factory=factory)
     env = world.env
@@ -282,22 +246,6 @@ def run_bulk_token_cell(
         label=policy,
         acquisitions_per_sec=count["rounds"] / (elapsed_ms / 1000.0),
     )
-
-
-def run_ablation_bulk_tokens(
-    seed: int = 42,
-    rounds: int = 30,
-) -> List[BulkTokenCell]:
-    """Fair-lock throughput when all contenders live in one site.
-
-    With migration on, the lock root's bulk token moves to California and
-    every acquire/release round is site-local; pinned at the hub
-    (NeverMigrate), every round pays WAN trips.
-    """
-    return [
-        run_bulk_token_cell(policy, seed=seed, rounds=rounds)
-        for policy in BULK_TOKEN_POLICIES
-    ]
 
 
 # --------------------------------------------------------- A4: read modes
@@ -348,25 +296,6 @@ def run_read_mode_cell(
     )
 
 
-def run_ablation_read_modes(
-    seed: int = 42,
-    record_count: int = 100,
-    operations_per_client: int = 1000,
-    write_fraction: float = 0.05,
-) -> List[ReadModeCell]:
-    """Read-mostly cross-site workload under the three read modes."""
-    return [
-        run_read_mode_cell(
-            mode,
-            seed=seed,
-            record_count=record_count,
-            operations_per_client=operations_per_client,
-            write_fraction=write_fraction,
-        )
-        for mode in ("local", "forward", "fractional")
-    ]
-
-
 # ------------------------------------------------- A5: hub placement
 
 
@@ -384,7 +313,11 @@ def run_hub_placement_cell(
     operations_per_client: int = 1000,
     write_fraction: float = 0.5,
 ) -> HubPlacementCell:
-    """One cell of A5: the CA-heavy workload with the hub at ``l2_site``."""
+    """One cell of A5: the CA-heavy workload with the hub at ``l2_site``.
+
+    Two California clients and one Frankfurt client; placing the hub where
+    the traffic is minimizes the WAN cost of the remote-serialization path.
+    """
     from repro.net import wan_topology
     from repro.net.transport import Network
     from repro.sim import Environment, RngRegistry, seeded_rng
@@ -429,27 +362,3 @@ def run_hub_placement_cell(
         ),
         write_mean_ms=merged.mean_latency("write"),
     )
-
-
-def run_ablation_hub_placement(
-    seed: int = 42,
-    record_count: int = 200,
-    operations_per_client: int = 1000,
-    write_fraction: float = 0.5,
-) -> List[HubPlacementCell]:
-    """Paper §I tuning knob: "changing the primary site assignment".
-
-    A California-heavy workload (two CA clients, one FR client) measured
-    with the level-2 broker placed in each region. Placing the hub where
-    the traffic is minimizes the WAN cost of the remote-serialization path.
-    """
-    return [
-        run_hub_placement_cell(
-            l2_site,
-            seed=seed,
-            record_count=record_count,
-            operations_per_client=operations_per_client,
-            write_fraction=write_fraction,
-        )
-        for l2_site in (VIRGINIA, CALIFORNIA, FRANKFURT)
-    ]

@@ -14,7 +14,7 @@ updates (the paper's YCSB microbenchmark over the SCFS metadata service):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
@@ -27,16 +27,8 @@ from repro.workloads import (
 )
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = [
-    "Fig10Cell",
-    "run_fig10_cell",
-    "run_fig10a",
-    "run_fig10b",
-    "run_fig10c",
-]
+__all__ = ["Fig10Cell", "run_fig10_cell"]
 
-DEFAULT_OVERLAPS = (0.0, 0.1, 0.5, 0.8, 1.0)
-DEFAULT_SYSTEMS = ("zk_observer", "wk")
 SITES = (CALIFORNIA, FRANKFURT)
 
 
@@ -68,6 +60,8 @@ def run_fig10_cell(
     record_count: int = 500,
     operations_per_client: int = 3000,
 ) -> Tuple[Fig10Cell, Dict[str, LatencyRecorder]]:
+    """One (system, overlap, hotspot) cell, plus the per-site recorders
+    whose time series are Fig. 10c."""
     spec = _scfs_spec(record_count, operations_per_client)
     world = build_world(system, seed=seed)
     recorders: Dict[str, LatencyRecorder] = {}
@@ -116,61 +110,3 @@ def run_fig10_cell(
         ),
     )
     return cell, recorders
-
-
-def run_fig10a(
-    overlaps: Sequence[float] = DEFAULT_OVERLAPS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-) -> Dict[str, List[Fig10Cell]]:
-    """Fig. 10a: no hotspot."""
-    return {
-        system: [
-            run_fig10_cell(
-                system, overlap, False, seed, record_count, operations_per_client
-            )[0]
-            for overlap in overlaps
-        ]
-        for system in systems
-    }
-
-
-def run_fig10b(
-    overlaps: Sequence[float] = DEFAULT_OVERLAPS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-) -> Dict[str, List[Fig10Cell]]:
-    """Fig. 10b: 80% of operations on 20% of the data."""
-    return {
-        system: [
-            run_fig10_cell(
-                system, overlap, True, seed, record_count, operations_per_client
-            )[0]
-            for overlap in overlaps
-        ]
-        for system in systems
-    }
-
-
-def run_fig10c(
-    overlaps: Sequence[float] = (0.1, 0.5),
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-    bucket_ms: float = 10000.0,
-) -> Dict[float, Dict[str, List[Tuple[float, float]]]]:
-    """Fig. 10c: WanKeeper throughput timelines (per-10s buckets) per site."""
-    results: Dict[float, Dict[str, List[Tuple[float, float]]]] = {}
-    for overlap in overlaps:
-        _cell, recorders = run_fig10_cell(
-            "wk", overlap, True, seed, record_count, operations_per_client
-        )
-        results[overlap] = {
-            site: recorder.timeseries(bucket_ms)
-            for site, recorder in recorders.items()
-        }
-    return results

@@ -9,18 +9,14 @@ Fig. 4b the average per-operation read and write latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, VIRGINIA
 from repro.workloads import LatencyRecorder, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig4Cell", "run_fig4", "run_write_ratio_cell"]
-
-#: The paper's write-ratio sweep (write % of operations).
-DEFAULT_WRITE_FRACTIONS = (0.0, 0.05, 0.25, 0.5, 1.0)
-DEFAULT_SYSTEMS = ("zk", "zk_observer", "wk")
+__all__ = ["Fig4Cell", "run_write_ratio_cell"]
 
 
 @dataclass
@@ -74,26 +70,3 @@ def run_write_ratio_cell(
         write_p99_ms=maybe(recorder.percentile_latency, 99, "write"),
         recorder=recorder,
     )
-
-
-def run_fig4(
-    write_fractions: Sequence[float] = DEFAULT_WRITE_FRACTIONS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 42,
-    record_count: int = 1000,
-    operation_count: int = 10000,
-) -> Dict[str, List[Fig4Cell]]:
-    """The full Fig. 4 sweep: system -> cells in write-ratio order."""
-    results: Dict[str, List[Fig4Cell]] = {}
-    for system in systems:
-        results[system] = [
-            run_write_ratio_cell(
-                system,
-                fraction,
-                seed=seed,
-                record_count=record_count,
-                operation_count=operation_count,
-            )
-            for fraction in write_fractions
-        ]
-    return results

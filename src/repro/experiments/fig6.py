@@ -9,16 +9,14 @@ tokens). Expected shape: ZK+obs ≈ 2× ZK; WK-hot > WK-cold > ZK+obs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder, OverlapChooser, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig6Result", "run_fig6", "run_fig6_cell"]
-
-DEFAULT_SETUPS = ("zk", "zk_observer", "wk", "wk_hot")
+__all__ = ["Fig6Result", "run_fig6_cell"]
 
 
 @dataclass
@@ -88,23 +86,3 @@ def run_fig6_cell(
         },
         write_mean_ms=merged.mean_latency("write"),
     )
-
-
-def run_fig6(
-    setups: Sequence[str] = DEFAULT_SETUPS,
-    seed: int = 42,
-    record_count: int = 1000,
-    operations_per_client: int = 5000,
-    write_fraction: float = 0.5,
-) -> Dict[str, Fig6Result]:
-    """Run the four Fig. 6 setups; returns setup -> result."""
-    return {
-        setup: run_fig6_cell(
-            setup,
-            seed=seed,
-            record_count=record_count,
-            operations_per_client=operations_per_client,
-            write_fraction=write_fraction,
-        )
-        for setup in setups
-    }

@@ -10,17 +10,13 @@ random locality in the access sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder, OverlapChooser, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig7Cell", "run_fig7", "run_fig7_cell"]
-
-DEFAULT_OVERLAPS = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_SYSTEMS = ("zk", "zk_observer", "wk")
+__all__ = ["Fig7Cell", "run_fig7_cell"]
 
 
 @dataclass
@@ -72,26 +68,3 @@ def run_fig7_cell(
         ),
         write_mean_ms=merged.mean_latency("write"),
     )
-
-
-def run_fig7(
-    overlaps: Sequence[float] = DEFAULT_OVERLAPS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-) -> Dict[str, List[Fig7Cell]]:
-    """The contention sweep; returns system -> cells in overlap order."""
-    return {
-        system: [
-            run_fig7_cell(
-                system,
-                overlap,
-                seed=seed,
-                record_count=record_count,
-                operations_per_client=operations_per_client,
-            )
-            for overlap in overlaps
-        ]
-        for system in systems
-    }

@@ -16,7 +16,7 @@ latency dominates (Fig. 8b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.bookkeeper import Bookie, BookKeeperClient
 from repro.experiments.common import World, build_world
@@ -24,10 +24,7 @@ from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder
 from repro.zk.recipes import DistributedLock
 
-__all__ = ["Fig8Cell", "run_fig8", "run_fig8_cell"]
-
-DEFAULT_WRITE_DURATIONS_MS = (200.0, 400.0, 800.0, 1600.0, 3200.0)
-DEFAULT_SYSTEMS = ("zk", "zk_observer", "wk")
+__all__ = ["Fig8Cell", "run_fig8_cell"]
 
 LOCK_PATH = "/log/lock"
 META_PATH = "/log/meta"
@@ -156,21 +153,3 @@ def run_fig8_cell(
         handovers=stats["handovers"],
         entries_total=stats["entries"],
     )
-
-
-def run_fig8(
-    write_durations_ms: Sequence[float] = DEFAULT_WRITE_DURATIONS_MS,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 42,
-    total_duration_ms: float = 30000.0,
-) -> Dict[str, List[Fig8Cell]]:
-    """The Fig. 8b sweep: system -> cells in write-duration order."""
-    return {
-        system: [
-            run_fig8_cell(
-                system, duration, seed=seed, total_duration_ms=total_duration_ms
-            )
-            for duration in write_durations_ms
-        ]
-        for system in systems
-    }

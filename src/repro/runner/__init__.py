@@ -12,9 +12,9 @@ changed cells are ever re-simulated.
 
 Determinism contract: a scenario's payload is a pure function of its
 spec and the code digest. The executor preserves bit-identical payloads
-whether a cell runs in-process (``--jobs 1``) or in a spawned worker,
-and renderers order output by the scenario list, never by completion
-order — parallel runs print byte-identical tables.
+whether a cell runs in-process (``--jobs 1``) or in a pool worker, and
+renderers order output by the suite's grid, never by completion order —
+parallel runs print byte-identical tables.
 """
 
 from repro.runner.cache import ResultCache, code_digest, default_cache_dir

@@ -11,9 +11,11 @@ survive ``json.dumps``/``loads`` bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -93,15 +95,20 @@ class ResultCache:
         """The cached entry for ``scenario`` or None (counts hit/miss).
 
         Returns the full entry dict (``payload``, ``elapsed_s``, ...).
-        A corrupt or schema-mismatched file is treated as a miss and
-        removed.
+        Cache files are outside input: one that is corrupt, is not an
+        entry of this schema or carries no payload is treated as a miss
+        and removed.
         """
         path = self._path(self.key(scenario))
         try:
             with open(path, encoding="utf-8") as handle:
                 entry = json.load(handle)
-            if entry.get("schema") != _SCHEMA:
-                raise ValueError("schema mismatch")
+            if (
+                not isinstance(entry, dict)
+                or entry.get("schema") != _SCHEMA
+                or "payload" not in entry
+            ):
+                raise ValueError("not a cache entry of this schema")
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -127,21 +134,29 @@ class ResultCache:
             "elapsed_s": elapsed_s,
             "payload": payload,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)  # atomic: concurrent writers race benignly
+        # Each writer dumps to a temp file of its own and publishes it
+        # atomically, so concurrent writers of one key race benignly: the
+        # entry is always one writer's complete dump.
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle, sort_keys=True)
+                handle.write("\n")
+            os.replace(tmp, path)
+        finally:
+            # Still there only if the dump or the publish raised.
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         return path
 
     # -- maintenance ----------------------------------------------------------
 
-    def _entries(self):
+    def _entries(self, suffix: str = ".json"):
         if not os.path.isdir(self.root):
             return
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for filename in filenames:
-                if filename.endswith(".json"):
+                if filename.endswith(suffix):
                     yield os.path.join(dirpath, filename)
 
     def stats(self) -> Dict[str, Any]:
@@ -154,8 +169,9 @@ class ResultCache:
             try:
                 total_bytes += os.path.getsize(path)
                 with open(path, encoding="utf-8") as handle:
-                    if json.load(handle).get("code") == self.code:
-                        current += 1
+                    entry = json.load(handle)
+                if isinstance(entry, dict) and entry.get("code") == self.code:
+                    current += 1
             except (ValueError, OSError):
                 continue
         return {
@@ -166,7 +182,11 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every cache entry; returns the number removed.
+
+        Also sweeps the temp files of writers that died mid-``put``
+        (not counted).
+        """
         removed = 0
         for path in list(self._entries()):
             try:
@@ -174,6 +194,9 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
+        for path in list(self._entries(".tmp")):
+            with contextlib.suppress(OSError):
+                os.remove(path)
         # Prune now-empty shard directories (best effort).
         if os.path.isdir(self.root):
             for name in os.listdir(self.root):

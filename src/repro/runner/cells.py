@@ -58,7 +58,7 @@ def cell_ycsb_write_ratio(
         "write_p99_ms": cell.write_p99_ms,
         "write_p50_ms": stats["write_p50_ms"],
         "write_p90_ms": stats["write_p90_ms"],
-        # Fig. 5's "local commit" fraction (threshold from Fig5Result).
+        # Fig. 5's "local commit" fraction: writes under 10 ms.
         "local_write_fraction": _maybe(
             recorder.fraction_below, 10.0, "write"
         ),
@@ -147,7 +147,7 @@ def cell_fig10(
 ) -> Dict[str, Any]:
     from repro.experiments.fig10 import run_fig10_cell
 
-    cell, _recorders = run_fig10_cell(
+    cell, recorders = run_fig10_cell(
         system,
         overlap,
         hotspot,
@@ -162,6 +162,11 @@ def cell_fig10(
         "per_site_throughput": dict(cell.per_site_throughput),
         "per_site_latency_ms": dict(cell.per_site_latency_ms),
         "total_throughput": cell.total_throughput,
+        # Fig. 10c: per-site ops/sec in 10 s buckets of simulated time.
+        "timeline": {
+            site: recorder.timeseries(10000.0)
+            for site, recorder in recorders.items()
+        },
     }
 
 
@@ -502,7 +507,7 @@ def cell_fleet_topology(n_sites: int, seed: int = 42) -> Dict[str, Any]:
     """Fingerprint + shape stats of one generated fleet topology.
 
     Exists so the cross-executor determinism tests can push topology
-    generation through the pool/spawn workers and compare fingerprints.
+    generation through the pool workers and compare fingerprints.
     """
     from repro.fleet import fleet_sites, fleet_topology, topology_fingerprint
 

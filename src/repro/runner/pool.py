@@ -1,21 +1,20 @@
-"""Persistent warm worker pool for the scenario executor.
+"""Persistent warm worker pool: the scenario executor's parallel path.
 
-The original parallel executor spawned one pristine process per cell, so
-every cell paid interpreter start-up plus a full ``repro`` import — on
-machines where a cell runs for a second or two, parallel runs were
-*slower* than serial (0.68–0.75× serial speed, measured on the full
-experiment set). This module replaces spawn-per-cell with a small fleet
-of **long-lived workers**: spawn-started once, importing the package
-once, then serving many cells over a duplex pipe.
+A small fleet of **long-lived workers** — spawn-started once, importing
+``repro`` once, then serving many cells each over a duplex pipe — so a
+cell pays neither interpreter start-up nor the package import. Measured
+on a 2-CPU box over the 67 ``--all`` cells: 1.8–1.9× the speed of
+``--jobs 1`` (docs/PERFORMANCE.md, "Executor: in-process vs the warm
+pool").
 
 Design points:
 
-* **Spawn-started, warm thereafter.** Workers still use the ``spawn``
-  start method (pristine interpreter, no fork-inherited simulation
-  state), and cells remain pure functions of their spec, so reuse cannot
-  leak observable state between cells — the determinism tests run the
-  same cell through ``--jobs 1``, the pool, and the legacy spawn
-  executor and require byte-identical payloads.
+* **Spawn-started, warm thereafter.** Workers use the ``spawn`` start
+  method — identical across platforms, a pristine interpreter with no
+  fork-inherited simulation state — and cells remain pure functions of
+  their spec, so reuse cannot leak observable state between cells: the
+  determinism tests run the same cell through ``--jobs 1`` and the pool
+  and require byte-identical payloads.
 * **Batched dispatch.** Small cells are grouped into one ``("run",
   [spec, ...])`` message so per-dispatch latency amortizes (fuzz
   campaigns push hundreds of sub-second cells through here). Workers
@@ -353,10 +352,9 @@ def run_pooled(
 ) -> None:
     """Run ``to_run`` through the persistent pool, filling ``report``.
 
-    Mirrors the legacy executor's contract exactly: results keyed by
-    scenario digest, ``CellFailure`` kinds ``exception``/``crash``/
-    ``timeout``, per-cell timeout, cache writes for fresh results — only
-    the process economics differ.
+    The contract of :func:`repro.runner.executor.execute`: results keyed
+    by scenario digest, ``CellFailure`` kinds ``exception``/``crash``/
+    ``timeout``, per-cell timeout, cache writes for fresh results.
     """
     from repro.runner.executor import CellFailure, _json_roundtrip
 

@@ -1,95 +1,147 @@
-"""Experiment suites: scenario builders + deterministic renderers.
+"""Experiment suites: one entry per figure — a grid and a renderer.
 
-Each suite converts one CLI experiment (``fig4`` ... ``ablations``,
-``soak``) into its list of independent :class:`Scenario` cells and a
-renderer that formats the collected payloads into the same plain-text
-tables the serial CLI has always printed. Renderers iterate the
-*builder's* grid order — never execution or completion order — so the
-output of ``--jobs N`` is byte-identical for every N.
-
-Builders and renderers both take ``(small, seed)`` and derive the grid
-from the same size tables, so a cell's spec and its slot in the output
-can never drift apart.
+A :class:`Suite` is ``grid(small, seed) -> {key: Scenario}`` plus
+``render({key: payload}) -> str``. The grid is the single place a
+figure's axes and sizes are written; its insertion order is the cell
+order ``repro experiments`` runs and lists, and its keys are what the
+renderer (and ``tests/test_paper_shapes.py``) address payloads by.
+Renderers read their axes back off those keys — never from execution or
+completion order — so the output of ``--jobs N`` is byte-identical for
+every N, and a cell's spec and its slot in the table cannot drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from repro.experiments.common import format_table
 from repro.runner.scenario import Scenario
 
 __all__ = [
+    "DEFAULT_SUITE_NAMES",
     "OPT_IN_SUITE_NAMES",
     "SUITES",
+    "Suite",
     "build_suite",
     "render_suite",
-    "suite_names",
 ]
 
 Results = Dict[str, Any]  # scenario digest -> payload
+Grid = Dict[Any, Scenario]  # cell key -> scenario, in presentation order
+Cells = Dict[Any, Any]  # the same keys -> payload
 
 
-def _get(results: Results, scenario: Scenario) -> Any:
-    return results[scenario.digest()]
+class Suite(NamedTuple):
+    grid: Callable[[bool, int], Grid]
+    render: Callable[[Cells], str]
+
+
+def _axis(cells: Cells, position: int) -> List[Any]:
+    """Distinct values at one position of the tuple keys, in grid order."""
+    return list(dict.fromkeys(key[position] for key in cells))
+
+
+def _part(cells: Cells, part: str) -> Cells:
+    """The cells whose tuple key starts with ``part``, keyed by the rest."""
+    return {key[1:]: cell for key, cell in cells.items() if key[0] == part}
+
+
+# -- the three workloads more than one suite sweeps ---------------------------
+
+
+def _write_ratio_cell(suite, system, fraction, seed, records, ops) -> Scenario:
+    return Scenario.make(
+        "ycsb_write_ratio",
+        dict(
+            system=system,
+            write_fraction=fraction,
+            seed=seed,
+            record_count=records,
+            operation_count=ops,
+        ),
+        suite=suite,
+        label=f"{system}@{fraction:.0%}",
+    )
+
+
+def _disjoint_cell(suite, setup, seed, records, ops, prefix="") -> Scenario:
+    return Scenario.make(
+        "fig6",
+        dict(
+            setup=setup,
+            seed=seed,
+            record_count=records,
+            operations_per_client=ops,
+            write_fraction=0.5,
+        ),
+        suite=suite,
+        label=f"{prefix}{setup}",
+    )
+
+
+def _contention_cell(
+    suite, system, overlap, seed, records, ops, prefix=""
+) -> Scenario:
+    return Scenario.make(
+        "fig7",
+        dict(
+            system=system,
+            overlap=overlap,
+            seed=seed,
+            record_count=records,
+            operations_per_client=ops,
+        ),
+        suite=suite,
+        label=f"{prefix}{system}@{overlap:.0%}",
+    )
+
+
+def _disjoint_rows(cells: Cells) -> List[List[Any]]:
+    return [
+        [
+            setup,
+            cell["total_throughput"],
+            cell["per_site_throughput"]["california"],
+            cell["per_site_throughput"]["frankfurt"],
+            cell["write_mean_ms"],
+        ]
+        for (setup,), cell in cells.items()
+    ]
 
 
 # -- fig4 ---------------------------------------------------------------------
 
-_FIG4_SYSTEMS = ("zk", "zk_observer", "wk")
-_FIG4_FRACTIONS = (0.0, 0.05, 0.25, 0.5)
 
-
-def _fig4_grid(small: bool, seed: int) -> List[Tuple[str, float, Scenario]]:
-    ops = 2000 if small else 10000
-    records = 300 if small else 1000
-    grid = []
-    for system in _FIG4_SYSTEMS:
-        for fraction in _FIG4_FRACTIONS:
-            grid.append(
-                (
-                    system,
-                    fraction,
-                    Scenario.make(
-                        "ycsb_write_ratio",
-                        dict(
-                            system=system,
-                            write_fraction=fraction,
-                            seed=seed,
-                            record_count=records,
-                            operation_count=ops,
-                        ),
-                        suite="fig4",
-                        label=f"{system}@{fraction:.0%}",
-                    ),
-                )
-            )
-    return grid
-
-
-def _fig4_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, _, scenario in _fig4_grid(small, seed)]
-
-
-def _fig4_render(small: bool, seed: int, results: Results) -> str:
-    grid = _fig4_grid(small, seed)
-    cells = {(system, fraction): _get(results, s) for system, fraction, s in grid}
-    rows = []
-    for fraction in _FIG4_FRACTIONS:
-        rows.append(
-            [f"{fraction:.0%}"]
-            + [cells[(system, fraction)]["throughput"] for system in _FIG4_SYSTEMS]
+def _fig4_grid(small: bool, seed: int) -> Grid:
+    records, ops = (300, 2000) if small else (1000, 10000)
+    return {
+        (system, fraction): _write_ratio_cell(
+            "fig4", system, fraction, seed, records, ops
         )
-    latency_rows = []
-    for fraction in _FIG4_FRACTIONS:
-        for system in _FIG4_SYSTEMS:
-            cell = cells[(system, fraction)]
-            latency_rows.append(
-                [f"{fraction:.0%}", system, cell["read_mean_ms"] or 0.0,
-                 cell["write_mean_ms"] or 0.0]
-            )
+        for system in ("zk", "zk_observer", "wk")
+        for fraction in (0.0, 0.05, 0.25, 0.5)
+    }
+
+
+def _fig4_render(cells: Cells) -> str:
+    systems, fractions = _axis(cells, 0), _axis(cells, 1)
+    rows = [
+        [f"{fraction:.0%}"]
+        + [cells[(system, fraction)]["throughput"] for system in systems]
+        for fraction in fractions
+    ]
+    latency_rows = [
+        [
+            f"{fraction:.0%}",
+            system,
+            cells[(system, fraction)]["read_mean_ms"] or 0.0,
+            cells[(system, fraction)]["write_mean_ms"] or 0.0,
+        ]
+        for fraction in fractions
+        for system in systems
+    ]
     return (
-        format_table(["write%"] + list(_FIG4_SYSTEMS), rows,
+        format_table(["write%"] + systems, rows,
                      title="Fig 4a: throughput (ops/sec)")
         + "\n\n"
         + format_table(
@@ -102,55 +154,28 @@ def _fig4_render(small: bool, seed: int, results: Results) -> str:
 
 # -- fig5 ---------------------------------------------------------------------
 
-_FIG5_SYSTEMS = ("zk", "zk_observer", "wk")
-_FIG5_FRACTIONS = (0.5, 1.0)
+
+def _fig5_grid(small: bool, seed: int) -> Grid:
+    records, ops = (200, 1500) if small else (600, 5000)
+    return {
+        (system, fraction): _write_ratio_cell(
+            "fig5", system, fraction, seed, records, ops
+        )
+        for system in ("zk", "zk_observer", "wk")
+        for fraction in (0.5, 1.0)
+    }
 
 
-def _fig5_grid(small: bool, seed: int) -> List[Tuple[str, float, Scenario]]:
-    records = 200 if small else 600
-    ops = 1500 if small else 5000
-    grid = []
-    for system in _FIG5_SYSTEMS:
-        for fraction in _FIG5_FRACTIONS:
-            grid.append(
-                (
-                    system,
-                    fraction,
-                    Scenario.make(
-                        "ycsb_write_ratio",
-                        dict(
-                            system=system,
-                            write_fraction=fraction,
-                            seed=seed,
-                            record_count=records,
-                            operation_count=ops,
-                        ),
-                        suite="fig5",
-                        label=f"{system}@{fraction:.0%}",
-                    ),
-                )
-            )
-    return grid
-
-
-def _fig5_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, _, scenario in _fig5_grid(small, seed)]
-
-
-def _fig5_render(small: bool, seed: int, results: Results) -> str:
-    grid = _fig5_grid(small, seed)
+def _fig5_render(cells: Cells) -> str:
     rows = [
         [
             system,
             f"{fraction:.0%}",
-            payload["local_write_fraction"],
-            payload["write_p50_ms"],
-            payload["write_p90_ms"],
+            cell["local_write_fraction"],
+            cell["write_p50_ms"],
+            cell["write_p90_ms"],
         ]
-        for (system, fraction), payload in sorted(
-            ((sys_frac, _get(results, s)) for *sys_frac, s in grid),
-            key=lambda item: item[0],
-        )
+        for (system, fraction), cell in sorted(cells.items())
     ]
     return format_table(
         ["system", "write%", "local frac", "p50 ms", "p90 ms"],
@@ -161,368 +186,242 @@ def _fig5_render(small: bool, seed: int, results: Results) -> str:
 
 # -- fig6 ---------------------------------------------------------------------
 
-_FIG6_SETUPS = ("zk", "zk_observer", "wk", "wk_hot")
+
+def _fig6_grid(small: bool, seed: int) -> Grid:
+    records, ops = (300, 1200) if small else (1000, 4000)
+    return {
+        (setup,): _disjoint_cell("fig6", setup, seed, records, ops)
+        for setup in ("zk", "zk_observer", "wk", "wk_hot")
+    }
 
 
-def _fig6_grid(small: bool, seed: int) -> List[Tuple[str, Scenario]]:
-    records = 300 if small else 1000
-    ops = 1200 if small else 4000
-    return [
-        (
-            setup,
-            Scenario.make(
-                "fig6",
-                dict(
-                    setup=setup,
-                    seed=seed,
-                    record_count=records,
-                    operations_per_client=ops,
-                    write_fraction=0.5,
-                ),
-                suite="fig6",
-                label=setup,
-            ),
-        )
-        for setup in _FIG6_SETUPS
-    ]
-
-
-def _fig6_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, scenario in _fig6_grid(small, seed)]
-
-
-def _fig6_render(small: bool, seed: int, results: Results) -> str:
-    rows = []
-    for setup, scenario in _fig6_grid(small, seed):
-        payload = _get(results, scenario)
-        rows.append(
-            [
-                setup,
-                payload["total_throughput"],
-                payload["per_site_throughput"]["california"],
-                payload["per_site_throughput"]["frankfurt"],
-                payload["write_mean_ms"],
-            ]
-        )
+def _fig6_render(cells: Cells) -> str:
     return format_table(
         ["setup", "total ops/s", "CA", "FR", "write ms"],
-        rows,
+        _disjoint_rows(cells),
         title="Fig 6: two-site throughput, disjoint access",
     )
 
 
 # -- fig7 ---------------------------------------------------------------------
 
-_FIG7_SYSTEMS = ("zk", "zk_observer", "wk")
-_FIG7_OVERLAPS = (0.0, 0.5, 1.0)
 
-
-def _fig7_grid(small: bool, seed: int) -> List[Tuple[str, float, Scenario]]:
-    records = 200 if small else 400
-    ops = 800 if small else 2500
-    return [
-        (
-            system,
-            overlap,
-            Scenario.make(
-                "fig7",
-                dict(
-                    system=system,
-                    overlap=overlap,
-                    seed=seed,
-                    record_count=records,
-                    operations_per_client=ops,
-                ),
-                suite="fig7",
-                label=f"{system}@{overlap:.0%}",
-            ),
+def _fig7_grid(small: bool, seed: int) -> Grid:
+    records, ops = (200, 800) if small else (400, 2500)
+    return {
+        (system, overlap): _contention_cell(
+            "fig7", system, overlap, seed, records, ops
         )
-        for system in _FIG7_SYSTEMS
-        for overlap in _FIG7_OVERLAPS
-    ]
+        for system in ("zk", "zk_observer", "wk")
+        for overlap in (0.0, 0.5, 1.0)
+    }
 
 
-def _fig7_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, _, scenario in _fig7_grid(small, seed)]
-
-
-def _fig7_render(small: bool, seed: int, results: Results) -> str:
-    grid = _fig7_grid(small, seed)
-    cells = {(system, overlap): _get(results, s) for system, overlap, s in grid}
+def _fig7_render(cells: Cells) -> str:
+    systems = _axis(cells, 0)
     rows = [
         [f"{overlap:.0%}"]
-        + [cells[(system, overlap)]["total_throughput"] for system in _FIG7_SYSTEMS]
-        for overlap in _FIG7_OVERLAPS
+        + [cells[(system, overlap)]["total_throughput"] for system in systems]
+        for overlap in _axis(cells, 1)
     ]
     return format_table(
-        ["overlap"] + list(_FIG7_SYSTEMS), rows, title="Fig 7: contention sweep"
+        ["overlap"] + systems, rows, title="Fig 7: contention sweep"
     )
 
 
 # -- fig8 ---------------------------------------------------------------------
 
-_FIG8_SYSTEMS = ("zk", "zk_observer", "wk")
-_FIG8_DURATIONS = (200.0, 400.0, 1600.0)
 
-
-def _fig8_grid(small: bool, seed: int) -> List[Tuple[str, float, Scenario]]:
+def _fig8_grid(small: bool, seed: int) -> Grid:
     total = 10000.0 if small else 25000.0
-    return [
-        (
-            system,
-            duration,
-            Scenario.make(
-                "fig8",
-                dict(
-                    system=system,
-                    write_duration_ms=duration,
-                    seed=seed,
-                    total_duration_ms=total,
-                ),
-                suite="fig8",
-                label=f"{system}@{duration:.0f}ms",
+    return {
+        (system, duration): Scenario.make(
+            "fig8",
+            dict(
+                system=system,
+                write_duration_ms=duration,
+                seed=seed,
+                total_duration_ms=total,
             ),
+            suite="fig8",
+            label=f"{system}@{duration:.0f}ms",
         )
-        for system in _FIG8_SYSTEMS
-        for duration in _FIG8_DURATIONS
-    ]
+        for system in ("zk", "zk_observer", "wk")
+        for duration in (200.0, 400.0, 1600.0)
+    }
 
 
-def _fig8_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, _, scenario in _fig8_grid(small, seed)]
-
-
-def _fig8_render(small: bool, seed: int, results: Results) -> str:
-    grid = _fig8_grid(small, seed)
-    cells = {(system, duration): _get(results, s) for system, duration, s in grid}
+def _fig8_render(cells: Cells) -> str:
+    systems = _axis(cells, 0)
     rows = [
         [f"{duration/1000:.1f}s"]
-        + [cells[(system, duration)]["entries_per_sec"] for system in _FIG8_SYSTEMS]
-        for duration in _FIG8_DURATIONS
+        + [cells[(system, duration)]["entries_per_sec"] for system in systems]
+        for duration in _axis(cells, 1)
     ]
     return format_table(
-        ["duration"] + list(_FIG8_SYSTEMS), rows,
-        title="Fig 8b: BookKeeper entries/sec",
+        ["duration"] + systems, rows, title="Fig 8b: BookKeeper entries/sec"
     )
 
 
 # -- fig10 --------------------------------------------------------------------
 
-_FIG10_SYSTEMS = ("zk_observer", "wk")
-_FIG10_OVERLAPS = (0.1, 0.5, 0.8)
+# Fig 10c reads the timelines of two cells Fig 10b already runs: WanKeeper
+# with the hotspot at these overlaps.
+_FIG10C_OVERLAPS = (0.1, 0.5)
 
 
-def _fig10_grid(
-    small: bool, seed: int
-) -> List[Tuple[str, float, bool, Scenario]]:
-    records = 200 if small else 400
-    ops = 800 if small else 2500
-    grid = []
-    for hotspot in (False, True):
-        for system in _FIG10_SYSTEMS:
-            for overlap in _FIG10_OVERLAPS:
-                grid.append(
-                    (
-                        system,
-                        overlap,
-                        hotspot,
-                        Scenario.make(
-                            "fig10",
-                            dict(
-                                system=system,
-                                overlap=overlap,
-                                hotspot=hotspot,
-                                seed=seed,
-                                record_count=records,
-                                operations_per_client=ops,
-                            ),
-                            suite="fig10",
-                            label=f"{system}@{overlap:.0%}"
-                            + ("+hotspot" if hotspot else ""),
-                        ),
-                    )
-                )
-    return grid
-
-
-def _fig10_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, _, _, scenario in _fig10_grid(small, seed)]
-
-
-def _fig10_render(small: bool, seed: int, results: Results) -> str:
-    grid = _fig10_grid(small, seed)
-    cells = {
-        (system, overlap, hotspot): _get(results, s)
-        for system, overlap, hotspot, s in grid
-    }
-    parts = []
-    for title, hotspot in (
-        ("Fig 10a: SCFS, no hotspot", False),
-        ("Fig 10b: SCFS, 20% hotspot per site", True),
-    ):
-        rows = []
-        for overlap in _FIG10_OVERLAPS:
-            for system in _FIG10_SYSTEMS:
-                cell = cells[(system, overlap, hotspot)]
-                rows.append(
-                    [f"{overlap:.0%}", system, cell["total_throughput"]]
-                )
-        parts.append(
-            format_table(["overlap", "system", "ops/s"], rows, title=title)
+def _fig10_grid(small: bool, seed: int) -> Grid:
+    records, ops = (200, 800) if small else (400, 2500)
+    return {
+        (system, overlap, hotspot): Scenario.make(
+            "fig10",
+            dict(
+                system=system,
+                overlap=overlap,
+                hotspot=hotspot,
+                seed=seed,
+                record_count=records,
+                operations_per_client=ops,
+            ),
+            suite="fig10",
+            label=f"{system}@{overlap:.0%}" + ("+hotspot" if hotspot else ""),
         )
+        for hotspot in (False, True)
+        for system in ("zk_observer", "wk")
+        for overlap in (0.1, 0.5, 0.8)
+    }
+
+
+def _fig10_render(cells: Cells) -> str:
+    systems, overlaps = _axis(cells, 0), _axis(cells, 1)
+    parts = [
+        format_table(
+            ["overlap", "system", "ops/s"],
+            [
+                [
+                    f"{overlap:.0%}",
+                    system,
+                    cells[(system, overlap, hotspot)]["total_throughput"],
+                ]
+                for overlap in overlaps
+                for system in systems
+            ],
+            title=title,
+        )
+        for title, hotspot in (
+            ("Fig 10a: SCFS, no hotspot", False),
+            ("Fig 10b: SCFS, 20% hotspot per site", True),
+        )
+    ]
+    parts.append(
+        format_table(
+            ["overlap", "site", "t (s)", "ops/s"],
+            [
+                [f"{overlap:.0%}", site, time_ms / 1000.0, ops_per_sec]
+                for overlap in _FIG10C_OVERLAPS
+                for site, series in sorted(
+                    cells[("wk", overlap, True)]["timeline"].items()
+                )
+                for time_ms, ops_per_sec in series
+            ],
+            title="Fig 10c: WanKeeper throughput per 10 s bucket "
+            "(20% hotspot)",
+        )
+    )
     return "\n\n".join(parts)
 
 
 # -- ablations ----------------------------------------------------------------
 
-_A1_R_VALUES = (1, 2, 4, 8, None)
-_A2_POLICIES = ("consecutive(r=2)", "markov(r=2,t=0.6)")
-_A3_POLICIES = ("bulk-migrating", "pinned-at-hub")
-_A4_MODES = ("local", "forward", "fractional")
-_A5_SITES = ("virginia", "california", "frankfurt")
 
+def _ablations_grid(small: bool, seed: int) -> Grid:
+    def cell(name, label, **params):
+        return Scenario.make(
+            name, dict(params, seed=seed), suite="ablations", label=label
+        )
 
-def _ablations_grid(small: bool, seed: int) -> Dict[str, List[Scenario]]:
-    grid: Dict[str, List[Scenario]] = {}
-    grid["a1"] = [
-        Scenario.make(
+    grid: Grid = {}
+    for r in (1, 2, 4, 8, None):
+        grid["a1", r] = cell(
             "ablation_threshold",
-            dict(
-                r=r,
-                seed=seed,
-                record_count=150 if small else 300,
-                operations_per_client=600 if small else 1500,
-                overlap=0.3,
-            ),
-            suite="ablations",
-            label=f"A1 r={r}",
+            f"A1 r={r}",
+            r=r,
+            record_count=150 if small else 300,
+            operations_per_client=600 if small else 1500,
+            overlap=0.3,
         )
-        for r in _A1_R_VALUES
-    ]
-    grid["a2"] = [
-        Scenario.make(
-            "ablation_prediction",
-            dict(policy=policy, seed=seed),
-            suite="ablations",
-            label=f"A2 {policy}",
+    for policy in ("consecutive(r=2)", "markov(r=2,t=0.6)"):
+        grid["a2", policy] = cell(
+            "ablation_prediction", f"A2 {policy}", policy=policy
         )
-        for policy in _A2_POLICIES
-    ]
-    grid["a3"] = [
-        Scenario.make(
+    for policy in ("bulk-migrating", "pinned-at-hub"):
+        grid["a3", policy] = cell(
             "ablation_bulk_tokens",
-            dict(policy=policy, seed=seed, rounds=15 if small else 25),
-            suite="ablations",
-            label=f"A3 {policy}",
+            f"A3 {policy}",
+            policy=policy,
+            rounds=15 if small else 25,
         )
-        for policy in _A3_POLICIES
-    ]
-    grid["a4"] = [
-        Scenario.make(
+    for mode in ("local", "forward", "fractional"):
+        grid["a4", mode] = cell(
             "ablation_read_mode",
-            dict(
-                mode=mode,
-                seed=seed,
-                operations_per_client=500 if small else 1500,
-            ),
-            suite="ablations",
-            label=f"A4 {mode}",
+            f"A4 {mode}",
+            mode=mode,
+            operations_per_client=500 if small else 1500,
         )
-        for mode in _A4_MODES
-    ]
-    grid["a5"] = [
-        Scenario.make(
+    for site in ("virginia", "california", "frankfurt"):
+        grid["a5", site] = cell(
             "ablation_hub_placement",
-            dict(
-                l2_site=site,
-                seed=seed,
-                record_count=100 if small else 200,
-                operations_per_client=400 if small else 1000,
-            ),
-            suite="ablations",
-            label=f"A5 hub={site}",
+            f"A5 hub={site}",
+            l2_site=site,
+            record_count=100 if small else 200,
+            operations_per_client=400 if small else 1000,
         )
-        for site in _A5_SITES
-    ]
     return grid
 
 
-def _ablations_build(small: bool, seed: int) -> List[Scenario]:
-    grid = _ablations_grid(small, seed)
-    return [s for part in ("a1", "a2", "a3", "a4", "a5") for s in grid[part]]
+def _ablations_render(cells: Cells) -> str:
+    def table(part, title, headers, fields):
+        return format_table(
+            headers,
+            [[cell[f] for f in fields] for cell in _part(cells, part).values()],
+            title=title,
+        )
 
-
-def _ablations_render(small: bool, seed: int, results: Results) -> str:
-    grid = _ablations_grid(small, seed)
-    parts = []
-    parts.append(
-        format_table(
-            ["policy", "ops/s", "write ms", "recalls"],
-            [
-                [
-                    payload["label"],
-                    payload["total_throughput"],
-                    payload["write_mean_ms"],
-                    payload["tokens_recalled"],
-                ]
-                for payload in (_get(results, s) for s in grid["a1"])
-            ],
-            title="A1: migration threshold r",
-        )
+    return "\n\n".join(
+        [
+            table(
+                "a1",
+                "A1: migration threshold r",
+                ["policy", "ops/s", "write ms", "recalls"],
+                ["label", "total_throughput", "write_mean_ms",
+                 "tokens_recalled"],
+            ),
+            table(
+                "a2",
+                "A2: Markov prediction",
+                ["policy", "ops/s", "write ms"],
+                ["policy", "total_throughput", "write_mean_ms"],
+            ),
+            table(
+                "a3",
+                "A3: bulk sequential-znode tokens",
+                ["policy", "acquisitions/s"],
+                ["label", "acquisitions_per_sec"],
+            ),
+            table(
+                "a4",
+                "A4: fractional read/write tokens",
+                ["read mode", "read ms", "ops/s"],
+                ["mode", "read_mean_ms", "total_throughput"],
+            ),
+            table(
+                "a5",
+                "A5: hub placement (CA-heavy workload)",
+                ["l2 site", "ops/s", "write ms"],
+                ["l2_site", "total_throughput", "write_mean_ms"],
+            ),
+        ]
     )
-    parts.append(
-        format_table(
-            ["policy", "ops/s", "write ms"],
-            [
-                [
-                    payload["policy"],
-                    payload["total_throughput"],
-                    payload["write_mean_ms"],
-                ]
-                for payload in (_get(results, s) for s in grid["a2"])
-            ],
-            title="A2: Markov prediction",
-        )
-    )
-    parts.append(
-        format_table(
-            ["policy", "acquisitions/s"],
-            [
-                [payload["label"], payload["acquisitions_per_sec"]]
-                for payload in (_get(results, s) for s in grid["a3"])
-            ],
-            title="A3: bulk sequential-znode tokens",
-        )
-    )
-    parts.append(
-        format_table(
-            ["read mode", "read ms", "ops/s"],
-            [
-                [
-                    payload["mode"],
-                    payload["read_mean_ms"],
-                    payload["total_throughput"],
-                ]
-                for payload in (_get(results, s) for s in grid["a4"])
-            ],
-            title="A4: fractional read/write tokens",
-        )
-    )
-    parts.append(
-        format_table(
-            ["l2 site", "ops/s", "write ms"],
-            [
-                [
-                    payload["l2_site"],
-                    payload["total_throughput"],
-                    payload["write_mean_ms"],
-                ]
-                for payload in (_get(results, s) for s in grid["a5"])
-            ],
-            title="A5: hub placement (CA-heavy workload)",
-        )
-    )
-    return "\n\n".join(parts)
 
 
 # -- fig_wpaxos (substrate comparison) ----------------------------------------
@@ -533,152 +432,63 @@ def _ablations_render(small: bool, seed: int, results: Results) -> str:
 # zone-local quorum. Reuses the fig4/fig6/fig7 workloads so the comparison
 # rides the exact cells the paper figures use.
 
-_WPX_SYSTEMS = ("wk", "wpaxos")
-_WPX_FRACTIONS = (0.05, 0.25, 0.5)
-_WPX_SETUPS = ("wk", "wk_hot", "wpaxos")
-_WPX_OVERLAPS = (0.0, 0.5, 1.0)
 
-
-def _wpaxos_grid(small: bool, seed: int) -> Dict[str, List[Tuple]]:
-    wr_records = 200 if small else 600
-    wr_ops = 1200 if small else 5000
-    f6_records = 200 if small else 600
-    f6_ops = 800 if small else 2500
-    f7_records = 150 if small else 400
-    f7_ops = 600 if small else 2000
-    grid: Dict[str, List[Tuple]] = {}
-    grid["write_ratio"] = [
-        (
-            system,
-            fraction,
-            Scenario.make(
-                "ycsb_write_ratio",
-                dict(
-                    system=system,
-                    write_fraction=fraction,
-                    seed=seed,
-                    record_count=wr_records,
-                    operation_count=wr_ops,
-                ),
-                suite="fig_wpaxos",
-                label=f"{system}@{fraction:.0%}",
-            ),
+def _wpaxos_grid(small: bool, seed: int) -> Grid:
+    systems = ("wk", "wpaxos")
+    wr_records, wr_ops = (200, 1200) if small else (600, 5000)
+    f6_records, f6_ops = (200, 800) if small else (600, 2500)
+    f7_records, f7_ops = (150, 600) if small else (400, 2000)
+    grid: Grid = {}
+    for system in systems:
+        for fraction in (0.05, 0.25, 0.5):
+            grid["write_ratio", system, fraction] = _write_ratio_cell(
+                "fig_wpaxos", system, fraction, seed, wr_records, wr_ops
+            )
+    for setup in ("wk", "wk_hot", "wpaxos"):
+        grid["disjoint", setup] = _disjoint_cell(
+            "fig_wpaxos", setup, seed, f6_records, f6_ops, prefix="disjoint/"
         )
-        for system in _WPX_SYSTEMS
-        for fraction in _WPX_FRACTIONS
-    ]
-    grid["disjoint"] = [
-        (
-            setup,
-            Scenario.make(
-                "fig6",
-                dict(
-                    setup=setup,
-                    seed=seed,
-                    record_count=f6_records,
-                    operations_per_client=f6_ops,
-                    write_fraction=0.5,
-                ),
-                suite="fig_wpaxos",
-                label=f"disjoint/{setup}",
-            ),
-        )
-        for setup in _WPX_SETUPS
-    ]
-    grid["contention"] = [
-        (
-            system,
-            overlap,
-            Scenario.make(
-                "fig7",
-                dict(
-                    system=system,
-                    overlap=overlap,
-                    seed=seed,
-                    record_count=f7_records,
-                    operations_per_client=f7_ops,
-                ),
-                suite="fig_wpaxos",
-                label=f"contention/{system}@{overlap:.0%}",
-            ),
-        )
-        for system in _WPX_SYSTEMS
-        for overlap in _WPX_OVERLAPS
-    ]
+    for system in systems:
+        for overlap in (0.0, 0.5, 1.0):
+            grid["contention", system, overlap] = _contention_cell(
+                "fig_wpaxos", system, overlap, seed, f7_records, f7_ops,
+                prefix="contention/",
+            )
     return grid
 
 
-def _wpaxos_build(small: bool, seed: int) -> List[Scenario]:
-    grid = _wpaxos_grid(small, seed)
-    return [
-        cell[-1]
-        for part in ("write_ratio", "disjoint", "contention")
-        for cell in grid[part]
-    ]
-
-
-def _wpaxos_render(small: bool, seed: int, results: Results) -> str:
-    grid = _wpaxos_grid(small, seed)
-    wr_cells = {
-        (system, fraction): _get(results, s)
-        for system, fraction, s in grid["write_ratio"]
-    }
-    wr_rows = []
-    for fraction in _WPX_FRACTIONS:
-        row = [f"{fraction:.0%}"]
-        for system in _WPX_SYSTEMS:
-            row.append(wr_cells[(system, fraction)]["throughput"])
-        for system in _WPX_SYSTEMS:
-            row.append(wr_cells[(system, fraction)]["write_mean_ms"] or 0.0)
-        wr_rows.append(row)
-    disjoint_rows = []
-    for setup, scenario in grid["disjoint"]:
-        payload = _get(results, scenario)
-        disjoint_rows.append(
-            [
-                setup,
-                payload["total_throughput"],
-                payload["per_site_throughput"]["california"],
-                payload["per_site_throughput"]["frankfurt"],
-                payload["write_mean_ms"],
-            ]
-        )
-    contention_cells = {
-        (system, overlap): _get(results, s)
-        for system, overlap, s in grid["contention"]
-    }
-    contention_rows = [
-        [f"{overlap:.0%}"]
-        + [
-            contention_cells[(system, overlap)]["total_throughput"]
-            for system in _WPX_SYSTEMS
+def _wpaxos_render(cells: Cells) -> str:
+    def sweep(part, throughput):
+        # One row per axis value: each system's ops/s, then its write ms.
+        part_cells = _part(cells, part)
+        systems = _axis(part_cells, 0)
+        return [
+            [f"{value:.0%}"]
+            + [part_cells[(s, value)][throughput] for s in systems]
+            + [part_cells[(s, value)]["write_mean_ms"] or 0.0 for s in systems]
+            for value in _axis(part_cells, 1)
         ]
-        + [
-            contention_cells[(system, overlap)]["write_mean_ms"]
-            for system in _WPX_SYSTEMS
-        ]
-        for overlap in _WPX_OVERLAPS
+
+    systems = _axis(_part(cells, "write_ratio"), 0)
+    sweep_headers = [f"{s} ops/s" for s in systems] + [
+        f"{s} wr ms" for s in systems
     ]
     return (
         format_table(
-            ["write%"]
-            + [f"{s} ops/s" for s in _WPX_SYSTEMS]
-            + [f"{s} wr ms" for s in _WPX_SYSTEMS],
-            wr_rows,
+            ["write%"] + sweep_headers,
+            sweep("write_ratio", "throughput"),
             title="WPaxos A: remote-writer YCSB sweep (fig4 workload)",
         )
         + "\n\n"
         + format_table(
             ["setup", "total ops/s", "CA", "FR", "write ms"],
-            disjoint_rows,
+            _disjoint_rows(_part(cells, "disjoint")),
             title="WPaxos B: two-site disjoint access (fig6 workload)",
         )
         + "\n\n"
         + format_table(
-            ["overlap"]
-            + [f"{s} ops/s" for s in _WPX_SYSTEMS]
-            + [f"{s} wr ms" for s in _WPX_SYSTEMS],
-            contention_rows,
+            ["overlap"] + sweep_headers,
+            sweep("contention", "total_throughput"),
             title="WPaxos C: contention sweep (fig7 workload)",
         )
     )
@@ -687,50 +497,39 @@ def _wpaxos_render(small: bool, seed: int, results: Results) -> str:
 # -- soak ---------------------------------------------------------------------
 
 
-def _soak_grid(small: bool, seed: int) -> List[Tuple[int, Scenario]]:
+def _soak_grid(small: bool, seed: int) -> Grid:
     # Two independent seeded soaks per run, like the acceptance test's
     # seed parametrization (derived from --seed so sweeps stay seeded).
-    seeds = (seed, seed + 14)
-    ops = 25 if small else 60
-    return [
-        (
-            soak_seed,
-            Scenario.make(
-                "soak",
-                dict(
-                    seed=soak_seed,
-                    ops_per_actor=ops,
-                    key_count=8,
-                    quiesce_ms=30000.0,
-                ),
-                suite="soak",
-                label=f"seed={soak_seed}",
+    return {
+        soak_seed: Scenario.make(
+            "soak",
+            dict(
+                seed=soak_seed,
+                ops_per_actor=25 if small else 60,
+                key_count=8,
+                quiesce_ms=30000.0,
             ),
+            suite="soak",
+            label=f"seed={soak_seed}",
         )
-        for soak_seed in seeds
+        for soak_seed in (seed, seed + 14)
+    }
+
+
+def _soak_render(cells: Cells) -> str:
+    rows = [
+        [
+            soak_seed,
+            cell["writes"],
+            cell["reads"],
+            cell["failures"],
+            "yes" if cell["converged"] else "NO",
+            cell["token_conflicts"],
+            cell["linearizability_violations"],
+            cell["max_apply_count"],
+        ]
+        for soak_seed, cell in cells.items()
     ]
-
-
-def _soak_build(small: bool, seed: int) -> List[Scenario]:
-    return [scenario for _, scenario in _soak_grid(small, seed)]
-
-
-def _soak_render(small: bool, seed: int, results: Results) -> str:
-    rows = []
-    for soak_seed, scenario in _soak_grid(small, seed):
-        payload = _get(results, scenario)
-        rows.append(
-            [
-                soak_seed,
-                payload["writes"],
-                payload["reads"],
-                payload["failures"],
-                "yes" if payload["converged"] else "NO",
-                payload["token_conflicts"],
-                payload["linearizability_violations"],
-                payload["max_apply_count"],
-            ]
-        )
     return format_table(
         ["seed", "writes", "reads", "fails", "converged", "token conflicts",
          "lin viols", "max apply"],
@@ -741,94 +540,65 @@ def _soak_render(small: bool, seed: int, results: Results) -> str:
 
 # -- fleet (open-loop planet-scale tier) --------------------------------------
 
-# Site sweep: how throughput and token migration scale with the number
-# of generated sites at fixed per-site offered load. The 20-site full
-# cell is the acceptance anchor: 100k concurrent open-loop sessions.
-_FLEET_SITES_FULL = (8, 20, 32)
-_FLEET_SITES_SMALL = (4, 8)
-# Offered-load sweep at the anchor site count. Per-site service capacity
-# is 1000/service_time_ms ≈ 333 ops/s, so 2.0x load saturates sites at
-# diurnal peaks — the open-loop knee the closed-loop clients can't show.
-_FLEET_LOADS = (0.5, 1.0, 2.0)
+
+def _fleet_grid(small: bool, seed: int) -> Grid:
+    # Site sweep: how throughput and token migration scale with the number
+    # of generated sites at fixed per-site offered load. The 20-site full
+    # cell is the acceptance anchor: 100k concurrent open-loop sessions.
+    sites_axis = (4, 8) if small else (8, 20, 32)
+    anchor = 8 if small else 20
+
+    def cell(n_sites, load, label):
+        return Scenario.make(
+            "fleet",
+            dict(
+                n_sites=n_sites,
+                sessions_per_site=1250 if small else 5000,
+                duration_ms=20000.0 if small else 60000.0,
+                site_ops_per_sec=100.0 if small else 150.0,
+                load_multiplier=load,
+                seed=seed,
+            ),
+            suite="fleet",
+            label=label,
+        )
+
+    grid: Grid = {("sites", n): cell(n, 1.0, f"{n} sites") for n in sites_axis}
+    # Offered-load sweep at the anchor site count. Per-site service capacity
+    # is 1000/service_time_ms ≈ 333 ops/s, so 2.0x load saturates sites at
+    # diurnal peaks — the open-loop knee the closed-loop clients can't show.
+    for load in (0.5, 1.0, 2.0):
+        grid["load", load] = cell(
+            anchor, load, f"{anchor} sites @ {load:.1f}x load"
+        )
+    return grid
 
 
-def _fleet_params(small: bool, seed: int, n_sites: int, load: float) -> Dict:
-    return dict(
-        n_sites=n_sites,
-        sessions_per_site=1250 if small else 5000,
-        duration_ms=20000.0 if small else 60000.0,
-        site_ops_per_sec=100.0 if small else 150.0,
-        load_multiplier=load,
-        seed=seed,
-    )
-
-
-def _fleet_grid(small: bool, seed: int):
-    sites_axis = _FLEET_SITES_SMALL if small else _FLEET_SITES_FULL
-    anchor = sites_axis[-1] if small else 20
-    site_cells = [
-        (
+def _fleet_render(cells: Cells) -> str:
+    site_rows = [
+        [
             n,
-            Scenario.make(
-                "fleet",
-                _fleet_params(small, seed, n, 1.0),
-                suite="fleet",
-                label=f"{n} sites",
-            ),
-        )
-        for n in sites_axis
+            cell["sessions"],
+            cell["active_sessions"],
+            cell["offered_ops_per_sec"],
+            cell["throughput_ops_per_sec"],
+            cell["token_migrations"],
+            cell["write_p99_ms"] or 0.0,
+        ]
+        for (n,), cell in _part(cells, "sites").items()
     ]
-    load_cells = [
-        (
-            load,
-            Scenario.make(
-                "fleet",
-                _fleet_params(small, seed, anchor, load),
-                suite="fleet",
-                label=f"{anchor} sites @ {load:.1f}x load",
-            ),
-        )
-        for load in _FLEET_LOADS
+    load_rows = [
+        [
+            f"{load:.1f}x",
+            cell["offered_ops_per_sec"],
+            cell["throughput_ops_per_sec"],
+            cell["in_flight_at_horizon"],
+            cell["mean_queue_ms"],
+            cell["write_p99_ms"] or 0.0,
+            cell["token_migrations"],
+        ]
+        for (load,), cell in _part(cells, "load").items()
     ]
-    return site_cells, load_cells
-
-
-def _fleet_build(small: bool, seed: int) -> List[Scenario]:
-    site_cells, load_cells = _fleet_grid(small, seed)
-    scenarios = [s for _, s in site_cells] + [s for _, s in load_cells]
-    return scenarios
-
-
-def _fleet_render(small: bool, seed: int, results: Results) -> str:
-    site_cells, load_cells = _fleet_grid(small, seed)
-    site_rows = []
-    for n, scenario in site_cells:
-        payload = _get(results, scenario)
-        site_rows.append(
-            [
-                n,
-                payload["sessions"],
-                payload["active_sessions"],
-                payload["offered_ops_per_sec"],
-                payload["throughput_ops_per_sec"],
-                payload["token_migrations"],
-                payload["write_p99_ms"] or 0.0,
-            ]
-        )
-    load_rows = []
-    for load, scenario in load_cells:
-        payload = _get(results, scenario)
-        load_rows.append(
-            [
-                f"{load:.1f}x",
-                payload["offered_ops_per_sec"],
-                payload["throughput_ops_per_sec"],
-                payload["in_flight_at_horizon"],
-                payload["mean_queue_ms"],
-                payload["write_p99_ms"] or 0.0,
-                payload["token_migrations"],
-            ]
-        )
     return (
         format_table(
             ["sites", "sessions", "active", "offered/s", "done/s",
@@ -848,108 +618,72 @@ def _fleet_render(small: bool, seed: int, results: Results) -> str:
 
 # -- fleet_full (the real stack at fleet scale) -------------------------------
 
-# Which real stacks the driver is pointed at: WanKeeper on zab, flat ZK
-# on zab (hub voters + observers), flat ZK on the wpaxos multileader
-# substrate (one voter per site).
-_FLEET_FULL_STACKS = (
-    ("wankeeper", "zab"),
-    ("zk", "zab"),
-    ("zk", "wpaxos"),
-)
+_MESO_TWIN = "mesoscale twin"
 
 
-def _fleet_full_params(small: bool, seed: int, system: str, substrate: str):
-    return dict(
-        n_sites=4 if small else 8,
-        sessions_per_site=50 if small else 1250,
-        duration_ms=4000.0 if small else 15000.0,
-        site_ops_per_sec=40.0,
-        system=system,
-        substrate=substrate,
-        seed=seed,
-    )
-
-
-def _fleet_full_meso_params(small: bool, seed: int) -> Dict:
-    """Mesoscale twin of the full-stack cells: same sites, sessions,
-    duration and offered load, served by the queueing model instead of
-    real servers — the crossover comparison in the renderer."""
-    return dict(
+def _fleet_full_grid(small: bool, seed: int) -> Grid:
+    shape = dict(
         n_sites=4 if small else 8,
         sessions_per_site=50 if small else 1250,
         duration_ms=4000.0 if small else 15000.0,
         site_ops_per_sec=40.0,
         seed=seed,
     )
-
-
-def _fleet_full_grid(small: bool, seed: int):
-    stack_cells = [
-        (
-            system,
-            substrate,
-            Scenario.make(
-                "fleet_full",
-                _fleet_full_params(small, seed, system, substrate),
-                suite="fleet_full",
-                label=f"{system}/{substrate}",
-            ),
+    # Which real stacks the driver is pointed at: WanKeeper on zab, flat ZK
+    # on zab (hub voters + observers), flat ZK on the wpaxos multileader
+    # substrate (one voter per site).
+    grid: Grid = {
+        f"{system}/{substrate}": Scenario.make(
+            "fleet_full",
+            dict(shape, system=system, substrate=substrate),
+            suite="fleet_full",
+            label=f"{system}/{substrate}",
         )
-        for system, substrate in _FLEET_FULL_STACKS
+        for system, substrate in (
+            ("wankeeper", "zab"),
+            ("zk", "zab"),
+            ("zk", "wpaxos"),
+        )
+    }
+    # Mesoscale twin of the full-stack cells: same sites, sessions, duration
+    # and offered load, served by the queueing model instead of real
+    # servers — the crossover comparison in the renderer.
+    grid[_MESO_TWIN] = Scenario.make(
+        "fleet", shape, suite="fleet_full", label=_MESO_TWIN
+    )
+    return grid
+
+
+def _fleet_full_render(cells: Cells) -> str:
+    stack_rows = [
+        [
+            stack,
+            cell["sessions"],
+            cell["offered_ops_per_sec"],
+            cell["throughput_ops_per_sec"],
+            cell["read_p50_ms"] or 0.0,
+            cell["write_p50_ms"] or 0.0,
+            cell["write_p99_ms"] or 0.0,
+            cell["token_migrations"],
+            cell["messages_sent"],
+        ]
+        for stack, cell in cells.items()
+        if stack != _MESO_TWIN
     ]
-    meso_cell = Scenario.make(
-        "fleet",
-        _fleet_full_meso_params(small, seed),
-        suite="fleet_full",
-        label="mesoscale twin",
-    )
-    return stack_cells, meso_cell
-
-
-def _fleet_full_build(small: bool, seed: int) -> List[Scenario]:
-    stack_cells, meso_cell = _fleet_full_grid(small, seed)
-    return [s for _, _, s in stack_cells] + [meso_cell]
-
-
-def _fleet_full_render(small: bool, seed: int, results: Results) -> str:
-    stack_cells, meso_cell = _fleet_full_grid(small, seed)
-    stack_rows = []
-    for system, substrate, scenario in stack_cells:
-        payload = _get(results, scenario)
-        stack_rows.append(
-            [
-                f"{system}/{substrate}",
-                payload["sessions"],
-                payload["offered_ops_per_sec"],
-                payload["throughput_ops_per_sec"],
-                payload["read_p50_ms"] or 0.0,
-                payload["write_p50_ms"] or 0.0,
-                payload["write_p99_ms"] or 0.0,
-                payload["token_migrations"],
-                payload["messages_sent"],
-            ]
-        )
-    meso = _get(results, meso_cell)
-    wk = _get(results, stack_cells[0][2])
     compare_rows = [
         [
-            "mesoscale",
-            meso["sessions"],
-            meso["offered_ops_per_sec"],
-            meso["throughput_ops_per_sec"],
-            meso["write_p99_ms"] or 0.0,
-            meso["token_migrations"],
-            0,
-        ],
-        [
-            "full stack",
-            wk["sessions"],
-            wk["offered_ops_per_sec"],
-            wk["throughput_ops_per_sec"],
-            wk["write_p99_ms"] or 0.0,
-            wk["token_migrations"],
-            wk["messages_sent"],
-        ],
+            tier,
+            cell["sessions"],
+            cell["offered_ops_per_sec"],
+            cell["throughput_ops_per_sec"],
+            cell["write_p99_ms"] or 0.0,
+            cell["token_migrations"],
+            cell.get("messages_sent", 0),  # the queueing model sends none
+        ]
+        for tier, cell in (
+            ("mesoscale", cells[_MESO_TWIN]),
+            ("full stack", cells["wankeeper/zab"]),
+        )
     ]
     return (
         format_table(
@@ -970,29 +704,22 @@ def _fleet_full_render(small: bool, seed: int, results: Results) -> str:
 
 # -- registry -----------------------------------------------------------------
 
-SUITES: Dict[
-    str,
-    Tuple[
-        Callable[[bool, int], List[Scenario]],
-        Callable[[bool, int, Results], str],
-    ],
-] = {
-    "fig4": (_fig4_build, _fig4_render),
-    "fig5": (_fig5_build, _fig5_render),
-    "fig6": (_fig6_build, _fig6_render),
-    "fig7": (_fig7_build, _fig7_render),
-    "fig8": (_fig8_build, _fig8_render),
-    "fig10": (_fig10_build, _fig10_render),
-    "ablations": (_ablations_build, _ablations_render),
-    "fig_wpaxos": (_wpaxos_build, _wpaxos_render),
-    "soak": (_soak_build, _soak_render),
-    "fleet": (_fleet_build, _fleet_render),
-    "fleet_full": (_fleet_full_build, _fleet_full_render),
+SUITES: Dict[str, Suite] = {
+    "fig4": Suite(_fig4_grid, _fig4_render),
+    "fig5": Suite(_fig5_grid, _fig5_render),
+    "fig6": Suite(_fig6_grid, _fig6_render),
+    "fig7": Suite(_fig7_grid, _fig7_render),
+    "fig8": Suite(_fig8_grid, _fig8_render),
+    "fig10": Suite(_fig10_grid, _fig10_render),
+    "ablations": Suite(_ablations_grid, _ablations_render),
+    "fig_wpaxos": Suite(_wpaxos_grid, _wpaxos_render),
+    "soak": Suite(_soak_grid, _soak_render),
+    "fleet": Suite(_fleet_grid, _fleet_render),
+    "fleet_full": Suite(_fleet_full_grid, _fleet_full_render),
 }
 
-#: Suites included in ``--all`` (the CLI's historical experiment set;
-#: the soak, the fleet tiers and the substrate comparison are opt-in
-#: by name). ``--list`` marks these as opt-in.
+#: Suites left out of ``--all`` (the soak, the fleet tiers and the
+#: substrate comparison run by name). ``--list`` marks these as opt-in.
 OPT_IN_SUITE_NAMES = ("soak", "fleet", "fleet_full", "fig_wpaxos")
 
 DEFAULT_SUITE_NAMES = tuple(
@@ -1000,15 +727,16 @@ DEFAULT_SUITE_NAMES = tuple(
 )
 
 
-def suite_names() -> List[str]:
-    return sorted(SUITES)
-
-
 def build_suite(name: str, small: bool, seed: int) -> List[Scenario]:
-    build, _render = SUITES[name]
-    return build(small, seed)
+    return list(SUITES[name].grid(small, seed).values())
 
 
 def render_suite(name: str, small: bool, seed: int, results: Results) -> str:
-    _build, render = SUITES[name]
-    return render(small, seed, results)
+    """The suite's tables; ``KeyError`` if a cell has no result."""
+    suite = SUITES[name]
+    return suite.render(
+        {
+            key: results[scenario.digest()]
+            for key, scenario in suite.grid(small, seed).items()
+        }
+    )

@@ -1,45 +1,18 @@
-"""Tests for the command-line experiment runner."""
+"""Tests for the command line (``python -m repro <subcommand>``)."""
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
-
-
-def test_all_experiments_registered():
-    assert set(EXPERIMENTS) == {
-        "fig4", "fig5", "fig6", "fig7", "fig8", "fig10", "ablations"
-    }
+from repro.cli import main
 
 
 def test_cli_rejects_unknown_experiment():
-    # "bench" is retired: to argparse, one more unknown name (exit 2).
-    for name in ("fig99", "bench"):
+    # "bench" and the bare figure names ("fig4") are retired: to argparse,
+    # one more unknown subcommand (exit 2). Figures run as
+    # `experiments fig4`.
+    for name in ("fig99", "bench", "fig4"):
         with pytest.raises(SystemExit) as info:
             main([name])
         assert info.value.code == 2
-
-
-def test_cli_runs_small_fig5(capsys):
-    assert main(["fig5", "--small", "--seed", "7"]) == 0
-    output = capsys.readouterr().out
-    assert "Fig 5" in output
-    assert "wk" in output and "zk" in output
-
-
-def test_cli_runs_small_fig8(capsys):
-    assert main(["fig8", "--small"]) == 0
-    output = capsys.readouterr().out
-    assert "BookKeeper" in output
-
-
-def test_cli_seed_changes_nothing_structural(capsys):
-    main(["fig5", "--small", "--seed", "1"])
-    first = capsys.readouterr().out
-    main(["fig5", "--small", "--seed", "1"])
-    second = capsys.readouterr().out
-    # Determinism: identical output for identical seed (modulo timing line).
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("[")]
-    assert strip(first) == strip(second)
 
 
 def test_cli_trace_dump_and_diff(tmp_path, capsys):

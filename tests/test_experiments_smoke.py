@@ -1,17 +1,18 @@
 """Smoke tests for the experiment harness (tiny configurations).
 
-The full-size runs live in benchmarks/; these verify the harness plumbing
-(world building, drivers, result shapes) quickly inside the test suite.
+The figure-sized runs are the suites of ``repro experiments``, whose
+shapes ``tests/test_paper_shapes.py`` asserts; these verify the harness
+plumbing (world building, drivers, result shapes) on tiny cells.
 """
 
 import pytest
 
 from repro.experiments.common import SYSTEMS, build_world, format_table
 from repro.experiments.fig4 import run_write_ratio_cell
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig6 import run_fig6_cell
+from repro.experiments.fig7 import run_fig7_cell
 from repro.experiments.fig8 import run_fig8_cell
-from repro.experiments.fig10 import run_fig10a, run_fig10c
+from repro.experiments.fig10 import run_fig10_cell
 from repro.net import CALIFORNIA
 
 
@@ -50,12 +51,10 @@ def test_fig4_cell_pure_reads():
 
 
 def test_fig6_smoke():
-    results = run_fig6(
-        setups=("zk_observer", "wk_hot"),
-        record_count=60,
-        operations_per_client=150,
-    )
-    assert set(results) == {"zk_observer", "wk_hot"}
+    results = {
+        setup: run_fig6_cell(setup, record_count=60, operations_per_client=150)
+        for setup in ("zk_observer", "wk_hot")
+    }
     for result in results.values():
         assert result.total_throughput > 0
         assert set(result.per_site_throughput) == {"california", "frankfurt"}
@@ -67,15 +66,12 @@ def test_fig6_smoke():
 
 
 def test_fig7_smoke():
-    results = run_fig7(
-        overlaps=(0.0, 1.0),
-        systems=("wk",),
-        record_count=60,
-        operations_per_client=150,
+    disjoint, shared = (
+        run_fig7_cell("wk", overlap, record_count=60, operations_per_client=150)
+        for overlap in (0.0, 1.0)
     )
-    cells = results["wk"]
-    assert cells[0].overlap == 0.0 and cells[1].overlap == 1.0
-    assert cells[0].total_throughput > cells[1].total_throughput
+    assert disjoint.overlap == 0.0 and shared.overlap == 1.0
+    assert disjoint.total_throughput > shared.total_throughput
 
 
 def test_fig8_cell_smoke():
@@ -86,24 +82,19 @@ def test_fig8_cell_smoke():
 
 
 def test_fig10a_smoke():
-    results = run_fig10a(
-        overlaps=(0.1,),
-        systems=("wk",),
-        record_count=60,
-        operations_per_client=150,
+    cell, _recorders = run_fig10_cell(
+        "wk", 0.1, False, record_count=60, operations_per_client=150
     )
-    cell = results["wk"][0]
     assert cell.total_throughput > 0
     assert not cell.hotspot
 
 
 def test_fig10c_smoke():
-    results = run_fig10c(
-        overlaps=(0.1,),
-        record_count=60,
-        operations_per_client=200,
-        bucket_ms=2000.0,
+    # Fig. 10c is the time series of the hotspot cell's per-site recorders.
+    _cell, recorders = run_fig10_cell(
+        "wk", 0.1, True, record_count=60, operations_per_client=200
     )
-    series = results[0.1]
-    assert set(series) == {"california", "frankfurt"}
-    assert all(len(points) >= 1 for points in series.values())
+    assert set(recorders) == {"california", "frankfurt"}
+    assert all(
+        len(recorder.timeseries(2000.0)) >= 1 for recorder in recorders.values()
+    )

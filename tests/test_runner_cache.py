@@ -55,9 +55,14 @@ def test_clear_empties_cache(tmp_path):
     cache = ResultCache(root)
     execute([_echo(1), _echo(2)], jobs=1, cache=cache)
     assert cache.stats()["entries"] == 2
+    # What a writer killed mid-put leaves behind: swept, not counted.
+    stray = tmp_path / "cache" / "ab" / "abcdef.dead-writer.tmp"
+    stray.parent.mkdir()
+    stray.write_text('{"half": ')
     removed = cache.clear()
     assert removed == 2
     assert cache.stats()["entries"] == 0
+    assert not stray.exists()
     cold = execute([_echo(1)], jobs=1, cache=ResultCache(root))
     assert cold.cache_hits == 0
 
@@ -68,14 +73,48 @@ def test_corrupt_entry_is_treated_as_miss(tmp_path):
     scenario = _echo(9)
     execute([scenario], jobs=1, cache=cache)
     path = cache._path(cache.key(scenario))
-    with open(path, "w") as handle:
-        handle.write("{ not json")
-    retry = execute([scenario], jobs=1, cache=ResultCache(root))
-    assert retry.cache_hits == 0
-    assert retry.executed == 1
-    # The corrupt file was replaced by a fresh, valid entry.
-    with open(path) as handle:
-        assert json.load(handle)["payload"] == {"value": 9}
+    # Cache files are outside input: truncated JSON, well-formed JSON of
+    # the wrong shape, and an entry with no payload are all misses.
+    for garbage in ("{ not json", "[]", '{"schema": "repro-cache/v1"}'):
+        with open(path, "w") as handle:
+            handle.write(garbage)
+        assert ResultCache(root).stats()["entries"] == 1
+        retry = execute([scenario], jobs=1, cache=ResultCache(root))
+        assert retry.cache_hits == 0
+        assert retry.executed == 1
+        # The corrupt file was replaced by a fresh, valid entry.
+        with open(path) as handle:
+            assert json.load(handle)["payload"] == {"value": 9}
+
+
+def test_nested_writers_of_one_key_leave_one_valid_entry(tmp_path, monkeypatch):
+    """Two writers of one key must not share a temp file.
+
+    The second ``put`` is issued from inside the first one's
+    ``json.dump`` — the interleaving of two processes sharing a cache
+    directory, made deterministic. With one shared ``path + ".tmp"`` the
+    inner writer truncated the outer's open temp file and published it,
+    and the outer ``os.replace`` raised ``FileNotFoundError``.
+    """
+    cache = ResultCache(str(tmp_path / "cache"))
+    scenario = _echo(5)
+    real_dump = json.dump
+    nested = []
+
+    def dump_with_a_second_writer_inside(entry, handle, **kwargs):
+        if not nested:
+            nested.append(None)
+            nested[0] = cache.put(scenario, {"value": 5}, 0.1)
+        real_dump(entry, handle, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_with_a_second_writer_inside)
+    path = cache.put(scenario, {"value": 5}, 0.2)
+    monkeypatch.undo()
+
+    assert nested == [path]
+    shard = tmp_path / "cache" / cache.key(scenario)[:2]
+    assert [p.name for p in shard.iterdir()] == [cache.key(scenario) + ".json"]
+    assert cache.get(scenario)["payload"] == {"value": 5}
 
 
 def test_code_digest_is_stable_and_hex():

@@ -62,15 +62,13 @@ def test_failures_do_not_poison_results_dict():
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc (Linux)"
 )
-@pytest.mark.parametrize("pool", [True, False])
-def test_parallel_execute_leaks_no_fds(pool):
+def test_parallel_execute_leaks_no_fds():
     """Success, exception, crash, and timeout paths all close their pipes.
 
-    The legacy spawn executor leaked the parent's read end of every pipe
-    on the crash/timeout paths; the pool holds one duplex pipe per live
-    worker and must release it on worker replacement. Run a mix of every
-    outcome and require the parent's fd table back at (or below) its
-    starting size once the pool is shut down.
+    The pool holds one duplex pipe per live worker and must release it
+    on worker replacement. Run a mix of every outcome and require the
+    parent's fd table back at (or below) its starting size once the pool
+    is shut down.
     """
     from repro.runner.pool import shutdown_pool
 
@@ -84,7 +82,7 @@ def test_parallel_execute_leaks_no_fds(pool):
     shutdown_pool()
     before = _open_fds()
     for _ in range(3):
-        execute(scenarios, jobs=2, timeout_s=2.0, pool=pool)
+        execute(scenarios, jobs=2, timeout_s=2.0)
     shutdown_pool()
     leaked = _open_fds() - before
     assert not leaked, f"leaked fds after 3 parallel runs: {sorted(leaked)}"

@@ -15,6 +15,7 @@ and the Python frames a send costs are pinned as counts at the bottom.
 """
 
 import functools
+import gc
 import inspect
 import itertools
 import random
@@ -545,11 +546,17 @@ def frames_per_send(network_class, address_class, case):
             calls.append(frame.f_code.co_name)
 
     outer = sys.getprofile()
+    # A collection that happens to fall inside the window runs
+    # ``gc.callbacks`` (hypothesis registers one): frames, but not the send's.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         net.send(src, dst, "measured")
     finally:
         sys.setprofile(outer)
+        if gc_was_enabled:
+            gc.enable()
     return calls
 
 

@@ -166,6 +166,74 @@ def test_wan_follower_write_needs_wan_roundtrips():
     assert leader_commit_delay >= 70.0
 
 
+def test_pipelined_commit_cost_vs_ensemble_size():
+    """The substrate number every figure rests on: pipelined single-site
+    commits stay around a millisecond at every ensemble size, and message
+    complexity grows with it (propose + ack + commit per follower)."""
+    commits = 200
+    latencies, messages = [], []
+    for count in (1, 3, 5, 7):
+        env = Environment()
+        topo = wan_topology()
+        net = Network(env, topo, rng=seeded_rng(1, "net"))
+        _config, peers = build_ensemble(
+            env, net, topo, voter_sites=(VIRGINIA,) * count
+        )
+        env.run(until=2000.0)
+        leader = leader_of(peers)
+        committed = {"t": None, "n": 0}
+
+        def on_commit(zxid, txn, committed=committed, env=env):
+            committed["n"] += 1
+            committed["t"] = env.now
+
+        leader.on_commit = on_commit
+        messages_before = net.messages_sent
+        start = env.now
+
+        def pump(leader=leader, env=env):
+            for i in range(commits):
+                leader.submit(f"m{i}")
+                yield env.timeout(1.0)
+
+        env.process(pump())
+        env.run(until=start + commits * 1.0 + 2000.0)
+        assert committed["n"] == commits
+        latencies.append((committed["t"] - start) / commits)  # ms per commit
+        messages.append((net.messages_sent - messages_before) / commits)
+    assert all(latency < 5.0 for latency in latencies)
+    assert messages == sorted(messages)
+    assert messages[-1] > messages[0]
+
+
+def test_wan_spanning_quorum_pays_a_wan_round_trip():
+    """Commit latency with an all-local vs a WAN-spanning quorum — the
+    penalty that motivates WanKeeper's site-local level-1 ensembles."""
+    latency = {}
+    for label, sites in (
+        ("local", (VIRGINIA,) * 3),
+        ("wan", (VIRGINIA, CALIFORNIA, FRANKFURT)),
+    ):
+        env = Environment()
+        topo = wan_topology()
+        net = Network(env, topo, rng=seeded_rng(2, "net"))
+        _config, peers = build_ensemble(env, net, topo, voter_sites=sites)
+        env.run(until=5000.0)
+        leader = leader_of(peers)
+        done = {}
+        leader.on_commit = lambda zxid, txn, done=done, env=env: done.setdefault(
+            "t", env.now
+        )
+        start = env.now
+        leader.submit("probe")
+        env.run(until=start + 2000.0)
+        latency[label] = done["t"] - start
+    assert latency["local"] < 5.0
+    # The WAN quorum needs an ack from California: >= 1 CA round trip.
+    assert latency["wan"] >= 70.0 - 5.0
+    assert latency["wan"] > 10 * latency["local"]
+
+
 def test_leader_crash_triggers_reelection():
     env, topo, net = fresh()
     _config, peers = build_ensemble(env, net, topo)
