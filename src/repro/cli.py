@@ -318,8 +318,12 @@ def _diff_traces_main(argv: List[str]) -> int:
 
     from repro.trace import first_divergence, load_jsonl
 
-    events_a = load_jsonl(args.trace_a)
-    events_b = load_jsonl(args.trace_b)
+    try:
+        events_a = load_jsonl(args.trace_a)
+        events_b = load_jsonl(args.trace_b)
+    except (OSError, ValueError) as exc:
+        print(f"diff-traces: unreadable trace: {exc}", file=sys.stderr)
+        return 1
     divergence = first_divergence(events_a, events_b)
     if divergence is None:
         print(f"traces agree ({len(events_a)} events)")

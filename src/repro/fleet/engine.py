@@ -57,7 +57,7 @@ from repro.sim.kernel import Environment
 from repro.sim.rng import seeded_rng
 from repro.workloads.stats import LatencyRecorder
 
-__all__ = ["FleetSpec", "run_fleet"]
+__all__ = ["FleetSpec", "diurnal_factor", "poisson", "run_fleet"]
 
 
 @dataclass
@@ -115,7 +115,20 @@ class FleetSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _poisson(rng, mean: float) -> int:
+def diurnal_factor(
+    amplitude: float, period_ms: float, phase: float, t_ms: float
+) -> float:
+    """Follow-the-sun modulation of a site's offered rate at ``t_ms``:
+    a cosine of the site's local time of day (``phase`` in days), floored
+    at zero."""
+    if amplitude <= 0.0:
+        return 1.0
+    day_fraction = t_ms / period_ms + phase
+    factor = 1.0 + amplitude * math.cos(2.0 * math.pi * day_fraction)
+    return factor if factor > 0.0 else 0.0
+
+
+def poisson(rng, mean: float) -> int:
     """One Poisson draw from ``rng`` (Knuth for small means, normal
     approximation above — both consume only this stream)."""
     if mean <= 0.0:
@@ -191,17 +204,6 @@ class _FleetEngine:
 
     # -- per-tick batch step -------------------------------------------------
 
-    def rate_multiplier(self, site_index: int, now_ms: float) -> float:
-        """Diurnal follow-the-sun modulation of a site's offered rate."""
-        spec = self.spec
-        if spec.diurnal_amplitude <= 0.0:
-            return 1.0
-        day_fraction = now_ms / spec.diurnal_period_ms + self.phase[site_index]
-        factor = 1.0 + spec.diurnal_amplitude * math.cos(
-            2.0 * math.pi * day_fraction
-        )
-        return factor if factor > 0.0 else 0.0
-
     def step_site(self, site_index: int, now_ms: float) -> None:
         """Process one site's arrivals for the tick starting at now_ms."""
         spec = self.spec
@@ -209,12 +211,15 @@ class _FleetEngine:
         mean = (
             spec.site_ops_per_sec
             * spec.load_multiplier
-            * self.rate_multiplier(site_index, now_ms)
+            * diurnal_factor(
+                spec.diurnal_amplitude, spec.diurnal_period_ms,
+                self.phase[site_index], now_ms,
+            )
             * spec.tick_ms
             / 1000.0
         )
         if spec.arrival == "poisson":
-            arrivals = _poisson(rng, mean)
+            arrivals = poisson(rng, mean)
         else:
             exact = mean + self.carry[site_index]
             arrivals = int(exact)

@@ -15,7 +15,7 @@ simulated network, on either broadcast substrate. Three mechanisms make
   tick it re-arms itself at the next tick boundary; across quiescent
   stretches it just keeps iterating — simulated time jumps from burst to
   burst with *zero* kernel events in between. The per-tick generator
-  it replaced (one ``env.sleep(tick_ms)`` per tick, identical draws)
+  it replaced (one ``env.timeout(tick_ms)`` per tick, identical draws)
   lives on as ``tests/reference_fleet.py``; the equality tests pin that
   both issue bit-identical schedules.
 
@@ -58,7 +58,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.fleet.engine import _poisson
+from repro.fleet.engine import diurnal_factor, poisson
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -278,7 +278,7 @@ class FleetStation:
         else:
             req = OpRequest(session_id, cxid, op)
         key = sess * _CXID_SPAN + cxid
-        now = self.env._now
+        now = self.env.now
         self.inflight[key] = -now if is_write else now
         self._inflight_reqs[key] = req
         self.ops_issued += 1
@@ -301,7 +301,7 @@ class FleetStation:
             req = self._inflight_reqs.pop(key)
             req.op = None
             self._req_free.append(req)
-            now = self.env._now
+            now = self.env.now
             if body.ok:
                 self.ops_completed += 1
             else:
@@ -368,7 +368,7 @@ class _FleetFullEngine:
         # the Knuth acceptance threshold is one exp() for the whole run
         # and the common zero-arrival tick costs a single rng.random()
         # per site. The inline draw consumes the stream exactly as
-        # ``_poisson`` does (first factor ``r`` rejects at k=0, then the
+        # ``poisson`` does (first factor ``r`` rejects at k=0, then the
         # loop continues with k=1, p=r), so schedules are bit-identical
         # to the generic path.
         self._flat_threshold: Optional[float] = (
@@ -427,16 +427,6 @@ class _FleetFullEngine:
 
     # -- arrival planning ----------------------------------------------------
 
-    def _rate_multiplier(self, site_index: int, rel_ms: float) -> float:
-        spec = self.spec
-        if spec.diurnal_amplitude <= 0.0:
-            return 1.0
-        day_fraction = rel_ms / spec.diurnal_period_ms + self.phase[site_index]
-        factor = 1.0 + spec.diurnal_amplitude * math.cos(
-            2.0 * math.pi * day_fraction
-        )
-        return factor if factor > 0.0 else 0.0
-
     def _schedule_tick(self, tick_index: int) -> bool:
         """Draw every site's arrivals for one tick and schedule each op
         at its exact instant. Returns True if any site had arrivals.
@@ -473,14 +463,15 @@ class _FleetFullEngine:
         spec = self.spec
         rel = tick_index * spec.tick_ms
         base = self._base
-        poisson = spec.arrival == "poisson"
-        flat = spec.diurnal_amplitude <= 0.0
+        is_poisson = spec.arrival == "poisson"
         busy = False
         for i in range(spec.n_sites):
             rng = rngs[i]
-            mean = base if flat else base * self._rate_multiplier(i, rel)
-            if poisson:
-                arrivals = _poisson(rng, mean)
+            mean = base * diurnal_factor(
+                spec.diurnal_amplitude, spec.diurnal_period_ms, self.phase[i], rel
+            )
+            if is_poisson:
+                arrivals = poisson(rng, mean)
             else:
                 exact = mean + self.carry[i]
                 arrivals = int(exact)

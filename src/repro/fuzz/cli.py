@@ -36,12 +36,21 @@ def _replay(path: str, verbose: bool) -> int:
         validate_spec,
     )
 
-    with open(path, "r", encoding="utf-8") as handle:
-        artifact = json.load(handle)
+    # The artifact is a file from outside the program: whatever is wrong
+    # with it is one line on stderr, never a traceback.
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            artifact = json.load(handle)
+    except OSError as exc:
+        print(f"artifact unreadable: {path}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        print(f"artifact unreadable: {path} is not JSON ({exc})", file=sys.stderr)
+        return 1
     # Artifacts outlive fuzzer versions: a shrunk finding written before a
     # schedule-kind or spec-shape change must fail with a diagnosis, not a
     # KeyError deep inside the harness.
-    spec = artifact.get("spec")
+    spec = artifact.get("spec") if isinstance(artifact, dict) else None
     if not isinstance(spec, dict):
         print(
             f"artifact schema mismatch: {path} has no 'spec' object "

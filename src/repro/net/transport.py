@@ -36,7 +36,7 @@ from repro.net.message import Envelope
 from repro.net.topology import NodeAddress, Topology
 from heapq import heappush
 
-from repro.sim.kernel import PRIORITY_NORMAL, Environment
+from repro.sim.kernel import Environment
 from repro.sim.store import Store
 
 __all__ = ["LinkProfile", "Network", "NodeDownError"]
@@ -346,12 +346,12 @@ class Network:
                 detail["src"] = str(envelope.src)
                 detail["dst"] = str(envelope.dst)
                 detail["type"] = type(envelope.body).__name__
-            trace.emit(self.env._now, "net", "drop", "net", detail)
+            trace.emit(self.env.now, "net", "drop", "net", detail)
 
     def _trace_fault(self, kind: str, target: str) -> None:
         trace = self.trace
         if trace is not None:
-            trace.emit(self.env._now, "net", kind, "net", {"target": target})
+            trace.emit(self.env.now, "net", kind, "net", {"target": target})
 
     # -- sending ----------------------------------------------------------
 
@@ -372,7 +372,7 @@ class Network:
         self._seq += 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        envelope = Envelope(src, dst, body, env._now, 0.0, self._seq, size_bytes)
+        envelope = Envelope(src, dst, body, env.now, 0.0, self._seq, size_bytes)
         if self._taps:
             for tap in self._taps:
                 tap(envelope)
@@ -380,7 +380,7 @@ class Network:
         if (
             self._fast
             and self._jitter_free
-            and env._now >= self._fast_ok_after
+            and env.now >= self._fast_ok_after
         ):
             # Fast path: no faults anywhere and no jitter. The one-way delay
             # is a per-pair constant, so delivery times are monotone per
@@ -389,12 +389,12 @@ class Network:
                 delay = self._pair_delay[(src.site, dst.site)]
             except KeyError:
                 delay = self.topology.one_way(src, dst)  # raises ValueError
-            deliver_at = env._now + delay
+            deliver_at = env.now + delay
             envelope.deliver_time = deliver_at
             if deliver_at > self._fast_horizon:
                 self._fast_horizon = deliver_at
             env._seq += 1
-            if deliver_at == env._now:
+            if deliver_at == env.now:
                 # Zero-latency pair (same-site loopback): same-instant
                 # bucket keeps the kernel's no-heap-entries-at-now
                 # invariant intact.
@@ -404,8 +404,7 @@ class Network:
             else:
                 heappush(
                     env._queue,
-                    (deliver_at, PRIORITY_NORMAL, env._seq,
-                     (self._deliver_cb, (inbox, envelope))),
+                    (deliver_at, env._seq, (self._deliver_cb, (inbox, envelope))),
                 )
             return
 
@@ -443,7 +442,7 @@ class Network:
         except KeyError:
             delay = self.topology.one_way(src, dst) * factor  # raises ValueError
         jitter = self.topology.jitter_fraction
-        now = env._now
+        now = env.now
         key = (src, dst)
         last_delivery = self._last_delivery
         entry = (self._deliver_cb, (inbox, envelope))
@@ -474,7 +473,7 @@ class Network:
             if when == now:
                 env._normal_now.append(entry)
             else:
-                heappush(env._queue, (when, PRIORITY_NORMAL, env._seq, entry))
+                heappush(env._queue, (when, env._seq, entry))
 
     def _deliver(self, item: Tuple[Store, Envelope]) -> None:
         # Re-check liveness at delivery time: a crash or partition that

@@ -17,6 +17,7 @@ from repro.sim.kernel import (
     Interrupt,
     Process,
     SimulationError,
+    Ticker,
     Timeout,
 )
 from repro.sim.rng import RngRegistry, seeded_rng
@@ -33,6 +34,7 @@ __all__ = [
     "SimulationError",
     "Store",
     "StoreClosed",
+    "Ticker",
     "Timeout",
     "seeded_rng",
 ]

@@ -15,31 +15,22 @@ purpose-built for protocol simulation:
 Time is a ``float`` in **milliseconds**: WAN round-trips in the paper are
 tens of milliseconds, and milliseconds keep all constants readable.
 
-Performance notes (every figure pushes millions of events through here):
+The scheduling contract is small enough to hold in the head, and the
+comment above :meth:`Environment.call_in` states all of it: **one clock**
+(``env.now``, a plain attribute only :meth:`Environment.run` writes), **two
+same-instant lanes** (anything due now joins the urgent or the normal FIFO
+and never touches the heap), **one heap shape** (``(when, seq, entry)`` for
+anything due later), **one order** (``(when, lane, seq)``) and **one
+periodic timer** (:class:`Ticker`). ``net/transport.py`` and
+``sim/store.py`` inline the scheduling lines on the message path.
 
-* all event classes carry ``__slots__`` — no per-instance ``__dict__``;
-* yielding an already-processed event enqueues a tiny :class:`_Call` entry
-  instead of allocating a shim :class:`Event`;
-* :meth:`Environment.call_in` schedules a plain callback with no Event at
-  all — the message path and timer guards use it to skip the
-  Process/Timeout machinery entirely;
-* :meth:`Environment.sleep` hands out pooled :class:`Timeout` objects for
-  the timer-heavy heartbeat/ticker loops (recycled right after their
-  callbacks fire);
-* callback cancellation is O(1) in the common case (the cancelled callback
-  is the most recently registered one) and any stale wake-up that slips
-  through is defused by the guard in :meth:`Process._resume`;
-* **same-instant batching**: anything scheduled *at the current instant*
-  (process resumptions, ``succeed``/``fail`` deliveries, zero-delay
-  :class:`_Call` chains from the transport and store layers) bypasses the
-  heap entirely and lands in one of two FIFO buckets — urgent and normal —
-  that the run loop drains to quiescence before touching the heap again.
-  When the clock does advance, every heap entry at the new instant is
-  pulled into the buckets in one pass, so a burst of N same-time events
-  costs N O(1) deque operations instead of N O(log n) heap round-trips.
-  Ordering is unchanged: at a fixed time, all urgent entries run before
-  all normal entries, each in sequence order — exactly the
-  ``(time, priority, seq)`` lexicographic order the heap produced.
+An entry is either an :class:`Event` (its callbacks run) or a bare
+``(fn, arg)`` tuple (``fn(arg)`` runs): :meth:`Environment.call_in`,
+``call_at`` and ``call_soon`` schedule the latter with no Event, generator
+or waiter bookkeeping, which is what the message path and timer guards use.
+All event classes carry ``__slots__``; callback cancellation is O(1) in the
+common case and a stale wake-up that slips through is defused by the guard
+in :meth:`Process._resume`.
 """
 
 from __future__ import annotations
@@ -56,12 +47,13 @@ __all__ = [
     "Interrupt",
     "Process",
     "SimulationError",
+    "Ticker",
     "Timeout",
 ]
 
-# Event queue priorities. Lower values are dequeued earlier at equal times.
-# URGENT is used for process resumption so that a process that was waiting on
-# an event runs before new events scheduled for the same instant.
+# The two same-instant lanes. URGENT is used for process resumption, so that
+# a process that was waiting on an event runs before anything else scheduled
+# for the same instant; nothing due later can name a lane.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 
@@ -82,20 +74,6 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-def _Call(fn: Callable[[Any], None], arg: Any) -> tuple:
-    """A bare scheduled callback: a plain ``(fn, arg)`` tuple that rides
-    the event queue without being an :class:`Event`; ``fn(arg)`` is
-    invoked when the entry is dequeued.
-
-    A tuple rather than a two-slot class because the delivery chains the
-    transport and store layers generate allocate one per message — tuple
-    construction is a single C allocation with no ``__init__`` frame. The
-    dispatch loops type-test ``type(entry) is tuple``; hot call sites
-    build the tuple inline instead of going through this helper.
-    """
-    return (fn, arg)
 
 
 class Event:
@@ -148,16 +126,13 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
+        # Delivery is always at the current instant (Environment._post,
+        # inlined: this is the reply path of every client op).
         env._seq += 1
-        # Delivery is always at the current instant: same-instant bucket,
-        # no heap traffic (custom priorities beyond the two known ones
-        # still take the ordered heap path).
-        if priority == PRIORITY_NORMAL:
+        if priority:
             env._normal_now.append(self)
-        elif priority == PRIORITY_URGENT:
-            env._urgent_now.append(self)
         else:
-            heappush(env._queue, (env._now, priority, env._seq, self))
+            env._urgent_now.append(self)
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -168,7 +143,7 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._ok = False
         self._exception = exception
-        self.env._enqueue(0.0, priority, self)
+        self.env._post(self, priority)
         return self
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -177,7 +152,7 @@ class Event:
             # Already processed: deliver through the queue at the current
             # instant rather than synchronously, so that a process yielding
             # processed events in a loop cannot recurse unboundedly.
-            self.env._enqueue(0.0, PRIORITY_URGENT, (callback, self))
+            self.env._post((callback, self), PRIORITY_URGENT)
         else:
             callbacks.append(callback)
 
@@ -199,7 +174,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed virtual delay."""
 
-    __slots__ = ("delay", "_poolable")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -208,15 +183,14 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self.delay = delay
-        self._poolable = False
         env._seq += 1
-        when = env._now + delay
-        if when == env._now:
+        when = env.now + delay
+        if when == env.now:
             # Zero delay (or one that underflows float addition): fires at
             # the current instant — bucket, don't heap.
             env._normal_now.append(self)
         else:
-            heappush(env._queue, (when, PRIORITY_NORMAL, env._seq, self))
+            heappush(env._queue, (when, env._seq, self))
 
 
 class _Initialize(Event):
@@ -229,7 +203,7 @@ class _Initialize(Event):
         self._ok = True
         self._value = None
         self.callbacks.append(process._on_target)
-        env._enqueue(0.0, PRIORITY_URGENT, self)
+        env._post(self, PRIORITY_URGENT)
 
 
 class Process(Event):
@@ -274,7 +248,7 @@ class Process(Event):
         event._ok = False
         event._exception = Interrupt(cause)
         event.callbacks.append(self._resume_interrupt)
-        self.env._enqueue(0.0, PRIORITY_URGENT, event)
+        self.env._post(event, PRIORITY_URGENT)
 
     def _resume_interrupt(self, event: Event) -> None:
         if not self.is_alive:
@@ -337,14 +311,14 @@ class Process(Event):
         self._target = next_target
         callbacks = next_target.callbacks
         if callbacks is None:
-            env._enqueue(0.0, PRIORITY_URGENT, (self._on_target, next_target))
+            env._post((self._on_target, next_target), PRIORITY_URGENT)
         else:
             callbacks.append(self._on_target)
 
     def _finish_ok(self, value: Any) -> None:
         self._ok = True
         self._value = value
-        self.env._enqueue(0.0, PRIORITY_URGENT, self)
+        self.env._post(self, PRIORITY_URGENT)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._ok = False
@@ -352,9 +326,9 @@ class Process(Event):
         self._defused = False
         trace = self.env.trace
         if trace is not None:
-            trace.emit(self.env._now, "kernel", "process-fail", self.name,
+            trace.emit(self.env.now, "kernel", "process-fail", self.name,
                        {"error": repr(exc)})
-        self.env._enqueue(0.0, PRIORITY_URGENT, self)
+        self.env._post(self, PRIORITY_URGENT)
 
 
 class _Condition(Event):
@@ -430,35 +404,20 @@ class AllOf(_Condition):
 class Environment:
     """The simulation environment: clock + event queue + process factory."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_timeout_pool",
+    __slots__ = ("now", "_queue", "_seq", "_active_process",
                  "_urgent_now", "_normal_now", "trace")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current virtual time in milliseconds; written only by run().
+        self.now = float(initial_time)
         self._queue: List = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._timeout_pool: List[Timeout] = []
-        # Same-instant buckets: entries scheduled for the *current* instant,
-        # kept off the heap. Invariant: every bucketed entry's sequence
-        # number exceeds that of any same-priority heap entry at the current
-        # time (fresh entries get fresh seqs; heap entries at the current
-        # time are drained into the buckets the moment the clock lands on
-        # it), so FIFO drain order — urgent bucket first, then one normal
-        # entry, re-checking urgent between normal entries — reproduces the
-        # heap's (time, priority, seq) order exactly.
         self._urgent_now: deque = deque()
         self._normal_now: deque = deque()
         #: Optional structured trace buffer (repro.trace.TraceBuffer); the
         #: kernel only reports rare events (process failures) to it.
         self.trace = None
-
-    # -- clock ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -472,38 +431,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float, value: Any = None) -> Timeout:
-        """A pooled :class:`Timeout` for ``yield env.sleep(delay)`` loops.
-
-        Semantically identical to :meth:`timeout`, but the returned object
-        is recycled into a free pool the moment its callbacks have run, so
-        timer-heavy loops (heartbeats, tickers, leases) stop allocating.
-
-        Contract: the caller must yield the returned event immediately and
-        must not keep a reference past its firing — after that instant the
-        object may already be serving another ``sleep``. Never hand it to
-        ``AnyOf``/``AllOf``/``run(until=...)``; use :meth:`timeout` there.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            timeout = Timeout(self, delay, value)
-            timeout._poolable = True
-            return timeout
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        timeout = pool.pop()
-        timeout._value = value
-        timeout.delay = delay
-        self._seq += 1
-        when = self._now + delay
-        if when == self._now:
-            self._normal_now.append(timeout)
-        else:
-            heappush(
-                self._queue, (when, PRIORITY_NORMAL, self._seq, timeout)
-            )
-        return timeout
-
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
@@ -514,25 +441,28 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
+    #
+    # The contract, in full. To schedule ``entry`` (an Event, or a bare
+    # ``(fn, arg)`` tuple) bump ``_seq``, then: due now, append it to
+    # ``_normal_now`` (``_urgent_now`` for the urgent lane, which only
+    # same-instant entries can name); due later,
+    # ``heappush(_queue, (when, _seq, entry))``. Nothing due now is ever
+    # pushed on the heap. run() drains the urgent lane, then one normal
+    # entry, re-checking urgent between normal entries; when both are empty
+    # it pops the heap, sets ``now`` and moves every other heap entry of the
+    # new instant to the normal lane. Those predate (seq-wise) anything
+    # their dispatch appends, so the run order is ``(when, lane, seq)``.
+    # net/transport.py and sim/store.py inline exactly these lines on the
+    # message path, and tests/test_ticker.py states them as a model.
 
-    def _enqueue(self, delay: float, priority: int, event: Event) -> None:
+    def _post(self, entry: Any, priority: int) -> None:
         self._seq += 1
-        when = self._now + delay
-        if when == self._now and priority <= PRIORITY_NORMAL:
-            if priority:
-                self._normal_now.append(event)
-            else:
-                self._urgent_now.append(event)
+        if priority:
+            self._normal_now.append(entry)
         else:
-            heappush(self._queue, (when, priority, self._seq, event))
+            self._urgent_now.append(entry)
 
-    def call_in(
-        self,
-        delay: float,
-        fn: Callable[[Any], None],
-        arg: Any = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def call_in(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` to run after ``delay`` ms.
 
         The cheapest way to defer work: no :class:`Event`, no generator, no
@@ -543,14 +473,11 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"negative call_in delay: {delay!r}")
         self._seq += 1
-        when = self._now + delay
-        if when == self._now and priority <= PRIORITY_NORMAL:
-            if priority:
-                self._normal_now.append((fn, arg))
-            else:
-                self._urgent_now.append((fn, arg))
+        when = self.now + delay
+        if when == self.now:
+            self._normal_now.append((fn, arg))
         else:
-            heappush(self._queue, (when, priority, self._seq, (fn, arg)))
+            heappush(self._queue, (when, self._seq, (fn, arg)))
 
     def call_soon(
         self,
@@ -568,13 +495,7 @@ class Environment:
         else:
             self._urgent_now.append((fn, arg))
 
-    def call_at(
-        self,
-        when: float,
-        fn: Callable[[Any], None],
-        arg: Any = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def call_at(self, when: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at absolute time ``when``.
 
         The absolute-time twin of :meth:`call_in`, for callers that
@@ -586,84 +507,23 @@ class Environment:
         once per *busy* tick instead of once per tick.
 
         Scheduling in the past is an error; ``when == now`` lands in the
-        same-instant buckets like :meth:`call_soon`.
+        normal same-instant lane like :meth:`call_soon`.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"call_at({when!r}) is in the past (now={self._now!r})"
+                f"call_at({when!r}) is in the past (now={self.now!r})"
             )
         self._seq += 1
-        if when == self._now and priority <= PRIORITY_NORMAL:
-            if priority:
-                self._normal_now.append((fn, arg))
-            else:
-                self._urgent_now.append((fn, arg))
+        if when == self.now:
+            self._normal_now.append((fn, arg))
         else:
-            heappush(self._queue, (when, priority, self._seq, (fn, arg)))
+            heappush(self._queue, (when, self._seq, (fn, arg)))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         if self._urgent_now or self._normal_now:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else _INF
-
-    def _advance(self) -> Any:
-        """Pop the next heap entry, advance the clock to it, and drain every
-        other heap entry at that instant into the same-instant buckets.
-
-        Returns the popped entry (the minimum); the caller dispatches it.
-        Draining keeps the bucket invariant: heap entries at the new time
-        predate (seq-wise) anything the dispatches will append.
-        """
-        queue = self._queue
-        when, _priority, _seq, event = heappop(queue)
-        self._now = when
-        while queue:
-            head = queue[0]
-            # Entries with custom priorities beyond NORMAL stay on the heap;
-            # they are popped only after both buckets drain, which is their
-            # correct lexicographic slot.
-            if head[0] != when or head[1] > PRIORITY_NORMAL:
-                break
-            heappop(queue)
-            if head[1]:
-                self._normal_now.append(head[3])
-            else:
-                self._urgent_now.append(head[3])
-        return event
-
-    def step(self) -> None:
-        """Process the single next entry in the queue."""
-        if self._urgent_now:
-            event = self._urgent_now.popleft()
-        elif self._normal_now:
-            event = self._normal_now.popleft()
-        elif self._queue:
-            event = self._advance()
-        else:
-            raise SimulationError("step() on an empty event queue")
-        if type(event) is tuple:
-            event[0](event[1])
-            return
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-        if event._ok:
-            if type(event) is Timeout and event._poolable:
-                # Recycle: every waiter has been resumed at this instant and
-                # sleep()'s contract forbids holding a reference past it.
-                callbacks.clear()
-                event.callbacks = callbacks
-                self._timeout_pool.append(event)
-        elif (
-            event._exception is not None
-            and not callbacks
-            and not getattr(event, "_defused", True)
-        ):
-            # A process crashed and nobody was waiting on it: surface it.
-            raise event._exception
 
     def run(self, until: Optional[float] = None) -> Any:
         """Run the simulation.
@@ -672,94 +532,103 @@ class Environment:
         :class:`Event` (run until the event triggers, returning its value).
         With no argument, run until the event queue drains.
         """
-        stop_event: Optional[Event] = None
+        stop: Optional[Event] = None
         horizon = _INF
         if isinstance(until, Event):
-            stop_event = until
+            stop = until
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    f"run(until={horizon}) is in the past (now={self._now})"
+                    f"run(until={horizon}) is in the past (now={self.now})"
                 )
 
-        if stop_event is None:
-            # Hot path: drain-the-queue / run-to-horizon, with the step()
-            # body inlined (the per-event call overhead is measurable at
-            # millions of events per figure). Same-instant entries are
-            # popped from the FIFO buckets in O(1); the heap is consulted
-            # only to advance the clock, and draining all entries at the
-            # new instant into the buckets in one pass keeps the zero-delay
-            # chains the transport/Zab layers generate off the heap.
-            queue = self._queue
-            urgent = self._urgent_now
-            normal = self._normal_now
-            pool = self._timeout_pool
-            # Bound methods / type objects hoisted out of the loop: each one
-            # saves an attribute or global lookup per event, and the loop
-            # runs millions of times per figure.
-            urgent_pop = urgent.popleft
-            normal_pop = normal.popleft
-            urgent_push = urgent.append
-            normal_push = normal.append
-            pop = heappop
-            tuple_t = tuple
-            timeout_t = Timeout
-            while True:
-                if urgent:
-                    event = urgent_pop()
-                elif normal:
-                    event = normal_pop()
-                elif queue:
-                    if queue[0][0] > horizon:
-                        self._now = horizon
-                        return None
-                    # _advance() inlined: one fewer Python call per clock
-                    # tick, and ticks are all that is left on the heap.
-                    when, _priority, _seq, event = pop(queue)
-                    self._now = when
-                    while queue:
-                        head = queue[0]
-                        if head[0] != when or head[1] > PRIORITY_NORMAL:
-                            break
-                        pop(queue)
-                        if head[1]:
-                            normal_push(head[3])
-                        else:
-                            urgent_push(head[3])
-                else:
-                    break
-                if type(event) is tuple_t:
-                    event[0](event[1])
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok:
-                    if type(event) is timeout_t and event._poolable:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                elif (
-                    event._exception is not None
-                    and not callbacks
-                    and not getattr(event, "_defused", True)
-                ):
-                    raise event._exception
-            if horizon != _INF:
-                self._now = horizon
-            return None
-
-        while self._queue or self._urgent_now or self._normal_now:
-            if stop_event.triggered:
+        # The only dispatch loop. Bound methods are hoisted out of it: each
+        # saves an attribute or global lookup per entry, and the loop runs
+        # millions of times per figure.
+        queue = self._queue
+        urgent = self._urgent_now
+        normal = self._normal_now
+        urgent_pop = urgent.popleft
+        normal_pop = normal.popleft
+        normal_push = normal.append
+        pop = heappop
+        tuple_t = tuple
+        while True:
+            if stop is not None and stop._ok is not None:
+                # Decided, not necessarily processed: return before the
+                # next entry runs.
                 break
-            self.step()
-        else:
-            if not stop_event.triggered:
-                raise SimulationError("run() ran out of events before stop event")
+            if urgent:
+                event = urgent_pop()
+            elif normal:
+                event = normal_pop()
+            elif queue:
+                if queue[0][0] > horizon:
+                    break
+                when, _seq, event = pop(queue)
+                self.now = when
+                while queue and queue[0][0] == when:
+                    normal_push(pop(queue)[2])
+            else:
+                break
+            if type(event) is tuple_t:
+                event[0](event[1])
+                continue
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if (
+                not event._ok
+                and event._exception is not None
+                and not callbacks
+                and not getattr(event, "_defused", True)
+            ):
+                # A process crashed and nobody was waiting on it: surface it.
+                raise event._exception
 
-        if not stop_event._ok:
-            assert stop_event._exception is not None
-            raise stop_event._exception
-        return stop_event._value
+        if stop is None:
+            if horizon != _INF:
+                self.now = horizon
+            return None
+        if stop._ok is None:
+            raise SimulationError("run() ran out of events before stop event")
+        if not stop._ok:
+            assert stop._exception is not None
+            raise stop._exception
+        return stop._value
+
+
+class Ticker:
+    """Calls ``fn()`` every ``interval`` ms until :meth:`stop`.
+
+    The periodic timer behind every heartbeat, election tick and session
+    sweep. Its sequence numbers are those of a process looping over
+    ``yield env.timeout(interval); fn()`` — one urgent same-instant entry at
+    creation, then one heap entry per wait, armed after ``fn`` returns —
+    which is where the golden digests pin every tick against whatever else
+    is due at its instant. ``stop()`` is a flag: the wake-up already on the
+    heap finds it and does nothing.
+    """
+
+    __slots__ = ("_env", "_interval", "_fn", "_stopped")
+
+    def __init__(self, env: Environment, interval: float, fn: Callable[[], None]):
+        self._env = env
+        self._interval = interval
+        self._fn = fn
+        self._stopped = False
+        env.call_soon(self._wake, False, PRIORITY_URGENT)
+
+    def stop(self) -> None:
+        self._stopped = True
+
+    def _wake(self, tick: bool) -> None:
+        if self._stopped:
+            return
+        if tick:
+            self._fn()
+            if self._stopped:
+                return
+        self._env.call_in(self._interval, self._wake, True)

@@ -137,13 +137,24 @@ def _event_to_json(event: TraceEvent) -> str:
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a trace dumped by :meth:`TraceBuffer.dump`."""
+    """Load a trace dumped by :meth:`TraceBuffer.dump`.
+
+    A line that is not a JSON object raises ``ValueError`` naming the path
+    and the line, for the caller to print.
+    """
     events = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                events.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not JSON ({exc})") from None
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{number}: not a trace event: {line[:60]}")
+            events.append(event)
     return events
 
 

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Ticker
 from repro.wankeeper.messages import (
     L2Promoted,
     L2PromotionRequest,
@@ -235,7 +235,7 @@ class WanKeeperServer(ZkServer):
         #: where owner is a site name or None (back at the hub).
         self.token_history: List[Tuple[float, str, Optional[str]]] = []
 
-        self._wan_proc = None
+        self._wan_ticker: Optional[Ticker] = None
 
         # WAN message dispatch table, built once (the per-message dict
         # rebuild was a hot spot, exactly like ZabPeer._dispatch).
@@ -348,7 +348,12 @@ class WanKeeperServer(ZkServer):
 
     def start(self) -> None:
         super().start()
-        self._spawn_wan_ticker()
+        self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
+
+    def crash(self) -> None:
+        if self._alive:
+            self._wan_ticker.stop()
+        super().crash()
 
     def restart(self) -> None:
         # The peer will replay its durable log from zero: all replicated-
@@ -358,7 +363,7 @@ class WanKeeperServer(ZkServer):
         # Volatile WAN state is gone with the crash; rebuild and resume
         # the WAN duties (probing, heartbeats, stream retransmission).
         self._reset_wan_leader_state()
-        self._spawn_wan_ticker()
+        self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
 
     def _on_tree_reset(self, peer) -> None:
         # A SNAP sync rewrites history: derived WAN state rebuilds from
@@ -391,12 +396,6 @@ class WanKeeperServer(ZkServer):
         self._replicate_stream = []
         self._applied_relay_count = 0
         self.token_history = []
-
-    def _spawn_wan_ticker(self) -> None:
-        self._wan_proc = self.env.process(
-            self._wan_ticker(), name=f"{self.name}.wan"
-        )
-        self._procs.append(self._wan_proc)
 
     def _on_wan_leader_activated(self, _peer: ZabPeer) -> None:
         self._reset_wan_leader_state()
@@ -1225,37 +1224,30 @@ class WanKeeperServer(ZkServer):
 
     # --------------------------------------------------------------- ticker
 
-    def _wan_ticker(self):
-        while self._alive:
-            try:
-                yield self.env.sleep(self.wan.wan_tick_ms)
-            except Interrupt:
-                return
-            if not self._alive:
-                return
-            self._expire_leases()
-            if not self.peer.is_leader:
-                # Followers in strong-read modes need the hub address for
-                # the forwarded-read path.
-                if (
-                    self.wan.read_mode != "local"
-                    and not self.is_hub_site
-                    and self._l2_addr is None
-                ):
-                    for addr in self._hub_addrs():
-                        self.net.send(
-                            self.client_addr,
-                            addr,
-                            WanHello(self.site, self.client_addr,
-                                     is_site_leader=False),
-                        )
-                continue
-            if self.is_hub_site:
-                self._hub_tick()
-                self._pump_lease_reads()
-            else:
-                self._site_tick()
-            self._gc_tick()
+    def _wan_tick(self) -> None:
+        self._expire_leases()
+        if not self.peer.is_leader:
+            # Followers in strong-read modes need the hub address for
+            # the forwarded-read path.
+            if (
+                self.wan.read_mode != "local"
+                and not self.is_hub_site
+                and self._l2_addr is None
+            ):
+                for addr in self._hub_addrs():
+                    self.net.send(
+                        self.client_addr,
+                        addr,
+                        WanHello(self.site, self.client_addr,
+                                 is_site_leader=False),
+                    )
+            return
+        if self.is_hub_site:
+            self._hub_tick()
+            self._pump_lease_reads()
+        else:
+            self._site_tick()
+        self._gc_tick()
 
     def _expire_leases(self) -> None:
         if self.stale_reads or not self._leases:

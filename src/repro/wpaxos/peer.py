@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Ticker
 from repro.zab.config import EnsembleConfig
 from repro.zab.peer import PeerState, SUBMIT_DEDUP_LIMIT, submit_dedup_id
 from repro.zab.zxid import Zxid
@@ -191,7 +191,7 @@ class WPaxosPeer:
         self.sentinel = None
 
         self._alive = False
-        self._procs: List[Any] = []
+        self._ticker: Optional[Ticker] = None
 
     # ------------------------------------------------------------------ API
 
@@ -230,9 +230,9 @@ class WPaxosPeer:
         self._set_state(
             PeerState.OBSERVING if self.is_observer else PeerState.LEADING
         )
-        self._procs = [
-            self.env.process(self._ticker(), name=f"{self.name}.tick"),
-        ]
+        self._ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms, self._on_tick
+        )
         if self.on_leader_activated is not None and not self.is_observer:
             self.on_leader_activated(self)
 
@@ -250,10 +250,7 @@ class WPaxosPeer:
         self._p2 = {}
         self._gapped = {}
         self._recent_submits = OrderedDict()
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("crash")
-        self._procs = []
+        self._ticker.stop()
 
     def restart(self) -> None:
         """Rejoin after a crash: replay the durable chosen log from zero,
@@ -275,9 +272,9 @@ class WPaxosPeer:
         for obj in sorted(self._chosen):
             self._apply_ready(obj)
         self._send_resync_request()
-        self._procs = [
-            self.env.process(self._ticker(), name=f"{self.name}.tick"),
-        ]
+        self._ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms, self._on_tick
+        )
         if self.on_leader_activated is not None and not self.is_observer:
             self.on_leader_activated(self)
 
@@ -704,48 +701,40 @@ class WPaxosPeer:
 
     # ----------------------------------------------------------------- timers
 
-    def _ticker(self):
-        interval = self.config.heartbeat_interval_ms
+    def _on_tick(self) -> None:
         stall = self.config.election_timeout_ms
-        while self._alive:
-            try:
-                yield self.env.sleep(interval)
-            except Interrupt:
-                return
-            if not self._alive:
-                return
-            now = self.env.now
-            # Stalled or rejected steals: rebid above the highest ballot
-            # seen, after the per-voter stagger.
-            for obj in sorted(self._stealing):
-                steal = self._stealing[obj]
-                due = (
-                    steal.retry_at is not None and now >= steal.retry_at
-                ) or (now - steal.started > stall)
-                if due:
-                    del self._stealing[obj]
-                    self._begin_steal(obj, floor=steal.highest_seen)
-            # Queued objects with no steal in flight (demoted mid-queue).
-            for obj in sorted(self._queued):
-                if self._queued[obj] and obj not in self._owned:
-                    self._ensure_steal(obj)
-            # Unchosen phase-2 entries: retransmit the Accept round.
-            for key in sorted(self._p2):
-                state = self._p2[key]
-                if now - state.sent < stall:
-                    continue
-                obj, slot = key
-                if tuple(self._owned.get(obj, ZERO_BALLOT)) != state.ballot:
-                    # Demoted: the thief's recovery re-proposes this slot.
-                    del self._p2[key]
-                    continue
-                state.sent = now
-                self.proposals_retransmitted += 1
-                for voter in self._zones.get(self.addr.site, ()):
-                    if voter != self.addr and voter not in state.acks:
-                        self._send(voter, Accept(obj, state.ballot, slot,
-                                                 state.txn, self.addr))
-            # Gap repair.
-            if self._gapped:
-                self._gapped = {}
-                self._send_resync_request()
+        now = self.env.now
+        # Stalled or rejected steals: rebid above the highest ballot
+        # seen, after the per-voter stagger.
+        for obj in sorted(self._stealing):
+            steal = self._stealing[obj]
+            due = (
+                steal.retry_at is not None and now >= steal.retry_at
+            ) or (now - steal.started > stall)
+            if due:
+                del self._stealing[obj]
+                self._begin_steal(obj, floor=steal.highest_seen)
+        # Queued objects with no steal in flight (demoted mid-queue).
+        for obj in sorted(self._queued):
+            if self._queued[obj] and obj not in self._owned:
+                self._ensure_steal(obj)
+        # Unchosen phase-2 entries: retransmit the Accept round.
+        for key in sorted(self._p2):
+            state = self._p2[key]
+            if now - state.sent < stall:
+                continue
+            obj, slot = key
+            if tuple(self._owned.get(obj, ZERO_BALLOT)) != state.ballot:
+                # Demoted: the thief's recovery re-proposes this slot.
+                del self._p2[key]
+                continue
+            state.sent = now
+            self.proposals_retransmitted += 1
+            for voter in self._zones.get(self.addr.site, ()):
+                if voter != self.addr and voter not in state.acks:
+                    self._send(voter, Accept(obj, state.ballot, slot,
+                                             state.txn, self.addr))
+        # Gap repair.
+        if self._gapped:
+            self._gapped = {}
+            self._send_resync_request()

@@ -17,7 +17,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Ticker
 from repro.zab.config import EnsembleConfig
 from repro.zab.log import TxnLog
 from repro.zab.messages import (
@@ -196,7 +196,7 @@ class ZabPeer:
         self.sentinel = None
 
         self._alive = False
-        self._procs: List[Any] = []
+        self._ticker: Optional[Ticker] = None
 
     # ------------------------------------------------------------------ API
 
@@ -225,9 +225,9 @@ class ZabPeer:
             self._set_state(PeerState.OBSERVING)
         else:
             self._enter_looking()
-        self._procs = [
-            self.env.process(self._ticker(), name=f"{self.name}.tick"),
-        ]
+        self._ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms, self._on_tick
+        )
 
     def crash(self) -> None:
         """Crash the peer: drop volatile state, close the inbox."""
@@ -236,10 +236,7 @@ class ZabPeer:
         self._alive = False
         self._set_state(PeerState.DOWN)
         self.net.crash(self.addr)
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("crash")
-        self._procs = []
+        self._ticker.stop()
 
     def restart(self) -> None:
         """Restart after a crash; durable log and epochs are retained."""
@@ -261,9 +258,9 @@ class ZabPeer:
             self._set_state(PeerState.OBSERVING)
         else:
             self._enter_looking()
-        self._procs = [
-            self.env.process(self._ticker(), name=f"{self.name}.tick"),
-        ]
+        self._ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms, self._on_tick
+        )
 
     def submit(self, txn: Any) -> Zxid:
         """Leader-only: broadcast ``txn``; returns its zxid."""
@@ -322,17 +319,6 @@ class ZabPeer:
             if handler is None:
                 raise ValueError(f"{self.name}: unhandled message {body!r}")
             handler(envelope.src, body)
-
-    def _ticker(self):
-        interval = self.config.heartbeat_interval_ms
-        while self._alive:
-            try:
-                yield self.env.sleep(interval)
-            except Interrupt:
-                return
-            if not self._alive:
-                return
-            self._on_tick()
 
     def _on_tick(self) -> None:
         now = self.env.now
@@ -725,7 +711,7 @@ class ZabPeer:
         self._pending.append(zxid)
         addr = self.addr
         self._acks[zxid] = {addr}
-        self._proposed_at[zxid] = self.env._now
+        self._proposed_at[zxid] = self.env.now
         if self._alive:
             send = self.net.send
             message = Propose(addr, zxid, txn)
@@ -799,7 +785,7 @@ class ZabPeer:
             src is not leader and src != leader
         ) or self.state != PeerState.FOLLOWING:
             return
-        self._last_leader_contact = self.env._now
+        self._last_leader_contact = self.env.now
         log = self.log
         zxid = msg.zxid
         last = log.last_zxid
@@ -823,7 +809,7 @@ class ZabPeer:
     def _on_ack(self, src: NodeAddress, msg: Ack) -> None:
         if self.state != PeerState.LEADING:
             return
-        self._last_heard[src] = self.env._now
+        self._last_heard[src] = self.env.now
         acked = self._acks.get(msg.zxid)
         if acked is not None:
             acked.add(src)
@@ -875,7 +861,7 @@ class ZabPeer:
         leader = self.leader_addr
         if src is not leader and src != leader:
             return
-        self._last_leader_contact = self.env._now
+        self._last_leader_contact = self.env.now
         zxid = msg.zxid
         if zxid <= self.last_committed:
             return  # duplicate commit
@@ -893,7 +879,7 @@ class ZabPeer:
             src is not leader and src != leader
         ):
             return
-        self._last_leader_contact = self.env._now
+        self._last_leader_contact = self.env.now
         zxid = msg.zxid
         last = self.log.last_zxid
         if zxid > last:
@@ -957,7 +943,7 @@ class ZabPeer:
         leader = self.leader_addr
         if src is not leader and src != leader:
             return
-        self._last_leader_contact = self.env._now
+        self._last_leader_contact = self.env.now
         committed = msg.last_committed
         if (
             committed is not None

@@ -38,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, Event, Interrupt
+from repro.sim.kernel import Environment, Event, Ticker
 from repro.zk.errors import (
     ConnectionLossError,
     SessionExpiredError,
@@ -144,9 +144,9 @@ class ZkClient:
         self._resend_cb = self._resend
 
         self._alive = True
-        self._procs = [
-            env.process(self._heartbeater(), name=f"{self.name}.hb"),
-        ]
+        self._heartbeater = Ticker(
+            env, self.session_timeout_ms / 3.0, self._heartbeat
+        )
 
     # ------------------------------------------------------------------ API
 
@@ -309,7 +309,7 @@ class ZkClient:
             self._pending[req.cxid] = req.event
             body = OpRequest(self.session_id, req.cxid, req.op)
         self.net.send(self.addr, self.server_addr, body)
-        req.deadline = deadline = self.env._now + self.request_timeout_ms
+        req.deadline = deadline = self.env.now + self.request_timeout_ms
         outstanding = self._outstanding
         while outstanding and outstanding[0].event._ok is not None:
             outstanding.popleft()
@@ -431,24 +431,15 @@ class ZkClient:
             if not event.triggered:
                 event.fail(SessionExpiredError(self.name))
 
-    def _heartbeater(self):
-        interval = self.session_timeout_ms / 3.0
-        while self._alive:
-            try:
-                yield self.env.sleep(interval)
-            except Interrupt:
-                return
-            if self.session_id is not None and not self.expired:
-                self.net.send(
-                    self.addr,
-                    self.server_addr,
-                    SessionHeartbeat(self.session_id),
-                )
+    def _heartbeat(self) -> None:
+        if self.session_id is not None and not self.expired:
+            self.net.send(
+                self.addr,
+                self.server_addr,
+                SessionHeartbeat(self.session_id),
+            )
 
     def stop(self) -> None:
         """Tear the client down (no more heartbeats; session will expire)."""
         self._alive = False
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("client stopped")
-        self._procs = []
+        self._heartbeater.stop()

@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment, Ticker
 from repro.sim.store import StoreClosed
 from repro.substrate import create_peer
 from repro.zab.config import EnsembleConfig
@@ -158,7 +158,7 @@ class ZkServer:
         self.duplicate_commits_suppressed = 0
 
         self._alive = False
-        self._procs = []
+        self._session_ticker: Optional[Ticker] = None
 
     # ------------------------------------------------------------------ API
 
@@ -182,9 +182,9 @@ class ZkServer:
             raise RuntimeError(f"{self.name} already started")
         self._alive = True
         self.peer.start()
-        self._procs = [
-            self.env.process(self._session_ticker(), name=f"{self.name}.sessions"),
-        ]
+        self._session_ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms * 2, self._session_tick
+        )
 
     def crash(self) -> None:
         if not self._alive:
@@ -192,10 +192,7 @@ class ZkServer:
         self._alive = False
         self.peer.crash()
         self.net.crash(self.client_addr)
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("crash")
-        self._procs = []
+        self._session_ticker.stop()
 
     def _session_owner(self) -> str:
         # Incarnation 0 keeps the historical "addr#N" id shape; restarts
@@ -224,9 +221,9 @@ class ZkServer:
             self.sentinel.on_replica_reset(self)
         self.peer.restart()
         self._alive = True
-        self._procs = [
-            self.env.process(self._session_ticker(), name=f"{self.name}.sessions"),
-        ]
+        self._session_ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms * 2, self._session_tick
+        )
 
     # ----------------------------------------------------------- client loop
 
@@ -551,21 +548,13 @@ class ZkServer:
 
     # ---------------------------------------------------------------- sessions
 
-    def _session_ticker(self):
-        interval = self.config.heartbeat_interval_ms * 2
-        while self._alive:
-            try:
-                yield self.env.sleep(interval)
-            except Interrupt:
-                return
-            if not self._alive:
-                return
-            if self.is_serving:
-                self._drain_deferred()
-                if self.reply_cache_enabled:
-                    self._retry_inflight_writes()
-            for session in self.sessions.expired_sessions(self.env.now):
-                self._expire_session(session.session_id)
+    def _session_tick(self) -> None:
+        if self.is_serving:
+            self._drain_deferred()
+            if self.reply_cache_enabled:
+                self._retry_inflight_writes()
+        for session in self.sessions.expired_sessions(self.env.now):
+            self._expire_session(session.session_id)
 
     def _drain_deferred(self) -> None:
         deferred, self._deferred_connects = self._deferred_connects, []

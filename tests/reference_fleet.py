@@ -39,7 +39,7 @@ class PerTickEngine(_FleetFullEngine):
         for tick_index in range(ticks):
             self.busy_ticks += self._schedule_tick(tick_index)
             if tick_index + 1 < ticks:
-                yield env.sleep(tick_ms)
+                yield env.timeout(tick_ms)
 
 
 class FreshStation(FleetStation):

@@ -27,7 +27,6 @@ from typing import Any, Optional
 from repro.net.message import Envelope
 from repro.net.topology import NodeAddress
 from repro.net.transport import LinkProfile, Network
-from repro.sim.kernel import PRIORITY_NORMAL
 from repro.sim.store import Store
 
 __all__ = ["ReferenceNetwork", "ReferenceNodeAddress"]
@@ -113,7 +112,7 @@ class ReferenceNetwork(Network):
         self._seq += 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        envelope = Envelope(src, dst, body, env._now, 0.0, self._seq, size_bytes)
+        envelope = Envelope(src, dst, body, env.now, 0.0, self._seq, size_bytes)
         if self._taps:
             for tap in self._taps:
                 tap(envelope)
@@ -121,7 +120,7 @@ class ReferenceNetwork(Network):
         if (
             self._fast
             and self._jitter_free
-            and env._now >= self._fast_ok_after
+            and env.now >= self._fast_ok_after
         ):
             # Fast path: no faults anywhere and no jitter. The one-way delay
             # is a per-pair constant, so delivery times are monotone per
@@ -130,12 +129,12 @@ class ReferenceNetwork(Network):
                 delay = self._pair_delay[(src.site, dst.site)]
             except KeyError:
                 delay = self.topology.one_way(src, dst)  # raises ValueError
-            deliver_at = env._now + delay
+            deliver_at = env.now + delay
             envelope.deliver_time = deliver_at
             if deliver_at > self._fast_horizon:
                 self._fast_horizon = deliver_at
             env._seq += 1
-            if deliver_at == env._now:
+            if deliver_at == env.now:
                 # Zero-latency pair (same-site loopback): same-instant
                 # bucket keeps the kernel's no-heap-entries-at-now
                 # invariant intact.
@@ -145,8 +144,7 @@ class ReferenceNetwork(Network):
             else:
                 heappush(
                     env._queue,
-                    (deliver_at, PRIORITY_NORMAL, env._seq,
-                     (self._deliver_cb, (inbox, envelope))),
+                    (deliver_at, env._seq, (self._deliver_cb, (inbox, envelope))),
                 )
             return
 

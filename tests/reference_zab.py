@@ -477,7 +477,7 @@ class ZabPeer:
         interval = self.config.heartbeat_interval_ms
         while self._alive:
             try:
-                yield self.env.sleep(interval)
+                yield self.env.timeout(interval)
             except Interrupt:
                 return
             if not self._alive:

@@ -30,6 +30,12 @@ def test_cli_trace_dump_and_diff(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diff-traces", trace_a, trace_c]) == 1
     assert "first divergence at event #" in capsys.readouterr().out
+    # A file that is not a JSONL trace: one line naming it, no traceback.
+    garbage = tmp_path / "garbage.jsonl"
+    garbage.write_text('{"seq": 0}\nnot json\n')
+    assert main(["diff-traces", trace_a, str(garbage)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"{garbage}:2" in err
 
 
 def test_cli_experiments_sentinel_flag_sets_env(monkeypatch, capsys):

@@ -600,10 +600,10 @@ def test_kernel_events_of_one_read_and_one_write_are_pinned():
 
 def timeout_guards_on_heap(env, client):
     return sum(
-        1 for entry in env._queue
-        if type(entry[3]) is tuple
-        and getattr(entry[3][0], "__self__", None) is client
-        and entry[3][0].__func__ is ZkClient._on_deadline
+        1 for _when, _seq, entry in env._queue
+        if type(entry) is tuple
+        and getattr(entry[0], "__self__", None) is client
+        and entry[0].__func__ is ZkClient._on_deadline
     )
 
 

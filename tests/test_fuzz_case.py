@@ -65,6 +65,22 @@ def test_replay_rejects_stale_artifact_with_schema_mismatch(tmp_path, capsys):
     assert main(["--replay", str(bogus)]) == 1
     assert "artifact schema mismatch" in capsys.readouterr().err
 
+    # Files that are not artifacts of any version: JSON of the wrong shape,
+    # not JSON, not there. One line naming the path, no traceback.
+    bogus.write_text("[]")
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    missing = tmp_path / "never-written.json"
+    for path, problem in (
+        (bogus, "artifact schema mismatch"),
+        (garbage, "is not JSON"),
+        (missing, "No such file"),
+    ):
+        assert main(["--replay", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1 and str(path) in err and problem in err
+        assert "replaying" not in out
+
 
 def test_case_coverage_tokens_and_transitions():
     events = [

@@ -112,16 +112,26 @@ def test_peek_sees_bucketed_entries():
 
 
 def test_step_drains_buckets_then_heap_then_raises():
+    """One entry at a time, spelled ``run(until=event)``: the loop returns
+    at the instant the event is decided, before the next entry runs."""
     env = Environment()
     order = []
-    env.call_soon(lambda _: order.append("now"), None)
-    env.call_in(1.0, lambda _: order.append("later"), None)
-    env.step()
-    assert order == ["now"]
-    env.step()
-    assert order == ["now", "later"]
+    first, second = Event(env), Event(env)
+
+    def step(item):
+        name, done = item
+        order.append(name)
+        done.succeed()
+
+    env.call_soon(step, ("now", first))
+    env.call_in(1.0, step, ("later", second))
+    env.run(until=first)
+    assert order == ["now"] and env.now == 0.0
+    env.run(until=second)
+    assert order == ["now", "later"] and env.now == 1.0
+    env.run()  # the two deliveries themselves
     with pytest.raises(SimulationError):
-        env.step()
+        env.run(until=Event(env))
 
 
 def test_succeed_at_current_instant_uses_bucket_and_keeps_seq():

@@ -6,6 +6,7 @@ order into message order, breaking run-to-run determinism under varying
 extinct; the gate test here fails the suite if a new site appears.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -135,3 +136,21 @@ def test_repo_is_clean():
     """The gate: no iteration-order findings anywhere under src/repro."""
     reports = lint_paths([REPO_ROOT / "src" / "repro"])
     assert reports == [], "\n".join(reports)
+
+
+def test_kernel_contract_is_read_where_it_is_written():
+    """The kernel's private fields belong to ``sim/`` and to the transport
+    that inlines its scheduling lines (``sim/kernel.py``, "the contract");
+    everything else reads ``env.now`` and calls methods. And the machinery
+    that contract replaced stays gone: the ``_now`` slot, pooled ``sleep``."""
+    src = REPO_ROOT / "src" / "repro"
+    private = re.compile(r"env\._\w+")
+    retired = re.compile(r"\._now\b|(?<!time)\.sleep\(|_timeout_pool|_poolable")
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        inlines = name.startswith("sim/") or name == "net/transport.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if retired.search(line) or (not inlines and private.search(line)):
+                found.append(f"{name}:{number}: {line.strip()}")
+    assert found == [], "\n".join(found)

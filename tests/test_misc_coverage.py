@@ -161,4 +161,5 @@ def test_peek_on_empty_queue_and_step_error():
     env = Environment()
     assert env.peek() == float("inf")
     with pytest.raises(SimulationError):
-        env.step()
+        env.run(until=env.event())  # nothing left that could trigger it
+    assert env.peek() == float("inf")

@@ -476,51 +476,6 @@ def test_rng_fork_differs():
 # -- optimization-specific behaviour ------------------------------------------
 
 
-def test_sleep_timeouts_are_pooled_and_recycled():
-    env = Environment()
-    observed = []
-
-    def sleeper(env):
-        first = env.sleep(1.0, "one")
-        observed.append(("first-value", first._value))
-        yield first
-        # `first` is recycled only after its callbacks finish, which is
-        # *after* this resumption — so the second sleep must be a fresh
-        # object...
-        second = env.sleep(2.0)
-        observed.append(("second-is-first", second is first))
-        yield second
-        # ...while by now `first` sits in the pool and is handed back.
-        third = env.sleep(3.0, "three")
-        observed.append(("third-is-first", third is first))
-        observed.append(("third-delay", third.delay))
-        observed.append(("third-value", third._value))
-        yield third
-
-    env.process(sleeper(env), name="sleeper")
-    env.run()
-    assert observed == [
-        ("first-value", "one"),
-        ("second-is-first", False),
-        ("third-is-first", True),
-        ("third-delay", 3.0),
-        ("third-value", "three"),
-    ]
-    assert env.now == 6.0
-
-
-def test_sleep_negative_delay_rejected_even_from_pool():
-    env = Environment()
-
-    def sleeper(env):
-        yield env.sleep(1.0)
-
-    env.process(sleeper(env), name="sleeper")
-    env.run()
-    with pytest.raises(SimulationError):
-        env.sleep(-0.5)
-
-
 def test_interrupt_does_not_leak_callbacks_on_abandoned_event():
     env = Environment()
     gate = Event(env)  # never triggered

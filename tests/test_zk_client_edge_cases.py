@@ -5,6 +5,7 @@ import pytest
 from repro.net import CALIFORNIA, VIRGINIA
 from repro.sim import AnyOf
 from repro.zk import ConnectionLossError
+from repro.zk.protocol import SessionHeartbeat
 
 from tests.support import fresh_world, plain_zk, run_app
 
@@ -152,10 +153,20 @@ def test_stop_kills_heartbeats_and_pump():
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
 
+    heartbeats = []
+    net.tap(
+        lambda envelope: type(envelope.body) is SessionHeartbeat
+        and heartbeats.append(env.now)
+    )
+
     def app():
         yield client.connect()
+        yield env.timeout(client.session_timeout_ms)
+        before = len(heartbeats)
         client.stop()
-        yield env.timeout(100.0)
-        return all(not proc.is_alive for proc in client._procs) or not client._procs
+        yield env.timeout(client.session_timeout_ms)
+        return before, len(heartbeats)
 
-    assert run_app(env, app())
+    # Three heartbeats per session timeout while alive, none once stopped.
+    before, after = run_app(env, app())
+    assert before >= 2 and after == before

@@ -245,9 +245,7 @@ def test_expired_session_rejected_on_next_op():
     # Instead: expire by stopping the heartbeater.
     def app2():
         yield client.connect()
-        for proc in client._procs:
-            if proc.name.endswith(".hb"):
-                proc.interrupt("kill heartbeats")
+        client._heartbeater.stop()
         yield env.timeout(3000.0)
         with pytest.raises(SessionExpiredError):
             yield client.create("/nope")
