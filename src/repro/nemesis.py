@@ -288,7 +288,8 @@ class Nemesis:
     def _repair_stale_leader(self, server) -> None:
         if getattr(server, "stale_reads", False):
             server.stale_reads = False
-            server._leases.clear()
+            if server._reads is not None:
+                server._reads.drop_leases()
             self._log("stale-repair", server.name)
 
     def _repair_usurped(self, server, key: str) -> None:

@@ -107,10 +107,6 @@ class WanKeeperDeployment:
         self._clients.append(client)
         return client
 
-    def tokens_owned_by(self, site: str) -> int:
-        leader = self.site_leader(site)
-        return len(leader.site_tokens.owned) if leader else 0
-
     def pin_token(self, key: str, site: str) -> None:
         """Admin knob (paper §I): move/pin a record's token to ``site``."""
         hub = self.hub_leader

@@ -19,6 +19,7 @@ from repro.net.topology import NodeAddress
 from repro.zk.ops import Txn
 
 __all__ = [
+    "HUB",
     "L2Promoted",
     "L2PromotionRequest",
     "L2PromotionVote",
@@ -41,6 +42,10 @@ __all__ = [
     "WanWelcome",
     "wan_id_of",
 ]
+
+
+#: ``WanTxn.serialized_at`` value for hub-serialized transactions.
+HUB = "l2"
 
 
 def wan_id_of(txn: Txn) -> Tuple[str, int]:

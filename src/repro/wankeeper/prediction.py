@@ -90,6 +90,3 @@ class MarkovPredictor:
             return 0.0
         total = sum(row.values())
         return row.get(dst, 0) / total if total else 0.0
-
-    def state_count(self) -> int:
-        return len(self._transitions)

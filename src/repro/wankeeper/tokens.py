@@ -192,6 +192,3 @@ class HubTokenState:
 
     def held_by(self, site: str) -> Set[str]:
         return {key for key, where in self.location.items() if where == site}
-
-    def migrated_count(self) -> int:
-        return sum(1 for where in self.location.values() if where is not AT_HUB)

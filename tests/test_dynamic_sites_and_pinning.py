@@ -223,7 +223,7 @@ def test_pin_queued_behind_a_write_leaves_one_owner():
         write = writer.set_data("/contested", b"1")
         yield env.timeout(50.0)  # the write is parked at the hub by now
         deployment.pin_token("/contested", FRANKFURT)
-        assert len(hub._hub_queue) == 2
+        assert len(hub._hub.queue) == 2
         yield write
         yield env.timeout(3000.0)
         return hub.tokens_recalled - recalled

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
+from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.wankeeper import build_wankeeper_deployment
+from repro.zk.errors import ConnectionLossError
 
 from tests.support import fresh_world, run_app
 
@@ -189,3 +190,49 @@ def test_forward_mode_missing_node_error():
         return True
 
     assert run_app(env, app())
+
+
+def test_forwarded_reads_leave_no_pending_entry_behind_on_a_lossy_wan():
+    """A forwarded read whose request or grant is lost must not strand its
+    bookkeeping: the client's retry re-asks under the entry it already has,
+    and whatever the client gave up on is aged out by the tick."""
+    env, topo, net = fresh_world(seed=5)
+    deployment = wankeeper(env, net, topo, read_mode="forward")
+    writer = deployment.client(VIRGINIA)
+    reader = deployment.client(CALIFORNIA, request_timeout_ms=600.0)
+    server = deployment.server_at(CALIFORNIA)
+
+    def app():
+        yield writer.connect()
+        yield reader.connect()
+        yield writer.create("/lossy", b"v")
+        yield env.timeout(1000.0)
+        lossy = LinkProfile(loss=0.3)
+        net.degrade(VIRGINIA, CALIFORNIA, lossy)
+        net.degrade(CALIFORNIA, VIRGINIA, lossy)
+        served = 0
+        for _ in range(150):
+            data, _stat = yield reader.get_data_retrying("/lossy", max_retries=20)
+            served += data == b"v"
+        # Reads the client gives up on: only the tick can clear these.
+        net.partition(VIRGINIA, CALIFORNIA)
+        abandoned = 0
+        for _ in range(5):
+            try:
+                yield reader.get_data("/lossy")
+            except ConnectionLossError:
+                abandoned += 1
+        stranded = len(server._reads.pending)
+        net.heal_all()
+        net.restore_all()
+        yield env.timeout(60000.0)
+        return served, abandoned, stranded
+
+    assert run_app(env, app()) == (150, 5, 5)
+    reads = server._reads
+    # Some requests really were retried (the scenario reaches the bug),
+    # each under its first request id ...
+    assert reader.retries_performed > 20
+    assert reads.request_counter == 155
+    # ... and nothing is left behind.
+    assert len(reads.pending) == 0 and len(reads.request_of) == 0

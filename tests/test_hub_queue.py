@@ -1,11 +1,12 @@
 """The level-2 broker's wait queue: oracle, cost counts, admin pins.
 
-``ReferenceHubServer`` is the scan-everything pump the keyed wait index
+``ReferenceHubBroker`` is the scan-everything pump the keyed wait index
 replaced: one list, a full FIFO pass on every pump, a queue walk for every
 "is this key wanted" question. It lives here as a differential oracle —
-both brokers are driven alone (stub consensus, recorded sends) through the
-same seeded schedules and must serialize, grant, recall and invalidate
-identically, instant for instant. The one deliberate difference from the
+both brokers are driven alone (stub consensus, recorded sends), each inside
+a real ``WanKeeperServer`` (``ReferenceHubServer`` hosts the oracle),
+through the same seeded schedules and must serialize, grant, recall and
+invalidate identically, instant for instant. The one deliberate difference from the
 pre-index code is shared by both: a queued admin pin counts as wanting its
 keys (see ``test_queued_admin_pin_blocks_the_policy_grant``).
 """
@@ -23,7 +24,7 @@ from repro.wankeeper.fractional import (
     ReadInvalidateAck,
     ReadLeaseRequest,
 )
-from repro.wankeeper.hubqueue import HubQueue, QueuedTxn
+from repro.wankeeper.hubqueue import HubBroker, HubQueue, QueuedTxn
 from repro.wankeeper.messages import (
     TokenRecall,
     TokenReturn,
@@ -70,12 +71,12 @@ class _ListQueue:
         self.ids.add(entry.wan_id)
 
 
-class ReferenceHubServer(WanKeeperServer):
-    """WanKeeperServer with the scan-everything hub pump."""
+class ReferenceHubBroker(HubBroker):
+    """HubBroker with the scan-everything pump."""
 
-    def _reset_wan_leader_state(self):
-        super()._reset_wan_leader_state()
-        self._hub_queue = _ListQueue()
+    def __init__(self, host):
+        super().__init__(host)
+        self.queue = _ListQueue()
 
     def _needed(self, entry):
         if entry.admin_keys is not None:
@@ -84,49 +85,59 @@ class ReferenceHubServer(WanKeeperServer):
         if isinstance(op, CloseSessionOp):
             return {
                 token_key(path)
-                for path in self.tree.ephemerals_of(op.session_id)
+                for path in self.host.tree.ephemerals_of(op.session_id)
             }
         return token_keys(op)
 
-    def _key_wanted_by_queue(self, key):
-        return any(key in self._needed(entry) for entry in self._hub_queue.items)
+    def key_wanted(self, key):
+        return any(key in self._needed(entry) for entry in self.queue.items)
 
-    def _hub_pump(self):
-        if not self.peer.is_leader:
+    def pump(self):
+        host = self.host
+        if not host.peer.is_leader:
             return
-        if self._hub_pumping:
-            self._hub_pump_again = True
+        if self.pumping:
+            self.pump_again = True
             return
-        self._hub_pumping = True
+        self.pumping = True
         try:
             progress = True
             while progress:
                 progress = False
-                self._hub_pump_again = False
-                for entry in list(self._hub_queue.items):
-                    if entry not in self._hub_queue.items:
+                self.pump_again = False
+                for entry in list(self.queue.items):
+                    if entry not in self.queue.items:
                         continue
                     needed = self._needed(entry)
                     missing = {
-                        key for key in needed if not self.hub_tokens.at_hub(key)
+                        key for key in needed if not host.hub_tokens.at_hub(key)
                     }
-                    lease_holders = self._live_lease_holders(needed)
+                    lease_holders = host._reads.live_holders(needed)
                     if missing or lease_holders:
                         if missing:
-                            self._request_recalls(missing)
+                            self.request_recalls(missing)
                         if lease_holders:
-                            self._send_invalidates(lease_holders)
+                            host._reads.send_invalidates(lease_holders)
                         continue
-                    self._hub_queue.items.remove(entry)
-                    self._hub_queue.ids.discard(entry.wan_id)
-                    self._hub_serialize(
+                    self.queue.items.remove(entry)
+                    self.queue.ids.discard(entry.wan_id)
+                    self.serialize(
                         entry.txn, needed, entry.origin_site,
                         admin_grant=entry.admin_grant,
                     )
                     progress = True
-                progress = progress or self._hub_pump_again
+                progress = progress or self.pump_again
         finally:
-            self._hub_pumping = False
+            self.pumping = False
+
+
+class ReferenceHubServer(WanKeeperServer):
+    """WanKeeperServer hosting the reference broker."""
+
+    def _reset_wan_leader_state(self):
+        super()._reset_wan_leader_state()
+        self._hub = ReferenceHubBroker(self)
+        self._wan_handlers = self._wan_handler_table()
 
 
 # -------------------------------------------------------------- the harness
@@ -230,7 +241,7 @@ class Broker:
 
     def resubmit(self, index):
         site, txn = self.submitted[index % len(self.submitted)]
-        self.hub._on_wan_submit(
+        self.hub._on_client_message(
             self.leaders[site], WanSubmit(site, self.leaders[site], txn)
         )
 
@@ -239,7 +250,7 @@ class Broker:
 
     def give_back(self, key):
         owner = self.hub.hub_tokens.where(key)
-        self.hub._on_token_return(
+        self.hub._on_client_message(
             self.leaders[owner], TokenReturn(owner, self.leaders[owner], (key,))
         )
 
@@ -249,7 +260,7 @@ class Broker:
     def lease(self, site, key):
         self.lease_requests += 1
         reader = NodeAddress(site, "wk1")
-        self.hub._on_read_lease_request(
+        self.hub._on_client_message(
             reader,
             ReadLeaseRequest(reader, site, key, key, "data", self.lease_requests),
         )
@@ -257,12 +268,12 @@ class Broker:
     def lease_ack(self, index):
         held = sorted(
             (key, holder)
-            for key, holders in self.hub._read_holders.items()
+            for key, holders in self.hub._reads.holders.items()
             for holder in holders
         )
         if held:
             key, holder = held[index % len(held)]
-            self.hub._on_read_invalidate_ack(
+            self.hub._on_client_message(
                 holder, ReadInvalidateAck(holder, (key,))
             )
 
@@ -270,8 +281,7 @@ class Broker:
         self.env.run(until=self.env.now + dt)
 
     def tick(self):
-        self.hub._hub_tick()
-        self.hub._pump_lease_reads()
+        self.hub._wan_tick()
 
     def settle(self):
         while self.peer.pending:
@@ -289,14 +299,14 @@ class Broker:
             self.peer.proposals,
             self.net.sent,
             sorted(hub.hub_tokens.location.items()),
-            sorted(hub._recall_sent_at.items()),
-            sorted(hub._read_holders),
+            sorted(hub._hub.recall_sent_at.items()),
+            sorted(hub._reads.holders),
             hub.tokens_granted,
             hub.tokens_recalled,
         )
 
     def queued_ids(self):
-        queue = self.hub._hub_queue
+        queue = self.hub._hub.queue
         if isinstance(queue, HubQueue):
             return list(queue.entries)
         return [entry.wan_id for entry in queue.items]
@@ -427,7 +437,7 @@ def test_indexed_pump_matches_reference_pump(sync, policy):
         assert indexed.observed() == reference.observed(), f"seed {seed} drain"
         assert indexed.queued_ids() == reference.queued_ids() == []
         # The index must be empty exactly when the queue is.
-        queue = indexed.hub._hub_queue
+        queue = indexed.hub._hub.queue
         assert not queue.waiters and not queue.tree_dependent and not queue.fresh
         exercised["recalls"] += len(indexed.net.of_type(TokenRecall))
         exercised["invalidates"] += len(indexed.net.of_type(ReadInvalidate))
@@ -440,7 +450,7 @@ def test_indexed_pump_matches_reference_pump(sync, policy):
 
 
 def test_synchronous_commits_reenter_the_pump_safely():
-    """PR 6's crash: a single-voter hub commits inside ``_hub_serialize``,
+    """PR 6's crash: a single-voter hub commits inside ``serialize``,
     the commit hook pumps, and the outer pass must neither lose nor
     reorder the entries behind it."""
     broker = Broker(WanKeeperServer, sync=True, policy=ConsecutiveAccessPolicy)
@@ -459,17 +469,17 @@ def test_synchronous_commits_reenter_the_pump_safely():
 @pytest.mark.parametrize("cls", [WanKeeperServer, ReferenceHubServer])
 def test_lease_expiry_noticed_outside_a_pass_wakes_the_queue(cls):
     """``_leader_route`` prunes expired leases too; when that empties
-    ``_read_holders`` nothing else would make the next pump look at the
+    ``_reads.holders`` nothing else would make the next pump look at the
     entry the lease was blocking."""
     broker = Broker(cls, sync=False, policy=ConsecutiveAccessPolicy)
     broker.lease(CALIFORNIA, "/k0")
-    assert broker.hub._read_holders
+    assert broker.hub._reads.holders
     broker.submit(FRANKFURT, SetDataOp("/k0", b"w"))
     assert len(broker.queued_ids()) == 1
     assert len(broker.net.of_type(ReadInvalidate)) == 1
     broker.advance(broker.hub.wan.read_lease_ms + 1.0)
     broker.hub_write(SetDataOp("/k0", b"h"))
-    assert not broker.hub._read_holders and len(broker.queued_ids()) == 1
+    assert not broker.hub._reads.holders and len(broker.queued_ids()) == 1
     broker.settle()
     assert broker.queued_ids() == []
 
@@ -561,7 +571,7 @@ def test_pump_cost_does_not_scale_with_queue_depth(monkeypatch):
     broker.peer.commit_next()
     assert counts.take() == (0, 0, 0)
     for _ in range(3):
-        broker.hub._hub_pump()
+        broker.hub._hub.pump()
     assert counts.take() == (0, 0, 0)
 
     # Admitting entry 257 evaluates that entry alone.
@@ -585,7 +595,7 @@ def test_pump_cost_does_not_scale_with_queue_depth(monkeypatch):
     # The recall-retry watermark: nothing an instant before it is due,
     # one pass re-sending every outstanding recall at the instant it is.
     sent = len(broker.net.of_type(TokenRecall))
-    first_stamp = min(broker.hub._recall_sent_at.values())
+    first_stamp = min(broker.hub._hub.recall_sent_at.values())
     retry = broker.hub.wan.recall_retry_ms
     broker.env.run(until=first_stamp + retry - 0.001)
     broker.tick()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
+from repro.wankeeper.messages import WanWelcome
 
 from tests.support import fresh_world, run_app
 
@@ -39,7 +40,7 @@ def test_successor_is_deterministic():
     deployment = wankeeper_with_failover(env, net, topo)
     leader = deployment.site_leader(CALIFORNIA)
     # Sites: california, frankfurt, virginia; hub = virginia.
-    assert leader._successor_site() == CALIFORNIA
+    assert leader._failover.successor_site() == CALIFORNIA
 
 
 def test_hub_site_crash_promotes_successor():
@@ -166,3 +167,30 @@ def test_failover_disabled_by_default():
     # No promotion without the opt-in flag.
     live = [s for s in deployment.servers if s.is_alive]
     assert all(s.current_l2_site == VIRGINIA for s in live)
+
+
+def test_late_welcome_from_demoted_hub_does_not_repoint_a_site():
+    """A WanWelcome in flight while the WanEpochOp commits must be dropped
+    like every other message from a demoted hub, or the site's WanSubmits
+    go to a server that may still believe it is level-2."""
+    env, topo, net = fresh_world()
+    deployment = wankeeper_with_failover(env, net, topo)
+    old_hub = deployment.hub_leader
+    partition_site(net, VIRGINIA, (CALIFORNIA, FRANKFURT))
+    env.run(until=env.now + 40000.0)
+    assert deployment.current_l2_site == CALIFORNIA
+    leader = deployment.site_leader(FRANKFURT)
+    assert leader._l2_addr.site == CALIFORNIA
+    pointed_at = leader._l2_addr
+
+    leader._on_client_message(
+        old_hub.client_addr, WanWelcome(old_hub.client_addr)
+    )
+    assert leader._l2_addr == pointed_at
+    # ... nor does it count as a sign of life from the hub.
+    env.run(until=env.now + 1000.0)
+    stamp = leader._failover.last_hub_contact
+    leader._on_client_message(
+        old_hub.client_addr, WanWelcome(old_hub.client_addr)
+    )
+    assert leader._failover.last_hub_contact == stamp

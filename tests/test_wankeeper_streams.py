@@ -58,7 +58,7 @@ def test_relay_watermarks_advance():
     for site in (CALIFORNIA, FRANKFURT):
         leader = deployment.site_leader(site)
         assert leader._applied_relay_count == len(hub._relay_streams[site])
-        assert hub._relay_acked[site] == leader._applied_relay_count
+        assert hub._relays[site].acked == leader._applied_relay_count
 
 
 def test_replicate_stream_resumes_after_hub_leader_change():
