@@ -29,8 +29,9 @@ Checked invariants:
   the same ``(session_id, cxid)`` twice (the lossy-soak check, generalized
   into an always-on hook);
 * **reply-coherence** — every replica's first apply of a given
-  ``(session_id, cxid)`` produces the same client-visible reply (modulo
-  per-ensemble zxids in ``Stat``);
+  ``(session_id, cxid)`` has the same outcome, compared as the
+  client-visible reply it stands for (modulo per-ensemble zxids in
+  ``Stat``) — though only the origin builds that reply;
 * **lease-coherence** — a site leader may not serve a fractional read
   (§VI) from a lease that has expired, or that was granted before an
   invalidation this leader already acknowledged (the oracle for the
@@ -261,8 +262,9 @@ class InvariantSentinel:
 
     # ---------------------------------------------------------- zk hooks
 
-    def on_apply(self, server, txn, reply) -> None:
-        """Called by ``ZkServer._commit_client_txn`` after each apply."""
+    def on_apply(self, server, txn, outcome) -> None:
+        """Called by ``ZkServer._commit_client_txn`` after each apply with
+        its ``ApplyOutcome``: only the origin builds a reply."""
         self.checks_run += 1
         op_digest = repr(txn.op)
         apply_key = (server.name, txn.session_id, txn.cxid)
@@ -285,7 +287,7 @@ class InvariantSentinel:
             # Without at-most-once the same (session, cxid) legitimately
             # re-applies with fresh results — nothing coherent to demand.
             return
-        canonical = _canonical_reply(reply)
+        canonical = _canonical_reply(outcome)
         reply_key = (txn.session_id, txn.cxid)
         prior = self._replies.get(reply_key)
         if prior is None or prior[0] != op_digest:
@@ -293,7 +295,7 @@ class InvariantSentinel:
         elif prior[1] != canonical:
             self._fail(
                 "reply-coherence",
-                f"{server.name} built a different reply for "
+                f"{server.name} applied a different outcome for "
                 f"({txn.session_id!r}, cxid={txn.cxid}): {canonical!r} != "
                 f"first-seen {prior[1]!r}",
             )
@@ -439,8 +441,9 @@ class InvariantSentinel:
         return inspected
 
 
-def _canonical_reply(reply) -> Tuple[Any, ...]:
-    """A zxid-free canonical form of an :class:`OpReply` for comparison.
+def _canonical_reply(outcome) -> Tuple[Any, ...]:
+    """A zxid-free canonical form of the client-visible reply an
+    :class:`ApplyOutcome` stands for (ok + value, or error code + path).
 
     WanKeeper replicates one logical tree through per-site ensembles, so
     ``Stat`` zxids legitimately differ across replicas; child-count and
@@ -448,9 +451,10 @@ def _canonical_reply(reply) -> Tuple[Any, ...]:
     own tokens). Everything token-ordered — version, data, ephemeral owner,
     error codes — must agree.
     """
-    if reply.ok:
-        return ("ok", _canonical_value(reply.value))
-    return ("err", reply.error_code, reply.error_path)
+    if outcome.ok:
+        return ("ok", _canonical_value(outcome.value))
+    error = outcome.error
+    return ("err", error.code, error.path)
 
 
 def _canonical_value(value: Any) -> Any:

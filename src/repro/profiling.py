@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import json
 import pstats
 import time
@@ -81,17 +82,23 @@ def profile_callable(
 ) -> Tuple[Any, Dict[str, Any]]:
     """Run ``fn`` under cProfile; return ``(fn_result, report_dict)``.
 
-    The report carries the per-module rollup and the top-N hotspots.
-    cProfile observes the interpreter without touching program state, so
-    ``fn``'s result is byte-identical to an unprofiled call.
+    The report carries the per-module rollup, the top-N hotspots and
+    ``gc``: the collector's collections and seconds per generation during
+    the call and their share of ``wall_s`` (cProfile books that time to
+    whichever frame allocated). Both observe the interpreter without
+    touching program state, so ``fn``'s result is byte-identical to an
+    unprofiled call.
     """
     profiler = cProfile.Profile()
+    collector = _CollectorMeter()
+    gc.callbacks.append(collector)
     started = time.perf_counter()
     profiler.enable()
     try:
         result = fn()
     finally:
         profiler.disable()
+        gc.callbacks.remove(collector)
     wall = time.perf_counter() - started
 
     stats = pstats.Stats(profiler)
@@ -153,8 +160,32 @@ def profile_callable(
             round(protocol / substrate, 4) if substrate else None
         ),
         "hotspots": rows[:top],
+        "gc": {
+            "collections": collector.collections,
+            "seconds": [round(s, 6) for s in collector.seconds],
+            "share_of_wall": (
+                round(sum(collector.seconds) / wall, 4) if wall else 0.0
+            ),
+        },
     }
     return result, report
+
+
+class _CollectorMeter:
+    """A ``gc.callbacks`` hook: collections and seconds per generation."""
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
 
 
 def _short_path(filename: str) -> str:
@@ -249,6 +280,14 @@ def _format_report(report: Dict[str, Any], top: int) -> str:
                 f"{report['protocol_over_substrate']}"
             ),
         )
+    )
+    collector = report["gc"]
+    lines.append(
+        "collector (gen 0 / 1 / 2): "
+        + " / ".join(str(n) for n in collector["collections"])
+        + " collections, "
+        + " / ".join(f"{s:.3f}" for s in collector["seconds"])
+        + f" s, {collector['share_of_wall']:.1%} of wall"
     )
     hot_rows = [
         [

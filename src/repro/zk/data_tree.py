@@ -12,7 +12,7 @@ client is connected); the tree reports which watch events an applied txn
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.zab.zxid import Zxid
 from repro.zk.errors import (
@@ -42,9 +42,10 @@ class ApplyOutcome:
     """Result of applying one write txn.
 
     ``ok`` plus either ``value`` (op-specific payload) or ``error``.
-    ``events`` lists the watch events the mutation fires. A hand-written
-    ``__slots__`` class: one is allocated per committed write on every
-    replica.
+    ``events`` is the sequence of watch events the mutation fires (the
+    empty tuple when it fires none; callers never mutate it). A
+    hand-written ``__slots__`` class: one is allocated per committed write
+    on every replica.
     """
 
     __slots__ = ("ok", "value", "error", "events")
@@ -54,12 +55,12 @@ class ApplyOutcome:
         ok: bool,
         value: Any = None,
         error: Optional[ApiError] = None,
-        events: Optional[List[WatchEvent]] = None,
+        events: Sequence[WatchEvent] = (),
     ):
         self.ok = ok
         self.value = value
         self.error = error
-        self.events = [] if events is None else events
+        self.events = events
 
     def __repr__(self) -> str:
         return (
@@ -242,12 +243,21 @@ class DataTree:
             return ApplyOutcome(ok=False, error=NoNodeError(op.path))
         if op.version != -1 and op.version != node.version:
             return ApplyOutcome(ok=False, error=BadVersionError(op.path))
-        node.data = op.data
-        node.version += 1
+        # Every replica runs this for every set, so it allocates only the
+        # new Stat, in place of invalidate() + stat() (a set leaves the
+        # children and their sorted cache alone), and reuses the event.
+        data = node.data = op.data
+        version = node.version = node.version + 1
         node.mzxid = zxid
-        node.invalidate()
-        events = [WatchEvent(WatchType.NODE_DATA_CHANGED, op.path)]
-        return ApplyOutcome(ok=True, value=node.stat(), events=events)
+        stat = node._stat = Stat(node.czxid, zxid, node.pzxid, version,
+                                 node.cversion, node.ephemeral_owner,
+                                 len(data), len(node.children))
+        events = node._data_changed
+        if events is None:
+            events = node._data_changed = (
+                WatchEvent(WatchType.NODE_DATA_CHANGED, op.path),
+            )
+        return ApplyOutcome(True, stat, None, events)
 
     def _apply_check(self, op: CheckVersionOp) -> ApplyOutcome:
         node = self._nodes.get(op.path)

@@ -70,9 +70,15 @@ class Znode:
         # Dirty-flag caches, rebuilt lazily and dropped by invalidate():
         # the Stat returned by reads and the sorted children list. Every
         # mutation site in DataTree calls invalidate() on the touched
-        # node(s); stale values here would leak old metadata to readers.
+        # node(s), except a set, which rebuilds _stat in place (it leaves
+        # the children alone); stale values here would leak old metadata
+        # to readers.
         "_stat",
         "_sorted_children",
+        # This node's one NODE_DATA_CHANGED event (as a 1-tuple), built by
+        # its first set and reused by every later one: the event is frozen
+        # and its path is the node's for life.
+        "_data_changed",
     )
 
     def __init__(
@@ -100,6 +106,7 @@ class Znode:
         self.sequence = sequence
         self._stat = None
         self._sorted_children = None
+        self._data_changed = None
 
     def __repr__(self) -> str:
         return (
@@ -129,15 +136,11 @@ class Znode:
         """
         stat = self._stat
         if stat is None:
+            # Positional: a keyword-built record costs over twice as much.
             stat = self._stat = Stat(
-                czxid=self.czxid,
-                mzxid=self.mzxid,
-                pzxid=self.pzxid,
-                version=self.version,
-                cversion=self.cversion,
-                ephemeral_owner=self.ephemeral_owner,
-                data_length=len(self.data),
-                num_children=len(self.children),
+                self.czxid, self.mzxid, self.pzxid, self.version,
+                self.cversion, self.ephemeral_owner, len(self.data),
+                len(self.children),
             )
         return stat
 

@@ -123,19 +123,29 @@ class ZkServer:
         # One bound method reused for every scheduled read completion.
         self._serve_read_cb = self._serve_read
 
-        # At-most-once machinery. The reply cache maps (session_id, cxid)
-        # to the reply of the *first* commit of that request; it is rebuilt
-        # deterministically from the commit stream on every replica, so a
-        # duplicated or retried request that committed already is answered
-        # from the cache and never re-applied. Disable only to demonstrate
-        # the double-apply failure mode in tests.
+        # At-most-once machinery. The reply cache holds every committed
+        # (session_id, cxid) on *every* replica, rebuilt deterministically
+        # from the commit stream, so a duplicated or retried request that
+        # committed already is never re-applied anywhere: membership means
+        # "already committed". The value is the reply of the first commit
+        # where the txn's origin is this server, and None everywhere else,
+        # because the origin is the only server that can ever send it:
+        # a client (ZkClient, FleetStation) talks to exactly one server;
+        # session ids are namespaced by their hosting server and its
+        # incarnation, and _handle_op answers SESSION_EXPIRED to a session
+        # it does not host before _accept_write reads the cache; and a
+        # suppressed duplicate commit answers only _pending_writes, which
+        # only the accepting server (the origin) fills. Disable only to
+        # demonstrate the double-apply failure mode in tests.
         self.reply_cache_enabled = True
-        self._reply_cache: "OrderedDict[Tuple[str, int], OpReply]" = OrderedDict()
+        self._reply_cache: "OrderedDict[Tuple[str, int], Optional[OpReply]]" = (
+            OrderedDict()
+        )
         #: Test probe: how many times each (session_id, cxid) reached the
         #: tree on this replica; at-most-once means every count is 1.
-        #: Bounded at APPLY_COUNT_LIMIT entries (insertion-order eviction)
-        #: so it can't grow with total commits over a long fleet run.
-        self.apply_counts: Dict[Tuple[str, int], int] = {}
+        #: Bounded at APPLY_COUNT_LIMIT entries (oldest first, as the reply
+        #: cache) so it can't grow with total commits over a long fleet run.
+        self.apply_counts: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
         # Writes this server routed whose commit has not yet arrived;
         # re-routed on the session ticker when overdue (a lost forward or a
         # fallen leader), relying on downstream duplicate suppression.
@@ -214,7 +224,7 @@ class ZkServer:
         self._pending_writes = {}
         # Rebuilt from the replayed log as commits re-apply from zero.
         self._reply_cache = OrderedDict()
-        self.apply_counts = {}
+        self.apply_counts = OrderedDict()
         self._inflight_txns = {}
         self._closing = set()
         if self.sentinel is not None:
@@ -366,10 +376,14 @@ class ZkServer:
     def _accept_write(self, src: NodeAddress, msg: OpRequest) -> None:
         key = (msg.session_id, msg.cxid)
         if self.reply_cache_enabled:
-            cached = self._reply_cache.get(key)
-            if cached is not None:
+            if key in self._reply_cache:
                 # A retry of a request that already committed: at-most-once
-                # — answer from the cache, never re-apply.
+                # — answer from the cache, never re-apply. Only a session's
+                # host accepts its writes, and it is their origin.
+                cached = self._reply_cache[key]
+                if cached is None:
+                    raise RuntimeError(f"{self.name}: {key!r} committed with "
+                                       "no reply stored here; not re-submitting")
                 self.replies_from_cache += 1
                 self.net.send(self.client_addr, src, cached)
                 return
@@ -440,24 +454,23 @@ class ZkServer:
         retried request whose first attempt committed after all — is
         suppressed here, strictly at the apply layer, so callers above
         (WanKeeper token/stream bookkeeping) still see every commit.
-        Returns None for a suppressed duplicate.
+        Returns None for a suppressed duplicate. The reply is built only
+        on the txn's origin, the one server its client can hear from.
         """
         key = (txn.session_id, txn.cxid)
         if self._inflight_txns:  # empty on a replica that accepts no writes
             self._inflight_txns.pop(key, None)
-        if self.reply_cache_enabled:
-            cached = self._reply_cache.get(key)
-            if cached is not None:
-                self.duplicate_commits_suppressed += 1
-                if self._trace is not None:
-                    self._trace.emit(self.env.now, "zk", "dup-suppressed",
-                                     self.name,
-                                     {"session": txn.session_id,
-                                      "cxid": txn.cxid})
-                client = self._pending_writes.pop(key, None)
-                if client is not None:
-                    self.net.send(self.client_addr, client, cached)
-                return None
+        if self.reply_cache_enabled and key in self._reply_cache:
+            self.duplicate_commits_suppressed += 1
+            if self._trace is not None:
+                self._trace.emit(self.env.now, "zk", "dup-suppressed",
+                                 self.name,
+                                 {"session": txn.session_id,
+                                  "cxid": txn.cxid})
+            client = self._pending_writes.pop(key, None)
+            if client is not None:  # only ever on the origin
+                self.net.send(self.client_addr, client, self._reply_cache[key])
+            return None
         if isinstance(txn.op, CloseSessionOp):
             self._closing.discard(txn.op.session_id)
             # If the closed session is hosted here, retire it *before*
@@ -476,38 +489,34 @@ class ZkServer:
         counts = self.apply_counts
         counts[key] = counts.get(key, 0) + 1
         if len(counts) > APPLY_COUNT_LIMIT:
-            # Insertion-order eviction (oldest first), like the reply cache.
-            del counts[next(iter(counts))]
+            counts.popitem(last=False)
         if self._trace is not None:
             self._trace.emit(self.env.now, "zk", "apply", self.name,
                              {"session": txn.session_id, "cxid": txn.cxid,
                               "op": type(txn.op).__name__,
                               "ok": outcome.ok})
-        if outcome.events:
+        if outcome.events and self.watches.has_watches:
             self._fire_watches(outcome)
-        if outcome.ok:
-            reply = OpReply(txn.session_id, txn.cxid, ok=True, value=outcome.value)
-        else:
-            error = outcome.error
-            assert error is not None
-            reply = OpReply(
-                txn.session_id,
-                txn.cxid,
-                ok=False,
-                error_code=error.code,
-                error_path=error.path,
-            )
         if self.sentinel is not None:
-            self.sentinel.on_apply(self, txn, reply)
+            self.sentinel.on_apply(self, txn, outcome)
+        origin = txn.origin
+        mine = self.client_addr
+        if origin is mine or origin == mine:
+            if outcome.ok:
+                reply = OpReply(txn.session_id, txn.cxid, True, outcome.value)
+            else:
+                error = outcome.error
+                reply = OpReply(txn.session_id, txn.cxid, False, None,
+                                error.code, error.path)
+        else:
+            reply = None
         if self.reply_cache_enabled:
             self._reply_cache[key] = reply
             while len(self._reply_cache) > REPLY_CACHE_LIMIT:
                 self._reply_cache.popitem(last=False)
-        # Reply if the write came in here and its client still waits (none
-        # does for a system txn or a retry the client abandoned).
-        origin = txn.origin
-        mine = self.client_addr
-        if self._pending_writes and (origin is mine or origin == mine):
+        # Reply if its client still waits here (none does for a system txn
+        # or a retry the client abandoned).
+        if reply is not None and self._pending_writes:
             client = self._pending_writes.pop(key, None)
             if client is not None:
                 self.net.send(mine, client, reply)
@@ -540,7 +549,7 @@ class ZkServer:
         """
         self.tree = DataTree()
         self._reply_cache = OrderedDict()
-        self.apply_counts = {}
+        self.apply_counts = OrderedDict()
         if self.sentinel is not None:
             self.sentinel.on_replica_reset(self)
         if self._trace is not None:

@@ -37,6 +37,11 @@ class WatchManager:
         self._data_by_session: Dict[str, Set[str]] = {}
         self._children_by_session: Dict[str, Set[str]] = {}
 
+    @property
+    def has_watches(self) -> bool:
+        """Is any watch registered? (Else ``trigger`` fires nothing.)"""
+        return bool(self._data or self._children)
+
     def add_data_watch(self, path: str, session_id: str) -> None:
         """Register a data/exists watch for ``session_id`` on ``path``."""
         self._data.setdefault(path, set()).add(session_id)

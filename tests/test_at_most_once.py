@@ -1,10 +1,11 @@
 """At-most-once request hardening: reply cache, stable-cxid retries.
 
-ZooKeeper-style exactly-once-per-request semantics: every replica keeps a
-reply cache keyed ``(session_id, cxid)``, duplicate commits are suppressed
-at the apply layer, and client retries reuse the cxid of the first attempt
-so a timed-out-but-committed write is answered from the cache instead of
-being applied a second time.
+ZooKeeper-style exactly-once-per-request semantics: every replica records
+each committed ``(session_id, cxid)`` in its reply cache, duplicate commits
+are suppressed at the apply layer on every replica, and client retries
+reuse the cxid of the first attempt so a timed-out-but-committed write is
+answered from the cache of the accepting server — the only one that keeps
+the reply itself — instead of being applied a second time.
 """
 
 import pytest

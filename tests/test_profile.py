@@ -3,12 +3,15 @@
 Pins three properties:
 
 * the report shape — per-module rollup over the repo's layer buckets,
-  shares that sum to one, tottime-ordered hotspots, JSON-plain;
+  shares that sum to one, tottime-ordered hotspots, the collector's
+  collections and seconds per generation (its hook removed afterwards),
+  JSON-plain;
 * print-only — the CLI takes runner suites and writes no file;
 * observation-only profiling — running a seeded workload under cProfile
   yields the exact same client-visible history as an unprofiled run.
 """
 
+import gc
 import json
 
 import pytest
@@ -56,6 +59,28 @@ def test_profile_callable_returns_result_and_report():
     assert tottimes == sorted(tottimes, reverse=True)
 
 
+def test_profile_callable_reports_the_collector_and_unhooks_it():
+    hooks = len(gc.callbacks)
+
+    def work():
+        gc.collect()  # one full collection inside the profiled call
+        return len(gc.callbacks)
+
+    during, report = profile_callable(work)
+    assert during == hooks + 1
+    assert len(gc.callbacks) == hooks
+    collector = report["gc"]
+    assert set(collector) == {"collections", "seconds", "share_of_wall"}
+    assert len(collector["collections"]) == len(collector["seconds"]) == 3
+    assert collector["collections"][2] >= 1
+    assert all(s >= 0.0 for s in collector["seconds"])
+    assert 0.0 <= collector["share_of_wall"] <= 1.0
+    # A failing call unhooks too.
+    with pytest.raises(ZeroDivisionError):
+        profile_callable(lambda: 1 / 0)
+    assert len(gc.callbacks) == hooks
+
+
 def test_available_targets_cover_benches_and_suites():
     # The ledger is the only bench; every target is a runner suite.
     from repro.runner import SUITES
@@ -89,7 +114,17 @@ def test_cli_prints_report_and_writes_no_file(tmp_path, capsys, monkeypatch):
     assert profiling.main(["fleet_full", "--small", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["target"] == "fleet_full"
+    assert len(report["gc"]["collections"]) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+def test_text_report_prints_the_collector_line(capsys):
+    assert profiling.main(["fleet_full", "--small", "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    collector = [line for line in out.splitlines()
+                 if line.startswith("collector (gen 0 / 1 / 2): ")]
+    assert len(collector) == 1
+    assert "collections" in collector[0] and "of wall" in collector[0]
 
 
 def test_cli_unknown_target_fails_cleanly(capsys):
