@@ -25,7 +25,6 @@ from repro.wankeeper.messages import (
     TokenRecall,
     WanSubmit,
     WanTxn,
-    wan_id_of,
 )
 from repro.wankeeper.policy import MigrationPolicy
 from repro.wankeeper.tokens import token_key, token_keys
@@ -61,7 +60,7 @@ class QueuedTxn:
         self.origin_site = origin_site
         self.admin_keys = admin_keys
         self.admin_grant = admin_grant
-        self.wan_id = wan_id_of(txn)
+        self.wan_id = txn.key
         needed: Optional[Set[str]]
         if admin_keys is not None:
             needed = set(admin_keys)
@@ -187,7 +186,7 @@ class HubBroker:
         self.admit(msg.txn, msg.site)
 
     def admit(self, txn: Txn, origin_site: str) -> None:
-        wid = wan_id_of(txn)
+        wid = txn.key
         if (
             wid in self.host._seen_wan_ids
             or wid in self.queue
@@ -377,7 +376,7 @@ class HubBroker:
                              {"keys": ordered,
                               "origin": origin_site,
                               "grants": [(g.key, g.site) for g in grants]})
-        self.inflight_ids.add(wan_id_of(txn))
+        self.inflight_ids.add(txn.key)
         inflight = self.inflight_keys
         for key in ordered:
             inflight[key] = inflight.get(key, 0) + 1

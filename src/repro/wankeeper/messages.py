@@ -40,17 +40,11 @@ __all__ = [
     "WanSubmit",
     "WanTxn",
     "WanWelcome",
-    "wan_id_of",
 ]
 
 
 #: ``WanTxn.serialized_at`` value for hub-serialized transactions.
 HUB = "l2"
-
-
-def wan_id_of(txn: Txn) -> Tuple[str, int]:
-    """Globally unique id of a client transaction (session ids are unique)."""
-    return (txn.session_id, txn.cxid)
 
 
 # -- replicated payloads -------------------------------------------------------
@@ -82,7 +76,7 @@ class WanTxn:
 
     @property
     def wan_id(self) -> Tuple[str, int]:
-        return wan_id_of(self.txn)
+        return self.txn.key
 
 
 @record

@@ -67,7 +67,6 @@ from repro.wankeeper.messages import (
     WanSubmit,
     WanTxn,
     WanWelcome,
-    wan_id_of,
 )
 from repro.wankeeper.fractional import (
     ReadInvalidate,
@@ -405,7 +404,7 @@ class WanKeeperServer(ZkServer):
     def _wan_submit(self, txn: Txn) -> None:
         """Forward a transaction to the level-2 broker (Fig. 2 step 8)."""
         self.remote_commits += 1
-        self._submit_unacked[wan_id_of(txn)] = (txn, self.env.now)
+        self._submit_unacked[txn.key] = (txn, self.env.now)
         if self._l2_addr is not None:
             self.net.send(
                 self.client_addr,
@@ -489,8 +488,7 @@ class WanKeeperServer(ZkServer):
 
     def _commit_wan_txn(self, zxid: Zxid, wan_txn: WanTxn) -> None:
         txn = wan_txn.txn
-        # wan_id_of(txn), inlined: this runs once per commit per replica.
-        wan_id = (txn.session_id, txn.cxid)
+        wan_id = txn.key
         serialized_at = wan_txn.serialized_at
         self._seen_wan_ids.add(wan_id)
         for grant in wan_txn.grants:

@@ -54,19 +54,17 @@ def submit_dedup_id(payload: Any) -> Optional[Tuple[Any, ...]]:
     """Stable identity of a forwarded transaction, for duplicate suppression.
 
     Client transactions are identified by ``(session_id, cxid)`` — the same
-    pair whether they travel bare (:class:`~repro.zk.ops.Txn`) or wrapped
-    (``WanTxn.wan_id``), so a retransmitted forward is recognized no matter
-    how the leader first saw the transaction. Payloads without an identity
-    (marker ops) return None and are never deduplicated.
+    tuple whether they travel bare (:class:`~repro.zk.ops.Txn`, its
+    ``key``) or wrapped (``WanTxn.wan_id``, the wrapped txn's ``key``), so
+    a retransmitted forward is recognized no matter how the leader first
+    saw the transaction, and this table shares the tuple every replica's
+    tables hold. Payloads without an identity (marker ops) return None and
+    are never deduplicated.
     """
     wan_id = getattr(payload, "wan_id", None)
     if wan_id is not None:
         return tuple(wan_id)
-    session_id = getattr(payload, "session_id", None)
-    cxid = getattr(payload, "cxid", None)
-    if session_id is not None and cxid is not None:
-        return (session_id, cxid)
-    return None
+    return getattr(payload, "key", None)
 
 
 class PeerState(str, enum.Enum):

@@ -9,7 +9,7 @@ local tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Set, Tuple, Union
 
 from repro.zk.paths import parent_of, validate_path
@@ -206,6 +206,11 @@ class Txn:
     (it replies to the client once it applies the commit). ``session_id`` and
     ``cxid`` correlate the reply. WanKeeper wraps this envelope with token
     metadata; the tree only looks at ``op``.
+
+    ``key`` is the request id ``(session_id, cxid)``, built once here. The
+    txn travels by reference to every replica, so every at-most-once and
+    dedup table keyed by it shares this one tuple. It is derived: not an
+    ``__init__`` argument, and outside ``==``, ``hash`` and ``repr``.
     """
 
     session_id: str
@@ -215,6 +220,10 @@ class Txn:
     # WanKeeper cross-site metadata (None for plain ZooKeeper).
     origin_site: Optional[str] = None
     wan_seq: Optional[int] = None
+    key: Tuple[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.session_id, self.cxid))
 
     def replace_op(self, op: Op) -> "Txn":
         """A copy of this txn carrying ``op`` instead of the original."""

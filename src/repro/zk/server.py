@@ -57,18 +57,12 @@ __all__ = ["ZkServer"]
 
 SESSION_EXPIRED_CODE = "session_expired"
 
-#: How many (session_id, cxid) -> reply entries each replica retains for
-#: at-most-once suppression. Evicted entries re-open the (remote) window
-#: for a duplicate of a very old retry, as in ZooKeeper's bounded
-#: committed-log window.
+#: How many committed (session_id, cxid) keys each replica retains for
+#: at-most-once suppression (``apply_counts``), and with them the origin's
+#: stored replies. Evicted entries re-open the (remote) window for a
+#: duplicate of a very old retry, as in ZooKeeper's bounded committed-log
+#: window.
 REPLY_CACHE_LIMIT = 8192
-
-#: Cap on the at-most-once test probe ``apply_counts``. The probe only has
-#: to witness duplicate applies within the reply-cache suppression window,
-#: so retaining more history than the reply cache itself buys nothing —
-#: but leaving it unbounded made replica memory grow with total committed
-#: writes, which the long fleet runs can't afford.
-APPLY_COUNT_LIMIT = 2 * REPLY_CACHE_LIMIT
 
 
 class ZkServer:
@@ -106,7 +100,7 @@ class ZkServer:
         self.tree = DataTree()
         self.watches = WatchManager()
         # Session ids must stay unique across server incarnations (as in
-        # ZooKeeper, where the id embeds the server epoch): the reply cache
+        # ZooKeeper, where the id embeds the server epoch): apply_counts
         # is rebuilt from the replayed durable log after a restart, so a
         # reborn "owner#1" session would inherit the pre-crash session's
         # cached replies and have its first writes acked without applying.
@@ -123,29 +117,25 @@ class ZkServer:
         # One bound method reused for every scheduled read completion.
         self._serve_read_cb = self._serve_read
 
-        # At-most-once machinery. The reply cache holds every committed
-        # (session_id, cxid) on *every* replica, rebuilt deterministically
-        # from the commit stream, so a duplicated or retried request that
-        # committed already is never re-applied anywhere: membership means
-        # "already committed". The value is the reply of the first commit
-        # where the txn's origin is this server, and None everywhere else,
-        # because the origin is the only server that can ever send it:
-        # a client (ZkClient, FleetStation) talks to exactly one server;
-        # session ids are namespaced by their hosting server and its
-        # incarnation, and _handle_op answers SESSION_EXPIRED to a session
-        # it does not host before _accept_write reads the cache; and a
-        # suppressed duplicate commit answers only _pending_writes, which
-        # only the accepting server (the origin) fills. Disable only to
+        # At-most-once machinery. apply_counts maps every committed
+        # (session_id, cxid) -- the txn's own ``key`` tuple -- to how many
+        # times it reached the tree on this replica, on *every* replica,
+        # rebuilt deterministically from the commit stream, so a duplicated
+        # or retried request that committed already is never re-applied
+        # anywhere: membership means "already committed", and at-most-once
+        # means every count is 1. It is bounded at REPLY_CACHE_LIMIT keys,
+        # oldest first. _replies holds the OpReply of a key only where the
+        # txn's origin is this server, because the origin is the only
+        # server that can ever send it: a client (ZkClient, FleetStation)
+        # talks to exactly one server; session ids are namespaced by their
+        # hosting server and its incarnation, and _handle_op answers
+        # SESSION_EXPIRED to a session it does not host before
+        # _accept_write reads the table; and a suppressed duplicate commit
+        # answers only _pending_writes, which only the accepting server
+        # (the origin) fills. A reply leaves with its key. Disable only to
         # demonstrate the double-apply failure mode in tests.
         self.reply_cache_enabled = True
-        self._reply_cache: "OrderedDict[Tuple[str, int], Optional[OpReply]]" = (
-            OrderedDict()
-        )
-        #: Test probe: how many times each (session_id, cxid) reached the
-        #: tree on this replica; at-most-once means every count is 1.
-        #: Bounded at APPLY_COUNT_LIMIT entries (oldest first, as the reply
-        #: cache) so it can't grow with total commits over a long fleet run.
-        self.apply_counts: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        self._reset_at_most_once()
         # Writes this server routed whose commit has not yet arrived;
         # re-routed on the session ticker when overdue (a lost forward or a
         # fallen leader), relying on downstream duplicate suppression.
@@ -223,8 +213,7 @@ class ZkServer:
         self.sessions = SessionTracker(self._session_owner())
         self._pending_writes = {}
         # Rebuilt from the replayed log as commits re-apply from zero.
-        self._reply_cache = OrderedDict()
-        self.apply_counts = OrderedDict()
+        self._reset_at_most_once()
         self._inflight_txns = {}
         self._closing = set()
         if self.sentinel is not None:
@@ -374,13 +363,13 @@ class ZkServer:
     # ---------------------------------------------------------------- writes
 
     def _accept_write(self, src: NodeAddress, msg: OpRequest) -> None:
-        key = (msg.session_id, msg.cxid)
         if self.reply_cache_enabled:
-            if key in self._reply_cache:
+            key = (msg.session_id, msg.cxid)
+            if key in self.apply_counts:
                 # A retry of a request that already committed: at-most-once
-                # — answer from the cache, never re-apply. Only a session's
-                # host accepts its writes, and it is their origin.
-                cached = self._reply_cache[key]
+                # — answer from the stored reply, never re-apply. Only a
+                # session's host accepts its writes, and it is their origin.
+                cached = self._replies.get(key)
                 if cached is None:
                     raise RuntimeError(f"{self.name}: {key!r} committed with "
                                        "no reply stored here; not re-submitting")
@@ -394,7 +383,6 @@ class ZkServer:
                 self._pending_writes[key] = src
                 return
         self.writes_accepted += 1
-        self._pending_writes[key] = src
         if isinstance(msg.op, CloseSessionOp):
             # An expiry firing while this client-initiated close is in
             # flight must not submit a second CloseSessionOp.
@@ -406,8 +394,9 @@ class ZkServer:
             op=msg.op,
             origin_site=self.site,
         )
+        self._pending_writes[txn.key] = src
         if self.reply_cache_enabled:
-            self._inflight_txns[key] = (txn, self.env.now)
+            self._inflight_txns[txn.key] = (txn, self.env.now)
         self._route_write(txn)
 
     def _route_write(self, txn: Txn) -> None:
@@ -439,7 +428,7 @@ class ZkServer:
         if self.reply_cache_enabled:
             # System txns have no client to retry them; the inflight
             # retransmitter is their only recovery from a lost forward.
-            self._inflight_txns[(txn.session_id, txn.cxid)] = (txn, self.env.now)
+            self._inflight_txns[txn.key] = (txn, self.env.now)
         self._route_write(txn)
 
     # ---------------------------------------------------------------- commits
@@ -457,10 +446,11 @@ class ZkServer:
         Returns None for a suppressed duplicate. The reply is built only
         on the txn's origin, the one server its client can hear from.
         """
-        key = (txn.session_id, txn.cxid)
+        key = txn.key
         if self._inflight_txns:  # empty on a replica that accepts no writes
             self._inflight_txns.pop(key, None)
-        if self.reply_cache_enabled and key in self._reply_cache:
+        counts = self.apply_counts
+        if self.reply_cache_enabled and key in counts:
             self.duplicate_commits_suppressed += 1
             if self._trace is not None:
                 self._trace.emit(self.env.now, "zk", "dup-suppressed",
@@ -469,7 +459,7 @@ class ZkServer:
                                   "cxid": txn.cxid})
             client = self._pending_writes.pop(key, None)
             if client is not None:  # only ever on the origin
-                self.net.send(self.client_addr, client, self._reply_cache[key])
+                self.net.send(self.client_addr, client, self._replies[key])
             return None
         if isinstance(txn.op, CloseSessionOp):
             self._closing.discard(txn.op.session_id)
@@ -486,10 +476,11 @@ class ZkServer:
                                      {"session": txn.op.session_id})
         self.commits_applied += 1
         outcome = self.tree.apply(txn.op, zxid, txn.session_id)
-        counts = self.apply_counts
         counts[key] = counts.get(key, 0) + 1
-        if len(counts) > APPLY_COUNT_LIMIT:
-            counts.popitem(last=False)
+        if len(counts) > REPLY_CACHE_LIMIT:
+            evicted, _count = counts.popitem(last=False)
+            if self._replies:
+                self._replies.pop(evicted, None)
         if self._trace is not None:
             self._trace.emit(self.env.now, "zk", "apply", self.name,
                              {"session": txn.session_id, "cxid": txn.cxid,
@@ -508,19 +499,20 @@ class ZkServer:
                 error = outcome.error
                 reply = OpReply(txn.session_id, txn.cxid, False, None,
                                 error.code, error.path)
-        else:
-            reply = None
-        if self.reply_cache_enabled:
-            self._reply_cache[key] = reply
-            while len(self._reply_cache) > REPLY_CACHE_LIMIT:
-                self._reply_cache.popitem(last=False)
-        # Reply if its client still waits here (none does for a system txn
-        # or a retry the client abandoned).
-        if reply is not None and self._pending_writes:
-            client = self._pending_writes.pop(key, None)
-            if client is not None:
-                self.net.send(mine, client, reply)
+            if self.reply_cache_enabled:
+                self._replies[key] = reply
+            # Reply if its client still waits here (none does for a system
+            # txn or a retry the client abandoned).
+            if self._pending_writes:
+                client = self._pending_writes.pop(key, None)
+                if client is not None:
+                    self.net.send(mine, client, reply)
         return outcome
+
+    def _reset_at_most_once(self) -> None:
+        """Empty the at-most-once table, as before the log's first entry."""
+        self.apply_counts: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        self._replies: Dict[Tuple[str, int], OpReply] = {}
 
     def _fire_watches(self, outcome: ApplyOutcome) -> None:
         trigger = self.watches.trigger
@@ -543,13 +535,12 @@ class ZkServer:
     def _on_tree_reset(self, _peer: Any) -> None:
         """SNAP sync rewrote the log: rebuild the tree from zero.
 
-        The reply cache and the apply-count probe are derived from the
-        commit stream, so they reset with it — a stale cache would
-        suppress the legitimate replay and leave the tree empty.
+        The at-most-once table is derived from the commit stream, so it
+        resets with it — a stale table would suppress the legitimate
+        replay and leave the tree empty.
         """
         self.tree = DataTree()
-        self._reply_cache = OrderedDict()
-        self.apply_counts = OrderedDict()
+        self._reset_at_most_once()
         if self.sentinel is not None:
             self.sentinel.on_replica_reset(self)
         if self._trace is not None:
@@ -582,7 +573,7 @@ class ZkServer:
         A forward can vanish on a lossy link, or the leader that held the
         proposal can fall over; either way the commit that would clear the
         entry never happens. Re-routing is safe: the Zab leader drops
-        duplicate forwards and the reply cache suppresses any duplicate
+        duplicate forwards and apply_counts suppresses any duplicate
         commit that slips through.
         """
         now = self.env.now

@@ -82,8 +82,8 @@ def test_injected_double_grant_is_caught_with_trace_tail():
 
 
 def test_forced_double_apply_is_caught():
-    """Clear the reply cache between two commits of the same request: the
-    second apply is a real double apply and must raise."""
+    """Clear the at-most-once table between two commits of the same
+    request: the second apply is a real double apply and must raise."""
     env, topo, net = fresh_world(seed=25)
     deployment = plain_zk(env, net, topo)
     leader = deployment.leader
@@ -102,7 +102,7 @@ def test_forced_double_apply_is_caught():
         yield env.timeout(2000.0)
         # Defeat the at-most-once layer on every replica, then replay.
         for server in deployment.servers:
-            server._reply_cache.clear()
+            server.apply_counts.clear()
         leader._route_write(txn)
         yield env.timeout(2000.0)
         return True

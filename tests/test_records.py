@@ -86,7 +86,9 @@ all_records = pytest.mark.parametrize(
 
 
 def _names(cls):
-    return [f.name for f in dataclasses.fields(cls)]
+    """The fields a record is built from; derived ones (``init=False``,
+    like ``Txn.key``) are rebuilt by ``__post_init__``."""
+    return [f.name for f in dataclasses.fields(cls) if f.init]
 
 
 def _make(cls, **overrides):
@@ -174,6 +176,53 @@ def test_frozen_records_reject_assignment(cls):
     with pytest.raises(AttributeError):
         setattr(x, name, "changed")
     assert getattr(x, name) == f"{name}-value"
+
+
+def test_derived_fields_are_txn_key_alone():
+    derived = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls) if not f.init]
+        for cls in RECORDS
+    }
+    assert {name: names for name, names in derived.items() if names} == {
+        "Txn": ["key"],
+    }
+
+
+def test_txn_key_is_derived_out_of_init_eq_hash_and_repr():
+    (key_field,) = [f for f in dataclasses.fields(Txn) if f.name == "key"]
+    assert (key_field.init, key_field.compare, key_field.repr) == (
+        False, False, False,
+    )
+    assert key_field.hash is None  # follows compare: out of the hash
+    txn = Txn("s#1", 7, "origin", "op")
+    assert txn.key == ("s#1", 7)
+    with pytest.raises(TypeError):
+        Txn("s#1", 7, "origin", "op", key=("s#1", 7))
+    assert "key" not in repr(txn)
+    assert hash(txn) == hash(("s#1", 7, "origin", "op", None, None))
+    # A txn whose key somehow disagreed would still compare by its fields.
+    twin = Txn("s#1", 7, "origin", "op")
+    object.__setattr__(twin, "key", ("other", 0))
+    assert twin == txn and hash(twin) == hash(txn)
+    with pytest.raises(AttributeError):
+        txn.key = ("s#2", 1)
+
+
+def test_every_txn_copy_rebuilds_its_key():
+    txn = Txn("s#1", 7, "origin", "op", "site", 3)
+    copies = {
+        "replace_op": txn.replace_op("other-op"),
+        "dataclasses.replace": dataclasses.replace(txn, cxid=8),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies[f"pickle-{protocol}"] = pickle.loads(pickle.dumps(txn, protocol))
+    for how, copy in copies.items():
+        assert type(copy.key) is tuple, how
+        assert copy.key == (copy.session_id, copy.cxid), how
+    assert copies["dataclasses.replace"].key == ("s#1", 8)
+    assert copies["replace_op"].key is not txn.key  # rebuilt, not shared
+    with pytest.raises(ValueError):
+        dataclasses.replace(txn, key=("s#9", 9))
 
 
 def test_recycled_op_request_is_reassigned_in_place():

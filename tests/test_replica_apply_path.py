@@ -1,12 +1,14 @@
 """The replica apply path: keys everywhere, a reply only at the origin.
 
-Every replica records every committed ``(session_id, cxid)`` in its reply
-cache (duplicate-commit suppression must be identical everywhere), but the
-``OpReply`` itself is built and kept only on the server that accepted the
-write — the one server its client can hear from. These tests pin that as
-counts, not as host time: who holds which reply, how many replies stay
-alive, what a retry and a duplicate commit do, and the ``set_data`` apply
-that reuses one watch event per node.
+Every replica records every committed ``(session_id, cxid)`` in its one
+at-most-once table, ``apply_counts`` (duplicate-commit suppression must be
+identical everywhere), but the ``OpReply`` itself is built and kept only on
+the server that accepted the write — the one server its client can hear
+from. Every table stores the txn's own ``key`` tuple, so a write costs one
+request id however many replicas apply it. These tests pin that as counts
+and identities, not as host time: who holds which reply, how many replies
+and ids stay alive, what a retry and a duplicate commit do, and the
+``set_data`` apply that reuses one watch event per node.
 """
 
 import gc
@@ -74,14 +76,12 @@ def test_every_replica_keeps_the_key_only_the_origin_keeps_the_reply(stack):
     assert len(replicas) == (9 if stack == "wk" else 3)
     keys = {(client.session_id, cxid) for cxid in range(1, WRITES + 1)}
     for server in replicas:
-        held = {k for k in server._reply_cache if k[0] == client.session_id}
+        held = {k for k in server.apply_counts if k[0] == client.session_id}
         assert held == keys, server.name
     for key in sorted(keys):
-        holders = [
-            s for s in replicas if s._reply_cache[key] is not None
-        ]
+        holders = [s for s in replicas if key in s._replies]
         assert holders == [origin], key
-        assert isinstance(origin._reply_cache[key], OpReply)
+        assert isinstance(origin._replies[key], OpReply)
     # One retained reply per write, not one per write per replica.
     assert counted["after"] - counted["before"] == WRITES
 
@@ -112,7 +112,7 @@ def test_retry_at_the_origin_is_answered_from_the_cache():
     first = run_app(env, app())
     assert origin.replies_from_cache == 1
     assert [r.cxid for r in replies] == [1, 2, 2]
-    assert replies[-1] is origin._reply_cache[(client.session_id, 2)]
+    assert replies[-1] is origin._replies[(client.session_id, 2)]
     assert replies[-1].value == first
     for server in deployment.servers:
         assert server.apply_counts[(client.session_id, 2)] == 1
@@ -154,8 +154,7 @@ def test_duplicate_commit_of_a_follower_origin_txn_is_suppressed_everywhere():
     for server in deployment.servers:
         assert server.apply_counts[key] == 1
         assert server.duplicate_commits_suppressed >= 1
-        stored = server._reply_cache[key]
-        assert (stored is not None) == (server is follower)
+        assert (key in server._replies) == (server is follower)
     # The get_data reply (cxid 2) only: no server had a client waiting
     # for cxid 7.
     assert [e.body.cxid for e in replies[before:]] == [2]
@@ -177,7 +176,7 @@ def test_member_key_without_a_reply_fails_loudly_at_accept():
     other = next(
         s for s in deployment.servers if s.client_addr != client.server_addr
     )
-    assert key in other._reply_cache and other._reply_cache[key] is None
+    assert key in other.apply_counts and key not in other._replies
     accepted = other.writes_accepted
     with pytest.raises(RuntimeError, match="no reply stored"):
         other._accept_write(
@@ -257,11 +256,14 @@ def test_watch_registered_between_two_sets_fires_once():
 
 
 def test_apply_counts_evict_oldest_first_at_the_cap(monkeypatch):
+    """One table, one bound: a key leaves apply_counts oldest first, and
+    the origin's stored reply leaves with it."""
     limit = 4
-    monkeypatch.setattr(zk_server, "APPLY_COUNT_LIMIT", limit)
+    monkeypatch.setattr(zk_server, "REPLY_CACHE_LIMIT", limit)
     env, topo, net = fresh_world(seed=41)
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
+    origin = _bound_server(deployment, client)
 
     def app():
         yield client.connect()
@@ -277,3 +279,93 @@ def test_apply_counts_evict_oldest_first_at_the_cap(monkeypatch):
     for server in deployment.servers:
         assert list(server.apply_counts) == newest
         assert max(server.apply_counts.values()) == 1
+        assert list(server._replies) == (newest if server is origin else [])
+
+
+# -- one request id per write ----------------------------------------------
+
+
+def _logged_txns(server):
+    """Every client Txn in the replica's log, unwrapped from its WanTxn."""
+    return [getattr(entry.txn, "txn", entry.txn)
+            for entry in server.peer.log.snapshot()]
+
+
+def _member(table, key):
+    """The key object a dict or set actually stores for ``key``."""
+    return next(k for k in table if k == key)
+
+
+@pytest.mark.parametrize("stack", ["wk", "zk"])
+def test_every_table_holds_the_txns_own_key(stack):
+    env, topo, net = fresh_world(seed=43)
+    deployment = _deployment(stack, env, net, topo)
+    client = deployment.client(CALIFORNIA)
+
+    def app():
+        yield client.connect()
+        yield client.create("/id", b"0")
+        for i in range(1, WRITES):
+            yield client.set_data("/id", str(i).encode())
+        yield env.timeout(3000.0)  # replicate everywhere
+        return True
+
+    run_app(env, app())
+    replicas = deployment.servers
+    submit_tables = 0
+    for cxid in range(1, WRITES + 1):
+        key = (client.session_id, cxid)
+        ids = set()
+        for server in replicas:
+            (txn,) = [t for t in _logged_txns(server) if t.key == key]
+            assert _member(server.apply_counts, key) is txn.key, server.name
+            if stack == "wk":
+                assert _member(server._seen_wan_ids, key) is txn.key
+            if key in server.peer._recent_submits:  # a leader's dedup table
+                assert _member(server.peer._recent_submits, key) is txn.key
+                submit_tables += 1
+            ids.add(id(txn.key))
+        # The Txn travels by reference: one tuple on every replica.
+        assert len(ids) == 1, key
+    assert submit_tables >= WRITES
+
+
+def _live_request_ids(session_id):
+    """Distinct ``(session_id, cxid)`` tuples any live object refers to.
+
+    Tuples of a str and an int are untracked by the collector, so they
+    are found through the tracked containers and records that hold them.
+    """
+    gc.collect()
+    found = {}
+    for obj in gc.get_objects():
+        for ref in gc.get_referents(obj):
+            if (type(ref) is tuple and len(ref) == 2
+                    and type(ref[1]) is int and ref[0] == session_id):
+                found[id(ref)] = ref
+    return len(found)
+
+
+def test_n_writes_leave_n_request_id_tuples_on_wk(monkeypatch):
+    """Nine replicas, one tuple per write: about 21 per write before every
+    table keyed by the txn's own ``key``. The sentinel keeps its own
+    independent, unbounded tables, so it is off for this count."""
+    monkeypatch.setenv("REPRO_SENTINEL", "0")
+    writes = 40
+    env, topo, net = fresh_world(seed=45)
+    deployment = _deployment("wk", env, net, topo)
+    client = deployment.client(CALIFORNIA)
+    counted = {}
+
+    def app():
+        yield client.connect()
+        yield client.create("/n", b"0")
+        for i in range(1, writes):
+            yield client.set_data("/n", str(i).encode())
+        yield env.timeout(3000.0)  # replicate everywhere
+        counted["live"] = _live_request_ids(client.session_id)
+        return True
+
+    run_app(env, app())
+    assert len(deployment.servers) == 9
+    assert writes <= counted["live"] <= writes + 4, counted
