@@ -15,7 +15,8 @@ Checked invariants:
   windows where grants/recalls are in flight, and no site may hold a token
   while the hub serializes a write or grants a fractional read lease on it;
 * **zxid-monotonic** — each peer applies commits in strictly increasing
-  zxid order (reset on SNAP sync or restart, which legitimately replay);
+  zxid order, across restarts and SNAP installs (reset only for a peer
+  that replays its log from zero);
 * **committed-prefix** — all peers of one ensemble apply the *same*
   transaction at each committed zxid;
 * **object-order / object-agreement** (wpaxos substrate) — each peer
@@ -120,7 +121,7 @@ class InvariantSentinel:
         self.checks_run = 0
         self.violations = 0
         self._servers: List[Any] = []
-        # peer name -> last applied zxid (reset on SNAP/restart replay).
+        # peer name -> last applied zxid (reset only by a replay from zero).
         self._peer_applied: Dict[str, Any] = {}
         # (ensemble id, zxid) -> digest of the committed payload.
         self._committed: Dict[Tuple[int, Any], str] = {}
@@ -187,7 +188,8 @@ class InvariantSentinel:
             )
 
     def on_peer_reset(self, peer) -> None:
-        """SNAP sync or restart: the peer legitimately replays from zero."""
+        """The peer legitimately replays its log from zero (a Zab peer
+        never does; the replay-from-zero references in tests do)."""
         self._peer_applied.pop(peer.name, None)
 
     # ------------------------------------------------------ wpaxos hooks
@@ -301,7 +303,8 @@ class InvariantSentinel:
             )
 
     def on_replica_reset(self, server) -> None:
-        """Server restart / SNAP tree reset: its apply history restarts."""
+        """The server's state machine replays from zero (``on_reset``): its
+        apply history restarts."""
         prefix = server.name
         stale = [key for key in self._applies if key[0] == prefix]
         for key in stale:

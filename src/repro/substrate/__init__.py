@@ -26,9 +26,11 @@ first alternate):
 * observer/learner hooks — non-voting members listed in
   ``config.observers`` follow the commit stream and serve reads;
 * snapshot-resync — a peer that rejoins or detects a gap brings itself
-  back to the committed prefix; ``on_reset(peer)`` fires if that resync
-  rewrites history (SNAP in zab) so the state machine above can rebuild
-  from zero;
+  back to the committed prefix. A restart either keeps the state
+  machine's state and resumes after the applied point (zab), or fires
+  ``on_reset(peer)`` so the state machine above resets, and replays from
+  zero (wpaxos). A zab learner too far behind takes the leader's
+  ``snapshot_state()`` through ``install_state(state)``;
 * observability — ``sentinel`` and ``_trace`` attributes (``None`` off),
   adopted by :mod:`repro.invariants` / :mod:`repro.trace`.
 

@@ -80,7 +80,7 @@ from repro.wankeeper.policy import ConsecutiveAccessPolicy, MigrationPolicy
 from repro.wankeeper.streams import GoBackN
 from repro.wankeeper.tokens import HubTokenState, SiteTokenState, token_keys
 from repro.zab.config import EnsembleConfig
-from repro.zab.peer import ZabPeer
+from repro.zab.peer import PeerState, ZabPeer
 from repro.zab.zxid import Zxid
 from repro.zk.ops import CloseSessionOp, SyncOp, Txn
 from repro.zk.protocol import OpRequest
@@ -195,6 +195,7 @@ class WanKeeperServer(ZkServer):
 
         self.peer.on_submit = self._on_forwarded_submit
         self.peer.on_leader_activated = self._on_wan_leader_activated
+        self.peer.on_state_change = self._on_peer_state
 
         # Metrics.
         self.local_commits = 0
@@ -235,6 +236,10 @@ class WanKeeperServer(ZkServer):
         self._hub = HubBroker(self)
         self._site_leaders: Dict[str, NodeAddress] = {}
         self._relays = {site: GoBackN() for site in self._absorbed_from_site}
+        # Per-destination filtered relay streams: only the acting hub
+        # leader reads them, so only it holds them (_hub_relay_streams
+        # builds them from _wan_history on first use).
+        self._relay_streams: Optional[Dict[str, List[WanTxn]]] = None
         self._accepts_in_flight: Set[str] = set()
         self._absorbing_counts: Dict[str, int] = {}
         # TokenReturns whose site's replicate stream we have not yet
@@ -283,9 +288,12 @@ class WanKeeperServer(ZkServer):
         super().crash()
 
     def restart(self) -> None:
-        # The peer will replay its durable log from zero: all replicated-
-        # derived WAN state must restart empty or it would double-count.
-        self._reset_wan_derived_state()
+        # The replicated-derived WAN state is kept, like the tree, at the
+        # peer's applied point. What the crash took is the leader's count
+        # of admitted writes and pending recalls, and the added sites heard
+        # of by heartbeat.
+        self.site_tokens = SiteTokenState(self.site, owned=self.site_tokens.owned)
+        self._relay_sites = self._founding_relay_sites()
         super().restart()
         # Volatile WAN state is gone with the crash; rebuild and resume
         # the WAN duties (probing, heartbeats, stream retransmission).
@@ -293,10 +301,35 @@ class WanKeeperServer(ZkServer):
         self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
 
     def _on_tree_reset(self, peer) -> None:
-        # A SNAP sync rewrites history: derived WAN state rebuilds from
-        # zero exactly like the tree does.
+        # A replay from zero: derived WAN state rebuilds exactly like the
+        # tree does.
         super()._on_tree_reset(peer)
         self._reset_wan_derived_state()
+        self._hub.queue.stale = True
+
+    def snapshot(self) -> Dict[str, Any]:
+        state = super().snapshot()
+        state.update(
+            wan_epoch=self.wan_epoch,
+            current_l2_site=self.current_l2_site,
+            # Only the replicated half: a learner has no admitted writes.
+            site_tokens=SiteTokenState(
+                self.site, owned=set(self.site_tokens.owned)
+            ),
+            hub_tokens=HubTokenState(dict(self.hub_tokens.location)),
+            _grant_counts=dict(self._grant_counts),
+            _seen_wan_ids=set(self._seen_wan_ids),
+            _wan_history=list(self._wan_history),
+            _absorbed_from_site=dict(self._absorbed_from_site),
+            _replicate_stream=list(self._replicate_stream),
+            _applied_relay_count=self._applied_relay_count,
+            token_history=list(self.token_history),
+        )
+        return state
+
+    def install(self, state: Dict[str, Any]) -> None:
+        super().install(state)
+        self._relay_sites = self._founding_relay_sites()
         self._hub.queue.stale = True
 
     def _reset_wan_derived_state(self) -> None:
@@ -319,14 +352,13 @@ class WanKeeperServer(ZkServer):
         # that overtook their grant on the relay stream.
         self._grant_counts: Dict[Tuple[str, str], int] = {}
         self._seen_wan_ids: Set[Tuple[str, int]] = set()
-        # Every applied WanTxn, in commit order (lets per-site relay
-        # streams be reconstructed for dynamically added sites).
+        # Every applied WanTxn, in commit order, on *every* server
+        # (symmetric) so any site can take over as hub: a hub leader's
+        # per-site relay streams are built from it.
         self._wan_history: List[WanTxn] = []
-        # Per-destination filtered relay streams, maintained by *every*
-        # server (symmetric) so any site can take over as hub.
-        self._relay_streams: Dict[str, List[WanTxn]] = {
-            site: [] for site in wan.sites if site != self.site
-        }
+        # The sites a hub leader relays to, in stream order: the founding
+        # sites, then any added site as its first heartbeat arrives.
+        self._relay_sites = self._founding_relay_sites()
         # Cumulative count of applied txns serialized at each other site.
         self._absorbed_from_site: Dict[str, int] = {
             site: 0 for site in wan.sites if site != self.site
@@ -339,8 +371,15 @@ class WanKeeperServer(ZkServer):
         #: site name or None (back at the hub).
         self.token_history: List[Tuple[float, str, Optional[str]]] = []
 
+    def _founding_relay_sites(self) -> List[str]:
+        return [site for site in self.wan.sites if site != self.site]
+
     def _on_wan_leader_activated(self, _peer: ZabPeer) -> None:
         self._reset_wan_leader_state()
+
+    def _on_peer_state(self, peer: ZabPeer) -> None:
+        if peer.state != PeerState.LEADING:
+            self._relay_streams = None  # only the acting hub leader holds them
 
     # ------------------------------------------------------------- routing
 
@@ -511,9 +550,11 @@ class WanKeeperServer(ZkServer):
         # Stream bookkeeping is symmetric (every server maintains it) so
         # any site can take over as hub after a level-2 failover.
         self._wan_history.append(wan_txn)
-        for site, stream in self._relay_streams.items():
-            if serialized_at != site:
-                stream.append(wan_txn)
+        streams = self._relay_streams
+        if streams is not None:  # we are the acting hub leader
+            for site, stream in streams.items():
+                if serialized_at != site:
+                    stream.append(wan_txn)
         if serialized_at == self.site:
             self._replicate_stream.append(wan_txn)
         else:
@@ -688,11 +729,22 @@ class WanKeeperServer(ZkServer):
                 WanAck(site, self._absorbed_from_site[site]),
             )
 
+    def _hub_relay_streams(self) -> Dict[str, List[WanTxn]]:
+        """Hub leader: each site's relay stream, built on first use."""
+        streams = self._relay_streams
+        if streams is None:
+            history = self._wan_history
+            streams = self._relay_streams = {
+                site: [txn for txn in history if txn.serialized_at != site]
+                for site in self._relay_sites
+            }
+        return streams
+
     def _flush_relays(self, rewind: bool = False) -> None:
         """Hub leader: push relay streams to each site (go-back-N)."""
         now = self.env.now
         window = self.wan.relay_window
-        for site, stream in self._relay_streams.items():
+        for site, stream in self._hub_relay_streams().items():
             sender = self._relays.get(site)
             leader = self._site_leaders.get(site)
             if sender is None or leader is None:
@@ -792,11 +844,13 @@ class WanKeeperServer(ZkServer):
         self._site_leaders[site] = msg.sender
         inventory_needed = self._failover.inventory_needed
         if site != self.site:
-            if site not in self._relay_streams:
+            streams = self._hub_relay_streams()
+            if site not in streams:
                 # A site added after this server started (paper §II-D: a
                 # new level-1 site joins with a fresh start and receives
                 # the full filtered history).
-                self._relay_streams[site] = [
+                self._relay_sites.append(site)
+                streams[site] = [
                     txn for txn in self._wan_history if txn.serialized_at != site
                 ]
             if site not in self._relays:

@@ -34,8 +34,8 @@ prefix from zero and anti-entropies the rest via ResyncReq.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -166,10 +166,10 @@ class WPaxosPeer:
         self._queued: Dict[str, List[Any]] = {}
         self._p2: Dict[Tuple[str, int], _P2] = {}
         self._gapped: Dict[str, None] = {}
-        # submit dedup id -> (obj, slot) for at-most-one-slot per request.
-        self._recent_submits: "OrderedDict[Tuple[Any, ...], Tuple[str, int]]" = (
-            OrderedDict()
-        )
+        # submit dedup id -> (obj, slot) for at-most-one-slot per request,
+        # and the ids oldest first for FIFO eviction.
+        self._recent_submits: Dict[Tuple[Any, ...], Tuple[str, int]] = {}
+        self._submit_order: Deque[Tuple[Any, ...]] = deque()
 
         # Hooks (substrate contract).
         self.on_commit = None
@@ -249,7 +249,8 @@ class WPaxosPeer:
         self._queued = {}
         self._p2 = {}
         self._gapped = {}
-        self._recent_submits = OrderedDict()
+        self._recent_submits = {}
+        self._submit_order = deque()
         self._ticker.stop()
 
     def restart(self) -> None:
@@ -365,9 +366,13 @@ class WPaxosPeer:
         return META_OBJECT
 
     def _note_submit(self, dedup: Tuple[Any, ...], obj: str, slot: int) -> None:
-        self._recent_submits[dedup] = (obj, slot)
-        while len(self._recent_submits) > SUBMIT_DEDUP_LIMIT:
-            self._recent_submits.popitem(last=False)
+        recent = self._recent_submits
+        if dedup not in recent:
+            order = self._submit_order
+            order.append(dedup)
+            if len(order) > SUBMIT_DEDUP_LIMIT:
+                del recent[order.popleft()]
+        recent[dedup] = (obj, slot)
 
     def _bump_epoch(self, n: int) -> None:
         if n > self.current_epoch:

@@ -111,9 +111,16 @@ class Trunc:
 
 @record
 class Snap:
-    """Leader -> follower: full log snapshot."""
+    """Leader -> follower: the leader's state at ``zxid``, then the log
+    ``entries`` above it.
+
+    ``state`` is a copy made for this one learner (the state machine's
+    ``snapshot()``); the learner takes it as its own.
+    """
 
     sender: NodeAddress
+    state: Any
+    zxid: Zxid
     entries: List[LogEntry]
 
 

@@ -5,6 +5,14 @@ completes, then LEADING or FOLLOWING (or OBSERVING for non-voting learners).
 The peer owns a durable transaction log; the replicated state machine above
 it registers ``on_commit`` and applies transactions in commit (zxid) order.
 
+The state machine's own state is the snapshot. Nothing applies to a crashed
+peer, so a restart keeps that state and resumes at the applied point (as
+ZooKeeper loads its latest snapshot and replays the log suffix; apply is
+deterministic). The log keeps only a suffix: applied entries more than
+:data:`DIFF_WINDOW` below the apply cursor are dropped, and a learner whose
+tail the log no longer reaches gets a SNAP — a copy of the leader's state
+(``snapshot_state``) that it takes with ``install_state``.
+
 Protocol structure follows Zab's four phases (election, discovery,
 synchronization, broadcast); see the package docstring for the mapping.
 """
@@ -12,7 +20,7 @@ synchronization, broadcast); see the package docstring for the mapping.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
@@ -48,6 +56,14 @@ __all__ = ["PeerState", "ZabPeer"]
 #: How many distinct forwarded-transaction ids a leader remembers for
 #: duplicate suppression (bounds memory; far above any in-flight window).
 SUBMIT_DEDUP_LIMIT = 4096
+
+#: How many applied entries a peer keeps below its apply cursor, so that a
+#: lagging learner still gets a DIFF rather than a SNAP (ZooKeeper's
+#: committedLog keeps 500). Compaction drops them in chunks, once the
+#: cursor passes twice this. The largest lag a learner syncs from in the
+#: tier-1 fault suites is 220 entries (docs/PERFORMANCE.md, "Bounded
+#: replica state").
+DIFF_WINDOW = 1024
 
 
 def submit_dedup_id(payload: Any) -> Optional[Tuple[Any, ...]]:
@@ -120,20 +136,25 @@ class ZabPeer:
         self.inbox = net.register(addr)
         self.inbox.consume(self._on_envelope)
 
-        # Durable state (survives crash/restart).
+        # Durable state (survives crash/restart): the log, the epochs, and
+        # the applied point the state machine above holds its state at.
         self.log = TxnLog()
         self.accepted_epoch = 0
         self.current_epoch = 0
+        self._last_applied = Zxid.ZERO
+        # Apply cursor: the position of the next entry to apply. Invariant:
+        # ``log.entries[_cursor - 1].zxid == _last_applied``, or zero when
+        # the applied point is the log's base.
+        self._cursor = 0
+        # True while _apply_up_to delivers: an on_commit that proposes on a
+        # one-voter ensemble applies inside it, and only the outermost call
+        # may compact the log under the cursor.
+        self._applying = False
 
         # Volatile state.
         self.state = PeerState.DOWN
         self.leader_addr: Optional[NodeAddress] = None
         self.last_committed = Zxid.ZERO
-        self._last_applied = Zxid.ZERO
-        # Apply cursor: how many log entries have been applied, i.e. the
-        # position of the next one. Invariant: zero with nothing applied,
-        # else ``log.entries[_cursor - 1].zxid == _last_applied``.
-        self._cursor = 0
         self._quorum = config.quorum_size
 
         # Election state.
@@ -148,8 +169,11 @@ class ZabPeer:
         self._acks: Dict[Zxid, Set[NodeAddress]] = {}
         self._proposed_at: Dict[Zxid, float] = {}
         # Recently proposed/forwarded txn ids (duplicate suppression for
-        # retransmitted SubmitRequests under lossy links).
-        self._recent_submits: "OrderedDict[Tuple[Any, ...], None]" = OrderedDict()
+        # retransmitted SubmitRequests under lossy links), and the same ids
+        # oldest first for FIFO eviction. A dict, not a set: under this
+        # churn a set's table grows to 4x its members.
+        self._recent_submits: Dict[Tuple[Any, ...], None] = {}
+        self._submit_order: Deque[Tuple[Any, ...]] = deque()
         # Never iterate these sets raw: set order is string hash order,
         # which varies per interpreter (PYTHONHASHSEED) and would leak
         # into the shared network jitter RNG's draw order. Fan-out loops
@@ -172,9 +196,11 @@ class ZabPeer:
 
         # Hooks.
         self.on_commit: Optional[Callable[[Zxid, Any], None]] = None
-        # Called when a SNAP rewrites history: the state machine above must
-        # reset to empty before commits are re-applied from zero.
-        self.on_reset: Optional[Callable[["ZabPeer"], None]] = None
+        # SNAP: the leader ships snapshot_state() -- a copy of its state
+        # machine's state at its applied point -- and a learner behind that
+        # point hands it to install_state(state).
+        self.snapshot_state: Optional[Callable[[], Any]] = None
+        self.install_state: Optional[Callable[[Any], None]] = None
         # If set, forwarded SubmitRequests are routed through this hook on
         # the leader instead of being proposed directly (WanKeeper inserts
         # its token check here, mirroring the paper's request processor).
@@ -237,18 +263,13 @@ class ZabPeer:
         self._ticker.stop()
 
     def restart(self) -> None:
-        """Restart after a crash; durable log and epochs are retained."""
+        """Restart after a crash; the log, the epochs and the applied point
+        are retained, and delivery resumes after the applied point."""
         if self._alive:
             raise RuntimeError(f"{self.name} is running")
         self.net.restart(self.addr)
         self.leader_addr = None
-        self.last_committed = Zxid.ZERO
-        self._last_applied = Zxid.ZERO
-        self._cursor = 0
-        if self.sentinel is not None:
-            # The durable log replays from zero; applied-zxid tracking
-            # restarts with it.
-            self.sentinel.on_peer_reset(self)
+        self.last_committed = self._last_applied
         self._reset_leader_state()
         self._alive = True
         self._last_leader_contact = self.env.now
@@ -294,7 +315,8 @@ class ZabPeer:
         self._pending = deque()
         self._acks = {}
         self._proposed_at = {}
-        self._recent_submits = OrderedDict()
+        self._recent_submits = {}
+        self._submit_order = deque()
         self._active_followers = set()
         self._active_observers = set()
         self._fanout_followers = ()
@@ -539,22 +561,20 @@ class ZabPeer:
         subsequent proposal/commit, closing the join-window gap.
         """
         sync_to = self.last_committed if self._broadcast_active else self.last_zxid
-        synced_entries = [
-            entry
-            for entry in self.log.entries_after(follower_last)
-            if entry.zxid <= sync_to
-        ]
+        log = self.log
         if follower_last <= sync_to:
-            if follower_last == Zxid.ZERO or self.log.contains(follower_last):
-                self._send(follower, Diff(self.addr, synced_entries))
+            # Below what the log still holds, or off our history: the
+            # learner takes our state at the applied point, then the
+            # suffix above it.
+            diff = follower_last == log.base or log.contains(follower_last)
+            start = follower_last if diff else self._last_applied
+            suffix = [e for e in log.entries_after(start) if e.zxid <= sync_to]
+            if diff:
+                self._send(follower, Diff(self.addr, suffix))
             else:
-                self._send(
-                    follower,
-                    Snap(
-                        self.addr,
-                        [e for e in self.log.snapshot() if e.zxid <= sync_to],
-                    ),
-                )
+                hook = self.snapshot_state
+                state = hook() if hook is not None else None
+                self._send(follower, Snap(self.addr, state, start, suffix))
         else:
             # Follower is ahead of our sync point: its extra entries were
             # never committed (quorum intersection); truncate them away.
@@ -624,19 +644,22 @@ class ZabPeer:
         if src != self.leader_addr:
             return
         self._last_leader_contact = self.env.now
-        self.log.replace_all(msg.entries)
-        # A snapshot may rewrite history below our applied point; the state
-        # machine is rebuilt from scratch by re-applying from zero.
-        self._last_applied = Zxid.ZERO
-        self._cursor = 0
-        self.last_committed = Zxid.ZERO
+        installed = msg.zxid > self._last_applied
+        if installed:
+            # Our state jumps to the leader's applied point. Everything we
+            # applied is committed, so it is inside the snapshot; a peer
+            # that applied past it (and a duplicate of this message) keeps
+            # its own state and only takes the log.
+            self._last_applied = msg.zxid
+            if self.install_state is not None:
+                self.install_state(msg.state)
+        self.log.replace_all(msg.entries, base=msg.zxid)
+        self._cursor = self.log.position_after(self._last_applied)
+        self.last_committed = self._last_applied
         if self._trace is not None:
-            self._trace.emit(self.env.now, "zab", "snap-reset", self.name,
-                             {"entries": len(msg.entries)})
-        if self.sentinel is not None:
-            self.sentinel.on_peer_reset(self)
-        if self.on_reset is not None:
-            self.on_reset(self)
+            self._trace.emit(self.env.now, "zab", "snap", self.name,
+                             {"zxid": str(msg.zxid), "installed": installed,
+                              "entries": len(msg.entries)})
 
     def _on_new_leader(self, src: NodeAddress, msg: NewLeader) -> None:
         if src != self.leader_addr:
@@ -722,11 +745,14 @@ class ZabPeer:
         return zxid
 
     def _remember_submit(self, dedup_id: Optional[Tuple[Any, ...]]) -> None:
-        if dedup_id is None:
+        recent = self._recent_submits
+        if dedup_id is None or dedup_id in recent:
             return
-        self._recent_submits[dedup_id] = None
-        while len(self._recent_submits) > SUBMIT_DEDUP_LIMIT:
-            self._recent_submits.popitem(last=False)
+        recent[dedup_id] = None
+        order = self._submit_order
+        order.append(dedup_id)
+        if len(order) > SUBMIT_DEDUP_LIMIT:
+            del recent[order.popleft()]
 
     def _retransmit_pending(self) -> None:
         """Re-propose pending transactions whose acks are overdue.
@@ -911,7 +937,8 @@ class ZabPeer:
 
         Walks forward from the apply cursor. The cursor is re-read after
         each delivery: ``on_commit`` may propose, and on a one-voter
-        ensemble that proposal commits and applies inside the call.
+        ensemble that proposal commits and applies inside the call. Only
+        the outermost call compacts the log, after its walk.
         """
         if zxid <= self._last_applied:
             return
@@ -923,6 +950,8 @@ class ZabPeer:
         entries = self.log.entries
         # Anything appended from here on is a newer proposal: past ``zxid``.
         end = len(entries)
+        outermost = not self._applying
+        self._applying = True
         while self._cursor < end:
             entry = entries[self._cursor]
             entry_zxid = entry.zxid
@@ -934,6 +963,13 @@ class ZabPeer:
             if self.sentinel is not None:
                 self.sentinel.on_peer_commit(self, entry_zxid, entry.txn)
             on_commit(entry_zxid, entry.txn)
+        if outermost:
+            self._applying = False
+            if self._cursor > 2 * DIFF_WINDOW:
+                # The state holds what we drop; keep a window for DIFFs.
+                drop = self._cursor - DIFF_WINDOW
+                self.log.drop_before(drop)
+                self._cursor = DIFF_WINDOW
 
     # -------------------------------------------------------------- liveness
 

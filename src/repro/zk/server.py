@@ -20,8 +20,8 @@ WanKeeper's level-1 broker extends this class and overrides the write path
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -50,6 +50,7 @@ from repro.zk.protocol import (
     SessionHeartbeat,
     WatchNotify,
 )
+from repro.zk.records import WatchEvent
 from repro.zk.sessions import SessionTracker
 from repro.zk.watches import WatchManager
 
@@ -93,7 +94,13 @@ class ZkServer:
             name=f"{self.name}.{substrate}",
         )
         self.peer.on_commit = self._on_commit
+        # A substrate peer either keeps the state machine's state across a
+        # restart and moves a lagging learner by state transfer (zab:
+        # snapshot_state / install_state), or replays its durable log from
+        # zero after on_reset (wpaxos). Each calls only the hooks it needs.
         self.peer.on_reset = self._on_tree_reset
+        self.peer.snapshot_state = self.snapshot
+        self.peer.install_state = self.install
 
         self.client_inbox = net.register(client_addr)
         self.client_inbox.consume(self._on_client_envelope)
@@ -101,9 +108,9 @@ class ZkServer:
         self.watches = WatchManager()
         # Session ids must stay unique across server incarnations (as in
         # ZooKeeper, where the id embeds the server epoch): apply_counts
-        # is rebuilt from the replayed durable log after a restart, so a
-        # reborn "owner#1" session would inherit the pre-crash session's
-        # cached replies and have its first writes acked without applying.
+        # outlives a restart, so a reborn "owner#1" session would inherit
+        # the pre-crash session's cached replies and have its first writes
+        # acked without applying.
         self._incarnation = 0
         self.sessions = SessionTracker(self._session_owner())
 
@@ -124,7 +131,8 @@ class ZkServer:
         # or retried request that committed already is never re-applied
         # anywhere: membership means "already committed", and at-most-once
         # means every count is 1. It is bounded at REPLY_CACHE_LIMIT keys,
-        # oldest first. _replies holds the OpReply of a key only where the
+        # evicted oldest first (_apply_order holds the keys in order).
+        # _replies holds the OpReply of a key only where the
         # txn's origin is this server, because the origin is the only
         # server that can ever send it: a client (ZkClient, FleetStation)
         # talks to exactly one server; session ids are namespaced by their
@@ -205,19 +213,17 @@ class ZkServer:
         if self._alive:
             raise RuntimeError(f"{self.name} is running")
         self.net.restart(self.client_addr)
-        # Volatile server state is gone; the tree is rebuilt by re-applying
-        # the durable log from zero as the peer rejoins.
-        self.tree = DataTree()
+        # Volatile server state is gone. The replicated state (the tree and
+        # the at-most-once table, with the origin's replies) is the
+        # snapshot: nothing applied while we were down, so it is still the
+        # state at the peer's applied point, and the peer resumes there
+        # (a substrate that replays from zero calls on_reset first).
         self.watches = WatchManager()
         self._incarnation += 1
         self.sessions = SessionTracker(self._session_owner())
         self._pending_writes = {}
-        # Rebuilt from the replayed log as commits re-apply from zero.
-        self._reset_at_most_once()
         self._inflight_txns = {}
         self._closing = set()
-        if self.sentinel is not None:
-            self.sentinel.on_replica_reset(self)
         self.peer.restart()
         self._alive = True
         self._session_ticker = Ticker(
@@ -476,18 +482,25 @@ class ZkServer:
                                      {"session": txn.op.session_id})
         self.commits_applied += 1
         outcome = self.tree.apply(txn.op, zxid, txn.session_id)
-        counts[key] = counts.get(key, 0) + 1
-        if len(counts) > REPLY_CACHE_LIMIT:
-            evicted, _count = counts.popitem(last=False)
-            if self._replies:
-                self._replies.pop(evicted, None)
+        count = counts.get(key)
+        if count is None:
+            counts[key] = 1
+            order = self._apply_order
+            order.append(key)
+            if len(order) > REPLY_CACHE_LIMIT:
+                evicted = order.popleft()
+                del counts[evicted]
+                if self._replies:
+                    self._replies.pop(evicted, None)
+        else:  # only with the reply cache disabled
+            counts[key] = count + 1
         if self._trace is not None:
             self._trace.emit(self.env.now, "zk", "apply", self.name,
                              {"session": txn.session_id, "cxid": txn.cxid,
                               "op": type(txn.op).__name__,
                               "ok": outcome.ok})
         if outcome.events and self.watches.has_watches:
-            self._fire_watches(outcome)
+            self._fire_watches(outcome.events)
         if self.sentinel is not None:
             self.sentinel.on_apply(self, txn, outcome)
         origin = txn.origin
@@ -511,12 +524,53 @@ class ZkServer:
 
     def _reset_at_most_once(self) -> None:
         """Empty the at-most-once table, as before the log's first entry."""
-        self.apply_counts: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        self.apply_counts: Dict[Tuple[str, int], int] = {}
+        self._apply_order: Deque[Tuple[str, int]] = deque()
         self._replies: Dict[Tuple[str, int], OpReply] = {}
 
-    def _fire_watches(self, outcome: ApplyOutcome) -> None:
+    # ------------------------------------------------------------- snapshots
+
+    def snapshot(self) -> Dict[str, Any]:
+        """A copy of the replicated state, attribute by attribute: what a
+        SNAP ships to a learner the leader's log no longer reaches."""
+        return {
+            "tree": self.tree.clone(),
+            "apply_counts": dict(self.apply_counts),
+            "_apply_order": deque(self._apply_order),
+        }
+
+    def install(self, state: Dict[str, Any]) -> None:
+        """Take a leader's :meth:`snapshot` (ours alone) as our state.
+
+        Sessions, pending writes and watches are this server's own and
+        stay. A watch fires for what changed under it. At-most-once holds
+        across the jump: our stored replies stay for the keys the new
+        table keeps, and a write we originated that committed inside the
+        snapshot -- one we hold no reply for, and never will -- expires its
+        session, so a retry meets SESSION_EXPIRED, not the table.
+        """
+        old_tree = self.tree
+        for name, value in state.items():
+            setattr(self, name, value)
+        counts = self.apply_counts
+        self._replies = {
+            key: reply for key, reply in self._replies.items() if key in counts
+        }
+        self._inflight_txns = {
+            key: routed
+            for key, routed in self._inflight_txns.items() if key not in counts
+        }
+        for key in [key for key in self._pending_writes if key in counts]:
+            del self._pending_writes[key]
+            self._expire_session(key[0])
+        if self.watches.has_watches:
+            self._fire_watches(self.watches.changes(old_tree, self.tree))
+        if self._trace is not None:
+            self._trace.emit(self.env.now, "zk", "install", self.name, None)
+
+    def _fire_watches(self, events: Sequence[WatchEvent]) -> None:
         trigger = self.watches.trigger
-        for event in outcome.events:
+        for event in events:
             for session_id, fired in trigger(event):
                 session = self.sessions.get(session_id)
                 if session is not None and not session.expired:
@@ -533,7 +587,7 @@ class ZkServer:
                     )
 
     def _on_tree_reset(self, _peer: Any) -> None:
-        """SNAP sync rewrote the log: rebuild the tree from zero.
+        """The peer replays its log from zero: so does the tree.
 
         The at-most-once table is derived from the commit stream, so it
         resets with it — a stale table would suppress the legitimate

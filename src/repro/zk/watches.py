@@ -84,6 +84,29 @@ class WatchManager:
             )
         return fired
 
+    def changes(self, old, new) -> List[WatchEvent]:
+        """What changed under the watched paths between two trees (a state
+        install jumps over the applies that would have fired them)."""
+        events: List[WatchEvent] = []
+        for path in sorted(self._data):
+            before, after = old.node(path), new.node(path)
+            if before is None:
+                if after is not None:
+                    events.append(WatchEvent(WatchType.NODE_CREATED, path))
+            elif after is None:
+                events.append(WatchEvent(WatchType.NODE_DELETED, path))
+            elif (before.czxid, before.mzxid) != (after.czxid, after.mzxid):
+                events.append(WatchEvent(WatchType.NODE_DATA_CHANGED, path))
+        for path in sorted(self._children):
+            before, after = old.node(path), new.node(path)
+            if before is None:
+                continue
+            if after is None:
+                events.append(WatchEvent(WatchType.NODE_DELETED, path))
+            elif (before.czxid, before.pzxid) != (after.czxid, after.pzxid):
+                events.append(WatchEvent(WatchType.NODE_CHILDREN_CHANGED, path))
+        return events
+
     def drop_session(self, session_id: str) -> None:
         """Remove all watches held by a session (client gone)."""
         for table, by_session in (

@@ -27,3 +27,16 @@ def zab_reference():
     reference_zab.register()
     yield reference_zab
     del SUBSTRATES["zab-reference"]
+
+
+@pytest.fixture
+def zab_replay():
+    """Register the product Zab peer with its replay-from-zero restart and
+    whole-log SNAP (``tests/reference_replay.py``) as substrate
+    ``"zab-replay"`` for one test."""
+    from repro.substrate import SUBSTRATES
+    from tests import reference_replay
+
+    reference_replay.register()
+    yield reference_replay
+    del SUBSTRATES["zab-replay"]

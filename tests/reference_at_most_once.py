@@ -29,7 +29,22 @@ class TwoTableAtMostOnce:
 
     def _reset_at_most_once(self):
         super()._reset_at_most_once()
+        self.apply_counts = OrderedDict()
         self._reply_cache = OrderedDict()
+
+    def snapshot(self):
+        state = super().snapshot()
+        state["apply_counts"] = OrderedDict(self.apply_counts)
+        state["_reply_cache"] = OrderedDict.fromkeys(self._reply_cache)
+        return state
+
+    def install(self, state):
+        # The replies this server stored stay for the keys that survive.
+        own = self._reply_cache
+        super().install(state)
+        cache = self._reply_cache
+        for key in cache:
+            cache[key] = own.get(key)
 
     def _accept_write(self, src, msg):
         key = (msg.session_id, msg.cxid)

@@ -1,0 +1,154 @@
+"""Replay from zero: the Zab restart and SNAP that state transfer replaced,
+kept as a differential oracle.
+
+Before a replica kept its state across a restart, ``ZabPeer.restart``
+reset the applied point to zero and the server re-applied the whole
+durable log; a SNAP shipped the leader's whole log (``WholeLogSnap``,
+the old ``Snap`` message) and the learner rebuilt its state by
+re-applying it from zero; and the log never dropped an entry.
+:class:`ReplayFromZero` restores exactly that over the product peer: the
+server above it is the product's, told to reset through ``on_reset`` (the
+hook a replaying substrate fires), so every difference between a world on
+``zab`` and one on ``zab-replay`` is the peer's.
+
+``tests/test_state_transfer_reference.py`` drives seeded twin worlds in
+lockstep and demands the same clients' histories, the same messages
+(a DIFF, a SNAP and a whole-log SNAP are each one sync message), the same
+trees and the same at-most-once tables. Registered by the tests as
+substrate ``"zab-replay"`` (:func:`register`) — nothing under ``src/``
+may import this.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List
+
+from repro.net.topology import NodeAddress
+from repro.substrate import SubstrateSpec, register_substrate
+from repro.zab.log import LogEntry
+from repro.zab.messages import Diff, NewLeader, Trunc
+from repro.zab.peer import ZabPeer
+from repro.zab.zxid import Zxid
+
+__all__ = ["ReplayFromZero", "ReplayZabPeer", "WholeLogSnap", "register"]
+
+
+@dataclass
+class WholeLogSnap:
+    """Leader -> follower: full log snapshot."""
+
+    sender: NodeAddress
+    entries: List[LogEntry]
+
+
+class ReplayFromZero:
+    """Mixin over :class:`ZabPeer`: restart and SNAP replay from zero."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._handlers[WholeLogSnap] = self._on_whole_log_snap
+        self.on_reset = None
+
+    def restart(self) -> None:
+        if self._alive:
+            raise RuntimeError(f"{self.name} is running")
+        self._last_applied = Zxid.ZERO
+        self._cursor = 0
+        if self.sentinel is not None:
+            # The durable log replays from zero; applied-zxid tracking
+            # restarts with it.
+            self.sentinel.on_peer_reset(self)
+        if self.on_reset is not None:
+            self.on_reset(self)
+        super().restart()
+
+    def _sync_follower(self, follower: NodeAddress, follower_last: Zxid) -> None:
+        sync_to = self.last_committed if self._broadcast_active else self.last_zxid
+        synced_entries = [
+            entry
+            for entry in self.log.entries_after(follower_last)
+            if entry.zxid <= sync_to
+        ]
+        if follower_last <= sync_to:
+            if follower_last == Zxid.ZERO or self.log.contains(follower_last):
+                self._send(follower, Diff(self.addr, synced_entries))
+            else:
+                self._send(
+                    follower,
+                    WholeLogSnap(
+                        self.addr,
+                        [e for e in self.log.entries if e.zxid <= sync_to],
+                    ),
+                )
+        else:
+            # Follower is ahead of our sync point: its extra entries were
+            # never committed (quorum intersection); truncate them away.
+            self._send(follower, Trunc(self.addr, sync_to))
+        self._send(follower, NewLeader(self.addr, self.current_epoch))
+        self._synced_to[follower] = sync_to
+        if self._broadcast_active:
+            # Join the recipient sets now; ship the in-flight tail.
+            if self.config.is_observer(follower):
+                self._active_observers.add(follower)
+                self._fanout_observers = tuple(sorted(self._active_observers))
+            else:
+                self._active_followers.add(follower)
+                self._fanout_followers = tuple(sorted(self._active_followers))
+            self._catch_up(follower)
+
+    def _on_whole_log_snap(self, src: NodeAddress, msg: WholeLogSnap) -> None:
+        if src != self.leader_addr:
+            return
+        self._last_leader_contact = self.env.now
+        self.log.replace_all(msg.entries)
+        # A snapshot may rewrite history below our applied point; the state
+        # machine is rebuilt from scratch by re-applying from zero.
+        self._last_applied = Zxid.ZERO
+        self._cursor = 0
+        self.last_committed = Zxid.ZERO
+        if self._trace is not None:
+            self._trace.emit(self.env.now, "zab", "snap-reset", self.name,
+                             {"entries": len(msg.entries)})
+        if self.sentinel is not None:
+            self.sentinel.on_peer_reset(self)
+        if self.on_reset is not None:
+            self.on_reset(self)
+
+    def _apply_up_to(self, zxid: Zxid) -> None:
+        """Deliver every logged entry up to ``zxid``; the log keeps all."""
+        if zxid <= self._last_applied:
+            return
+        on_commit = self.on_commit
+        if on_commit is None:
+            self._last_applied = zxid
+            self._cursor = self.log.position_after(zxid)
+            return
+        entries = self.log.entries
+        # Anything appended from here on is a newer proposal: past ``zxid``.
+        end = len(entries)
+        while self._cursor < end:
+            entry = entries[self._cursor]
+            entry_zxid = entry.zxid
+            if entry_zxid > zxid:
+                break
+            self._cursor += 1
+            self._last_applied = entry_zxid
+            self.commits_delivered += 1
+            if self.sentinel is not None:
+                self.sentinel.on_peer_commit(self, entry_zxid, entry.txn)
+            on_commit(entry_zxid, entry.txn)
+
+
+class ReplayZabPeer(ReplayFromZero, ZabPeer):
+    pass
+
+
+def register() -> None:
+    register_substrate(
+        SubstrateSpec(
+            "zab-replay", ReplayZabPeer, single_leader=True,
+            description="test oracle: Zab with replay-from-zero restart "
+            "and whole-log SNAP",
+        )
+    )

@@ -7,6 +7,12 @@ here, unchanged: hand-written zxid comparison dunders, a bisected log
 with a parallel packed-key list, the ``_on_envelope -> _dispatch ->
 handler`` double hop, and ``entries_range`` slicing per commit.
 
+Two things moved on since, and follow the product's contract rather than
+the verbatim copy: the server no longer resets its state machine before a
+restart, so :meth:`ZabPeer.restart` fires ``on_reset`` (this peer replays
+from zero); and ``Snap`` here is the whole-log message the product's
+state-transfer SNAP replaced.
+
 Slow, but the specification: ``tests/test_zab_commit_path.py`` runs the
 same seeded worlds over this and the product and demands the identical
 message sequence, commit sequences and kernel event count; the substrate
@@ -41,7 +47,6 @@ from repro.zab.messages import (
     Ping,
     Pong,
     Propose,
-    Snap,
     SubmitRequest,
     Trunc,
     UpToDate,
@@ -233,6 +238,17 @@ class TxnLog:
         return list(self._entries)
 
 
+# -- zab/messages.py --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Snap:
+    """Leader -> follower: full log snapshot."""
+
+    sender: NodeAddress
+    entries: List[LogEntry]
+
+
 # -- zab/peer.py ------------------------------------------------------------------
 
 
@@ -408,6 +424,8 @@ class ZabPeer:
             # The durable log replays from zero; applied-zxid tracking
             # restarts with it.
             self.sentinel.on_peer_reset(self)
+        if self.on_reset is not None:
+            self.on_reset(self)
         self._reset_leader_state()
         self._alive = True
         self._last_leader_contact = self.env.now

@@ -124,6 +124,9 @@ def test_reply_cache_disabled_restores_double_apply():
 
 
 def test_reply_cache_rebuilt_from_log_replay_on_restart():
+    """After a restart the table holds every committed key once: Zab keeps
+    it with the replica's state (it was rebuilt by replaying the log from
+    zero before state transfer; tests/reference_replay.py still does)."""
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
@@ -138,7 +141,7 @@ def test_reply_cache_rebuilt_from_log_replay_on_restart():
         follower.crash()
         yield env.timeout(500.0)
         follower.restart()
-        yield env.timeout(3000.0)  # rejoin + replay
+        yield env.timeout(3000.0)  # rejoin
         return follower
 
     follower = run_app(env, app())

@@ -7,7 +7,8 @@ cache beside a separately bounded count probe, tuples built per replica).
 Both run the same client schedule in lockstep, one slice of sim time at a
 time, on every stack we ship — wk x zab, zk x zab, zk x wpaxos — clean,
 and with 2 % loss and duplication on every WAN link, a leader crash and
-restart, (on zab) a SNAP, and a committed write routed a second time.
+restart, (on zab, with the log window cut to 2 entries) a follower that
+rejoins by SNAP, and a committed write routed a second time.
 After each slice the sends, every replica's
 commit and apply sequence, the at-most-once counters and the kernel's
 event sequence must agree; at the end so must ``apply_counts`` and the
@@ -23,6 +24,7 @@ from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wankeeper import deployment as wk_deployment
 from repro.wankeeper.tokens import token_keys
+from repro.zab import peer as zab_peer
 from repro.zab.messages import Snap
 from repro.zk import ConnectionLossError, SessionExpiredError
 from repro.zk import deployment as zk_deployment
@@ -71,8 +73,11 @@ class World:
         self.sent = []
         net.tap(self._record_send)
         self.commits = {}
+        self.writes = []
+        self.installs = []
         for server in self.servers:
             self._record_commits(server)
+            self._record_installs(server)
         self.failures = 0
         # Under faults the clients give up on a reply early: their retries
         # reach the origin after the commit, or race it into a second one.
@@ -83,8 +88,11 @@ class World:
         ]
 
     def _record_send(self, envelope):
+        body = envelope.body
+        if isinstance(body, Snap):  # its state is a fresh copy per send
+            body = (Snap, body.sender, body.zxid, body.entries)
         self.sent.append((self.env.now, str(envelope.src), str(envelope.dst),
-                          repr(envelope.body)))
+                          repr(body)))
 
     def _record_commits(self, server):
         log = self.commits[server.name] = []
@@ -101,11 +109,20 @@ class World:
             log.append((env.now, "apply", txn.session_id, txn.cxid,
                         None if outcome is None else outcome.ok))
             if isinstance(txn.op, SetDataOp):
-                self.last_write = txn
+                self.writes.append(txn)
             return outcome
 
         server.peer.on_commit = committed
         server._commit_client_txn = applied
+
+    def _record_installs(self, server):
+        install = server.peer.install_state
+
+        def installed(state):
+            self.installs.append(server.name)
+            install(state)
+
+        server.peer.install_state = installed
 
     def _client(self, site, rng, creates_keys):
         env = self.env
@@ -159,34 +176,38 @@ class World:
         self.crashed.restart()
 
     def snap_a_follower(self):
-        """A SNAP from the leader to one follower: the follower's log is
-        replaced and its state machine replays from zero."""
+        """Crash one follower of the leader: with the log window at 2
+        entries it falls below the leader's log, and rejoins by SNAP."""
         leader = self._leader()
-        follower = next(
+        self.snapped = next(
             s for s in self.servers
             if s is not leader and s.is_alive
             and s.peer.leader_addr == leader.peer.addr
         )
-        entries = [e for e in leader.peer.log.snapshot()
-                   if e.zxid <= leader.peer.last_committed]
-        follower.peer._on_snap(leader.peer.addr, Snap(leader.peer.addr, entries))
-        self.snapped = follower.name
+        self.snapped.crash()
+
+    def rejoin_by_snap(self):
+        self.snapped.restart()
 
     def replay_a_committed_write(self):
         """Route the latest committed set_data again, as a re-routed
         in-flight write does after a leader change: it commits a second
         time and every replica must suppress it."""
-        txn = self.last_write
+        txn = self.writes[-1]
         if self.stack == "zk-wpaxos":
             # Any other voter takes it as new: it steals the object.
             router = next(s for s in self.servers if s.client_addr != txn.origin)
         elif self.stack == "wk-zab":
             # The token holder commits it at once; a hub *admit* would see
-            # the id in _seen_wan_ids and drop it.
+            # the id in _seen_wan_ids and drop it, and so would the hub a
+            # site forwards to while its grant is still on the way.
             hub = self.deployment.hub_leader
-            (key,) = token_keys(txn.op)
-            owner = hub.hub_tokens.where(key)
-            router = hub if owner is None else self.deployment.site_leader(owner)
+            for txn in reversed(self.writes):
+                (key,) = token_keys(txn.op)
+                owner = hub.hub_tokens.where(key)
+                router = hub if owner is None else self.deployment.site_leader(owner)
+                if owner is None or router.site_tokens.holds(key):
+                    break
         else:
             router = self._leader()
         router._route_write(txn)
@@ -239,8 +260,10 @@ def _lockstep(product, reference, until, cursors):
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
 @pytest.mark.parametrize("stack", STACKS)
-def test_one_table_matches_the_two_it_replaced(stack, faulty):
+def test_one_table_matches_the_two_it_replaced(stack, faulty, monkeypatch):
     seed = 61
+    if faulty:
+        monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
     product = World(stack, reference=False, seed=seed, faulty=faulty)
     reference = World(stack, reference=True, seed=seed, faulty=faulty)
     twins = (product, reference)
@@ -252,10 +275,11 @@ def test_one_table_matches_the_two_it_replaced(stack, faulty):
         # back, a SNAP on zab, a committed write routed again, then repair
         # and a quiet tail.
         steps = [(0.0, "lossy"), (3000.0, "crash_leader"),
-                 (5500.0, "restart_crashed")]
+                 (5500.0, "restart_crashed"),
+                 (10000.0, "replay_a_committed_write"), (14000.0, "heal")]
         if stack != "zk-wpaxos":
-            steps.append((8000.0, "snap_a_follower"))
-        steps += [(10000.0, "replay_a_committed_write"), (14000.0, "heal")]
+            steps += [(8000.0, "snap_a_follower"), (13000.0, "rejoin_by_snap")]
+        steps.sort()
         for offset, action in steps:
             _lockstep(product, reference, start + offset, cursors)
             for world in twins:
@@ -283,4 +307,6 @@ def test_one_table_matches_the_two_it_replaced(stack, faulty):
         assert sum(s.replies_from_cache for s in product.servers) > 0
         assert all(max(s.apply_counts.values()) == 1 for s in product.servers)
         if stack != "zk-wpaxos":
-            assert product.snapped == reference.snapped
+            assert product.snapped.name == reference.snapped.name
+            assert product.snapped.name in product.installs
+            assert product.installs == reference.installs

@@ -114,12 +114,13 @@ class _ModelLog:
 
     def __init__(self):
         self.items = []  # [(zxid, txn)]
+        self.base = Zxid.ZERO  # the newest zxid dropped from the front
 
     def zxids(self):
         return [zxid for zxid, _txn in self.items]
 
     def last(self):
-        return self.items[-1][0] if self.items else Zxid.ZERO
+        return self.items[-1][0] if self.items else self.base
 
     def get(self, zxid):
         return next((txn for z, txn in self.items if z == zxid), None)
@@ -142,10 +143,10 @@ def _probe_zxids(rng, model):
 
 
 def test_txn_log_matches_a_sorted_list_model():
-    """append / truncate_after / replace_all / get / contains /
-    entries_after / position_after and a cursor walk, across epoch changes,
-    against a sorted-list model: positional lookup is an optimisation, not
-    a behaviour."""
+    """append / truncate_after / replace_all / drop_before / get /
+    contains / entries_after / position_after and a cursor walk, across
+    epoch changes, against a sorted-list model: positional lookup is an
+    optimisation, not a behaviour."""
     for seed in range(60):
         rng = random.Random(seed)
         log, model = TxnLog(), _ModelLog()
@@ -155,7 +156,7 @@ def test_txn_log_matches_a_sorted_list_model():
             where = f"seed {seed} step {step}"
             action = rng.random()
             if action < 0.55 or not model.items:
-                if model.items:
+                if model.items or model.base != Zxid.ZERO:
                     zxid = rng.choice(model.successors())
                 else:
                     zxid = Zxid(rng.randint(1, 3), rng.randint(1, 5))
@@ -183,18 +184,30 @@ def test_txn_log_matches_a_sorted_list_model():
                 # What the peer does after TRUNC: re-seek from what it applied.
                 applied = min(applied, model.last())
                 cursor = log.position_after(applied)
-            elif action < 0.88:
-                # A snapshot: a contiguous log of its own, any first entry.
+            elif action < 0.84:
+                # A snapshot: a contiguous log of its own, any first entry,
+                # above a base (the zxid its state stands at) or from zero.
                 source = TxnLog()
-                zxid = Zxid(rng.randint(1, 4), rng.randint(1, 9))
+                first = zxid = Zxid(rng.randint(1, 4), rng.randint(2, 9))
                 for index in range(rng.randint(0, 12)):
                     source.append(zxid, f"s{step}.{index}")
                     zxid = (
                         Zxid(zxid.epoch + 1, 1) if rng.random() < 0.3 else zxid.next()
                     )
-                log.replace_all(source.snapshot())
+                base = rng.choice([Zxid.ZERO, Zxid(first.epoch, first.counter - 1)])
+                log.replace_all(list(source), base=base)
                 model.items = [(e.zxid, e.txn) for e in source]
-                cursor, applied = 0, Zxid.ZERO
+                model.base = base
+                cursor, applied = 0, base
+            elif action < 0.90:
+                # Compaction: drop what the cursor has passed, some of it.
+                if cursor:
+                    drop = rng.randint(1, cursor)
+                    log.drop_before(drop)
+                    model.base = model.items[drop - 1][0]
+                    del model.items[:drop]
+                    cursor -= drop
+                    assert log.base == model.base, where
             else:
                 # Walk the cursor forward the way _apply_up_to does.
                 target = rng.choice(_probe_zxids(rng, model))
@@ -203,7 +216,7 @@ def test_txn_log_matches_a_sorted_list_model():
                     cursor += 1
                 assert applied == max(
                     [z for z in model.zxids() if z <= max(target, applied)],
-                    default=Zxid.ZERO,
+                    default=model.base,
                 ), where
             assert [e.zxid for e in log] == model.zxids(), where
             assert len(log) == len(model.items), where

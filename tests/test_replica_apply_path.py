@@ -288,7 +288,7 @@ def test_apply_counts_evict_oldest_first_at_the_cap(monkeypatch):
 def _logged_txns(server):
     """Every client Txn in the replica's log, unwrapped from its WanTxn."""
     return [getattr(entry.txn, "txn", entry.txn)
-            for entry in server.peer.log.snapshot()]
+            for entry in server.peer.log]
 
 
 def _member(table, key):

@@ -13,8 +13,9 @@ matter how differently it orders internally:
   before the proposer crashed are still delivered by every live replica
   afterwards, exactly once.
 * **Observer catch-up** — an observer (even one that crashed and
-  restarted) converges to the voters' delivery sequence; ``on_reset``
-  fires before a restarted replica's log replays from zero.
+  restarted) converges to the voters' delivery sequence. A restarted
+  replica either resumes after what it delivered (zab) or fires
+  ``on_reset`` and replays its log from zero (wpaxos, zab-reference).
 """
 
 import pytest
@@ -101,7 +102,7 @@ def record_commits(substrate, peers):
 
     for peer in peers:
         peer.on_commit = recorder(peer)
-        # Restart replays the durable log from zero: drop stale entries.
+        # A replay from zero re-delivers everything: drop stale entries.
         peer.on_reset = lambda p: logs[p.addr].clear()
     return logs
 
@@ -260,10 +261,8 @@ def test_observer_catch_up_through_crash(substrate):
     for i in range(5):
         submit_from(peers, VIRGINIA, PathTxn("/obs/k", f"missed-{i}"))
     env.run(until=env.now + 3000.0)
-    # Restart replays the durable log from zero; like ZkServer, the
-    # embedding layer resets its state machine before rejoining
-    # (``on_reset`` additionally covers mid-life snapshot rewrites).
-    logs[observer.addr].clear()
+    # The delivery log is the observer's state machine: it survives the
+    # crash, and a substrate that replays from zero clears it (on_reset).
     observer.restart()
     env.run(until=env.now + 6000.0)
     voters_view = tags(peers[0])

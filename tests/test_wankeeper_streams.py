@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
+from repro.wankeeper.messages import TokenReturn
 
 from tests.support import fresh_world, run_app
 
@@ -152,3 +153,63 @@ def test_token_return_after_recall_is_durable_across_site_restart():
     assert owned_after is False
     hub = deployment.hub_leader
     assert hub.hub_tokens.at_hub("/durable-return")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a TokenReturn names no grant: one that arrives after the hub granted "
+    "the key back to the same site is accepted again, and the hub believes "
+    "the token is home while the site owns it (single-token-ownership)"
+))
+def test_a_stale_token_return_after_a_regrant_is_refused():
+    env, topo, net = fresh_world(seed=7)
+    deployment = wankeeper(env, net, topo)
+    ca = deployment.client(CALIFORNIA)
+    fr = deployment.client(FRANKFURT)
+    returns = []
+    net.tap(lambda e: returns.append(e) if isinstance(e.body, TokenReturn) else None)
+
+    def app():
+        yield ca.connect()
+        yield fr.connect()
+        yield ca.create("/r", b"")
+        for _ in range(3):
+            yield ca.set_data("/r", b"ca")  # token -> CA
+        yield fr.set_data("/r", b"fr")  # recalled: CA returns it
+        yield env.timeout(1000.0)
+        for _ in range(3):
+            yield ca.set_data("/r", b"ca")  # granted back to CA
+        yield env.timeout(1000.0)
+        (stale,) = returns  # a duplicate of the one return, late
+        net.send(stale.src, stale.dst, stale.body)
+        yield env.timeout(1000.0)
+        return True
+
+    run_app(env, app())
+    assert "/r" in deployment.site_leader(CALIFORNIA).site_tokens.owned
+    assert deployment.hub_leader.hub_tokens.where("/r") == CALIFORNIA
+
+
+def test_relay_streams_live_only_on_the_acting_hub_leader():
+    """Built from the applied history on first use, in the founding sites'
+    order, and gone the moment the server stops leading."""
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo)
+    client = deployment.client(CALIFORNIA)
+
+    def app():
+        yield client.connect()
+        for i in range(5):
+            yield client.create(f"/live{i}", b"")
+            yield client.set_data(f"/live{i}", b"ca")
+        yield env.timeout(3000.0)
+        return True
+
+    run_app(env, app())
+    hub = deployment.hub_leader
+    streams = hub._relay_streams
+    assert list(streams) == [CALIFORNIA, FRANKFURT]
+    for site, stream in streams.items():
+        assert stream == [t for t in hub._wan_history if t.serialized_at != site]
+    assert all(s._relay_streams is None for s in deployment.servers if s is not hub)
+    hub.crash()
+    assert hub._relay_streams is None

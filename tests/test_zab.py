@@ -439,6 +439,8 @@ def test_log_replace_all_checks_order_and_holes():
         log.replace_all([LogEntry(Zxid(1, 2), "a"), LogEntry(Zxid(1, 2), "b")])
     with pytest.raises(ValueError, match="hole"):
         log.replace_all([LogEntry(Zxid(1, 2), "a"), LogEntry(Zxid(1, 4), "b")])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        log.replace_all([LogEntry(Zxid(1, 2), "a")], base=Zxid(1, 2))
     assert [e.txn for e in log] == ["old"]  # a refused snapshot changes nothing
     # A snapshot may open an epoch at any counter.
     log.replace_all(
@@ -450,27 +452,73 @@ def test_log_replace_all_checks_order_and_holes():
     log.append(Zxid(3, 5), "d")
     log.replace_all([])
     assert len(log) == 0 and log.last_zxid == Zxid.ZERO
+    # The log above a state snapshot: empty, its tail is the base, and
+    # only the base's successor may follow.
+    log.replace_all([], base=Zxid(4, 9))
+    assert len(log) == 0 and log.last_zxid == log.base == Zxid(4, 9)
+    with pytest.raises(ValueError):
+        log.append(Zxid(4, 11), "hole")
+    log.append(Zxid(4, 10), "e")
+    assert log.position_of(Zxid(4, 10)) == 0 and not log.contains(Zxid(4, 9))
+
+
+def test_log_drop_before_keeps_lookups_and_the_tail():
+    from repro.zab import TxnLog
+
+    log = TxnLog()
+    zxids = [Zxid(1, c) for c in range(1, 6)] + [Zxid(2, c) for c in range(1, 4)]
+    for zxid in zxids:
+        log.append(zxid, str(zxid))
+    log.drop_before(6)  # through (2, 1)
+    assert log.base == Zxid(2, 1) and [e.zxid for e in log] == zxids[6:]
+    assert [log.position_of(z) for z in zxids[6:]] == [0, 1]
+    assert not any(log.contains(z) for z in zxids[:6])
+    assert log._offsets.keys() == {2}  # epoch 1 is wholly gone
+    assert log.entries_after(log.base) == log.entries
+    assert [e.zxid for e in log.truncate_after(Zxid(2, 2))] == [Zxid(2, 3)]
+    assert [e.zxid for e in log.truncate_after(Zxid(2, 1))] == [Zxid(2, 2)]
+    assert len(log) == 0 and log.last_zxid == log.base
+    log.append(Zxid(2, 2), "again")
+    assert log.position_of(Zxid(2, 2)) == 0
+
+
+class _ListMachine:
+    """A state machine whose state is the list of txns it applied."""
+
+    def __init__(self, peer):
+        self.applied = []
+        self.installs = 0
+        peer.on_commit = lambda _zxid, txn: self.applied.append(txn)
+        peer.snapshot_state = lambda: list(self.applied)
+        peer.install_state = self.install
+
+    def install(self, state):
+        self.applied = state
+        self.installs += 1
 
 
 def applied_prefix_is_what_the_cursor_says(peer):
     entries = peer.log.entries
     if peer._cursor == 0:
-        return peer._last_applied == Zxid.ZERO
+        return peer._last_applied == peer.log.base
     return entries[peer._cursor - 1].zxid == peer._last_applied
 
 
-def test_apply_cursor_survives_trunc_snap_and_restart():
-    """TRUNC re-seeks the cursor, SNAP and restart reset it: after each,
-    commits resume from exactly the first entry not yet delivered."""
+def test_apply_cursor_survives_trunc_snap_and_restart(monkeypatch):
+    """TRUNC re-seeks the cursor, SNAP points it past the installed state,
+    restart keeps it: after each, commits resume from exactly the first
+    entry not yet delivered, and nothing is delivered twice."""
+    from repro.zab import peer as zab_peer
     from repro.zab.messages import Snap, Trunc
 
     env, topo, net = fresh()
     _config, peers = build_ensemble(env, net, topo)
     env.run(until=1000.0)
     leader = leader_of(peers)
-    follower = next(p for p in peers if p is not leader)
-    applied = []
-    follower.on_commit = lambda zxid, txn: applied.append(txn)
+    follower, lagging = [p for p in peers if p is not leader]
+    machines = {peer.addr: _ListMachine(peer) for peer in peers}
+    applied = machines[follower.addr].applied
+    lagging.crash()
     for i in range(6):
         leader.submit(f"t{i}")
     env.run(until=2000.0)
@@ -486,24 +534,36 @@ def test_apply_cursor_survives_trunc_snap_and_restart():
     # committed) must not leave the cursor past the end of the log.
     follower._on_trunc(leader.addr, Trunc(leader.addr, Zxid(epoch, 4)))
     assert follower._cursor == len(follower.log) == 4
-    # SNAP rewrites history: delivery restarts from the first entry.
-    del applied[:]
-    follower.on_reset = lambda peer: applied.append("reset")
-    follower._on_snap(leader.addr, Snap(leader.addr, leader.log.snapshot()))
-    assert follower._cursor == 0 and applied_prefix_is_what_the_cursor_says(follower)
-    leader.submit("t6")
-    env.run(until=3000.0)
-    assert applied == ["reset"] + [f"t{i}" for i in range(7)]
-    assert follower._cursor == 7 and applied_prefix_is_what_the_cursor_says(follower)
-    # Restart replays the durable log from zero, once.
-    del applied[:]
-    follower.crash()
-    env.run(until=3500.0)
-    follower.restart()
-    assert follower._cursor == 0
-    env.run(until=8000.0)
-    assert applied == [f"t{i}" for i in range(7)]
+    # A SNAP at our own applied point installs nothing: the log is the
+    # suffix above it, and delivery resumes after it.
+    follower._on_snap(leader.addr, Snap(leader.addr, ["not", "taken"],
+                                        leader._last_applied, []))
+    assert machines[follower.addr].installs == 0 and applied[-1] == "t5"
+    assert follower._cursor == 0 and follower.log.base == Zxid(epoch, 6)
     assert applied_prefix_is_what_the_cursor_says(follower)
+    # The leader's log keeps two entries below its cursor from here on:
+    # the crashed peer's empty tail falls below it, so it rejoins by SNAP.
+    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
+    for i in range(6, 9):
+        leader.submit(f"t{i}")
+    env.run(until=3000.0)
+    assert leader.log.base > Zxid.ZERO and len(leader.log) <= 4
+    lagging.restart()
+    env.run(until=8000.0)
+    expected = [f"t{i}" for i in range(9)]
+    assert machines[lagging.addr].installs == 1
+    assert [m.applied for m in machines.values()] == [expected] * 3
+    assert all(applied_prefix_is_what_the_cursor_says(p) for p in peers)
+    # Restart resumes at the cursor: nothing is delivered again.
+    cursor = follower._cursor
+    follower.crash()
+    env.run(until=8500.0)
+    follower.restart()
+    assert follower._cursor == cursor
+    leader.submit("t9")
+    env.run(until=14000.0)
+    assert [m.applied for m in machines.values()] == [expected + ["t9"]] * 3
+    assert all(applied_prefix_is_what_the_cursor_says(p) for p in peers)
 
 
 def test_commit_during_on_commit_is_delivered_once():
@@ -524,13 +584,37 @@ def test_commit_during_on_commit_is_delivered_once():
     peer.submit("a")
     peer.submit("b")
     assert delivered == ["a", "from-a", "b"]
-    # Replay after a restart walks several entries in one call.
-    del delivered[:]
-    peer.on_commit = lambda zxid, txn: delivered.append(txn)
+    # A restart resumes after the applied point: nothing is re-delivered.
     peer.crash()
     peer.restart()
     env.run(until=env.now + 1000.0)
-    assert delivered == ["a", "from-a", "b"]
+    peer.submit("c")
+    assert delivered == ["a", "from-a", "b", "c"]
+
+
+def test_compaction_waits_for_the_outermost_apply(monkeypatch):
+    """Compacting under a nested apply would shift the list the outer walk
+    indexes: a one-voter ensemble whose ``on_commit`` proposes applies
+    inside the call, and the log is cut only once the outer walk ends."""
+    from repro.zab import peer as zab_peer
+
+    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
+    env, topo, net = fresh()
+    _config, (peer,) = build_ensemble(env, net, topo, voter_sites=(VIRGINIA,))
+    env.run(until=100.0)
+    delivered = []
+
+    def on_commit(zxid, txn):
+        delivered.append(txn)
+        if txn < 40 and txn % 2 == 0:
+            peer.submit(txn + 1)
+
+    peer.on_commit = on_commit
+    for txn in range(0, 40, 2):
+        peer.submit(txn)
+    assert delivered == list(range(40))
+    assert len(peer.log) <= 2 * 2 and not peer._applying
+    assert applied_prefix_is_what_the_cursor_says(peer)
 
 
 def test_ensemble_config_validation():

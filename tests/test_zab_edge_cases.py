@@ -89,12 +89,14 @@ def test_follower_with_divergent_uncommitted_tail_truncates():
     leader.crash()
     env.run(until=15000.0)
     new_leader = leader_of([p for p in peers if p.is_alive])
-    new_leader.submit("clean-entry")
+    clean = new_leader.submit("clean-entry")
     env.run(until=18000.0)
     orphan.restart()
     env.run(until=35000.0)
     assert all(e.txn != "orphan-entry" for e in orphan.log)
-    assert any(e.txn == "clean-entry" for e in orphan.log)
+    # Its tail is off the new leader's history, so it rejoined by SNAP:
+    # the clean entry is below its log, in the state it installed.
+    assert orphan.log.base >= clean and orphan._last_applied >= clean
     assert orphan.state == PeerState.FOLLOWING
 
 
