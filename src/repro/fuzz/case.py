@@ -54,6 +54,7 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.sim import Environment, seeded_rng
     from repro.trace import TraceBuffer, install_trace
     from repro.wankeeper import build_wankeeper_deployment
+    from repro.wankeeper.messages import TokenRecall
     from repro.zk import ConnectionLossError, SessionExpiredError
     from repro.zk.errors import ZkError
 
@@ -92,7 +93,15 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
         read_lease_ms=float(dep_spec["lease_ms"]),
     )
     if spec.get("bug") == "recall-race":
-        deployment.servers[0].wan.buggy_recall_race = True
+        # A wire fault: every recall loses the grant counts it carries, so
+        # a site cannot tell a recall that overtook its grant on the relay
+        # stream. It answers "not owned", the hub re-grants the key
+        # elsewhere, and the delayed grant lands later: two owners.
+        def erase_grant_counts(envelope) -> None:
+            if type(envelope.body) is TokenRecall:
+                envelope.body = TokenRecall(envelope.body.keys)
+
+        net.tap(erase_grant_counts)
 
     # The oracle is not optional for fuzzing: attach the sentinel and a
     # big trace ring regardless of REPRO_SENTINEL, so in-process, worker,

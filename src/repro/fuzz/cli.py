@@ -106,6 +106,8 @@ def _replay(path: str, verbose: bool) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.fuzz.spec import BUG_KNOBS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         description="Coverage-guided fault-schedule fuzzing of the "
@@ -134,7 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-adversarial", action="store_true",
                         help="disable token-usurper / stale-leader actors")
     parser.add_argument("--bug", default=None,
-                        choices=["recall-race"],
+                        choices=BUG_KNOBS,
                         help="re-introduce a known bug (validation that "
                         "the fuzzer finds it)")
     parser.add_argument("--fail-on-findings", action="store_true",

@@ -20,6 +20,8 @@ import hashlib
 import json
 from typing import Any, Dict, List
 
+from repro.nemesis import Nemesis
+
 __all__ = [
     "SPEC_VERSION",
     "canonical_spec",
@@ -31,17 +33,8 @@ __all__ = [
 
 SPEC_VERSION = 1
 
-#: Fault kinds a schedule entry may use (mirrors ScheduleNemesis.KINDS;
-#: asserted equal in the test suite so the two cannot drift apart).
-SCHEDULE_KINDS = (
-    "crash",
-    "partition",
-    "oneway-partition",
-    "flaky-link",
-    "gray-degrade",
-    "token-usurper",
-    "stale-leader",
-)
+#: Fault kinds a schedule entry may use: the ones the nemesis executes.
+SCHEDULE_KINDS = Nemesis.KINDS
 
 #: Known re-introducible bug knobs (see docs/FUZZING.md).
 BUG_KNOBS = ("recall-race",)

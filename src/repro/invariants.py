@@ -26,9 +26,9 @@ Checked invariants:
 * **single-owner-exclusivity** (wpaxos substrate) — per object, at most
   one peer ever adopts a given ballot, and adopted ballots strictly
   increase — the steal-based analogue of single-token-ownership;
-* **no-double-apply** — with the reply cache enabled, no replica applies
-  the same ``(session_id, cxid)`` twice (the lossy-soak check, generalized
-  into an always-on hook);
+* **no-double-apply** — no replica applies the same ``(session_id,
+  cxid)`` twice (the lossy-soak check, generalized into an always-on
+  hook);
 * **reply-coherence** — every replica's first apply of a given
   ``(session_id, cxid)`` has the same outcome, compared as the
   client-visible reply it stands for (modulo per-ensemble zxids in
@@ -278,17 +278,12 @@ class InvariantSentinel:
             self._applies[apply_key] = [op_digest, 1]
         else:
             record[1] += 1
-            if server.reply_cache_enabled:
-                self._fail(
-                    "no-double-apply",
-                    f"{server.name} applied ({txn.session_id!r}, "
-                    f"cxid={txn.cxid}) {record[1]} times "
-                    f"(op {op_digest[:120]})",
-                )
-        if not server.reply_cache_enabled:
-            # Without at-most-once the same (session, cxid) legitimately
-            # re-applies with fresh results — nothing coherent to demand.
-            return
+            self._fail(
+                "no-double-apply",
+                f"{server.name} applied ({txn.session_id!r}, "
+                f"cxid={txn.cxid}) {record[1]} times "
+                f"(op {op_digest[:120]})",
+            )
         canonical = _canonical_reply(outcome)
         reply_key = (txn.session_id, txn.cxid)
         prior = self._replies.get(reply_key)

@@ -1,26 +1,27 @@
-"""Nemesis: scheduled, seeded fault injection for whole-system tests.
+"""Nemesis: seeded fault injection for whole-system tests, as a schedule.
 
-A :class:`Nemesis` runs alongside a deployment and injects faults from a
-seeded random schedule — server crashes and restarts, WAN partitions and
-heals, flaky links (loss + duplication), asymmetric one-way partitions,
-gray degradations (pathological delay), and two *adversarial* actors (a
-site leader that falsely claims token ownership, and a stale leader that
-keeps serving fractional-read leases it was told to drop) — while
-recording everything it did. Soak tests drive a workload under a nemesis
-and then check the global invariants (replica convergence, token
-exclusivity, history consistency) after a final quiet period.
+A fault is data: one JSON-plain schedule entry (``{"at", "kind", ...}``)
+that one executor, :meth:`Nemesis._apply_entry`, resolves against the live
+deployment and injects from outside the servers — server crashes and
+restarts, WAN partitions and heals, flaky links (loss + duplication),
+asymmetric one-way partitions, gray degradations (pathological delay), and
+two *adversarial* actors (a site leader that falsely claims token
+ownership, and a stale leader that keeps serving fractional-read leases it
+was told to drop) — while recording everything it did. Soak tests drive a
+workload under a nemesis and then check the global invariants (replica
+convergence, token exclusivity, history consistency) after a final quiet
+period.
 
-The design follows the Jepsen idea adapted to a deterministic simulator:
-because the schedule derives from the experiment seed, any failure found
-is perfectly reproducible. Each fault kind draws from its own *named
-substream* of the seed (see :func:`repro.sim.rng.seeded_rng`), so adding
-a new fault kind never reshuffles the schedules of the existing ones.
-
-:class:`ScheduleNemesis` replaces the probabilistic scheduler with an
-explicit declarative schedule — a sorted list of ``{"at", "kind", ...}``
-entries. It is the executor for the fuzzer's generated fault schedules
-(:mod:`repro.fuzz`) and for checked-in regression artifacts, and shares
-every injection primitive (and the quorum guard) with the random nemesis.
+:class:`Nemesis` draws one entry per interval from a seeded random mix and
+appends it to :attr:`Nemesis.schedule`, the run's replayable fault record.
+:class:`ScheduleNemesis` plays a declared schedule: the fuzzer's generated
+ones (:mod:`repro.fuzz`), checked-in regression artifacts, or a random
+run's record, which replays the run's faults in a fresh world of the same
+seed. The design follows the Jepsen idea adapted to a deterministic
+simulator: because the schedule derives from the experiment seed, any
+failure found is perfectly reproducible. Each fault kind draws from its own
+*named substream* of the seed (see :func:`repro.sim.rng.seeded_rng`), so
+adding a new fault kind never reshuffles the schedules of the existing ones.
 """
 
 from __future__ import annotations
@@ -33,8 +34,17 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.net.transport import LinkProfile
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.rng import seeded_rng
+from repro.wankeeper.fractional import StrongReads
 
 __all__ = ["FaultEvent", "Nemesis", "NemesisConfig", "ScheduleNemesis"]
+
+#: LinkProfile of a flaky-link entry that names no loss/duplicate.
+FLAKY_PROFILE = LinkProfile(loss=0.05, duplicate=0.05)
+#: Delay multiplier of a gray-degrade entry that names no factor.
+GRAY_DELAY_FACTOR = 8.0
+#: A drawn dwell is capped at this many times the mean, so tail draws stay
+#: bounded (e.g. below a failover timeout when that matters).
+REPAIR_CAP_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class FaultEvent:
     kind: str  # crash | restart | partition | heal | flaky-link | restore
     #        # | oneway-partition | oneway-heal | gray-degrade
     #        # | token-usurper | usurper-repair | stale-leader | stale-repair
+    #        # | skip (an entry its guard refused)
     target: str
     #: Optional structured payload (dwell, parameters); absent for events
     #: recorded by older call sites, so ``(e.time, e.kind, e.target)``
@@ -66,27 +77,9 @@ class NemesisConfig:
     oneway_partition_probability: float = 0.0
     #: Multiply a random link's latency (gray failure: up but very slow).
     gray_degrade_probability: float = 0.0
-    #: Adversarial: a site leader silently adds a token it was never
-    #: granted to its owned set and starts admitting local writes under it
-    #: (a Byzantine broker; the sentinel's exclusivity checks are the
-    #: oracle that must catch the resulting dual ownership).
-    token_usurper_probability: float = 0.0
-    #: Adversarial: a site leader acks fractional-read invalidations but
-    #: keeps serving (even expired) leases — the paper's §VI coherence
-    #: contract broken at the reader.
-    stale_leader_probability: float = 0.0
-    #: LinkProfile applied by flaky-link faults.
-    flaky_profile: LinkProfile = LinkProfile(loss=0.05, duplicate=0.05)
-    #: Delay multiplier applied by gray-degradation faults.
-    gray_delay_factor: float = 8.0
-    #: Mean dwell before a crash/partition is repaired (exponential,
-    #: capped at ``repair_cap_factor`` times the mean so tail draws stay
-    #: bounded — e.g. below a failover timeout when that matters).
+    #: Mean dwell before a fault is repaired (exponential, capped at
+    #: ``REPAIR_CAP_FACTOR`` times the mean).
     repair_after_ms: float = 6000.0
-    repair_cap_factor: float = 3.0
-    #: Never crash below this many live voters per ensemble (quorum guard);
-    #: the nemesis tests liveness under *tolerable* faults by default.
-    min_live_fraction: float = 0.6
     #: Never partition more than one site pair at a time (symmetric and
     #: one-way partitions count toward the same budget).
     max_active_partitions: int = 1
@@ -94,8 +87,49 @@ class NemesisConfig:
     max_active_degradations: int = 2
 
 
+class StaleReads(StrongReads):
+    """A site leader's strong reads, lying: it acks fractional-read
+    invalidations like an honest reader but keeps serving its leases,
+    expired ones too — the paper's §VI coherence contract broken at the
+    reader (the sentinel's lease-coherence check is the oracle)."""
+
+    def lease(self, path: str):
+        return self.leases.get(path)
+
+    def on_invalidate(self, src, msg) -> None:
+        leases = self.leases
+        super().on_invalidate(src, msg)
+        self.leases = leases
+
+    def expire(self) -> None:
+        leases = self.leases
+        super().expire()
+        self.leases = leases
+
+
+def _set_reads_class(server, cls) -> None:
+    """Turn the server's strong reads into ``cls`` in place. Its message
+    table binds their methods, so it is rebuilt. A server in "local" read
+    mode has none: the lie is told with nothing to tell it with."""
+    if server._reads is not None:
+        server._reads.__class__ = cls
+        server._wan_handlers = server._wan_handler_table()
+
+
 class Nemesis:
-    """Injects faults into a WanKeeper (or ZK) deployment on a schedule."""
+    """Injects faults into a WanKeeper (or ZK) deployment, drawing one
+    schedule entry per interval."""
+
+    #: Schedule entry kinds understood by :meth:`_apply_entry`.
+    KINDS = (
+        "crash",
+        "partition",
+        "oneway-partition",
+        "flaky-link",
+        "gray-degrade",
+        "token-usurper",
+        "stale-leader",
+    )
 
     def __init__(
         self,
@@ -108,7 +142,6 @@ class Nemesis:
         self.env = env
         self.net = net
         self.deployment = deployment
-        self.rng = rng
         # One draw from the caller's rng fixes this nemesis's identity;
         # every fault kind then gets its own named substream, so enabling
         # a new kind (or a kind drawing more numbers) never reshuffles the
@@ -116,6 +149,12 @@ class Nemesis:
         self._base_seed = rng.getrandbits(64)
         self._streams: Dict[str, random.Random] = {}
         self.config = config or NemesisConfig()
+        #: Every entry this nemesis played, in order: for the random
+        #: nemesis one per interval, a bare ``{"at"}`` where it drew none.
+        self.schedule: List[Dict[str, Any]] = []
+        self.keys: Tuple[str, ...] = ()
+        self.applied = 0
+        self.skipped = 0
         self.events: List[FaultEvent] = []
         self._down: List[Tuple[float, Any]] = []  # (repair_at, server)
         self._partitions: List[Tuple[float, str, str]] = []
@@ -128,6 +167,10 @@ class Nemesis:
             Tuple[float, str, str, Optional[LinkProfile]]
         ] = []
         self._stale: List[Tuple[float, Any]] = []  # (repair_at, server)
+        # server -> its HubBroker when the lie began. Any leadership
+        # change rebuilds the broker (and the strong reads with it), which
+        # ends the lie: it is on while the broker is the same.
+        self._lies: Dict[Any, Any] = {}
         self._usurped: List[Tuple[float, Any, str]] = []  # (at, server, key)
         self._proc = None
         self._active = False
@@ -168,6 +211,12 @@ class Nemesis:
             self._repair_usurped(server, key)
         self._usurped = []
 
+    def summary(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
+
     # ----------------------------------------------------------------- guts
 
     def _stream(self, name: str) -> random.Random:
@@ -190,6 +239,7 @@ class Nemesis:
             trace.emit(self.env.now, "nemesis", kind, "nemesis", detail)
 
     def _run(self):
+        start = self.env.now
         while self._active:
             try:
                 yield self.env.timeout(self.config.interval_ms)
@@ -198,35 +248,54 @@ class Nemesis:
             if not self._active:
                 return
             self._repair_due()
-            cfg = self.config
-            roll = self._stream("schedule").random()
-            threshold = cfg.crash_probability
+            # ScheduleNemesis adds ``at`` back to its start: for floats
+            # 0 <= start <= now that lands on now, so a replay of the
+            # record wakes at the same instants.
+            entry = self._draw(self.env.now - start)
+            self.schedule.append(entry)
+            self._apply_entry(entry)
+
+    def _draw(self, at: float) -> Dict[str, Any]:
+        """This interval's entry. The mix picks a kind, or none; the kind's
+        substream then picks targets in the live deployment, as the indices
+        :meth:`_apply_entry` resolves, and a dwell."""
+        entry: Dict[str, Any] = {"at": at}
+        cfg = self.config
+        roll = self._stream("schedule").random()
+        threshold = 0.0
+        for kind, probability in (
+            ("crash", cfg.crash_probability),
+            ("partition", cfg.partition_probability),
+            ("flaky-link", cfg.flaky_link_probability),
+            ("oneway-partition", cfg.oneway_partition_probability),
+            ("gray-degrade", cfg.gray_degrade_probability),
+        ):
+            threshold += probability
             if roll < threshold:
-                self._maybe_crash()
-                continue
-            threshold += cfg.partition_probability
-            if roll < threshold:
-                self._maybe_partition()
-                continue
-            threshold += cfg.flaky_link_probability
-            if roll < threshold:
-                self._maybe_flaky_link()
-                continue
-            threshold += cfg.oneway_partition_probability
-            if roll < threshold:
-                self._maybe_oneway_partition()
-                continue
-            threshold += cfg.gray_degrade_probability
-            if roll < threshold:
-                self._maybe_gray_degrade()
-                continue
-            threshold += cfg.token_usurper_probability
-            if roll < threshold:
-                self._maybe_token_usurper()
-                continue
-            threshold += cfg.stale_leader_probability
-            if roll < threshold:
-                self._maybe_stale_leader()
+                break
+        else:
+            return entry
+        rng = self._stream(kind)
+        sites = self._sites()
+        if kind == "crash":
+            site = rng.randrange(len(sites))
+            live = [s for s in self._servers_in(sites[site]) if s.is_alive]
+            if not live:
+                return entry
+            victim = live[rng.randrange(len(live))]
+            by_name = sorted(live, key=lambda s: s.name)
+            entry.update(kind=kind, site=site, victim=by_name.index(victim))
+        else:
+            if len(sites) < 2:
+                return entry
+            a, b = rng.sample(range(len(sites)), 2)
+            entry.update(kind=kind, a=a, b=b)
+        entry["dwell"] = self._dwell(rng)
+        return entry
+
+    def _dwell(self, rng: random.Random) -> float:
+        mean = self.config.repair_after_ms
+        return min(rng.expovariate(1.0 / mean), mean * REPAIR_CAP_FACTOR)
 
     def _repair_due(self) -> None:
         now = self.env.now
@@ -286,10 +355,10 @@ class Nemesis:
         self._log("restore", f"{site_a}~{site_b}")
 
     def _repair_stale_leader(self, server) -> None:
-        if getattr(server, "stale_reads", False):
-            server.stale_reads = False
+        if self._lies.pop(server, None) is server._hub:
+            _set_reads_class(server, StrongReads)
             if server._reads is not None:
-                server._reads.drop_leases()
+                server._reads.leases.clear()
             self._log("stale-repair", server.name)
 
     def _repair_usurped(self, server, key: str) -> None:
@@ -340,22 +409,100 @@ class Nemesis:
             if where is not None and where != site
         )
 
-    # ----------------------------------------------- injection primitives
+    # ------------------------------------------------------------- executor
     #
-    # Each _inject_* applies one fault if its guard allows it, logs it, and
-    # schedules the repair. The probabilistic _maybe_* drivers draw targets
-    # from their kind's substream; ScheduleNemesis calls the primitives
-    # directly with targets resolved from declarative schedule entries.
+    # _apply_entry resolves an entry's indices against the sorted live
+    # topology and hands the targets to one _inject_* primitive, which
+    # applies the fault if its guard allows it, logs it, and schedules
+    # the repair.
+
+    def _pick_site(self, index: Any) -> Optional[str]:
+        sites = self._sites()
+        if not sites:
+            return None
+        return sites[int(index) % len(sites)]
+
+    def _pick_pair(
+        self, entry: Dict[str, Any]
+    ) -> Optional[Tuple[str, str]]:
+        sites = self._sites()
+        if len(sites) < 2:
+            return None
+        a = sites[int(entry.get("a", 0)) % len(sites)]
+        b = sites[int(entry.get("b", 1)) % len(sites)]
+        if a == b:
+            b = sites[(sites.index(b) + 1) % len(sites)]
+        return a, b
+
+    def _apply_entry(self, entry: Dict[str, Any]) -> bool:
+        if "kind" not in entry:
+            return False  # an interval that drew no fault
+        kind = str(entry["kind"])
+        dwell = float(entry.get("dwell", self.config.repair_after_ms))
+        applied = False
+        if kind == "crash":
+            site = self._pick_site(entry.get("site", 0))
+            if site is not None:
+                live = sorted(
+                    (s for s in self._servers_in(site) if s.is_alive),
+                    key=lambda s: s.name,
+                )
+                if live:
+                    victim = live[int(entry.get("victim", 0)) % len(live)]
+                    applied = self._inject_crash(victim, dwell)
+        elif kind == "partition":
+            pair = self._pick_pair(entry)
+            if pair is not None:
+                applied = self._inject_partition(pair[0], pair[1], dwell)
+        elif kind == "oneway-partition":
+            pair = self._pick_pair(entry)
+            if pair is not None:
+                applied = self._inject_oneway(pair[0], pair[1], dwell)
+        elif kind == "flaky-link":
+            pair = self._pick_pair(entry)
+            if pair is not None:
+                profile = LinkProfile(
+                    loss=float(entry.get("loss", FLAKY_PROFILE.loss)),
+                    duplicate=float(
+                        entry.get("duplicate", FLAKY_PROFILE.duplicate)
+                    ),
+                )
+                applied = self._inject_flaky(pair[0], pair[1], profile, dwell)
+        elif kind == "gray-degrade":
+            pair = self._pick_pair(entry)
+            if pair is not None:
+                factor = float(entry.get("factor", GRAY_DELAY_FACTOR))
+                applied = self._inject_gray(pair[0], pair[1], factor, dwell)
+        elif kind == "token-usurper":
+            site = self._pick_site(entry.get("site", 0))
+            leader = self._site_leader(site) if site is not None else None
+            if leader is not None:
+                candidates = self._usurpable_keys(site)
+                if not candidates and self.keys:
+                    tokens = getattr(leader, "site_tokens", None)
+                    owned = tokens.owned if tokens is not None else set()
+                    candidates = sorted(set(self.keys) - owned)
+                if candidates:
+                    key = candidates[int(entry.get("key", 0)) % len(candidates)]
+                    applied = self._inject_token_usurper(leader, key, dwell)
+        elif kind == "stale-leader":
+            site = self._pick_site(entry.get("site", 0))
+            leader = self._site_leader(site) if site is not None else None
+            if leader is not None:
+                applied = self._inject_stale_leader(leader, dwell)
+        if applied:
+            self.applied += 1
+        else:
+            self.skipped += 1
+            self._log("skip", kind, {"entry": json.dumps(
+                entry, sort_keys=True, default=repr)})
+        return applied
 
     def _inject_crash(self, victim, dwell: float) -> bool:
         servers = self._servers_in(victim.site)
         live = [server for server in servers if server.is_alive]
         # Quorum guard: keep a strict majority of each ensemble alive.
-        min_keep = max(
-            len(servers) // 2 + 1,
-            int(len(servers) * self.config.min_live_fraction),
-        )
-        if victim not in live or len(live) - 1 < min_keep:
+        if victim not in live or len(live) - 1 < len(servers) // 2 + 1:
             return False
         victim.crash()
         self._log("crash", victim.name, {"dwell_ms": round(dwell, 3)})
@@ -389,6 +536,11 @@ class Nemesis:
         )
         self._oneway.append((self.env.now + dwell, src, dst))
         return True
+
+    def _nemesis_degraded(self, site_a: str, site_b: str) -> bool:
+        return any(
+            {site_a, site_b} == {a, b} for _at, a, b, _prev in self._degraded
+        )
 
     def _inject_flaky(
         self, site_a: str, site_b: str, profile: LinkProfile, dwell: float
@@ -457,104 +609,17 @@ class Nemesis:
         return True
 
     def _inject_stale_leader(self, leader, dwell: float) -> bool:
-        if getattr(leader, "stale_reads", None) is not False:
+        broker = getattr(leader, "_hub", None)
+        if broker is None or self._lies.get(leader) is broker:
             return False  # not a WanKeeper server, or already stale
-        leader.stale_reads = True
+        self._lies[leader] = broker
+        _set_reads_class(leader, StaleReads)
         self._log(
             "stale-leader", leader.name,
             {"site": leader.site, "dwell_ms": round(dwell, 3)},
         )
         self._stale.append((self.env.now + dwell, leader))
         return True
-
-    # ------------------------------------------------ probabilistic drivers
-
-    def _maybe_crash(self) -> None:
-        rng = self._stream("crash")
-        site = rng.choice(self._sites())
-        live = [s for s in self._servers_in(site) if s.is_alive]
-        if not live:
-            return
-        victim = rng.choice(live)
-        self._inject_crash(victim, self._dwell(rng))
-
-    def _maybe_partition(self) -> None:
-        rng = self._stream("partition")
-        link = self._pick_link(rng)
-        if link is None:
-            return
-        self._inject_partition(link[0], link[1], self._dwell(rng))
-
-    def _pick_link(
-        self, rng: Optional[random.Random] = None
-    ) -> Optional[Tuple[str, str]]:
-        rng = rng if rng is not None else self._stream("link")
-        sites = self._sites()
-        if len(sites) < 2:
-            return None
-        site_a, site_b = rng.sample(sites, 2)
-        return site_a, site_b
-
-    def _nemesis_degraded(self, site_a: str, site_b: str) -> bool:
-        return any(
-            {site_a, site_b} == {a, b} for _at, a, b, _prev in self._degraded
-        )
-
-    def _maybe_flaky_link(self) -> None:
-        rng = self._stream("flaky-link")
-        link = self._pick_link(rng)
-        if link is None:
-            return
-        self._inject_flaky(
-            link[0], link[1], self.config.flaky_profile, self._dwell(rng)
-        )
-
-    def _maybe_oneway_partition(self) -> None:
-        rng = self._stream("oneway-partition")
-        link = self._pick_link(rng)
-        if link is None:
-            return
-        self._inject_oneway(link[0], link[1], self._dwell(rng))
-
-    def _maybe_gray_degrade(self) -> None:
-        rng = self._stream("gray-degrade")
-        link = self._pick_link(rng)
-        if link is None:
-            return
-        self._inject_gray(
-            link[0], link[1], self.config.gray_delay_factor, self._dwell(rng)
-        )
-
-    def _maybe_token_usurper(self) -> None:
-        rng = self._stream("token-usurper")
-        site = rng.choice(self._sites())
-        leader = self._site_leader(site)
-        if leader is None:
-            return
-        candidates = self._usurpable_keys(site)
-        if not candidates:
-            return
-        key = rng.choice(candidates)
-        self._inject_token_usurper(leader, key, self._dwell(rng))
-
-    def _maybe_stale_leader(self) -> None:
-        rng = self._stream("stale-leader")
-        site = rng.choice(self._sites())
-        leader = self._site_leader(site)
-        if leader is None:
-            return
-        self._inject_stale_leader(leader, self._dwell(rng))
-
-    def _dwell(self, rng: Optional[random.Random] = None) -> float:
-        rng = rng if rng is not None else self._stream("dwell")
-        raw = rng.expovariate(1.0 / self.config.repair_after_ms)
-        return min(raw, self.config.repair_after_ms * self.config.repair_cap_factor)
-
-    def summary(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
 
 class ScheduleNemesis(Nemesis):
@@ -571,19 +636,9 @@ class ScheduleNemesis(Nemesis):
     — and deterministic — under shrinking and across topology mutations.
     Entries whose guard refuses (quorum, partition budget, dead target)
     are logged as ``skip`` events rather than silently dropped, so the
-    fuzzer's coverage signal sees them and shrinking stays honest.
+    fuzzer's coverage signal sees them and shrinking stays honest. An
+    entry without a kind only wakes the nemesis to service repairs.
     """
-
-    #: Schedule entry kinds understood by :meth:`_apply_entry`.
-    KINDS = (
-        "crash",
-        "partition",
-        "oneway-partition",
-        "flaky-link",
-        "gray-degrade",
-        "token-usurper",
-        "stale-leader",
-    )
 
     def __init__(
         self,
@@ -593,9 +648,8 @@ class ScheduleNemesis(Nemesis):
         schedule: Iterable[Dict[str, Any]],
         config: Optional[NemesisConfig] = None,
         keys: Iterable[str] = (),
-        rng: Optional[random.Random] = None,
     ):
-        super().__init__(env, net, deployment, rng or random.Random(0), config)
+        super().__init__(env, net, deployment, random.Random(0), config)
         self.schedule = sorted(
             (dict(entry) for entry in schedule),
             key=lambda e: (
@@ -605,8 +659,6 @@ class ScheduleNemesis(Nemesis):
             ),
         )
         self.keys = tuple(keys)
-        self.applied = 0
-        self.skipped = 0
 
     def _run(self):
         start = self.env.now
@@ -628,87 +680,3 @@ class ScheduleNemesis(Nemesis):
             except Interrupt:
                 return
             self._repair_due()
-
-    # ------------------------------------------------------------- resolve
-
-    def _pick_site(self, index: Any) -> Optional[str]:
-        sites = self._sites()
-        if not sites:
-            return None
-        return sites[int(index) % len(sites)]
-
-    def _pick_pair(
-        self, entry: Dict[str, Any]
-    ) -> Optional[Tuple[str, str]]:
-        sites = self._sites()
-        if len(sites) < 2:
-            return None
-        a = sites[int(entry.get("a", 0)) % len(sites)]
-        b = sites[int(entry.get("b", 1)) % len(sites)]
-        if a == b:
-            b = sites[(sites.index(b) + 1) % len(sites)]
-        return a, b
-
-    def _apply_entry(self, entry: Dict[str, Any]) -> bool:
-        kind = str(entry.get("kind", ""))
-        dwell = float(entry.get("dwell", self.config.repair_after_ms))
-        applied = False
-        if kind == "crash":
-            site = self._pick_site(entry.get("site", 0))
-            if site is not None:
-                live = sorted(
-                    (s for s in self._servers_in(site) if s.is_alive),
-                    key=lambda s: s.name,
-                )
-                if live:
-                    victim = live[int(entry.get("victim", 0)) % len(live)]
-                    applied = self._inject_crash(victim, dwell)
-        elif kind == "partition":
-            pair = self._pick_pair(entry)
-            if pair is not None:
-                applied = self._inject_partition(pair[0], pair[1], dwell)
-        elif kind == "oneway-partition":
-            pair = self._pick_pair(entry)
-            if pair is not None:
-                applied = self._inject_oneway(pair[0], pair[1], dwell)
-        elif kind == "flaky-link":
-            pair = self._pick_pair(entry)
-            if pair is not None:
-                profile = LinkProfile(
-                    loss=float(entry.get("loss", self.config.flaky_profile.loss)),
-                    duplicate=float(
-                        entry.get("duplicate", self.config.flaky_profile.duplicate)
-                    ),
-                )
-                applied = self._inject_flaky(pair[0], pair[1], profile, dwell)
-        elif kind == "gray-degrade":
-            pair = self._pick_pair(entry)
-            if pair is not None:
-                factor = float(
-                    entry.get("factor", self.config.gray_delay_factor)
-                )
-                applied = self._inject_gray(pair[0], pair[1], factor, dwell)
-        elif kind == "token-usurper":
-            site = self._pick_site(entry.get("site", 0))
-            leader = self._site_leader(site) if site is not None else None
-            if leader is not None:
-                candidates = self._usurpable_keys(site)
-                if not candidates and self.keys:
-                    tokens = getattr(leader, "site_tokens", None)
-                    owned = tokens.owned if tokens is not None else set()
-                    candidates = sorted(set(self.keys) - owned)
-                if candidates:
-                    key = candidates[int(entry.get("key", 0)) % len(candidates)]
-                    applied = self._inject_token_usurper(leader, key, dwell)
-        elif kind == "stale-leader":
-            site = self._pick_site(entry.get("site", 0))
-            leader = self._site_leader(site) if site is not None else None
-            if leader is not None:
-                applied = self._inject_stale_leader(leader, dwell)
-        if applied:
-            self.applied += 1
-        else:
-            self.skipped += 1
-            self._log("skip", kind, {"entry": json.dumps(
-                entry, sort_keys=True, default=repr)})
-        return applied

@@ -108,8 +108,8 @@ class StrongReads:
     can outlive it. Reads from the host server: ``env.now``, ``net.send``,
     ``client_addr`` / ``site`` / ``name``, ``wan``, ``tree``,
     ``site_tokens``, ``hub_tokens``, ``is_hub_site``, ``_l2_addr``,
-    ``_read_reply``, ``stale_reads``, ``_hub`` (queue, in-flight keys,
-    recalls), ``sentinel``, ``_trace``; it bumps ``reads_served``.
+    ``_read_reply``, ``_hub`` (queue, in-flight keys, recalls),
+    ``sentinel``, ``_trace``; it bumps ``reads_served``.
     """
 
     def __init__(self, host: Any) -> None:
@@ -142,9 +142,8 @@ class StrongReads:
             return
         leasing = host.wan.read_mode == "fractional" and isinstance(op, GetDataOp)
         if leasing:
-            lease = self.leases.get(op.path)
-            fresh = lease is not None and lease.expires > host.env.now
-            if lease is not None and (fresh or host.stale_reads):
+            lease = self.lease(op.path)
+            if lease is not None:
                 if host.sentinel is not None:
                     host.sentinel.on_lease_read(host, op.path, lease)
                 host.reads_served += 1
@@ -177,6 +176,13 @@ class StrongReads:
             ),
         )
 
+    def lease(self, path: str) -> Optional[LeaseEntry]:
+        """The cached lease a read of ``path`` may be served from."""
+        lease = self.leases.get(path)
+        if lease is not None and lease.expires > self.host.env.now:
+            return lease
+        return None
+
     def on_grant(self, src: NodeAddress, msg: ReadLeaseGrant) -> None:
         host = self.host
         pending = self.pending.pop(msg.request_id, None)
@@ -208,15 +214,11 @@ class StrongReads:
         keys = set(msg.keys)
         if host.sentinel is not None:
             host.sentinel.on_lease_invalidate_ack(host, keys)
-        if not host.stale_reads:
-            # A stale (adversarial) leader acks the invalidation like an
-            # honest one but keeps the leases — the §VI coherence contract
-            # broken at the reader; on_lease_read is the oracle.
-            self.leases = {
-                path: lease
-                for path, lease in self.leases.items()
-                if lease.key not in keys
-            }
+        self.leases = {
+            path: lease
+            for path, lease in self.leases.items()
+            if lease.key not in keys
+        }
         host.net.send(
             host.client_addr, src, ReadInvalidateAck(host.client_addr, msg.keys)
         )
@@ -233,16 +235,12 @@ class StrongReads:
             if filed < horizon:
                 del self.pending[request_id]
                 del self.request_of[(msg.session_id, msg.cxid)]
-        if self.leases and not self.host.stale_reads:
+        if self.leases:
             self.leases = {
                 path: lease
                 for path, lease in self.leases.items()
                 if lease.expires > now
             }
-
-    def drop_leases(self) -> None:
-        """Forget every cached lease (the nemesis's stale-leader repair)."""
-        self.leases.clear()
 
     # -- hub half -----------------------------------------------------------
 

@@ -115,13 +115,6 @@ class WanConfig:
     #: (every read serialized at the hub), "fractional" (§VI read tokens).
     read_mode: str = "local"
     read_lease_ms: float = 3000.0
-    #: Fault-injection knob (used by ``repro fuzz`` regression artifacts):
-    #: disable the recall-overtook-grant guard in ``_on_token_recall``,
-    #: re-introducing the dual-token race the lossy soak originally found
-    #: — a recall that overtakes its own grant on the relay stream gets
-    #: answered "not owned", the hub re-grants elsewhere, and the delayed
-    #: grant lands later: two owners.
-    buggy_recall_race: bool = False
     #: Extra per-request cost of the worker/master request processor and
     #: WAN-session bookkeeping. The paper measures ~0.1 ms higher read
     #: latency for WanKeeper vs ZooKeeper (§IV-A) and attributes it to
@@ -222,10 +215,6 @@ class WanKeeperServer(ZkServer):
 
     def _reset_wan_leader_state(self) -> None:
         """Leader-volatile state: each role's constructor is its reset."""
-        # Adversarial (nemesis-injected) flag: a stale leader acks
-        # fractional-read invalidations but keeps serving its leases. Any
-        # restart or leadership change ends the lie with the leadership.
-        self.stale_reads = False
         # Level-1 role: the hub, our stream to it, txns forwarded to it.
         self._l2_addr: Optional[NodeAddress] = None
         self._replicate = GoBackN()
@@ -653,7 +642,7 @@ class WanKeeperServer(ZkServer):
                 continue
             if key not in self.site_tokens.owned:
                 seen = self._grant_counts.get((key, self.site), 0)
-                if seen < expected.get(key, 0) and not self.wan.buggy_recall_race:
+                if seen < expected.get(key, 0):
                     # The recall overtook its grant on the relay stream:
                     # the token is still in flight to us. Answering
                     # "not owned" now would let the hub re-grant the key

@@ -140,9 +140,7 @@ class ZkServer:
         # SESSION_EXPIRED to a session it does not host before
         # _accept_write reads the table; and a suppressed duplicate commit
         # answers only _pending_writes, which only the accepting server
-        # (the origin) fills. A reply leaves with its key. Disable only to
-        # demonstrate the double-apply failure mode in tests.
-        self.reply_cache_enabled = True
+        # (the origin) fills. A reply leaves with its key.
         self._reset_at_most_once()
         # Writes this server routed whose commit has not yet arrived;
         # re-routed on the session ticker when overdue (a lost forward or a
@@ -369,25 +367,24 @@ class ZkServer:
     # ---------------------------------------------------------------- writes
 
     def _accept_write(self, src: NodeAddress, msg: OpRequest) -> None:
-        if self.reply_cache_enabled:
-            key = (msg.session_id, msg.cxid)
-            if key in self.apply_counts:
-                # A retry of a request that already committed: at-most-once
-                # — answer from the stored reply, never re-apply. Only a
-                # session's host accepts its writes, and it is their origin.
-                cached = self._replies.get(key)
-                if cached is None:
-                    raise RuntimeError(f"{self.name}: {key!r} committed with "
-                                       "no reply stored here; not re-submitting")
-                self.replies_from_cache += 1
-                self.net.send(self.client_addr, src, cached)
-                return
-            if key in self._pending_writes:
-                # Retry of an in-flight write: refresh the reply target;
-                # the inflight retransmitter re-routes if the first
-                # forward died on the wire.
-                self._pending_writes[key] = src
-                return
+        key = (msg.session_id, msg.cxid)
+        if key in self.apply_counts:
+            # A retry of a request that already committed: at-most-once
+            # — answer from the stored reply, never re-apply. Only a
+            # session's host accepts its writes, and it is their origin.
+            cached = self._replies.get(key)
+            if cached is None:
+                raise RuntimeError(f"{self.name}: {key!r} committed with "
+                                   "no reply stored here; not re-submitting")
+            self.replies_from_cache += 1
+            self.net.send(self.client_addr, src, cached)
+            return
+        if key in self._pending_writes:
+            # Retry of an in-flight write: refresh the reply target;
+            # the inflight retransmitter re-routes if the first
+            # forward died on the wire.
+            self._pending_writes[key] = src
+            return
         self.writes_accepted += 1
         if isinstance(msg.op, CloseSessionOp):
             # An expiry firing while this client-initiated close is in
@@ -401,8 +398,7 @@ class ZkServer:
             origin_site=self.site,
         )
         self._pending_writes[txn.key] = src
-        if self.reply_cache_enabled:
-            self._inflight_txns[txn.key] = (txn, self.env.now)
+        self._inflight_txns[txn.key] = (txn, self.env.now)
         self._route_write(txn)
 
     def _route_write(self, txn: Txn) -> None:
@@ -431,10 +427,9 @@ class ZkServer:
             op=op,
             origin_site=self.site,
         )
-        if self.reply_cache_enabled:
-            # System txns have no client to retry them; the inflight
-            # retransmitter is their only recovery from a lost forward.
-            self._inflight_txns[txn.key] = (txn, self.env.now)
+        # System txns have no client to retry them; the inflight
+        # retransmitter is their only recovery from a lost forward.
+        self._inflight_txns[txn.key] = (txn, self.env.now)
         self._route_write(txn)
 
     # ---------------------------------------------------------------- commits
@@ -456,7 +451,7 @@ class ZkServer:
         if self._inflight_txns:  # empty on a replica that accepts no writes
             self._inflight_txns.pop(key, None)
         counts = self.apply_counts
-        if self.reply_cache_enabled and key in counts:
+        if key in counts:
             self.duplicate_commits_suppressed += 1
             if self._trace is not None:
                 self._trace.emit(self.env.now, "zk", "dup-suppressed",
@@ -482,18 +477,14 @@ class ZkServer:
                                      {"session": txn.op.session_id})
         self.commits_applied += 1
         outcome = self.tree.apply(txn.op, zxid, txn.session_id)
-        count = counts.get(key)
-        if count is None:
-            counts[key] = 1
-            order = self._apply_order
-            order.append(key)
-            if len(order) > REPLY_CACHE_LIMIT:
-                evicted = order.popleft()
-                del counts[evicted]
-                if self._replies:
-                    self._replies.pop(evicted, None)
-        else:  # only with the reply cache disabled
-            counts[key] = count + 1
+        counts[key] = 1
+        order = self._apply_order
+        order.append(key)
+        if len(order) > REPLY_CACHE_LIMIT:
+            evicted = order.popleft()
+            del counts[evicted]
+            if self._replies:
+                self._replies.pop(evicted, None)
         if self._trace is not None:
             self._trace.emit(self.env.now, "zk", "apply", self.name,
                              {"session": txn.session_id, "cxid": txn.cxid,
@@ -512,8 +503,7 @@ class ZkServer:
                 error = outcome.error
                 reply = OpReply(txn.session_id, txn.cxid, False, None,
                                 error.code, error.path)
-            if self.reply_cache_enabled:
-                self._replies[key] = reply
+            self._replies[key] = reply
             # Reply if its client still waits here (none does for a system
             # txn or a retry the client abandoned).
             if self._pending_writes:
@@ -605,8 +595,7 @@ class ZkServer:
     def _session_tick(self) -> None:
         if self.is_serving:
             self._drain_deferred()
-            if self.reply_cache_enabled:
-                self._retry_inflight_writes()
+            self._retry_inflight_writes()
         for session in self.sessions.expired_sessions(self.env.now):
             self._expire_session(session.session_id)
 

@@ -9,8 +9,14 @@ built its own ``(session_id, cxid)`` tuples for both. ``TwoTableAtMostOnce``
 restores exactly that ``_accept_write`` / ``_commit_client_txn`` over the
 product servers; ``tests/test_at_most_once_reference.py`` drives seeded
 twin worlds — product and reference — in lockstep and demands identical
-sends, commits, counters and tables. Test-only — nothing under ``src/``
-may import this.
+sends, commits, counters and tables.
+
+``NoAtMostOnce`` is the other control: a server with at-most-once switched
+off, the way servers worked before the reply cache. A retry is submitted
+again, nothing re-routes a write whose forward was lost, and a duplicate
+commit applies again, so the sentinel's no-double-apply check must trip.
+A test installs it by monkeypatching the deployment module's server class.
+Test-only — nothing under ``src/`` may import this.
 """
 
 from collections import OrderedDict
@@ -48,18 +54,17 @@ class TwoTableAtMostOnce:
 
     def _accept_write(self, src, msg):
         key = (msg.session_id, msg.cxid)
-        if self.reply_cache_enabled:
-            if key in self._reply_cache:
-                cached = self._reply_cache[key]
-                if cached is None:
-                    raise RuntimeError(f"{self.name}: {key!r} committed with "
-                                       "no reply stored here; not re-submitting")
-                self.replies_from_cache += 1
-                self.net.send(self.client_addr, src, cached)
-                return
-            if key in self._pending_writes:
-                self._pending_writes[key] = src
-                return
+        if key in self._reply_cache:
+            cached = self._reply_cache[key]
+            if cached is None:
+                raise RuntimeError(f"{self.name}: {key!r} committed with "
+                                   "no reply stored here; not re-submitting")
+            self.replies_from_cache += 1
+            self.net.send(self.client_addr, src, cached)
+            return
+        if key in self._pending_writes:
+            self._pending_writes[key] = src
+            return
         self.writes_accepted += 1
         self._pending_writes[key] = src
         if isinstance(msg.op, CloseSessionOp):
@@ -71,15 +76,14 @@ class TwoTableAtMostOnce:
             op=msg.op,
             origin_site=self.site,
         )
-        if self.reply_cache_enabled:
-            self._inflight_txns[key] = (txn, self.env.now)
+        self._inflight_txns[key] = (txn, self.env.now)
         self._route_write(txn)
 
     def _commit_client_txn(self, zxid, txn):
         key = (txn.session_id, txn.cxid)
         if self._inflight_txns:
             self._inflight_txns.pop(key, None)
-        if self.reply_cache_enabled and key in self._reply_cache:
+        if key in self._reply_cache:
             self.duplicate_commits_suppressed += 1
             if self._trace is not None:
                 self._trace.emit(self.env.now, "zk", "dup-suppressed",
@@ -125,10 +129,9 @@ class TwoTableAtMostOnce:
                                 error.code, error.path)
         else:
             reply = None
-        if self.reply_cache_enabled:
-            self._reply_cache[key] = reply
-            while len(self._reply_cache) > REPLY_CACHE_LIMIT:
-                self._reply_cache.popitem(last=False)
+        self._reply_cache[key] = reply
+        while len(self._reply_cache) > REPLY_CACHE_LIMIT:
+            self._reply_cache.popitem(last=False)
         if reply is not None and self._pending_writes:
             client = self._pending_writes.pop(key, None)
             if client is not None:
@@ -141,4 +144,39 @@ class ReferenceZkServer(TwoTableAtMostOnce, ZkServer):
 
 
 class ReferenceWanKeeperServer(TwoTableAtMostOnce, WanKeeperServer):
+    pass
+
+
+class NoAtMostOnce:
+    """Mixin over a ``ZkServer``: at-most-once switched off."""
+
+    def _accept_write(self, src, msg):
+        self.writes_accepted += 1
+        if isinstance(msg.op, CloseSessionOp):
+            self._closing.add(msg.op.session_id)
+        txn = Txn(
+            session_id=msg.session_id,
+            cxid=msg.cxid,
+            origin=self.client_addr,
+            op=msg.op,
+            origin_site=self.site,
+        )
+        self._pending_writes[txn.key] = src
+        self._route_write(txn)
+
+    def _commit_client_txn(self, zxid, txn):
+        # Forget that the request committed, so it applies again.
+        if self.apply_counts.pop(txn.key, None) is not None:
+            self._apply_order.remove(txn.key)
+        return super()._commit_client_txn(zxid, txn)
+
+    def _retry_inflight_writes(self):
+        pass
+
+
+class NoAtMostOnceZkServer(NoAtMostOnce, ZkServer):
+    pass
+
+
+class NoAtMostOnceWanKeeperServer(NoAtMostOnce, WanKeeperServer):
     pass

@@ -10,11 +10,14 @@ one that keeps the reply itself — instead of being applied a second time.
 
 import pytest
 
+from repro.invariants import InvariantViolation
 from repro.net import CALIFORNIA, VIRGINIA, LinkProfile
 from repro.zk import ConnectionLossError, NodeExistsError, SetDataOp
+from repro.zk import deployment as zk_deployment
 from repro.zk.ops import Txn
 from repro.zk.protocol import OpReply, OpRequest
 
+from tests.reference_at_most_once import NoAtMostOnceZkServer
 from tests.support import fresh_world, plain_zk, run_app
 
 
@@ -91,13 +94,14 @@ def test_duplicate_route_suppressed_at_apply_layer():
         assert server.duplicate_commits_suppressed >= 1
 
 
-def test_reply_cache_disabled_restores_double_apply():
-    """The regression the cache fixes: with the cache off, a duplicate
-    committed txn is applied twice (the seed repo's behavior)."""
+def test_reply_cache_disabled_restores_double_apply(monkeypatch):
+    """The regression the cache fixes: on servers without at-most-once, a
+    duplicate committed txn applies twice (the seed repo's behavior), and
+    the sentinel's no-double-apply check trips on it."""
+    monkeypatch.setenv("REPRO_SENTINEL", "1")
+    monkeypatch.setattr(zk_deployment, "ZkServer", NoAtMostOnceZkServer)
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
-    for server in deployment.servers:
-        server.reply_cache_enabled = False
     client = deployment.client(VIRGINIA)
     leader = deployment.leader
 
@@ -117,10 +121,12 @@ def test_reply_cache_disabled_restores_double_apply():
         _data, stat = yield client.get_data("/twice")
         return stat
 
-    stat = run_app(env, app())
+    with pytest.raises(InvariantViolation) as caught:
+        run_app(env, app())
+    assert caught.value.invariant == "no-double-apply"
+    assert f"({client.session_id!r}, cxid=9999) 2 times" in caught.value.detail
+    _data, stat = deployment.leader.tree.get_data("/twice")
     assert stat.version == 2  # applied twice: the at-most-once violation
-    for server in deployment.servers:
-        assert server.apply_counts[(client.session_id, 9999)] == 2
 
 
 def test_reply_cache_rebuilt_from_log_replay_on_restart():
@@ -177,12 +183,11 @@ def test_retrying_write_survives_lossy_wan_without_double_apply():
 
 
 def test_old_fresh_cxid_retry_double_applies_without_cache():
-    """Satellite regression: the seed's retry style (new cxid per attempt,
-    no reply cache) applies a timed-out-but-committed write twice."""
+    """Satellite regression: the seed's retry style (a new cxid per
+    attempt, so the reply cache never recognises the retry) applies a
+    timed-out-but-committed write twice."""
     env, topo, net = fresh_world(seed=5)
     deployment = plain_zk(env, net, topo)
-    for server in deployment.servers:
-        server.reply_cache_enabled = False
     net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(loss=0.3))
     client = deployment.client(CALIFORNIA, request_timeout_ms=500.0)
 

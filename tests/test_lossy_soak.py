@@ -11,8 +11,15 @@ satisfy the global invariants:
 3. per-key linearizability of the write history against the final value;
 4. no-double-apply: every (session, cxid) applied at most once per replica.
 
-The same soak with the reply cache disabled demonstrably violates (4) —
-the at-most-once guarantee comes from the cache, not from luck.
+The same soak on servers without at-most-once
+(``tests/reference_at_most_once.py::NoAtMostOnce``) demonstrably violates
+(4): the online sentinel trips ``no-double-apply``. The guarantee comes
+from the cache, not from luck.
+
+Since the nemesis draws its faults as schedule entries,
+``tests/test_nemesis_schedule.py`` pins this soak's faults against the
+probabilistic scheduler it replaced and replays a soak from its recorded
+schedule.
 """
 
 import itertools
@@ -21,12 +28,15 @@ import random
 import pytest
 
 from repro.consistency import HistoryRecorder, check_causal, check_linearizable_per_key
+from repro.invariants import InvariantViolation
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.nemesis import Nemesis, NemesisConfig
 from repro.sim import seeded_rng
 from repro.wankeeper import build_wankeeper_deployment
+from repro.wankeeper import deployment as wk_deployment
 from repro.zk import ConnectionLossError, SessionExpiredError
 
+from tests.reference_at_most_once import NoAtMostOnceWanKeeperServer
 from tests.support import fresh_world, run_app
 
 SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
@@ -47,14 +57,12 @@ def _nemesis_config():
     )
 
 
-def run_lossy_soak(seed, reply_cache_enabled=True, request_timeout_ms=3000.0):
+def run_lossy_soak(seed, request_timeout_ms=3000.0):
     """Run the soak; returns (deployment, nemesis, history, failures)."""
     env, topo, net = fresh_world(seed=seed, jitter=0.1)
     deployment = build_wankeeper_deployment(env, net, topo)
     deployment.start()
     deployment.stabilize()
-    for server in deployment.servers:
-        server.reply_cache_enabled = reply_cache_enabled
     for site_a, site_b in itertools.combinations(SITES, 2):
         net.degrade(site_a, site_b, AMBIENT)
 
@@ -210,15 +218,16 @@ def test_lossy_soak_invariants_hold_with_reply_cache(seed):
     sentinel.final_check()
 
 
-def test_lossy_soak_without_reply_cache_double_applies():
-    """Control experiment: the identical soak with the reply cache off
-    fails the no-double-apply invariant — retried writes that had already
-    committed get applied again."""
-    deployment, _nemesis, _history, _indeterminate = run_lossy_soak(
-        3, reply_cache_enabled=False, request_timeout_ms=1200.0
+def test_lossy_soak_without_reply_cache_double_applies(monkeypatch):
+    """Control experiment: the identical soak on servers without
+    at-most-once fails the no-double-apply invariant — a retried write
+    that had already committed gets applied again, and the sentinel
+    trips."""
+    monkeypatch.setenv("REPRO_SENTINEL", "1")
+    monkeypatch.setattr(
+        wk_deployment, "WanKeeperServer", NoAtMostOnceWanKeeperServer
     )
-    worst = max(
-        max(server.apply_counts.values(), default=0)
-        for server in deployment.servers
-    )
-    assert worst >= 2, "expected at least one double-applied request"
+    with pytest.raises(InvariantViolation) as caught:
+        run_lossy_soak(3, request_timeout_ms=1200.0)
+    assert caught.value.invariant == "no-double-apply"
+    assert " 2 times " in caught.value.detail

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.nemesis import Nemesis, NemesisConfig
+from repro.nemesis import (
+    GRAY_DELAY_FACTOR,
+    REPAIR_CAP_FACTOR,
+    Nemesis,
+    NemesisConfig,
+)
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
 from repro.zk.errors import ZkError
@@ -159,16 +164,17 @@ def test_nemesis_double_start_rejected():
 
 
 def test_quorum_guard_enforces_strict_majority_regardless_of_fraction():
-    """min_live_fraction=0 must not let the guard crash below a strict
-    majority: the floor is len(servers)//2 + 1, always."""
+    """However many crashes a schedule asks for, the guard never crashes a
+    site below a strict majority: the floor is len(servers)//2 + 1."""
     env, topo, net = fresh_world(seed=9)
     deployment = build(env, net, topo)
     nemesis = Nemesis(
         env, net, deployment, random.Random(42),
-        NemesisConfig(min_live_fraction=0.0, repair_after_ms=1e9),
+        NemesisConfig(repair_after_ms=1e9),
     )
-    for _ in range(50):
-        nemesis._maybe_crash()
+    for index in range(50):
+        nemesis._apply_entry({"kind": "crash", "site": index, "victim": index})
+    assert nemesis.applied and nemesis.skipped
     for site in SITES:
         live = sum(1 for s in deployment.by_site[site] if s.is_alive)
         assert live >= 2, site  # strict majority of 3
@@ -179,11 +185,13 @@ def test_repair_dwell_respects_cap_factor():
     deployment = build(env, net, topo)
     nemesis = Nemesis(
         env, net, deployment, random.Random(7),
-        NemesisConfig(repair_after_ms=100.0, repair_cap_factor=2.0),
+        NemesisConfig(repair_after_ms=100.0),
     )
-    draws = [nemesis._dwell() for _ in range(500)]
-    assert all(0.0 < draw <= 200.0 for draw in draws)
-    assert max(draws) == 200.0  # the exponential tail actually hits the cap
+    rng = random.Random(7)
+    draws = [nemesis._dwell(rng) for _ in range(500)]
+    cap = 100.0 * REPAIR_CAP_FACTOR
+    assert all(0.0 < draw <= cap for draw in draws)
+    assert max(draws) == cap  # the exponential tail actually hits the cap
 
 
 def test_stop_and_repair_heals_all_fault_kinds():
@@ -199,12 +207,11 @@ def test_stop_and_repair_heals_all_fault_kinds():
             max_active_degradations=10,
         ),
     )
-    for _ in range(30):
-        nemesis._maybe_crash()
-        nemesis._maybe_partition()
-        nemesis._maybe_oneway_partition()
-        nemesis._maybe_flaky_link()
-        nemesis._maybe_gray_degrade()
+    for index in range(30):
+        for kind in ("crash", "oneway-partition", "partition", "flaky-link",
+                     "gray-degrade"):
+            nemesis._apply_entry({"kind": kind, "site": index, "victim": index,
+                                  "a": index, "b": index + 1})
     assert any(not s.is_alive for s in deployment.servers)
     assert net._partitions and net._oneway_partitions and net._link_profiles
 
@@ -233,13 +240,13 @@ def test_nemesis_degradation_restores_ambient_profile():
         env, net, deployment, random.Random(13),
         NemesisConfig(repair_after_ms=1e9, max_active_degradations=10),
     )
-    nemesis._maybe_gray_degrade()
-    nemesis._maybe_flaky_link()
+    nemesis._apply_entry({"kind": "gray-degrade", "a": 0, "b": 1})
+    nemesis._apply_entry({"kind": "flaky-link", "a": 1, "b": 2})
     grayed = [e.target for e in nemesis.events if e.kind == "gray-degrade"]
     assert grayed  # ambient profiles no longer block the new fault kinds
     site_a, site_b = grayed[0].split("~")
     profile = net.link_profile(site_a, site_b)
-    assert profile.delay_factor == nemesis.config.gray_delay_factor
+    assert profile.delay_factor == GRAY_DELAY_FACTOR
     assert profile.loss == ambient.loss  # ambient loss kept while gray
 
     nemesis.stop_and_repair()
@@ -409,8 +416,7 @@ def test_adversarial_actors_inject_revert_and_trace(monkeypatch):
     stale = by_kind["stale-leader"][0]
     assert stale.info["dwell_ms"] == 2000.0
     assert "stale-repair" in by_kind
-    for server in deployment.servers:
-        assert getattr(server, "stale_reads", False) is False
+    assert not nemesis._lies
 
     # FaultEvents are mirrored into the structured trace with their info.
     nemesis_trace = [e for e in trace.events() if e[2] == "nemesis"]
@@ -421,3 +427,44 @@ def test_adversarial_actors_inject_revert_and_trace(monkeypatch):
         e[5] for e in nemesis_trace if e[3] == "token-usurper"
     )
     assert usurp_detail["key"] == usurp.info["key"]
+
+
+def test_stale_leader_lies_until_its_repair_or_a_leader_reset(monkeypatch):
+    """The lie is a StaleReads swapped in from outside: it serves expired
+    leases and keeps them through an acked invalidation. Its repair swaps
+    the honest reads back without leases; a leader reset ends it first."""
+    monkeypatch.setenv("REPRO_SENTINEL", "0")  # the lie itself, no oracle
+    from repro.nemesis import ScheduleNemesis, StaleReads
+    from repro.wankeeper.fractional import (
+        LeaseEntry,
+        ReadInvalidate,
+        StrongReads,
+    )
+
+    env, topo, net = fresh_world(seed=9)
+    deployment = build(env, net, topo, read_mode="fractional")
+    nemesis = ScheduleNemesis(env, net, deployment, [])
+    leader = deployment.site_leader(CALIFORNIA)
+    hub = deployment.hub_leader
+    assert nemesis._inject_stale_leader(leader, 1000.0)
+    assert not nemesis._inject_stale_leader(leader, 1000.0)  # already lying
+    reads = leader._reads
+    assert type(reads) is StaleReads
+    assert leader._wan_handlers[ReadInvalidate] == reads.on_invalidate
+
+    reads.leases["/k"] = LeaseEntry("/k", "/k", (b"v", None), env.now - 1.0)
+    assert reads.lease("/k") is reads.leases["/k"]  # expired, still served
+    reads.on_invalidate(hub.client_addr, ReadInvalidate(("/k",)))
+    reads.expire()
+    assert "/k" in reads.leases
+
+    nemesis._repair_stale_leader(leader)
+    assert type(reads) is StrongReads and not reads.leases
+    assert leader._wan_handlers[ReadInvalidate] == reads.on_invalidate
+    assert [e.kind for e in nemesis.events] == ["stale-leader", "stale-repair"]
+
+    assert nemesis._inject_stale_leader(leader, 1000.0)
+    leader._reset_wan_leader_state()  # a leadership change
+    assert type(leader._reads) is StrongReads
+    nemesis._repair_stale_leader(leader)
+    assert [e.kind for e in nemesis.events][-1] == "stale-leader"

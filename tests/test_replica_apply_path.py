@@ -197,10 +197,10 @@ def test_diverging_outcomes_trip_reply_coherence(first, diverging):
     txn = Txn("s#1", 4, None, SetDataOp("/x", b"v"))
     sentinel = InvariantSentinel()
     for name in ("a", "b"):  # agreeing replicas are quiet
-        host = SimpleNamespace(name=name, reply_cache_enabled=True)
+        host = SimpleNamespace(name=name)
         sentinel.on_apply(host, txn, first)
     with pytest.raises(InvariantViolation) as caught:
-        host = SimpleNamespace(name="c", reply_cache_enabled=True)
+        host = SimpleNamespace(name="c")
         sentinel.on_apply(host, txn, diverging)
     assert caught.value.invariant == "reply-coherence"
     assert "cxid=4" in caught.value.detail

@@ -307,7 +307,6 @@ def _reads_host(site, l2_site="c"):
         tree=_Tree(),
         hub_tokens=HubTokenState(),
         site_tokens=SiteTokenState(site),
-        stale_reads=False,
         reads_served=0,
         _hub=hub,
         _l2_addr=_addr(l2_site),
