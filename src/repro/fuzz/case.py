@@ -54,7 +54,7 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.sim import Environment, seeded_rng
     from repro.trace import TraceBuffer, install_trace
     from repro.wankeeper import build_wankeeper_deployment
-    from repro.wankeeper.messages import TokenRecall
+    from repro.wankeeper.messages import TokenRecall, TokenReturn
     from repro.zk import ConnectionLossError, SessionExpiredError
     from repro.zk.errors import ZkError
 
@@ -93,13 +93,17 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
         read_lease_ms=float(dep_spec["lease_ms"]),
     )
     if spec.get("bug") == "recall-race":
-        # A wire fault: every recall loses the grant counts it carries, so
-        # a site cannot tell a recall that overtook its grant on the relay
-        # stream. It answers "not owned", the hub re-grants the key
-        # elsewhere, and the delayed grant lands later: two owners.
+        # A wire fault: every recall and return loses the grant counts it
+        # carries, so a site cannot tell a recall that overtook its grant
+        # on the relay stream. It answers "not owned", the hub re-grants
+        # the key elsewhere, and the delayed grant lands later: two owners.
+        # Nor can the hub tell a stale return from the one it awaits.
         def erase_grant_counts(envelope) -> None:
-            if type(envelope.body) is TokenRecall:
-                envelope.body = TokenRecall(envelope.body.keys)
+            body = envelope.body
+            if type(body) is TokenRecall:
+                envelope.body = TokenRecall(body.keys)
+            elif type(body) is TokenReturn:
+                envelope.body = TokenReturn(body.site, body.sender, body.keys, body.seq)
 
         net.tap(erase_grant_counts)
 

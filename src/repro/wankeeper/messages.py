@@ -195,12 +195,19 @@ class TokenReturn:
     before accepting the return: the return travels outside the go-back-N
     stream, so under loss it can overtake the very commits (e.g. the
     create of a returned key) the next hub-serialized write depends on.
+
+    ``grant_counts`` carries, per key, how many grants to this site the
+    site has applied — the grant being returned. A late or duplicated
+    return that arrives after the hub granted the key back to the same
+    site names an older grant, and the hub refuses it instead of taking
+    home a token the site owns again.
     """
 
     site: str
     sender: NodeAddress
     keys: Tuple[str, ...]
     seq: int = 0
+    grant_counts: Optional[Tuple[int, ...]] = None
 
 
 @record

@@ -664,7 +664,9 @@ class WanKeeperServer(ZkServer):
     def _return_tokens(self, keys: Tuple[str, ...]) -> None:
         """Level-1 leader: tell the hub ``keys`` are released."""
         returned = TokenReturn(
-            self.site, self.client_addr, keys, len(self._replicate_stream)
+            self.site, self.client_addr, keys, len(self._replicate_stream),
+            tuple(self._grant_counts.get((key, self.site), 0)
+                  for key in keys),  # lint: iteration-order-ok (Tuple)
         )
         if self.is_hub_site:
             # Self-recall completing at the hub: no network hop; accept the
@@ -696,11 +698,19 @@ class WanKeeperServer(ZkServer):
             if msg not in queue:
                 queue.append(msg)
             return
+        # A return of an older grant than the hub's last to this site is
+        # stale: the site owns the key again. A newer one is not: after a
+        # level-2 failover the new hub may never have seen the old hub's
+        # last grant to the site (inventory sync marks the owner, not the
+        # count).
+        counts = msg.grant_counts or (None,) * len(msg.keys)
         valid = tuple(
             key
-            for key in msg.keys  # lint: iteration-order-ok (Tuple)
+            for key, count in zip(msg.keys, counts)  # lint: iteration-order-ok (Tuple)
             if self.hub_tokens.where(key) == msg.site
             and key not in self._accepts_in_flight
+            and (count is None
+                 or count >= self._grant_counts.get((key, msg.site), 0))
         )
         if not valid:
             return

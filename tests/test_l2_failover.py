@@ -12,6 +12,7 @@ import pytest
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wankeeper.messages import WanWelcome
+from repro.zk.errors import BadVersionError
 
 from tests.support import fresh_world, run_app
 
@@ -83,6 +84,53 @@ def test_promotion_preserves_migrated_tokens_via_inventory():
         return new_hub.hub_tokens.where("/fr-token")
 
     assert run_app(env, app(), timeout_ms=600000.0) == FRANKFURT
+
+
+def test_a_token_granted_past_the_successor_comes_home_after_promotion():
+    """The old hub's last grant of a key reached the owning site but not
+    the successor, so the new hub counts one grant fewer than the site
+    does. The site's return names the newer grant; the new hub must take
+    it, or the key never comes home and writes that need it hang."""
+    env, topo, net = fresh_world()
+    deployment = wankeeper_with_failover(env, net, topo)
+    fr = deployment.client(FRANKFURT, request_timeout_ms=60000.0)
+    va = deployment.client(VIRGINIA, request_timeout_ms=60000.0)
+    ca = deployment.client(CALIFORNIA, request_timeout_ms=60000.0)
+
+    def app():
+        yield fr.connect()
+        yield va.connect()
+        yield ca.connect()
+        yield fr.create("/k", b"0")
+        for _ in range(3):
+            yield fr.set_data("/k", b"fr")  # grant 1 -> Frankfurt
+        yield env.timeout(500.0)
+        yield va.set_data("/k", b"va")  # recalled: Frankfurt returns it
+        yield env.timeout(500.0)
+        yield fr.set_data("/k", b"fr")  # first of two accesses
+        yield env.timeout(500.0)
+        # The second access carries grant 2. It reaches Frankfurt but
+        # never the successor; it fails, so the trees stay equal.
+        net.partition_one_way(VIRGINIA, CALIFORNIA)
+        try:
+            yield fr.set_data("/k", b"fr", version=999)
+        except BadVersionError:
+            pass
+        yield env.timeout(500.0)
+        assert "/k" in deployment.site_leader(FRANKFURT).site_tokens.owned
+        kill_site(deployment, VIRGINIA)
+        net.heal_all()
+        yield env.timeout(45000.0)
+        new_hub = deployment.hub_leader
+        assert new_hub.site == CALIFORNIA
+        assert new_hub.hub_tokens.where("/k") == FRANKFURT
+        site_count = deployment.site_leader(FRANKFURT)._grant_counts[("/k", FRANKFURT)]
+        assert new_hub._grant_counts[("/k", FRANKFURT)] < site_count
+        yield ca.set_data("/k", b"ca")  # recall, return, serialize
+        data, _ = yield ca.get_data("/k")
+        return data
+
+    assert run_app(env, app(), timeout_ms=600000.0) == b"ca"
 
 
 def test_local_writes_never_stop_during_failover():

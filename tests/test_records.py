@@ -67,7 +67,7 @@ DEFAULTS = {
     "WanHello": {"is_site_leader": True},
     "RemoteApply": {"to_origin": False},
     "TokenRecall": {"grant_counts": None},
-    "TokenReturn": {"seq": 0},
+    "TokenReturn": {"seq": 0, "grant_counts": None},
     "WanHeartbeat": {
         "live_sessions": (), "applied_relay_seq": 0, "owned_tokens": None,
     },

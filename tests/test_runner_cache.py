@@ -57,7 +57,8 @@ def test_clear_empties_cache(tmp_path):
     assert cache.stats()["entries"] == 2
     # What a writer killed mid-put leaves behind: swept, not counted.
     stray = tmp_path / "cache" / "ab" / "abcdef.dead-writer.tmp"
-    stray.parent.mkdir()
+    # Keys hash the source tree, so an entry may already live under "ab".
+    stray.parent.mkdir(exist_ok=True)
     stray.write_text('{"half": ')
     removed = cache.clear()
     assert removed == 2

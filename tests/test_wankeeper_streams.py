@@ -1,7 +1,5 @@
 """WAN stream machinery: replication ordering, dedup, leader handoff."""
 
-import pytest
-
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wankeeper.messages import TokenReturn
@@ -155,12 +153,11 @@ def test_token_return_after_recall_is_durable_across_site_restart():
     assert hub.hub_tokens.at_hub("/durable-return")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a TokenReturn names no grant: one that arrives after the hub granted "
-    "the key back to the same site is accepted again, and the hub believes "
-    "the token is home while the site owns it (single-token-ownership)"
-))
 def test_a_stale_token_return_after_a_regrant_is_refused():
+    """A return names the grant it returns (the site's grant count). A
+    late duplicate that arrives after the hub granted the key back to the
+    same site names an older grant; accepting it would leave the hub
+    believing the token is home while the site owns it."""
     env, topo, net = fresh_world(seed=7)
     deployment = wankeeper(env, net, topo)
     ca = deployment.client(CALIFORNIA)
