@@ -254,8 +254,15 @@ class InvariantSentinel:
                 )
         self._object_owner[owner_key] = (tuple(ballot), peer.name)
 
+    def on_object_install(self, peer, applied: Dict[str, int]) -> None:
+        """A WPaxos peer took a sender's state: each object in ``applied``
+        resumes at the given next slot."""
+        for obj, slot in applied.items():
+            self._object_applied[(peer.name, obj)] = slot
+
     def on_object_reset(self, peer) -> None:
-        """WPaxos peer restart: it replays its chosen prefix from zero."""
+        """The peer replays its chosen prefix from zero (a WPaxos peer
+        never does; the replay-from-zero reference in tests does)."""
         stale = [
             key for key in self._object_applied if key[0] == peer.name
         ]

@@ -26,11 +26,12 @@ first alternate):
 * observer/learner hooks — non-voting members listed in
   ``config.observers`` follow the commit stream and serve reads;
 * snapshot-resync — a peer that rejoins or detects a gap brings itself
-  back to the committed prefix. A restart either keeps the state
-  machine's state and resumes after the applied point (zab), or fires
-  ``on_reset(peer)`` so the state machine above resets, and replays from
-  zero (wpaxos). A zab learner too far behind takes the leader's
-  ``snapshot_state()`` through ``install_state(state)``;
+  back to the committed prefix. A restart keeps the state machine's
+  state and resumes after the applied point; a learner below the log
+  window another replica keeps takes that replica's ``snapshot_state()``
+  through ``install_state(state)``. ``on_reset(peer)`` (the state machine
+  resets, the log replays from zero) is fired only by the test oracles
+  that keep that older restart;
 * observability — ``sentinel`` and ``_trace`` attributes (``None`` off),
   adopted by :mod:`repro.invariants` / :mod:`repro.trace`.
 

@@ -23,6 +23,7 @@ __all__ = [
     "SubmitReq",
     "ResyncReq",
     "ResyncRsp",
+    "ResyncSnap",
 ]
 
 #: ``(n, owner_str)`` — lexicographic order; owner_str breaks ties.
@@ -124,4 +125,20 @@ class ResyncRsp:
     """Catch-up reply: chosen entries the requester was missing."""
 
     src: NodeAddress
+    entries: Tuple[Tuple[str, int, Ballot, Any], ...]
+
+
+@record
+class ResyncSnap:
+    """Catch-up reply by state, for a requester below the sender's window.
+
+    ``state`` is the sender's state machine at ``applied`` (a copy made
+    for this one requester, its ``snapshot_state()``); ``applied`` is the
+    sender's sorted ``(obj, next_slot)`` vector, and ``entries`` the
+    chosen entries it still holds, as in :class:`ResyncRsp`.
+    """
+
+    src: NodeAddress
+    state: Any
+    applied: Tuple[Tuple[str, int], ...]
     entries: Tuple[Tuple[str, int, Ballot, Any], ...]

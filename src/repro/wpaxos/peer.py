@@ -27,21 +27,30 @@ and lets every voter lead the objects it owns:
   global zxid monotonicity.
 
 Observers are pure learners: they receive Learns, follow the chosen
-stream, and forward writes to a voter. Crash/restart keeps the durable
-promise/accepted/chosen state; a rejoining peer re-applies its chosen
-prefix from zero and anti-entropies the rest via ResyncReq.
+stream, and forward writes to a voter.
+
+A peer's state machine is its snapshot, as under Zab. Nothing applies to
+a crashed peer, so a restart keeps the promises, the accepted entries,
+the applied point of every object and the state machine above them, and
+anti-entropies the rest via ResyncReq. The chosen log is a window: a peer
+keeps the entries of its last :data:`repro.zab.peer.DIFF_WINDOW` applies,
+plus each object's newest applied entry (a thief learns from it where
+the object's log ends). A requester below that window gets a ResyncSnap,
+the sender's ``snapshot_state()``, and takes it with ``install_state`` if
+the sender is at or above it on every object.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
 from repro.sim.kernel import Environment, Ticker
+from repro.zab import peer as zab_peer
 from repro.zab.config import EnsembleConfig
-from repro.zab.peer import PeerState, SUBMIT_DEDUP_LIMIT, submit_dedup_id
+from repro.zab.peer import PeerState, submit_dedup_id
 from repro.zab.zxid import Zxid
 from repro.wpaxos.messages import (
     Accept,
@@ -53,6 +62,7 @@ from repro.wpaxos.messages import (
     Reject,
     ResyncReq,
     ResyncRsp,
+    ResyncSnap,
     SubmitReq,
 )
 
@@ -145,21 +155,31 @@ class WPaxosPeer:
             SubmitReq: self._on_submit_req,
             ResyncReq: self._on_resync_req,
             ResyncRsp: self._on_resync_rsp,
+            ResyncSnap: self._on_resync_snap,
         }
         self.inbox = net.register(addr)
         self.inbox.consume(self._on_envelope)
 
-        # Durable state (survives crash/restart).
+        # Durable state (survives crash/restart), and the state machine
+        # above it, which holds every slot below _applied.
         self._promised: Dict[str, Ballot] = {}
         # obj -> slot -> (ballot, txn): accepted but not known chosen.
         self._accepted: Dict[str, Dict[int, Tuple[Ballot, Any]]] = {}
-        # obj -> slot -> (ballot, txn): the chosen (committed) log.
+        # obj -> slot -> (ballot, txn): the chosen log's window. Per object
+        # it holds every slot from _held_from(obj) up to _applied, and the
+        # chosen slots above a hole.
         self._chosen: Dict[str, Dict[int, Tuple[Ballot, Any]]] = {}
+        # obj -> next slot to apply: the contiguous chosen prefix.
+        self._applied: Dict[str, int] = {}
+        # obj -> the oldest slot the window holds (0 if none dropped); the
+        # slot below it stays in _chosen while it is the newest applied.
+        self._base: Dict[str, int] = {}
+        # The object of every apply the window holds, oldest first.
+        self._window: Deque[str] = deque()
         self.current_epoch = 0
 
         # Volatile state.
         self.state = PeerState.DOWN
-        self._applied: Dict[str, int] = {}  # obj -> contiguous chosen prefix
         self._owned: Dict[str, Ballot] = {}
         self._next_slot: Dict[str, int] = {}
         self._stealing: Dict[str, _Steal] = {}
@@ -171,9 +191,14 @@ class WPaxosPeer:
         self._recent_submits: Dict[Tuple[Any, ...], Tuple[str, int]] = {}
         self._submit_order: Deque[Tuple[Any, ...]] = deque()
 
-        # Hooks (substrate contract).
+        # Hooks (substrate contract). A requester below our window gets
+        # snapshot_state(); we take a sender's with install_state(state).
+        # on_reset is never fired here (the replay-from-zero oracle in the
+        # tests fires it).
         self.on_commit = None
         self.on_reset = None
+        self.snapshot_state = None
+        self.install_state = None
         self.on_submit = None
         self.on_state_change = None
         self.on_leader_activated = None
@@ -185,6 +210,7 @@ class WPaxosPeer:
         self.steals_rejected = 0
         self.proposals_retransmitted = 0
         self.duplicate_submits_dropped = 0
+        self.snapshots_installed = 0
 
         # Observability; None keeps every instrumentation point a no-op.
         self._trace = None
@@ -254,24 +280,16 @@ class WPaxosPeer:
         self._ticker.stop()
 
     def restart(self) -> None:
-        """Rejoin after a crash: replay the durable chosen log from zero,
-        then anti-entropy the committed suffix from the other members."""
+        """Rejoin after a crash: the state machine still holds every slot
+        below the applied points, so delivery resumes there; anti-entropy
+        the committed suffix from the other members."""
         if self._alive:
             raise RuntimeError(f"{self.name} is running")
         self.net.restart(self.addr)
         self._alive = True
-        self._applied = {}
-        if self.on_reset is not None:
-            # State machine resets to empty before the replay below
-            # re-delivers every chosen txn (same contract as Zab).
-            self.on_reset(self)
-        if self.sentinel is not None:
-            self.sentinel.on_object_reset(self)
         self._set_state(
             PeerState.OBSERVING if self.is_observer else PeerState.LEADING
         )
-        for obj in sorted(self._chosen):
-            self._apply_ready(obj)
         self._send_resync_request()
         self._ticker = Ticker(
             self.env, self.config.heartbeat_interval_ms, self._on_tick
@@ -370,7 +388,7 @@ class WPaxosPeer:
         if dedup not in recent:
             order = self._submit_order
             order.append(dedup)
-            if len(order) > SUBMIT_DEDUP_LIMIT:
+            if len(order) > zab_peer.SUBMIT_DEDUP_LIMIT:
                 del recent[order.popleft()]
         recent[dedup] = (obj, slot)
 
@@ -449,17 +467,16 @@ class WPaxosPeer:
             if self._trace is not None:
                 self._trace.emit(self.env.now, "wpaxos", "demote", self.name,
                                  {"obj": msg.obj, "to": str(msg.src)})
-        chosen = self._chosen.get(msg.obj, {})
-        chosen_above = tuple(
-            (slot, entry[0], entry[1])
-            for slot, entry in sorted(chosen.items())
-            if slot >= msg.applied
-        )
         self._send(
             msg.src,
             Promise(msg.obj, msg.ballot, self.addr,
-                    self._accepted_triples(msg.obj), chosen_above),
+                    self._accepted_triples(msg.obj),
+                    tuple(self._chosen_from(msg.obj, msg.applied))),
         )
+        if msg.applied < self._held_from(msg.obj):
+            # The stealer is below our window: our newest entry shows it
+            # where the log ends, and our state fills the hole.
+            self._send_snapshot(msg.src)
 
     def _record_promise(
         self,
@@ -527,10 +544,9 @@ class WPaxosPeer:
         ballot = steal.ballot
         self.steals_won += 1
         # Catch up on chosen entries promisers reported.
-        chosen = self._chosen.setdefault(obj, {})
-        for slot, entry in sorted(steal.chosen.items()):
-            if slot not in chosen:
-                chosen[slot] = entry
+        chosen = self._chosen_log(obj)
+        for slot, (entry_ballot, txn) in sorted(steal.chosen.items()):
+            self._record_chosen(obj, slot, entry_ballot, txn)
         self._owned[obj] = ballot
         if self.sentinel is not None:
             self.sentinel.on_object_owner(self, obj, ballot)
@@ -542,7 +558,12 @@ class WPaxosPeer:
         # highest-ballot value per slot (classic phase-1 recovery).
         floor = self._applied.get(obj, 0)
         if chosen:
-            floor = max(floor, max(chosen) + 1)
+            top = max(chosen)
+            if top >= floor:
+                # The promisers' windows start above our applied point:
+                # the hole below their entries is chosen; resync fills it.
+                self._gapped[obj] = None
+            floor = max(floor, top + 1)
         next_slot = floor
         for slot, (_, txn) in sorted(steal.accepted.items()):
             if slot < floor or slot in chosen:
@@ -569,7 +590,7 @@ class WPaxosPeer:
     def _phase2(self, obj: str, ballot: Ballot, slot: int, txn: Any) -> None:
         if self._promised.get(obj, ZERO_BALLOT) > ballot:
             return  # demoted mid-flight; the thief's recovery takes over
-        self._accepted.setdefault(obj, {})[slot] = (ballot, txn)
+        self._accept(obj, slot, ballot, txn)
         state = _P2(ballot, txn, self.addr, self.env.now)
         self._p2[(obj, slot)] = state
         zone_voters = self._zones.get(self.addr.site, ())
@@ -589,8 +610,16 @@ class WPaxosPeer:
             return  # stale owner; its Q2 can no longer form here
         self._promised[msg.obj] = ballot
         self._bump_epoch(ballot[0])
-        self._accepted.setdefault(msg.obj, {})[msg.slot] = (ballot, msg.txn)
+        self._accept(msg.obj, msg.slot, ballot, msg.txn)
         self._send(msg.src, Accepted(msg.obj, ballot, msg.slot, self.addr))
+
+    def _accept(self, obj: str, slot: int, ballot: Ballot, txn: Any) -> None:
+        """Record an accepted value, unless the slot is chosen already (a
+        late or duplicated Accept, or a stale owner's proposal): every
+        later Promise would carry it, and nothing would remove it."""
+        if slot < self._applied.get(obj, 0) or slot in self._chosen.get(obj, ()):
+            return
+        self._accepted.setdefault(obj, {})[slot] = (ballot, txn)
 
     def _on_accepted(self, msg: Accepted) -> None:
         state = self._p2.get((msg.obj, msg.slot))
@@ -610,12 +639,32 @@ class WPaxosPeer:
         self._choose(obj, slot, state.ballot, state.txn)
         self._fanout_learn(obj, slot, state.ballot, state.txn)
 
-    def _choose(self, obj: str, slot: int, ballot: Ballot, txn: Any) -> None:
-        chosen = self._chosen.setdefault(obj, {})
-        if slot in chosen:
-            return
+    def _chosen_log(self, obj: str) -> Dict[int, Tuple[Ballot, Any]]:
+        chosen = self._chosen.get(obj)
+        if chosen is None:
+            chosen = self._chosen[obj] = {}
+            self._applied.setdefault(obj, 0)
+        return chosen
+
+    def _record_chosen(self, obj: str, slot: int, ballot: Ballot,
+                       txn: Any) -> bool:
+        """The one way into the chosen log; the slot leaves ``_accepted``.
+        False if it was chosen already (the state holds every slot below
+        the applied point)."""
+        accepted = self._accepted.get(obj)
+        if accepted:
+            accepted.pop(slot, None)
+        chosen = self._chosen.get(obj)
+        if chosen is None:
+            chosen = self._chosen_log(obj)
+        elif slot in chosen or slot < self._applied.get(obj, 0):
+            return False
         chosen[slot] = (ballot, txn)
-        self._accepted.get(obj, {}).pop(slot, None)
+        return True
+
+    def _choose(self, obj: str, slot: int, ballot: Ballot, txn: Any) -> None:
+        if not self._record_chosen(obj, slot, ballot, txn):
+            return
         if self._trace is not None:
             self._trace.emit(self.env.now, "wpaxos", "chosen", self.name,
                              {"obj": obj, "slot": slot,
@@ -630,9 +679,7 @@ class WPaxosPeer:
 
     def _on_learn(self, msg: Learn) -> None:
         obj = msg.obj
-        chosen = self._chosen.setdefault(obj, {})
-        if msg.slot not in chosen:
-            self._choose(obj, msg.slot, tuple(msg.ballot), msg.txn)
+        self._choose(obj, msg.slot, tuple(msg.ballot), msg.txn)
         if msg.slot > self._applied.get(obj, 0):
             # A hole below this slot: ask the ensemble to fill it.
             self._gapped[obj] = None
@@ -648,6 +695,7 @@ class WPaxosPeer:
         if not chosen:
             return
         next_slot = self._applied.get(obj, 0)
+        window = self._window
         while next_slot in chosen:
             ballot, txn = chosen[next_slot]
             if self.sentinel is not None:
@@ -656,9 +704,58 @@ class WPaxosPeer:
             if self.on_commit is not None:
                 self.on_commit(Zxid(ballot[0], next_slot), txn)
             self.commits_delivered += 1
+            window.append(obj)
             next_slot += 1
         self._applied[obj] = next_slot
         self._gapped.pop(obj, None)
+        if len(window) > 2 * zab_peer.DIFF_WINDOW:
+            self._compact(len(window) - zab_peer.DIFF_WINDOW)
+
+    def _compact(self, count: int) -> None:
+        """Drop the ``count`` oldest applies from the chosen log; the state
+        holds them. Per object, applies leave in slot order, so the slot
+        leaving is the object's base. An object's newest applied entry
+        stays until the next one leaves: a Promise carrying it shows a
+        stealer where the object's log ends, so the stealer never proposes
+        in a chosen slot it no longer sees."""
+        window = self._window
+        chosen_of, applied, base = self._chosen, self._applied, self._base
+        for _ in range(count):
+            obj = window.popleft()
+            slot = base.get(obj, 0)
+            base[obj] = slot + 1
+            chosen = chosen_of[obj]
+            chosen.pop(slot - 1, None)  # the newest, kept when it left
+            if slot + 1 < applied[obj]:
+                del chosen[slot]
+
+    def _held_from(self, obj: str) -> int:
+        """The oldest slot of ``obj`` the chosen log holds: the base, or
+        the newest applied entry kept just below it."""
+        base = self._base.get(obj, 0)
+        if base and base - 1 in self._chosen.get(obj, ()):
+            return base - 1
+        return base
+
+    def _chosen_from(self, obj: str,
+                     floor: int) -> List[Tuple[int, Ballot, Any]]:
+        """The held chosen entries of ``obj`` at or above ``floor``, by
+        slot: the run up to the applied point, then the slots above a hole
+        (there are some iff the dict holds more than the run)."""
+        chosen = self._chosen.get(obj)
+        if not chosen:
+            return []
+        base, applied = self._held_from(obj), self._applied.get(obj, 0)
+        entries = [
+            (slot,) + chosen[slot] for slot in range(max(base, floor), applied)
+        ]
+        if len(chosen) > applied - base:
+            top = max(applied, floor)
+            entries.extend(
+                (slot,) + chosen[slot]
+                for slot in sorted(slot for slot in chosen if slot >= top)
+            )
+        return entries
 
     # ------------------------------------------------------- forward/resync
 
@@ -672,9 +769,9 @@ class WPaxosPeer:
             self.submit(msg.txn)
 
     def _send_resync_request(self) -> None:
-        versions = tuple(
-            (obj, self._applied.get(obj, 0)) for obj in sorted(self._chosen)
-        )
+        # Named by applied point, so an object whose entries were all
+        # compacted (or that came with an installed state) is named too.
+        versions = tuple(sorted(self._applied.items()))
         req = ResyncReq(self.addr, versions)
         for voter in self.config.voters:
             if voter != self.addr:
@@ -682,26 +779,115 @@ class WPaxosPeer:
 
     def _on_resync_req(self, msg: ResyncReq) -> None:
         have = dict(msg.versions)
+        held = {obj: self._held_from(obj) for obj in self._base}
+        below = any(have.get(obj, 0) < slot for obj, slot in held.items())
+        if below and self._dominates(self._applied, msg.versions):
+            self._send_snapshot(msg.src)
+            return
         entries: List[Tuple[str, int, Ballot, Any]] = []
         for obj in sorted(self._chosen):
             floor = have.get(obj, 0)
-            for slot, (ballot, txn) in sorted(self._chosen[obj].items()):
-                if slot >= floor:
-                    entries.append((obj, slot, ballot, txn))
+            if floor < held.get(obj, 0):
+                continue  # below our window, and our state would undo theirs
+            entries.extend(
+                (obj,) + entry for entry in self._chosen_from(obj, floor)
+            )
         if entries:
             self._send(msg.src, ResyncRsp(self.addr, tuple(entries)))
 
+    @staticmethod
+    def _dominates(applied: Dict[str, int],
+                   versions: Iterable[Tuple[str, int]]) -> bool:
+        """Is ``applied`` at or above every ``(obj, next_slot)``?"""
+        return all(applied.get(obj, 0) >= slot for obj, slot in versions)
+
+    def _send_snapshot(self, dst: NodeAddress) -> None:
+        hook = self.snapshot_state
+        entries = tuple(
+            (obj,) + entry
+            for obj in sorted(self._chosen)
+            for entry in self._chosen_from(obj, 0)
+        )
+        self._send(dst, ResyncSnap(
+            self.addr, hook() if hook is not None else None,
+            tuple(sorted(self._applied.items())), entries,
+        ))
+
     def _on_resync_rsp(self, msg: ResyncRsp) -> None:
+        self._take_chosen(msg.entries)
+
+    def _take_chosen(
+        self, entries: Iterable[Tuple[str, int, Ballot, Any]]
+    ) -> None:
         touched: Dict[str, None] = {}
-        for obj, slot, ballot, txn in msg.entries:
-            chosen = self._chosen.setdefault(obj, {})
-            if slot not in chosen:
-                chosen[slot] = (tuple(ballot), txn)
+        for obj, slot, ballot, txn in entries:
+            if self._record_chosen(obj, slot, tuple(ballot), txn):
                 touched[obj] = None
         for obj in touched:
             if self._trace is not None:
                 self._trace.emit(self.env.now, "wpaxos", "resync", self.name,
                                  {"obj": obj})
+            self._apply_ready(obj)
+
+    def _on_resync_snap(self, msg: ResyncSnap) -> None:
+        mine = self._applied
+        ahead = [obj for obj, slot in msg.applied if slot > mine.get(obj, 0)]
+        if not ahead:
+            return  # nothing we lack: a duplicate, or a second sender's
+        if not self._dominates(dict(msg.applied), mine.items()):
+            # The sender is behind us somewhere, so its state would undo
+            # our applies there. Take what its window reaches, and ask
+            # again on the next tick for the rest.
+            self._take_chosen(msg.entries)
+            for obj, slot in msg.applied:
+                if slot > mine.get(obj, 0):
+                    self._gapped[obj] = None
+            return
+        self._install(msg, ahead)
+
+    def _install(self, msg: ResyncSnap, ahead: List[str]) -> None:
+        """Jump to the sender's state: every object in ``ahead`` to its
+        applied point, holding the sender's window below it."""
+        points = dict(msg.applied)
+        jumped = dict.fromkeys(ahead)
+        for obj in ahead:
+            point = points[obj]
+            self._applied[obj] = self._base[obj] = point
+            self._chosen[obj] = {
+                slot: entry for slot, entry in self._chosen_log(obj).items()
+                if slot >= point
+            }
+            accepted = self._accepted.get(obj)
+            if accepted:
+                self._accepted[obj] = {
+                    slot: entry for slot, entry in accepted.items()
+                    if slot >= point
+                }
+        window = self._window = deque(
+            obj for obj in self._window if obj not in jumped
+        )
+        above = []
+        for entry in msg.entries:
+            obj, slot, ballot, txn = entry
+            if obj in jumped and slot < points[obj]:
+                # The sender's entries below the point are our window now.
+                self._chosen[obj][slot] = (tuple(ballot), txn)
+                self._base[obj] = min(self._base[obj], slot)
+                window.append(obj)
+            else:
+                above.append(entry)
+        self.snapshots_installed += 1
+        if self.sentinel is not None:
+            self.sentinel.on_object_install(
+                self, {obj: points[obj] for obj in ahead}
+            )
+        if self._trace is not None:
+            self._trace.emit(self.env.now, "wpaxos", "snap", self.name,
+                             {"objects": len(ahead)})
+        if self.install_state is not None:
+            self.install_state(msg.state)
+        self._take_chosen(above)
+        for obj in ahead:
             self._apply_ready(obj)
 
     # ----------------------------------------------------------------- timers

@@ -94,10 +94,10 @@ class ZkServer:
             name=f"{self.name}.{substrate}",
         )
         self.peer.on_commit = self._on_commit
-        # A substrate peer either keeps the state machine's state across a
-        # restart and moves a lagging learner by state transfer (zab:
-        # snapshot_state / install_state), or replays its durable log from
-        # zero after on_reset (wpaxos). Each calls only the hooks it needs.
+        # A substrate peer keeps the state machine's state across a restart
+        # and moves a learner below its log window by state transfer
+        # (snapshot_state / install_state). on_reset (replay from zero) is
+        # fired only by the test oracles that keep that older restart.
         self.peer.on_reset = self._on_tree_reset
         self.peer.snapshot_state = self.snapshot
         self.peer.install_state = self.install
@@ -214,8 +214,7 @@ class ZkServer:
         # Volatile server state is gone. The replicated state (the tree and
         # the at-most-once table, with the origin's replies) is the
         # snapshot: nothing applied while we were down, so it is still the
-        # state at the peer's applied point, and the peer resumes there
-        # (a substrate that replays from zero calls on_reset first).
+        # state at the peer's applied point, and the peer resumes there.
         self.watches = WatchManager()
         self._incarnation += 1
         self.sessions = SessionTracker(self._session_owner())

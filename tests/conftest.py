@@ -40,3 +40,16 @@ def zab_replay():
     reference_replay.register()
     yield reference_replay
     del SUBSTRATES["zab-replay"]
+
+
+@pytest.fixture
+def wpaxos_replay():
+    """Register the product WPaxos peer with its replay-from-zero restart
+    and never-compacted chosen log (``tests/reference_replay.py``) as
+    substrate ``"wpaxos-replay"`` for one test."""
+    from repro.substrate import SUBSTRATES
+    from tests import reference_replay
+
+    reference_replay.register_wpaxos()
+    yield reference_replay
+    del SUBSTRATES["wpaxos-replay"]

@@ -1,5 +1,5 @@
-"""Replay from zero: the Zab restart and SNAP that state transfer replaced,
-kept as a differential oracle.
+"""Replay from zero: the Zab and WPaxos restarts (and the Zab SNAP) that
+state transfer replaced, kept as differential oracles.
 
 Before a replica kept its state across a restart, ``ZabPeer.restart``
 reset the applied point to zero and the server re-applied the whole
@@ -17,6 +17,14 @@ lockstep and demands the same clients' histories, the same messages
 trees and the same at-most-once tables. Registered by the tests as
 substrate ``"zab-replay"`` (:func:`register`) — nothing under ``src/``
 may import this.
+
+Likewise, before a WPaxos replica kept its state, ``WPaxosPeer.restart``
+reset the applied points, fired ``on_reset`` and re-applied every chosen
+slot from zero; the chosen log kept every slot; and a ``ResyncRsp`` or a
+``Promise`` sorted an object's whole history to answer.
+:class:`ReplayWPaxosFromZero` restores that over the product peer as
+substrate ``"wpaxos-replay"`` (:func:`register_wpaxos`). With nothing
+compacted it never needs a ``ResyncSnap``.
 """
 
 from __future__ import annotations
@@ -25,13 +33,19 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.net.topology import NodeAddress
+from repro.sim.kernel import Ticker
 from repro.substrate import SubstrateSpec, register_substrate
+from repro.wpaxos.messages import Prepare, Promise, Reject, ResyncReq, ResyncRsp
+from repro.wpaxos.peer import ZERO_BALLOT, WPaxosPeer
 from repro.zab.log import LogEntry
 from repro.zab.messages import Diff, NewLeader, Trunc
-from repro.zab.peer import ZabPeer
+from repro.zab.peer import PeerState, ZabPeer
 from repro.zab.zxid import Zxid
 
-__all__ = ["ReplayFromZero", "ReplayZabPeer", "WholeLogSnap", "register"]
+__all__ = [
+    "ReplayFromZero", "ReplayZabPeer", "ReplayWPaxosFromZero",
+    "ReplayWPaxosPeer", "WholeLogSnap", "register", "register_wpaxos",
+]
 
 
 @dataclass
@@ -144,11 +158,116 @@ class ReplayZabPeer(ReplayFromZero, ZabPeer):
     pass
 
 
+class ReplayWPaxosFromZero:
+    """Mixin over :class:`WPaxosPeer`: the restart, the resync request and
+    the full-history ``ResyncRsp`` / ``Promise`` from before a WPaxos
+    replica kept its state, and a chosen log that keeps every slot."""
+
+    def restart(self) -> None:
+        """Rejoin after a crash: replay the durable chosen log from zero,
+        then anti-entropy the committed suffix from the other members."""
+        if self._alive:
+            raise RuntimeError(f"{self.name} is running")
+        self.net.restart(self.addr)
+        self._alive = True
+        self._applied = {}
+        if self.on_reset is not None:
+            # State machine resets to empty before the replay below
+            # re-delivers every chosen txn (same contract as Zab).
+            self.on_reset(self)
+        if self.sentinel is not None:
+            self.sentinel.on_object_reset(self)
+        self._set_state(
+            PeerState.OBSERVING if self.is_observer else PeerState.LEADING
+        )
+        for obj in sorted(self._chosen):
+            self._apply_ready(obj)
+        self._send_resync_request()
+        self._ticker = Ticker(
+            self.env, self.config.heartbeat_interval_ms, self._on_tick
+        )
+        if self.on_leader_activated is not None and not self.is_observer:
+            self.on_leader_activated(self)
+
+    def _compact(self, count: int) -> None:
+        """The chosen log keeps every slot."""
+        self._window.clear()
+
+    def _on_prepare(self, msg: Prepare) -> None:
+        promised = self._promised.get(msg.obj, ZERO_BALLOT)
+        if msg.ballot <= promised:
+            self._send(
+                msg.src, Reject(msg.obj, msg.ballot, self.addr, promised)
+            )
+            return
+        self._promised[msg.obj] = msg.ballot
+        self._bump_epoch(msg.ballot[0])
+        ours = self._stealing.get(msg.obj)
+        if ours is not None and ours.ballot < msg.ballot:
+            if msg.ballot > ours.highest_seen:
+                ours.highest_seen = msg.ballot
+            if ours.retry_at is None:
+                stagger = self.config.heartbeat_interval_ms * (
+                    1 + self._voter_index
+                )
+                ours.retry_at = self.env.now + stagger
+        if msg.obj in self._owned:
+            self._owned.pop(msg.obj, None)
+            if self._trace is not None:
+                self._trace.emit(self.env.now, "wpaxos", "demote", self.name,
+                                 {"obj": msg.obj, "to": str(msg.src)})
+        chosen = self._chosen.get(msg.obj, {})
+        chosen_above = tuple(
+            (slot, entry[0], entry[1])
+            for slot, entry in sorted(chosen.items())
+            if slot >= msg.applied
+        )
+        self._send(
+            msg.src,
+            Promise(msg.obj, msg.ballot, self.addr,
+                    self._accepted_triples(msg.obj), chosen_above),
+        )
+
+    def _send_resync_request(self) -> None:
+        versions = tuple(
+            (obj, self._applied.get(obj, 0)) for obj in sorted(self._chosen)
+        )
+        req = ResyncReq(self.addr, versions)
+        for voter in self.config.voters:
+            if voter != self.addr:
+                self._send(voter, req)
+
+    def _on_resync_req(self, msg: ResyncReq) -> None:
+        have = dict(msg.versions)
+        entries = []
+        for obj in sorted(self._chosen):
+            floor = have.get(obj, 0)
+            for slot, (ballot, txn) in sorted(self._chosen[obj].items()):
+                if slot >= floor:
+                    entries.append((obj, slot, ballot, txn))
+        if entries:
+            self._send(msg.src, ResyncRsp(self.addr, tuple(entries)))
+
+
+class ReplayWPaxosPeer(ReplayWPaxosFromZero, WPaxosPeer):
+    pass
+
+
 def register() -> None:
     register_substrate(
         SubstrateSpec(
             "zab-replay", ReplayZabPeer, single_leader=True,
             description="test oracle: Zab with replay-from-zero restart "
             "and whole-log SNAP",
+        )
+    )
+
+
+def register_wpaxos() -> None:
+    register_substrate(
+        SubstrateSpec(
+            "wpaxos-replay", ReplayWPaxosPeer, single_leader=False,
+            description="test oracle: WPaxos with replay-from-zero restart "
+            "and a chosen log that keeps every slot",
         )
     )

@@ -8,6 +8,7 @@ __all__ = [
     "fresh_world",
     "plain_zk",
     "zk_with_observers",
+    "wpaxos_grid",
     "run_app",
 ]
 
@@ -44,6 +45,25 @@ def zk_with_observers(env, net, topo, **kwargs):
         leader_site=VIRGINIA,
         voters_in_leader_site=3,
         observer_sites=(CALIFORNIA, FRANKFURT),
+        **kwargs,
+    )
+    deployment.start()
+    deployment.stabilize()
+    return deployment
+
+
+def wpaxos_grid(env, net, topo, substrate="wpaxos", **kwargs):
+    """ZK on WPaxos with three voters in each of the three sites: a zone
+    keeps its majority through one crashed voter."""
+    deployment = build_zk_deployment(
+        env,
+        net,
+        topo,
+        leader_site=VIRGINIA,
+        voting_sites=tuple(
+            site for site in (VIRGINIA, CALIFORNIA, FRANKFURT) for _ in range(3)
+        ),
+        substrate=substrate,
         **kwargs,
     )
     deployment.start()

@@ -7,8 +7,8 @@ cache beside a separately bounded count probe, tuples built per replica).
 Both run the same client schedule in lockstep, one slice of sim time at a
 time, on every stack we ship — wk x zab, zk x zab, zk x wpaxos — clean,
 and with 2 % loss and duplication on every WAN link, a leader crash and
-restart, (on zab, with the log window cut to 2 entries) a follower that
-rejoins by SNAP, and a committed write routed a second time.
+restart, (with the log window cut to 2 entries) a follower that rejoins
+by SNAP, and a committed write routed a second time.
 After each slice the sends, every replica's
 commit and apply sequence, the at-most-once counters and the kernel's
 event sequence must agree; at the end so must ``apply_counts`` and the
@@ -24,6 +24,7 @@ from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wankeeper import deployment as wk_deployment
 from repro.wankeeper.tokens import token_keys
+from repro.wpaxos.messages import ResyncSnap
 from repro.zab import peer as zab_peer
 from repro.zab.messages import Snap
 from repro.zk import ConnectionLossError, SessionExpiredError
@@ -89,8 +90,11 @@ class World:
 
     def _record_send(self, envelope):
         body = envelope.body
-        if isinstance(body, Snap):  # its state is a fresh copy per send
+        # A state transfer's state is a fresh copy per send.
+        if isinstance(body, Snap):
             body = (Snap, body.sender, body.zxid, body.entries)
+        elif isinstance(body, ResyncSnap):
+            body = (ResyncSnap, body.src, body.applied, body.entries)
         self.sent.append((self.env.now, str(envelope.src), str(envelope.dst),
                           repr(body)))
 
@@ -176,13 +180,15 @@ class World:
         self.crashed.restart()
 
     def snap_a_follower(self):
-        """Crash one follower of the leader: with the log window at 2
-        entries it falls below the leader's log, and rejoins by SNAP."""
+        """Crash one follower of the leader (on wpaxos, where every voter
+        leads, another voter): with the log window at 2 entries it falls
+        below the others' logs, and rejoins by SNAP (ResyncSnap)."""
         leader = self._leader()
         self.snapped = next(
             s for s in self.servers
             if s is not leader and s.is_alive
-            and s.peer.leader_addr == leader.peer.addr
+            and (self.stack == "zk-wpaxos"
+                 or s.peer.leader_addr == leader.peer.addr)
         )
         self.snapped.crash()
 
@@ -275,11 +281,9 @@ def test_one_table_matches_the_two_it_replaced(stack, faulty, monkeypatch):
         # back, a SNAP on zab, a committed write routed again, then repair
         # and a quiet tail.
         steps = [(0.0, "lossy"), (3000.0, "crash_leader"),
-                 (5500.0, "restart_crashed"),
-                 (10000.0, "replay_a_committed_write"), (14000.0, "heal")]
-        if stack != "zk-wpaxos":
-            steps += [(8000.0, "snap_a_follower"), (13000.0, "rejoin_by_snap")]
-        steps.sort()
+                 (5500.0, "restart_crashed"), (8000.0, "snap_a_follower"),
+                 (10000.0, "replay_a_committed_write"),
+                 (13000.0, "rejoin_by_snap"), (14000.0, "heal")]
         for offset, action in steps:
             _lockstep(product, reference, start + offset, cursors)
             for world in twins:
@@ -296,7 +300,8 @@ def test_one_table_matches_the_two_it_replaced(stack, faulty, monkeypatch):
     if stack != "zk-wpaxos" or not faulty:
         # Under loss a WPaxos voter can miss the Learn of an object's last
         # chosen slot; only a later Learn on that object reveals the hole,
-        # so this schedule leaves one voter a write behind in both worlds.
+        # so this schedule may leave one voter a write behind in both
+        # worlds (pinned as a strict xfail in tests/test_wpaxos_window.py).
         assert len(set(trees)) == 1
     # The schedule reached the at-most-once paths it is meant to pin.
     writes = len(SITES) * CLIENTS_PER_SITE * OPS_PER_CLIENT // 2
@@ -306,7 +311,6 @@ def test_one_table_matches_the_two_it_replaced(stack, faulty, monkeypatch):
         assert sum(s.duplicate_commits_suppressed for s in product.servers) > 0
         assert sum(s.replies_from_cache for s in product.servers) > 0
         assert all(max(s.apply_counts.values()) == 1 for s in product.servers)
-        if stack != "zk-wpaxos":
-            assert product.snapped.name == reference.snapped.name
-            assert product.snapped.name in product.installs
-            assert product.installs == reference.installs
+        assert product.snapped.name == reference.snapped.name
+        assert product.snapped.name in product.installs
+        assert product.installs == reference.installs

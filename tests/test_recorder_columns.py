@@ -42,7 +42,9 @@ _modes = st.sampled_from(["exact", "exact", "sketch"])
 def _answer(query, *args):
     try:
         return repr(query(*args))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: a span of one subnormal latency underflows
+        # to 0.0 s in throughput_ops_per_sec, on either recorder.
         return type(exc).__name__
 
 

@@ -99,7 +99,7 @@ def _make(cls, **overrides):
 
 
 def test_roster_is_complete():
-    assert len(RECORDS) == 18 + 20 + 9 + 6 + 8 + 5
+    assert len(RECORDS) == 18 + 20 + 10 + 6 + 8 + 5
 
 
 @all_records

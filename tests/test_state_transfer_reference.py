@@ -1,19 +1,25 @@
 """State transfer against the replay from zero it replaced, in twin worlds.
 
-Each test builds two seeded worlds that differ only in the Zab peer: the
-product (``zab``: a restart keeps the replica's state and resumes at its
-applied point, the log keeps a window below the apply cursor, and a SNAP
-ships the leader's state) and ``tests/reference_replay.py`` (``zab-replay``:
-a restart and a SNAP re-apply the whole durable log from zero, and the log
-keeps everything). Both run the same client schedule in lockstep, one
-slice of sim time at a time, on wk x zab and zk x zab: a clean run; 2 %
-loss and duplication with a leader crash and restart; and, with the log
-window cut to 8 entries, a follower that is down long enough to rejoin by
-SNAP. After each slice the clients' histories, the messages sent (a DIFF,
-a SNAP and a whole-log SNAP each count as one sync message) and the kernel
-event count must agree; at the end so must the trees, ``apply_counts``,
-``replies_from_cache`` and ``duplicate_commits_suppressed`` — less what the
-reference counts again while it replays, and what the product's SNAP
+Each test builds two seeded worlds that differ only in the substrate
+peer: the product (``zab`` / ``wpaxos``: a restart keeps the replica's
+state and resumes at its applied point, the log keeps a window of applied
+entries, and a learner below it takes a copy of another replica's state)
+and ``tests/reference_replay.py`` (``zab-replay`` / ``wpaxos-replay``: a
+restart, and a Zab SNAP, re-apply the whole durable log from zero, and
+the log keeps everything). Both run the same client schedule in lockstep,
+one slice of sim time at a time. On wk x zab and zk x zab: a clean run;
+2 % loss and duplication with a leader crash and restart; and, with the
+log window cut to 8 entries, a follower that is down long enough to
+rejoin by SNAP. On zk x wpaxos (three voters a zone): a clean run; voters
+crashed and restarted, with no ambient loss; and, with the window cut to
+8 applies, a voter down long enough to rejoin by ResyncSnap. After each
+slice the clients' histories, the messages sent (a DIFF, a SNAP, a
+whole-log SNAP, a ResyncRsp and a ResyncSnap each count as one sync
+message) and the kernel event count must agree; at the end so must the
+trees, ``apply_counts`` (in order on zab; on wpaxos the reference replays
+a restarted replica object by object, so only the contents), and
+``replies_from_cache`` and ``duplicate_commits_suppressed`` — less what
+the reference counts again while it replays, and what the product's
 learner never applied because the state it installed already held it.
 """
 
@@ -22,23 +28,27 @@ import random
 
 import pytest
 
+from repro.invariants import InvariantViolation
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
+from repro.substrate import SUBSTRATES, SubstrateSpec
 from repro.wankeeper import build_wankeeper_deployment
+from repro.wpaxos.messages import ResyncRsp, ResyncSnap
+from repro.wpaxos.peer import WPaxosPeer
 from repro.zab import peer as zab_peer
 from repro.zab.messages import Diff, Snap
 from repro.zk import ConnectionLossError, SessionExpiredError, ZkError
 
 from tests.reference_replay import WholeLogSnap
-from tests.support import fresh_world, plain_zk
+from tests.support import fresh_world, plain_zk, wpaxos_grid
 
-pytestmark = pytest.mark.usefixtures("zab_replay")
+pytestmark = pytest.mark.usefixtures("zab_replay", "wpaxos_replay")
 
 SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
 KEYS = tuple(f"/st/k{i}" for i in range(6))
 OPS_PER_CLIENT = 50
 SLICE_MS = 250.0
 AMBIENT = LinkProfile(loss=0.02, duplicate=0.02)
-SYNC = (Diff, Snap, WholeLogSnap)
+SYNC = (Diff, Snap, WholeLogSnap, ResyncRsp, ResyncSnap)
 
 
 class World:
@@ -50,8 +60,10 @@ class World:
             deployment = build_wankeeper_deployment(env, net, topo, substrate=substrate)
             deployment.start()
             deployment.stabilize()
-        else:
+        elif stack == "zk":
             deployment = plain_zk(env, net, topo, substrate=substrate)
+        else:
+            deployment = wpaxos_grid(env, net, topo, substrate=substrate)
         self.stack, self.case, self.env, self.net = stack, case, env, net
         self.deployment = deployment
         self.servers = deployment.servers
@@ -62,7 +74,7 @@ class World:
                                if s is not leader)
             self.homes = {site: deployment.site_leader(site) for site in SITES}
         else:
-            self.victim = next(s for s in self.servers if s.site == FRANKFURT)
+            self.victim = [s for s in self.servers if s.site == FRANKFURT][-1]
             self.homes = {site: next(s for s in self.servers if s.site == site)
                           for site in (VIRGINIA, CALIFORNIA)}
         self.sent, self.history = [], []
@@ -82,24 +94,44 @@ class World:
         self.sent.append((self.env.now, str(envelope.src), str(envelope.dst), kind))
 
     def _record_applies(self, server):
+        """Each apply as ``((domain, position), key, suppressed)``: one
+        domain and the zxid on zab, the object and its slot on wpaxos. An
+        install as ``(domain, low, high)``: it holds every position in
+        ``(low, high]``."""
         log = self.applies[server.name]
+        installs = self.installs[server.name]
         commit_client_txn = server._commit_client_txn
+        peer = server.peer
+        wpaxos = isinstance(peer, WPaxosPeer)
 
         def applied(zxid, txn):
             outcome = commit_client_txn(zxid, txn)
-            log.append((zxid, txn.key, outcome is None))
+            where = (peer._object_of(txn), zxid.counter) if wpaxos else ("", zxid)
+            log.append((where, txn.key, outcome is None))
             return outcome
 
         server._commit_client_txn = applied
-        on_snap = server.peer._on_snap
+        if wpaxos:
+            install = peer._install
+
+            def installed(msg, ahead):
+                before = {obj: peer._applied.get(obj, 0) for obj in ahead}
+                install(msg, ahead)
+                points = dict(msg.applied)
+                installs.extend((obj, before[obj] - 1, points[obj] - 1)
+                                for obj in ahead)
+
+            peer._install = installed
+            return
+        on_snap = peer._on_snap
 
         def snapped(src, msg):
-            before = server.peer._last_applied
+            before = peer._last_applied
             on_snap(src, msg)
-            if server.peer._last_applied != before:
-                self.installs[server.name].append((before, msg.zxid))
+            if peer._last_applied != before:
+                installs.append(("", before, msg.zxid))
 
-        server.peer._handlers[Snap] = snapped
+        peer._handlers[Snap] = snapped
 
     def _client(self, index, site, rng):
         env = self.env
@@ -143,6 +175,12 @@ class World:
                         if self.stack == "wk" else self.deployment.leader)
         self.crashed.crash()
 
+    def crash_home(self):
+        """The voter California's clients talk to, and the owner of what
+        they last wrote."""
+        self.crashed = self.homes[CALIFORNIA]
+        self.crashed.crash()
+
     def crash_victim(self):
         self.crashed = self.victim
         self.crashed.crash()
@@ -153,11 +191,13 @@ class World:
     # -- observations ---------------------------------------------------------
 
     def first_applies(self, name):
-        """The apply events of one server less a replay's second delivery:
-        each at or below the newest zxid applied before it."""
+        """The apply events of one server less a replay's second delivery
+        of a position."""
+        seen = set()
         kept = []
         for event in self.applies[name]:
-            if not kept or event[0] > kept[-1][0]:
+            if event[0] not in seen:
+                seen.add(event[0])
                 kept.append(event)
         return kept
 
@@ -188,18 +228,23 @@ STEPS = {
     "clean": [],
     "lossy": [(0.0, "lossy"), (3000.0, "crash_leader"),
               (5500.0, "restart_crashed"), (14000.0, "heal")],
+    "crash": [(3000.0, "crash_home"), (5500.0, "restart_crashed"),
+              (7000.0, "crash_victim"), (9500.0, "restart_crashed")],
     "snap": [(2000.0, "crash_victim"), (7000.0, "restart_crashed")],
 }
+CASES = [(stack, case) for stack in ("wk", "zk")
+         for case in ("clean", "lossy", "snap")]
+CASES += [("zk-wpaxos", case) for case in ("clean", "crash", "snap")]
 
 
-@pytest.mark.parametrize("case", list(STEPS))
-@pytest.mark.parametrize("stack", ["wk", "zk"])
+@pytest.mark.parametrize("stack,case", CASES, ids=[f"{s}-{c}" for s, c in CASES])
 def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
     if case == "snap":
         monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 8)
     seed = 71
-    product = World(stack, "zab", seed, case)
-    reference = World(stack, "zab-replay", seed, case)
+    substrate = "wpaxos" if stack == "zk-wpaxos" else "zab"
+    product = World(stack, substrate, seed, case)
+    reference = World(stack, f"{substrate}-replay", seed, case)
     twins = (product, reference)
     cursors = {}
     start = product.env.now
@@ -216,7 +261,10 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
     assert trees == [s.tree.fingerprint() for s in reference.servers]
     assert len(set(trees)) == 1
     for ours, theirs in zip(product.servers, reference.servers):
-        assert list(ours.apply_counts.items()) == list(theirs.apply_counts.items())
+        if substrate == "wpaxos":
+            assert ours.apply_counts == theirs.apply_counts
+        else:
+            assert list(ours.apply_counts.items()) == list(theirs.apply_counts.items())
         assert ours.replies_from_cache == theirs.replies_from_cache
     # Apply by apply: what the product applied is what the reference
     # applied the first time, less what a SNAP's state already held.
@@ -224,7 +272,8 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
         assert product.first_applies(name) == product.applies[name]
         skipped = [
             event for event in reference.first_applies(name)
-            if any(low < event[0] <= high for low, high in product.installs[name])
+            if any(domain == event[0][0] and low < event[0][1] <= high
+                   for domain, low, high in product.installs[name])
         ]
         expected = [e for e in reference.first_applies(name) if e not in skipped]
         assert product.applies[name] == expected, name
@@ -247,3 +296,40 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
         assert not any(reference.installs.values())
     else:
         assert installed == []
+
+
+# -- hand-made mutants of the WPaxos peer, each caught by a twin leg ----------
+
+
+class RestartForgetsApplied(WPaxosPeer):
+    """Mutant: a restart resets the applied points over the kept state."""
+
+    def restart(self):
+        self._applied = {}
+        super().restart()
+
+
+class CompactionOffByOne(WPaxosPeer):
+    """Mutant: compaction drops the slot after the one leaving the window."""
+
+    def _compact(self, count):
+        window, applied, base = self._window, self._applied, self._base
+        for _ in range(count):
+            obj = window.popleft()
+            slot = base.get(obj, 0)
+            base[obj] = slot + 1
+            chosen = self._chosen[obj]
+            chosen.pop(slot - 1, None)
+            if slot + 2 < applied[obj]:
+                chosen.pop(slot + 1, None)
+
+
+@pytest.mark.parametrize("mutant,case", [
+    (RestartForgetsApplied, "crash"),
+    (CompactionOffByOne, "snap"),
+], ids=["restart-forgets-applied", "compaction-off-by-one"])
+def test_the_wpaxos_twins_catch_a_mutant(mutant, case, monkeypatch):
+    monkeypatch.setitem(SUBSTRATES, "wpaxos",
+                        SubstrateSpec("wpaxos", mutant, single_leader=False))
+    with pytest.raises((AssertionError, KeyError, InvariantViolation)):
+        test_state_transfer_matches_replay_from_zero("zk-wpaxos", case, monkeypatch)

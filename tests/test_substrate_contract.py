@@ -14,8 +14,9 @@ matter how differently it orders internally:
   afterwards, exactly once.
 * **Observer catch-up** — an observer (even one that crashed and
   restarted) converges to the voters' delivery sequence. A restarted
-  replica either resumes after what it delivered (zab) or fires
-  ``on_reset`` and replays its log from zero (wpaxos, zab-reference).
+  replica resumes after what it delivered (zab, wpaxos); the test
+  oracles fire ``on_reset`` and replay their log from zero
+  (zab-reference, wpaxos-replay).
 """
 
 import pytest
@@ -26,10 +27,12 @@ from repro.substrate import create_peer, get_substrate, substrate_names
 from repro.wpaxos import META_OBJECT
 from repro.zab import EnsembleConfig
 
-#: ``zab-reference`` is the Zab peer the current one replaced, registered
-#: for the test by the fixture: the contract holds for the oracle too.
-SUBSTRATES = ("zab", "zab-reference", "wpaxos")
-pytestmark = pytest.mark.usefixtures("zab_reference")
+#: ``zab-reference`` is the Zab peer the current one replaced and
+#: ``wpaxos-replay`` the WPaxos restart the current one replaced, each
+#: registered for the test by a fixture: the contract holds for the oracles
+#: too.
+SUBSTRATES = ("zab", "zab-reference", "wpaxos", "wpaxos-replay")
+pytestmark = pytest.mark.usefixtures("zab_reference", "wpaxos_replay")
 
 #: WPaxos needs >= 2 voters per zone to survive a voter crash (phase-1
 #: quorums take a majority of every zone); Zab's majority spans sites.
@@ -37,6 +40,7 @@ VOTER_SITES = {
     "zab": (VIRGINIA, CALIFORNIA, FRANKFURT),
     "zab-reference": (VIRGINIA, CALIFORNIA, FRANKFURT),
     "wpaxos": (VIRGINIA,) * 3 + (CALIFORNIA,) * 3 + (FRANKFURT,) * 3,
+    "wpaxos-replay": (VIRGINIA,) * 3 + (CALIFORNIA,) * 3 + (FRANKFURT,) * 3,
 }
 
 
