@@ -4,7 +4,10 @@
 Runs a small two-site contention scenario and prints (a) the full token
 movement timeline for a contended record, (b) per-key migration counts,
 and (c) the WAN/local message breakdown — the visibility you need before
-turning the paper's tuning knobs (§I).
+turning the paper's tuning knobs (§I). The timeline is read from the
+``token-grant`` / ``token-accept`` events in the trace installed before
+``start()``: the default ring (4 096 events) holds the whole run (about
+400 events), so the timeline starts at the first grant.
 
 Run:  python examples/token_observatory.py
 """
@@ -12,6 +15,7 @@ Run:  python examples/token_observatory.py
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, Network, wan_topology
 from repro.observability import MessageStats, migration_counts, token_timeline
 from repro.sim import Environment, seeded_rng
+from repro.trace import install_trace
 from repro.wankeeper import build_wankeeper_deployment
 
 
@@ -21,6 +25,7 @@ def main():
     net = Network(env, topology, rng=seeded_rng(99, "net"))
     stats = MessageStats.attach(net)
     deployment = build_wankeeper_deployment(env, net, topology)
+    trace = install_trace(deployment)
     deployment.start()
     deployment.stabilize()
 
@@ -43,6 +48,7 @@ def main():
         return True
 
     env.run(until=env.process(app()))
+    assert trace.total_emitted <= trace.capacity, "the trace ring wrapped"
 
     hub = deployment.hub_leader
     print("Token timeline for /contended (time ms, owner):")

@@ -15,8 +15,8 @@ Checked invariants:
   windows where grants/recalls are in flight, and no site may hold a token
   while the hub serializes a write or grants a fractional read lease on it;
 * **zxid-monotonic** — each peer applies commits in strictly increasing
-  zxid order, across restarts and SNAP installs (reset only for a peer
-  that replays its log from zero);
+  zxid order, across restarts and SNAP installs: a replica keeps its
+  applied point, so no peer ever applies an older zxid;
 * **committed-prefix** — all peers of one ensemble apply the *same*
   transaction at each committed zxid;
 * **object-order / object-agreement** (wpaxos substrate) — each peer
@@ -121,7 +121,7 @@ class InvariantSentinel:
         self.checks_run = 0
         self.violations = 0
         self._servers: List[Any] = []
-        # peer name -> last applied zxid (reset only by a replay from zero).
+        # peer name -> last applied zxid.
         self._peer_applied: Dict[str, Any] = {}
         # (ensemble id, zxid) -> digest of the committed payload.
         self._committed: Dict[Tuple[int, Any], str] = {}
@@ -186,11 +186,6 @@ class InvariantSentinel:
                 f"{peer.name} applied a different txn at {zxid}: "
                 f"{digest[:200]} != first-seen {prior[:200]}",
             )
-
-    def on_peer_reset(self, peer) -> None:
-        """The peer legitimately replays its log from zero (a Zab peer
-        never does; the replay-from-zero references in tests do)."""
-        self._peer_applied.pop(peer.name, None)
 
     # ------------------------------------------------------ wpaxos hooks
 
@@ -260,15 +255,6 @@ class InvariantSentinel:
         for obj, slot in applied.items():
             self._object_applied[(peer.name, obj)] = slot
 
-    def on_object_reset(self, peer) -> None:
-        """The peer replays its chosen prefix from zero (a WPaxos peer
-        never does; the replay-from-zero reference in tests does)."""
-        stale = [
-            key for key in self._object_applied if key[0] == peer.name
-        ]
-        for key in stale:
-            del self._object_applied[key]
-
     # ---------------------------------------------------------- zk hooks
 
     def on_apply(self, server, txn, outcome) -> None:
@@ -303,14 +289,6 @@ class InvariantSentinel:
                 f"({txn.session_id!r}, cxid={txn.cxid}): {canonical!r} != "
                 f"first-seen {prior[1]!r}",
             )
-
-    def on_replica_reset(self, server) -> None:
-        """The server's state machine replays from zero (``on_reset``): its
-        apply history restarts."""
-        prefix = server.name
-        stale = [key for key in self._applies if key[0] == prefix]
-        for key in stale:
-            del self._applies[key]
 
     # --------------------------------------------------------- wan hooks
 

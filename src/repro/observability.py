@@ -112,12 +112,28 @@ def token_timeline(
     """Token movement events recorded at ``server`` (a WanKeeperServer).
 
     Each event is ``(sim time ms, key, owner)`` with owner None meaning
-    the token returned to the hub. Filter to one ``key`` if given.
+    the token returned to the hub. Filter to one ``key`` if given. Read
+    from the ``token-grant`` / ``token-accept`` events the server emitted
+    into its installed trace (``repro.trace.install_trace`` before
+    ``start()``), so the ring's capacity bounds how far back it reaches.
     """
-    history = server.token_history
+    trace = server._trace
+    if trace is None:
+        raise ValueError(
+            f"{server.name} has no trace: install_trace(deployment) "
+            "before start() to record token movements"
+        )
+    timeline: List[Tuple[float, str, Optional[str]]] = []
+    for _seq, t, cat, kind, node, detail in trace.events():
+        if cat != "wan" or node != server.name:
+            continue
+        if kind == "token-grant":
+            timeline.append((t, detail["key"], detail["site"]))
+        elif kind == "token-accept":
+            timeline.extend((t, returned, None) for returned in detail["keys"])
     if key is not None:
-        history = [event for event in history if event[1] == key]
-    return list(history)
+        timeline = [event for event in timeline if event[1] == key]
+    return timeline
 
 
 def migration_counts(server) -> Dict[str, int]:
@@ -126,7 +142,4 @@ def migration_counts(server) -> Dict[str, int]:
     High counts identify contended records — candidates for the paper's
     tuning knobs (pinning at the hub, primary-site reassignment).
     """
-    counts: Dict[str, int] = {}
-    for _time, key, _owner in server.token_history:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(key for _time, key, _owner in token_timeline(server)))

@@ -25,13 +25,11 @@ first alternate):
   non-decreasing regime number while the peer is up);
 * observer/learner hooks — non-voting members listed in
   ``config.observers`` follow the commit stream and serve reads;
-* snapshot-resync — a peer that rejoins or detects a gap brings itself
-  back to the committed prefix. A restart keeps the state machine's
-  state and resumes after the applied point; a learner below the log
-  window another replica keeps takes that replica's ``snapshot_state()``
-  through ``install_state(state)``. ``on_reset(peer)`` (the state machine
-  resets, the log replays from zero) is fired only by the test oracles
-  that keep that older restart;
+* snapshot-resync — one restart rule: a peer keeps the state machine's
+  state across a restart and resumes after its applied point; a replica
+  below the log window another replica keeps takes that replica's
+  ``snapshot_state()`` through ``install_state(state)`` (Zab's SNAP,
+  WPaxos's ``ResyncSnap``). No peer replays its log from zero;
 * observability — ``sentinel`` and ``_trace`` attributes (``None`` off),
   adopted by :mod:`repro.invariants` / :mod:`repro.trace`.
 

@@ -289,13 +289,6 @@ class WanKeeperServer(ZkServer):
         self._reset_wan_leader_state()
         self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
 
-    def _on_tree_reset(self, peer) -> None:
-        # A replay from zero: derived WAN state rebuilds exactly like the
-        # tree does.
-        super()._on_tree_reset(peer)
-        self._reset_wan_derived_state()
-        self._hub.queue.stale = True
-
     def snapshot(self) -> Dict[str, Any]:
         state = super().snapshot()
         state.update(
@@ -312,7 +305,6 @@ class WanKeeperServer(ZkServer):
             _absorbed_from_site=dict(self._absorbed_from_site),
             _replicate_stream=list(self._replicate_stream),
             _applied_relay_count=self._applied_relay_count,
-            token_history=list(self.token_history),
         )
         return state
 
@@ -356,9 +348,6 @@ class WanKeeperServer(ZkServer):
         self._replicate_stream: List[WanTxn] = []
         # Count of relayed (non-local) applies since the last epoch marker.
         self._applied_relay_count = 0
-        #: Token movement history: (time, key, owner) where owner is a
-        #: site name or None (back at the hub).
-        self.token_history: List[Tuple[float, str, Optional[str]]] = []
 
     def _founding_relay_sites(self) -> List[str]:
         return [site for site in self.wan.sites if site != self.site]
@@ -528,7 +517,6 @@ class WanKeeperServer(ZkServer):
             self._grant_counts[counter_key] = (
                 self._grant_counts.get(counter_key, 0) + 1
             )
-            self.token_history.append((self.env.now, grant.key, grant.site))
             if self._trace is not None:
                 self._trace.emit(self.env.now, "wan", "token-grant", self.name,
                                  {"key": grant.key, "site": grant.site})
@@ -614,7 +602,6 @@ class WanKeeperServer(ZkServer):
         hub = self._hub
         for key in op.keys:  # lint: iteration-order-ok (Tuple[str, ...])
             self.hub_tokens.accept_return(key)
-            self.token_history.append((self.env.now, key, None))
             self._accepts_in_flight.discard(key)
             hub.recall_sent_at.pop(key, None)
             hub.policy.forget(key)

@@ -193,10 +193,7 @@ class WPaxosPeer:
 
         # Hooks (substrate contract). A requester below our window gets
         # snapshot_state(); we take a sender's with install_state(state).
-        # on_reset is never fired here (the replay-from-zero oracle in the
-        # tests fires it).
         self.on_commit = None
-        self.on_reset = None
         self.snapshot_state = None
         self.install_state = None
         self.on_submit = None

@@ -96,9 +96,7 @@ class ZkServer:
         self.peer.on_commit = self._on_commit
         # A substrate peer keeps the state machine's state across a restart
         # and moves a learner below its log window by state transfer
-        # (snapshot_state / install_state). on_reset (replay from zero) is
-        # fired only by the test oracles that keep that older restart.
-        self.peer.on_reset = self._on_tree_reset
+        # (snapshot_state / install_state).
         self.peer.snapshot_state = self.snapshot
         self.peer.install_state = self.install
 
@@ -574,20 +572,6 @@ class ZkServer:
                         session.client,
                         WatchNotify(session_id, fired),
                     )
-
-    def _on_tree_reset(self, _peer: Any) -> None:
-        """The peer replays its log from zero: so does the tree.
-
-        The at-most-once table is derived from the commit stream, so it
-        resets with it — a stale table would suppress the legitimate
-        replay and leave the tree empty.
-        """
-        self.tree = DataTree()
-        self._reset_at_most_once()
-        if self.sentinel is not None:
-            self.sentinel.on_replica_reset(self)
-        if self._trace is not None:
-            self._trace.emit(self.env.now, "zk", "tree-reset", self.name, None)
 
     # ---------------------------------------------------------------- sessions
 

@@ -7,9 +7,11 @@ durable log; a SNAP shipped the leader's whole log (``WholeLogSnap``,
 the old ``Snap`` message) and the learner rebuilt its state by
 re-applying it from zero; and the log never dropped an entry.
 :class:`ReplayFromZero` restores exactly that over the product peer: the
-server above it is the product's, told to reset through ``on_reset`` (the
-hook a replaying substrate fires), so every difference between a world on
-``zab`` and one on ``zab-replay`` is the peer's.
+server above it is the product's, reset by :func:`reset_server_above`
+(each oracle's default ``on_reset``: the product wires no such hook), so
+every difference between a world on ``zab`` and one on ``zab-replay`` is
+the peer's. :func:`forget_applied` tells the sentinel the peer's applied
+points start again from zero.
 
 ``tests/test_state_transfer_reference.py`` drives seeded twin worlds in
 lockstep and demands the same clients' histories, the same messages
@@ -19,7 +21,7 @@ substrate ``"zab-replay"`` (:func:`register`) — nothing under ``src/``
 may import this.
 
 Likewise, before a WPaxos replica kept its state, ``WPaxosPeer.restart``
-reset the applied points, fired ``on_reset`` and re-applied every chosen
+reset the applied points, reset the server above and re-applied every chosen
 slot from zero; the chosen log kept every slot; and a ``ResyncRsp`` or a
 ``Promise`` sorted an object's whole history to answer.
 :class:`ReplayWPaxosFromZero` restores that over the product peer as
@@ -29,23 +31,60 @@ compacted it never needs a ``ResyncSnap``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import List
 
 from repro.net.topology import NodeAddress
 from repro.sim.kernel import Ticker
 from repro.substrate import SubstrateSpec, register_substrate
+from repro.wankeeper.server import WanKeeperServer
 from repro.wpaxos.messages import Prepare, Promise, Reject, ResyncReq, ResyncRsp
 from repro.wpaxos.peer import ZERO_BALLOT, WPaxosPeer
 from repro.zab.log import LogEntry
 from repro.zab.messages import Diff, NewLeader, Trunc
 from repro.zab.peer import PeerState, ZabPeer
 from repro.zab.zxid import Zxid
+from repro.zk.data_tree import DataTree
 
 __all__ = [
     "ReplayFromZero", "ReplayZabPeer", "ReplayWPaxosFromZero",
-    "ReplayWPaxosPeer", "WholeLogSnap", "register", "register_wpaxos",
+    "ReplayWPaxosPeer", "WholeLogSnap", "forget_applied", "register",
+    "register_wpaxos", "reset_server_above",
 ]
+
+
+def reset_server_above(peer) -> None:
+    """The state machine above ``peer`` empties, as before the log's first
+    entry, so the replay from zero rebuilds it.
+
+    The server is the owner of the peer's ``on_commit``, found through any
+    ``functools.wraps`` wrapper a test records commits with. The
+    at-most-once table is derived from the commit stream, so it resets
+    with the tree — a stale table would suppress the legitimate replay —
+    and so does a WanKeeper server's replicated WAN state.
+    """
+    server = inspect.unwrap(peer.on_commit).__self__
+    server.tree = DataTree()
+    server._reset_at_most_once()
+    sentinel = server.sentinel
+    if sentinel is not None:
+        for key in [key for key in sentinel._applies if key[0] == server.name]:
+            del sentinel._applies[key]
+    if isinstance(server, WanKeeperServer):
+        server._reset_wan_derived_state()
+        server._hub.queue.stale = True
+
+
+def forget_applied(peer) -> None:
+    """The peer replays from zero: the sentinel forgets its applied zxid and
+    its per-object applied slots."""
+    sentinel = peer.sentinel
+    if sentinel is None:
+        return
+    sentinel._peer_applied.pop(peer.name, None)
+    for key in [key for key in sentinel._object_applied if key[0] == peer.name]:
+        del sentinel._object_applied[key]
 
 
 @dataclass
@@ -62,19 +101,17 @@ class ReplayFromZero:
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._handlers[WholeLogSnap] = self._on_whole_log_snap
-        self.on_reset = None
+        self.on_reset = reset_server_above
 
     def restart(self) -> None:
         if self._alive:
             raise RuntimeError(f"{self.name} is running")
         self._last_applied = Zxid.ZERO
         self._cursor = 0
-        if self.sentinel is not None:
-            # The durable log replays from zero; applied-zxid tracking
-            # restarts with it.
-            self.sentinel.on_peer_reset(self)
-        if self.on_reset is not None:
-            self.on_reset(self)
+        # The durable log replays from zero; applied-zxid tracking
+        # restarts with it.
+        forget_applied(self)
+        self.on_reset(self)
         super().restart()
 
     def _sync_follower(self, follower: NodeAddress, follower_last: Zxid) -> None:
@@ -124,10 +161,8 @@ class ReplayFromZero:
         if self._trace is not None:
             self._trace.emit(self.env.now, "zab", "snap-reset", self.name,
                              {"entries": len(msg.entries)})
-        if self.sentinel is not None:
-            self.sentinel.on_peer_reset(self)
-        if self.on_reset is not None:
-            self.on_reset(self)
+        forget_applied(self)
+        self.on_reset(self)
 
     def _apply_up_to(self, zxid: Zxid) -> None:
         """Deliver every logged entry up to ``zxid``; the log keeps all."""
@@ -163,6 +198,10 @@ class ReplayWPaxosFromZero:
     the full-history ``ResyncRsp`` / ``Promise`` from before a WPaxos
     replica kept its state, and a chosen log that keeps every slot."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.on_reset = reset_server_above
+
     def restart(self) -> None:
         """Rejoin after a crash: replay the durable chosen log from zero,
         then anti-entropy the committed suffix from the other members."""
@@ -171,12 +210,10 @@ class ReplayWPaxosFromZero:
         self.net.restart(self.addr)
         self._alive = True
         self._applied = {}
-        if self.on_reset is not None:
-            # State machine resets to empty before the replay below
-            # re-delivers every chosen txn (same contract as Zab).
-            self.on_reset(self)
-        if self.sentinel is not None:
-            self.sentinel.on_object_reset(self)
+        # State machine resets to empty before the replay below
+        # re-delivers every chosen txn (same contract as Zab).
+        self.on_reset(self)
+        forget_applied(self)
         self._set_state(
             PeerState.OBSERVING if self.is_observer else PeerState.LEADING
         )

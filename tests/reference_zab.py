@@ -10,8 +10,9 @@ handler`` double hop, and ``entries_range`` slicing per commit.
 Two things moved on since, and follow the product's contract rather than
 the verbatim copy: the server no longer resets its state machine before a
 restart, so :meth:`ZabPeer.restart` fires ``on_reset`` (this peer replays
-from zero); and ``Snap`` here is the whole-log message the product's
-state-transfer SNAP replaced.
+from zero; its default is :func:`tests.reference_replay.reset_server_above`,
+since the product server wires no such hook); and ``Snap`` here is the
+whole-log message the product's state-transfer SNAP replaced.
 
 Slow, but the specification: ``tests/test_zab_commit_path.py`` runs the
 same seeded worlds over this and the product and demands the identical
@@ -54,6 +55,8 @@ from repro.zab.messages import (
     VoteNotification,
 )
 from repro.zab.peer import SUBMIT_DEDUP_LIMIT, PeerState, submit_dedup_id
+
+from tests.reference_replay import forget_applied, reset_server_above
 
 __all__ = ["Zxid", "LogEntry", "TxnLog", "ZabPeer", "register"]
 
@@ -345,9 +348,10 @@ class ZabPeer:
 
         # Hooks.
         self.on_commit: Optional[Callable[[Zxid, Any], None]] = None
-        # Called when a SNAP rewrites history: the state machine above must
-        # reset to empty before commits are re-applied from zero.
-        self.on_reset: Optional[Callable[["ZabPeer"], None]] = None
+        # Called when a restart or a SNAP replays history: the state
+        # machine above must reset to empty before commits are re-applied
+        # from zero.
+        self.on_reset: Callable[["ZabPeer"], None] = reset_server_above
         # If set, forwarded SubmitRequests are routed through this hook on
         # the leader instead of being proposed directly (WanKeeper inserts
         # its token check here, mirroring the paper's request processor).
@@ -420,12 +424,10 @@ class ZabPeer:
         self.leader_addr = None
         self.last_committed = Zxid.ZERO
         self._last_applied = Zxid.ZERO
-        if self.sentinel is not None:
-            # The durable log replays from zero; applied-zxid tracking
-            # restarts with it.
-            self.sentinel.on_peer_reset(self)
-        if self.on_reset is not None:
-            self.on_reset(self)
+        # The durable log replays from zero; applied-zxid tracking
+        # restarts with it.
+        forget_applied(self)
+        self.on_reset(self)
         self._reset_leader_state()
         self._alive = True
         self._last_leader_contact = self.env.now
@@ -814,10 +816,8 @@ class ZabPeer:
         if self._trace is not None:
             self._trace.emit(self.env.now, "zab", "snap-reset", self.name,
                              {"entries": len(msg.entries)})
-        if self.sentinel is not None:
-            self.sentinel.on_peer_reset(self)
-        if self.on_reset is not None:
-            self.on_reset(self)
+        forget_applied(self)
+        self.on_reset(self)
 
     def _on_new_leader(self, src: NodeAddress, msg: NewLeader) -> None:
         if src != self.leader_addr:

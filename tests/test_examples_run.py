@@ -41,6 +41,12 @@ def test_quickstart_demonstrates_migration(capsys):
     assert "hub-serialized" in output
 
 
+def test_token_observatory_prints_the_timeline(capsys):
+    run_example("token_observatory.py")
+    output = capsys.readouterr().out
+    assert "-> california" in output
+
+
 def test_locks_example_mutual_exclusion_narrative(capsys):
     run_example("geo_locks_and_elections.py")
     output = capsys.readouterr().out

@@ -129,9 +129,6 @@ def test_zxid_monotonicity_unit():
     with pytest.raises(InvariantViolation) as caught:
         sentinel.on_peer_commit(peer, Zxid(1, 4), payload="b")
     assert caught.value.invariant == "zxid-monotonic"
-    # A reset (restart / SNAP sync) legitimately replays from the start.
-    sentinel.on_peer_reset(peer)
-    sentinel.on_peer_commit(peer, Zxid(1, 1), payload="a")
 
 
 def test_committed_prefix_unit():

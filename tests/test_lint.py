@@ -156,6 +156,26 @@ def test_kernel_contract_is_read_where_it_is_written():
     assert found == [], "\n".join(found)
 
 
+def test_the_replay_hooks_and_token_history_stay_retired():
+    """One restart rule: a replica keeps its state and moves below the log
+    window by state transfer, so no product code wires a replay-from-zero
+    hook (the replaying oracles under ``tests/`` carry their own), and the
+    trace's ``token-grant`` / ``token-accept`` events are the one record of
+    token ownership."""
+    src = REPO_ROOT / "src" / "repro"
+    retired = re.compile(
+        r"on_reset|_on_tree_reset|on_peer_reset|on_object_reset"
+        r"|on_replica_reset|tree-reset|token_history"
+    )
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if retired.search(line):
+                found.append(f"{name}:{number}: {line.strip()}")
+    assert found == [], "\n".join(found)
+
+
 def test_no_source_file_over_a_thousand_lines():
     """ROADMAP item 5's size exit: a file this long is several roles in one
     namespace (``wankeeper/server.py`` was 1 558 before it was split by

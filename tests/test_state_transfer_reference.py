@@ -21,6 +21,8 @@ a restarted replica object by object, so only the contents), and
 ``replies_from_cache`` and ``duplicate_commits_suppressed`` — less what
 the reference counts again while it replays, and what the product's
 learner never applied because the state it installed already held it.
+The last test pins the oracles' own reset: a replaying restart empties
+the server above it, so the replay applies everything again.
 """
 
 import itertools
@@ -39,7 +41,7 @@ from repro.zab.messages import Diff, Snap
 from repro.zk import ConnectionLossError, SessionExpiredError, ZkError
 
 from tests.reference_replay import WholeLogSnap
-from tests.support import fresh_world, plain_zk, wpaxos_grid
+from tests.support import fresh_world, plain_zk, run_app, wpaxos_grid
 
 pytestmark = pytest.mark.usefixtures("zab_replay", "wpaxos_replay")
 
@@ -333,3 +335,41 @@ def test_the_wpaxos_twins_catch_a_mutant(mutant, case, monkeypatch):
                         SubstrateSpec("wpaxos", mutant, single_leader=False))
     with pytest.raises((AssertionError, KeyError, InvariantViolation)):
         test_state_transfer_matches_replay_from_zero("zk-wpaxos", case, monkeypatch)
+
+
+@pytest.mark.parametrize("stack", ["wk", "zk-wpaxos"])
+def test_a_replaying_restart_rebuilds_its_server_from_empty(stack):
+    """The oracles' default ``on_reset`` (``reset_server_above``) empties
+    the server above the peer, WAN state included, so the replay applies
+    every txn again instead of suppressing it as a duplicate."""
+    env, topo, net = fresh_world(seed=5)
+    if stack == "wk":
+        deployment = build_wankeeper_deployment(env, net, topo, substrate="zab-replay")
+        deployment.start()
+        deployment.stabilize()
+        leader = deployment.site_leader(CALIFORNIA)
+        victim, sibling = [s for s in deployment.by_site[CALIFORNIA] if s is not leader]
+    else:
+        deployment = wpaxos_grid(env, net, topo, substrate="wpaxos-replay")
+        victim, sibling = [s for s in deployment.servers if s.site == FRANKFURT][1:]
+    client = deployment.client(CALIFORNIA)
+
+    def app():
+        yield client.connect()
+        yield client.create("/st", b"")
+        for key in KEYS:
+            yield client.create(key, b"")
+            yield client.set_data(key, b"1")
+        return True
+
+    run_app(env, app())
+    env.run(until=env.now + 1000.0)
+    suppressed = victim.duplicate_commits_suppressed
+    victim.crash()
+    victim.restart()
+    if stack == "wk":  # the replay waits for the leader's sync
+        assert not any(victim.tree.exists(key) for key in KEYS)
+        assert victim.apply_counts == {} and victim._seen_wan_ids == set()
+    env.run(until=env.now + 3000.0)
+    assert victim.tree.fingerprint() == sibling.tree.fingerprint()
+    assert victim.duplicate_commits_suppressed == suppressed

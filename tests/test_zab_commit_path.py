@@ -16,6 +16,7 @@ differs, and that is pinned at the bottom.
 reference as well.)
 """
 
+import functools
 import os
 import random
 import sys
@@ -83,6 +84,7 @@ class World:
         log = self.commits[server.name] = []
         deliver = server.peer.on_commit
 
+        @functools.wraps(deliver)
         def on_commit(zxid, txn):
             log.append((pair(zxid), repr(txn)))
             deliver(zxid, txn)
