@@ -24,7 +24,9 @@ def main():
         ("wk", "WanKeeper"),
     ]:
         cell = run_fig8_cell(system, duration_ms, total_duration_ms=20000.0)
-        print(f"{label:16s} {cell.entries_per_sec:12.1f} {cell.handovers:14d}")
+        print(
+            f"{label:16s} {cell['entries_per_sec']:12.1f} {cell['handovers']:14d}"
+        )
     print(
         "\nWanKeeper wins because the lock's and metadata's tokens migrate\n"
         "to the log's home region, so most handovers never cross the WAN."

@@ -13,8 +13,7 @@ updates (the paper's YCSB microbenchmark over the SCFS metadata service):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
@@ -27,7 +26,7 @@ from repro.workloads import (
 )
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig10Cell", "run_fig10_cell"]
+__all__ = ["run_fig10_cell"]
 
 SITES = (CALIFORNIA, FRANKFURT)
 
@@ -42,16 +41,6 @@ def _scfs_spec(record_count: int, operations: int) -> YcsbSpec:
     )
 
 
-@dataclass
-class Fig10Cell:
-    system: str
-    overlap: float
-    hotspot: bool
-    per_site_throughput: Dict[str, float]
-    per_site_latency_ms: Dict[str, float]
-    total_throughput: float
-
-
 def run_fig10_cell(
     system: str,
     overlap: float,
@@ -59,9 +48,9 @@ def run_fig10_cell(
     seed: int = 42,
     record_count: int = 500,
     operations_per_client: int = 3000,
-) -> Tuple[Fig10Cell, Dict[str, LatencyRecorder]]:
-    """One (system, overlap, hotspot) cell, plus the per-site recorders
-    whose time series are Fig. 10c."""
+) -> Dict[str, Any]:
+    """One (system, overlap, hotspot) cell of Fig. 10a/b, with the per-site
+    throughput timeline of Fig. 10c."""
     spec = _scfs_spec(record_count, operations_per_client)
     world = build_world(system, seed=seed)
     recorders: Dict[str, LatencyRecorder] = {}
@@ -93,20 +82,24 @@ def run_fig10_cell(
             )
         )
     run_ycsb(world.env, plans, spec, load_client=world.client(VIRGINIA))
-    cell = Fig10Cell(
-        system=system,
-        overlap=overlap,
-        hotspot=hotspot,
-        per_site_throughput={
+    return {
+        "system": system,
+        "overlap": overlap,
+        "hotspot": hotspot,
+        "per_site_throughput": {
             site: recorder.throughput_ops_per_sec()
             for site, recorder in recorders.items()
         },
-        per_site_latency_ms={
+        "per_site_latency_ms": {
             site: recorder.mean_latency("write")
             for site, recorder in recorders.items()
         },
-        total_throughput=sum(
+        "total_throughput": sum(
             recorder.throughput_ops_per_sec() for recorder in recorders.values()
         ),
-    )
-    return cell, recorders
+        # Fig. 10c: per-site ops/sec in 10 s buckets of simulated time.
+        "timeline": {
+            site: recorder.timeseries(10000.0)
+            for site, recorder in recorders.items()
+        },
+    }

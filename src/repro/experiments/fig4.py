@@ -8,29 +8,14 @@ Fig. 4b the average per-operation read and write latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, VIRGINIA
 from repro.workloads import LatencyRecorder, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig4Cell", "run_write_ratio_cell"]
-
-
-@dataclass
-class Fig4Cell:
-    """One (system, write ratio) measurement."""
-
-    system: str
-    write_fraction: float
-    throughput: float
-    read_mean_ms: Optional[float]
-    write_mean_ms: Optional[float]
-    read_p99_ms: Optional[float]
-    write_p99_ms: Optional[float]
-    recorder: LatencyRecorder
+__all__ = ["run_write_ratio_cell"]
 
 
 def run_write_ratio_cell(
@@ -39,9 +24,8 @@ def run_write_ratio_cell(
     seed: int = 42,
     record_count: int = 1000,
     operation_count: int = 10000,
-    client_site: str = CALIFORNIA,
-) -> Fig4Cell:
-    """Run one cell of the Fig. 4 sweep and return its measurements."""
+) -> Dict[str, Any]:
+    """One (system, write ratio) YCSB cell — feeds Fig. 4 and Fig. 5."""
     world = build_world(system, seed=seed)
     spec = YcsbSpec(
         record_count=record_count,
@@ -49,24 +33,27 @@ def run_write_ratio_cell(
         write_fraction=write_fraction,
     )
     recorder = LatencyRecorder(f"{system}@{write_fraction}")
-    client = world.client(client_site)
+    client = world.client(CALIFORNIA)
     loader = world.client(VIRGINIA)
     plan = ClientPlan(client, world.rngs.stream("ycsb"), recorder)
     run_ycsb(world.env, [plan], spec, load_client=loader)
 
-    def maybe(fn, *args):
-        try:
-            return fn(*args)
-        except ValueError:
-            return None
-
-    return Fig4Cell(
-        system=system,
-        write_fraction=write_fraction,
-        throughput=recorder.throughput_ops_per_sec(),
-        read_mean_ms=maybe(recorder.mean_latency, "read"),
-        write_mean_ms=maybe(recorder.mean_latency, "write"),
-        read_p99_ms=maybe(recorder.percentile_latency, 99, "read"),
-        write_p99_ms=maybe(recorder.percentile_latency, 99, "write"),
-        recorder=recorder,
-    )
+    stats = recorder.summary()
+    try:
+        # Fig. 5's "local commit" fraction: writes under 10 ms.
+        local_write_fraction = recorder.fraction_below(10.0, "write")
+    except ValueError:
+        local_write_fraction = None
+    return {
+        "system": system,
+        "write_fraction": write_fraction,
+        "throughput": stats["throughput_ops_per_sec"],
+        "read_mean_ms": stats["read_mean_ms"],
+        "write_mean_ms": stats["write_mean_ms"],
+        "read_p99_ms": stats["read_p99_ms"],
+        "write_p99_ms": stats["write_p99_ms"],
+        "write_p50_ms": stats["write_p50_ms"],
+        "write_p90_ms": stats["write_p90_ms"],
+        "local_write_fraction": local_write_fraction,
+        "ops": stats["count"],
+    }

@@ -8,23 +8,14 @@ tokens). Expected shape: ZK+obs ≈ 2× ZK; WK-hot > WK-cold > ZK+obs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder, OverlapChooser, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig6Result", "run_fig6_cell"]
-
-
-@dataclass
-class Fig6Result:
-    setup: str
-    total_throughput: float
-    per_site_throughput: Dict[str, float]
-    write_mean_ms: float
+__all__ = ["run_fig6_cell"]
 
 
 def run_fig6_cell(
@@ -33,7 +24,7 @@ def run_fig6_cell(
     record_count: int = 1000,
     operations_per_client: int = 5000,
     write_fraction: float = 0.5,
-) -> Fig6Result:
+) -> Dict[str, Any]:
     """Run one Fig. 6 setup as an independent cell."""
     spec = YcsbSpec(
         record_count=record_count,
@@ -74,15 +65,15 @@ def run_fig6_cell(
     else:
         run_ycsb(world.env, plans, spec, load_client=world.client(VIRGINIA))
     merged = recorders[CALIFORNIA].merged(recorders[FRANKFURT])
-    return Fig6Result(
-        setup=setup,
-        total_throughput=sum(
+    return {
+        "setup": setup,
+        "total_throughput": sum(
             recorder.throughput_ops_per_sec()
             for recorder in recorders.values()
         ),
-        per_site_throughput={
+        "per_site_throughput": {
             site: recorder.throughput_ops_per_sec()
             for site, recorder in recorders.items()
         },
-        write_mean_ms=merged.mean_latency("write"),
-    )
+        "write_mean_ms": merged.mean_latency("write"),
+    }

@@ -9,22 +9,14 @@ random locality in the access sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Dict
 
 from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder, OverlapChooser, YcsbSpec
 from repro.workloads.driver import ClientPlan, run_ycsb
 
-__all__ = ["Fig7Cell", "run_fig7_cell"]
-
-
-@dataclass
-class Fig7Cell:
-    system: str
-    overlap: float
-    total_throughput: float
-    write_mean_ms: float
+__all__ = ["run_fig7_cell"]
 
 
 def run_fig7_cell(
@@ -33,7 +25,7 @@ def run_fig7_cell(
     seed: int = 42,
     record_count: int = 500,
     operations_per_client: int = 3000,
-) -> Fig7Cell:
+) -> Dict[str, Any]:
     """One (system, overlap) cell of the contention sweep."""
     spec = YcsbSpec(
         record_count=record_count,
@@ -59,12 +51,12 @@ def run_fig7_cell(
         )
     run_ycsb(world.env, plans, spec, load_client=world.client(VIRGINIA))
     merged = recorders[CALIFORNIA].merged(recorders[FRANKFURT])
-    return Fig7Cell(
-        system=system,
-        overlap=overlap,
-        total_throughput=sum(
+    return {
+        "system": system,
+        "overlap": overlap,
+        "total_throughput": sum(
             recorder.throughput_ops_per_sec()
             for recorder in recorders.values()
         ),
-        write_mean_ms=merged.mean_latency("write"),
-    )
+        "write_mean_ms": merged.mean_latency("write"),
+    }

@@ -15,28 +15,19 @@ latency dominates (Fig. 8b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.bookkeeper import Bookie, BookKeeperClient
-from repro.experiments.common import World, build_world
+from repro.experiments.common import World, build_world, drive
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder
 from repro.zk.recipes import DistributedLock
 
-__all__ = ["Fig8Cell", "run_fig8_cell"]
+__all__ = ["run_fig8_cell"]
 
 LOCK_PATH = "/log/lock"
 META_PATH = "/log/meta"
-
-
-@dataclass
-class Fig8Cell:
-    system: str
-    write_duration_ms: float
-    entries_per_sec: float
-    handovers: int
-    entries_total: int
+BOOKIES_PER_SITE = 3
 
 
 def _writer(
@@ -86,8 +77,7 @@ def run_fig8_cell(
     write_duration_ms: float,
     seed: int = 42,
     total_duration_ms: float = 30000.0,
-    bookies_per_site: int = 3,
-) -> Fig8Cell:
+) -> Dict[str, Any]:
     """One (system, write duration) cell of Fig. 8b."""
     world = build_world(system, seed=seed)
     env, topo, net = world.env, world.topology, world.net
@@ -95,7 +85,7 @@ def run_fig8_cell(
     bookies_by_site: Dict[str, List[Bookie]] = {}
     for site in (VIRGINIA, CALIFORNIA, FRANKFURT):
         bookies = []
-        for index in range(bookies_per_site):
+        for index in range(BOOKIES_PER_SITE):
             bookie = Bookie(env, net, topo.site(site).address(f"bookie{index}"))
             bookie.start()
             bookies.append(bookie)
@@ -137,19 +127,11 @@ def run_fig8_cell(
             yield proc
         return env.now - start
 
-    process = env.process(orchestrate())
-    guard = total_duration_ms * 4
-    while not process.triggered and env.now < guard + total_duration_ms * 2:
-        env.run(until=env.now + 5000.0)
-    if not process.triggered:
-        raise RuntimeError("fig8 cell did not finish")
-    if not process.ok:
-        raise process.exception
-    elapsed_ms = process.value
-    return Fig8Cell(
-        system=system,
-        write_duration_ms=write_duration_ms,
-        entries_per_sec=stats["entries"] / (elapsed_ms / 1000.0),
-        handovers=stats["handovers"],
-        entries_total=stats["entries"],
-    )
+    elapsed_ms = drive(env, env.process(orchestrate()), 6 * total_duration_ms)
+    return {
+        "system": system,
+        "write_duration_ms": write_duration_ms,
+        "entries_per_sec": stats["entries"] / (elapsed_ms / 1000.0),
+        "handovers": stats["handovers"],
+        "entries_total": stats["entries"],
+    }

@@ -8,274 +8,30 @@ round-trip ``json.dumps``/``loads`` bit-exactly), and comparable for the
 determinism guard (in-process and worker runs must produce equal
 payloads).
 
-Cells wrap the per-cell entry points of :mod:`repro.experiments`; they
-never format output — rendering lives in :mod:`repro.runner.suites`.
+The figure and ablation cells are the ``run_*_cell`` functions of
+:mod:`repro.experiments` themselves, registered here by name; the soak,
+fleet, fuzz and debug cells are defined below. No cell formats output —
+rendering lives in :mod:`repro.runner.suites`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
+
+from repro.experiments.ablations import (
+    run_bulk_token_cell,
+    run_hub_placement_cell,
+    run_prediction_cell,
+    run_read_mode_cell,
+    run_threshold_cell,
+)
+from repro.experiments.fig4 import run_write_ratio_cell
+from repro.experiments.fig6 import run_fig6_cell
+from repro.experiments.fig7 import run_fig7_cell
+from repro.experiments.fig8 import run_fig8_cell
+from repro.experiments.fig10 import run_fig10_cell
 
 __all__ = ["CELLS", "run_cell"]
-
-
-def _maybe(fn: Callable, *args) -> Optional[float]:
-    try:
-        return fn(*args)
-    except ValueError:
-        return None
-
-
-# -- figure cells -------------------------------------------------------------
-
-
-def cell_ycsb_write_ratio(
-    system: str,
-    write_fraction: float,
-    seed: int = 42,
-    record_count: int = 1000,
-    operation_count: int = 10000,
-) -> Dict[str, Any]:
-    """One (system, write ratio) YCSB cell — feeds Fig. 4 and Fig. 5."""
-    from repro.experiments.fig4 import run_write_ratio_cell
-
-    cell = run_write_ratio_cell(
-        system,
-        write_fraction,
-        seed=seed,
-        record_count=record_count,
-        operation_count=operation_count,
-    )
-    recorder = cell.recorder
-    stats = recorder.summary()
-    return {
-        "system": system,
-        "write_fraction": write_fraction,
-        "throughput": cell.throughput,
-        "read_mean_ms": cell.read_mean_ms,
-        "write_mean_ms": cell.write_mean_ms,
-        "read_p99_ms": cell.read_p99_ms,
-        "write_p99_ms": cell.write_p99_ms,
-        "write_p50_ms": stats["write_p50_ms"],
-        "write_p90_ms": stats["write_p90_ms"],
-        # Fig. 5's "local commit" fraction: writes under 10 ms.
-        "local_write_fraction": _maybe(
-            recorder.fraction_below, 10.0, "write"
-        ),
-        "ops": stats["count"],
-    }
-
-
-def cell_fig6(
-    setup: str,
-    seed: int = 42,
-    record_count: int = 1000,
-    operations_per_client: int = 5000,
-    write_fraction: float = 0.5,
-) -> Dict[str, Any]:
-    from repro.experiments.fig6 import run_fig6_cell
-
-    result = run_fig6_cell(
-        setup,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-        write_fraction=write_fraction,
-    )
-    return {
-        "setup": result.setup,
-        "total_throughput": result.total_throughput,
-        "per_site_throughput": dict(result.per_site_throughput),
-        "write_mean_ms": result.write_mean_ms,
-    }
-
-
-def cell_fig7(
-    system: str,
-    overlap: float,
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-) -> Dict[str, Any]:
-    from repro.experiments.fig7 import run_fig7_cell
-
-    cell = run_fig7_cell(
-        system,
-        overlap,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-    )
-    return {
-        "system": cell.system,
-        "overlap": cell.overlap,
-        "total_throughput": cell.total_throughput,
-        "write_mean_ms": cell.write_mean_ms,
-    }
-
-
-def cell_fig8(
-    system: str,
-    write_duration_ms: float,
-    seed: int = 42,
-    total_duration_ms: float = 30000.0,
-) -> Dict[str, Any]:
-    from repro.experiments.fig8 import run_fig8_cell
-
-    cell = run_fig8_cell(
-        system,
-        write_duration_ms,
-        seed=seed,
-        total_duration_ms=total_duration_ms,
-    )
-    return {
-        "system": cell.system,
-        "write_duration_ms": cell.write_duration_ms,
-        "entries_per_sec": cell.entries_per_sec,
-        "handovers": cell.handovers,
-        "entries_total": cell.entries_total,
-    }
-
-
-def cell_fig10(
-    system: str,
-    overlap: float,
-    hotspot: bool,
-    seed: int = 42,
-    record_count: int = 500,
-    operations_per_client: int = 3000,
-) -> Dict[str, Any]:
-    from repro.experiments.fig10 import run_fig10_cell
-
-    cell, recorders = run_fig10_cell(
-        system,
-        overlap,
-        hotspot,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-    )
-    return {
-        "system": cell.system,
-        "overlap": cell.overlap,
-        "hotspot": cell.hotspot,
-        "per_site_throughput": dict(cell.per_site_throughput),
-        "per_site_latency_ms": dict(cell.per_site_latency_ms),
-        "total_throughput": cell.total_throughput,
-        # Fig. 10c: per-site ops/sec in 10 s buckets of simulated time.
-        "timeline": {
-            site: recorder.timeseries(10000.0)
-            for site, recorder in recorders.items()
-        },
-    }
-
-
-# -- ablation cells -----------------------------------------------------------
-
-
-def cell_ablation_threshold(
-    r: Optional[int],
-    seed: int = 42,
-    record_count: int = 300,
-    operations_per_client: int = 1500,
-    overlap: float = 0.3,
-) -> Dict[str, Any]:
-    from repro.experiments.ablations import run_threshold_cell
-
-    cell = run_threshold_cell(
-        r,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-        overlap=overlap,
-    )
-    return {
-        "label": cell.label,
-        "total_throughput": cell.total_throughput,
-        "write_mean_ms": cell.write_mean_ms,
-        "tokens_recalled": cell.tokens_recalled,
-    }
-
-
-def cell_ablation_prediction(
-    policy: str,
-    seed: int = 42,
-    record_count: int = 8,
-    phase_len: int = 32,
-    phases: int = 6,
-) -> Dict[str, Any]:
-    from repro.experiments.ablations import run_prediction_cell
-
-    cell = run_prediction_cell(
-        policy,
-        seed=seed,
-        record_count=record_count,
-        phase_len=phase_len,
-        phases=phases,
-    )
-    return {
-        "policy": cell.policy,
-        "total_throughput": cell.total_throughput,
-        "write_mean_ms": cell.write_mean_ms,
-    }
-
-
-def cell_ablation_bulk_tokens(
-    policy: str, seed: int = 42, rounds: int = 30
-) -> Dict[str, Any]:
-    from repro.experiments.ablations import run_bulk_token_cell
-
-    cell = run_bulk_token_cell(policy, seed=seed, rounds=rounds)
-    return {
-        "label": cell.label,
-        "acquisitions_per_sec": cell.acquisitions_per_sec,
-    }
-
-
-def cell_ablation_read_mode(
-    mode: str,
-    seed: int = 42,
-    record_count: int = 100,
-    operations_per_client: int = 1000,
-    write_fraction: float = 0.05,
-) -> Dict[str, Any]:
-    from repro.experiments.ablations import run_read_mode_cell
-
-    cell = run_read_mode_cell(
-        mode,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-        write_fraction=write_fraction,
-    )
-    return {
-        "mode": cell.mode,
-        "read_mean_ms": cell.read_mean_ms,
-        "total_throughput": cell.total_throughput,
-    }
-
-
-def cell_ablation_hub_placement(
-    l2_site: str,
-    seed: int = 42,
-    record_count: int = 200,
-    operations_per_client: int = 1000,
-    write_fraction: float = 0.5,
-) -> Dict[str, Any]:
-    from repro.experiments.ablations import run_hub_placement_cell
-
-    cell = run_hub_placement_cell(
-        l2_site,
-        seed=seed,
-        record_count=record_count,
-        operations_per_client=operations_per_client,
-        write_fraction=write_fraction,
-    )
-    return {
-        "l2_site": cell.l2_site,
-        "total_throughput": cell.total_throughput,
-        "write_mean_ms": cell.write_mean_ms,
-    }
 
 
 # -- lossy soak ---------------------------------------------------------------
@@ -607,16 +363,16 @@ def cell_debug_pid(tag: int = 0) -> Dict[str, Any]:
 
 
 CELLS: Dict[str, Callable[..., Any]] = {
-    "ycsb_write_ratio": cell_ycsb_write_ratio,
-    "fig6": cell_fig6,
-    "fig7": cell_fig7,
-    "fig8": cell_fig8,
-    "fig10": cell_fig10,
-    "ablation_threshold": cell_ablation_threshold,
-    "ablation_prediction": cell_ablation_prediction,
-    "ablation_bulk_tokens": cell_ablation_bulk_tokens,
-    "ablation_read_mode": cell_ablation_read_mode,
-    "ablation_hub_placement": cell_ablation_hub_placement,
+    "ycsb_write_ratio": run_write_ratio_cell,
+    "fig6": run_fig6_cell,
+    "fig7": run_fig7_cell,
+    "fig8": run_fig8_cell,
+    "fig10": run_fig10_cell,
+    "ablation_threshold": run_threshold_cell,
+    "ablation_prediction": run_prediction_cell,
+    "ablation_bulk_tokens": run_bulk_token_cell,
+    "ablation_read_mode": run_read_mode_cell,
+    "ablation_hub_placement": run_hub_placement_cell,
     "soak": cell_soak,
     "fleet": cell_fleet,
     "fleet_full": cell_fleet_full,

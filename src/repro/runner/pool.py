@@ -67,17 +67,11 @@ _MAX_BARREN_RESPAWNS = 5
 MAX_BATCH = 8
 
 #: Modules imported eagerly at worker start-up so the first cell runs as
-#: warm as the hundredth (cells import lazily inside their functions).
+#: warm as the hundredth. ``repro.runner.cells`` brings every figure and
+#: ablation module with it; the soak and fuzz cells import the rest
+#: lazily inside their functions.
 _PRELOAD_MODULES = (
     "repro.runner.cells",
-    "repro.experiments.common",
-    "repro.experiments.fig4",
-    "repro.experiments.fig6",
-    "repro.experiments.fig7",
-    "repro.experiments.fig8",
-    "repro.experiments.fig10",
-    "repro.experiments.ablations",
-    "repro.wankeeper",
     "repro.nemesis",
     "repro.consistency",
     "repro.fuzz.case",

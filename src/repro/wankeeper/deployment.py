@@ -195,7 +195,6 @@ def build_wankeeper_deployment(
     heartbeat_interval_ms: float = 50.0,
     election_timeout_ms: float = 300.0,
     processing_delay_ms: float = 0.02,
-    wan_tick_ms: float = 100.0,
     read_mode: str = "local",
     read_lease_ms: float = 3000.0,
     enable_l2_failover: bool = False,
@@ -241,7 +240,6 @@ def build_wankeeper_deployment(
         hub_server_addrs=tuple(hub_client_addrs),
         policy_factory=policy_factory,
         initial_tokens=dict(initial_tokens or {}),
-        wan_tick_ms=wan_tick_ms,
         read_mode=read_mode,
         read_lease_ms=read_lease_ms,
         enable_l2_failover=enable_l2_failover,

@@ -88,6 +88,15 @@ from repro.zk.server import ZkServer
 
 __all__ = ["WanConfig", "WanKeeperServer", "HUB"]
 
+#: WAN duty period, submit resend and stream-stall timeouts, and the
+#: go-back-N window of every relay and replicate stream.
+WAN_TICK_MS = 100.0
+SUBMIT_RETRY_MS = 800.0
+STREAM_STALL_MS = 800.0
+RELAY_WINDOW = 64
+#: The ~0.1 ms read overhead the paper measures and puts on marshalling (§IV-A).
+MARSHALLING_OVERHEAD_MS = 0.08
+
 #: Messages only the acting level-2 broker (the hub site's leader) handles.
 _L2_BROKER_ONLY = frozenset({
     WanHello, WanSubmit, SiteReplicate, WanHeartbeat,
@@ -106,20 +115,11 @@ class WanConfig:
     policy_factory: Callable[[], MigrationPolicy] = ConsecutiveAccessPolicy
     #: WK-Hot style pre-placement: token key -> owning site.
     initial_tokens: Dict[str, str] = field(default_factory=dict)
-    wan_tick_ms: float = 100.0
     recall_retry_ms: float = 400.0
-    submit_retry_ms: float = 800.0
-    stream_stall_ms: float = 800.0
-    relay_window: int = 64
     #: Read consistency: "local" (causal, the paper's default), "forward"
     #: (every read serialized at the hub), "fractional" (§VI read tokens).
     read_mode: str = "local"
     read_lease_ms: float = 3000.0
-    #: Extra per-request cost of the worker/master request processor and
-    #: WAN-session bookkeeping. The paper measures ~0.1 ms higher read
-    #: latency for WanKeeper vs ZooKeeper (§IV-A) and attributes it to
-    #: this marshalling; we model it as an explicit constant.
-    marshalling_overhead_ms: float = 0.08
     #: Level-2 site failover (§II-D "flexible level-2 site"): when enabled,
     #: site leaders that lose contact with the whole hub site for
     #: ``l2_failover_timeout_ms`` elect (majority of sites) a successor
@@ -269,7 +269,7 @@ class WanKeeperServer(ZkServer):
 
     def start(self) -> None:
         super().start()
-        self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
+        self._wan_ticker = Ticker(self.env, WAN_TICK_MS, self._wan_tick)
 
     def crash(self) -> None:
         if self._alive:
@@ -287,7 +287,7 @@ class WanKeeperServer(ZkServer):
         # Volatile WAN state is gone with the crash; rebuild and resume
         # the WAN duties (probing, heartbeats, stream retransmission).
         self._reset_wan_leader_state()
-        self._wan_ticker = Ticker(self.env, self.wan.wan_tick_ms, self._wan_tick)
+        self._wan_ticker = Ticker(self.env, WAN_TICK_MS, self._wan_tick)
 
     def snapshot(self) -> Dict[str, Any]:
         state = super().snapshot()
@@ -729,13 +729,12 @@ class WanKeeperServer(ZkServer):
     def _flush_relays(self, rewind: bool = False) -> None:
         """Hub leader: push relay streams to each site (go-back-N)."""
         now = self.env.now
-        window = self.wan.relay_window
         for site, stream in self._hub_relay_streams().items():
             sender = self._relays.get(site)
             leader = self._site_leaders.get(site)
             if sender is None or leader is None:
                 continue
-            for seq in sender.due(len(stream), now, window, rewind):
+            for seq in sender.due(len(stream), now, RELAY_WINDOW, rewind):
                 self.net.send(
                     self.client_addr,
                     leader,
@@ -748,7 +747,7 @@ class WanKeeperServer(ZkServer):
             return
         stream = self._replicate_stream
         for seq in self._replicate.due(
-            len(stream), self.env.now, self.wan.relay_window, rewind
+            len(stream), self.env.now, RELAY_WINDOW, rewind
         ):
             self.net.send(
                 self.client_addr,
@@ -886,7 +885,7 @@ class WanKeeperServer(ZkServer):
                 self._failover.announce()
             self._hub.pump()
             # One stalled site rewinds every site's stream, not just its own.
-            now, stall_ms = self.env.now, self.wan.stream_stall_ms
+            now, stall_ms = self.env.now, STREAM_STALL_MS
             self._flush_relays(
                 rewind=any(s.stalled(now, stall_ms) for s in self._relays.values())
             )
@@ -922,16 +921,16 @@ class WanKeeperServer(ZkServer):
                 owned_tokens=inventory,
             ),
         )
-        if now - failover.last_hub_contact > 6 * self.wan.wan_tick_ms:
+        if now - failover.last_hub_contact > 6 * WAN_TICK_MS:
             # Hub leader may have moved; re-probe.
             self._l2_addr = None
             return
         # Retransmit stalled streams and unacked submits.
         self._flush_replicates(
-            rewind=self._replicate.stalled(now, self.wan.stream_stall_ms)
+            rewind=self._replicate.stalled(now, STREAM_STALL_MS)
         )
         for wid, (txn, sent_at) in list(self._submit_unacked.items()):
-            if now - sent_at >= self.wan.submit_retry_ms:
+            if now - sent_at >= SUBMIT_RETRY_MS:
                 self._submit_unacked[wid] = (txn, now)
                 self.net.send(
                     self.client_addr,
@@ -943,7 +942,7 @@ class WanKeeperServer(ZkServer):
         """Re-issue close-session for ephemerals that leaked past a close."""
         now = self.env.now
         for session_id, last in list(self._gc_sessions.items()):
-            if now - last < 4 * self.wan.wan_tick_ms:
+            if now - last < 4 * WAN_TICK_MS:
                 continue
             leftovers = self.tree.ephemerals_of(session_id)
             if not leftovers:
@@ -959,7 +958,7 @@ class WanKeeperServer(ZkServer):
     # ------------------------------------------- strong reads (§VI tokens)
 
     def _read_delay_ms(self) -> float:
-        return self.config.processing_delay_ms + self.wan.marshalling_overhead_ms
+        return self.config.processing_delay_ms + MARSHALLING_OVERHEAD_MS
 
     def _handle_read(self, src: NodeAddress, msg: OpRequest) -> None:
         if self._reads is None:

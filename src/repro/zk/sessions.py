@@ -159,7 +159,7 @@ class SessionTracker:
         """``tuple(live_session_ids())``, cached between membership changes.
 
         WanKeeper's site tick ships the live-session list to the hub every
-        ``wan_tick_ms``; re-sorting 10^4 idle fleet sessions per tick
+        ``WAN_TICK_MS``; re-sorting 10^4 idle fleet sessions per tick
         dominated the ticker, while the set almost never changes. The
         cache is invalidated on create/expire/remove, so the value is
         always exactly what the uncached sort would produce.
