@@ -15,6 +15,7 @@ an optimization-only PR must never need to.
 
 import hashlib
 import json
+from unittest import mock
 
 from repro.sim import AllOf, AnyOf, Environment, Interrupt, Store, seeded_rng
 
@@ -29,6 +30,14 @@ GOLDEN_ZK_HISTORY = (
 )
 GOLDEN_WK_HISTORY = (
     "4f758103200cce204e3f637684953dd232df209167253d4f5906b75cea3c1990"
+)
+# ZooKeeper on the WPaxos substrate: the client history, and every
+# envelope the world sends (when, to whom, which object and slot).
+GOLDEN_WPAXOS_HISTORY = (
+    "f9af6099d28ab611efae61083852207c38446a85b6a4968627c9eacc936bea40"
+)
+GOLDEN_WPAXOS_ENVELOPES = (
+    "b9fccfb661d493e9f45f052127c1e51fbec12153d6861a4c940460b2546418a6"
 )
 
 
@@ -107,18 +116,24 @@ def kernel_trace_digest():
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def history_digest(system):
-    """Digest of the client-visible history of a seeded YCSB run.
+def seeded_ycsb_run(system, tap=None):
+    """The seed-77 YCSB run on ``system``; returns its client plans.
 
-    Covers the full stack: kernel, transport fast path, Zab broadcast,
-    ZooKeeper (or WanKeeper) server and client. Start/latency floats go in
-    via repr, so even a one-ULP timing drift changes the digest.
+    ``tap``, if given, sees every envelope the world sends, from the
+    network's construction on.
     """
-    from repro.experiments.common import build_world
+    from repro.experiments import common
     from repro.workloads.driver import ClientPlan, YcsbSpec, run_ycsb
     from repro.workloads.stats import LatencyRecorder
 
-    world = build_world(system, seed=77)
+    class TappedNetwork(common.Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if tap is not None:
+                self.tap(tap)
+
+    with mock.patch.object(common, "Network", TappedNetwork):
+        world = common.build_world(system, seed=77)
     spec = YcsbSpec(record_count=80, operation_count=400, write_fraction=0.5)
     plans = []
     for i, site in enumerate(("virginia", "california", "frankfurt")):
@@ -129,13 +144,41 @@ def history_digest(system):
             )
         )
     run_ycsb(world.env, plans, spec)
+    return plans
+
+
+def history_digest(system):
+    """Digest of the client-visible history of a seeded YCSB run.
+
+    Covers the full stack: kernel, transport fast path, the broadcast
+    substrate, ZooKeeper (or WanKeeper) server and client. Start/latency
+    floats go in via repr, so even a one-ULP timing drift changes the
+    digest.
+    """
     history = []
-    for plan in plans:
+    for plan in seeded_ycsb_run(system):
         for s in plan.recorder.samples:
             history.append(
                 (plan.recorder.name, s.kind, repr(s.start), repr(s.latency), s.ok)
             )
     payload = json.dumps(history, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def envelope_digest(system):
+    """Digest of every envelope sent in the seeded YCSB run: send and
+    deliver instants, endpoints, body type, and the body's object and
+    slot where it has them. A message added, dropped, reordered or
+    retimed anywhere changes it, whether or not a client sees it."""
+    sent = []
+    seeded_ycsb_run(system, tap=sent.append)
+    rows = [
+        (repr(e.send_time), repr(e.deliver_time), str(e.src), str(e.dst),
+         type(e.body).__name__, getattr(e.body, "obj", None),
+         getattr(e.body, "slot", None))
+        for e in sent
+    ]
+    payload = json.dumps(rows)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -149,6 +192,14 @@ def test_zk_history_matches_pre_optimization_golden():
 
 def test_wk_history_matches_pre_optimization_golden():
     assert history_digest("wk") == GOLDEN_WK_HISTORY
+
+
+def test_wpaxos_history_matches_golden():
+    assert history_digest("wpaxos") == GOLDEN_WPAXOS_HISTORY
+
+
+def test_wpaxos_envelopes_match_golden():
+    assert envelope_digest("wpaxos") == GOLDEN_WPAXOS_ENVELOPES
 
 
 def test_seeded_runs_are_bit_identical_across_repeats():
