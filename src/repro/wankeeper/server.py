@@ -186,6 +186,7 @@ class WanKeeperServer(ZkServer):
         self._reset_wan_derived_state()
         self._reset_wan_leader_state()
 
+        self.peer.on_commit = self._on_commit
         self.peer.on_submit = self._on_forwarded_submit
         self.peer.on_leader_activated = self._on_wan_leader_activated
         self.peer.on_state_change = self._on_peer_state

@@ -93,7 +93,7 @@ class ZkServer:
             substrate, env, net, zab_addr, config,
             name=f"{self.name}.{substrate}",
         )
-        self.peer.on_commit = self._on_commit
+        self.peer.on_commit = self._commit_client_txn
         # A substrate peer keeps the state machine's state across a restart
         # and moves a learner below its log window by state transfer
         # (snapshot_state / install_state).
@@ -430,9 +430,6 @@ class ZkServer:
         self._route_write(txn)
 
     # ---------------------------------------------------------------- commits
-
-    def _on_commit(self, zxid: Zxid, txn: Txn) -> None:
-        self._commit_client_txn(zxid, txn)
 
     def _commit_client_txn(self, zxid: Zxid, txn: Txn) -> Optional[ApplyOutcome]:
         """Apply one committed client txn: tree, watches, client reply.

@@ -116,6 +116,8 @@ class World:
                 self.writes.append(txn)
             return outcome
 
+        if on_commit == commit_client_txn:
+            on_commit = applied  # a ZkServer's peer hands its commits straight in
         server.peer.on_commit = committed
         server._commit_client_txn = applied
 

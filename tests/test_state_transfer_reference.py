@@ -25,6 +25,7 @@ The last test pins the oracles' own reset: a replaying restart empties
 the server above it, so the replay applies everything again.
 """
 
+import functools
 import itertools
 import random
 
@@ -106,6 +107,7 @@ class World:
         peer = server.peer
         wpaxos = isinstance(peer, WPaxosPeer)
 
+        @functools.wraps(commit_client_txn)
         def applied(zxid, txn):
             outcome = commit_client_txn(zxid, txn)
             where = (peer._object_of(txn), zxid.counter) if wpaxos else ("", zxid)
@@ -113,6 +115,8 @@ class World:
             return outcome
 
         server._commit_client_txn = applied
+        if peer.on_commit == commit_client_txn:
+            peer.on_commit = applied  # a ZkServer's peer hands its commits straight in
         if wpaxos:
             install = peer._install
 
