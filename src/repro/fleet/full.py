@@ -31,17 +31,14 @@ simulated network, on either broadcast substrate. Three mechanisms make
   liveness costs nothing while the server's expiry watermark keeps the
   ticker O(1).
 
-* **Allocation-free messaging** — read and write ops are immutable
-  records precomputed once per key and shared by every request that
-  touches the key; ``OpRequest`` shells are recycled through a per-site
-  freelist when their reply arrives (safe: the server never retains the
-  request object past the handler that answers or enqueues it — reads
-  drop it after replying, writes copy its fields into the ``Txn``). The
-  per-op kind/latency bookkeeping lives in an int-keyed dict with the
-  sign bit of the issue timestamp encoding read-vs-write, so the steady
-  state allocates nothing but the envelopes themselves. The
-  fresh-records-per-op station is the second oracle in
-  ``tests/reference_fleet.py``; payloads are bit-identical either way.
+* **Shared op records** — read and write ops are immutable records
+  precomputed once per key and shared by every request that touches the
+  key; each op sends one fresh ``OpRequest``. The per-op kind/latency
+  bookkeeping lives in an int-keyed dict with the sign bit of the issue
+  timestamp encoding read-vs-write, so the steady state allocates no
+  per-op tuples. The fresh-records-per-op station is the second oracle
+  in ``tests/reference_fleet.py``; payloads are bit-identical either
+  way.
 
 Determinism: all stochastic choices draw from per-site named
 ``seeded_rng`` streams consumed in (tick, site, arrival) order, the scan
@@ -164,8 +161,7 @@ class FleetStation:
         "addr", "inbox", "aliases", "_idx_of", "session_ids", "cxids",
         "connected", "ops_issued", "ops_completed", "ops_failed",
         "not_connected_drops", "unexpected_messages", "inflight",
-        "_inflight_reqs", "_req_free", "_read_ops", "_write_ops",
-        "_key_paths", "_issue_cb",
+        "_read_ops", "_write_ops", "_key_paths", "_issue_cb",
         "_connect_batch_cb",
     )
 
@@ -219,8 +215,6 @@ class FleetStation:
         #: key -> issue time; negative timestamps mark writes, so the
         #: steady state allocates no per-op tuples.
         self.inflight: Dict[int, float] = {}
-        self._inflight_reqs: Dict[int, OpRequest] = {}
-        self._req_free: List[OpRequest] = []
         self._read_ops = read_ops
         self._write_ops = write_ops
         self._key_paths = key_paths
@@ -269,20 +263,11 @@ class FleetStation:
             if is_write
             else self._read_ops[key_index]
         )
-        free = self._req_free
-        if free:
-            req = free.pop()
-            req.session_id = session_id
-            req.cxid = cxid
-            req.op = op
-        else:
-            req = OpRequest(session_id, cxid, op)
-        key = sess * _CXID_SPAN + cxid
         now = self.env.now
-        self.inflight[key] = -now if is_write else now
-        self._inflight_reqs[key] = req
+        self.inflight[sess * _CXID_SPAN + cxid] = -now if is_write else now
         self.ops_issued += 1
-        self.net.send(self.aliases[sess], self.server_addr, req)
+        self.net.send(self.aliases[sess], self.server_addr,
+                      OpRequest(session_id, cxid, op))
 
     # -- replies -------------------------------------------------------------
 
@@ -296,11 +281,6 @@ class FleetStation:
             if issued is None:
                 self.unexpected_messages += 1
                 return
-            # The server never retains the request shell past the
-            # handler that answered it: safe to reuse.
-            req = self._inflight_reqs.pop(key)
-            req.op = None
-            self._req_free.append(req)
             now = self.env.now
             if body.ok:
                 self.ops_completed += 1

@@ -561,11 +561,7 @@ class WanKeeperServer(ZkServer):
                         self._on_token_return(parked.sender, parked)
                 # Replicated local commits feed the learning policies (the
                 # broker's access log covers migrated-token activity too).
-                # Nearly every op needs exactly one token; skip the sort
-                # allocation for that case.
-                keys = token_keys(txn.op)
-                ordered = keys if len(keys) == 1 else sorted(keys)
-                for key in ordered:  # lint: iteration-order-ok (single element or sorted)
+                for key in sorted(token_keys(txn.op)):
                     hub.policy.observe(key, serialized_at)
             self._flush_relays()
             hub.pump()

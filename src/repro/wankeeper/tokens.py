@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterable, Optional, Set
 
 from repro.zk.ops import (
@@ -39,16 +38,11 @@ _SEQUENTIAL_SUFFIX = re.compile(r"\d{10}$")
 AT_HUB = None
 
 
-@lru_cache(maxsize=65536)
 def token_key(path: str) -> str:
     """The token protecting ``path``.
 
     Paths that look like sequential znodes (10-digit suffix) are protected
     by their parent's bulk token; every other path is its own token.
-
-    Pure function of the path, memoized: brokers resolve the same paths on
-    every admit/retire/recall, and the regex probe was measurable there.
-    The bound only caps memory on soaks with unbounded fresh paths.
     """
     if path != "/" and _SEQUENTIAL_SUFFIX.search(path.rpartition("/")[2]):
         return parent_of(path)
@@ -61,15 +55,12 @@ def token_keys(op) -> Set[str]:
     A create/delete does *not* take the parent's token (only the parent's
     cversion changes, which is site-local metadata) — except sequential
     creates, which take the parent's bulk token because the sequence counter
-    must be globally consistent.
+    must be globally consistent. A plain create of a path that looks
+    sequential takes that path's bulk token, as a delete or set of it does.
     """
-    if isinstance(op, CreateOp):
-        if op.sequential:
-            return {parent_of(op.path)}
-        return {op.path}
-    if isinstance(op, DeleteOp):
-        return {token_key(op.path)}
-    if isinstance(op, (SetDataOp, CheckVersionOp)):
+    if isinstance(op, CreateOp) and op.sequential:
+        return {parent_of(op.path)}
+    if isinstance(op, (CreateOp, DeleteOp, SetDataOp, CheckVersionOp)):
         return {token_key(op.path)}
     if isinstance(op, MultiOp):
         keys: Set[str] = set()
@@ -112,14 +103,6 @@ class SiteTokenState:
     def admit(self, keys: Iterable[str]) -> None:
         """Count an admitted-but-uncommitted local txn against its keys."""
         inflight = self.inflight
-        # Nearly every write needs exactly one token; sorting a 1-element
-        # set allocated a list per admitted txn. The multi-key path keeps
-        # the sorted order (per-key effects are independent, but pinned
-        # order keeps any downstream observation deterministic).
-        if len(keys) == 1:
-            for key in keys:  # lint: iteration-order-ok (single element)
-                inflight[key] = inflight.get(key, 0) + 1
-            return
         for key in sorted(keys):
             inflight[key] = inflight.get(key, 0) + 1
 
@@ -132,8 +115,7 @@ class SiteTokenState:
         ready: Set[str] = set()
         inflight = self.inflight
         outgoing = self.outgoing
-        ordered = keys if len(keys) == 1 else sorted(keys)
-        for key in ordered:  # lint: iteration-order-ok (single element or sorted)
+        for key in sorted(keys):
             remaining = inflight.get(key, 0) - 1
             if remaining <= 0:
                 inflight.pop(key, None)

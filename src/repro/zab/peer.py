@@ -174,13 +174,8 @@ class ZabPeer:
         # churn a set's table grows to 4x its members.
         self._recent_submits: Dict[Tuple[Any, ...], None] = {}
         self._submit_order: Deque[Tuple[Any, ...]] = deque()
-        # Never iterate these sets raw: set order is string hash order,
-        # which varies per interpreter (PYTHONHASHSEED) and would leak
-        # into the shared network jitter RNG's draw order. Fan-out loops
-        # use the _fanout_* tuples below — sorted once per membership
-        # change instead of per proposal/commit/tick.
-        self._active_followers: Set[NodeAddress] = set()
-        self._active_observers: Set[NodeAddress] = set()
+        # Active broadcast recipients, one sorted tuple per role
+        # (_join_fanout keeps them).
         self._fanout_followers: Tuple[NodeAddress, ...] = ()
         self._fanout_observers: Tuple[NodeAddress, ...] = ()
         self._discovery_epochs: Dict[NodeAddress, int] = {}
@@ -317,8 +312,6 @@ class ZabPeer:
         self._proposed_at = {}
         self._recent_submits = {}
         self._submit_order = deque()
-        self._active_followers = set()
-        self._active_observers = set()
         self._fanout_followers = ()
         self._fanout_observers = ()
         self._discovery_epochs = {}
@@ -556,8 +549,8 @@ class ZabPeer:
 
         During active broadcast only the *committed* prefix is synced;
         in-flight proposals are re-proposed individually so the joiner votes
-        on them like everyone else. The joiner is added to the recipient
-        sets immediately — FIFO channels guarantee it sees sync before any
+        on them like everyone else. The joiner joins the fan-out
+        immediately — FIFO channels guarantee it sees sync before any
         subsequent proposal/commit, closing the join-window gap.
         """
         sync_to = self.last_committed if self._broadcast_active else self.last_zxid
@@ -582,14 +575,22 @@ class ZabPeer:
         self._send(follower, NewLeader(self.addr, self.current_epoch))
         self._synced_to[follower] = sync_to
         if self._broadcast_active:
-            # Join the recipient sets now; ship the in-flight tail.
-            if self.config.is_observer(follower):
-                self._active_observers.add(follower)
-                self._fanout_observers = tuple(sorted(self._active_observers))
-            else:
-                self._active_followers.add(follower)
-                self._fanout_followers = tuple(sorted(self._active_followers))
+            # Join the fan-out now; ship the in-flight tail.
+            self._join_fanout(follower)
             self._catch_up(follower)
+
+    def _join_fanout(self, member: NodeAddress) -> None:
+        """Add ``member`` to its role's fan-out tuple, kept sorted: set
+        order is string hash order, which varies per interpreter
+        (PYTHONHASHSEED) and would leak into the network jitter RNG's
+        draw order."""
+        if self.config.is_observer(member):
+            if member not in self._fanout_observers:
+                self._fanout_observers = tuple(
+                    sorted((*self._fanout_observers, member)))
+        elif member not in self._fanout_followers:
+            self._fanout_followers = tuple(
+                sorted((*self._fanout_followers, member)))
 
     def _catch_up(self, member: NodeAddress) -> None:
         """Ship everything the member missed since its recorded sync point."""
@@ -698,12 +699,7 @@ class ZabPeer:
             self.on_leader_activated(self)
 
     def _activate_member(self, member: NodeAddress) -> None:
-        if self.config.is_observer(member):
-            self._active_observers.add(member)
-            self._fanout_observers = tuple(sorted(self._active_observers))
-        else:
-            self._active_followers.add(member)
-            self._fanout_followers = tuple(sorted(self._active_followers))
+        self._join_fanout(member)
         # Ship anything proposed/committed since the member's sync point
         # (it may have synced during establishment and activated later).
         self._catch_up(member)

@@ -79,11 +79,6 @@ class DataTree:
         )
         # session_id -> set of ephemeral paths (derived cache; rebuilt on reset)
         self._ephemerals: Dict[str, set] = {}
-        # Dirty-flag caches for the sorted views reads hand out. Any
-        # mutation of the node map drops _sorted_paths; any mutation of a
-        # session's ephemeral set drops that session's entry.
-        self._sorted_paths: Optional[List[str]] = None
-        self._ephemerals_sorted: Dict[str, List[str]] = {}
 
     # -- reads (local, never replicated) ------------------------------------
 
@@ -110,34 +105,13 @@ class DataTree:
         node = self._nodes.get(path)
         if node is None:
             raise NoNodeError(path)
-        # Copy of the node's cached sorted list: callers (and ultimately
-        # clients) may mutate the returned list.
-        return list(node.sorted_children())
-
-    def child_count(self, path: str) -> int:
-        """Number of children without materializing the sorted list.
-
-        Quota/num_children-style checks should use this instead of
-        ``len(get_children(path))``.
-        """
-        node = self._nodes.get(path)
-        if node is None:
-            raise NoNodeError(path)
-        return len(node.children)
+        return sorted(node.children)
 
     def ephemerals_of(self, session_id: str) -> List[str]:
-        cached = self._ephemerals_sorted.get(session_id)
-        if cached is None:
-            cached = self._ephemerals_sorted[session_id] = sorted(
-                self._ephemerals.get(session_id, ())
-            )
-        return list(cached)
+        return sorted(self._ephemerals.get(session_id, ()))
 
     def paths(self) -> List[str]:
-        cached = self._sorted_paths
-        if cached is None:
-            cached = self._sorted_paths = sorted(self._nodes)
-        return list(cached)
+        return sorted(self._nodes)
 
     # -- writes --------------------------------------------------------------
 
@@ -191,14 +165,12 @@ class DataTree:
             ephemeral_owner=owner,
         )
         self._nodes[actual_path] = node
-        self._sorted_paths = None
         parent.children.add(basename(actual_path))
         parent.cversion += 1
         parent.pzxid = zxid
         parent.invalidate()
         if owner is not None:
             self._ephemerals.setdefault(owner, set()).add(actual_path)
-            self._ephemerals_sorted.pop(owner, None)
         events = [
             WatchEvent(WatchType.NODE_CREATED, actual_path),
             WatchEvent(WatchType.NODE_CHILDREN_CHANGED, parent_path),
@@ -223,7 +195,6 @@ class DataTree:
 
     def _remove_node(self, node: Znode, zxid: Zxid) -> None:
         del self._nodes[node.path]
-        self._sorted_paths = None
         parent = self._nodes[parent_of(node.path)]
         parent.children.discard(basename(node.path))
         parent.cversion += 1
@@ -235,7 +206,6 @@ class DataTree:
                 owned.discard(node.path)
                 if not owned:
                     del self._ephemerals[node.ephemeral_owner]
-            self._ephemerals_sorted.pop(node.ephemeral_owner, None)
 
     def _apply_set_data(self, op: SetDataOp, zxid: Zxid) -> ApplyOutcome:
         node = self._nodes.get(op.path)
@@ -244,8 +214,7 @@ class DataTree:
         if op.version != -1 and op.version != node.version:
             return ApplyOutcome(ok=False, error=BadVersionError(op.path))
         # Every replica runs this for every set, so it allocates only the
-        # new Stat, in place of invalidate() + stat() (a set leaves the
-        # children and their sorted cache alone), and reuses the event.
+        # new Stat, in place of invalidate() + stat(), and reuses the event.
         data = node.data = op.data
         version = node.version = node.version + 1
         node.mzxid = zxid
@@ -331,8 +300,6 @@ class DataTree:
         copy._ephemerals = {
             session: set(paths) for session, paths in self._ephemerals.items()
         }
-        copy._sorted_paths = None
-        copy._ephemerals_sorted = {}
         return copy
 
     def fingerprint(self) -> int:

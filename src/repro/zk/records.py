@@ -67,14 +67,12 @@ class Znode:
         "children",
         # Monotonic counter for naming sequential children.
         "sequence",
-        # Dirty-flag caches, rebuilt lazily and dropped by invalidate():
-        # the Stat returned by reads and the sorted children list. Every
-        # mutation site in DataTree calls invalidate() on the touched
-        # node(s), except a set, which rebuilds _stat in place (it leaves
-        # the children alone); stale values here would leak old metadata
-        # to readers.
+        # Dirty-flag cache of the Stat returned by reads, rebuilt lazily
+        # and dropped by invalidate(). Every mutation site in DataTree
+        # calls invalidate() on the touched node(s), except a set, which
+        # rebuilds _stat in place; a stale value here would leak old
+        # metadata to readers.
         "_stat",
-        "_sorted_children",
         # This node's one NODE_DATA_CHANGED event (as a 1-tuple), built by
         # its first set and reused by every later one: the event is frozen
         # and its path is the node's for life.
@@ -105,7 +103,6 @@ class Znode:
         self.children = set() if children is None else children
         self.sequence = sequence
         self._stat = None
-        self._sorted_children = None
         self._data_changed = None
 
     def __repr__(self) -> str:
@@ -123,9 +120,8 @@ class Znode:
         return self.ephemeral_owner is not None
 
     def invalidate(self) -> None:
-        """Drop cached Stat/sorted-children after any field mutation."""
+        """Drop the cached Stat after any field mutation."""
         self._stat = None
-        self._sorted_children = None
 
     def stat(self) -> Stat:
         """This node's Stat; cached until the next mutation.
@@ -143,14 +139,3 @@ class Znode:
                 len(self.children),
             )
         return stat
-
-    def sorted_children(self) -> list:
-        """Sorted child names; cached until the next child-set mutation.
-
-        Callers must copy before handing the list to anything that may
-        mutate it (DataTree.get_children does).
-        """
-        cached = self._sorted_children
-        if cached is None:
-            cached = self._sorted_children = sorted(self.children)
-        return cached

@@ -3,11 +3,6 @@
 Watches are one-shot and local to the server the client is connected to,
 exactly as in ZooKeeper: a read with ``watch=True`` registers interest; the
 first matching mutation the server applies fires (and removes) the watch.
-
-The manager keeps a per-session reverse index next to the per-path tables
-so session teardown is proportional to *that session's* watches, not to
-every watched path on the server; the two structures are kept in lockstep
-by ``add_*``/``trigger``/``drop_session``.
 """
 
 from __future__ import annotations
@@ -33,9 +28,6 @@ class WatchManager:
     def __init__(self):
         self._data: Dict[str, Set[str]] = {}
         self._children: Dict[str, Set[str]] = {}
-        # Reverse index: session -> paths it watches, per table.
-        self._data_by_session: Dict[str, Set[str]] = {}
-        self._children_by_session: Dict[str, Set[str]] = {}
 
     @property
     def has_watches(self) -> bool:
@@ -45,43 +37,30 @@ class WatchManager:
     def add_data_watch(self, path: str, session_id: str) -> None:
         """Register a data/exists watch for ``session_id`` on ``path``."""
         self._data.setdefault(path, set()).add(session_id)
-        self._data_by_session.setdefault(session_id, set()).add(path)
 
     def add_child_watch(self, path: str, session_id: str) -> None:
         """Register a children watch for ``session_id`` on ``path``."""
         self._children.setdefault(path, set()).add(session_id)
-        self._children_by_session.setdefault(session_id, set()).add(path)
 
+    @staticmethod
     def _pop_path(
-        self,
         table: Dict[str, Set[str]],
-        by_session: Dict[str, Set[str]],
         event: WatchEvent,
         fired: List[Tuple[str, WatchEvent]],
     ) -> None:
         sessions = table.pop(event.path, None)
-        if not sessions:
-            return
-        path = event.path
-        for session_id in sorted(sessions):
-            watched = by_session.get(session_id)
-            if watched is not None:
-                watched.discard(path)
-                if not watched:
-                    del by_session[session_id]
-            fired.append((session_id, event))
+        if sessions:
+            fired.extend((session_id, event) for session_id in sorted(sessions))
 
     def trigger(self, event: WatchEvent) -> List[Tuple[str, WatchEvent]]:
         """Fire watches matching ``event``; returns (session, event) pairs."""
         fired: List[Tuple[str, WatchEvent]] = []
         if event.type in _DATA_EVENTS and self._data:
-            self._pop_path(self._data, self._data_by_session, event, fired)
+            self._pop_path(self._data, event, fired)
         if event.type in _CHILD_EVENTS and self._children:
             # NODE_DELETED fires child watches as NODE_DELETED on the node
             # itself (ZooKeeper semantics); CHILDREN_CHANGED fires as-is.
-            self._pop_path(
-                self._children, self._children_by_session, event, fired
-            )
+            self._pop_path(self._children, event, fired)
         return fired
 
     def changes(self, old, new) -> List[WatchEvent]:
@@ -109,16 +88,10 @@ class WatchManager:
 
     def drop_session(self, session_id: str) -> None:
         """Remove all watches held by a session (client gone)."""
-        for table, by_session in (
-            (self._data, self._data_by_session),
-            (self._children, self._children_by_session),
-        ):
-            watched = by_session.pop(session_id, None)
-            if not watched:
-                continue
-            for path in sorted(watched):
-                sessions = table.get(path)
-                if sessions is not None:
+        for table in (self._data, self._children):
+            for path in sorted(table):
+                sessions = table[path]
+                if session_id in sessions:
                     sessions.discard(session_id)
                     if not sessions:
                         del table[path]

@@ -1,16 +1,16 @@
 """The pre-PR-17 fleet driver and op-issue path, kept as differential oracles.
 
 ``repro.fleet.full`` has one driver (the idle-gap fast-forward scan) and
-one allocation path (shared op records, recycled ``OpRequest`` shells).
+one allocation path (op records shared per key, one ``OpRequest`` per op).
 What each replaced lives here, one mechanism per class so a divergence
 names its cause:
 
 * ``PerTickEngine`` — a generator process that wakes the kernel once per
   tick and calls the product engine's own ``_schedule_tick``, so the draws
   are the product's and only the walk over the tick grid differs.
-* ``FreshAllocationEngine`` — stations that build a new op record and a
-  new ``OpRequest`` for every operation and never touch one after sending
-  it: what a naive per-session client would allocate.
+* ``FreshAllocationEngine`` — stations that build a new op record for
+  every operation instead of sharing one per key: what a naive
+  per-session client would allocate.
 
 Slow, but simple enough to read as the specification:
 ``tests/test_fleet_full.py`` runs the same specs through these and the
@@ -20,7 +20,7 @@ product and demands byte-identical payloads. Test-only — nothing under
 
 from repro.fleet.full import _CXID_SPAN, FleetStation, _FleetFullEngine
 from repro.zk.ops import GetDataOp, SetDataOp
-from repro.zk.protocol import OpReply, OpRequest
+from repro.zk.protocol import OpRequest
 
 
 class PerTickEngine(_FleetFullEngine):
@@ -43,7 +43,7 @@ class PerTickEngine(_FleetFullEngine):
 
 
 class FreshStation(FleetStation):
-    """Fresh records per op; nothing shared, nothing reused."""
+    """Fresh op records per op; nothing shared."""
 
     __slots__ = ()
 
@@ -71,26 +71,6 @@ class FreshStation(FleetStation):
         self.net.send(
             self.aliases[sess], self.server_addr, OpRequest(session_id, cxid, op)
         )
-
-    def _on_envelope(self, envelope):
-        body = envelope.body
-        if body.__class__ is not OpReply:
-            super()._on_envelope(envelope)
-            return
-        key = self._idx_of[envelope.dst] * _CXID_SPAN + body.cxid
-        issued = self.inflight.pop(key, None)
-        if issued is None:
-            self.unexpected_messages += 1
-            return
-        now = self.env.now
-        if body.ok:
-            self.ops_completed += 1
-        else:
-            self.ops_failed += 1
-        if issued < 0.0:
-            self.recorder.record("write", -issued, now + issued, body.ok)
-        else:
-            self.recorder.record("read", issued, now - issued, body.ok)
 
 
 class FreshAllocationEngine(_FleetFullEngine):

@@ -139,13 +139,8 @@ class ReplayFromZero:
         self._send(follower, NewLeader(self.addr, self.current_epoch))
         self._synced_to[follower] = sync_to
         if self._broadcast_active:
-            # Join the recipient sets now; ship the in-flight tail.
-            if self.config.is_observer(follower):
-                self._active_observers.add(follower)
-                self._fanout_observers = tuple(sorted(self._active_observers))
-            else:
-                self._active_followers.add(follower)
-                self._fanout_followers = tuple(sorted(self._active_followers))
+            # Join the fan-out now; ship the in-flight tail.
+            self._join_fanout(follower)
             self._catch_up(follower)
 
     def _on_whole_log_snap(self, src: NodeAddress, msg: WholeLogSnap) -> None:

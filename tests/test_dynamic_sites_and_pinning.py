@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
+from repro.zk.errors import NoNodeError
 
 from tests.support import fresh_world, run_app
 
@@ -235,3 +236,48 @@ def test_pin_queued_behind_a_write_leaves_one_owner():
         "/contested"
         not in deployment.site_leader(CALIFORNIA).site_tokens.owned
     )
+
+
+def test_plain_create_of_a_sequential_looking_path_takes_the_bulk_token():
+    """A create and a delete of one path need the same token.
+
+    ``/q/x0000000001`` looks sequential, so a delete or set of it takes
+    ``/q``'s bulk token. A plain create of it once took the path's own
+    token instead: with ``/q`` pinned to California and the path's own
+    token to Frankfurt, both sites admitted their write locally, and
+    Frankfurt applied California's delete as ``ok`` while California had
+    answered ``no_node`` (the sentinel's reply-coherence trip).
+    """
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo)
+    admin = deployment.client(VIRGINIA)
+    fr = deployment.client(FRANKFURT)
+    ca = deployment.client(CALIFORNIA)
+    path = "/q/x0000000001"
+
+    def app():
+        yield admin.connect()
+        yield fr.connect()
+        yield ca.connect()
+        yield admin.create("/q", b"")
+        yield env.timeout(500.0)
+        deployment.pin_token("/q", CALIFORNIA)
+        deployment.pin_token(path, FRANKFURT)
+        yield env.timeout(3000.0)
+        create = fr.create(path, b"x")
+        delete = ca.delete(path)
+        yield create
+        try:
+            yield delete
+            outcome = "ok"
+        except NoNodeError:
+            outcome = "no_node"
+        yield env.timeout(3000.0)
+        return outcome
+
+    # California holds /q, so its delete commits locally before
+    # Frankfurt's create is serialized at the hub.
+    assert run_app(env, app(), timeout_ms=120000.0) == "no_node"
+    assert path in deployment.site_leader(CALIFORNIA).tree
+    fingerprints = {s.tree.fingerprint() for s in deployment.servers}
+    assert len(fingerprints) == 1

@@ -78,7 +78,7 @@ def test_fast_forward_matches_naive_on_sparse_flat_cell():
     assert reference.env._seq - product.env._seq == quiescent == 3951
 
 
-def test_recycled_messages_match_fresh_allocations():
+def test_shared_op_records_match_fresh_allocations():
     _, reference = _run_engine(FreshAllocationEngine, _SMALL)
     assert _canon(_run(_SMALL)) == _canon(reference)
 

@@ -226,7 +226,7 @@ def test_every_txn_copy_rebuilds_its_key():
 
 
 def test_recycled_op_request_is_reassigned_in_place():
-    # The fleet station's freelist re-fills a delivered request shell.
+    # A record's fields are assignable; equality and hash follow them.
     req = OpRequest("s1", 1, "op-a")
     req.session_id, req.cxid, req.op = "s2", 7, "op-b"
     assert req == OpRequest("s2", 7, "op-b")

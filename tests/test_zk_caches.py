@@ -1,19 +1,15 @@
-"""Invalidation tests for the protocol-layer read caches.
+"""Read-behaviour tests for the znode tree and the watch manager.
 
-The perf pass cached per-znode ``Stat`` records, sorted child lists,
-the tree's sorted path list, per-session ephemeral lists, and added a
-per-session reverse index to the watch manager. Each cache is only safe
-if every mutation path invalidates it; these tests drive each mutation
-and then golden-check the cached reads against freshly computed values.
+Each znode caches its ``Stat`` record, which is only safe if every
+mutation path invalidates it; these tests drive each mutation and then
+golden-check the reads (Stat, sorted children, sorted paths, per-session
+ephemerals, watch bookkeeping) against freshly computed values.
 """
 
 from repro.zab import Zxid
 from repro.zk import CreateOp, DataTree, DeleteOp, SetDataOp
-from repro.zk.errors import NoNodeError
 from repro.zk.records import Stat, WatchEvent, WatchType
 from repro.zk.watches import WatchManager
-
-import pytest
 
 
 Z = Zxid
@@ -79,7 +75,7 @@ def test_child_create_and_delete_invalidate_parent_stat():
     assert stat == fresh_stat(tree.node("/a"))
 
 
-# -- sorted-children cache ----------------------------------------------------
+# -- sorted children ----------------------------------------------------------
 
 
 def test_get_children_stays_sorted_across_mutations():
@@ -92,7 +88,7 @@ def test_get_children_stays_sorted_across_mutations():
     assert tree.get_children("/a") == ["abc", "bbb", "mid", "zed"]
     apply(tree, DeleteOp("/a/mid"))
     assert tree.get_children("/a") == ["abc", "bbb", "zed"]
-    # Golden check: cached result equals a fresh sort of the live set.
+    # Golden check: the listing equals a fresh sort of the live set.
     assert tree.get_children("/a") == sorted(tree.node("/a").children)
 
 
@@ -105,21 +101,7 @@ def test_get_children_returns_a_private_copy():
     assert tree.get_children("/a") == ["x"]
 
 
-def test_child_count_matches_len_of_children():
-    tree = DataTree()
-    apply(tree, CreateOp("/a"))
-    assert tree.child_count("/a") == 0
-    for i in range(5):
-        apply(tree, CreateOp(f"/a/c{i}"))
-    assert tree.child_count("/a") == 5
-    assert tree.child_count("/a") == len(tree.get_children("/a"))
-    apply(tree, DeleteOp("/a/c3"))
-    assert tree.child_count("/a") == 4
-    with pytest.raises(NoNodeError):
-        tree.child_count("/missing")
-
-
-# -- sorted-paths / ephemerals caches ----------------------------------------
+# -- sorted paths / ephemerals -----------------------------------------------
 
 
 def test_paths_cache_tracks_creates_and_deletes():
@@ -165,7 +147,7 @@ def test_clone_does_not_share_caches():
     assert copy.fingerprint() != tree.fingerprint()
 
 
-# -- watch manager reverse index ----------------------------------------------
+# -- watch manager ------------------------------------------------------------
 
 
 def test_drop_session_removes_only_that_sessions_watches():
