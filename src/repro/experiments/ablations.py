@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.experiments.common import build_world, drive
+from repro.experiments.common import build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import (
     ConsecutiveAccessPolicy,
@@ -24,7 +24,7 @@ from repro.wankeeper import (
     NeverMigratePolicy,
 )
 from repro.workloads import LatencyRecorder, OverlapChooser, UniformChooser, YcsbSpec
-from repro.workloads.driver import ClientPlan, run_ycsb
+from repro.workloads.driver import ClientPlan, drive, run_ycsb
 from repro.zk.recipes import FairLock
 
 __all__ = [

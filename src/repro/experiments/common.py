@@ -10,7 +10,7 @@ from repro.sim import Environment, RngRegistry, seeded_rng
 from repro.wankeeper import ConsecutiveAccessPolicy, build_wankeeper_deployment
 from repro.zk import build_zk_deployment
 
-__all__ = ["SYSTEMS", "World", "build_world", "drive", "format_table"]
+__all__ = ["SYSTEMS", "World", "build_world", "format_table"]
 
 #: The comparison systems of §IV — plain ZooKeeper with WAN voters,
 #: ZooKeeper with observers, WanKeeper cold, and WanKeeper hot-started —
@@ -47,7 +47,6 @@ class World:
 def build_world(
     system: str,
     seed: int = 42,
-    jitter: float = 0.0,
     initial_tokens: Optional[Dict[str, str]] = None,
     policy_factory: Callable = ConsecutiveAccessPolicy,
     read_mode: str = "local",
@@ -57,7 +56,8 @@ def build_world(
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS}")
     env = Environment()
-    topology = wan_topology(jitter_fraction=jitter)
+    # The paper's WAN: fixed per-pair delays, no jitter.
+    topology = wan_topology(jitter_fraction=0.0)
     net = Network(env, topology, rng=seeded_rng(seed, "net"))
     if system == "zk":
         deployment = build_zk_deployment(
@@ -74,7 +74,6 @@ def build_world(
             net,
             topology,
             leader_site=VIRGINIA,
-            voters_in_leader_site=3,
             observer_sites=(CALIFORNIA, FRANKFURT),
             processing_delay_ms=processing_delay_ms,
         )
@@ -106,27 +105,6 @@ def build_world(
     deployment.start()
     deployment.stabilize()
     return World(system, env, topology, net, deployment, RngRegistry(seed))
-
-
-def drive(env: Environment, process, budget_ms: float) -> Any:
-    """Run ``env`` until ``process`` finishes; return its value.
-
-    Simulated time advances in 5 s steps until the process finishes or
-    ``budget_ms`` has passed since the call; a process still waiting then
-    raises ``RuntimeError`` instead of spinning forever on an event that
-    never fires.
-    """
-    deadline = env.now + budget_ms
-    while not process.triggered and env.now < deadline:
-        env.run(until=env.now + 5000.0)
-    if not process.triggered:
-        raise RuntimeError(
-            f"cell process did not finish within its budget of "
-            f"{budget_ms:.0f} ms of simulated time"
-        )
-    if not process.ok:
-        raise process.exception
-    return process.value
 
 
 def format_table(

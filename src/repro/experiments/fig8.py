@@ -18,9 +18,10 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.bookkeeper import Bookie, BookKeeperClient
-from repro.experiments.common import World, build_world, drive
+from repro.experiments.common import World, build_world
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.workloads import LatencyRecorder
+from repro.workloads.driver import drive
 from repro.zk.recipes import DistributedLock
 
 __all__ = ["run_fig8_cell"]

@@ -10,8 +10,8 @@ top of the same simulation substrate:
   continental / transcontinental) and deterministic site naming,
   producing ordinary :class:`repro.net.topology.Topology` objects;
 * :mod:`repro.fleet.engine` — an **open-loop** traffic driver
-  (Poisson or deterministic arrivals per site, with a diurnal
-  follow-the-sun modulator) over a sharded key/token space, backed by
+  (Poisson arrivals per site, with a diurnal follow-the-sun
+  modulator) over a sharded key/token space, backed by
   array-columns instead of per-session coroutines so a single run
   sustains 10^5-10^6 concurrent sessions in tens of megabytes;
 * :mod:`repro.fleet.full` — the same open-loop arrival machinery

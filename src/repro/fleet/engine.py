@@ -10,7 +10,7 @@ rises, hiding saturation behaviour entirely.
 This engine inverts both choices:
 
 * **Open-loop arrivals** — each site offers load at a configured rate
-  (Poisson or deterministic arrival process) regardless of completions,
+  (a Poisson arrival process) regardless of completions,
   so pushing the offered load past a site's service capacity produces
   real queueing delay and a visible saturation knee, exactly the axis
   the coordination-evaluation literature measures.
@@ -25,7 +25,7 @@ This engine inverts both choices:
   the consecutive-access streak, and the streak's site per shard,
   implementing the WanKeeper consecutive-access migration rule at fleet
   scale. Writes commit locally when the site holds the shard token and
-  are forwarded through the hub otherwise; ``migration_threshold``
+  are forwarded through the hub otherwise; ``MIGRATION_THRESHOLD``
   consecutive foreign accesses migrate the token (counted per site).
 * **Follow-the-sun diurnal modulator** — each site's offered rate is
   modulated by a cosine of its local solar time (from the generated
@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.sim.kernel import Environment
@@ -60,6 +60,32 @@ from repro.workloads.stats import LatencyRecorder
 __all__ = ["FleetSpec", "diurnal_factor", "poisson", "run_fleet"]
 
 
+#: Simulated ms per batched step of every site.
+TICK_MS = 100.0
+WRITE_FRACTION = 0.5
+#: Token shards the key space is aggregated into.
+SHARDS = 4096
+#: Consecutive foreign writes that migrate a shard's token.
+MIGRATION_THRESHOLD = 2
+#: The hub is the first generated site.
+HUB_INDEX = 0
+#: Follow-the-sun modulation: the offered rate swings by +-60 % over one
+#: simulated "day". 15 % of ops go to a hotspot that circles the key
+#: space once per day (here 5 % of the shards wide). :mod:`repro.fleet.full`
+#: reads the diurnal and hotspot-share constants from here.
+DIURNAL_AMPLITUDE = 0.6
+DIURNAL_PERIOD_MS = 20000.0
+HOTSPOT_FRACTION = 0.15
+HOTSPOT_WIDTH_FRACTION = 0.05
+#: Per-op service time at a site; sets the saturation point
+#: (capacity = 1000 / SERVICE_TIME_MS ≈ 333 ops/sec/site). Calibrated so
+#: the 2.0x load sweep crosses the knee at diurnal peaks while 1.0x stays
+#: below it.
+SERVICE_TIME_MS = 3.0
+#: Latency samples each site's sketch keeps for its percentiles.
+RESERVOIR_SIZE = 2048
+
+
 @dataclass
 class FleetSpec:
     """Parameters of one fleet-tier run (all JSON scalars, cell-ready)."""
@@ -67,25 +93,9 @@ class FleetSpec:
     n_sites: int = 20
     sessions_per_site: int = 5000
     duration_ms: float = 60000.0
-    tick_ms: float = 100.0
     #: Offered load per site at load_multiplier 1.0 and diurnal peak 1.0.
     site_ops_per_sec: float = 150.0
     load_multiplier: float = 1.0
-    arrival: str = "poisson"  # "poisson" | "deterministic"
-    write_fraction: float = 0.5
-    shards: int = 4096
-    migration_threshold: int = 2
-    hub_index: int = 0
-    diurnal_amplitude: float = 0.6
-    diurnal_period_ms: float = 20000.0  # one simulated "day"
-    hotspot_fraction: float = 0.15
-    hotspot_width_fraction: float = 0.05
-    #: Per-op service time at a site; sets the saturation point
-    #: (capacity = 1000 / service_time_ms ≈ 333 ops/sec/site). Calibrated
-    #: so the 2.0x load sweep crosses the knee at diurnal peaks while
-    #: 1.0x stays below it.
-    service_time_ms: float = 3.0
-    reservoir_size: int = 2048
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -93,39 +103,21 @@ class FleetSpec:
             raise ValueError("n_sites must be >= 2")
         if self.sessions_per_site < 1:
             raise ValueError("sessions_per_site must be positive")
-        if self.arrival not in ("poisson", "deterministic"):
-            raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if self.shards < self.n_sites:
+        if SHARDS < self.n_sites:
             raise ValueError("need at least one shard per site")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ValueError("write_fraction must be in [0, 1]")
-        if self.migration_threshold < 1:
-            raise ValueError("migration_threshold must be >= 1")
-        if not 0 <= self.hub_index < self.n_sites:
-            raise ValueError("hub_index out of range")
-        if self.tick_ms <= 0 or self.duration_ms <= 0:
+        if self.duration_ms <= 0:
             raise ValueError("durations must be positive")
 
     @property
     def total_sessions(self) -> int:
         return self.n_sites * self.sessions_per_site
 
-    def as_params(self) -> Dict[str, Any]:
-        """Flat kwargs dict (for Scenario specs)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def diurnal_factor(
-    amplitude: float, period_ms: float, phase: float, t_ms: float
-) -> float:
+def diurnal_factor(phase: float, t_ms: float) -> float:
     """Follow-the-sun modulation of a site's offered rate at ``t_ms``:
-    a cosine of the site's local time of day (``phase`` in days), floored
-    at zero."""
-    if amplitude <= 0.0:
-        return 1.0
-    day_fraction = t_ms / period_ms + phase
-    factor = 1.0 + amplitude * math.cos(2.0 * math.pi * day_fraction)
-    return factor if factor > 0.0 else 0.0
+    a cosine of the site's local time of day (``phase`` in days)."""
+    day_fraction = t_ms / DIURNAL_PERIOD_MS + phase
+    return 1.0 + DIURNAL_AMPLITUDE * math.cos(2.0 * math.pi * day_fraction)
 
 
 def poisson(rng, mean: float) -> int:
@@ -172,7 +164,7 @@ class _FleetEngine:
         self.session_last_ms = array("d", bytes(8 * total))
 
         # -- sharded token directory.
-        shards = spec.shards
+        shards = SHARDS
         self.owner = array("h", (s * n // shards for s in range(shards)))
         self.streak_site = array("h", self.owner)
         self.streak = array("H", bytes(2 * shards))
@@ -180,7 +172,6 @@ class _FleetEngine:
         # -- per-site open-loop accounting.
         self.rngs = [seeded_rng(spec.seed, f"fleet-site-{i:04d}") for i in range(n)]
         self.busy_until = [0.0] * n
-        self.carry = [0.0] * n  # deterministic-arrival remainders
         self.offered = [0] * n
         self.completed = [0] * n
         self.dropped_after_horizon = [0] * n
@@ -189,9 +180,7 @@ class _FleetEngine:
         self.local_writes = 0
         self.queue_wait_sum = 0.0
         self.recorders = [
-            LatencyRecorder(
-                names[i], mode="sketch", reservoir_size=spec.reservoir_size
-            )
+            LatencyRecorder(names[i], mode="sketch", reservoir_size=RESERVOIR_SIZE)
             for i in range(n)
         ]
 
@@ -200,7 +189,7 @@ class _FleetEngine:
         self.home_width = [
             max(1, (i + 1) * shards // n - i * shards // n) for i in range(n)
         ]
-        self.hot_width = max(1, int(shards * spec.hotspot_width_fraction))
+        self.hot_width = max(1, int(shards * HOTSPOT_WIDTH_FRACTION))
 
     # -- per-tick batch step -------------------------------------------------
 
@@ -211,19 +200,11 @@ class _FleetEngine:
         mean = (
             spec.site_ops_per_sec
             * spec.load_multiplier
-            * diurnal_factor(
-                spec.diurnal_amplitude, spec.diurnal_period_ms,
-                self.phase[site_index], now_ms,
-            )
-            * spec.tick_ms
+            * diurnal_factor(self.phase[site_index], now_ms)
+            * TICK_MS
             / 1000.0
         )
-        if spec.arrival == "poisson":
-            arrivals = poisson(rng, mean)
-        else:
-            exact = mean + self.carry[site_index]
-            arrivals = int(exact)
-            self.carry[site_index] = exact - arrivals
+        arrivals = poisson(rng, mean)
         if arrivals <= 0:
             return
         self.offered[site_index] += arrivals
@@ -232,35 +213,31 @@ class _FleetEngine:
         per_site = spec.sessions_per_site
         session_base = site_index * per_site
         rtt_row = self.rtt[site_index]
-        hub_rtt = rtt_row[spec.hub_index]
+        hub_rtt = rtt_row[HUB_INDEX]
         owner = self.owner
         streak = self.streak
         streak_site = self.streak_site
-        threshold = spec.migration_threshold
-        shards = spec.shards
+        shards = SHARDS
         recorder = self.recorders[site_index]
         session_ops = self.session_ops
         session_last = self.session_last_ms
         busy = self.busy_until[site_index]
-        service = spec.service_time_ms
         horizon = spec.duration_ms
-        spacing = spec.tick_ms / arrivals
-        hot_center = int(
-            (now_ms / spec.diurnal_period_ms % 1.0) * shards
-        )
+        spacing = TICK_MS / arrivals
+        hot_center = int((now_ms / DIURNAL_PERIOD_MS % 1.0) * shards)
 
         completed = 0
         dropped = 0
         for k in range(arrivals):
             arrival = now_ms + (k + 0.5) * spacing
             session = session_base + rng.randrange(per_site)
-            if rng.random() < spec.hotspot_fraction:
+            if rng.random() < HOTSPOT_FRACTION:
                 shard = (hot_center + rng.randrange(self.hot_width)) % shards
             else:
                 shard = self.home_start[site_index] + rng.randrange(
                     self.home_width[site_index]
                 )
-            is_write = rng.random() < spec.write_fraction
+            is_write = rng.random() < WRITE_FRACTION
             if is_write:
                 holder = owner[shard]
                 if holder == site_index:
@@ -268,14 +245,14 @@ class _FleetEngine:
                     self.local_writes += 1
                 else:
                     # Forwarded through the hub to the owning site.
-                    latency = hub_rtt + self.rtt[spec.hub_index][holder]
+                    latency = hub_rtt + self.rtt[HUB_INDEX][holder]
                     self.forwarded_writes += 1
                     if streak_site[shard] == site_index:
                         run = streak[shard] + 1
                     else:
                         streak_site[shard] = site_index
                         run = 1
-                    if run >= threshold:
+                    if run >= MIGRATION_THRESHOLD:
                         # Token migrates here: one extra hub round trip.
                         latency += hub_rtt
                         owner[shard] = site_index
@@ -295,7 +272,7 @@ class _FleetEngine:
                 start_service = arrival
             else:
                 start_service = busy
-            busy = start_service + service
+            busy = start_service + SERVICE_TIME_MS
             queue_wait = start_service - arrival
             self.queue_wait_sum += queue_wait
             completion = busy + latency
@@ -376,12 +353,12 @@ def run_fleet(spec: FleetSpec) -> Dict[str, Any]:
     """
     engine = _FleetEngine(spec)
     env = Environment()
-    ticks = int(math.ceil(spec.duration_ms / spec.tick_ms))
+    ticks = int(math.ceil(spec.duration_ms / TICK_MS))
 
     def site_process(site_index: int):
         for _tick in range(ticks):
             engine.step_site(site_index, env.now)
-            yield env.timeout(spec.tick_ms)
+            yield env.timeout(TICK_MS)
 
     for i in range(spec.n_sites):
         env.process(site_process(i), name=f"fleet-site-{i}")

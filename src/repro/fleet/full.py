@@ -53,9 +53,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional
 
-from repro.fleet.engine import diurnal_factor, poisson
+from repro.fleet.engine import (
+    DIURNAL_PERIOD_MS,
+    HOTSPOT_FRACTION,
+    diurnal_factor,
+    poisson,
+)
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -73,6 +78,26 @@ __all__ = ["FleetFullSpec", "FleetStation", "run_fleet_full"]
 _CXID_SPAN = 1 << 21
 
 
+#: Keys per site; tokens start at each key's home site.
+KEYS_PER_SITE = 16
+#: The hub is the first generated site.
+HUB_INDEX = 0
+#: Voters in each WanKeeper site ensemble (flat ZK puts 3 at the hub).
+VOTERS_PER_SITE = 1
+#: Far past the horizon: sessions are real server-side objects but
+#: never heartbeat, so the expiry watermark keeps tickers O(1).
+SESSION_TIMEOUT_MS = 3_600_000.0
+#: The phases around the driven window: sessions connect over the first,
+#: the stack settles for the second, and in-flight ops drain in the last.
+CONNECT_WINDOW_MS = 500.0
+SETTLE_MS = 500.0
+DRAIN_MS = 2000.0
+#: Bytes of every write.
+PAYLOAD_BYTES = 16
+#: Latency samples each station's sketch keeps for its percentiles.
+RESERVOIR_SIZE = 1024
+
+
 @dataclass
 class FleetFullSpec:
     """Parameters of one full-stack fleet cell (all JSON scalars)."""
@@ -80,40 +105,26 @@ class FleetFullSpec:
     n_sites: int = 8
     sessions_per_site: int = 1250
     duration_ms: float = 15000.0
-    tick_ms: float = 10.0
     #: Offered load per site at load_multiplier 1.0 and diurnal peak 1.0.
     site_ops_per_sec: float = 40.0
     load_multiplier: float = 1.0
-    arrival: str = "poisson"  # "poisson" | "deterministic"
     write_fraction: float = 0.2
-    keys_per_site: int = 16
-    hotspot_fraction: float = 0.15
-    diurnal_amplitude: float = 0.6
-    diurnal_period_ms: float = 20000.0  # one simulated "day"
     #: Which real system serves the ops: "wankeeper" (one ensemble per
-    #: site, hub at hub_index) or "zk" (observers under zab; one voter
+    #: site, hub at HUB_INDEX) or "zk" (observers under zab; one voter
     #: per site under wpaxos, its natural multileader shape).
     system: str = "wankeeper"
     substrate: str = "zab"  # "zab" | "wpaxos"
-    hub_index: int = 0
-    voters_per_site: int = 1  # wankeeper ensembles (zk uses 3 at the hub)
-    #: Far past the horizon: sessions are real server-side objects but
-    #: never heartbeat, so the expiry watermark keeps tickers O(1).
-    session_timeout_ms: float = 3_600_000.0
-    connect_window_ms: float = 500.0
-    settle_ms: float = 500.0
-    drain_ms: float = 2000.0
-    payload_bytes: int = 16
-    reservoir_size: int = 1024
     seed: int = 42
+
+    #: Simulated ms per arrival tick; callers that size a cell in ticks
+    #: read it here.
+    tick_ms: ClassVar[float] = 10.0
 
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         if self.sessions_per_site < 1:
             raise ValueError("sessions_per_site must be positive")
-        if self.arrival not in ("poisson", "deterministic"):
-            raise ValueError(f"unknown arrival process {self.arrival!r}")
         if self.system not in ("wankeeper", "zk"):
             raise ValueError(f"unknown system {self.system!r}")
         if self.substrate not in ("zab", "wpaxos"):
@@ -125,22 +136,10 @@ class FleetFullSpec:
             raise ValueError("wankeeper runs on the zab substrate only")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if self.keys_per_site < 1:
-            raise ValueError("keys_per_site must be positive")
-        if not 0 <= self.hub_index < self.n_sites:
-            raise ValueError("hub_index out of range")
-        if self.tick_ms <= 0 or self.duration_ms <= 0:
+        if self.duration_ms <= 0:
             raise ValueError("durations must be positive")
-        if self.diurnal_period_ms <= 0:
-            raise ValueError("diurnal_period_ms must be positive")
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1]")
         if self.site_ops_per_sec < 0 or self.load_multiplier < 0:
             raise ValueError("offered load must not be negative")
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must not be negative")
-        if min(self.connect_window_ms, self.settle_ms, self.drain_ms) < 0:
-            raise ValueError("phase windows must not be negative")
 
     @property
     def total_sessions(self) -> int:
@@ -165,7 +164,7 @@ class FleetStation:
         "_connect_batch_cb",
     )
 
-    #: Sessions per connect batch; batches spread over connect_window_ms.
+    #: Sessions per connect batch; batches spread over CONNECT_WINDOW_MS.
     CONNECT_BATCH = 64
 
     def __init__(
@@ -186,7 +185,7 @@ class FleetStation:
         self.site_index = site_index
         self.server_addr = server_addr
         self.recorder = LatencyRecorder(
-            site_name, mode="sketch", reservoir_size=spec.reservoir_size
+            site_name, mode="sketch", reservoir_size=RESERVOIR_SIZE
         )
         per_site = spec.sessions_per_site
         # One physical inbox; every session is an alias onto it. The
@@ -228,7 +227,7 @@ class FleetStation:
         per_site = self.spec.sessions_per_site
         batch = self.CONNECT_BATCH
         n_batches = (per_site + batch - 1) // batch
-        spacing = self.spec.connect_window_ms / n_batches
+        spacing = CONNECT_WINDOW_MS / n_batches
         call_at = self.env.call_at
         for b in range(n_batches):
             call_at(t_start + b * spacing, self._connect_batch_cb, b * batch)
@@ -238,11 +237,10 @@ class FleetStation:
         end = min(start + self.CONNECT_BATCH, spec.sessions_per_site)
         send = self.net.send
         server = self.server_addr
-        timeout = spec.session_timeout_ms
         aliases = self.aliases
         for k in range(start, end):
             alias = aliases[k]
-            send(alias, server, ConnectRequest(alias, timeout))
+            send(alias, server, ConnectRequest(alias, SESSION_TIMEOUT_MS))
 
     # -- op issue (called by the fleet driver at each arrival instant) -------
 
@@ -316,22 +314,21 @@ class _FleetFullEngine:
         self.env = Environment()
         self.net = Network(self.env, self.topology)
         self.names = [site.name for site in self.sites]
-        self.hub_site = self.names[spec.hub_index]
+        self.hub_site = self.names[HUB_INDEX]
         self.phase = [site.longitude / 360.0 for site in self.sites]
         self.rngs = [
             seeded_rng(spec.seed, f"fleet-full-site-{i:04d}")
             for i in range(spec.n_sites)
         ]
-        self.carry = [0.0] * spec.n_sites
         self.offered = [0] * spec.n_sites
 
         # Shared immutable op records, one per key, site-major.
         self.key_paths: List[str] = []
         for name in self.names:
-            for j in range(spec.keys_per_site):
+            for j in range(KEYS_PER_SITE):
                 self.key_paths.append(f"/fleet/{name}/k{j:02d}")
         self.read_ops = [GetDataOp(path) for path in self.key_paths]
-        write_data = b"w" * spec.payload_bytes
+        write_data = b"w" * PAYLOAD_BYTES
         self.write_ops = [SetDataOp(path, write_data) for path in self.key_paths]
 
         self.deployment = self._build_deployment()
@@ -343,22 +340,6 @@ class _FleetFullEngine:
         #: Per-tick arrival mean at diurnal multiplier 1.0.
         self._base = (
             spec.site_ops_per_sec * spec.load_multiplier * spec.tick_ms / 1000.0
-        )
-        # With no diurnal modulation every site's mean is ``_base``, so
-        # the Knuth acceptance threshold is one exp() for the whole run
-        # and the common zero-arrival tick costs a single rng.random()
-        # per site. The inline draw consumes the stream exactly as
-        # ``poisson`` does (first factor ``r`` rejects at k=0, then the
-        # loop continues with k=1, p=r), so schedules are bit-identical
-        # to the generic path.
-        self._flat_threshold: Optional[float] = (
-            math.exp(-self._base)
-            if (
-                spec.arrival == "poisson"
-                and spec.diurnal_amplitude <= 0.0
-                and 0.0 < self._base < 30.0
-            )
-            else None
         )
 
     def _build_deployment(self):
@@ -372,14 +353,14 @@ class _FleetFullEngine:
             for name in self.names:
                 tokens[f"/fleet/{name}"] = self.hub_site
             for index, path in enumerate(self.key_paths):
-                tokens[path] = self.names[index // spec.keys_per_site]
+                tokens[path] = self.names[index // KEYS_PER_SITE]
             return build_wankeeper_deployment(
                 self.env,
                 self.net,
                 self.topology,
                 sites=self.names,
                 l2_site=self.hub_site,
-                voters_per_site=spec.voters_per_site,
+                voters_per_site=VOTERS_PER_SITE,
                 initial_tokens=tokens,
                 substrate=spec.substrate,
             )
@@ -400,7 +381,6 @@ class _FleetFullEngine:
             self.net,
             self.topology,
             leader_site=self.hub_site,
-            voters_in_leader_site=3,
             observer_sites=[n for n in self.names if n != self.hub_site],
             substrate="zab",
         )
@@ -416,46 +396,14 @@ class _FleetFullEngine:
         per-tick generator of tests/reference_fleet.py, which is what
         makes the two produce bit-identical schedules.
         """
-        flat_threshold = self._flat_threshold
-        rngs = self.rngs
-        if flat_threshold is not None:
-            # Flat-modulation fast path: a quiescent site costs exactly
-            # one rng.random(); everything arrival-dependent is deferred
-            # to _emit_arrivals, so across idle stretches this loop is
-            # the entire per-tick cost.
-            busy = False
-            for i in range(len(rngs)):
-                rng = rngs[i]
-                r = rng.random()
-                if r <= flat_threshold:
-                    continue
-                arrivals = 1
-                p = r
-                random = rng.random
-                while True:
-                    p *= random()
-                    if p <= flat_threshold:
-                        break
-                    arrivals += 1
-                busy = True
-                self._emit_arrivals(tick_index, i, arrivals, rng)
-            return busy
         spec = self.spec
         rel = tick_index * spec.tick_ms
         base = self._base
-        is_poisson = spec.arrival == "poisson"
+        rngs = self.rngs
         busy = False
         for i in range(spec.n_sites):
             rng = rngs[i]
-            mean = base * diurnal_factor(
-                spec.diurnal_amplitude, spec.diurnal_period_ms, self.phase[i], rel
-            )
-            if is_poisson:
-                arrivals = poisson(rng, mean)
-            else:
-                exact = mean + self.carry[i]
-                arrivals = int(exact)
-                self.carry[i] = exact - arrivals
+            arrivals = poisson(rng, base * diurnal_factor(self.phase[i], rel))
             if arrivals <= 0:
                 continue
             busy = True
@@ -474,14 +422,14 @@ class _FleetFullEngine:
         self.offered[site_index] += arrivals
         rel = tick_index * spec.tick_ms
         t_tick = self._t0 + rel
-        keys_per_site = spec.keys_per_site
+        keys_per_site = KEYS_PER_SITE
         n_sites = spec.n_sites
         hot_base = (
-            int((rel / spec.diurnal_period_ms % 1.0) * n_sites) % n_sites
+            int((rel / DIURNAL_PERIOD_MS % 1.0) * n_sites) % n_sites
         ) * keys_per_site
         n_keys = n_sites * keys_per_site
         per_site = spec.sessions_per_site
-        hotspot = spec.hotspot_fraction
+        hotspot = HOTSPOT_FRACTION
         write_fraction = spec.write_fraction
         call_at = self.env.call_at
         spacing = spec.tick_ms / arrivals
@@ -527,7 +475,7 @@ class _FleetFullEngine:
         client = self.deployment.client(
             self.hub_site,
             name="fleet-bootstrap",
-            session_timeout_ms=self.spec.session_timeout_ms,
+            session_timeout_ms=SESSION_TIMEOUT_MS,
         )
         yield client.connect()
         yield client.create("/fleet", b"")
@@ -557,7 +505,7 @@ class _FleetFullEngine:
             )
             self.stations.append(station)
             station.connect_from(t_connect)
-        env.run(until=t_connect + spec.connect_window_ms + spec.settle_ms)
+        env.run(until=t_connect + CONNECT_WINDOW_MS + SETTLE_MS)
         connected = sum(station.connected for station in self.stations)
         if connected < spec.total_sessions:
             raise SimulationError(
@@ -565,7 +513,7 @@ class _FleetFullEngine:
             )
         self._t0 = env.now
         self._start_driver()
-        env.run(until=self._t0 + self._ticks * spec.tick_ms + spec.drain_ms)
+        env.run(until=self._t0 + self._ticks * spec.tick_ms + DRAIN_MS)
         return self.payload()
 
     # -- result payload ------------------------------------------------------

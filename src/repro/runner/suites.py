@@ -565,7 +565,7 @@ def _fleet_grid(small: bool, seed: int) -> Grid:
 
     grid: Grid = {("sites", n): cell(n, 1.0, f"{n} sites") for n in sites_axis}
     # Offered-load sweep at the anchor site count. Per-site service capacity
-    # is 1000/service_time_ms ≈ 333 ops/s, so 2.0x load saturates sites at
+    # is 1000/SERVICE_TIME_MS ≈ 333 ops/s, so 2.0x load saturates sites at
     # diurnal peaks — the open-loop knee the closed-loop clients can't show.
     for load in (0.5, 1.0, 2.0):
         grid["load", load] = cell(

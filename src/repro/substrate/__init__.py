@@ -12,7 +12,7 @@ first alternate):
 
 * construction — ``factory(env, net, addr, config, name="")`` where
   ``config`` is an :class:`repro.zab.config.EnsembleConfig` (voters +
-  observers + timing knobs);
+  observers + processing cost; the timing constants are read through it);
 * lifecycle — ``start()``, ``crash()``, ``restart()`` (durable state
   survives a crash; volatile state does not);
 * propose/commit ordering — ``submit(txn)`` on a server that reports

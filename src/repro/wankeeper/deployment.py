@@ -140,13 +140,15 @@ class WanKeeperDeployment:
                 raise ValueError(f"missing latency to existing site {other!r}")
             self.topology.set_one_way(site_name, other, one_way_ms[other])
 
-        from repro.zab.config import EnsembleConfig
-
         zab_addrs = [
             self.topology.site(site_name).address(f"wk{i}.zab")
             for i in range(voters)
         ]
-        config = EnsembleConfig(voters=zab_addrs)
+        # The new site's servers cost what the founders' do.
+        config = EnsembleConfig(
+            voters=zab_addrs,
+            processing_delay_ms=self.servers[0].config.processing_delay_ms,
+        )
         client_addrs = []
         new_servers: List[WanKeeperServer] = []
         for zab_addr in zab_addrs:
@@ -192,8 +194,6 @@ def build_wankeeper_deployment(
     voters_per_site: int = 3,
     policy_factory: Callable[[], MigrationPolicy] = ConsecutiveAccessPolicy,
     initial_tokens: Optional[Dict[str, str]] = None,
-    heartbeat_interval_ms: float = 50.0,
-    election_timeout_ms: float = 300.0,
     processing_delay_ms: float = 0.02,
     read_mode: str = "local",
     read_lease_ms: float = 3000.0,
@@ -220,10 +220,7 @@ def build_wankeeper_deployment(
             topology.site(site).address(f"wk{i}.zab") for i in range(voters_per_site)
         ]
         site_configs[site] = EnsembleConfig(
-            voters=voters,
-            heartbeat_interval_ms=heartbeat_interval_ms,
-            election_timeout_ms=election_timeout_ms,
-            processing_delay_ms=processing_delay_ms,
+            voters=voters, processing_delay_ms=processing_delay_ms
         )
         addresses[site] = voters
         client_addrs = []

@@ -40,7 +40,7 @@ mode) and ``failover.L2Failover`` (hub liveness and promotion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -115,7 +115,8 @@ class WanConfig:
     policy_factory: Callable[[], MigrationPolicy] = ConsecutiveAccessPolicy
     #: WK-Hot style pre-placement: token key -> owning site.
     initial_tokens: Dict[str, str] = field(default_factory=dict)
-    recall_retry_ms: float = 400.0
+    #: Resend interval of an unanswered token recall (a class constant).
+    recall_retry_ms: ClassVar[float] = 400.0
     #: Read consistency: "local" (causal, the paper's default), "forward"
     #: (every read serialized at the hub), "fractional" (§VI read tokens).
     read_mode: str = "local"
@@ -125,7 +126,7 @@ class WanConfig:
     #: ``l2_failover_timeout_ms`` elect (majority of sites) a successor
     #: site, whose leader promotes itself to level-2.
     enable_l2_failover: bool = False
-    l2_failover_timeout_ms: float = 10000.0
+    l2_failover_timeout_ms: ClassVar[float] = 10000.0
     #: Client addresses of every site's servers (promotion broadcasts and
     #: hub re-pointing); filled by the deployment builder.
     site_server_addrs: Dict[str, Tuple[NodeAddress, ...]] = field(

@@ -9,8 +9,8 @@ record table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence
 
 from repro.sim.kernel import Environment
 from repro.workloads.choosers import KeyChooser, UniformChooser, ZipfianChooser
@@ -18,7 +18,13 @@ from repro.workloads.stats import LatencyRecorder
 from repro.zk.client import ZkClient
 from repro.zk.errors import ConnectionLossError, ZkError
 
-__all__ = ["YcsbSpec", "load_records", "run_ycsb", "ycsb_client"]
+__all__ = [
+    "ClientPlan", "YcsbSpec", "drive", "load_records", "run_ycsb", "ycsb_client",
+]
+
+#: The paper's records: 100-byte values, keys drawn Zipfian at 0.99 (§IV-A).
+VALUE_SIZE = 100
+ZIPF_THETA = 0.99
 
 
 @dataclass
@@ -28,10 +34,8 @@ class YcsbSpec:
     record_count: int = 1000
     operation_count: int = 10000
     write_fraction: float = 0.5
-    value_size: int = 100
     table: str = "/usertable"
     key_prefix: str = "user"
-    zipf_theta: float = 0.99
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.write_fraction <= 1.0:
@@ -43,18 +47,18 @@ class YcsbSpec:
         return f"{self.table}/{self.key_prefix}{index:06d}"
 
     def default_chooser(self) -> KeyChooser:
-        return ZipfianChooser(self.record_count, self.zipf_theta)
+        return ZipfianChooser(self.record_count, ZIPF_THETA)
 
     def value(self, rng: random.Random) -> bytes:
         # Bit-compatible unrolling of ``bytes(rng.randrange(256) for ...)``:
         # randrange(256) draws getrandbits(9) and rejects values >= 256, so
         # replaying that exact sequence leaves every seeded stream unchanged
-        # while skipping two wrapper frames per byte. The full value_size is
+        # while skipping two wrapper frames per byte. The full VALUE_SIZE is
         # honored (the paper's records are 100 bytes); an earlier perf pass
         # silently capped payloads at 16 bytes, which under-charged every
         # write's RNG stream and record size.
         getrandbits = rng.getrandbits
-        out = bytearray(self.value_size)
+        out = bytearray(VALUE_SIZE)
         for i in range(len(out)):
             r = getrandbits(9)
             while r >= 256:
@@ -76,7 +80,7 @@ def load_records(client: ZkClient, spec: YcsbSpec, indices: Optional[Sequence[in
         except NodeExistsError:
             pass  # another loader already created it
     for index in indices if indices is not None else range(spec.record_count):
-        yield client.create(spec.key(index), b"\x00" * spec.value_size)
+        yield client.create(spec.key(index), b"\x00" * VALUE_SIZE)
 
 
 def ycsb_client(
@@ -129,7 +133,9 @@ def ycsb_client(
 
 
 @dataclass
-class _ClientPlan:
+class ClientPlan:
+    """One closed-loop client of :func:`run_ycsb`."""
+
     client: ZkClient
     rng: random.Random
     recorder: LatencyRecorder
@@ -139,13 +145,10 @@ class _ClientPlan:
 
 def run_ycsb(
     env: Environment,
-    plans: List[_ClientPlan],
+    plans: List[ClientPlan],
     spec: YcsbSpec,
     load_client: Optional[ZkClient] = None,
-    load_indices: Optional[Sequence[int]] = None,
     load_plan: Optional[List[tuple]] = None,
-    settle_ms: float = 500.0,
-    max_ms: float = 1e9,
 ) -> None:
     """Run load phase + all client plans to completion (blocking helper).
 
@@ -165,8 +168,8 @@ def run_ycsb(
             loader = load_client or plans[0].client
             if not loader.connected:
                 yield loader.connect()
-            yield env.process(load_records(loader, spec, load_indices))
-        yield env.timeout(settle_ms)  # let replication quiesce
+            yield env.process(load_records(loader, spec))
+        yield env.timeout(500.0)  # let replication quiesce
         procs = []
         for plan in plans:
             if not plan.client.connected:
@@ -188,15 +191,25 @@ def run_ycsb(
         for proc in procs:
             yield proc
 
-    process = env.process(orchestrate())
-    deadline = env.now + max_ms
+    drive(env, env.process(orchestrate()), 1e9)
+
+
+def drive(env: Environment, process, budget_ms: float) -> Any:
+    """Run ``env`` until ``process`` finishes; return its value.
+
+    Simulated time advances in 5 s steps until the process finishes or
+    ``budget_ms`` has passed since the call; a process still waiting then
+    raises ``RuntimeError`` instead of spinning forever on an event that
+    never fires.
+    """
+    deadline = env.now + budget_ms
     while not process.triggered and env.now < deadline:
-        env.run(until=min(deadline, env.now + 5000.0))
+        env.run(until=env.now + 5000.0)
     if not process.triggered:
-        raise RuntimeError("YCSB run did not finish within the time budget")
+        raise RuntimeError(
+            f"process did not finish within its budget of "
+            f"{budget_ms:.0f} ms of simulated time"
+        )
     if not process.ok:
         raise process.exception
-
-
-ClientPlan = _ClientPlan
-__all__.append("ClientPlan")
+    return process.value

@@ -1,9 +1,9 @@
-"""Ensemble membership and protocol timing configuration."""
+"""Ensemble membership, processing cost and protocol timing."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import ClassVar, List
 
 from repro.net.topology import NodeAddress
 
@@ -21,12 +21,13 @@ class EnsembleConfig:
 
     voters: List[NodeAddress]
     observers: List[NodeAddress] = field(default_factory=list)
-
-    # Timing knobs, in simulated milliseconds.
-    heartbeat_interval_ms: float = 50.0
-    election_timeout_ms: float = 300.0
     # Extra per-request processing cost at a server (CPU stand-in).
     processing_delay_ms: float = 0.02
+
+    #: Protocol timing, in simulated milliseconds: one setting for every
+    #: ensemble, read through the config by each peer and server.
+    heartbeat_interval_ms: ClassVar[float] = 50.0
+    election_timeout_ms: ClassVar[float] = 300.0
 
     def __post_init__(self) -> None:
         if not self.voters:

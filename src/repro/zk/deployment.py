@@ -25,6 +25,9 @@ from repro.zk.server import ZkServer
 
 __all__ = ["ZkDeployment", "build_zk_deployment"]
 
+#: Voters of the observer baseline, all in the leader site.
+VOTERS_IN_LEADER_SITE = 3
+
 
 @dataclass
 class ZkDeployment:
@@ -103,11 +106,8 @@ def build_zk_deployment(
     net: Network,
     topology: Topology,
     leader_site: str = VIRGINIA,
-    voters_in_leader_site: int = 3,
     voting_sites: Optional[Sequence[str]] = None,
     observer_sites: Sequence[str] = (),
-    heartbeat_interval_ms: float = 50.0,
-    election_timeout_ms: float = 300.0,
     processing_delay_ms: float = 0.02,
     substrate: str = "zab",
 ) -> ZkDeployment:
@@ -115,7 +115,7 @@ def build_zk_deployment(
 
     With ``voting_sites`` given, one voter is placed in each named site
     (paper's plain-ZK setup; repeat a site name for more voters there).
-    Otherwise ``voters_in_leader_site`` voters are placed in
+    Otherwise ``VOTERS_IN_LEADER_SITE`` voters are placed in
     ``leader_site``. ``observer_sites`` each get one observer.
 
     ``substrate`` picks the broadcast protocol underneath every server
@@ -138,7 +138,7 @@ def build_zk_deployment(
                 topology.site(site).address(f"{prefix}{counters[site]}.zab")
             )
     else:
-        for index in range(voters_in_leader_site):
+        for index in range(VOTERS_IN_LEADER_SITE):
             voter_addrs.append(
                 topology.site(leader_site).address(f"voter{index}.zab")
             )
@@ -151,8 +151,6 @@ def build_zk_deployment(
     config = EnsembleConfig(
         voters=voter_addrs,
         observers=observer_addrs,
-        heartbeat_interval_ms=heartbeat_interval_ms,
-        election_timeout_ms=election_timeout_ms,
         processing_delay_ms=processing_delay_ms,
     )
 

@@ -18,7 +18,7 @@ product and demands byte-identical payloads. Test-only — nothing under
 ``src/`` may import this.
 """
 
-from repro.fleet.full import _CXID_SPAN, FleetStation, _FleetFullEngine
+from repro.fleet.full import PAYLOAD_BYTES, _CXID_SPAN, FleetStation, _FleetFullEngine
 from repro.zk.ops import GetDataOp, SetDataOp
 from repro.zk.protocol import OpRequest
 
@@ -61,7 +61,7 @@ class FreshStation(FleetStation):
         self.cxids[sess] = cxid
         path = self._key_paths[key_index]
         op = (
-            SetDataOp(path, b"w" * self.spec.payload_bytes)
+            SetDataOp(path, b"w" * PAYLOAD_BYTES)
             if is_write
             else GetDataOp(path)
         )

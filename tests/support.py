@@ -43,7 +43,6 @@ def zk_with_observers(env, net, topo, **kwargs):
         net,
         topo,
         leader_site=VIRGINIA,
-        voters_in_leader_site=3,
         observer_sites=(CALIFORNIA, FRANKFURT),
         **kwargs,
     )

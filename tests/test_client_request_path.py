@@ -537,7 +537,7 @@ def one_site_world(client_cls, clients=1):
 
     env, topo, net = fresh_world()
     deployment = build_zk_deployment(
-        env, net, topo, leader_site=VIRGINIA, voters_in_leader_site=3
+        env, net, topo, leader_site=VIRGINIA
     )
     deployment.start()
     deployment.stabilize()

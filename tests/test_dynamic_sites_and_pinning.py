@@ -69,6 +69,13 @@ def test_added_site_earns_tokens_through_locality():
     assert "/tokyo-data" in deployment.site_leader(TOKYO).site_tokens.owned
 
 
+def test_added_site_costs_what_the_founders_do():
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo, processing_delay_ms=0.5)
+    added = deployment.add_site(TOKYO, TOKYO_LATENCIES)
+    assert [server.config.processing_delay_ms for server in added] == [0.5] * 3
+
+
 def test_add_site_validation():
     env, topo, net = fresh_world()
     deployment = wankeeper(env, net, topo)

@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from repro.experiments.common import SYSTEMS, build_world, drive, format_table
+from repro.experiments.common import SYSTEMS, build_world, format_table
 from repro.experiments.fig4 import run_write_ratio_cell
 from repro.experiments.fig6 import run_fig6_cell
 from repro.experiments.fig7 import run_fig7_cell
@@ -19,6 +19,7 @@ from repro.net import CALIFORNIA
 from repro.runner.cells import CELLS
 from repro.runner.suites import SUITES
 from repro.sim import Environment
+from repro.workloads.driver import drive
 
 
 def test_build_world_all_systems():

@@ -3,7 +3,9 @@
 import json
 import tracemalloc
 
-from repro.fleet import FleetSpec, run_fleet
+import pytest
+
+from repro.fleet import FleetSpec, engine, run_fleet
 
 # Small spec used by most behaviour tests: quick (<1s) but busy enough
 # that every code path (hotspot, migration, queueing, horizon drop) runs.
@@ -35,25 +37,19 @@ def test_payload_is_json_plain():
     )
 
 
-def test_deterministic_arrivals_match_offered_rate():
-    spec = FleetSpec(
-        **dict(_SMALL, arrival="deterministic", diurnal_amplitude=0.0)
-    )
-    payload = run_fleet(spec)
-    expected = spec.site_ops_per_sec * spec.n_sites
-    assert abs(payload["offered_ops_per_sec"] - expected) / expected < 0.01
-
-
-def test_poisson_arrivals_near_offered_rate():
-    payload = run_fleet(FleetSpec(**dict(_SMALL, diurnal_amplitude=0.0)))
+def test_poisson_arrivals_near_offered_rate(monkeypatch):
+    monkeypatch.setattr(engine, "DIURNAL_AMPLITUDE", 0.0)
     spec = FleetSpec(**_SMALL)
+    payload = run_fleet(spec)
     expected = spec.site_ops_per_sec * spec.n_sites
     assert abs(payload["offered_ops_per_sec"] - expected) / expected < 0.15
 
 
-def test_hotspot_drives_token_migration():
-    hot = run_fleet(FleetSpec(**dict(_SMALL, hotspot_fraction=0.5)))
-    cold = run_fleet(FleetSpec(**dict(_SMALL, hotspot_fraction=0.0)))
+def test_hotspot_drives_token_migration(monkeypatch):
+    monkeypatch.setattr(engine, "HOTSPOT_FRACTION", 0.5)
+    hot = run_fleet(FleetSpec(**_SMALL))
+    monkeypatch.setattr(engine, "HOTSPOT_FRACTION", 0.0)
+    cold = run_fleet(FleetSpec(**_SMALL))
     assert hot["token_migrations"] > 0
     assert hot["token_migrations"] > cold["token_migrations"]
     # With no hotspot traffic every write hits the site's home shards,
@@ -62,36 +58,23 @@ def test_hotspot_drives_token_migration():
 
 
 def test_overload_builds_queue():
-    # Offered load far beyond 1000/service_time capacity must queue.
-    over = run_fleet(
-        FleetSpec(**dict(_SMALL, load_multiplier=8.0, service_time_ms=3.0))
-    )
-    under = run_fleet(
-        FleetSpec(**dict(_SMALL, load_multiplier=0.2, service_time_ms=3.0))
-    )
+    # Offered load far beyond 1000/SERVICE_TIME_MS capacity must queue.
+    over = run_fleet(FleetSpec(**dict(_SMALL, load_multiplier=8.0)))
+    under = run_fleet(FleetSpec(**dict(_SMALL, load_multiplier=0.2)))
     assert over["mean_queue_ms"] > under["mean_queue_ms"]
     assert over["in_flight_at_horizon"] > under["in_flight_at_horizon"]
 
 
-def test_busy_until_tie_queues_with_zero_wait():
+def test_busy_until_tie_queues_with_zero_wait(monkeypatch):
     """Arrivals landing exactly on a site's busy-until instant queue
     deterministically with zero wait — never double-served, never
-    delayed. Deterministic arrivals with spacing == service time make
+    delayed. A fixed per-tick count with spacing == service time makes
     every op after a site's first hit the tie exactly (all instants are
     multiples of 2.5 ms, bit-exact in binary floating point)."""
-    tie = FleetSpec(
-        n_sites=2,
-        sessions_per_site=50,
-        duration_ms=2000.0,
-        tick_ms=100.0,
-        site_ops_per_sec=200.0,  # 20/tick -> spacing 5.0 == service
-        service_time_ms=5.0,
-        arrival="deterministic",
-        diurnal_amplitude=0.0,
-        hotspot_fraction=0.0,
-        write_fraction=0.0,
-        seed=11,
-    )
+    # 20 arrivals per 100 ms tick -> spacing 5.0 == service.
+    monkeypatch.setattr(engine, "poisson", lambda rng, mean: 20)
+    monkeypatch.setattr(engine, "SERVICE_TIME_MS", 5.0)
+    tie = FleetSpec(n_sites=2, sessions_per_site=50, duration_ms=2000.0, seed=11)
     payload = run_fleet(tie)
     # Back-to-back service: each op starts exactly when its predecessor
     # ends, so nothing waits (and nothing is served concurrently — the
@@ -100,27 +83,26 @@ def test_busy_until_tie_queues_with_zero_wait():
     assert payload["offered_ops"] == 2 * 20 * 20  # sites x ticks x per-tick
     # The tie is the exact boundary between idle and queued: any spacing
     # shortfall must surface as real queueing delay.
-    crowded = run_fleet(FleetSpec(**dict(tie.as_params(), service_time_ms=5.5)))
+    monkeypatch.setattr(engine, "SERVICE_TIME_MS", 5.5)
+    crowded = run_fleet(tie)
     assert crowded["mean_queue_ms"] > 0.0
 
 
-def test_migration_threshold_one_migrates_first_touch():
-    eager = run_fleet(FleetSpec(**dict(_SMALL, migration_threshold=1)))
-    lazy = run_fleet(FleetSpec(**dict(_SMALL, migration_threshold=4)))
+def test_migration_threshold_one_migrates_first_touch(monkeypatch):
+    monkeypatch.setattr(engine, "MIGRATION_THRESHOLD", 1)
+    eager = run_fleet(FleetSpec(**_SMALL))
+    monkeypatch.setattr(engine, "MIGRATION_THRESHOLD", 4)
+    lazy = run_fleet(FleetSpec(**_SMALL))
     assert eager["token_migrations"] >= lazy["token_migrations"]
 
 
 def test_spec_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         FleetSpec(n_sites=1)
     with pytest.raises(ValueError):
-        FleetSpec(arrival="uniform")
+        FleetSpec(n_sites=engine.SHARDS + 1)
     with pytest.raises(ValueError):
-        FleetSpec(shards=4, n_sites=20)
-    with pytest.raises(ValueError):
-        FleetSpec(hub_index=99)
+        FleetSpec(duration_ms=0.0)
 
 
 def test_hundred_thousand_sessions_memory_lean():

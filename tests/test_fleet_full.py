@@ -9,35 +9,43 @@ import tracemalloc
 
 import pytest
 
-from repro.fleet import FleetFullSpec, run_fleet_full
+from repro.fleet import FleetFullSpec, engine, full, run_fleet_full
 from repro.fleet.full import _FleetFullEngine
 from repro.sim.kernel import Environment, SimulationError
 from repro.zk.sessions import SessionTracker
 from tests.reference_fleet import FreshAllocationEngine, PerTickEngine
 
 # Small cell used by most tests: three sites, real WanKeeper stack,
-# diurnal modulation ON so the generic (non-flat) draw path runs.
+# diurnal modulation on, four keys per site (the ``small_keys`` fixture).
 _SMALL = dict(
     n_sites=3,
     sessions_per_site=16,
     duration_ms=2000.0,
     site_ops_per_sec=30.0,
-    keys_per_site=4,
     seed=7,
 )
 
-# Sparse flat-modulation cell: exercises the hoisted-threshold Poisson
-# fast path and the idle-gap fast-forward scan across empty ticks.
+# Sparse flat-modulation cell (the ``sparse_ticks`` fixture: 1 ms ticks,
+# no diurnal modulation): the idle-gap fast-forward scan crosses long
+# runs of empty ticks.
 _SPARSE = dict(
     n_sites=3,
     sessions_per_site=16,
     duration_ms=4000.0,
-    tick_ms=1.0,
     site_ops_per_sec=4.0,
-    diurnal_amplitude=0.0,
-    keys_per_site=4,
     seed=7,
 )
+
+
+@pytest.fixture
+def small_keys(monkeypatch):
+    monkeypatch.setattr(full, "KEYS_PER_SITE", 4)
+
+
+@pytest.fixture
+def sparse_ticks(small_keys, monkeypatch):
+    monkeypatch.setattr(FleetFullSpec, "tick_ms", 1.0)
+    monkeypatch.setattr(engine, "DIURNAL_AMPLITUDE", 0.0)
 
 
 def _canon(payload) -> str:
@@ -56,18 +64,16 @@ def _run_engine(engine_cls, base):
 # -- determinism and equivalence with the reference oracles -------------------
 
 
-def test_repeat_runs_bit_identical():
+def test_repeat_runs_bit_identical(small_keys):
     assert _canon(_run(_SMALL)) == _canon(_run(_SMALL))
 
 
-def test_fast_forward_matches_naive_driver():
-    # Diurnal cell: generic draw path under both drivers.
+def test_fast_forward_matches_naive_driver(small_keys):
     _, reference = _run_engine(PerTickEngine, _SMALL)
     assert _canon(_run(_SMALL)) == _canon(reference)
 
 
-def test_fast_forward_matches_naive_on_sparse_flat_cell():
-    # Flat cell: inline-threshold fast path under both drivers.
+def test_fast_forward_matches_naive_on_sparse_flat_cell(sparse_ticks):
     product, payload = _run_engine(_FleetFullEngine, _SPARSE)
     reference, reference_payload = _run_engine(PerTickEngine, _SPARSE)
     assert _canon(payload) == _canon(reference_payload)
@@ -78,16 +84,16 @@ def test_fast_forward_matches_naive_on_sparse_flat_cell():
     assert reference.env._seq - product.env._seq == quiescent == 3951
 
 
-def test_shared_op_records_match_fresh_allocations():
+def test_shared_op_records_match_fresh_allocations(small_keys):
     _, reference = _run_engine(FreshAllocationEngine, _SMALL)
     assert _canon(_run(_SMALL)) == _canon(reference)
 
 
-def test_seed_changes_payload():
+def test_seed_changes_payload(small_keys):
     assert _canon(_run(_SMALL)) != _canon(_run(_SMALL, seed=8))
 
 
-def test_golden_digest_pinned():
+def test_golden_digest_pinned(small_keys):
     """The small cell's payload is a pure function of the spec: any
     change to arrival draws, scheduling order, message routing, or the
     protocol stack shows up here. Update deliberately, never to make
@@ -101,14 +107,14 @@ def test_golden_digest_pinned():
 # -- cells across systems and substrates --------------------------------------
 
 
-def test_zk_zab_cell_completes_ops():
+def test_zk_zab_cell_completes_ops(small_keys):
     payload = _run(_SMALL, system="zk", substrate="zab")
     assert payload["system"] == "zk"
     assert payload["completed_ops"] > 0
     assert payload["failed_ops"] == 0
 
 
-def test_zk_wpaxos_cell_completes_ops():
+def test_zk_wpaxos_cell_completes_ops(small_keys):
     payload = _run(_SMALL, system="zk", substrate="wpaxos")
     assert payload["substrate"] == "wpaxos"
     assert payload["completed_ops"] > 0
@@ -116,13 +122,8 @@ def test_zk_wpaxos_cell_completes_ops():
 
 _BAD_SPECS = [
     (dict(system="wankeeper", substrate="wpaxos"), "zab substrate only"),
-    (dict(diurnal_period_ms=0.0), "diurnal_period_ms"),
-    (dict(hotspot_fraction=1.5), "hotspot_fraction"),
     (dict(site_ops_per_sec=-1.0), "offered load"),
     (dict(load_multiplier=-2), "offered load"),
-    (dict(payload_bytes=-3), "payload_bytes"),
-    (dict(connect_window_ms=-1), "phase windows"),
-    (dict(drain_ms=-5000.0), "phase windows"),
 ]
 
 
@@ -135,7 +136,7 @@ def test_bad_spec_is_rejected_at_construction(bad, complaint):
         FleetFullSpec(**{**_SMALL, **bad})
 
 
-def test_all_sessions_connect_and_ops_flow():
+def test_all_sessions_connect_and_ops_flow(small_keys):
     payload = _run(_SMALL)
     spec = FleetFullSpec(**_SMALL)
     assert payload["sessions"] == spec.total_sessions
@@ -150,7 +151,7 @@ def test_all_sessions_connect_and_ops_flow():
     assert payload["token_migrations"] > 0
 
 
-def test_payload_is_json_plain_and_excludes_perf_toggles():
+def test_payload_is_json_plain_and_excludes_perf_toggles(small_keys):
     payload = _run(_SMALL)
     assert json.loads(_canon(payload)) == payload
 

@@ -186,16 +186,16 @@ def test_txn_log_tail_and_len():
 # -- workloads ------------------------------------------------------------------
 
 
-def test_ycsb_value_size_honored():
+def test_ycsb_value_size_honored(monkeypatch):
     import random
 
-    from repro.workloads import YcsbSpec
+    from repro.workloads import YcsbSpec, driver
 
     # The full configured size is generated (the paper's records are 100
     # bytes); an earlier perf pass silently capped payloads at 16 bytes.
-    spec = YcsbSpec(value_size=1000)
-    assert len(spec.value(random.Random(1))) == 1000
     assert len(YcsbSpec().value(random.Random(1))) == 100
+    monkeypatch.setattr(driver, "VALUE_SIZE", 1000)
+    assert len(YcsbSpec().value(random.Random(1))) == 1000
 
 
 def test_overlap_chooser_exposes_regions():

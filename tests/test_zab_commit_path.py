@@ -246,8 +246,7 @@ def zab_calls_per_write(substrate, repeats=3):
     one write through a follower of a one-site three-voter ensemble."""
     env, topo, net = fresh_world()
     deployment = build_zk_deployment(
-        env, net, topo, leader_site=VIRGINIA, voters_in_leader_site=3,
-        substrate=substrate,
+        env, net, topo, leader_site=VIRGINIA, substrate=substrate,
     )
     deployment.start()
     deployment.stabilize()
