@@ -1,5 +1,5 @@
 """Fleet-scale workload tier: generated N-site topologies and an
-open-loop, memory-lean session engine.
+open-loop driver against the real servers.
 
 The paper's evaluation stops at three AWS regions and a handful of
 closed-loop clients. This package is the "millions of users" tier on
@@ -9,16 +9,11 @@ top of the same simulation substrate:
   topologies (N ~ 20-50) with realistic RTT classes (intra-metro /
   continental / transcontinental) and deterministic site naming,
   producing ordinary :class:`repro.net.topology.Topology` objects;
-* :mod:`repro.fleet.engine` — an **open-loop** traffic driver
-  (Poisson arrivals per site, with a diurnal follow-the-sun
-  modulator) over a sharded key/token space, backed by
-  array-columns instead of per-session coroutines so a single run
-  sustains 10^5-10^6 concurrent sessions in tens of megabytes;
-* :mod:`repro.fleet.full` — the same open-loop arrival machinery
-  injected into a **real** ZK/WanKeeper deployment on either substrate:
-  idle-gap fast-forward, flyweight per-site client stations, and
-  allocation-free messaging make 10^4+ concurrent real sessions
-  affordable.
+* :mod:`repro.fleet.full` — an **open-loop** traffic driver (Poisson
+  arrivals per site, a follow-the-sun diurnal modulator, a rotating
+  hotspot) injected into a real ZK/WanKeeper deployment on either
+  substrate: idle-gap fast-forward, flyweight per-site client stations
+  and shared op records make 10^5 concurrent real sessions affordable.
 
 Everything here is bit-deterministic across PYTHONHASHSEED values and
 across the in-process / warm-pool / spawn executors: all randomness
@@ -26,7 +21,6 @@ comes from named :func:`repro.sim.rng.seeded_rng` streams and no code
 path iterates an unordered container.
 """
 
-from repro.fleet.engine import FleetSpec, run_fleet
 from repro.fleet.full import FleetFullSpec, FleetStation, run_fleet_full
 from repro.fleet.topology import (
     CONTINENTS,
@@ -41,12 +35,10 @@ __all__ = [
     "CONTINENTS",
     "FleetFullSpec",
     "FleetSite",
-    "FleetSpec",
     "FleetStation",
     "build_fleet_topology",
     "fleet_sites",
     "fleet_topology",
-    "run_fleet",
     "run_fleet_full",
     "topology_fingerprint",
 ]

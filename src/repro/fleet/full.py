@@ -1,12 +1,14 @@
-"""Full-stack fleet cells: the open-loop driver against the real servers.
+"""Fleet cells: the open-loop driver against the real servers.
 
-The mesoscale engine (:mod:`repro.fleet.engine`) models queueing with
-array columns and never sends a message. This module keeps the same
-open-loop arrival machinery — Poisson arrivals, follow-the-sun diurnal
-modulation, a rotating hotspot — but injects every operation into a real
-:class:`~repro.zk.server.ZkServer` or WanKeeper deployment over the
-simulated network, on either broadcast substrate. Three mechanisms make
-10^4+ concurrent *real* sessions affordable:
+Each site offers load as a Poisson arrival process regardless of
+completions, modulated by a follow-the-sun diurnal cosine of its local
+solar time, and a hotspot rotates through the key space once per
+simulated day. Pushing the offered load past the hub's capacity builds a
+real backlog, the saturation knee a closed-loop client cannot show.
+Every operation goes into a real :class:`~repro.zk.server.ZkServer` or
+WanKeeper deployment over the simulated network, on either broadcast
+substrate. Three mechanisms make 10^5 concurrent *real* sessions
+affordable:
 
 * **Idle-gap fast-forward** — one global scan callback walks the tick
   grid in plain Python, drawing each site's arrivals in (tick, site)
@@ -55,12 +57,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional
 
-from repro.fleet.engine import (
-    DIURNAL_PERIOD_MS,
-    HOTSPOT_FRACTION,
-    diurnal_factor,
-    poisson,
-)
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.net.topology import NodeAddress
 from repro.net.transport import Network
@@ -94,6 +90,12 @@ SETTLE_MS = 500.0
 DRAIN_MS = 2000.0
 #: Bytes of every write.
 PAYLOAD_BYTES = 16
+#: Follow-the-sun modulation: the offered rate swings by +-60 % over one
+#: simulated "day", and 15 % of ops go to a hotspot site's keys that
+#: circles the sites once per day.
+DIURNAL_AMPLITUDE = 0.6
+DIURNAL_PERIOD_MS = 20000.0
+HOTSPOT_FRACTION = 0.15
 #: Latency samples each station's sketch keeps for its percentiles.
 RESERVOIR_SIZE = 1024
 
@@ -144,6 +146,31 @@ class FleetFullSpec:
     @property
     def total_sessions(self) -> int:
         return self.n_sites * self.sessions_per_site
+
+
+def diurnal_factor(phase: float, t_ms: float) -> float:
+    """Follow-the-sun modulation of a site's offered rate at ``t_ms``:
+    a cosine of the site's local time of day (``phase`` in days)."""
+    day_fraction = t_ms / DIURNAL_PERIOD_MS + phase
+    return 1.0 + DIURNAL_AMPLITUDE * math.cos(2.0 * math.pi * day_fraction)
+
+
+def poisson(rng, mean: float) -> int:
+    """One Poisson draw from ``rng`` (Knuth for small means, normal
+    approximation above — both consume only this stream)."""
+    if mean <= 0.0:
+        return 0
+    if mean < 30.0:
+        threshold = math.exp(-mean)
+        k = 0
+        p = 1.0
+        while True:
+            p *= rng.random()
+            if p <= threshold:
+                return k
+            k += 1
+    n = int(round(rng.gauss(mean, math.sqrt(mean))))
+    return n if n > 0 else 0
 
 
 class FleetStation:

@@ -237,20 +237,6 @@ def cell_soak(
 # -- fleet-scale cells --------------------------------------------------------
 
 
-def cell_fleet(**kwargs) -> Dict[str, Any]:
-    """One open-loop fleet-tier run (:mod:`repro.fleet`).
-
-    Parameters are :class:`repro.fleet.FleetSpec` fields (all JSON
-    scalars). The payload — throughput, token migrations, latency
-    sketch percentiles, session accounting — is a pure function of the
-    spec: bit-identical across hash seeds and executors, like every
-    other cell.
-    """
-    from repro.fleet import FleetSpec, run_fleet
-
-    return run_fleet(FleetSpec(**kwargs))
-
-
 def cell_fleet_full(**kwargs) -> Dict[str, Any]:
     """One full-stack fleet cell (:mod:`repro.fleet.full`).
 
@@ -374,7 +360,6 @@ CELLS: Dict[str, Callable[..., Any]] = {
     "ablation_read_mode": run_read_mode_cell,
     "ablation_hub_placement": run_hub_placement_cell,
     "soak": cell_soak,
-    "fleet": cell_fleet,
     "fleet_full": cell_fleet_full,
     "fleet_topology": cell_fleet_topology,
     "fuzz_case": cell_fuzz_case,

@@ -538,24 +538,24 @@ def _soak_render(cells: Cells) -> str:
     )
 
 
-# -- fleet (open-loop planet-scale tier) --------------------------------------
+# -- fleet (the open-loop driver at WAN scale, real servers) ------------------
 
 
 def _fleet_grid(small: bool, seed: int) -> Grid:
     # Site sweep: how throughput and token migration scale with the number
     # of generated sites at fixed per-site offered load. The 20-site full
-    # cell is the acceptance anchor: 100k concurrent open-loop sessions.
+    # cell is the acceptance anchor: 10^5 concurrent real sessions.
     sites_axis = (4, 8) if small else (8, 20, 32)
     anchor = 8 if small else 20
 
     def cell(n_sites, load, label):
         return Scenario.make(
-            "fleet",
+            "fleet_full",
             dict(
                 n_sites=n_sites,
                 sessions_per_site=1250 if small else 5000,
-                duration_ms=20000.0 if small else 60000.0,
-                site_ops_per_sec=100.0 if small else 150.0,
+                duration_ms=4000.0 if small else 15000.0,
+                site_ops_per_sec=40.0,
                 load_multiplier=load,
                 seed=seed,
             ),
@@ -564,10 +564,11 @@ def _fleet_grid(small: bool, seed: int) -> Grid:
         )
 
     grid: Grid = {("sites", n): cell(n, 1.0, f"{n} sites") for n in sites_axis}
-    # Offered-load sweep at the anchor site count. Per-site service capacity
-    # is 1000/SERVICE_TIME_MS ≈ 333 ops/s, so 2.0x load saturates sites at
-    # diurnal peaks — the open-loop knee the closed-loop clients can't show.
-    for load in (0.5, 1.0, 2.0):
+    # Offered-load sweep at the anchor site count, straddling the hub's
+    # knee: 4x and 7x are the ledger's fleet_open and fleet_overload
+    # multipliers. The 1x cell is the site sweep's anchor cell (one digest,
+    # run once).
+    for load in (1.0, 4.0, 7.0):
         grid["load", load] = cell(
             anchor, load, f"{anchor} sites @ {load:.1f}x load"
         )
@@ -579,7 +580,6 @@ def _fleet_render(cells: Cells) -> str:
         [
             n,
             cell["sessions"],
-            cell["active_sessions"],
             cell["offered_ops_per_sec"],
             cell["throughput_ops_per_sec"],
             cell["token_migrations"],
@@ -593,7 +593,6 @@ def _fleet_render(cells: Cells) -> str:
             cell["offered_ops_per_sec"],
             cell["throughput_ops_per_sec"],
             cell["in_flight_at_horizon"],
-            cell["mean_queue_ms"],
             cell["write_p99_ms"] or 0.0,
             cell["token_migrations"],
         ]
@@ -601,24 +600,22 @@ def _fleet_render(cells: Cells) -> str:
     ]
     return (
         format_table(
-            ["sites", "sessions", "active", "offered/s", "done/s",
-             "migrations", "write p99 ms"],
+            ["sites", "sessions", "offered/s", "done/s", "migrations",
+             "write p99 ms"],
             site_rows,
             title="Fleet A: throughput & token migration vs site count",
         )
         + "\n\n"
         + format_table(
-            ["load", "offered/s", "done/s", "backlog", "queue ms",
-             "write p99 ms", "migrations"],
+            ["load", "offered/s", "done/s", "backlog", "write p99 ms",
+             "migrations"],
             load_rows,
             title="Fleet B: open-loop offered-load sweep (saturation knee)",
         )
     )
 
 
-# -- fleet_full (the real stack at fleet scale) -------------------------------
-
-_MESO_TWIN = "mesoscale twin"
+# -- fleet_full (the three real stacks under the fleet driver) ----------------
 
 
 def _fleet_full_grid(small: bool, seed: int) -> Grid:
@@ -632,7 +629,7 @@ def _fleet_full_grid(small: bool, seed: int) -> Grid:
     # Which real stacks the driver is pointed at: WanKeeper on zab, flat ZK
     # on zab (hub voters + observers), flat ZK on the wpaxos multileader
     # substrate (one voter per site).
-    grid: Grid = {
+    return {
         f"{system}/{substrate}": Scenario.make(
             "fleet_full",
             dict(shape, system=system, substrate=substrate),
@@ -645,17 +642,10 @@ def _fleet_full_grid(small: bool, seed: int) -> Grid:
             ("zk", "wpaxos"),
         )
     }
-    # Mesoscale twin of the full-stack cells: same sites, sessions, duration
-    # and offered load, served by the queueing model instead of real
-    # servers — the crossover comparison in the renderer.
-    grid[_MESO_TWIN] = Scenario.make(
-        "fleet", shape, suite="fleet_full", label=_MESO_TWIN
-    )
-    return grid
 
 
 def _fleet_full_render(cells: Cells) -> str:
-    stack_rows = [
+    rows = [
         [
             stack,
             cell["sessions"],
@@ -668,37 +658,12 @@ def _fleet_full_render(cells: Cells) -> str:
             cell["messages_sent"],
         ]
         for stack, cell in cells.items()
-        if stack != _MESO_TWIN
     ]
-    compare_rows = [
-        [
-            tier,
-            cell["sessions"],
-            cell["offered_ops_per_sec"],
-            cell["throughput_ops_per_sec"],
-            cell["write_p99_ms"] or 0.0,
-            cell["token_migrations"],
-            cell.get("messages_sent", 0),  # the queueing model sends none
-        ]
-        for tier, cell in (
-            ("mesoscale", cells[_MESO_TWIN]),
-            ("full stack", cells["wankeeper/zab"]),
-        )
-    ]
-    return (
-        format_table(
-            ["stack", "sessions", "offered/s", "done/s", "read p50",
-             "write p50", "write p99", "migrations", "messages"],
-            stack_rows,
-            title="Fleet full stack: real servers under the open-loop driver",
-        )
-        + "\n\n"
-        + format_table(
-            ["tier", "sessions", "offered/s", "done/s", "write p99 ms",
-             "migrations", "messages"],
-            compare_rows,
-            title="Mesoscale model vs full stack (wankeeper/zab cell)",
-        )
+    return format_table(
+        ["stack", "sessions", "offered/s", "done/s", "read p50",
+         "write p50", "write p99", "migrations", "messages"],
+        rows,
+        title="Fleet full stack: real servers under the open-loop driver",
     )
 
 
@@ -718,7 +683,7 @@ SUITES: Dict[str, Suite] = {
     "fleet_full": Suite(_fleet_full_grid, _fleet_full_render),
 }
 
-#: Suites left out of ``--all`` (the soak, the fleet tiers and the
+#: Suites left out of ``--all`` (the soak, the two fleet suites and the
 #: substrate comparison run by name). ``--list`` marks these as opt-in.
 OPT_IN_SUITE_NAMES = ("soak", "fleet", "fleet_full", "fig_wpaxos")
 

@@ -1,6 +1,7 @@
-"""Full-stack fleet cells: the product against its per-tick-driver and
+"""Fleet cells: the product against its per-tick-driver and
 fresh-allocation oracles (tests/reference_fleet.py), flyweight sessions,
-spec validation, the 10^4-session resource anchor, and the
+spec validation, op conservation, the offered rate and the saturation
+knee of the open-loop driver, the 10^4-session resource anchor, and the
 kernel/session primitives they lean on."""
 
 import hashlib
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from repro.fleet import FleetFullSpec, engine, full, run_fleet_full
+from repro.fleet import FleetFullSpec, full, run_fleet_full
 from repro.fleet.full import _FleetFullEngine
 from repro.sim.kernel import Environment, SimulationError
 from repro.zk.sessions import SessionTracker
@@ -45,7 +46,7 @@ def small_keys(monkeypatch):
 @pytest.fixture
 def sparse_ticks(small_keys, monkeypatch):
     monkeypatch.setattr(FleetFullSpec, "tick_ms", 1.0)
-    monkeypatch.setattr(engine, "DIURNAL_AMPLITUDE", 0.0)
+    monkeypatch.setattr(full, "DIURNAL_AMPLITUDE", 0.0)
 
 
 def _canon(payload) -> str:
@@ -121,6 +122,8 @@ def test_zk_wpaxos_cell_completes_ops(small_keys):
 
 
 _BAD_SPECS = [
+    (dict(n_sites=1), "n_sites"),
+    (dict(duration_ms=0.0), "durations"),
     (dict(system="wankeeper", substrate="wpaxos"), "zab substrate only"),
     (dict(site_ops_per_sec=-1.0), "offered load"),
     (dict(load_multiplier=-2), "offered load"),
@@ -154,6 +157,62 @@ def test_all_sessions_connect_and_ops_flow(small_keys):
 def test_payload_is_json_plain_and_excludes_perf_toggles(small_keys):
     payload = _run(_SMALL)
     assert json.loads(_canon(payload)) == payload
+
+
+# -- the open-loop driver: conservation, offered rate, knee, executors -------
+
+_STACKS = [("wankeeper", "zab"), ("zk", "zab"), ("zk", "wpaxos")]
+
+
+@pytest.mark.parametrize(
+    "system, substrate", _STACKS, ids=["-".join(stack) for stack in _STACKS]
+)
+def test_ops_are_conserved(small_keys, system, substrate):
+    """Every offered op is issued or dropped for want of a session, and
+    every issued op completes, fails or is still in flight at the horizon."""
+    payload = _run(_SMALL, system=system, substrate=substrate)
+    assert payload["offered_ops"] == (
+        payload["issued_ops"] + payload["not_connected_drops"]
+    )
+    assert payload["issued_ops"] == (
+        payload["completed_ops"] + payload["failed_ops"]
+        + payload["in_flight_at_horizon"]
+    )
+    assert payload["in_flight_at_horizon"] >= 0
+
+
+def test_poisson_arrivals_near_offered_rate(small_keys, monkeypatch):
+    monkeypatch.setattr(full, "DIURNAL_AMPLITUDE", 0.0)
+    spec = FleetFullSpec(**_SMALL)
+    payload = run_fleet_full(spec)
+    expected = spec.site_ops_per_sec * spec.n_sites
+    assert abs(payload["offered_ops_per_sec"] - expected) / expected < 0.15
+
+
+def test_overload_builds_a_backlog():
+    """The ``fleet --small`` anchor (8 x 1 250 real sessions, 4 s): at 1x
+    every op is answered by the horizon; at 7x, past the hub's knee, a
+    backlog is left in flight and the write tail stretches."""
+    shape = dict(n_sites=8, sessions_per_site=1250, duration_ms=4000.0,
+                 site_ops_per_sec=40.0, seed=42)
+    under = run_fleet_full(FleetFullSpec(**shape))
+    over = run_fleet_full(FleetFullSpec(**shape, load_multiplier=7.0))
+    assert under["in_flight_at_horizon"] == 0
+    assert over["in_flight_at_horizon"] > 0
+    assert over["write_p99_ms"] > 4 * under["write_p99_ms"]
+
+
+def test_fleet_cell_identical_across_executors():
+    from repro.runner.executor import execute
+    from repro.runner.scenario import Scenario
+
+    scenario = Scenario.make("fleet_full", dict(_SMALL), suite="fleet")
+    serial = execute([scenario], jobs=1)
+    pooled = execute([scenario], jobs=2)
+    # Report a dead or timed-out worker as itself, not as a KeyError.
+    serial.raise_on_failure()
+    pooled.raise_on_failure()
+    assert serial.payload(scenario) == pooled.payload(scenario)
 
 
 def test_ten_thousand_real_sessions_memory_lean():

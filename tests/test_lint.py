@@ -156,35 +156,63 @@ def test_kernel_contract_is_read_where_it_is_written():
     assert found == [], "\n".join(found)
 
 
+def _src_lines_matching(pattern):
+    """Every line under ``src/repro`` that ``pattern`` matches, as
+    ``file:line: text``."""
+    src = REPO_ROOT / "src" / "repro"
+    return [
+        f"{path.relative_to(src).as_posix()}:{number}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+
+
 def test_the_replay_hooks_and_token_history_stay_retired():
     """One restart rule: a replica keeps its state and moves below the log
     window by state transfer, so no product code wires a replay-from-zero
     hook (the replaying oracles under ``tests/`` carry their own), and the
     trace's ``token-grant`` / ``token-accept`` events are the one record of
     token ownership."""
-    src = REPO_ROOT / "src" / "repro"
     retired = re.compile(
         r"on_reset|_on_tree_reset|on_peer_reset|on_object_reset"
         r"|on_replica_reset|tree-reset|token_history"
     )
-    found = []
-    for path in sorted(src.rglob("*.py")):
-        name = path.relative_to(src).as_posix()
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            if retired.search(line):
-                found.append(f"{name}:{number}: {line.strip()}")
+    found = _src_lines_matching(retired)
     assert found == [], "\n".join(found)
 
 
-#: Every settable value of the config surfaces: the init fields of six
+def test_the_fleet_queueing_model_stays_retired():
+    """One fleet driver: every fleet question runs the open-loop driver
+    against real servers (``repro.fleet.full``). The queueing model that
+    stood in for them, its spec, its entry point and its cell stay gone."""
+    retired = re.compile(
+        r"repro\.fleet\.engine|FleetSpec\b|\brun_fleet\(|\bcell_fleet\b"
+    )
+    found = _src_lines_matching(retired)
+    assert found == [], "\n".join(found)
+
+
+def test_every_fleet_cell_runs_the_real_stack():
+    """Both sizes of the ``fleet`` suite are ``fleet_full`` cells, and the
+    load sweep's 1x row is the site sweep's anchor cell, so the runner
+    runs it once."""
+    from repro.runner.suites import SUITES, build_suite
+
+    for small in (True, False):
+        assert {sc.cell for sc in build_suite("fleet", small, 42)} == {
+            "fleet_full"
+        }
+        grid = SUITES["fleet"].grid(small, 42)
+        anchor = 8 if small else 20
+        assert grid["load", 1.0].digest() == grid["sites", anchor].digest()
+
+
+#: Every settable value of the config surfaces: the init fields of five
 #: dataclasses and the defaulted parameters of three builders. A value no
 #: product caller sets is a constant, so growing this table is a
 #: deliberate edit, made together with the caller that needs the option.
 OPTION_SURFACE = {
-    "FleetSpec": (
-        "n_sites", "sessions_per_site", "duration_ms", "site_ops_per_sec",
-        "load_multiplier", "seed",
-    ),
     "FleetFullSpec": (
         "n_sites", "sessions_per_site", "duration_ms", "site_ops_per_sec",
         "load_multiplier", "write_fraction", "system", "substrate", "seed",
@@ -229,7 +257,7 @@ def test_the_option_surface_stays_pinned():
     import inspect
 
     from repro.experiments.common import build_world
-    from repro.fleet import FleetFullSpec, FleetSpec
+    from repro.fleet import FleetFullSpec
     from repro.nemesis import NemesisConfig
     from repro.wankeeper import build_wankeeper_deployment
     from repro.wankeeper.server import WanConfig
@@ -239,8 +267,8 @@ def test_the_option_surface_stays_pinned():
 
     found = {
         cls.__name__: tuple(f.name for f in dataclasses.fields(cls) if f.init)
-        for cls in (FleetSpec, FleetFullSpec, EnsembleConfig, WanConfig,
-                    YcsbSpec, NemesisConfig)
+        for cls in (FleetFullSpec, EnsembleConfig, WanConfig, YcsbSpec,
+                    NemesisConfig)
     }
     for builder in (build_zk_deployment, build_wankeeper_deployment, build_world):
         found[builder.__name__] = tuple(
@@ -249,7 +277,7 @@ def test_the_option_surface_stays_pinned():
             if param.default is not param.empty
         )
     assert found == OPTION_SURFACE
-    assert sum(map(len, OPTION_SURFACE.values())) == 62
+    assert sum(map(len, OPTION_SURFACE.values())) == 56
 
 
 def test_no_source_file_over_a_thousand_lines():
