@@ -8,10 +8,9 @@
   progress/timing to stderr. ``--small`` runs a reduced configuration.
 * ``python -m repro cache stats|clear`` — inspect or empty the cache.
 * ``python -m repro profile <suite>`` — cProfile a runner suite; prints
-  top-N hotspots plus a per-layer tottime rollup
-  (kernel/net/zab/wpaxos/zk/wankeeper/fleet/workload). Performance is
-  *measured* by the ledger (``python3 benchmarks/ledger/run.py``), which
-  is not a subcommand.
+  its wall time, collector work and top-N hotspots. Performance, and
+  each layer's share of it, is *measured* by the ledger
+  (``python3 benchmarks/ledger/run.py``), which is not a subcommand.
 * ``python -m repro fuzz`` — the coverage-guided fault-schedule fuzzer.
 * ``python -m repro trace --out FILE`` — run a small traced WanKeeper
   workload (sentinel on) and dump the structured event trace as JSONL.

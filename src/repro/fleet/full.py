@@ -96,8 +96,6 @@ PAYLOAD_BYTES = 16
 DIURNAL_AMPLITUDE = 0.6
 DIURNAL_PERIOD_MS = 20000.0
 HOTSPOT_FRACTION = 0.15
-#: Latency samples each station's sketch keeps for its percentiles.
-RESERVOIR_SIZE = 1024
 
 
 @dataclass
@@ -211,9 +209,7 @@ class FleetStation:
         self.spec = spec
         self.site_index = site_index
         self.server_addr = server_addr
-        self.recorder = LatencyRecorder(
-            site_name, mode="sketch", reservoir_size=RESERVOIR_SIZE
-        )
+        self.recorder = LatencyRecorder(site_name)
         per_site = spec.sessions_per_site
         # One physical inbox; every session is an alias onto it. The
         # aliases bypass Site.address (whose membership list is O(n) per

@@ -1,20 +1,14 @@
 """Profiling harness: ``repro profile <suite>``.
 
 Wraps any runner scenario suite in :mod:`cProfile` and prints where the
-wall-clock goes, two ways:
-
-* a **top-N hotspot table** (tottime-ordered, like ``pstats``), and
-* a **cumulative-by-module rollup** that buckets every profiled frame
-  into one of the repo's layers — ``kernel`` (sim), ``net``, ``zab``,
-  ``wpaxos``, ``zk``, ``wankeeper``, ``fleet``, ``workload``
-  (workloads/experiments/runner), or ``other`` (stdlib and everything
-  else).
+wall-clock goes: the wall time, one line of collector (``gc``) work, and
+a **top-N hotspot table** (tottime-ordered, like ``pstats``).
 
 It is a hotspot finder, not a meter: it prints (``--json`` for a
-machine-readable report) and writes no file. Before/after layer shares
-that back a claim come from the ledger's traced set
-(``benchmarks/ledger/run.py --trace 1``, ``<layer>.self_share``), which
-also books built-ins and generated methods to the layer that called them.
+machine-readable report) and writes no file. Per-layer shares come from
+the ledger's traced set (``benchmarks/ledger/run.py --trace 1``,
+``<layer>.self_share``), which also books built-ins and generated
+methods to the layer that called them; it is the one layer map.
 
 Profiling is observation-only: the simulation under the profiler makes
 exactly the same RNG draws and scheduling decisions as an unprofiled
@@ -30,51 +24,14 @@ import gc
 import json
 import pstats
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "available_targets",
     "main",
-    "module_group",
     "profile_callable",
     "profile_target",
 ]
-
-#: Layer buckets, matched against the path of each profiled code object.
-#: First match wins; anything outside src/repro lands in "other".
-_GROUP_MARKERS: Tuple[Tuple[str, str], ...] = (
-    ("repro/sim/", "kernel"),
-    ("repro/net/", "net"),
-    ("repro/zab/", "zab"),
-    # The registry seam runs at build time only; booked to the default
-    # backend so it stays on the protocol side of the headline ratio.
-    ("repro/substrate/", "zab"),
-    ("repro/wpaxos/", "wpaxos"),
-    ("repro/zk/", "zk"),
-    ("repro/wankeeper/", "wankeeper"),
-    ("repro/fleet/", "fleet"),
-    ("repro/workloads/", "workload"),
-    ("repro/experiments/", "workload"),
-    ("repro/runner/", "workload"),
-    ("repro/scfs/", "workload"),
-    ("repro/consistency/", "workload"),
-    ("repro/", "workload"),
-)
-
-#: Rollup group order for reports (stable, layer-stack order).
-GROUPS = (
-    "kernel", "net", "zab", "wpaxos", "zk", "wankeeper", "fleet", "workload",
-    "other",
-)
-
-
-def module_group(filename: str) -> str:
-    """Map a profiled frame's filename to its layer bucket."""
-    normalized = filename.replace("\\", "/")
-    for marker, group in _GROUP_MARKERS:
-        if marker in normalized:
-            return group
-    return "other"
 
 
 def profile_callable(
@@ -82,10 +39,10 @@ def profile_callable(
 ) -> Tuple[Any, Dict[str, Any]]:
     """Run ``fn`` under cProfile; return ``(fn_result, report_dict)``.
 
-    The report carries the per-module rollup, the top-N hotspots and
-    ``gc``: the collector's collections and seconds per generation during
-    the call and their share of ``wall_s`` (cProfile books that time to
-    whichever frame allocated). Both observe the interpreter without
+    The report carries the top-N hotspots and ``gc``: the collector's
+    collections and seconds per generation during the call and their
+    share of ``wall_s`` (cProfile books that time to whichever frame
+    allocated). Both observe the interpreter without
     touching program state, so ``fn``'s result is byte-identical to an
     unprofiled call.
     """
@@ -102,9 +59,6 @@ def profile_callable(
     wall = time.perf_counter() - started
 
     stats = pstats.Stats(profiler)
-    modules: Dict[str, Dict[str, float]] = {
-        group: {"tottime_s": 0.0, "calls": 0} for group in GROUPS
-    }
     rows: List[Dict[str, Any]] = []
     total_tottime = 0.0
     total_calls = 0
@@ -115,13 +69,6 @@ def profile_callable(
         cumtime,
         _callers,
     ) in stats.stats.items():  # type: ignore[attr-defined]
-        group = module_group(filename)
-        bucket = modules[group]
-        # The rollup sums tottime (exclusive time): summing cumtime over
-        # every frame would double-count nested calls. Per-row cumtime is
-        # still reported in the hotspot table.
-        bucket["tottime_s"] += tottime
-        bucket["calls"] += ncalls
         total_tottime += tottime
         total_calls += ncalls
         rows.append(
@@ -129,7 +76,6 @@ def profile_callable(
                 "function": funcname,
                 "file": _short_path(filename),
                 "line": lineno,
-                "module": group,
                 "ncalls": ncalls,
                 "tottime_s": round(tottime, 6),
                 "cumtime_s": round(cumtime, 6),
@@ -137,28 +83,10 @@ def profile_callable(
         )
 
     rows.sort(key=lambda row: (-row["tottime_s"], row["file"], row["line"]))
-    for group in GROUPS:
-        bucket = modules[group]
-        bucket["tottime_s"] = round(bucket["tottime_s"], 6)
-        bucket["tottime_share"] = round(
-            bucket["tottime_s"] / total_tottime, 4
-        ) if total_tottime else 0.0
-
-    protocol = sum(
-        modules[group]["tottime_s"]
-        for group in ("zab", "wpaxos", "zk", "wankeeper")
-    )
-    substrate = modules["kernel"]["tottime_s"] + modules["net"]["tottime_s"]
     report = {
         "wall_s": round(wall, 4),
         "profiled_tottime_s": round(total_tottime, 4),
         "total_calls": total_calls,
-        "modules": modules,
-        # Headline ratio: protocol-layer time over substrate time. A
-        # protocol-layer perf pass should drive this *down*.
-        "protocol_over_substrate": (
-            round(protocol / substrate, 4) if substrate else None
-        ),
         "hotspots": rows[:top],
         "gc": {
             "collections": collector.collections,
@@ -256,31 +184,11 @@ def profile_target(
 def _format_report(report: Dict[str, Any], top: int) -> str:
     from repro.experiments.common import format_table
 
-    lines = []
-    module_rows = []
-    for group in GROUPS:
-        bucket = report["modules"][group]
-        module_rows.append(
-            [
-                group,
-                f"{bucket['tottime_s']:.3f}",
-                f"{bucket['tottime_share']:.1%}",
-                f"{bucket['calls']:,}",
-            ]
-        )
-    lines.append(
-        format_table(
-            ["layer", "tottime s", "share", "calls"],
-            module_rows,
-            title=(
-                f"{report['target']}"
-                f"{' (small)' if report.get('small') else ''}: "
-                f"{report['wall_s']:.2f}s wall, "
-                f"protocol/substrate "
-                f"{report['protocol_over_substrate']}"
-            ),
-        )
-    )
+    lines = [
+        f"{report['target']}"
+        f"{' (small)' if report.get('small') else ''}: "
+        f"{report['wall_s']:.2f}s wall"
+    ]
     collector = report["gc"]
     lines.append(
         "collector (gen 0 / 1 / 2): "
@@ -316,9 +224,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description=(
-            "Profile a runner suite under cProfile and print top hotspots "
-            "plus a per-layer (kernel/net/zab/wpaxos/zk/wankeeper/fleet/"
-            "workload) rollup of tottime. Writes no file."
+            "Profile a runner suite under cProfile and print its wall "
+            "time, collector work and top hotspots by tottime. Writes no "
+            "file."
         ),
     )
     parser.add_argument(

@@ -1,30 +1,18 @@
 """Measurement: per-operation samples, percentiles, CDFs, time series.
 
-Two recording modes:
-
-* ``exact`` (the default) keeps every sample — full-fidelity CDFs and
-  time series. All the paper's figures use this mode. The samples live
-  in three typed columns, not in one object per operation: the start
-  and the latency as float64 (``array('d')``), and one byte that
-  encodes the kind, as an index into the recorder's kind table, and
-  whether the op succeeded: ≈ 18 traced bytes per sample, growth slack
-  included. ``samples`` is a read-only view that builds an
-  :class:`OpSample` only when one is asked for.
-* ``sketch`` keeps **O(1) memory per kind**: exact count / mean / error
-  / span accounting plus a fixed-size reservoir (Vitter's algorithm R
-  with a deterministic seeded RNG) from which percentiles and CDFs are
-  estimated. The fleet cells drive up to 1.6 x 10^5 real sessions; even
-  at 18 bytes a sample the columns would grow with the run, so they
-  record through a sketch instead. Counts, means,
-  errors, span, and throughput are exact in both modes; only
-  percentile/CDF queries are estimates in sketch mode.
+One recorder keeps every sample — full-fidelity percentiles, CDFs and
+time series for every figure, ablation and fleet cell. The samples live
+in three typed columns, not in one object per operation: the start and
+the latency as float64 (``array('d')``), and one byte that encodes the
+kind, as an index into the recorder's kind table, and whether the op
+succeeded: ≈ 18 traced bytes per sample, growth slack included.
+``samples`` is a read-only view that builds an :class:`OpSample` only
+when one is asked for.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
-import random
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -34,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["LatencyRecorder", "OpSample", "percentile"]
 
-#: Kinds one exact recorder can tell apart: a code is ``index << 1 | ok``
+#: Kinds one recorder can tell apart: a code is ``index << 1 | ok``
 #: and must fit the code column's unsigned byte.
 MAX_KINDS = 128
 
@@ -67,7 +55,7 @@ class OpSample:
 
 
 class _SampleView(Sequence):
-    """An exact recorder's samples in record order, read-only.
+    """A recorder's samples in record order, read-only.
 
     Length is O(1); indexing (an int) and iteration build each
     :class:`OpSample` from the columns on demand. Equal to a list (or
@@ -98,31 +86,13 @@ class _SampleView(Sequence):
         return NotImplemented
 
 
-def _reservoir_rng(name: str) -> random.Random:
-    """Deterministic reservoir RNG: seeded from the recorder *name* via
-    sha256, never from ``hash()`` (which moves with PYTHONHASHSEED)."""
-    digest = hashlib.sha256(f"reservoir:{name}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 class LatencyRecorder:
     """Collects operation samples for one experiment run."""
 
-    def __init__(
-        self,
-        name: str = "",
-        mode: str = "exact",
-        reservoir_size: int = 4096,
-    ):
-        if mode not in ("exact", "sketch"):
-            raise ValueError(f"unknown recorder mode {mode!r}")
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be positive")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.mode = mode
-        self.reservoir_size = reservoir_size
         self.errors = 0
-        # Exact-mode columns, one entry per sample in record order. A code
+        # The columns, one entry per sample in record order. A code
         # is ``kind index << 1 | ok``; ``_kind_codes`` maps a kind to its
         # code with the ok bit clear, ``_kinds`` an index back to its kind.
         self._starts = array("d")
@@ -135,69 +105,29 @@ class LatencyRecorder:
         # the cache each query re-filtered and re-sorted the full sample
         # list (reporting does dozens of queries per run).
         self._sorted_cache: Dict[Optional[str], List[float]] = {}
-        # Sketch-mode state (exact counters + bounded reservoirs).
-        self._counts: Dict[str, int] = {}
-        self._sums: Dict[str, float] = {}
-        self._seen: Dict[str, int] = {}
-        self._reservoirs: Dict[str, List[float]] = {}
-        self._kind_order: List[str] = []  # insertion-ordered kinds
-        self._first_start: Optional[float] = None
-        self._last_end: Optional[float] = None
-        self._rng = _reservoir_rng(name) if mode == "sketch" else None
 
     @property
     def samples(self) -> Sequence[OpSample]:
-        """Every sample in record order, as a read-only view (always
-        empty in sketch mode)."""
+        """Every sample in record order, as a read-only view."""
         return _SampleView(self)
 
     def record(self, kind: str, start: float, latency: float, ok: bool = True) -> None:
-        if self.mode == "exact":
-            # The float64 columns would turn an int into the equal float;
-            # refusing one keeps every sample repr-identical to its input.
-            if type(start) is not float or type(latency) is not float:
-                raise TypeError(
-                    f"start and latency must be floats, not {start!r} and {latency!r}"
-                )
-            code = self._kind_codes.get(kind)
-            if code is None:
-                code = self._add_kind(kind)
-            self._starts.append(start)
-            self._latencies.append(latency)
-            if ok:
-                self._codes.append(code | 1)
-            else:
-                self._codes.append(code)
-                self.errors += 1
-            if self._sorted_cache:
-                self._sorted_cache.clear()
-            return
-        # Sketch path: exact span/count/mean accounting, reservoir tail.
-        end = start + latency
-        if self._first_start is None or start < self._first_start:
-            self._first_start = start
-        if self._last_end is None or end > self._last_end:
-            self._last_end = end
-        if not ok:
-            self.errors += 1
-            return
-        if kind not in self._counts:
-            self._counts[kind] = 0
-            self._sums[kind] = 0.0
-            self._seen[kind] = 0
-            self._reservoirs[kind] = []
-            self._kind_order.append(kind)
-        self._counts[kind] += 1
-        self._sums[kind] += latency
-        seen = self._seen[kind] + 1
-        self._seen[kind] = seen
-        reservoir = self._reservoirs[kind]
-        if len(reservoir) < self.reservoir_size:
-            reservoir.append(latency)
+        # The float64 columns would turn an int into the equal float;
+        # refusing one keeps every sample repr-identical to its input.
+        if type(start) is not float or type(latency) is not float:
+            raise TypeError(
+                f"start and latency must be floats, not {start!r} and {latency!r}"
+            )
+        code = self._kind_codes.get(kind)
+        if code is None:
+            code = self._add_kind(kind)
+        self._starts.append(start)
+        self._latencies.append(latency)
+        if ok:
+            self._codes.append(code | 1)
         else:
-            slot = self._rng.randrange(seen)
-            if slot < self.reservoir_size:
-                reservoir[slot] = latency
+            self._codes.append(code)
+            self.errors += 1
         if self._sorted_cache:
             self._sorted_cache.clear()
 
@@ -215,7 +145,7 @@ class LatencyRecorder:
         return code
 
     def _ok_mask(self, kind: Optional[str]) -> Iterator[int]:
-        """One truth value per exact sample: ok, and of ``kind`` unless
+        """One truth value per sample: ok, and of ``kind`` unless
         ``kind`` is None."""
         if kind is None:
             return map((1).__and__, self._codes)
@@ -225,42 +155,19 @@ class LatencyRecorder:
         return map((code | 1).__eq__, self._codes)
 
     def latencies(self, kind: Optional[str] = None) -> List[float]:
-        """Sorted ok-latencies for ``kind`` (cached; treat as read-only).
-
-        In sketch mode these are the reservoir contents — a uniform
-        sample of the stream, suitable for percentile estimates.
-        """
+        """Sorted ok-latencies for ``kind`` (cached; treat as read-only)."""
         cached = self._sorted_cache.get(kind)
         if cached is None:
-            if self.mode == "exact":
-                cached = sorted(compress(self._latencies, self._ok_mask(kind)))
-            elif kind is not None:
-                cached = sorted(self._reservoirs.get(kind, ()))
-            else:
-                merged: List[float] = []
-                for name in self._kind_order:
-                    merged.extend(self._reservoirs[name])
-                cached = sorted(merged)
+            cached = sorted(compress(self._latencies, self._ok_mask(kind)))
             self._sorted_cache[kind] = cached
         return cached
 
     def count(self, kind: Optional[str] = None) -> int:
-        if self.mode == "sketch":
-            if kind is None:
-                return sum(self._counts[name] for name in self._kind_order)
-            return self._counts.get(kind, 0)
         return sum(self._ok_mask(kind))
 
     # -- aggregates -----------------------------------------------------------
 
     def mean_latency(self, kind: Optional[str] = None) -> float:
-        if self.mode == "sketch":
-            total = self.count(kind)
-            if not total:
-                raise ValueError(f"no samples for kind {kind!r}")
-            if kind is None:
-                return sum(self._sums[n] for n in self._kind_order) / total
-            return self._sums[kind] / total
         values = self.latencies(kind)
         if not values:
             raise ValueError(f"no samples for kind {kind!r}")
@@ -271,10 +178,9 @@ class LatencyRecorder:
 
     def span_ms(self) -> float:
         """Wall-clock (simulated) span from first start to last completion."""
-        first, last = self._span_bounds()
-        if first is None or last is None:
+        if not self._starts:
             return 0.0
-        return last - first
+        return max(map(add, self._starts, self._latencies)) - min(self._starts)
 
     def throughput_ops_per_sec(self, kind: Optional[str] = None) -> float:
         """Completed ops per simulated second over the run's span."""
@@ -300,10 +206,6 @@ class LatencyRecorder:
         self, bucket_ms: float, kind: Optional[str] = None
     ) -> List[Tuple[float, float]]:
         """Per-bucket throughput (ops/sec), for Fig. 10c-style plots."""
-        if self.mode == "sketch":
-            raise RuntimeError(
-                "timeseries() needs per-sample starts; use mode='exact'"
-            )
         if bucket_ms <= 0:
             raise ValueError("bucket_ms must be positive")
         buckets: Dict[int, int] = {}
@@ -347,90 +249,22 @@ class LatencyRecorder:
         return out
 
     def merged(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """A new recorder with both sample sets (multi-client totals).
-
-        Merging an exact recorder into a sketch one (or two sketches)
-        yields a sketch: counts, means, errors, and span merge exactly;
-        the combined reservoir is deterministically downsampled to
-        ``reservoir_size`` when it overflows.
-        """
-        if self.mode == "exact" and other.mode == "exact":
-            result = LatencyRecorder(name=f"{self.name}+{other.name}")
-            result._kinds = list(self._kinds)
-            result._kind_codes = dict(self._kind_codes)
-            remap = bytearray(range(256))  # other's code -> result's code
-            for kind, code in other._kind_codes.items():
-                mapped = result._kind_codes.get(kind)
-                if mapped is None:
-                    mapped = result._add_kind(kind)
-                remap[code] = mapped
-                remap[code | 1] = mapped | 1
-            result._starts = self._starts + other._starts
-            result._latencies = self._latencies + other._latencies
-            result._codes = self._codes + array(
-                "B", other._codes.tobytes().translate(remap)
-            )
-            result.errors = self.errors + other.errors
-            return result
-        result = LatencyRecorder(
-            name=f"{self.name}+{other.name}",
-            mode="sketch",
-            reservoir_size=max(self.reservoir_size, other.reservoir_size),
+        """A new recorder with both sample sets (multi-client totals):
+        ``self``'s samples, then ``other``'s, in record order."""
+        result = LatencyRecorder(name=f"{self.name}+{other.name}")
+        result._kinds = list(self._kinds)
+        result._kind_codes = dict(self._kind_codes)
+        remap = bytearray(range(256))  # other's code -> result's code
+        for kind, code in other._kind_codes.items():
+            mapped = result._kind_codes.get(kind)
+            if mapped is None:
+                mapped = result._add_kind(kind)
+            remap[code] = mapped
+            remap[code | 1] = mapped | 1
+        result._starts = self._starts + other._starts
+        result._latencies = self._latencies + other._latencies
+        result._codes = self._codes + array(
+            "B", other._codes.tobytes().translate(remap)
         )
-        for source in (self, other):
-            result.errors += source.errors
-            for bound in (source._span_bounds(),):
-                first, last = bound
-                if first is not None and (
-                    result._first_start is None or first < result._first_start
-                ):
-                    result._first_start = first
-                if last is not None and (
-                    result._last_end is None or last > result._last_end
-                ):
-                    result._last_end = last
-            for kind, count, total, values in source._kind_stats():
-                if kind not in result._counts:
-                    result._counts[kind] = 0
-                    result._sums[kind] = 0.0
-                    result._seen[kind] = 0
-                    result._reservoirs[kind] = []
-                    result._kind_order.append(kind)
-                result._counts[kind] += count
-                result._sums[kind] += total
-                result._seen[kind] += count
-                result._reservoirs[kind].extend(values)
-        for kind in result._kind_order:
-            reservoir = result._reservoirs[kind]
-            if len(reservoir) > result.reservoir_size:
-                result._reservoirs[kind] = result._rng.sample(
-                    reservoir, result.reservoir_size
-                )
+        result.errors = self.errors + other.errors
         return result
-
-    # -- merge helpers -------------------------------------------------------
-
-    def _span_bounds(self) -> Tuple[Optional[float], Optional[float]]:
-        if self.mode == "sketch":
-            return self._first_start, self._last_end
-        if not self._starts:
-            return None, None
-        return min(self._starts), max(map(add, self._starts, self._latencies))
-
-    def _kind_stats(self):
-        """Yield (kind, ok-count, ok-latency-sum, representative values)
-        in a deterministic order for merging."""
-        if self.mode == "sketch":
-            for kind in self._kind_order:
-                yield (
-                    kind,
-                    self._counts[kind],
-                    self._sums[kind],
-                    list(self._reservoirs[kind]),
-                )
-            return
-        # Kinds in the order of their first ok sample.
-        codes = self._codes
-        for code in dict.fromkeys(code for code in codes if code & 1):
-            values = list(compress(self._latencies, map(code.__eq__, codes)))
-            yield self._kinds[code >> 1], len(values), sum(values), values

@@ -1,11 +1,11 @@
-"""The exact-mode recorder the columnar ``LatencyRecorder`` replaced.
+"""The recorder the columnar ``LatencyRecorder`` replaced.
 
-Until exact mode stored its samples as typed columns, every recorded
+Until the recorder stored its samples as typed columns, every recorded
 operation was one dict-backed ``OpSample`` appended to a list, and every
-query scanned that list. ``LatencyRecorder`` here is that recorder,
-verbatim (sketch mode included, so the mixed merges have their old
-counterpart too); only ``percentile`` and the reservoir seeding come from
-the product, which did not change them. ``tests/test_recorder_columns.py``
+query scanned that list. ``LatencyRecorder`` here is that recorder's
+exact mode, verbatim; the sketch mode it also carried then is gone from
+the product, so it is gone here too. Only ``percentile`` comes from the
+product, which did not change it. ``tests/test_recorder_columns.py``
 drives it and the product in lockstep and demands equal answers to every
 query, sample for sample. Test-only: nothing under ``src/`` may import
 this.
@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.workloads.stats import _reservoir_rng, percentile
+from repro.workloads.stats import percentile
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,8 @@ class OpSample:
 class LatencyRecorder:
     """Collects operation samples for one experiment run."""
 
-    def __init__(
-        self,
-        name: str = "",
-        mode: str = "exact",
-        reservoir_size: int = 4096,
-    ):
-        if mode not in ("exact", "sketch"):
-            raise ValueError(f"unknown recorder mode {mode!r}")
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be positive")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.mode = mode
-        self.reservoir_size = reservoir_size
         self.samples: List[OpSample] = []
         self.errors = 0
         # kind -> sorted ok-latency list, invalidated on record(). Every
@@ -53,84 +42,29 @@ class LatencyRecorder:
         # the cache each query re-filtered and re-sorted the full sample
         # list (reporting does dozens of queries per run).
         self._sorted_cache: Dict[Optional[str], List[float]] = {}
-        # Sketch-mode state (exact counters + bounded reservoirs).
-        self._counts: Dict[str, int] = {}
-        self._sums: Dict[str, float] = {}
-        self._seen: Dict[str, int] = {}
-        self._reservoirs: Dict[str, List[float]] = {}
-        self._kind_order: List[str] = []  # insertion-ordered kinds
-        self._first_start: Optional[float] = None
-        self._last_end: Optional[float] = None
-        self._rng = _reservoir_rng(name) if mode == "sketch" else None
 
     def record(self, kind: str, start: float, latency: float, ok: bool = True) -> None:
-        if self.mode == "exact":
-            self.samples.append(OpSample(kind, start, latency, ok))
-            if self._sorted_cache:
-                self._sorted_cache.clear()
-            if not ok:
-                self.errors += 1
-            return
-        # Sketch path: exact span/count/mean accounting, reservoir tail.
-        end = start + latency
-        if self._first_start is None or start < self._first_start:
-            self._first_start = start
-        if self._last_end is None or end > self._last_end:
-            self._last_end = end
-        if not ok:
-            self.errors += 1
-            return
-        if kind not in self._counts:
-            self._counts[kind] = 0
-            self._sums[kind] = 0.0
-            self._seen[kind] = 0
-            self._reservoirs[kind] = []
-            self._kind_order.append(kind)
-        self._counts[kind] += 1
-        self._sums[kind] += latency
-        seen = self._seen[kind] + 1
-        self._seen[kind] = seen
-        reservoir = self._reservoirs[kind]
-        if len(reservoir) < self.reservoir_size:
-            reservoir.append(latency)
-        else:
-            slot = self._rng.randrange(seen)
-            if slot < self.reservoir_size:
-                reservoir[slot] = latency
+        self.samples.append(OpSample(kind, start, latency, ok))
         if self._sorted_cache:
             self._sorted_cache.clear()
+        if not ok:
+            self.errors += 1
 
     # -- selection ----------------------------------------------------------
 
     def latencies(self, kind: Optional[str] = None) -> List[float]:
-        """Sorted ok-latencies for ``kind`` (cached; treat as read-only).
-
-        In sketch mode these are the reservoir contents — a uniform
-        sample of the stream, suitable for percentile estimates.
-        """
+        """Sorted ok-latencies for ``kind`` (cached; treat as read-only)."""
         cached = self._sorted_cache.get(kind)
         if cached is None:
-            if self.mode == "exact":
-                cached = sorted(
-                    s.latency
-                    for s in self.samples
-                    if s.ok and (kind is None or s.kind == kind)
-                )
-            elif kind is not None:
-                cached = sorted(self._reservoirs.get(kind, ()))
-            else:
-                merged: List[float] = []
-                for name in self._kind_order:
-                    merged.extend(self._reservoirs[name])
-                cached = sorted(merged)
+            cached = sorted(
+                s.latency
+                for s in self.samples
+                if s.ok and (kind is None or s.kind == kind)
+            )
             self._sorted_cache[kind] = cached
         return cached
 
     def count(self, kind: Optional[str] = None) -> int:
-        if self.mode == "sketch":
-            if kind is None:
-                return sum(self._counts[name] for name in self._kind_order)
-            return self._counts.get(kind, 0)
         return sum(
             1 for s in self.samples if s.ok and (kind is None or s.kind == kind)
         )
@@ -138,13 +72,6 @@ class LatencyRecorder:
     # -- aggregates -----------------------------------------------------------
 
     def mean_latency(self, kind: Optional[str] = None) -> float:
-        if self.mode == "sketch":
-            total = self.count(kind)
-            if not total:
-                raise ValueError(f"no samples for kind {kind!r}")
-            if kind is None:
-                return sum(self._sums[n] for n in self._kind_order) / total
-            return self._sums[kind] / total
         values = self.latencies(kind)
         if not values:
             raise ValueError(f"no samples for kind {kind!r}")
@@ -155,10 +82,6 @@ class LatencyRecorder:
 
     def span_ms(self) -> float:
         """Wall-clock (simulated) span from first start to last completion."""
-        if self.mode == "sketch":
-            if self._first_start is None or self._last_end is None:
-                return 0.0
-            return self._last_end - self._first_start
         if not self.samples:
             return 0.0
         first = min(s.start for s in self.samples)
@@ -189,10 +112,6 @@ class LatencyRecorder:
         self, bucket_ms: float, kind: Optional[str] = None
     ) -> List[Tuple[float, float]]:
         """Per-bucket throughput (ops/sec), for Fig. 10c-style plots."""
-        if self.mode == "sketch":
-            raise RuntimeError(
-                "timeseries() needs per-sample starts; use mode='exact'"
-            )
         if bucket_ms <= 0:
             raise ValueError("bucket_ms must be positive")
         buckets: Dict[int, int] = {}
@@ -236,82 +155,8 @@ class LatencyRecorder:
         return out
 
     def merged(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """A new recorder with both sample sets (multi-client totals).
-
-        Merging an exact recorder into a sketch one (or two sketches)
-        yields a sketch: counts, means, errors, and span merge exactly;
-        the combined reservoir is deterministically downsampled to
-        ``reservoir_size`` when it overflows.
-        """
-        if self.mode == "exact" and other.mode == "exact":
-            result = LatencyRecorder(name=f"{self.name}+{other.name}")
-            result.samples = self.samples + other.samples
-            result.errors = self.errors + other.errors
-            return result
-        result = LatencyRecorder(
-            name=f"{self.name}+{other.name}",
-            mode="sketch",
-            reservoir_size=max(self.reservoir_size, other.reservoir_size),
-        )
-        for source in (self, other):
-            result.errors += source.errors
-            for bound in (source._span_bounds(),):
-                first, last = bound
-                if first is not None and (
-                    result._first_start is None or first < result._first_start
-                ):
-                    result._first_start = first
-                if last is not None and (
-                    result._last_end is None or last > result._last_end
-                ):
-                    result._last_end = last
-            for kind, count, total, values in source._kind_stats():
-                if kind not in result._counts:
-                    result._counts[kind] = 0
-                    result._sums[kind] = 0.0
-                    result._seen[kind] = 0
-                    result._reservoirs[kind] = []
-                    result._kind_order.append(kind)
-                result._counts[kind] += count
-                result._sums[kind] += total
-                result._seen[kind] += count
-                result._reservoirs[kind].extend(values)
-        for kind in result._kind_order:
-            reservoir = result._reservoirs[kind]
-            if len(reservoir) > result.reservoir_size:
-                result._reservoirs[kind] = result._rng.sample(
-                    reservoir, result.reservoir_size
-                )
+        """A new recorder with both sample sets (multi-client totals)."""
+        result = LatencyRecorder(name=f"{self.name}+{other.name}")
+        result.samples = self.samples + other.samples
+        result.errors = self.errors + other.errors
         return result
-
-    # -- merge helpers -------------------------------------------------------
-
-    def _span_bounds(self) -> Tuple[Optional[float], Optional[float]]:
-        if self.mode == "sketch":
-            return self._first_start, self._last_end
-        if not self.samples:
-            return None, None
-        return (
-            min(s.start for s in self.samples),
-            max(s.start + s.latency for s in self.samples),
-        )
-
-    def _kind_stats(self):
-        """Yield (kind, ok-count, ok-latency-sum, representative values)
-        in a deterministic order for merging."""
-        if self.mode == "sketch":
-            for kind in self._kind_order:
-                yield (
-                    kind,
-                    self._counts[kind],
-                    self._sums[kind],
-                    list(self._reservoirs[kind]),
-                )
-            return
-        kinds: List[str] = []
-        for sample in self.samples:
-            if sample.ok and sample.kind not in kinds:
-                kinds.append(sample.kind)
-        for kind in kinds:
-            values = [s.latency for s in self.samples if s.ok and s.kind == kind]
-            yield kind, len(values), sum(values), values

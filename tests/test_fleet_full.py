@@ -13,6 +13,7 @@ import pytest
 from repro.fleet import FleetFullSpec, full, run_fleet_full
 from repro.fleet.full import _FleetFullEngine
 from repro.sim.kernel import Environment, SimulationError
+from repro.workloads import percentile
 from repro.zk.sessions import SessionTracker
 from tests.reference_fleet import FreshAllocationEngine, PerTickEngine
 
@@ -189,17 +190,43 @@ def test_poisson_arrivals_near_offered_rate(small_keys, monkeypatch):
     assert abs(payload["offered_ops_per_sec"] - expected) / expected < 0.15
 
 
-def test_overload_builds_a_backlog():
-    """The ``fleet --small`` anchor (8 x 1 250 real sessions, 4 s): at 1x
-    every op is answered by the horizon; at 7x, past the hub's knee, a
+#: The ``fleet --small`` anchor: 8 x 1 250 real sessions for 4 s.
+_ANCHOR = dict(n_sites=8, sessions_per_site=1250, duration_ms=4000.0,
+               site_ops_per_sec=40.0, seed=42)
+
+
+@pytest.fixture(scope="module")
+def overloaded_anchor():
+    """The anchor at 7x, past the hub's knee: its engine and payload."""
+    return _run_engine(_FleetFullEngine, dict(_ANCHOR, load_multiplier=7.0))
+
+
+def test_overload_builds_a_backlog(overloaded_anchor):
+    """At 1x every op of the anchor is answered by the horizon; at 7x a
     backlog is left in flight and the write tail stretches."""
-    shape = dict(n_sites=8, sessions_per_site=1250, duration_ms=4000.0,
-                 site_ops_per_sec=40.0, seed=42)
-    under = run_fleet_full(FleetFullSpec(**shape))
-    over = run_fleet_full(FleetFullSpec(**shape, load_multiplier=7.0))
+    under = run_fleet_full(FleetFullSpec(**_ANCHOR))
+    _, over = overloaded_anchor
     assert under["in_flight_at_horizon"] == 0
     assert over["in_flight_at_horizon"] > 0
     assert over["write_p99_ms"] > 4 * under["write_p99_ms"]
+
+
+def test_fleet_percentiles_cover_every_station_sample(overloaded_anchor):
+    """The payload's write percentiles are those of every write any
+    station recorded, each station weighted by its own traffic."""
+    engine, payload = overloaded_anchor
+    writes = sorted(
+        latency
+        for station in engine.stations
+        for latency in station.recorder.latencies("write")
+    )
+    assert len(writes) == sum(
+        station.recorder.count("write") for station in engine.stations
+    )
+    # More writes than any fixed-size sample of them would keep.
+    assert len(writes) > 1024
+    assert payload["write_p50_ms"] == percentile(writes, 50)
+    assert payload["write_p99_ms"] == percentile(writes, 99)
 
 
 def test_fleet_cell_identical_across_executors():

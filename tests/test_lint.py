@@ -193,6 +193,19 @@ def test_the_fleet_queueing_model_stays_retired():
     assert found == [], "\n".join(found)
 
 
+def test_the_latency_sketch_and_profile_rollup_stay_retired():
+    """One latency recorder and one layer map: every cell, fleet stations
+    included, records every sample in ``LatencyRecorder``'s columns, and
+    per-layer shares come from the ledger's traced set, not from a second
+    bucketing in ``repro profile``."""
+    retired = re.compile(
+        r"mode=\"sketch\"|reservoir_size|_reservoir_rng|RESERVOIR_SIZE"
+        r"|module_group|protocol_over_substrate"
+    )
+    found = _src_lines_matching(retired)
+    assert found == [], "\n".join(found)
+
+
 def test_every_fleet_cell_runs_the_real_stack():
     """Both sizes of the ``fleet`` suite are ``fleet_full`` cells, and the
     load sweep's 1x row is the site sweep's anchor cell, so the runner

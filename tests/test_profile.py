@@ -2,8 +2,7 @@
 
 Pins three properties:
 
-* the report shape — per-module rollup over the repo's layer buckets,
-  shares that sum to one, tottime-ordered hotspots, the collector's
+* the report shape — tottime-ordered hotspots, the collector's
   collections and seconds per generation (its hook removed afterwards),
   JSON-plain;
 * print-only — the CLI takes runner suites and writes no file;
@@ -17,32 +16,11 @@ import json
 import pytest
 
 from repro.profiling import (
-    GROUPS,
     available_targets,
-    module_group,
     profile_callable,
     profile_target,
 )
 from repro import profiling
-
-
-def test_module_group_buckets():
-    assert module_group("/x/src/repro/sim/kernel.py") == "kernel"
-    assert module_group("/x/src/repro/net/transport.py") == "net"
-    assert module_group("/x/src/repro/zab/peer.py") == "zab"
-    assert module_group("/x/src/repro/zk/data_tree.py") == "zk"
-    assert module_group("/x/src/repro/wankeeper/server.py") == "wankeeper"
-    assert module_group("/x/src/repro/wpaxos/peer.py") == "wpaxos"
-    assert module_group("/x/src/repro/wpaxos/messages.py") == "wpaxos"
-    # The substrate registry is consensus-side, not workload time.
-    assert module_group("/x/src/repro/substrate/__init__.py") == "zab"
-    assert module_group("/x/src/repro/fleet/full.py") == "fleet"
-    assert module_group("/x/src/repro/workloads/driver.py") == "workload"
-    assert module_group("/x/src/repro/runner/cells.py") == "workload"
-    assert module_group("/x/src/repro/profiling.py") == "workload"
-    assert module_group("/usr/lib/python3.11/json/encoder.py") == "other"
-    # Windows-style separators normalize to the same buckets.
-    assert module_group("C:\\x\\src\\repro\\zk\\records.py") == "zk"
 
 
 def test_profile_callable_returns_result_and_report():
@@ -51,9 +29,8 @@ def test_profile_callable_returns_result_and_report():
 
     result, report = profile_callable(work, top=5)
     assert result == sum(i * i for i in range(2000))
-    assert set(report["modules"]) == set(GROUPS)
-    shares = [report["modules"][g]["tottime_share"] for g in GROUPS]
-    assert abs(sum(shares) - 1.0) < 0.01
+    assert "modules" not in report and "protocol_over_substrate" not in report
+    assert report["total_calls"] > 0
     assert len(report["hotspots"]) <= 5
     tottimes = [row["tottime_s"] for row in report["hotspots"]]
     assert tottimes == sorted(tottimes, reverse=True)
@@ -97,16 +74,16 @@ def test_unknown_target_raises_with_listing():
 def test_profile_target_small_ycsb_report_is_json_plain():
     # Cheapest suite that runs every stack: wk x zab, zk x zab, zk x wpaxos.
     report = profile_target("fleet_full", small=True, seed=4242, top=10)
-    # Full stack ran: every protocol layer appears in the rollup.
     assert report["target"] == "fleet_full"
-    for group in ("kernel", "net", "zab", "wpaxos", "zk", "wankeeper", "fleet"):
-        assert report["modules"][group]["tottime_s"] >= 0.0
-        assert report["modules"][group]["calls"] > 0
-    assert report["protocol_over_substrate"] is not None
-    assert report["protocol_over_substrate"] > 0
+    assert set(report) == {
+        "target", "small", "seed", "wall_s", "profiled_tottime_s",
+        "total_calls", "hotspots", "gc",
+    }
+    # The hotspots name the product's own frames, as short paths.
+    assert len(report["hotspots"]) == 10
+    assert any(row["file"].startswith("repro/") for row in report["hotspots"])
     # Diffable artifact: round-trips through JSON without custom encoders.
-    decoded = json.loads(json.dumps(report))
-    assert decoded["modules"].keys() == report["modules"].keys()
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_cli_prints_report_and_writes_no_file(tmp_path, capsys, monkeypatch):
@@ -121,6 +98,9 @@ def test_cli_prints_report_and_writes_no_file(tmp_path, capsys, monkeypatch):
 def test_text_report_prints_the_collector_line(capsys):
     assert profiling.main(["fleet_full", "--small", "--top", "3"]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0].startswith("fleet_full (small): ")
+    assert out.splitlines()[0].endswith("s wall")
+    assert "top 3 hotspots by tottime" in out
     collector = [line for line in out.splitlines()
                  if line.startswith("collector (gen 0 / 1 / 2): ")]
     assert len(collector) == 1

@@ -170,98 +170,3 @@ def test_spec_validation_and_keys():
 def test_spec_value_deterministic_with_seed():
     spec = YcsbSpec()
     assert spec.value(random.Random(7)) == spec.value(random.Random(7))
-
-
-# -- sketch (streaming) recorder mode ------------------------------------------
-
-
-def test_sketch_counts_and_means_exact():
-    exact = LatencyRecorder("x")
-    sketch = LatencyRecorder("x", mode="sketch", reservoir_size=64)
-    for i in range(1000):
-        latency = float(i % 37) + 1.0
-        exact.record("read", i * 1.0, latency)
-        sketch.record("read", i * 1.0, latency)
-    sketch.record("read", 0.0, 1.0, ok=False)
-    assert sketch.count("read") == exact.count("read") == 1000
-    assert sketch.errors == 1
-    assert sketch.mean_latency("read") == pytest.approx(
-        exact.mean_latency("read")
-    )
-    assert sketch.span_ms() == pytest.approx(exact.span_ms())
-    assert sketch.throughput_ops_per_sec() == pytest.approx(
-        exact.throughput_ops_per_sec()
-    )
-
-
-def test_sketch_percentiles_close_to_exact():
-    exact = LatencyRecorder("p")
-    sketch = LatencyRecorder("p", mode="sketch", reservoir_size=512)
-    for i in range(5000):
-        latency = float(i % 100)
-        exact.record("write", 0.0, latency)
-        sketch.record("write", 0.0, latency)
-    # Reservoir of 512 over a uniform 0..99 stream: p50 within a few units.
-    assert abs(
-        sketch.percentile_latency(50, "write")
-        - exact.percentile_latency(50, "write")
-    ) < 10.0
-    assert len(sketch.latencies("write")) == 512
-
-
-def test_sketch_memory_bounded():
-    sketch = LatencyRecorder("m", mode="sketch", reservoir_size=32)
-    for i in range(10_000):
-        sketch.record("read", float(i), 1.0)
-    assert len(sketch.latencies("read")) == 32
-    assert sketch.samples == []  # no per-op tuples retained
-
-
-def test_sketch_is_deterministic():
-    def build():
-        recorder = LatencyRecorder("d", mode="sketch", reservoir_size=16)
-        for i in range(500):
-            recorder.record("read", float(i), float(i % 7))
-        return recorder.latencies("read")
-
-    assert build() == build()
-
-
-def test_sketch_timeseries_raises():
-    sketch = LatencyRecorder(mode="sketch")
-    sketch.record("read", 0.0, 1.0)
-    with pytest.raises(RuntimeError):
-        sketch.timeseries(1000.0)
-
-
-def test_sketch_merge_exact_counts():
-    a = LatencyRecorder("a", mode="sketch", reservoir_size=8)
-    b = LatencyRecorder("b", mode="sketch", reservoir_size=8)
-    for i in range(100):
-        a.record("read", float(i), 1.0)
-        b.record("write", 100.0 + i, 3.0)
-    merged = a.merged(b)
-    assert merged.mode == "sketch"
-    assert merged.count() == 200
-    assert merged.count("read") == 100
-    assert merged.mean_latency("write") == pytest.approx(3.0)
-    assert merged.span_ms() == pytest.approx(202.0)
-    assert len(merged.latencies("read")) == 8  # downsampled, bounded
-
-
-def test_sketch_merge_with_exact_recorder():
-    exact = LatencyRecorder("e")
-    exact.record("read", 0.0, 5.0)
-    sketch = LatencyRecorder("s", mode="sketch", reservoir_size=8)
-    sketch.record("read", 10.0, 7.0)
-    merged = sketch.merged(exact)
-    assert merged.mode == "sketch"
-    assert merged.count("read") == 2
-    assert merged.mean_latency("read") == pytest.approx(6.0)
-
-
-def test_recorder_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        LatencyRecorder(mode="stream")
-    with pytest.raises(ValueError):
-        LatencyRecorder(mode="sketch", reservoir_size=0)
