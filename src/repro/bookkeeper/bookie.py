@@ -68,10 +68,9 @@ class Bookie:
     def _loop(self):
         while self._alive:
             try:
-                envelope = yield self.inbox.get()
+                _src, _dst, msg = yield self.inbox.get()
             except (StoreClosed, Interrupt):
                 return
-            msg = envelope.body
             if isinstance(msg, AddEntry):
                 if msg.ledger_id in self._fenced:
                     self.adds_rejected += 1

@@ -213,10 +213,9 @@ class BookKeeperClient:
     def _pump(self):
         while self._alive:
             try:
-                envelope = yield self.inbox.get()
+                src, _dst, msg = yield self.inbox.get()
             except (StoreClosed, Interrupt):
                 return
-            msg = envelope.body
             if isinstance(msg, AddAck):
                 key = (msg.ledger_id, msg.entry_id)
                 pending = self._pending_adds.get(key)
@@ -235,7 +234,7 @@ class BookKeeperClient:
                             )
                         )
                     continue
-                acked.add(envelope.src)
+                acked.add(src)
                 if len(acked) >= self.write_quorum and not event.triggered:
                     del self._pending_adds[key]
                     event.succeed(msg.entry_id)
@@ -244,7 +243,7 @@ class BookKeeperClient:
                 if pending is None:
                     continue
                 acks, event, quorum = pending
-                acks[envelope.src] = msg.last_entry
+                acks[src] = msg.last_entry
                 if len(acks) >= quorum and not event.triggered:
                     del self._pending_fences[msg.ledger_id]
                     event.succeed(max(acks.values()))

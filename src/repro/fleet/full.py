@@ -27,7 +27,7 @@ affordable:
   still has its own :class:`~repro.net.topology.NodeAddress` (servers
   key connect-dedup, watches, and expiry notices by client address) and
   is a real ``Session`` object server-side, but client-side state is
-  array columns indexed by the reply envelope's destination alias: no
+  array columns indexed by the reply's destination alias: no
   per-session coroutines, no per-session inbox stores, no heartbeater
   generators. Session timeouts are set far past the run horizon, so
   liveness costs nothing while the server's expiry watermark keeps the
@@ -59,7 +59,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.fleet.topology import build_fleet_topology, fleet_sites
 from repro.net.topology import NodeAddress
-from repro.net.transport import Network
+from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.rng import seeded_rng
 from repro.workloads.stats import LatencyRecorder
@@ -176,7 +176,7 @@ class FleetStation:
 
     All sessions share one inbox store and one consumer; per-session
     state is three array columns plus the shared inflight table. Replies
-    are routed back to their session by the envelope's destination
+    are routed back to their session by the message's destination
     alias, so no session-id reverse map is needed.
     """
 
@@ -292,11 +292,11 @@ class FleetStation:
 
     # -- replies -------------------------------------------------------------
 
-    def _on_envelope(self, envelope) -> None:
-        body = envelope.body
+    def _on_envelope(self, msg: Message) -> None:
+        _src, dst, body = msg
         cls = body.__class__
         if cls is OpReply:
-            idx = self._idx_of[envelope.dst]
+            idx = self._idx_of[dst]
             key = idx * _CXID_SPAN + body.cxid
             issued = self.inflight.pop(key, None)
             if issued is None:
@@ -312,7 +312,7 @@ class FleetStation:
             else:
                 self.recorder.record("read", issued, now - issued, body.ok)
         elif cls is ConnectReply:
-            idx = self._idx_of[envelope.dst]
+            idx = self._idx_of[dst]
             if self.session_ids[idx] is None:
                 self.session_ids[idx] = body.session_id
                 self.connected += 1

@@ -41,6 +41,9 @@ from repro.sim.store import Store
 
 __all__ = ["LinkProfile", "Network", "NodeDownError"]
 
+#: What a consumer receives for every delivered message.
+Message = Tuple[NodeAddress, NodeAddress, Any]
+
 
 class NodeDownError(Exception):
     """Raised when interacting with a crashed node's endpoint."""
@@ -333,19 +336,20 @@ class Network:
     # -- observation ----------------------------------------------------------
 
     def tap(self, callback: Callable[[Envelope], None]) -> None:
-        """Register an observer invoked for every *sent* envelope."""
+        """Register an observer invoked with an :class:`Envelope` for every
+        *sent* message. Only taps get one: a message travels as a bare
+        ``(src, dst, body)`` tuple, and a tap that rewrites ``body``
+        changes what is delivered."""
         self._taps.append(callback)
 
-    def _drop(self, reason: str, envelope: Optional[Envelope] = None) -> None:
+    def _drop(self, reason: str, msg: Message) -> None:
         self.messages_dropped += 1
         self.drops_by_reason[reason] += 1
         trace = self.trace
         if trace is not None:
-            detail = {"reason": reason}
-            if envelope is not None:
-                detail["src"] = str(envelope.src)
-                detail["dst"] = str(envelope.dst)
-                detail["type"] = type(envelope.body).__name__
+            src, dst, body = msg
+            detail = {"reason": reason, "src": str(src), "dst": str(dst),
+                      "type": type(body).__name__}
             trace.emit(self.env.now, "net", "drop", "net", detail)
 
     def _trace_fault(self, kind: str, target: str) -> None:
@@ -372,10 +376,14 @@ class Network:
         self._seq += 1
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        envelope = Envelope(src, dst, body, env.now, 0.0, self._seq, size_bytes)
+        envelope = None
         if self._taps:
+            envelope = Envelope(src, dst, body, env.now, 0.0, self._seq,
+                                size_bytes)
             for tap in self._taps:
                 tap(envelope)
+            body = envelope.body
+        msg = (src, dst, body)
 
         if (
             self._fast
@@ -390,7 +398,8 @@ class Network:
             except KeyError:
                 delay = self.topology.one_way(src, dst)  # raises ValueError
             deliver_at = env.now + delay
-            envelope.deliver_time = deliver_at
+            if envelope is not None:
+                envelope.deliver_time = deliver_at
             if deliver_at > self._fast_horizon:
                 self._fast_horizon = deliver_at
             env._seq += 1
@@ -398,13 +407,11 @@ class Network:
                 # Zero-latency pair (same-site loopback): same-instant
                 # bucket keeps the kernel's no-heap-entries-at-now
                 # invariant intact.
-                env._normal_now.append(
-                    (self._deliver_cb, (inbox, envelope))
-                )
+                env._normal_now.append((self._deliver_cb, (inbox, msg)))
             else:
                 heappush(
                     env._queue,
-                    (deliver_at, env._seq, (self._deliver_cb, (inbox, envelope))),
+                    (deliver_at, env._seq, (self._deliver_cb, (inbox, msg))),
                 )
             return
 
@@ -415,14 +422,14 @@ class Network:
         # tests/reference_transport.py is the specification.
         down = self._down
         if down and (src in down or dst in down):
-            self._drop("crash", envelope)
+            self._drop("crash", msg)
             return
         pair = (src.site, dst.site)
         if (self._partitions or self._oneway_partitions) and (
             frozenset(pair) in self._partitions
             or pair in self._oneway_partitions
         ):
-            self._drop("partition", envelope)
+            self._drop("partition", msg)
             return
 
         draw = self.rng.random
@@ -431,7 +438,7 @@ class Network:
         copies = 1
         if profile is not None:
             if profile.loss > 0.0 and draw() < profile.loss:
-                self._drop("loss", envelope)
+                self._drop("loss", msg)
                 return
             if profile.duplicate > 0.0 and draw() < profile.duplicate:
                 copies = 2
@@ -445,7 +452,7 @@ class Network:
         now = env.now
         key = (src, dst)
         last_delivery = self._last_delivery
-        entry = (self._deliver_cb, (inbox, envelope))
+        entry = (self._deliver_cb, (inbox, msg))
         while copies:
             copies -= 1
             # One jitter draw per copy; rng.uniform(0.0, jitter) is
@@ -464,7 +471,8 @@ class Network:
                 # were in flight (untracked) when it was degraded.
                 deliver_at = self._slow_floor
             last_delivery[key] = deliver_at
-            envelope.deliver_time = deliver_at
+            if envelope is not None:
+                envelope.deliver_time = deliver_at
             env._seq += 1
             # The kernel instant is the delay added back onto the clock —
             # what env.call_in(deliver_at - now) computes — which can sit
@@ -475,33 +483,47 @@ class Network:
             else:
                 heappush(env._queue, (when, env._seq, entry))
 
-    def _deliver(self, item: Tuple[Store, Envelope]) -> None:
+    def _deliver(self, item: Tuple[Store, Message]) -> None:
         # Re-check liveness at delivery time: a crash or partition that
         # happened while the message was in flight kills it. The inbox was
         # resolved at send time (inboxes persist across crash/restart); only
         # its state is re-checked here.
-        inbox, envelope = item
-        if self._down and envelope.dst in self._down:
-            self._drop("crash", envelope)
+        inbox, msg = item
+        dst = msg[1]
+        if self._down and dst in self._down:
+            self._drop("crash", msg)
             return
         if (self._partitions or self._oneway_partitions) and (
-            self.partitioned_one_way(envelope.src.site, envelope.dst.site)
+            self.partitioned_one_way(msg[0].site, dst.site)
         ):
-            self._drop("partition", envelope)
+            self._drop("partition", msg)
             return
         if inbox._closed:
-            self._drop("inbox-closed", envelope)
+            self._drop("inbox-closed", msg)
             return
         # Inlined Store.put for the consumer-mode inbox (every protocol
         # endpoint registers a consumer); the closed check above already
         # covers put()'s guard.
-        if inbox._consumer is not None:
-            if inbox._consumer_busy:
-                inbox._items.append(envelope)
-            else:
-                inbox._consumer_busy = True
-                env = self.env
-                env._seq += 1
-                env._normal_now.append((inbox._run_consumer, envelope))
+        if inbox._consumer is None:
+            inbox.put(msg)
+        elif inbox._consumer_busy:
+            inbox._items.append(msg)
         else:
-            inbox.put(envelope)
+            inbox._consumer_busy = True
+            env = self.env
+            env._seq += 1
+            normal = env._normal_now
+            if normal:
+                normal.append((inbox._run_consumer, msg))
+                return
+            # run() dispatches this entry only once the urgent lane is
+            # drained, so with the normal lane empty too the entry just
+            # counted would be the very next one it pops: run it here
+            # (Store._run_consumer, inlined). The order (when, lane, seq)
+            # is unchanged.
+            inbox._consumer(msg)
+            if inbox._items:
+                env._seq += 1
+                normal.append((inbox._run_consumer, inbox._items.popleft()))
+            else:
+                inbox._consumer_busy = False

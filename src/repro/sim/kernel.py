@@ -453,7 +453,12 @@ class Environment:
     # new instant to the normal lane. Those predate (seq-wise) anything
     # their dispatch appends, so the run order is ``(when, lane, seq)``.
     # net/transport.py and sim/store.py inline exactly these lines on the
-    # message path, and tests/test_ticker.py states them as a model.
+    # message path, and tests/test_ticker.py states them as a model. One
+    # shortcut keeps that order: an entry run() dispatched (so the urgent
+    # lane is empty) whose last act is to append one entry to an empty
+    # normal lane may run that entry in place instead, since run() would
+    # pop it next (Network._deliver does this for an idle consumer;
+    # ``_seq`` still counts it).
 
     def _post(self, entry: Any, priority: int) -> None:
         self._seq += 1

@@ -39,7 +39,7 @@ from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.topology import NodeAddress
-from repro.net.transport import Network
+from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
 from repro.zab import peer as zab_peer
 from repro.zab.config import EnsembleConfig
@@ -359,10 +359,10 @@ class WPaxosPeer(Resync):
         if self.on_state_change is not None:
             self.on_state_change(self)
 
-    def _on_envelope(self, envelope) -> None:
+    def _on_envelope(self, msg: Message) -> None:
         # One hop to the handler; a crashed peer consumes and ignores.
         if self._alive:
-            body = envelope.body
+            body = msg[2]
             handler = self._handlers.get(body.__class__)
             if handler is None:
                 raise ValueError(f"{self.name}: unexpected message {body!r}")

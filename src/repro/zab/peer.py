@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.topology import NodeAddress
-from repro.net.transport import Network
+from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
 from repro.zab.config import EnsembleConfig
 from repro.zab.log import TxnLog
@@ -317,15 +317,15 @@ class ZabPeer(Sync):
 
     # -------------------------------------------------------------- processes
 
-    def _on_envelope(self, envelope) -> None:
-        # Inbox consumer: one hop from the delivered envelope to its
-        # handler. A crashed peer consumes and ignores.
+    def _on_envelope(self, msg: Message) -> None:
+        # Inbox consumer: one hop from the delivered (src, dst, body) to
+        # its handler. A crashed peer consumes and ignores.
         if self._alive:
-            body = envelope.body
+            src, _dst, body = msg
             handler = self._handlers.get(body.__class__)
             if handler is None:
                 raise ValueError(f"{self.name}: unhandled message {body!r}")
-            handler(envelope.src, body)
+            handler(src, body)
 
     def _on_tick(self) -> None:
         now = self.env.now

@@ -37,7 +37,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.topology import NodeAddress
-from repro.net.transport import Network
+from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Event, Ticker
 from repro.zk.errors import (
     ConnectionLossError,
@@ -371,10 +371,10 @@ class ZkClient:
         else:
             self._send(req)
 
-    def _on_envelope(self, envelope) -> None:
+    def _on_envelope(self, msg: Message) -> None:
         # Inbox consumer: replaces the old _pump process.
         if self._alive:
-            self._on_message(envelope.body)
+            self._on_message(msg[2])
 
     def _on_message(self, msg: Any) -> None:
         # OpReply first: op replies dwarf every other message kind.

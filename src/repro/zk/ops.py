@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Set, Tuple, Union
 
+from repro.net.message import record
 from repro.zk.paths import parent_of, validate_path
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
 # -- write ops ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CreateOp:
     path: str
     data: bytes = b""
@@ -48,7 +49,7 @@ class CreateOp:
             raise ValueError("cannot create the root node")
 
 
-@dataclass(frozen=True)
+@record
 class DeleteOp:
     path: str
     version: int = -1
@@ -59,7 +60,7 @@ class DeleteOp:
             raise ValueError("cannot delete the root node")
 
 
-@dataclass(frozen=True)
+@record
 class SetDataOp:
     path: str
     data: bytes = b""
@@ -69,7 +70,7 @@ class SetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@record
 class CheckVersionOp:
     """Precondition op for multi(): fail unless version matches."""
 
@@ -80,7 +81,7 @@ class CheckVersionOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@record
 class MultiOp:
     """All-or-nothing transaction over multiple write ops."""
 
@@ -94,7 +95,7 @@ class MultiOp:
                 raise ValueError(f"multi() cannot contain {type(op).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class SyncOp:
     """Flush: complete once all prior commits are visible at the server.
 
@@ -105,7 +106,7 @@ class SyncOp:
     path: str = "/"
 
 
-@dataclass(frozen=True)
+@record
 class CloseSessionOp:
     """Internal: expire a session and delete its ephemerals.
 
@@ -123,7 +124,7 @@ class CloseSessionOp:
 # -- read ops ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GetDataOp:
     path: str
     watch: bool = False
@@ -132,7 +133,7 @@ class GetDataOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@record
 class ExistsOp:
     path: str
     watch: bool = False
@@ -141,7 +142,7 @@ class ExistsOp:
         validate_path(self.path)
 
 
-@dataclass(frozen=True)
+@record
 class GetChildrenOp:
     path: str
     watch: bool = False

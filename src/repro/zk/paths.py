@@ -13,6 +13,16 @@ def validate_path(path: str) -> str:
     Rules follow ZooKeeper: absolute, no trailing slash (except root), no
     empty or relative components.
     """
+    if (
+        path.__class__ is str
+        and path.startswith("/")
+        and not path.endswith("/")
+        and "//" not in path
+        and "/." not in path
+    ):
+        # Every component is non-empty and none starts with a dot: valid.
+        # Anything else (the root, dot-files, every error) takes the rules.
+        return path
     if not isinstance(path, str) or not path:
         raise ValueError("path must be a non-empty string")
     if not path.startswith("/"):

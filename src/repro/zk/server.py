@@ -24,7 +24,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.net.topology import NodeAddress
-from repro.net.transport import Network
+from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
 from repro.sim.store import StoreClosed
 from repro.substrate import create_peer
@@ -227,10 +227,10 @@ class ZkServer:
 
     # ----------------------------------------------------------- client loop
 
-    def _on_client_envelope(self, envelope) -> None:
+    def _on_client_envelope(self, msg: Message) -> None:
         # Inbox consumer: replaces the old _client_loop pump process.
         if self._alive:
-            self._on_client_message(envelope.src, envelope.body)
+            self._on_client_message(msg[0], msg[2])
 
     def _on_client_message(self, src: NodeAddress, msg: Any) -> None:
         # OpRequest first: reads/writes dwarf connects and heartbeats.

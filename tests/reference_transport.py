@@ -11,18 +11,27 @@ _schedule_delivery -> Topology.one_way -> Random.uniform -> env.now ->
 max -> env.call_in``, and an address class whose ``__hash__`` and
 comparisons are Python frames.
 
+It also keeps the delivery pair the product's ``_deliver`` replaced:
+every message carried an ``Envelope`` to its inbox, and ``_deliver``
+always queued ``Store._run_consumer`` as a second same-instant kernel
+entry. The product calls an idle consumer directly when both same-instant
+lanes are empty (that entry would have been the next one popped) and
+builds an ``Envelope`` only for taps.
+
 Slow, but the specification: ``tests/test_transport_tracked_path.py``
 drives the same seeded fault schedules through :class:`ReferenceNetwork`
 and the product and demands identical drops, delivery instants, RNG
-state, counters, watermarks and arrival orders. Everything else
-(registration, fault injection, watermarks, ``_deliver``) is inherited
-from the product ``Network`` — nothing under ``src/`` may import this.
+state, counters, watermarks and arrival orders, and
+``tests/test_transport_delivery.py`` holds the product's delivery to the
+reference's handler order. Everything else (registration, fault
+injection, watermarks) is inherited from the product ``Network`` —
+nothing under ``src/`` may import this.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.net.message import Envelope
 from repro.net.topology import NodeAddress
@@ -90,8 +99,8 @@ class ReferenceNodeAddress:
 
 
 class ReferenceNetwork(Network):
-    """``Network`` with the parent commit's ``send`` (both halves) and
-    ``_schedule_delivery``."""
+    """``Network`` with the old ``send`` (both halves),
+    ``_schedule_delivery``, ``_drop`` and ``_deliver``."""
 
     __slots__ = ()
 
@@ -191,3 +200,49 @@ class ReferenceNetwork(Network):
         self.env.call_in(
             deliver_at - self.env.now, self._deliver_cb, (inbox, envelope)
         )
+
+    def _drop(self, reason: str, envelope: Optional[Envelope] = None) -> None:
+        self.messages_dropped += 1
+        self.drops_by_reason[reason] += 1
+        trace = self.trace
+        if trace is not None:
+            detail = {"reason": reason}
+            if envelope is not None:
+                detail["src"] = str(envelope.src)
+                detail["dst"] = str(envelope.dst)
+                detail["type"] = type(envelope.body).__name__
+            trace.emit(self.env.now, "net", "drop", "net", detail)
+
+    def _deliver(self, item: Tuple[Store, Envelope]) -> None:
+        # Re-check liveness at delivery time: a crash or partition that
+        # happened while the message was in flight kills it. The inbox was
+        # resolved at send time (inboxes persist across crash/restart); only
+        # its state is re-checked here.
+        inbox, envelope = item
+        if self._down and envelope.dst in self._down:
+            self._drop("crash", envelope)
+            return
+        if (self._partitions or self._oneway_partitions) and (
+            self.partitioned_one_way(envelope.src.site, envelope.dst.site)
+        ):
+            self._drop("partition", envelope)
+            return
+        if inbox._closed:
+            self._drop("inbox-closed", envelope)
+            return
+        # The consumer gets the product's (src, dst, body) item, so one
+        # consumer serves both networks.
+        msg = (envelope.src, envelope.dst, envelope.body)
+        # Inlined Store.put for the consumer-mode inbox (every protocol
+        # endpoint registers a consumer); the closed check above already
+        # covers put()'s guard.
+        if inbox._consumer is not None:
+            if inbox._consumer_busy:
+                inbox._items.append(msg)
+            else:
+                inbox._consumer_busy = True
+                env = self.env
+                env._seq += 1
+                env._normal_now.append((inbox._run_consumer, msg))
+        else:
+            inbox.put(msg)

@@ -7,11 +7,13 @@ here, unchanged: hand-written zxid comparison dunders, a bisected log
 with a parallel packed-key list, the ``_on_envelope -> _dispatch ->
 handler`` double hop, and ``entries_range`` slicing per commit.
 
-Two things moved on since, and follow the product's contract rather than
-the verbatim copy: the server no longer resets its state machine before a
-restart, so :meth:`ZabPeer.restart` fires ``on_reset`` (this peer replays
-from zero; its default is :func:`tests.reference_replay.reset_server_above`,
-since the product server wires no such hook); and ``Snap`` here is the
+Three things moved on since, and follow the product's contract rather
+than the verbatim copy: the inbox consumer takes the network's
+``(src, dst, body)`` item, no longer an ``Envelope``; the server no
+longer resets its state machine before a restart, so
+:meth:`ZabPeer.restart` fires ``on_reset`` (this peer replays from zero;
+its default is :func:`tests.reference_replay.reset_server_above`, since
+the product server wires no such hook); and ``Snap`` here is the
 whole-log message the product's state-transfer SNAP replaced.
 
 Slow, but the specification: ``tests/test_zab_commit_path.py`` runs the
@@ -487,11 +489,11 @@ class ZabPeer:
 
     # -------------------------------------------------------------- processes
 
-    def _on_envelope(self, envelope) -> None:
+    def _on_envelope(self, msg) -> None:
         # Inbox consumer: replaces the old _main_loop pump process. The
         # aliveness check mirrors the pump's `while self._alive` guard.
         if self._alive:
-            self._dispatch(envelope.src, envelope.body)
+            self._dispatch(msg[0], msg[2])
 
     def _ticker(self):
         interval = self.config.heartbeat_interval_ms

@@ -70,8 +70,8 @@ def test_message_delivery_with_wan_delay():
     arrivals = []
 
     def receiver(env, inbox):
-        envelope = yield inbox.get()
-        arrivals.append((env.now, envelope.body))
+        _src, _dst, body = yield inbox.get()
+        arrivals.append((env.now, body))
 
     env.process(receiver(env, inbox))
     net.send(src, dst, "hello")
@@ -88,7 +88,7 @@ def test_local_delivery_fast():
     arrivals = []
 
     def receiver(env, inbox):
-        envelope = yield inbox.get()
+        _src, _dst, body = yield inbox.get()
         arrivals.append(env.now)
 
     env.process(receiver(env, inbox))
@@ -107,8 +107,8 @@ def test_fifo_per_pair_even_with_jitter():
 
     def receiver(env, inbox):
         while True:
-            envelope = yield inbox.get()
-            received.append(envelope.body)
+            _src, _dst, body = yield inbox.get()
+            received.append(body)
 
     env.process(receiver(env, inbox))
     for i in range(100):
@@ -191,8 +191,8 @@ def test_restart_allows_delivery_again():
     got = []
 
     def receiver(env, inbox):
-        envelope = yield inbox.get()
-        got.append(envelope.body)
+        _src, _dst, body = yield inbox.get()
+        got.append(body)
 
     env.process(receiver(env, inbox))
     net.send(src, dst, "after-restart")
@@ -223,8 +223,8 @@ def test_partition_does_not_affect_other_pairs():
     got = []
 
     def receiver(env, inbox):
-        envelope = yield inbox.get()
-        got.append(envelope.body)
+        _src, _dst, body = yield inbox.get()
+        got.append(body)
 
     env.process(receiver(env, inbox))
     net.send(va, fr, "ok")
@@ -245,8 +245,8 @@ def test_heal_restores_connectivity():
     got = []
 
     def receiver(env, inbox):
-        envelope = yield inbox.get()
-        got.append(envelope.body)
+        _src, _dst, body = yield inbox.get()
+        got.append(body)
 
     env.process(receiver(env, inbox))
     net.send(va, ca, "found")

@@ -38,8 +38,8 @@ def drain(env, inbox):
 
     def receiver():
         while True:
-            envelope = yield inbox.get()
-            arrivals.append((env.now, envelope.body))
+            _src, _dst, body = yield inbox.get()
+            arrivals.append((env.now, body))
 
     env.process(receiver())
     env.run()
@@ -110,8 +110,8 @@ def test_one_way_partition_blocks_single_direction():
     got = []
 
     def receiver():
-        envelope = yield fwd_inbox.get()
-        got.append(envelope.body)
+        _src, _dst, body = yield fwd_inbox.get()
+        got.append(body)
 
     env.process(receiver())
     env.run()
@@ -293,9 +293,11 @@ def test_fifo_holds_across_every_path_transition(seed, jitter):
     nodes = [topo.site(site).address(f"n{i}") for site in SITES for i in range(2)]
     sent, arrived = {}, {}
 
-    def on_arrival(envelope):
-        assert not net.is_down(envelope.dst)
-        arrived.setdefault((envelope.src, envelope.dst), []).append(envelope.seq)
+    def on_arrival(msg):
+        # Each send carries its own number: the body names the arrival.
+        src, dst, body = msg
+        assert not net.is_down(dst)
+        arrived.setdefault((src, dst), []).append(body)
 
     for addr in nodes:
         net.register(addr).consume(on_arrival)
@@ -317,11 +319,11 @@ def test_fifo_holds_across_every_path_transition(seed, jitter):
         if roll < 0.74:
             src, dst = rng.sample(nodes, 2)
             writes, dropped = table.writes, net.messages_dropped
-            net.send(src, dst, None)
+            net.send(src, dst, len(envelopes))
             envelope = envelopes[-1]
             if net.messages_dropped != dropped:
                 continue
-            sent.setdefault((src, dst), []).append(envelope.seq)
+            sent.setdefault((src, dst), []).append(envelope.body)
             fast = table.writes == writes
             if fast:
                 fast_sends += 1

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Environment
 from repro.wankeeper import (
@@ -17,6 +17,7 @@ from repro.workloads import HotspotChooser, UniformChooser, ZipfianChooser, perc
 from repro.zab import TxnLog, Zxid
 from repro.zk import CreateOp, DataTree, DeleteOp, SetDataOp
 from repro.zk.paths import basename, parent_of, validate_path
+from tests import reference_paths
 
 # -- strategies ---------------------------------------------------------------
 
@@ -42,6 +43,39 @@ def test_valid_paths_roundtrip(path):
         assert path == "/" + basename(path)
     else:
         assert path == parent + "/" + basename(path)
+
+
+class _Text(str):
+    """A ``str`` subclass: the fast accept takes exact ``str`` only."""
+
+
+#: Mostly separators and dots, so that ``//``, ``/.``, ``.``/``..``
+#: components, trailing slashes and dot-files all come up often.
+slashes_and_dots = st.text(alphabet="////....ab", max_size=12)
+
+
+def _outcome(validate, path):
+    try:
+        return ("returned", validate(path))
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+@given(st.one_of(
+    slashes_and_dots,
+    slashes_and_dots.map(_Text),
+    st.sampled_from([None, b"/a", 7, ("/a",)]),
+))
+@settings(max_examples=1500)
+@example("/")
+@example("/.a")
+@example("/a/..b")
+@example("/a/.")
+@example("")
+def test_validate_path_matches_the_rule_loop(path):
+    assert _outcome(validate_path, path) == _outcome(
+        reference_paths.validate_path, path
+    )
 
 
 @given(znode_path)

@@ -20,12 +20,13 @@ import repro.bookkeeper.messages
 import repro.wankeeper.messages
 import repro.wpaxos.messages
 import repro.zab.messages
+import repro.zk.ops
 import repro.zk.protocol
 from repro.net import NodeAddress
 from repro.zab.log import LogEntry
 from repro.zab.messages import Trunc
 from repro.zab.zxid import Zxid
-from repro.zk.ops import Txn
+from repro.zk.ops import SetDataOp, Txn
 from repro.zk.protocol import OpRequest
 from repro.zk.records import Stat, WatchEvent
 from repro.zk.sessions import Session
@@ -45,6 +46,9 @@ RECORDS = {
     for name in module.__all__
     if inspect.isclass(getattr(module, name))
 }
+RECORDS.update({
+    cls: "repro.zk.ops" for cls in repro.zk.ops.Op.__args__
+})
 RECORDS.update({
     Stat: "repro.zk.records",
     WatchEvent: "repro.zk.records",
@@ -78,6 +82,14 @@ DEFAULTS = {
     "OpReply": {"value": None, "error_code": None, "error_path": ""},
     "Txn": {"origin_site": None, "wan_seq": None},
     "Session": {"expired": False},
+    "CreateOp": {"data": b"", "ephemeral": False, "sequential": False},
+    "DeleteOp": {"version": -1},
+    "SetDataOp": {"data": b"", "version": -1},
+    "SyncOp": {"path": "/"},
+    "CloseSessionOp": {"paths": None},
+    "GetDataOp": {"watch": False},
+    "ExistsOp": {"watch": False},
+    "GetChildrenOp": {"watch": False},
 }
 
 all_records = pytest.mark.parametrize(
@@ -91,15 +103,25 @@ def _names(cls):
     return [f.name for f in dataclasses.fields(cls) if f.init]
 
 
+def _value(name, tag="value"):
+    """A distinct hashable value for field ``name`` that the ops' own
+    checks accept: a path is absolute, and a multi holds ops."""
+    if name == "path":
+        return f"/{name}-{tag}"
+    if name == "ops":
+        return (SetDataOp(f"/{name}-{tag}"),)
+    return f"{name}-{tag}"
+
+
 def _make(cls, **overrides):
     """An instance whose every field holds a distinct hashable value."""
-    values = {name: f"{name}-value" for name in _names(cls)}
+    values = {name: _value(name) for name in _names(cls)}
     values.update(overrides)
     return cls(**values)
 
 
 def test_roster_is_complete():
-    assert len(RECORDS) == 18 + 20 + 10 + 6 + 8 + 5
+    assert len(RECORDS) == 18 + 20 + 10 + 6 + 8 + 5 + 10
 
 
 @all_records
@@ -128,7 +150,7 @@ def test_equality_is_fieldwise_and_class_strict(cls):
     assert x == _make(cls)
     assert not (x != _make(cls))
     for name in _names(cls):
-        assert x != _make(cls, **{name: "other"})
+        assert x != _make(cls, **{name: _value(name, "other")})
     values = tuple(getattr(x, name) for name in _names(cls))
     assert x != values
     lookalike = type(cls.__name__, (cls,), {"__slots__": ()})
@@ -148,7 +170,7 @@ def test_hash_is_hash_of_field_tuple(cls):
 @all_records
 def test_repr_names_every_field(cls):
     x = _make(cls)
-    inner = ", ".join(f"{name}='{name}-value'" for name in _names(cls))
+    inner = ", ".join(f"{name}={_value(name)!r}" for name in _names(cls))
     assert repr(x) == f"{cls.__name__}({inner})"
 
 
@@ -175,7 +197,7 @@ def test_frozen_records_reject_assignment(cls):
     name = _names(cls)[0]
     with pytest.raises(AttributeError):
         setattr(x, name, "changed")
-    assert getattr(x, name) == f"{name}-value"
+    assert getattr(x, name) == _value(name)
 
 
 def test_derived_fields_are_txn_key_alone():

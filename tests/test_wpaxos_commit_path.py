@@ -54,7 +54,7 @@ class CallMeter:
         if (
             code is ON_ENVELOPE
             and frame.f_locals["self"] is self.learner
-            and frame.f_locals["envelope"].body.__class__ is Learn
+            and frame.f_locals["msg"][2].__class__ is Learn
         ):
             self._learn_frame = frame
         if self._learn_frame is not None:
