@@ -11,7 +11,8 @@
   its wall time, collector work and top-N hotspots. Performance, and
   each layer's share of it, is *measured* by the ledger
   (``python3 benchmarks/ledger/run.py``), which is not a subcommand.
-* ``python -m repro fuzz`` — the coverage-guided fault-schedule fuzzer.
+* ``python -m repro fuzz`` — the fault-schedule fuzzer (generate, run,
+  judge, shrink, replay).
 * ``python -m repro trace --out FILE`` — run a small traced WanKeeper
   workload (sentinel on) and dump the structured event trace as JSONL.
 * ``python -m repro diff-traces A B`` — first divergence of two JSONL

@@ -1,26 +1,23 @@
-"""Coverage-guided fault-schedule fuzzer for the WanKeeper simulation.
+"""Fault-schedule fuzzer for the WanKeeper simulation.
 
-The fuzzer closes the loop that ROADMAP item 3 asked for: the nemesis can
-inject every fault the paper worries about, the invariant sentinel
-(:mod:`repro.invariants`) can catch the resulting safety violations, and
-the structured trace (:mod:`repro.trace`) records exactly what happened —
-so a *campaign* can generate thousands of randomized fault schedules,
-keep the ones that exercise novel protocol transitions, and shrink any
-failure to a minimal, replayable artifact.
+The nemesis injects the environmental faults of the paper's crash-recovery
+model, the invariant sentinel (:mod:`repro.invariants`) catches the
+resulting safety violations, and the structured trace (:mod:`repro.trace`)
+records exactly what happened. The fuzzer is five steps over them:
+generate a case, run it, judge it with the sentinel, shrink a failure to
+a minimal schedule, and replay the artifact bit-identically.
 
 Layout:
 
 * :mod:`repro.fuzz.spec` — the declarative, JSON-plain case spec
   (topology + deployment + workload + fault schedule) and its digest;
-* :mod:`repro.fuzz.generate` — seeded case generation and mutation, one
-  named RNG substream per dimension and per fault kind;
+* :mod:`repro.fuzz.generate` — seeded case generation, one named RNG
+  substream per dimension and per fault kind;
 * :mod:`repro.fuzz.case` — the harness that runs one spec to a verdict
-  (``ok`` / ``violation`` / ``hang``) with coverage and a trace digest;
-* :mod:`repro.fuzz.coverage` — the coverage signal: trace-event kinds
-  and consecutive kind-pairs (transitions);
+  (``ok`` / ``violation`` / ``hang``) with a trace digest;
 * :mod:`repro.fuzz.shrink` — ddmin-style schedule minimization;
-* :mod:`repro.fuzz.campaign` — the campaign loop over the
-  :mod:`repro.runner` executor (parallelism, per-case timeout, crash
+* :mod:`repro.fuzz.campaign` — one :mod:`repro.runner` executor call
+  over the generated cases (parallelism, per-case timeout, crash
   and hang capture);
 * :mod:`repro.fuzz.cli` — ``python -m repro fuzz`` (including
   ``--replay``).
@@ -30,14 +27,13 @@ See ``docs/FUZZING.md`` for the operator's view.
 
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.case import run_fuzz_case
-from repro.fuzz.generate import generate_case, mutate
+from repro.fuzz.generate import generate_case
 from repro.fuzz.shrink import shrink_case, signature_of
 from repro.fuzz.spec import canonical_spec, spec_digest, validate_spec
 
 __all__ = [
     "canonical_spec",
     "generate_case",
-    "mutate",
     "run_campaign",
     "run_fuzz_case",
     "shrink_case",

@@ -1,15 +1,11 @@
-"""The fuzz campaign loop: generate, execute, cover, shrink, report.
+"""The fuzz campaign: generate, execute, shrink, report.
 
-A campaign turns one seed into ``cases`` specs over a few rounds. Round
-one is purely generative; later rounds split between fresh cases and
-mutations of *corpus* seeds — cases that added novel trace transitions
-to the accumulated :class:`~repro.fuzz.coverage.CoverageMap`, weighted
-by how much they added. Cases execute through the standard
-:func:`repro.runner.executor.execute` (so ``--jobs`` buys parallelism
-and every case gets the per-cell wall timeout and crash capture), but
-coverage accumulates in scenario-list order, which keeps the campaign
-report a pure function of ``(seed, cases, rounds, flags)`` at any jobs
-count.
+A campaign turns one seed into ``cases`` specs, ``generate_case(seed, i)``
+for each ``i < cases``, and runs them all in one call of the standard
+:func:`repro.runner.executor.execute` (so ``--jobs`` buys parallelism and
+every case gets the per-cell wall timeout and crash capture). Verdicts
+are read back in case order, which keeps the campaign report a pure
+function of ``(seed, cases, bug)`` at any jobs count.
 
 Findings — distinct failure signatures — are shrunk in-process
 (:mod:`repro.fuzz.shrink`) and written as replayable artifacts next to
@@ -22,13 +18,11 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.fuzz.coverage import CoverageMap
-from repro.fuzz.generate import generate_case, mutate
+from repro.fuzz.generate import generate_case
 from repro.fuzz.shrink import run_signature, shrink_case, signature_of
 from repro.fuzz.spec import spec_digest, spec_json
 from repro.runner.executor import execute
 from repro.runner.scenario import Scenario
-from repro.sim.rng import seeded_rng
 
 __all__ = ["make_artifact", "run_campaign", "write_artifact"]
 
@@ -87,10 +81,8 @@ def write_artifact(
 def run_campaign(
     seed: int,
     cases: int,
-    rounds: int = 3,
     jobs: int = 1,
     timeout_s: float = 300.0,
-    adversarial: bool = True,
     bug: Optional[str] = None,
     shrink: bool = True,
     shrink_budget: int = 80,
@@ -99,77 +91,41 @@ def run_campaign(
 ) -> Dict[str, Any]:
     """Run one campaign; returns the deterministic JSON-plain report."""
     say = progress or (lambda _msg: None)
-    rounds = max(1, min(rounds, cases))
-    coverage = CoverageMap()
-    # Corpus entries: (energy, case index, spec). Sorted iteration by
-    # (-energy, index) keeps mutation-target choice deterministic.
-    corpus: List[Tuple[int, int, Dict[str, Any]]] = []
+    specs = [generate_case(seed, index, bug=bug) for index in range(cases)]
+    scenarios = [
+        _scenario_for(spec, index) for index, spec in enumerate(specs)
+    ]
+    report = execute(
+        scenarios,
+        jobs=jobs,
+        cache=None,
+        timeout_s=timeout_s,
+        progress=progress,
+    )
+    failure_by_digest = {
+        failure.scenario.digest(): failure for failure in report.failures
+    }
     findings: Dict[Tuple[str, ...], Dict[str, Any]] = {}
     statuses: Dict[str, int] = {}
-    executed = 0
-    next_index = 0
-
-    per_round = (cases + rounds - 1) // rounds
-    for round_index in range(rounds):
-        batch: List[Tuple[int, Dict[str, Any]]] = []
-        while len(batch) < per_round and next_index < cases:
-            index = next_index
-            next_index += 1
-            mutation_pool = [
-                entry for entry in corpus if entry[0] > 0
-            ]
-            pick = seeded_rng(seed, f"pick:{index}")
-            if round_index == 0 or not mutation_pool or pick.random() < 0.4:
-                spec = generate_case(
-                    seed, index, adversarial=adversarial, bug=bug
-                )
-            else:
-                weights = [entry[0] for entry in mutation_pool]
-                base = pick.choices(mutation_pool, weights=weights, k=1)[0]
-                spec = mutate(base[2], seed, f"case{index}")
-            batch.append((index, spec))
-        if not batch:
-            break
-        say(
-            f"round {round_index + 1}/{rounds}: {len(batch)} cases "
-            f"({len(corpus)} corpus seeds, {len(findings)} findings)"
-        )
-        scenarios = [_scenario_for(spec, index) for index, spec in batch]
-        report = execute(
-            scenarios,
-            jobs=jobs,
-            cache=None,
-            timeout_s=timeout_s,
-            progress=progress,
-        )
-        executed += report.executed
-        failure_by_digest = {
-            failure.scenario.digest(): failure for failure in report.failures
-        }
-        for (index, spec), scenario in zip(batch, scenarios):
-            payload = report.results.get(scenario.digest())
-            if payload is not None:
-                statuses[payload["status"]] = (
-                    statuses.get(payload["status"], 0) + 1
-                )
-                energy = coverage.observe(payload.get("coverage", {}))
-                if energy > 0:
-                    corpus.append((energy, index, spec))
-                signature = signature_of(payload)
-            else:
-                failure = failure_by_digest.get(scenario.digest())
-                kind = failure.kind if failure is not None else "crash"
-                statuses[kind] = statuses.get(kind, 0) + 1
-                signature = (kind,)
-            if signature is not None and signature not in findings:
-                say(f"finding: {signature} (case {index})")
-                findings[signature] = {
-                    "signature": list(signature),
-                    "case_index": index,
-                    "case_digest": spec_digest(spec),
-                    "schedule_entries": len(spec["schedule"]),
-                    "spec": spec,
-                }
+    for index, (spec, scenario) in enumerate(zip(specs, scenarios)):
+        payload = report.results.get(scenario.digest())
+        if payload is not None:
+            status = payload["status"]
+            signature = signature_of(payload)
+        else:
+            failure = failure_by_digest.get(scenario.digest())
+            status = failure.kind if failure is not None else "crash"
+            signature = (status,)
+        statuses[status] = statuses.get(status, 0) + 1
+        if signature is not None and signature not in findings:
+            say(f"finding: {signature} (case {index})")
+            findings[signature] = {
+                "signature": list(signature),
+                "case_index": index,
+                "case_digest": spec_digest(spec),
+                "schedule_entries": len(spec["schedule"]),
+                "spec": spec,
+            }
 
     # ---- shrink + artifacts ----
     finding_rows: List[Dict[str, Any]] = []
@@ -215,13 +171,9 @@ def run_campaign(
         "v": REPORT_VERSION,
         "seed": seed,
         "cases": cases,
-        "rounds": rounds,
-        "adversarial": adversarial,
         "bug": bug,
-        "executed": executed,
+        "executed": report.executed,
         "statuses": dict(sorted(statuses.items())),
-        "coverage": coverage.snapshot(),
-        "corpus_seeds": len(corpus),
         "findings": finding_rows,
     }
     if out_dir is not None:

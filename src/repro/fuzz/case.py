@@ -11,11 +11,8 @@ multi-site workload, then quiesce and run the end-of-run checks.
 The payload is JSON-plain and a pure function of the spec:
 
 * ``status`` — ``ok`` | ``violation`` (an :class:`InvariantViolation`
-  fired, during the run or at final check) | ``detected`` (the sentinel
-  caught corruption the schedule itself injected — the adversarial
-  actors' oracle working, not a protocol bug) | ``hang`` (the workload
-  did not complete within the sim-time budget: lost liveness);
-* ``coverage`` — the trace-transition signal (:mod:`repro.fuzz.coverage`);
+  fired, during the run or at final check) | ``hang`` (the workload did
+  not complete within the sim-time budget: lost liveness);
 * ``trace_digest`` — sha256 of the trace JSONL at the moment the verdict
   was reached; two runs of one spec must match bit-for-bit, which is what
   ``repro fuzz --replay`` asserts.
@@ -28,9 +25,8 @@ detection deterministic.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.fuzz.coverage import case_coverage
 from repro.fuzz.spec import (
     canonical_spec,
     site_names,
@@ -143,7 +139,6 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
             max_active_partitions=2,
             max_active_degradations=3,
         ),
-        keys=keys,
     )
 
     counter = {"next": 0}
@@ -218,41 +213,9 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
         yield env.timeout(float(spec["quiesce_ms"]))
         return True
 
-    def injected_detection(violation) -> bool:
-        """Did the sentinel catch corruption the schedule itself injected?
-
-        A token-usurper or stale-leader entry is *supposed* to trip the
-        sentinel — that is its detection path working, not a protocol bug
-        — so such violations classify as ``detected`` rather than as
-        findings. Matching is precise: the violated invariant must be the
-        injected actor's oracle, and for usurpers the violation must name
-        the usurped key.
-        """
-        if violation.invariant == "single-token-ownership":
-            usurped = [
-                event.info.get("key")
-                for event in nemesis.events
-                if event.kind == "token-usurper" and event.info
-            ]
-            return any(key and key in violation.detail for key in usurped)
-        if violation.invariant == "lease-coherence":
-            return any(
-                event.kind == "stale-leader" for event in nemesis.events
-            )
-        return False
-
-    def verdict(status: str, violation, post_repair: bool = False) -> Dict[str, Any]:
-        if (
-            status == "violation"
-            and violation is not None
-            and not post_repair
-            and injected_detection(violation)
-        ):
-            status = "detected"
-        events = trace.events()
-        coverage = case_coverage(events)
+    def verdict(status: str, violation) -> Dict[str, Any]:
         digest = hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
-        payload: Dict[str, Any] = {
+        return {
             "status": status,
             "invariant": violation.invariant if violation else None,
             "detail": violation.detail[:500] if violation else None,
@@ -267,17 +230,14 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
                 "skipped": nemesis.skipped,
                 "events": dict(sorted(nemesis.summary().items())),
             },
-            "coverage": coverage,
             "trace_events": trace.total_emitted,
             "trace_digest": digest,
             "converged": None,
             "token_conflicts": None,
         }
-        return payload
 
     process = env.process(app())
     deadline = env.now + float(spec["horizon_ms"])
-    violation: Optional[Any] = None
     try:
         while (
             not process.triggered
@@ -296,12 +256,11 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
             return verdict("violation", exc)
         raise exc  # a genuine harness crash -> CellFailure upstream
 
-    # ---- end-of-run checks (only sound at quiesce, after full repair —
-    # injected corruption has been cleaned up, so nothing is "expected") ----
+    # ---- end-of-run checks (only sound at quiesce, after full repair) ----
     try:
         sentinel.final_check()
     except InvariantViolation as exc:
-        return verdict("violation", exc, post_repair=True)
+        return verdict("violation", exc)
     fingerprints = set(deployment.content_fingerprints().values())
     owners: Dict[str, list] = {}
     for site in names:
@@ -316,7 +275,7 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
             "single-token-ownership",
             f"tokens owned by multiple site leaders at quiesce: {conflicted}",
         )
-        payload = verdict("violation", violation, post_repair=True)
+        payload = verdict("violation", violation)
         payload["token_conflicts"] = len(conflicted)
         return payload
     payload = verdict("ok", None)

@@ -4,9 +4,9 @@ Campaign mode::
 
     python -m repro fuzz --seed 7 --cases 50 --jobs 4 --out .fuzz-artifacts
 
-prints per-round progress, the coverage summary, and one block per
-finding (signature, shrunk schedule size, artifact path). Exit status is
-0 unless ``--fail-on-findings`` is set and the campaign found any.
+prints the verdict counts and one block per finding (signature, shrunk
+schedule size, artifact path). Exit status is 0 unless
+``--fail-on-findings`` is set and the campaign found any.
 
 Replay mode::
 
@@ -110,16 +110,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
-        description="Coverage-guided fault-schedule fuzzing of the "
-        "WanKeeper deployment (see docs/FUZZING.md).",
+        description="Fault-schedule fuzzing of the WanKeeper "
+        "deployment (see docs/FUZZING.md).",
     )
     parser.add_argument("--seed", type=int, default=42,
                         help="campaign seed (default 42)")
     parser.add_argument("--cases", type=int, default=50,
                         help="total cases to run (default 50)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="feedback rounds; later rounds mutate "
-                        "coverage-novel seeds (default 3)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = in-process)")
     parser.add_argument("--timeout", type=float, default=300.0,
@@ -133,8 +130,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--shrink-budget", type=int, default=80,
                         help="max re-runs per finding while shrinking "
                         "(default 80)")
-    parser.add_argument("--no-adversarial", action="store_true",
-                        help="disable token-usurper / stale-leader actors")
     parser.add_argument("--bug", default=None,
                         choices=BUG_KNOBS,
                         help="re-introduce a known bug (validation that "
@@ -155,10 +150,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_campaign(
         seed=args.seed,
         cases=args.cases,
-        rounds=args.rounds,
         jobs=args.jobs,
         timeout_s=args.timeout,
-        adversarial=not args.no_adversarial,
         bug=args.bug,
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
@@ -166,17 +159,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=progress,
     )
 
-    coverage = report["coverage"]
-    print(f"campaign seed={report['seed']} cases={report['cases']} "
-          f"rounds={report['rounds']}"
+    print(f"campaign seed={report['seed']} cases={report['cases']}"
           + (f" bug={report['bug']}" if report["bug"] else ""))
     statuses = ", ".join(
         f"{status}={count}" for status, count in report["statuses"].items()
     )
     print(f"  statuses: {statuses or 'none'}")
-    print(f"  coverage: {coverage['kinds']} event kinds, "
-          f"{coverage['transitions']} transitions "
-          f"({report['corpus_seeds']} corpus seeds)")
     if not report["findings"]:
         print("  findings: none")
     for finding in report["findings"]:

@@ -1,4 +1,4 @@
-"""Seeded generation and mutation of fuzz-case specs.
+"""Seeded generation of fuzz-case specs.
 
 Every random dimension draws from its own named substream of the
 campaign seed (:func:`repro.sim.rng.seeded_rng`), keyed as
@@ -11,9 +11,6 @@ campaign seed (:func:`repro.sim.rng.seeded_rng`), keyed as
   bit-identical. Regression seeds keep meaning the same case forever.
 * **Determinism** — the same ``(campaign_seed, index)`` always produces
   the same spec, with no dependence on generation order or process count.
-
-Mutation (the coverage-feedback path) is seeded the same way, from the
-campaign seed plus a caller-chosen salt.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Any, Dict, List, Optional
 from repro.fuzz.spec import SPEC_VERSION, canonical_spec
 from repro.sim.rng import seeded_rng
 
-__all__ = ["generate_case", "mutate"]
+__all__ = ["generate_case"]
 
 #: (kind, max entries per case). Order is documentation only — each kind
 #: draws from its own substream, so reordering this table is a no-op.
@@ -34,11 +31,7 @@ FAULT_KIND_BUDGET = (
     ("oneway-partition", 2),
     ("flaky-link", 2),
     ("gray-degrade", 2),
-    ("token-usurper", 2),
-    ("stale-leader", 2),
 )
-
-ADVERSARIAL_KINDS = ("token-usurper", "stale-leader")
 
 #: One-way delay classes (ms): regional, continental, intercontinental.
 RTT_CLASSES = ((5.0, 15.0), (25.0, 45.0), (60.0, 90.0))
@@ -71,11 +64,6 @@ def _gen_entry(kind: str, rng: random.Random) -> Dict[str, Any]:
         entry["a"] = rng.randrange(8)
         entry["b"] = rng.randrange(8)
         entry["factor"] = round(rng.uniform(3.0, 12.0), 1)
-    elif kind == "token-usurper":
-        entry["site"] = rng.randrange(8)
-        entry["key"] = rng.randrange(8)
-    elif kind == "stale-leader":
-        entry["site"] = rng.randrange(8)
     return entry
 
 
@@ -89,7 +77,6 @@ def _sort_schedule(schedule: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 def generate_case(
     campaign_seed: int,
     index: int,
-    adversarial: bool = True,
     bug: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Generate case ``index`` of the campaign under ``campaign_seed``."""
@@ -122,8 +109,8 @@ def generate_case(
             round(rng_wl.uniform(150.0, 400.0), 1),
         )
     )
-    # Pre-place some tokens (WK-Hot style): gives the adversarial
-    # token-usurper a legitimate owner to collide with from t=0.
+    # Pre-place some tokens (WK-Hot style), so the first remote write to a
+    # pinned key already needs a recall.
     pin = []
     for key_index in range(keys):
         if rng_wl.random() < 0.6:
@@ -136,8 +123,6 @@ def generate_case(
 
     schedule: List[Dict[str, Any]] = []
     for kind, budget in FAULT_KIND_BUDGET:
-        if kind in ADVERSARIAL_KINDS and not adversarial:
-            continue
         rng_kind = seeded_rng(campaign_seed, f"{tag}:schedule:{kind}")
         for _ in range(rng_kind.randint(0, budget)):
             schedule.append(_gen_entry(kind, rng_kind))
@@ -173,70 +158,3 @@ def generate_case(
         "bug": bug,
     }
     return canonical_spec(spec)
-
-
-#: Mutation operators, each a small structural edit.
-_MUTATIONS = ("add", "drop", "retime", "param", "workload", "ambient")
-
-
-def mutate(
-    spec: Dict[str, Any], campaign_seed: int, salt: str
-) -> Dict[str, Any]:
-    """A structurally mutated copy of ``spec`` (the coverage-bias path).
-
-    Deterministic in ``(campaign_seed, salt, spec)``; 1–3 edits per call,
-    biased toward schedule edits since the schedule is where novel
-    interleavings come from.
-    """
-    rng = seeded_rng(campaign_seed, f"mutate:{salt}")
-    out = canonical_spec(spec)
-    schedule: List[Dict[str, Any]] = list(out["schedule"])
-    for _ in range(rng.randint(1, 3)):
-        op = rng.choice(_MUTATIONS)
-        if op == "add":
-            kind = rng.choice([k for k, _budget in FAULT_KIND_BUDGET])
-            schedule.append(_gen_entry(kind, rng))
-        elif op == "drop" and schedule:
-            schedule.pop(rng.randrange(len(schedule)))
-        elif op == "retime" and schedule:
-            entry = schedule[rng.randrange(len(schedule))]
-            entry["at"] = round(
-                max(0.0, float(entry["at"]) + rng.uniform(-3000.0, 3000.0)), 1
-            )
-            entry["dwell"] = round(
-                max(100.0, float(entry["dwell"]) + rng.uniform(-2000.0, 2000.0)),
-                1,
-            )
-        elif op == "param" and schedule:
-            entry = schedule[rng.randrange(len(schedule))]
-            for field in ("site", "victim", "a", "b", "key"):
-                if field in entry and rng.random() < 0.5:
-                    entry[field] = rng.randrange(8)
-            if "loss" in entry:
-                entry["loss"] = round(rng.uniform(0.05, 0.5), 2)
-            if "factor" in entry:
-                entry["factor"] = round(rng.uniform(3.0, 15.0), 1)
-        elif op == "workload":
-            wl = out["workload"]
-            wl["write_fraction"] = round(rng.uniform(0.2, 0.95), 2)
-            wl["duration_ms"] = round(
-                max(
-                    3000.0,
-                    float(wl["duration_ms"]) + rng.uniform(-4000.0, 4000.0),
-                ),
-                0,
-            )
-            if rng.random() < 0.3:
-                wl["keys"] = max(1, int(wl["keys"]) + rng.randint(-2, 2))
-                out["deployment"]["pin"] = [
-                    pin for pin in out["deployment"]["pin"]
-                    if int(pin[0]) < int(wl["keys"])
-                ]
-        elif op == "ambient":
-            on = rng.random() < 0.5
-            out["ambient"] = {
-                "loss": 0.03 if on else 0.0,
-                "duplicate": 0.02 if on else 0.0,
-            }
-    out["schedule"] = _sort_schedule(schedule)
-    return canonical_spec(out)

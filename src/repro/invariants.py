@@ -35,8 +35,9 @@ Checked invariants:
   ``Stat``) — though only the origin builds that reply;
 * **lease-coherence** — a site leader may not serve a fractional read
   (§VI) from a lease that has expired, or that was granted before an
-  invalidation this leader already acknowledged (the oracle for the
-  nemesis's adversarial *stale leader*);
+  invalidation this leader already acknowledged (no fault the nemesis
+  injects makes a leader lie; ``tests/test_invariants.py`` trips it with
+  a leader whose strong reads keep their leases);
 * **ephemeral-liveness** — at quiesce, no ephemeral node survives its
   owner session's expiry (:meth:`InvariantSentinel.final_check`).
 

@@ -4,13 +4,12 @@ A fault is data: one JSON-plain schedule entry (``{"at", "kind", ...}``)
 that one executor, :meth:`Nemesis._apply_entry`, resolves against the live
 deployment and injects from outside the servers — server crashes and
 restarts, WAN partitions and heals, flaky links (loss + duplication),
-asymmetric one-way partitions, gray degradations (pathological delay), and
-two *adversarial* actors (a site leader that falsely claims token
-ownership, and a stale leader that keeps serving fractional-read leases it
-was told to drop) — while recording everything it did. Soak tests drive a
-workload under a nemesis and then check the global invariants (replica
-convergence, token exclusivity, history consistency) after a final quiet
-period.
+asymmetric one-way partitions and gray degradations (pathological delay)
+— while recording everything it did. Every kind is an environmental fault
+of the paper's crash-recovery model: no kind makes a server lie. Soak
+tests drive a workload under a nemesis and then check the global
+invariants (replica convergence, token exclusivity, history consistency)
+after a final quiet period.
 
 :class:`Nemesis` draws one entry per interval from a seeded random mix and
 appends it to :attr:`Nemesis.schedule`, the run's replayable fault record.
@@ -34,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.net.transport import LinkProfile
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.rng import seeded_rng
-from repro.wankeeper.fractional import StrongReads
 
 __all__ = ["FaultEvent", "Nemesis", "NemesisConfig", "ScheduleNemesis"]
 
@@ -54,7 +52,6 @@ class FaultEvent:
     time: float
     kind: str  # crash | restart | partition | heal | flaky-link | restore
     #        # | oneway-partition | oneway-heal | gray-degrade
-    #        # | token-usurper | usurper-repair | stale-leader | stale-repair
     #        # | skip (an entry its guard refused)
     target: str
     #: Optional structured payload (dwell, parameters); absent for events
@@ -87,35 +84,6 @@ class NemesisConfig:
     max_active_degradations: int = 2
 
 
-class StaleReads(StrongReads):
-    """A site leader's strong reads, lying: it acks fractional-read
-    invalidations like an honest reader but keeps serving its leases,
-    expired ones too — the paper's §VI coherence contract broken at the
-    reader (the sentinel's lease-coherence check is the oracle)."""
-
-    def lease(self, path: str):
-        return self.leases.get(path)
-
-    def on_invalidate(self, src, msg) -> None:
-        leases = self.leases
-        super().on_invalidate(src, msg)
-        self.leases = leases
-
-    def expire(self) -> None:
-        leases = self.leases
-        super().expire()
-        self.leases = leases
-
-
-def _set_reads_class(server, cls) -> None:
-    """Turn the server's strong reads into ``cls`` in place. Its message
-    table binds their methods, so it is rebuilt. A server in "local" read
-    mode has none: the lie is told with nothing to tell it with."""
-    if server._reads is not None:
-        server._reads.__class__ = cls
-        server._wan_handlers = server._wan_handler_table()
-
-
 class Nemesis:
     """Injects faults into a WanKeeper (or ZK) deployment, drawing one
     schedule entry per interval."""
@@ -127,8 +95,6 @@ class Nemesis:
         "oneway-partition",
         "flaky-link",
         "gray-degrade",
-        "token-usurper",
-        "stale-leader",
     )
 
     def __init__(
@@ -152,7 +118,6 @@ class Nemesis:
         #: Every entry this nemesis played, in order: for the random
         #: nemesis one per interval, a bare ``{"at"}`` where it drew none.
         self.schedule: List[Dict[str, Any]] = []
-        self.keys: Tuple[str, ...] = ()
         self.applied = 0
         self.skipped = 0
         self.events: List[FaultEvent] = []
@@ -166,12 +131,6 @@ class Nemesis:
         self._degraded: List[
             Tuple[float, str, str, Optional[LinkProfile]]
         ] = []
-        self._stale: List[Tuple[float, Any]] = []  # (repair_at, server)
-        # server -> its HubBroker when the lie began. Any leadership
-        # change rebuilds the broker (and the strong reads with it), which
-        # ends the lie: it is on while the broker is the same.
-        self._lies: Dict[Any, Any] = {}
-        self._usurped: List[Tuple[float, Any, str]] = []  # (at, server, key)
         self._proc = None
         self._active = False
 
@@ -204,12 +163,6 @@ class Nemesis:
         for _at, site_a, site_b, previous in self._degraded:
             self._restore_link(site_a, site_b, previous)
         self._degraded = []
-        for _at, server in self._stale:
-            self._repair_stale_leader(server)
-        self._stale = []
-        for _at, server, key in self._usurped:
-            self._repair_usurped(server, key)
-        self._usurped = []
 
     def summary(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -330,20 +283,6 @@ class Nemesis:
             else:
                 still_degraded.append((restore_at, site_a, site_b, previous))
         self._degraded = still_degraded
-        still_stale = []
-        for repair_at, server in self._stale:
-            if now >= repair_at:
-                self._repair_stale_leader(server)
-            else:
-                still_stale.append((repair_at, server))
-        self._stale = still_stale
-        still_usurped = []
-        for repair_at, server, key in self._usurped:
-            if now >= repair_at:
-                self._repair_usurped(server, key)
-            else:
-                still_usurped.append((repair_at, server, key))
-        self._usurped = still_usurped
 
     def _restore_link(
         self, site_a: str, site_b: str, previous: Optional[LinkProfile]
@@ -353,30 +292,6 @@ class Nemesis:
         else:
             self.net.degrade(site_a, site_b, previous)
         self._log("restore", f"{site_a}~{site_b}")
-
-    def _repair_stale_leader(self, server) -> None:
-        if self._lies.pop(server, None) is server._hub:
-            _set_reads_class(server, StrongReads)
-            if server._reads is not None:
-                server._reads.leases.clear()
-            self._log("stale-repair", server.name)
-
-    def _repair_usurped(self, server, key: str) -> None:
-        """Take a usurped token back, unless a later legitimate grant made
-        the ownership genuine (the hub's location map is the authority)."""
-        tokens = getattr(server, "site_tokens", None)
-        if tokens is None or key not in tokens.owned:
-            return
-        hub = getattr(self.deployment, "hub_leader", None)
-        if hub is not None and hub.hub_tokens.where(key) == server.site:
-            return
-        tokens.owned.discard(key)
-        tokens.outgoing.discard(key)
-        tokens.inflight.pop(key, None)
-        self._log(
-            "usurper-repair", f"{server.site}:{key}",
-            {"server": server.name, "key": key},
-        )
 
     def _sites(self) -> List[str]:
         by_site = getattr(self.deployment, "by_site", None)
@@ -389,25 +304,6 @@ class Nemesis:
         if by_site is not None:
             return by_site[site]
         return [s for s in self.deployment.servers if s.site == site]
-
-    def _site_leader(self, site: str) -> Optional[Any]:
-        for server in self._servers_in(site):
-            if server.is_alive and server.peer.is_leader:
-                return server
-        return None
-
-    def _usurpable_keys(self, site: str) -> List[str]:
-        """Tokens the hub believes belong to *another* site: stealing one
-        of those is the strongest lie a Byzantine leader at ``site`` can
-        tell, because a legitimate owner exists to collide with."""
-        hub = getattr(self.deployment, "hub_leader", None)
-        if hub is None or getattr(hub, "hub_tokens", None) is None:
-            return []
-        return sorted(
-            key
-            for key, where in hub.hub_tokens.location.items()
-            if where is not None and where != site
-        )
 
     # ------------------------------------------------------------- executor
     #
@@ -473,23 +369,6 @@ class Nemesis:
             if pair is not None:
                 factor = float(entry.get("factor", GRAY_DELAY_FACTOR))
                 applied = self._inject_gray(pair[0], pair[1], factor, dwell)
-        elif kind == "token-usurper":
-            site = self._pick_site(entry.get("site", 0))
-            leader = self._site_leader(site) if site is not None else None
-            if leader is not None:
-                candidates = self._usurpable_keys(site)
-                if not candidates and self.keys:
-                    tokens = getattr(leader, "site_tokens", None)
-                    owned = tokens.owned if tokens is not None else set()
-                    candidates = sorted(set(self.keys) - owned)
-                if candidates:
-                    key = candidates[int(entry.get("key", 0)) % len(candidates)]
-                    applied = self._inject_token_usurper(leader, key, dwell)
-        elif kind == "stale-leader":
-            site = self._pick_site(entry.get("site", 0))
-            leader = self._site_leader(site) if site is not None else None
-            if leader is not None:
-                applied = self._inject_stale_leader(leader, dwell)
         if applied:
             self.applied += 1
         else:
@@ -595,32 +474,6 @@ class Nemesis:
         )
         return True
 
-    def _inject_token_usurper(self, leader, key: str, dwell: float) -> bool:
-        tokens = getattr(leader, "site_tokens", None)
-        if tokens is None or key in tokens.owned:
-            return False
-        # The Byzantine move: claim the token without any committed grant.
-        tokens.grant(key)
-        self._log(
-            "token-usurper", f"{leader.site}:{key}",
-            {"server": leader.name, "key": key, "dwell_ms": round(dwell, 3)},
-        )
-        self._usurped.append((self.env.now + dwell, leader, key))
-        return True
-
-    def _inject_stale_leader(self, leader, dwell: float) -> bool:
-        broker = getattr(leader, "_hub", None)
-        if broker is None or self._lies.get(leader) is broker:
-            return False  # not a WanKeeper server, or already stale
-        self._lies[leader] = broker
-        _set_reads_class(leader, StaleReads)
-        self._log(
-            "stale-leader", leader.name,
-            {"site": leader.site, "dwell_ms": round(dwell, 3)},
-        )
-        self._stale.append((self.env.now + dwell, leader))
-        return True
-
 
 class ScheduleNemesis(Nemesis):
     """Plays an explicit, declarative fault schedule.
@@ -631,13 +484,13 @@ class ScheduleNemesis(Nemesis):
          "dwell": 2500.0}
 
     ``at`` is milliseconds after :meth:`start`; ``site``/``victim``/``a``/
-    ``b``/``key`` are *indices* resolved at apply time against the sorted
-    live topology (modulo the candidate count), so a schedule stays valid
-    — and deterministic — under shrinking and across topology mutations.
-    Entries whose guard refuses (quorum, partition budget, dead target)
-    are logged as ``skip`` events rather than silently dropped, so the
-    fuzzer's coverage signal sees them and shrinking stays honest. An
-    entry without a kind only wakes the nemesis to service repairs.
+    ``b`` are *indices* resolved at apply time against the sorted live
+    topology (modulo the candidate count), so a schedule stays valid — and
+    deterministic — under shrinking and on any topology. Entries whose
+    guard refuses (quorum, partition budget, dead target) are logged as
+    ``skip`` events rather than silently dropped, so the trace records
+    them and shrinking stays honest. An entry without a kind only wakes
+    the nemesis to service repairs.
     """
 
     def __init__(
@@ -647,7 +500,6 @@ class ScheduleNemesis(Nemesis):
         deployment,
         schedule: Iterable[Dict[str, Any]],
         config: Optional[NemesisConfig] = None,
-        keys: Iterable[str] = (),
     ):
         super().__init__(env, net, deployment, random.Random(0), config)
         self.schedule = sorted(
@@ -658,7 +510,6 @@ class ScheduleNemesis(Nemesis):
                 json.dumps(e, sort_keys=True, default=repr),
             ),
         )
-        self.keys = tuple(keys)
 
     def _run(self):
         start = self.env.now

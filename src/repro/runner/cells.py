@@ -276,7 +276,7 @@ def cell_fleet_topology(n_sites: int, seed: int = 42) -> Dict[str, Any]:
 
 
 def cell_fuzz_case(spec_json: str) -> Dict[str, Any]:
-    """One coverage-guided fuzz case (:mod:`repro.fuzz`).
+    """One fuzz case (:mod:`repro.fuzz`).
 
     The declarative case spec travels as its compact canonical JSON string
     so it satisfies the flat-scalar scenario-parameter contract; the cell

@@ -1,7 +1,7 @@
 """The probabilistic scheduler the schedule-drawing Nemesis replaced.
 
 Before a random run's faults were schedule entries, ``Nemesis._run`` rolled
-the fault mix every interval and seven ``_maybe_*`` drivers drew their
+the fault mix every interval and five ``_maybe_*`` drivers drew their
 targets from each kind's substream and called the injection primitives
 directly. ``ReferenceNemesis`` restores exactly that loop, verbatim, over
 the product's primitives; ``ReferenceNemesisConfig`` carries the fields it
@@ -22,8 +22,6 @@ from repro.sim.kernel import Interrupt
 
 @dataclass
 class ReferenceNemesisConfig(NemesisConfig):
-    token_usurper_probability: float = 0.0
-    stale_leader_probability: float = 0.0
     flaky_profile: LinkProfile = LinkProfile(loss=0.05, duplicate=0.05)
     gray_delay_factor: float = 8.0
     repair_cap_factor: float = 3.0
@@ -64,14 +62,6 @@ class ReferenceNemesis(Nemesis):
             threshold += cfg.gray_degrade_probability
             if roll < threshold:
                 self._maybe_gray_degrade()
-                continue
-            threshold += cfg.token_usurper_probability
-            if roll < threshold:
-                self._maybe_token_usurper()
-                continue
-            threshold += cfg.stale_leader_probability
-            if roll < threshold:
-                self._maybe_stale_leader()
 
     # ------------------------------------------------ probabilistic drivers
 
@@ -125,26 +115,6 @@ class ReferenceNemesis(Nemesis):
         self._inject_gray(
             link[0], link[1], self.config.gray_delay_factor, self._dwell(rng)
         )
-
-    def _maybe_token_usurper(self) -> None:
-        rng = self._stream("token-usurper")
-        site = rng.choice(self._sites())
-        leader = self._site_leader(site)
-        if leader is None:
-            return
-        candidates = self._usurpable_keys(site)
-        if not candidates:
-            return
-        key = rng.choice(candidates)
-        self._inject_token_usurper(leader, key, self._dwell(rng))
-
-    def _maybe_stale_leader(self) -> None:
-        rng = self._stream("stale-leader")
-        site = rng.choice(self._sites())
-        leader = self._site_leader(site)
-        if leader is None:
-            return
-        self._inject_stale_leader(leader, self._dwell(rng))
 
     def _dwell(self, rng: Optional[random.Random] = None) -> float:
         rng = rng if rng is not None else self._stream("dwell")

@@ -2,8 +2,9 @@
 
 import json
 
+import pytest
+
 from repro.fuzz.case import run_fuzz_case
-from repro.fuzz.coverage import CoverageMap, case_coverage
 from repro.fuzz.generate import generate_case
 
 
@@ -16,23 +17,18 @@ def test_case_payload_is_bit_identical_across_runs():
     assert first["trace_events"] > 0
 
 
-def test_injected_usurper_classifies_as_detected_not_violation():
-    # Seed 5 / case 2 schedules a token-usurper that trips the sentinel's
-    # single-token-ownership oracle: that is the adversarial actor being
-    # *caught*, not a protocol bug, so it must not read as a finding.
-    spec = generate_case(5, 2)
-    assert any(e["kind"] == "token-usurper" for e in spec["schedule"])
+@pytest.mark.parametrize("seed, index", [(2, 7), (29, 3), (32, 5)])
+def test_former_false_findings_are_ok_and_converged(seed, index):
+    """Each of these cases once carried a token-usurper entry: a site
+    leader that claimed a token with no committed grant. That is a
+    Byzantine fault, outside the crash-recovery model, and the case came
+    out ``violation`` / ``reply-coherence`` without any protocol bug.
+    Generated with environmental faults only, each case is clean."""
+    spec = generate_case(seed, index)
+    assert spec["schedule"], "the case still exercises the nemesis"
     payload = run_fuzz_case(spec)
-    assert payload["status"] == "detected"
-    assert payload["invariant"] == "single-token-ownership"
-
-
-def test_injected_stale_leader_detected_by_lease_oracle():
-    spec = generate_case(5, 4)
-    assert any(e["kind"] == "stale-leader" for e in spec["schedule"])
-    payload = run_fuzz_case(spec)
-    assert payload["status"] == "detected"
-    assert payload["invariant"] == "lease-coherence"
+    assert payload["status"] == "ok", payload["detail"]
+    assert payload["converged"] is True
 
 
 def test_sim_time_hang_detection():
@@ -50,14 +46,21 @@ def test_replay_rejects_stale_artifact_with_schema_mismatch(tmp_path, capsys):
     longer knows must fail with a diagnosis, not a KeyError."""
     from repro.fuzz.cli import main
 
+    # A kind this fuzzer never had, and the two kinds that left the nemesis.
     spec = generate_case(5, 3)
-    spec["schedule"] = [{"kind": "clock-skew", "at": 100.0}]
-    stale = tmp_path / "finding-stale.json"
-    stale.write_text(json.dumps({"spec": spec, "expect": {"status": "ok"}}))
-    assert main(["--replay", str(stale)]) == 1
-    err = capsys.readouterr().err
-    assert "artifact schema mismatch" in err
-    assert "clock-skew" in err
+    for entry in (
+        {"kind": "clock-skew", "at": 100.0},
+        {"kind": "token-usurper", "at": 100.0, "site": 1, "key": 0},
+        {"kind": "stale-leader", "at": 100.0, "site": 2},
+    ):
+        spec["schedule"] = [entry]
+        stale = tmp_path / "finding-stale.json"
+        stale.write_text(json.dumps({"spec": spec, "expect": {"status": "ok"}}))
+        assert main(["--replay", str(stale)]) == 1
+        out, err = capsys.readouterr()
+        assert "artifact schema mismatch" in err
+        assert f"unknown schedule kind '{entry['kind']}'" in err
+        assert "replaying" not in out
 
     # An artifact that is not a finding at all (no spec object).
     bogus = tmp_path / "not-a-finding.json"
@@ -80,19 +83,3 @@ def test_replay_rejects_stale_artifact_with_schema_mismatch(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert err.count("\n") == 1 and str(path) in err and problem in err
         assert "replaying" not in out
-
-
-def test_case_coverage_tokens_and_transitions():
-    events = [
-        (0, 1.0, "zab", "commit", "n1", None),
-        (1, 2.0, "wan", "token-recall", "n1", None),
-        (2, 3.0, "nemesis", "crash", "n2", None),
-    ]
-    coverage = case_coverage(events)
-    assert coverage["kinds"] == ["nemesis:crash", "wan:token-recall", "zab:commit"]
-    assert "wan:token-recall>nemesis:crash" in coverage["transitions"]
-
-    cmap = CoverageMap()
-    energy = cmap.observe(coverage)
-    assert energy == len(coverage["kinds"]) + len(coverage["transitions"])
-    assert cmap.observe(coverage) == 0  # nothing new the second time

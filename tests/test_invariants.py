@@ -2,17 +2,20 @@
 
 The soak/nemesis suites prove the sentinel stays silent on correct
 executions; these tests prove it actually *fires* — a deliberately
-injected double token grant and a forced double apply each raise
-:class:`InvariantViolation` with the trace tail attached, pointing at the
-divergent event.
+injected double token grant, a site leader that claims a token it was
+never granted, a site leader that keeps serving leases it was told to
+drop, and a forced double apply each raise :class:`InvariantViolation`.
+No fault the nemesis injects makes a server lie, so these hand-made
+faults are the only ones that exercise those oracles.
 """
 
 import pytest
 
 from repro.invariants import InvariantSentinel, InvariantViolation
-from repro.net import CALIFORNIA, VIRGINIA
+from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.trace import TraceBuffer
 from repro.wankeeper import build_wankeeper_deployment
+from repro.wankeeper.fractional import StrongReads
 from repro.wankeeper.messages import TokenGrant, WanTxn
 from repro.wankeeper.server import HUB
 from repro.zab.zxid import Zxid
@@ -79,6 +82,92 @@ def test_injected_double_grant_is_caught_with_trace_tail():
     assert "trace events" in message
     assert "token-grant" in message
     assert violation.trace_tail, "expected trace events attached"
+
+
+def test_a_site_leader_claiming_an_owned_token_is_caught():
+    """Frankfurt's site leader marks /k as owned with no committed grant
+    and admits a local write, while California's leader owns /k. The
+    sentinel must stop the run at that admit."""
+    env, topo, net = fresh_world(seed=23)
+    deployment = _wankeeper(
+        env, net, topo, initial_tokens={"/k": CALIFORNIA}
+    )
+    owner = deployment.site_leader(CALIFORNIA)
+    client = deployment.client(CALIFORNIA)
+    client.server_addr = owner.client_addr
+    usurper = deployment.site_leader(FRANKFURT)
+    writer = deployment.client(FRANKFURT)
+    writer.server_addr = usurper.client_addr
+
+    def app():
+        yield client.connect()
+        yield client.create("/k", b"v0")
+        yield env.timeout(1000.0)  # the create reaches every site
+        assert "/k" in owner.site_tokens.owned
+        usurper.site_tokens.grant("/k")
+        yield writer.connect()
+        yield writer.set_data("/k", b"stolen")
+        return True
+
+    with pytest.raises(InvariantViolation) as caught:
+        run_app(env, app())
+    violation = caught.value
+    assert violation.invariant == "single-token-ownership"
+    assert violation.detail.startswith("local write admitted")
+    assert "'frankfurt'" in violation.detail
+    assert "'california') still owns the token" in violation.detail
+
+
+class StaleReads(StrongReads):
+    """A site leader's strong reads, lying: it acks fractional-read
+    invalidations like an honest reader but keeps serving its leases,
+    expired ones too — the paper's §VI coherence contract broken at the
+    reader (the sentinel's lease-coherence check is the oracle)."""
+
+    def lease(self, path: str):
+        return self.leases.get(path)
+
+    def on_invalidate(self, src, msg) -> None:
+        leases = self.leases
+        super().on_invalidate(src, msg)
+        self.leases = leases
+
+    def expire(self) -> None:
+        leases = self.leases
+        super().expire()
+        self.leases = leases
+
+
+def test_a_site_leader_serving_an_invalidated_lease_is_caught():
+    """California's leader reads /k under a fractional lease, acks the
+    hub's invalidation for a Virginia write, and serves the old lease
+    again. The sentinel must stop the run at that read."""
+    env, topo, net = fresh_world(seed=29)
+    deployment = _wankeeper(env, net, topo, read_mode="fractional")
+    liar = deployment.site_leader(CALIFORNIA)
+    # Its message table binds the reads' methods, so it is rebuilt.
+    liar._reads.__class__ = StaleReads
+    liar._wan_handlers = liar._wan_handler_table()
+    writer = deployment.client(VIRGINIA)
+    reader = deployment.client(CALIFORNIA)
+    reader.server_addr = liar.client_addr
+
+    def app():
+        yield writer.connect()
+        yield writer.create("/k", b"v0")
+        yield reader.connect()
+        data, _stat = yield reader.get_data("/k")
+        assert data == b"v0" and "/k" in liar._reads.leases
+        yield writer.set_data("/k", b"v1")
+        yield reader.get_data("/k")
+        return True
+
+    with pytest.raises(InvariantViolation) as caught:
+        run_app(env, app())
+    violation = caught.value
+    assert violation.invariant == "lease-coherence"
+    assert violation.detail.startswith(f"{liar.name} served '/k'")
+    assert "invalidated (and acked)" in violation.detail
 
 
 def test_forced_double_apply_is_caught():

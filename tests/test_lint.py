@@ -206,6 +206,19 @@ def test_the_latency_sketch_and_profile_rollup_stay_retired():
     assert found == [], "\n".join(found)
 
 
+def test_the_fuzz_mutation_loop_and_adversarial_actors_stay_retired():
+    """The fuzzer generates and judges: a campaign runs one generated case
+    per index, with no coverage map, no mutation and no rounds. The nemesis
+    injects only environmental faults: no site leader claims a token or
+    serves a lease it may not."""
+    retired = re.compile(
+        r"repro\.fuzz\.coverage|CoverageMap|\bmutate\(|StaleReads"
+        r"|token-usurper|stale-leader|--rounds|--no-adversarial"
+    )
+    found = _src_lines_matching(retired)
+    assert found == [], "\n".join(found)
+
+
 def test_every_fleet_cell_runs_the_real_stack():
     """Both sizes of the ``fleet`` suite are ``fleet_full`` cells, and the
     load sweep's 1x row is the site sweep's anchor cell, so the runner

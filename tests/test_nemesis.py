@@ -338,7 +338,7 @@ def test_chaos_with_l2_failover_enabled():
     assert len(set(fingerprints.values())) == 1, nemesis.events
 
 
-# --- declarative schedules and adversarial actors (repro fuzz substrate) ----
+# --- declarative schedules (repro fuzz substrate) ---------------------------
 
 
 def test_schedule_nemesis_applies_deterministically_and_counts_skips():
@@ -375,96 +375,3 @@ def test_schedule_nemesis_applies_deterministically_and_counts_skips():
     kinds = {kind for _t, kind, _target in events}
     assert {"crash", "restart", "flaky-link", "skip"} <= kinds
     assert run_once() == (applied, skipped, events)
-
-
-def test_adversarial_actors_inject_revert_and_trace(monkeypatch):
-    monkeypatch.setenv("REPRO_SENTINEL", "0")  # no oracle: observe the
-    # injection/repair mechanics themselves, not the violation they cause
-    from repro.nemesis import ScheduleNemesis
-    from repro.trace import TraceBuffer, install_trace
-
-    env, topo, net = fresh_world(seed=9)
-    deployment = build(env, net, topo)
-    trace = TraceBuffer(capacity=4096)
-    install_trace(deployment, trace)
-    nemesis = ScheduleNemesis(
-        env, net, deployment, [
-            {"at": 500.0, "kind": "token-usurper", "site": 1, "key": 0,
-             "dwell": 2000.0},
-            {"at": 800.0, "kind": "stale-leader", "site": 2, "dwell": 2000.0},
-        ],
-        NemesisConfig(interval_ms=200.0),
-        keys=("/nk0", "/nk1"),
-    )
-    nemesis.start()
-    env.run(until=env.now + 10000.0)
-    nemesis.stop_and_repair()
-
-    by_kind = {}
-    for event in nemesis.events:
-        by_kind.setdefault(event.kind, []).append(event)
-    # The usurper claimed a key it did not own, with structured detail...
-    usurp = by_kind["token-usurper"][0]
-    assert usurp.info["key"] in ("/nk0", "/nk1")
-    assert usurp.info["dwell_ms"] == 2000.0
-    # ...and the dwell expired into a repair that reverted the theft.
-    assert "usurper-repair" in by_kind
-    for site in (VIRGINIA, CALIFORNIA, FRANKFURT):
-        leader = deployment.site_leader(site)
-        assert usurp.info["key"] not in leader.site_tokens.owned
-
-    stale = by_kind["stale-leader"][0]
-    assert stale.info["dwell_ms"] == 2000.0
-    assert "stale-repair" in by_kind
-    assert not nemesis._lies
-
-    # FaultEvents are mirrored into the structured trace with their info.
-    nemesis_trace = [e for e in trace.events() if e[2] == "nemesis"]
-    traced_kinds = {e[3] for e in nemesis_trace}
-    assert {"token-usurper", "usurper-repair", "stale-leader",
-            "stale-repair"} <= traced_kinds
-    usurp_detail = next(
-        e[5] for e in nemesis_trace if e[3] == "token-usurper"
-    )
-    assert usurp_detail["key"] == usurp.info["key"]
-
-
-def test_stale_leader_lies_until_its_repair_or_a_leader_reset(monkeypatch):
-    """The lie is a StaleReads swapped in from outside: it serves expired
-    leases and keeps them through an acked invalidation. Its repair swaps
-    the honest reads back without leases; a leader reset ends it first."""
-    monkeypatch.setenv("REPRO_SENTINEL", "0")  # the lie itself, no oracle
-    from repro.nemesis import ScheduleNemesis, StaleReads
-    from repro.wankeeper.fractional import (
-        LeaseEntry,
-        ReadInvalidate,
-        StrongReads,
-    )
-
-    env, topo, net = fresh_world(seed=9)
-    deployment = build(env, net, topo, read_mode="fractional")
-    nemesis = ScheduleNemesis(env, net, deployment, [])
-    leader = deployment.site_leader(CALIFORNIA)
-    hub = deployment.hub_leader
-    assert nemesis._inject_stale_leader(leader, 1000.0)
-    assert not nemesis._inject_stale_leader(leader, 1000.0)  # already lying
-    reads = leader._reads
-    assert type(reads) is StaleReads
-    assert leader._wan_handlers[ReadInvalidate] == reads.on_invalidate
-
-    reads.leases["/k"] = LeaseEntry("/k", "/k", (b"v", None), env.now - 1.0)
-    assert reads.lease("/k") is reads.leases["/k"]  # expired, still served
-    reads.on_invalidate(hub.client_addr, ReadInvalidate(("/k",)))
-    reads.expire()
-    assert "/k" in reads.leases
-
-    nemesis._repair_stale_leader(leader)
-    assert type(reads) is StrongReads and not reads.leases
-    assert leader._wan_handlers[ReadInvalidate] == reads.on_invalidate
-    assert [e.kind for e in nemesis.events] == ["stale-leader", "stale-repair"]
-
-    assert nemesis._inject_stale_leader(leader, 1000.0)
-    leader._reset_wan_leader_state()  # a leadership change
-    assert type(leader._reads) is StrongReads
-    nemesis._repair_stale_leader(leader)
-    assert [e.kind for e in nemesis.events][-1] == "stale-leader"
