@@ -39,6 +39,15 @@ GOLDEN_WPAXOS_HISTORY = (
 GOLDEN_WPAXOS_ENVELOPES = (
     "b9fccfb661d493e9f45f052127c1e51fbec12153d6861a4c940460b2546418a6"
 )
+# Runs under faults: the soak cell's payloads on the `experiments soak
+# --small` grid, and the verdicts (trace digests included) of the first
+# five generated fuzz cases of seed 7.
+GOLDEN_SOAK_PAYLOADS = (
+    "23cca0c91857b3e142a08b7afca431000090e1f787467d69cd91f7c096efa515"
+)
+GOLDEN_FUZZ_PAYLOADS = (
+    "8512905add2063f38f4294336b0e7d77c96f1d17b3754fbf51b13f897a4334c8"
+)
 
 
 def kernel_trace_digest():
@@ -182,6 +191,10 @@ def envelope_digest(system):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def payloads_digest(payloads):
+    return hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+
+
 def test_kernel_trace_matches_pre_optimization_golden():
     assert kernel_trace_digest() == GOLDEN_KERNEL_TRACE
 
@@ -200,6 +213,24 @@ def test_wpaxos_history_matches_golden():
 
 def test_wpaxos_envelopes_match_golden():
     assert envelope_digest("wpaxos") == GOLDEN_WPAXOS_ENVELOPES
+
+
+def test_soak_cell_payloads_match_golden():
+    from repro.runner.cells import cell_soak
+
+    payloads = [
+        cell_soak(seed=seed, ops_per_actor=25, key_count=8, quiesce_ms=30000.0)
+        for seed in (42, 56)
+    ]
+    assert payloads_digest(payloads) == GOLDEN_SOAK_PAYLOADS
+
+
+def test_fuzz_case_payloads_match_golden():
+    from repro.fuzz.case import run_fuzz_case
+    from repro.fuzz.generate import generate_case
+
+    payloads = [run_fuzz_case(generate_case(7, index)) for index in range(5)]
+    assert payloads_digest(payloads) == GOLDEN_FUZZ_PAYLOADS
 
 
 def test_seeded_runs_are_bit_identical_across_repeats():
