@@ -13,8 +13,9 @@ Layout:
   (topology + deployment + workload + fault schedule) and its digest;
 * :mod:`repro.fuzz.generate` — seeded case generation, one named RNG
   substream per dimension and per fault kind;
-* :mod:`repro.fuzz.case` — the harness that runs one spec to a verdict
-  (``ok`` / ``violation`` / ``hang``) with a trace digest;
+* :mod:`repro.fuzz.case` — one spec to a world and a schedule nemesis,
+  run by the soak driver (:mod:`repro.soak`), and its record to a
+  verdict (``ok`` / ``violation`` / ``hang``) with a trace digest;
 * :mod:`repro.fuzz.shrink` — ddmin-style schedule minimization;
 * :mod:`repro.fuzz.campaign` — one :mod:`repro.runner` executor call
   over the generated cases (parallelism, per-case timeout, crash

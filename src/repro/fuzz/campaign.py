@@ -9,7 +9,8 @@ function of ``(seed, cases, bug)`` at any jobs count.
 
 Findings — distinct failure signatures — are shrunk in-process
 (:mod:`repro.fuzz.shrink`) and written as replayable artifacts next to
-the campaign report when ``--out`` is given.
+the campaign report when ``--out`` is given; a finding names its
+artifact by file name, relative to the report.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def run_campaign(
         artifact = make_artifact(shrunk_spec, shrunk_payload)
         finding["artifact"] = None
         if out_dir is not None:
-            finding["artifact"] = write_artifact(
-                out_dir, tuple(finding["signature"]), artifact
+            # The file name alone: the report sits beside its artifacts,
+            # and its bytes must not depend on where they were written.
+            finding["artifact"] = os.path.basename(
+                write_artifact(out_dir, tuple(finding["signature"]), artifact)
             )
         else:
             finding["artifact_body"] = artifact

@@ -1,12 +1,11 @@
 """Run one fuzz-case spec to a verdict.
 
-The harness is a parameterized sibling of the lossy-soak cell
-(:func:`repro.runner.cells.cell_soak`): build the spec's topology and
-WanKeeper deployment, attach the invariant sentinel and a large trace
-buffer *unconditionally* (the sentinel is the fuzzer's oracle — it is not
-optional here, unlike the env-gated default), play the declarative fault
-schedule through :class:`repro.nemesis.ScheduleNemesis` under a retrying
-multi-site workload, then quiesce and run the end-of-run checks.
+Build the spec's WanKeeper world, attach the invariant sentinel and a
+large trace buffer *unconditionally* (the sentinel is the fuzzer's oracle
+— it is not optional here, unlike the env-gated default), and hand the
+world and a :class:`repro.nemesis.ScheduleNemesis` playing the fault
+schedule to the soak driver (:func:`repro.soak.run_soak`, which the
+lossy-soak cell runs too); its record becomes the verdict.
 
 The payload is JSON-plain and a pure function of the spec:
 
@@ -25,6 +24,7 @@ detection deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict
 
 from repro.fuzz.spec import (
@@ -48,11 +48,10 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.nemesis import NemesisConfig, ScheduleNemesis
     from repro.net import LinkProfile, Network, Topology
     from repro.sim import Environment, seeded_rng
+    from repro.soak import run_soak
     from repro.trace import TraceBuffer, install_trace
     from repro.wankeeper import build_wankeeper_deployment
     from repro.wankeeper.messages import TokenRecall, TokenReturn
-    from repro.zk import ConnectionLossError, SessionExpiredError
-    from repro.zk.errors import ZkError
 
     spec = canonical_spec(spec)
     validate_spec(spec)
@@ -109,12 +108,10 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
     trace = TraceBuffer(capacity=TRACE_CAPACITY)
     install_trace(deployment, trace)
     if deployment.sentinel is None:
-        sentinel = InvariantSentinel(trace=trace)
-        sentinel.adopt(deployment.servers)
-        deployment.sentinel = sentinel
+        deployment.sentinel = InvariantSentinel(trace=trace)
+        deployment.sentinel.adopt(deployment.servers)
     else:
         deployment.sentinel.trace = trace
-    sentinel = deployment.sentinel
 
     deployment.start()
     deployment.stabilize()
@@ -140,145 +137,52 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
             max_active_degradations=3,
         ),
     )
+    actors = [
+        (site, seeded_rng(seed, f"actor:{site}:{actor_index}"))
+        for site in names
+        for actor_index in range(int(wl["actors"]))
+    ]
+    run = run_soak(
+        deployment, nemesis, keys, actors,
+        ops_per_actor=math.inf, duration_ms=float(wl["duration_ms"]),
+        max_retries=8, request_timeout_ms=float(wl["request_timeout_ms"]),
+        write_fraction=float(wl["write_fraction"]),
+        pace_ms=tuple(float(p) for p in wl["pace_ms"]), settle_ms=500.0,
+        quiesce_ms=float(spec["quiesce_ms"]), horizon_ms=float(spec["horizon_ms"]),
+    )
 
-    counter = {"next": 0}
-    ops_done = {"write": 0, "read": 0}
-    failures = {"count": 0}
-    pace_lo, pace_hi = (float(p) for p in wl["pace_ms"])
-
-    def site_client(site):
-        client = deployment.client(
-            site,
-            session_timeout_ms=30000.0,
-            request_timeout_ms=float(wl["request_timeout_ms"]),
-        )
-        leader = deployment.site_leader(site)
-        if leader is not None and leader.is_alive:
-            client.server_addr = leader.client_addr
-        return client
-
-    def actor(site, actor_index, end):
-        rng = seeded_rng(seed, f"actor:{site}:{actor_index}")
-        client = site_client(site)
-        try:
-            yield client.connect_retrying(max_retries=8)
-        except ZkError:
-            failures["count"] += 1
-            return
-        while env.now < end:
-            key = rng.choice(keys)
-            is_write = rng.random() < float(wl["write_fraction"])
-            try:
-                if is_write:
-                    counter["next"] += 1
-                    yield client.set_data_retrying(
-                        key, str(counter["next"]).encode(), max_retries=8
-                    )
-                    ops_done["write"] += 1
-                else:
-                    yield client.get_data_retrying(key, max_retries=8)
-                    ops_done["read"] += 1
-            except (ConnectionLossError, SessionExpiredError) as exc:
-                failures["count"] += 1
-                if isinstance(exc, SessionExpiredError):
-                    client = site_client(site)
-                    try:
-                        yield client.connect_retrying(max_retries=8)
-                    except ZkError:
-                        failures["count"] += 1
-                        return
-            except ZkError:
-                failures["count"] += 1
-            yield env.timeout(rng.uniform(pace_lo, pace_hi))
-
-    def app():
-        setup = deployment.client(names[0])
-        yield setup.connect()
-        yield setup.create("/fuzz", b"")
-        for key in keys:
-            yield setup.create(key, b"")
-        yield env.timeout(500.0)
-        nemesis.start()
-        end = env.now + float(wl["duration_ms"])
-        procs = [
-            env.process(actor(site, actor_index, end))
-            for site in names
-            for actor_index in range(int(wl["actors"]))
-        ]
-        for proc in procs:
-            yield proc
-        nemesis.stop_and_repair()
-        net.restore_all()
-        net.heal_all()
-        yield env.timeout(float(spec["quiesce_ms"]))
-        return True
-
-    def verdict(status: str, violation) -> Dict[str, Any]:
-        digest = hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
-        return {
-            "status": status,
-            "invariant": violation.invariant if violation else None,
-            "detail": violation.detail[:500] if violation else None,
-            "spec_digest": spec_digest(spec),
-            "seed": seed,
-            "sim_time_ms": round(env.now, 3),
-            "writes": ops_done["write"],
-            "reads": ops_done["read"],
-            "client_failures": failures["count"],
-            "nemesis": {
-                "applied": nemesis.applied,
-                "skipped": nemesis.skipped,
-                "events": dict(sorted(nemesis.summary().items())),
-            },
-            "trace_events": trace.total_emitted,
-            "trace_digest": digest,
-            "converged": None,
-            "token_conflicts": None,
-        }
-
-    process = env.process(app())
-    deadline = env.now + float(spec["horizon_ms"])
-    try:
-        while (
-            not process.triggered
-            and env.now < deadline
-            and env.peek() != float("inf")
-        ):
-            env.run(until=min(deadline, env.now + 1000.0))
-    except InvariantViolation as exc:
-        # The sim is poisoned mid-callback: capture and stop immediately.
-        return verdict("violation", exc)
-    if not process.triggered:
-        return verdict("hang", None)
-    if not process.ok:
-        exc = process.exception
-        if isinstance(exc, InvariantViolation):
-            return verdict("violation", exc)
-        raise exc  # a genuine harness crash -> CellFailure upstream
-
-    # ---- end-of-run checks (only sound at quiesce, after full repair) ----
-    try:
-        sentinel.final_check()
-    except InvariantViolation as exc:
-        return verdict("violation", exc)
-    fingerprints = set(deployment.content_fingerprints().values())
-    owners: Dict[str, list] = {}
-    for site in names:
-        leader = deployment.site_leader(site)
-        if leader is None:
-            continue
-        for key in sorted(leader.site_tokens.owned):
-            owners.setdefault(key, []).append(site)
-    conflicted = sorted(k for k, held in owners.items() if len(held) > 1)
-    if conflicted:
+    # The verdict: a sentinel violation, else two owners of a token at
+    # quiesce, else the run's own status.
+    violation = run.violation
+    if run.token_conflicts:
         violation = InvariantViolation(
             "single-token-ownership",
-            f"tokens owned by multiple site leaders at quiesce: {conflicted}",
+            f"tokens owned by multiple site leaders at quiesce: {run.token_conflicts}",
         )
-        payload = verdict("violation", violation)
-        payload["token_conflicts"] = len(conflicted)
-        return payload
-    payload = verdict("ok", None)
-    payload["converged"] = len(fingerprints) == 1
-    payload["token_conflicts"] = 0
-    return payload
+    if violation is not None:
+        status = "violation"
+    else:
+        status = "ok" if run.finished else "hang"
+    digest = hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
+    return {
+        "status": status,
+        "invariant": violation.invariant if violation else None,
+        "detail": violation.detail[:500] if violation else None,
+        "spec_digest": spec_digest(spec),
+        "seed": seed,
+        "sim_time_ms": round(env.now, 3),
+        "writes": run.writes,
+        "reads": run.reads,
+        "client_failures": run.failures,
+        "nemesis": {
+            "applied": nemesis.applied,
+            "skipped": nemesis.skipped,
+            "events": dict(sorted(nemesis.summary().items())),
+        },
+        "trace_events": trace.total_emitted,
+        "trace_digest": digest,
+        "converged": None if violation else run.converged,
+        "token_conflicts": (
+            None if run.token_conflicts is None else len(run.token_conflicts)
+        ),
+    }

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -177,7 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if finding.get("invariant"):
             print(f"    invariant: {finding['invariant']}")
         if finding.get("artifact"):
-            print(f"    artifact: {finding['artifact']}")
+            print(f"    artifact: {os.path.join(args.out, finding['artifact'])}")
     if args.out:
         print(f"  report: {args.out}/campaign-report.json")
     if args.fail_on_findings and report["findings"]:

@@ -36,28 +36,23 @@ __all__ = ["CELLS", "run_cell"]
 
 # -- lossy soak ---------------------------------------------------------------
 
+#: The soak clients' request timeout (ms).
+SOAK_REQUEST_TIMEOUT_MS = 3000.0
 
-def cell_soak(
-    seed: int = 3,
-    ops_per_actor: int = 40,
-    key_count: int = 8,
-    quiesce_ms: float = 30000.0,
-) -> Dict[str, Any]:
-    """The lossy-WAN gray-failure soak as one scenario cell.
 
-    A reduced form of ``tests/test_lossy_soak.py``: ambient loss and
-    duplication on every WAN link, the full nemesis fault mix, retrying
-    clients at all three sites. The payload reports the four global
-    invariants (replica convergence, token exclusivity, per-key
-    linearizability, no-double-apply) as data instead of asserting, so
-    a soak cell rides the same executor/cache as the figure cells.
+def lossy_soak(seed: int, ops_per_actor: int, key_count: int, quiesce_ms: float):
+    """The lossy-WAN gray-failure soak; returns its
+    :class:`repro.soak.SoakRun`.
+
+    Three sites with 10% latency jitter, ambient 2% loss and 2%
+    duplication on every WAN link, the random nemesis drawing the full
+    fault mix every second, and one retrying client per site.
     """
+    import itertools
+    import math
     import random
 
-    from repro.consistency import (
-        HistoryRecorder,
-        check_linearizable_per_key,
-    )
+    from repro.nemesis import Nemesis, NemesisConfig
     from repro.net import (
         CALIFORNIA,
         FRANKFURT,
@@ -66,26 +61,20 @@ def cell_soak(
         Network,
         wan_topology,
     )
-    from repro.nemesis import Nemesis, NemesisConfig
     from repro.sim import Environment, seeded_rng
+    from repro.soak import run_soak
     from repro.wankeeper import build_wankeeper_deployment
-    from repro.zk import ConnectionLossError, SessionExpiredError
 
     sites = (VIRGINIA, CALIFORNIA, FRANKFURT)
-    keys = [f"/soak/k{i}" for i in range(key_count)]
-
     env = Environment()
     topo = wan_topology(jitter_fraction=0.1)
     net = Network(env, topo, rng=seeded_rng(seed, "net"))
     deployment = build_wankeeper_deployment(env, net, topo)
     deployment.start()
     deployment.stabilize()
-    import itertools
-
     ambient = LinkProfile(loss=0.02, duplicate=0.02)
     for site_a, site_b in itertools.combinations(sites, 2):
         net.degrade(site_a, site_b, ambient)
-
     nemesis = Nemesis(
         env,
         net,
@@ -101,134 +90,47 @@ def cell_soak(
             repair_after_ms=2500.0,
         ),
     )
-    history = HistoryRecorder()
-    counter = {"next": 0}
-    failures = {"count": 0}
-    ops = {"write": 0, "read": 0}
-    indeterminate = set()
-
-    def site_client(site):
-        client = deployment.client(
-            site, session_timeout_ms=30000.0, request_timeout_ms=3000.0
-        )
-        leader = deployment.site_leader(site)
-        if leader is not None and leader.is_alive:
-            client.server_addr = leader.client_addr
-        return client
-
-    def actor(site, rng):
-        client = site_client(site)
-        yield client.connect_retrying(max_retries=10)
-        for _ in range(ops_per_actor):
-            key = rng.choice(keys)
-            is_write = rng.random() < 0.6
-            start = env.now
-            try:
-                if is_write:
-                    counter["next"] += 1
-                    value = counter["next"]
-                    yield client.set_data_retrying(
-                        key, str(value).encode(), max_retries=10
-                    )
-                    history.record(site, "write", key, value, start, env.now)
-                    ops["write"] += 1
-                else:
-                    data, _stat = yield client.get_data_retrying(
-                        key, max_retries=10
-                    )
-                    history.record(
-                        site,
-                        "read",
-                        key,
-                        int(data) if data else None,
-                        start,
-                        env.now,
-                    )
-                    ops["read"] += 1
-            except (ConnectionLossError, SessionExpiredError) as exc:
-                failures["count"] += 1
-                if is_write:
-                    indeterminate.add(key)
-                if isinstance(exc, SessionExpiredError):
-                    client = site_client(site)
-                    yield client.connect_retrying(max_retries=10)
-            yield env.timeout(rng.uniform(100.0, 600.0))
-
-    def app():
-        setup = deployment.client(VIRGINIA)
-        yield setup.connect()
-        yield setup.create("/soak", b"")
-        for key in keys:
-            yield setup.create(key, b"")
-        yield env.timeout(1000.0)
-        nemesis.start()
-        procs = [
-            env.process(actor(site, random.Random(seed * 1000 + i)))
-            for i, site in enumerate(sites)
-        ]
-        for proc in procs:
-            yield proc
-        nemesis.stop_and_repair()
-        net.restore_all()
-        net.heal_all()
-        yield env.timeout(quiesce_ms)
-        return True
-
-    process = env.process(app())
-    deadline = env.now + 3.6e6
-    while (
-        not process.triggered
-        and env.now < deadline
-        and env.peek() != float("inf")
-    ):
-        env.run(until=min(deadline, env.now + 5000.0))
-    if not process.triggered:
-        raise RuntimeError("soak did not finish within the sim-time budget")
-    if not process.ok:
-        raise process.exception
-
-    # Invariants, reported as data.
-    fingerprints = set(deployment.content_fingerprints().values())
-    owners = {}
-    for site in sites:
-        leader = deployment.site_leader(site)
-        for key in leader.site_tokens.owned:
-            owners.setdefault(key, []).append(site)
-    token_conflicts = sum(1 for held in owners.values() if len(held) > 1)
-
-    checkable = [key for key in keys if key not in indeterminate]
-    tree = deployment.servers[0].tree
-    now = env.now
-    for key in checkable:
-        data, _stat = tree.get_data(key)
-        history.record(
-            "final-check", "read", key, int(data) if data else None, now, now + 1.0
-        )
-    lin_ops = [
-        op
-        for op in history.operations
-        if op.key in checkable
-        and (op.kind == "write" or op.client == "final-check")
-    ]
-    violations = check_linearizable_per_key(lin_ops, initial=None)
-    max_apply = max(
-        max(server.apply_counts.values(), default=0)
-        for server in deployment.servers
+    return run_soak(
+        deployment, nemesis, [f"/soak/k{i}" for i in range(key_count)],
+        [(site, random.Random(seed * 1000 + i)) for i, site in enumerate(sites)],
+        ops_per_actor=ops_per_actor, duration_ms=math.inf, max_retries=10,
+        request_timeout_ms=SOAK_REQUEST_TIMEOUT_MS, write_fraction=0.6,
+        pace_ms=(100.0, 600.0), settle_ms=1000.0, quiesce_ms=quiesce_ms,
+        horizon_ms=3.6e6,
     )
+
+
+def cell_soak(
+    seed: int = 3,
+    ops_per_actor: int = 40,
+    key_count: int = 8,
+    quiesce_ms: float = 30000.0,
+) -> Dict[str, Any]:
+    """The lossy-WAN gray-failure soak (:func:`lossy_soak`) as one
+    scenario cell. The payload reports the four global invariants (replica
+    convergence, token exclusivity, per-key linearizability,
+    no-double-apply) as data instead of asserting, so a soak cell rides the
+    same executor/cache as the figure cells; a violation or a hang raises.
+    """
+    run = lossy_soak(seed, ops_per_actor, key_count, quiesce_ms)
+    if run.violation is not None:
+        raise run.violation
+    if not run.finished:
+        raise RuntimeError("soak did not finish within the sim-time budget")
     return {
         "seed": seed,
-        "writes": ops["write"],
-        "reads": ops["read"],
-        "failures": failures["count"],
-        "indeterminate_keys": len(indeterminate),
-        "converged": len(fingerprints) == 1,
-        "token_conflicts": token_conflicts,
-        "linearizability_violations": len(violations),
-        "max_apply_count": max_apply,
+        "writes": run.writes,
+        "reads": run.reads,
+        "failures": run.failures,
+        "indeterminate_keys": len(run.indeterminate),
+        "converged": run.converged,
+        "token_conflicts": len(run.token_conflicts),
+        "linearizability_violations": len(run.linearizability_violations),
+        "max_apply_count": run.max_apply_count,
         # The faults and repairs; a draw its guard refused is no fault.
         "nemesis": {
             kind: count
-            for kind, count in sorted(nemesis.summary().items())
+            for kind, count in sorted(run.nemesis.summary().items())
             if kind != "skip"
         },
     }

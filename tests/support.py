@@ -2,6 +2,7 @@
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, Network, wan_topology
 from repro.sim import Environment, seeded_rng
+from repro.soak import drive
 from repro.zk import build_zk_deployment
 
 __all__ = [
@@ -72,14 +73,7 @@ def wpaxos_grid(env, net, topo, substrate="wpaxos", **kwargs):
 
 def run_app(env, generator, timeout_ms=600000.0):
     """Run a client app generator to completion; returns its value."""
-    process = env.process(generator)
-    deadline = env.now + timeout_ms
-    while (
-        not process.triggered
-        and env.now < deadline
-        and env.peek() != float("inf")
-    ):
-        env.run(until=min(deadline, env.now + 1000.0))
+    process = drive(env, generator, timeout_ms)
     if not process.triggered:
         raise AssertionError(f"app did not finish within {timeout_ms} ms")
     if not process.ok:

@@ -20,6 +20,20 @@ def test_campaign_report_is_jobs_independent():
     assert solo == parallel
 
 
+def test_campaign_report_is_independent_of_the_out_dir(tmp_path):
+    # A finding names its artifact relative to the report, so the report
+    # is a pure function of (seed, cases, bug) wherever it is written.
+    reports = [
+        run_campaign(1, 12, bug="recall-race", shrink=False,
+                     out_dir=str(tmp_path / name))
+        for name in ("a", "b")
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0]["findings"], "seed 1 finds nothing to write"
+    for finding in reports[0]["findings"]:
+        assert (tmp_path / "a" / finding["artifact"]).is_file()
+
+
 def test_campaign_finds_and_shrinks_reintroduced_recall_race():
     # Acceptance loop: with the recall-race knob re-introduced, a seeded
     # campaign must surface the single-token-ownership violation, shrink

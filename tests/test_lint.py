@@ -219,6 +219,18 @@ def test_the_fuzz_mutation_loop_and_adversarial_actors_stay_retired():
     assert found == [], "\n".join(found)
 
 
+def test_one_soak_driver():
+    """One soak harness: the soak cell and the fuzz case build their world
+    and nemesis and hand them to ``repro.soak.run_soak``, which alone
+    opens the actors' retrying sessions."""
+    found = [
+        line
+        for line in _src_lines_matching(re.compile(r"connect_retrying\("))
+        if not line.startswith(("zk/client.py:", "soak.py:"))
+    ]
+    assert found == [], "\n".join(found)
+
+
 def test_every_fleet_cell_runs_the_real_stack():
     """Both sizes of the ``fleet`` suite are ``fleet_full`` cells, and the
     load sweep's 1x row is the site sweep's anchor cell, so the runner

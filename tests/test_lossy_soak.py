@@ -11,6 +11,11 @@ satisfy the global invariants:
 3. per-key linearizability of the write history against the final value;
 4. no-double-apply: every (session, cxid) applied at most once per replica.
 
+The soak is the product's: ``repro.runner.cells.lossy_soak`` (the soak
+cell's world) on the one driver, ``repro.soak.run_soak``, at 60 ops per
+actor. The assertions below check its record independently of the checks
+the driver reports.
+
 The same soak on servers without at-most-once
 (``tests/reference_at_most_once.py::NoAtMostOnce``) demonstrably violates
 (4): the online sentinel trips ``no-double-apply``. The guarantee comes
@@ -22,134 +27,33 @@ probabilistic scheduler it replaced and replays a soak from its recorded
 schedule.
 """
 
-import itertools
-import random
-
 import pytest
 
 from repro.consistency import HistoryRecorder, check_causal, check_linearizable_per_key
 from repro.invariants import InvariantViolation
-from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
-from repro.nemesis import Nemesis, NemesisConfig
-from repro.sim import seeded_rng
-from repro.wankeeper import build_wankeeper_deployment
+from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
+from repro.runner import cells
 from repro.wankeeper import deployment as wk_deployment
-from repro.zk import ConnectionLossError, SessionExpiredError
 
 from tests.reference_at_most_once import NoAtMostOnceWanKeeperServer
-from tests.support import fresh_world, run_app
 
 SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
 KEYS = [f"/soak/k{i}" for i in range(8)]
 OPS_PER_ACTOR = 60
-AMBIENT = LinkProfile(loss=0.02, duplicate=0.02)
 
 
-def _nemesis_config():
-    return NemesisConfig(
-        interval_ms=1000.0,
-        crash_probability=0.2,
-        partition_probability=0.1,
-        flaky_link_probability=0.15,
-        oneway_partition_probability=0.15,
-        gray_degrade_probability=0.15,
-        repair_after_ms=2500.0,
-    )
+def run_lossy_soak(seed):
+    """Run the soak; returns (deployment, nemesis, history, indeterminate).
 
-
-def run_lossy_soak(seed, request_timeout_ms=3000.0):
-    """Run the soak; returns (deployment, nemesis, history, failures)."""
-    env, topo, net = fresh_world(seed=seed, jitter=0.1)
-    deployment = build_wankeeper_deployment(env, net, topo)
-    deployment.start()
-    deployment.stabilize()
-    for site_a, site_b in itertools.combinations(SITES, 2):
-        net.degrade(site_a, site_b, AMBIENT)
-
-    nemesis = Nemesis(
-        env, net, deployment, seeded_rng(seed, "nemesis"), _nemesis_config()
-    )
-    history = HistoryRecorder()
-    counter = {"next": 0}
-    failures = {"count": 0}
-    # Keys with an indeterminate write (the op failed at the client but may
-    # still have committed server-side): their recorded history is
-    # incomplete, so consistency checks must skip them.
-    indeterminate = set()
-
-    def site_client(site):
-        client = deployment.client(
-            site,
-            session_timeout_ms=30000.0,
-            request_timeout_ms=request_timeout_ms,
-        )
-        # Bind to the site leader so retries exercise the leader-direct
-        # routing path (the one the reply cache must make idempotent).
-        leader = deployment.site_leader(site)
-        if leader is not None and leader.is_alive:
-            client.server_addr = leader.client_addr
-        return client
-
-    def actor(site, rng):
-        client = site_client(site)
-        yield client.connect_retrying(max_retries=10)
-        for _ in range(OPS_PER_ACTOR):
-            key = rng.choice(KEYS)
-            is_write = rng.random() < 0.6
-            start = env.now
-            try:
-                if is_write:
-                    counter["next"] += 1
-                    value = counter["next"]
-                    yield client.set_data_retrying(
-                        key, str(value).encode(), max_retries=10
-                    )
-                    history.record(site, "write", key, value, start, env.now)
-                else:
-                    data, _stat = yield client.get_data_retrying(
-                        key, max_retries=10
-                    )
-                    history.record(
-                        site,
-                        "read",
-                        key,
-                        int(data) if data else None,
-                        start,
-                        env.now,
-                    )
-            except (ConnectionLossError, SessionExpiredError) as exc:
-                failures["count"] += 1
-                if is_write:
-                    indeterminate.add(key)
-                if isinstance(exc, SessionExpiredError):
-                    # The bound server was down long enough to expire the
-                    # session: carry on with a fresh one, like a real client.
-                    client = site_client(site)
-                    yield client.connect_retrying(max_retries=10)
-            yield env.timeout(rng.uniform(100.0, 600.0))
-
-    def app():
-        setup = deployment.client(VIRGINIA)
-        yield setup.connect()
-        yield setup.create("/soak", b"")
-        for key in KEYS:
-            yield setup.create(key, b"")
-        yield env.timeout(1000.0)
-        nemesis.start()
-        procs = [
-            env.process(actor(site, random.Random(seed * 1000 + i)))
-            for i, site in enumerate(SITES)
-        ]
-        for proc in procs:
-            yield proc
-        nemesis.stop_and_repair()
-        net.restore_all()
-        net.heal_all()
-        yield env.timeout(30000.0)  # quiesce
-        return True
-
-    run_app(env, app(), timeout_ms=3.6e6)
-    return deployment, nemesis, history, indeterminate
+    Keys with an indeterminate write (the op failed at the client but may
+    still have committed server-side) have an incomplete recorded history,
+    so consistency checks must skip them.
+    """
+    run = cells.lossy_soak(seed, OPS_PER_ACTOR, len(KEYS), 30000.0)
+    if run.violation is not None:
+        raise run.violation
+    assert run.finished, "the soak did not finish within 3.6e6 ms"
+    return run.deployment, run.nemesis, run.history, run.indeterminate
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -227,7 +131,8 @@ def test_lossy_soak_without_reply_cache_double_applies(monkeypatch):
     monkeypatch.setattr(
         wk_deployment, "WanKeeperServer", NoAtMostOnceWanKeeperServer
     )
+    monkeypatch.setattr(cells, "SOAK_REQUEST_TIMEOUT_MS", 1200.0)
     with pytest.raises(InvariantViolation) as caught:
-        run_lossy_soak(3, request_timeout_ms=1200.0)
+        run_lossy_soak(3)
     assert caught.value.invariant == "no-double-apply"
     assert " 2 times " in caught.value.detail
