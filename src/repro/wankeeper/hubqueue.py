@@ -196,6 +196,28 @@ class HubBroker:
         self.queue.add(QueuedTxn(txn, origin_site))
         self.pump()
 
+    def absorbed(self, wan_id: Tuple[str, int]) -> None:
+        """A site's own commit of the queued ``wan_id`` reached the hub:
+        drop the queued copy.
+
+        A site forwards a write it cannot admit yet, and its leader admits
+        the same write locally if the accepting server re-routes it after
+        the token it waited for has landed (a grant overtaken by its
+        recall, a site leader crash in between). Serializing the queued
+        copy as well would commit the write twice, and the origin site
+        drops the second copy with the grant it carries: the hub would
+        count one grant more than the site, and every later recall of the
+        key would wait for a grant that never comes.
+
+        The hub commits the local copy first: the queued copy waits for a
+        token the site holds, and ``_on_token_return`` accepts the site's
+        return only once its stream is absorbed up to the release. A
+        level-2 promotion is the exception: its inventory sync
+        (``TokenSyncOp``) takes a token home without waiting for the
+        site's stream.
+        """
+        self.queue.remove(self.queue.entries[wan_id])
+
     def pin(self, txn: Txn, key: str, site: str) -> None:
         """Queue the admin no-op ``txn`` that moves ``key``'s token to ``site``."""
         self.queue.add(QueuedTxn(txn, self.host.site, (key,), admin_grant=site))

@@ -553,6 +553,8 @@ class WanKeeperServer(ZkServer):
             if serialized_at == HUB:
                 hub.committed(wan_id, token_keys(txn.op))
             elif serialized_at != self.site:
+                if wan_id in hub.queue.entries:
+                    hub.absorbed(wan_id)
                 self._ack_site(serialized_at)
                 deferred = self._deferred_returns.pop(serialized_at, None)
                 if deferred:
@@ -570,6 +572,10 @@ class WanKeeperServer(ZkServer):
                 self._reads.pump()
         else:
             if serialized_at == self.site:
+                if wan_id in self._submit_unacked:
+                    # A write this leader forwarded and then admitted
+                    # itself: the hub absorbs it from the stream instead.
+                    del self._submit_unacked[wan_id]
                 ready = self.site_tokens.retire(token_keys(txn.op))
                 if ready:
                     self._release_keys(ready)

@@ -202,12 +202,14 @@ def overloaded_anchor():
 
 
 def test_overload_builds_a_backlog(overloaded_anchor):
-    """At 1x every op of the anchor is answered by the horizon; at 7x a
-    backlog is left in flight and the write tail stretches."""
+    """At 7x the hub's backlog stretches the write tail, and at 1x and 7x
+    alike every op of the anchor is answered by the horizon. (The 7x
+    writes once left in flight were the hub serializing a write twice and
+    stranding its token; see ``tests/test_stranded_token.py``.)"""
     under = run_fleet_full(FleetFullSpec(**_ANCHOR))
     _, over = overloaded_anchor
     assert under["in_flight_at_horizon"] == 0
-    assert over["in_flight_at_horizon"] > 0
+    assert over["in_flight_at_horizon"] == 0
     assert over["write_p99_ms"] > 4 * under["write_p99_ms"]
 
 
