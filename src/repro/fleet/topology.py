@@ -22,12 +22,11 @@ sites and the same delay matrix, bit for bit, on any interpreter.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.net.topology import DEFAULT_LOCAL_ONE_WAY_MS, Topology
-from repro.sim.rng import seeded_rng
+from repro.sim.rng import seeded_rng, sha256
 
 __all__ = [
     "CONTINENTS",
@@ -186,4 +185,4 @@ def topology_fingerprint(topology: Topology) -> str:
     for a, b, delay in topology.wan_pairs():
         parts.append(f"{a}|{b}|{delay!r}")
     payload = "\n".join(parts)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()

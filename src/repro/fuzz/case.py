@@ -23,7 +23,6 @@ detection deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Any, Dict
 
@@ -34,6 +33,7 @@ from repro.fuzz.spec import (
     spec_keys,
     validate_spec,
 )
+from repro.sim.rng import sha256
 
 __all__ = ["run_fuzz_case"]
 
@@ -163,7 +163,7 @@ def run_fuzz_case(spec: Dict[str, Any]) -> Dict[str, Any]:
         status = "violation"
     else:
         status = "ok" if run.finished else "hang"
-    digest = hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
+    digest = sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
     return {
         "status": status,
         "invariant": violation.invariant if violation else None,

@@ -16,11 +16,11 @@ who built the dict.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List
 
 from repro.nemesis import Nemesis
+from repro.sim.rng import sha256
 
 __all__ = [
     "SPEC_VERSION",
@@ -54,7 +54,7 @@ def spec_json(spec: Dict[str, Any]) -> str:
 
 def spec_digest(spec: Dict[str, Any]) -> str:
     """Content digest of the canonical spec."""
-    return hashlib.sha256(spec_json(spec).encode("utf-8")).hexdigest()
+    return sha256(spec_json(spec).encode("utf-8")).hexdigest()
 
 
 def site_names(spec: Dict[str, Any]) -> List[str]:

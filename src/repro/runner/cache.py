@@ -12,11 +12,12 @@ survive ``json.dumps``/``loads`` bit-for-bit.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
 from typing import Any, Dict, Optional
+
+from repro.sim.rng import sha256
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -52,7 +53,7 @@ def code_digest() -> str:
     memo = _code_digest_memo.get(root)
     if memo is not None:
         return memo
-    hasher = hashlib.sha256()
+    hasher = sha256()
     sources = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
@@ -84,7 +85,7 @@ class ResultCache:
 
     def key(self, scenario) -> str:
         combined = f"{self.code}:{scenario.digest()}"
-        return hashlib.sha256(combined.encode("utf-8")).hexdigest()
+        return sha256(combined.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")

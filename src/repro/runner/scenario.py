@@ -8,10 +8,11 @@ self-describing error reports when a worker dies.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
+
+from repro.sim.rng import sha256
 
 __all__ = ["Scenario"]
 
@@ -62,7 +63,7 @@ class Scenario:
 
     def digest(self) -> str:
         payload = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """Human-readable one-liner, used in progress and error output."""

@@ -8,11 +8,20 @@ a single experiment seed, which every benchmark records.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
 
-__all__ = ["RngRegistry", "seeded_rng"]
+try:
+    # CPython's built-in SHA-256: the same bytes as hashlib's, without
+    # mapping OpenSSL's libcrypto into every simulation process.
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
+__all__ = ["RngRegistry", "seeded_rng", "sha256"]
 
 
 def seeded_rng(seed: int, name: str) -> random.Random:
@@ -21,7 +30,7 @@ def seeded_rng(seed: int, name: str) -> random.Random:
     The stream seed is derived by hashing ``(seed, name)`` so that streams
     are independent and stable across runs and Python versions.
     """
-    digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -40,5 +49,5 @@ class RngRegistry:
 
     def fork(self, salt: str) -> "RngRegistry":
         """Derive an independent registry (for sub-experiments)."""
-        digest = hashlib.sha256(f"{self.seed}:{salt}".encode("utf-8")).digest()
+        digest = sha256(f"{self.seed}:{salt}".encode("utf-8")).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))

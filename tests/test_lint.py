@@ -231,6 +231,16 @@ def test_one_soak_driver():
     assert found == [], "\n".join(found)
 
 
+def test_one_digest_import():
+    """One SHA-256 import site: every product digest comes from
+    ``repro.sim.rng.sha256``, which imports ``hashlib`` (and with it
+    OpenSSL's libcrypto) only where CPython has no built-in SHA-256."""
+    found = _src_lines_matching(re.compile(r"^\s*(import|from) hashlib\b"))
+    assert [line.partition(":")[0] for line in found] == ["sim/rng.py"], (
+        "\n".join(found)
+    )
+
+
 def test_every_fleet_cell_runs_the_real_stack():
     """Both sizes of the ``fleet`` suite are ``fleet_full`` cells, and the
     load sweep's 1x row is the site sweep's anchor cell, so the runner
