@@ -13,6 +13,7 @@ payload.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,11 +22,11 @@ from repro import nemesis as nemesis_module
 from repro.nemesis import Nemesis, NemesisConfig, ScheduleNemesis
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.runner.cells import cell_soak
+from repro.soak import run_soak
 from repro.wankeeper import build_wankeeper_deployment
-from repro.zk.errors import ZkError
 
 from tests.reference_nemesis import ReferenceNemesis, ReferenceNemesisConfig
-from tests.support import fresh_world, run_app
+from tests.support import fresh_world
 
 SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
 MIXES = {
@@ -48,6 +49,8 @@ def faults(nemesis):
 
 
 def run_world(seed, nemesis_cls, config):
+    """One retrying writer per site on four keys, over lossy links, under
+    ``nemesis_cls``, run by ``repro.soak.run_soak`` like every soak."""
     env, topo, net = fresh_world(seed=seed, jitter=0.1)
     deployment = build_wankeeper_deployment(env, net, topo)
     deployment.start()
@@ -55,36 +58,14 @@ def run_world(seed, nemesis_cls, config):
     for a, b in itertools.combinations(SITES, 2):
         net.degrade(a, b, LinkProfile(loss=0.02, duplicate=0.02))
     nemesis = nemesis_cls(env, net, deployment, random.Random(seed), config)
-    keys = [f"/twin{i}" for i in range(4)]
-
-    def actor(site, rng):
-        client = deployment.client(site, request_timeout_ms=3000.0)
-        yield client.connect_retrying(max_retries=10)
-        for n in range(15):
-            try:
-                yield client.set_data_retrying(
-                    rng.choice(keys), f"{site}-{n}".encode(), max_retries=10
-                )
-            except ZkError:
-                pass
-            yield env.timeout(rng.uniform(100.0, 600.0))
-
-    def app():
-        setup = deployment.client(VIRGINIA)
-        yield setup.connect()
-        for key in keys:
-            yield setup.create(key, b"")
-        nemesis.start()
-        procs = [env.process(actor(site, random.Random(seed * 10 + i)))
-                 for i, site in enumerate(SITES)]
-        for proc in procs:
-            yield proc
-        nemesis.stop_and_repair()
-        net.restore_all()
-        yield env.timeout(20000.0)
-        return True
-
-    run_app(env, app(), timeout_ms=3.6e6)
+    run = run_soak(
+        deployment, nemesis, [f"/twin/k{i}" for i in range(4)],
+        [(site, random.Random(seed * 10 + i)) for i, site in enumerate(SITES)],
+        ops_per_actor=15, duration_ms=math.inf, max_retries=10,
+        request_timeout_ms=3000.0, write_fraction=1.0, pace_ms=(100.0, 600.0),
+        settle_ms=0.0, quiesce_ms=20000.0, horizon_ms=3.6e6,
+    )
+    assert run.finished and run.violation is None
     return nemesis, env, sorted(deployment.content_fingerprints().items())
 
 
