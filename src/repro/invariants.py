@@ -39,7 +39,12 @@ Checked invariants:
   injects makes a leader lie; ``tests/test_invariants.py`` trips it with
   a leader whose strong reads keep their leases);
 * **ephemeral-liveness** — at quiesce, no ephemeral node survives its
-  owner session's expiry (:meth:`InvariantSentinel.final_check`).
+  owner session's expiry (:meth:`InvariantSentinel.final_check`);
+* **stranded-grant** — at quiesce, for every key the hub leader locates
+  at a site with a live leader, that leader has seen at least as many
+  grants of the key as the hub sent it. A site behind the hub takes
+  every recall for one that overtook its grant and stays silent, so the
+  token never comes back (:meth:`InvariantSentinel.final_check`).
 
 Enablement: ``REPRO_SENTINEL=1`` in the environment (the test suite turns
 it on by default via ``tests/conftest.py``; ``python -m repro experiments
@@ -391,9 +396,11 @@ class InvariantSentinel:
         Verifies ephemeral-owner-session liveness: a live server's tree may
         not retain ephemerals of a session its hosting server knows to be
         expired — unless that session is still queued for ephemeral GC
-        (WanKeeper re-issues the close until leftovers drain). Returns the
-        number of (server, session) pairs inspected.
+        (WanKeeper re-issues the close until leftovers drain) — and that
+        no granted token is stranded (:meth:`_check_grant_counts`).
+        Returns the number of (server, session) pairs inspected.
         """
+        self._check_grant_counts()
         hosts = {
             str(server.client_addr): server
             for server in self._servers
@@ -423,6 +430,36 @@ class InvariantSentinel:
                 )
         self.checks_run += inspected
         return inspected
+
+    def _check_grant_counts(self) -> None:
+        """A site leader that counts fewer grants of a key it owns than the
+        hub sent it answers no recall of that key. A site count *above* the
+        hub's is legal: a hub promoted by a level-2 failover may never have
+        seen the old hub's last grant."""
+        leaders = {
+            server.site: server
+            for server in self._servers
+            if getattr(server, "hub_tokens", None) is not None
+            and server.is_alive and server.peer.is_leader
+        }
+        for hub in leaders.values():
+            if not hub.is_hub_site:
+                continue
+            for key, site in sorted(hub.hub_tokens.location.items()):
+                leader = leaders.get(site)
+                if leader is None or leader is hub:
+                    continue
+                self.checks_run += 1
+                sent = hub._grant_counts.get((key, site), 0)
+                seen = leader._grant_counts.get((key, site), 0)
+                if seen < sent:
+                    self._fail(
+                        "stranded-grant",
+                        f"hub leader {hub.name} sent {sent} grants of "
+                        f"{key!r} to {site!r}, whose leader {leader.name} "
+                        f"has seen {seen}: it takes every recall for one "
+                        "that overtook its grant",
+                    )
 
 
 def _canonical_reply(outcome) -> Tuple[Any, ...]:

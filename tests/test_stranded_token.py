@@ -24,6 +24,9 @@ of ``/k`` from another site never commits, and neither does one from
 California, which no longer owns the token.
 """
 
+import pytest
+
+from repro.invariants import InvariantSentinel, InvariantViolation
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.soak import drive
 from repro.wankeeper import build_wankeeper_deployment
@@ -135,3 +138,23 @@ def test_without_the_absorb_drop_the_token_is_stranded(monkeypatch):
     site = deployment.site_leader(CALIFORNIA)
     grants = (KEY, CALIFORNIA)
     assert hub._grant_counts[grants] == site._grant_counts[grants] + 1
+
+
+def _final_check(deployment):
+    sentinel = InvariantSentinel()
+    sentinel.adopt(deployment.servers)
+    return sentinel.final_check()
+
+
+def test_the_final_check_passes_when_the_site_saw_every_grant():
+    _env, deployment, _clients = _hub_serialized_twice_world()
+    _final_check(deployment)
+
+
+def test_the_final_check_flags_the_stranded_grant(monkeypatch):
+    monkeypatch.setattr(wk_deployment, "WanKeeperServer", NoAbsorbWanKeeperServer)
+    _env, deployment, _clients = _hub_serialized_twice_world()
+    with pytest.raises(InvariantViolation) as info:
+        _final_check(deployment)
+    assert info.value.invariant == "stranded-grant"
+    assert repr(KEY) in info.value.detail
