@@ -13,7 +13,8 @@ Top-level subpackages:
 * :mod:`repro.wankeeper` -- the paper's contribution
 * :mod:`repro.consistency` -- history checkers
 * :mod:`repro.workloads` -- YCSB-style drivers and statistics
-* :mod:`repro.bookkeeper`, :mod:`repro.scfs` -- evaluation use cases
+* :mod:`repro.bookkeeper` -- evaluation use case (the SCFS use case is
+  fig10's YCSB spec on ``/scfs/files``)
 * :mod:`repro.experiments` -- one module per paper figure
 """
 

@@ -152,28 +152,6 @@ def cell_fleet_full(**kwargs) -> Dict[str, Any]:
     return run_fleet_full(FleetFullSpec(**kwargs))
 
 
-def cell_fleet_topology(n_sites: int, seed: int = 42) -> Dict[str, Any]:
-    """Fingerprint + shape stats of one generated fleet topology.
-
-    Exists so the cross-executor determinism tests can push topology
-    generation through the pool workers and compare fingerprints.
-    """
-    from repro.fleet import fleet_sites, fleet_topology, topology_fingerprint
-
-    topology = fleet_topology(n_sites, seed=seed)
-    sites = fleet_sites(n_sites, seed=seed)
-    delays = [delay for _a, _b, delay in topology.wan_pairs()]
-    return {
-        "n_sites": n_sites,
-        "seed": seed,
-        "fingerprint": topology_fingerprint(topology),
-        "continents": len({site.continent for site in sites}),
-        "pairs": len(delays),
-        "min_one_way_ms": min(delays),
-        "max_one_way_ms": max(delays),
-    }
-
-
 # -- fuzz cells ---------------------------------------------------------------
 
 
@@ -263,7 +241,6 @@ CELLS: Dict[str, Callable[..., Any]] = {
     "ablation_hub_placement": run_hub_placement_cell,
     "soak": cell_soak,
     "fleet_full": cell_fleet_full,
-    "fleet_topology": cell_fleet_topology,
     "fuzz_case": cell_fuzz_case,
     "debug_echo": cell_debug_echo,
     "debug_crash": cell_debug_crash,

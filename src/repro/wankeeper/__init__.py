@@ -11,8 +11,8 @@ site) with
   patterns and migrates a record's token to a site after ``r`` consecutive
   accesses from it (default ``r = 2``), enabling *local* writes there until
   the token is recalled;
-* **bulk tokens** for sequential znodes (lock/queue recipes) that must stay
-  co-located with their siblings;
+* **bulk tokens** for sequential znodes (the fair-lock recipe) that must
+  stay co-located with their siblings;
 * a **WAN heartbeater** for cross-site liveness and level-2 discovery;
 * optional **Markov token prediction** (§II-B) and **fractional read/write
   tokens** (§VI future work).

@@ -1,9 +1,9 @@
 """Coordination recipes built on the client API.
 
-The standard ZooKeeper/Curator patterns the paper discusses (§III-B) —
-implemented against our client so the BookKeeper/SCFS substrates and the
-examples can use them, and so WanKeeper's bulk-token handling of
-sequential znodes is exercised by a real recipe (the fair lock).
+The two ZooKeeper lock recipes the evaluation runs: the exclusive lock
+of fig8 (:class:`DistributedLock`) and the fair lock of the bulk-token
+ablation (:class:`FairLock`), whose sequential waiter znodes exercise
+WanKeeper's bulk-token handling (§III-B).
 
 All methods are generator functions: ``yield from`` / ``yield
 env.process(...)`` them inside simulation processes.
@@ -18,16 +18,7 @@ from repro.zk.client import ZkClient
 from repro.zk.errors import NodeExistsError, NoNodeError
 from repro.zk.paths import basename
 
-__all__ = [
-    "Barrier",
-    "DistributedLock",
-    "DistributedQueue",
-    "DoubleBarrier",
-    "FairLock",
-    "GroupMembership",
-    "LeaderElector",
-    "ServiceDiscovery",
-]
+__all__ = ["DistributedLock", "FairLock"]
 
 
 class DistributedLock:
@@ -124,293 +115,3 @@ class FairLock:
             yield self.client.delete(node)
         except NoNodeError:
             pass
-
-
-class LeaderElector:
-    """Leader election: lowest sequential ephemeral wins; others follow."""
-
-    def __init__(self, env: Environment, client: ZkClient, root: str):
-        self.env = env
-        self.client = client
-        self.root = root
-        self.my_node: Optional[str] = None
-        self.is_leader = False
-
-    def join(self):
-        """Generator: enter the election (does not wait for leadership)."""
-        try:
-            yield self.client.create(self.root, b"")
-        except NodeExistsError:
-            pass
-        self.my_node = yield self.client.create(
-            f"{self.root}/candidate-", b"", ephemeral=True, sequential=True
-        )
-
-    def await_leadership(self, poll_timeout_ms: float = 5000.0):
-        """Generator: block until this candidate is the leader."""
-        if self.my_node is None:
-            raise RuntimeError("join() the election first")
-        my_name = basename(self.my_node)
-        while True:
-            children = yield self.client.get_children(self.root)
-            candidates = sorted(c for c in children if c.startswith("candidate-"))
-            if candidates and candidates[0] == my_name:
-                self.is_leader = True
-                return
-            my_index = candidates.index(my_name)
-            predecessor = f"{self.root}/{candidates[my_index - 1]}"
-            stat = yield self.client.exists(predecessor, watch=True)
-            if stat is None:
-                continue
-            yield AnyOf(
-                self.env,
-                [
-                    self.client.wait_watch(predecessor),
-                    self.env.timeout(poll_timeout_ms),
-                ],
-            )
-
-    def resign(self):
-        """Generator: leave the election."""
-        if self.my_node is None:
-            return
-        node, self.my_node = self.my_node, None
-        self.is_leader = False
-        try:
-            yield self.client.delete(node)
-        except NoNodeError:
-            pass
-
-
-class Barrier:
-    """One-shot barrier: clients wait until the barrier node is removed.
-
-    The paper notes barriers work with persistent or ephemeral znodes and
-    are safe under WanKeeper's token migration (§III-B).
-    """
-
-    def __init__(self, env: Environment, client: ZkClient, path: str):
-        self.env = env
-        self.client = client
-        self.path = path
-
-    def set(self):
-        """Generator: raise the barrier."""
-        try:
-            yield self.client.create(self.path, b"")
-        except NodeExistsError:
-            pass
-
-    def lift(self):
-        """Generator: remove the barrier, releasing all waiters."""
-        try:
-            yield self.client.delete(self.path)
-        except NoNodeError:
-            pass
-
-    def wait(self, poll_timeout_ms: float = 5000.0):
-        """Generator: block until the barrier is lifted."""
-        while True:
-            stat = yield self.client.exists(self.path, watch=True)
-            if stat is None:
-                return
-            yield AnyOf(
-                self.env,
-                [
-                    self.client.wait_watch(self.path),
-                    self.env.timeout(poll_timeout_ms),
-                ],
-            )
-
-
-class DoubleBarrier:
-    """Enter/leave barrier: computation starts when ``count`` members have
-    entered and finishes when all have left (the classic ZK recipe)."""
-
-    def __init__(
-        self,
-        env: Environment,
-        client: ZkClient,
-        root: str,
-        member: str,
-        count: int,
-    ):
-        if count < 1:
-            raise ValueError("count must be positive")
-        self.env = env
-        self.client = client
-        self.root = root
-        self.member = member
-        self.count = count
-
-    def _member_path(self) -> str:
-        return f"{self.root}/{self.member}"
-
-    def enter(self, poll_timeout_ms: float = 5000.0):
-        """Generator: register and wait until ``count`` members entered."""
-        try:
-            yield self.client.create(self.root, b"")
-        except NodeExistsError:
-            pass
-        yield self.client.create(self._member_path(), b"", ephemeral=True)
-        while True:
-            children = yield self.client.get_children(self.root, watch=True)
-            if len(children) >= self.count:
-                return
-            yield AnyOf(
-                self.env,
-                [
-                    self.client.wait_watch(self.root),
-                    self.env.timeout(poll_timeout_ms),
-                ],
-            )
-
-    def leave(self, poll_timeout_ms: float = 5000.0):
-        """Generator: deregister and wait until everyone has left."""
-        try:
-            yield self.client.delete(self._member_path())
-        except NoNodeError:
-            pass
-        while True:
-            children = yield self.client.get_children(self.root, watch=True)
-            if not children:
-                return
-            yield AnyOf(
-                self.env,
-                [
-                    self.client.wait_watch(self.root),
-                    self.env.timeout(poll_timeout_ms),
-                ],
-            )
-
-
-class DistributedQueue:
-    """FIFO queue over sequential znodes (§III-B: queues need sequential
-    ephemeral/persistent znodes, so the whole queue shares one WanKeeper
-    bulk token and migrates between sites as a unit)."""
-
-    def __init__(self, env: Environment, client: ZkClient, root: str):
-        self.env = env
-        self.client = client
-        self.root = root
-
-    def put(self, payload: bytes):
-        """Generator: enqueue ``payload``; returns the item's znode path."""
-        try:
-            yield self.client.create(self.root, b"")
-        except NodeExistsError:
-            pass
-        path = yield self.client.create(
-            f"{self.root}/item-", payload, sequential=True
-        )
-        return path
-
-    def take(self, poll_timeout_ms: float = 5000.0):
-        """Generator: dequeue the oldest item (blocks until available)."""
-        while True:
-            children = yield self.client.get_children(self.root, watch=True)
-            items = sorted(c for c in children if c.startswith("item-"))
-            for name in items:
-                path = f"{self.root}/{name}"
-                try:
-                    data, _stat = yield self.client.get_data(path)
-                    yield self.client.delete(path)
-                    return data
-                except NoNodeError:
-                    continue  # another consumer won the race
-            yield AnyOf(
-                self.env,
-                [
-                    self.client.wait_watch(self.root),
-                    self.env.timeout(poll_timeout_ms),
-                ],
-            )
-
-    def size(self):
-        """Generator: current queue length."""
-        try:
-            children = yield self.client.get_children(self.root)
-        except NoNodeError:
-            return 0
-        return len([c for c in children if c.startswith("item-")])
-
-
-class GroupMembership:
-    """Ephemeral-znode group membership with liveness semantics."""
-
-    def __init__(self, env: Environment, client: ZkClient, root: str, member: str):
-        self.env = env
-        self.client = client
-        self.root = root
-        self.member = member
-
-    def join(self, metadata: bytes = b""):
-        """Generator: join the group (ephemeral: leaves on session end)."""
-        try:
-            yield self.client.create(self.root, b"")
-        except NodeExistsError:
-            pass
-        yield self.client.create(
-            f"{self.root}/{self.member}", metadata, ephemeral=True
-        )
-
-    def leave(self):
-        """Generator: leave the group explicitly."""
-        try:
-            yield self.client.delete(f"{self.root}/{self.member}")
-        except NoNodeError:
-            pass
-
-    def members(self, watch: bool = False):
-        """Generator: current live members."""
-        try:
-            children = yield self.client.get_children(self.root, watch=watch)
-        except NoNodeError:
-            return []
-        return sorted(children)
-
-
-class ServiceDiscovery:
-    """Service registry: instances register ephemeral endpoint znodes."""
-
-    def __init__(self, env: Environment, client: ZkClient, root: str = "/services"):
-        self.env = env
-        self.client = client
-        self.root = root
-
-    def register(self, service: str, instance: str, endpoint: bytes):
-        """Generator: advertise an instance of ``service``."""
-        for path in (self.root, f"{self.root}/{service}"):
-            try:
-                yield self.client.create(path, b"")
-            except NodeExistsError:
-                pass
-        yield self.client.create(
-            f"{self.root}/{service}/{instance}", endpoint, ephemeral=True
-        )
-
-    def deregister(self, service: str, instance: str):
-        """Generator: withdraw an instance."""
-        try:
-            yield self.client.delete(f"{self.root}/{service}/{instance}")
-        except NoNodeError:
-            pass
-
-    def instances(self, service: str, watch: bool = False):
-        """Generator: live ``(instance, endpoint)`` pairs for a service."""
-        try:
-            names = yield self.client.get_children(
-                f"{self.root}/{service}", watch=watch
-            )
-        except NoNodeError:
-            return []
-        result = []
-        for name in sorted(names):
-            try:
-                data, _stat = yield self.client.get_data(
-                    f"{self.root}/{service}/{name}"
-                )
-                result.append((name, data))
-            except NoNodeError:
-                continue
-        return result

@@ -10,8 +10,7 @@ EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
 EXAMPLES = [
     "quickstart.py",
-    "geo_locks_and_elections.py",
-    "wan_filesystem_metadata.py",
+    "geo_fair_lock.py",
     "geo_replicated_log.py",
     "token_observatory.py",
     "operating_wankeeper.py",
@@ -48,7 +47,6 @@ def test_token_observatory_prints_the_timeline(capsys):
 
 
 def test_locks_example_mutual_exclusion_narrative(capsys):
-    run_example("geo_locks_and_elections.py")
+    run_example("geo_fair_lock.py")
     output = capsys.readouterr().out
     assert "acquired" in output
-    assert "took over automatically" in output

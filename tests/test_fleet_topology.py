@@ -123,40 +123,3 @@ def test_fingerprint_identical_across_hashseeds():
     b = _fingerprint_under_hashseed("4242")
     assert a == b
 
-
-def _executor_mismatch(scenario, serial, pooled, workers):
-    """Who ran the cell, which cell, and every payload field that differs."""
-    ours, theirs = serial.payload(scenario), pooled.payload(scenario)
-    diff = {
-        name: {"jobs=1": ours.get(name), "pool": theirs.get(name)}
-        for name in sorted(set(ours) | set(theirs))
-        if ours.get(name) != theirs.get(name)
-    }
-    return (
-        f"pool worker {workers[0]} (of {workers}) disagrees with jobs=1 on "
-        f"cell {json.dumps(scenario.spec(), sort_keys=True)}:\n"
-        + json.dumps(diff, indent=1, sort_keys=True)
-    )
-
-
-def test_topology_cell_identical_across_executors():
-    from repro.runner import pool as runner_pool
-    from repro.runner.executor import execute
-    from repro.runner.scenario import Scenario
-
-    scenario = Scenario.make(
-        "fleet_topology", {"n_sites": 20, "seed": 42}, suite="fleet"
-    )
-    serial = execute([scenario], jobs=1)
-    pooled = execute([scenario], jobs=2)
-    # A dead or timed-out worker must name itself (kind, exit code, spec),
-    # not surface as a KeyError on the missing digest.
-    serial.raise_on_failure()
-    pooled.raise_on_failure()
-    # One cell, two idle workers: the first leased worker ran it.
-    pool = runner_pool._ACTIVE
-    workers = [(w.proc.name, w.proc.pid) for w in pool.workers]
-    assert serial.payload(scenario) == pooled.payload(scenario), (
-        _executor_mismatch(scenario, serial, pooled, workers)
-    )
-    assert serial.payload(scenario)["pairs"] == 20 * 19 // 2

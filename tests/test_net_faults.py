@@ -13,7 +13,6 @@ from repro.net import (
     Site,
     wan_topology,
 )
-from repro.observability import MessageStats
 from repro.sim import Environment, seeded_rng
 
 
@@ -162,44 +161,42 @@ def test_clean_links_draw_no_randomness():
 def test_message_stats_reports_drop_reasons_and_duplicates():
     env, topo, net = make_net()
     src, dst, inbox = endpoints(topo, net)
-    stats = MessageStats.attach(net)
     net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(loss=1.0))
     net.send(src, dst, "lost")
     net.restore_all()
     net.crash(dst)
     net.send(src, dst, "to-crashed")
-    assert stats.drops_by_reason() == {"loss": 1, "crash": 1}
-    report = stats.report()
-    assert "dropped: 2" in report
-    assert "loss=1" in report and "crash=1" in report
-    assert "duplicated: 0" in report
+    net.restart(dst)
+    net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(duplicate=1.0))
+    net.send(src, dst, "twice")
+    assert net.drops_by_reason == {"loss": 1, "crash": 1}
+    assert net.messages_dropped == 2
+    assert net.messages_duplicated == 1
+    assert net.messages_sent == 3
 
 
-def test_message_stats_attached_mid_run_reports_deltas_only():
-    """Regression: a stats window opened mid-run must not claim drops or
-    duplicates that happened before ``attach()``."""
+def test_network_counters_accumulate_across_fault_windows():
+    """The counters never reset: a window's drops and duplicates are the
+    difference of two readings, and the earlier window's stay counted."""
     env, topo, net = make_net()
     src, dst, inbox = endpoints(topo, net)
     net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(loss=1.0))
     for _ in range(3):
-        net.send(src, dst, "pre-attach-loss")
+        net.send(src, dst, "pre-window-loss")
     net.restore_all()
     net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(duplicate=1.0))
-    net.send(src, dst, "pre-attach-dup")
+    net.send(src, dst, "pre-window-dup")
     net.restore_all()
-    assert net.drops_by_reason["loss"] == 3
+    assert net.drops_by_reason == {"loss": 3}
     assert net.messages_duplicated == 1
 
-    stats = MessageStats.attach(net)
-    assert stats.drops_by_reason() == {}
-    assert stats.messages_duplicated() == 0
-    assert "dropped: 0" in stats.report()
-    assert "duplicated: 0" in stats.report()
-
+    drops_before = net.drops_by_reason.copy()
+    duplicated_before = net.messages_duplicated
     net.degrade(VIRGINIA, CALIFORNIA, LinkProfile(loss=1.0))
-    net.send(src, dst, "post-attach-loss")
-    assert stats.drops_by_reason() == {"loss": 1}
-    assert "dropped: 1 (loss=1)" in stats.report()
+    net.send(src, dst, "in-window-loss")
+    assert net.drops_by_reason - drops_before == {"loss": 1}
+    assert net.messages_duplicated - duplicated_before == 0
+    assert net.drops_by_reason == {"loss": 4}
 
 
 # -- a typo'd site name is an error, not a fault that matches nothing ----------------

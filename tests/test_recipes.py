@@ -1,8 +1,8 @@
-"""Tests for the coordination recipes (locks, leader election)."""
+"""Tests for the coordination recipes (the exclusive and the fair lock)."""
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.wankeeper import build_wankeeper_deployment
-from repro.zk.recipes import DistributedLock, FairLock, LeaderElector
+from repro.zk.recipes import DistributedLock, FairLock
 
 from tests.support import fresh_world, plain_zk, run_app
 
@@ -98,57 +98,3 @@ def test_fair_lock_works_across_wan_sites_with_wankeeper():
     run_app(env, app())
     assert sorted(grants) == ["ca1", "ca2", "fr1"]
 
-
-def test_leader_election_single_winner_and_failover():
-    env, topo, net = fresh_world()
-    deployment = plain_zk(env, net, topo)
-    clients = [deployment.client(VIRGINIA) for _ in range(3)]
-    electors = [
-        LeaderElector(env, client, "/election") for client in clients
-    ]
-    events = []
-
-    def candidate(index):
-        client, elector = clients[index], electors[index]
-        yield client.connect()
-        yield env.process(elector.join())
-        yield env.process(elector.await_leadership())
-        events.append((index, env.now))
-
-    def app():
-        procs = [env.process(candidate(i)) for i in range(3)]
-        # First joiner wins quickly.
-        yield procs[0]
-        assert electors[0].is_leader
-        # Leader resigns; next in line takes over.
-        yield env.process(electors[0].resign())
-        yield procs[1]
-        assert electors[1].is_leader
-        yield env.process(electors[1].resign())
-        yield procs[2]
-        return [index for index, _t in events]
-
-    order = run_app(env, app())
-    assert order == [0, 1, 2]
-
-
-def test_leader_election_failover_on_session_close():
-    env, topo, net = fresh_world()
-    deployment = plain_zk(env, net, topo)
-    a = deployment.client(VIRGINIA)
-    b = deployment.client(VIRGINIA)
-    elector_a = LeaderElector(env, a, "/el2")
-    elector_b = LeaderElector(env, b, "/el2")
-
-    def app():
-        yield a.connect()
-        yield b.connect()
-        yield env.process(elector_a.join())
-        yield env.process(elector_a.await_leadership())
-        yield env.process(elector_b.join())
-        # a's session dies; its ephemeral candidate node disappears.
-        yield a.close()
-        yield env.process(elector_b.await_leadership())
-        return elector_b.is_leader
-
-    assert run_app(env, app())

@@ -1,6 +1,6 @@
 """The structured trace layer: ring buffer, JSONL roundtrip, divergence."""
 
-from repro.net import VIRGINIA
+from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.trace import (
     TraceBuffer,
     first_divergence,
@@ -8,6 +8,7 @@ from repro.trace import (
     load_jsonl,
     render_event,
 )
+from repro.wankeeper import build_wankeeper_deployment
 
 from tests.support import fresh_world, plain_zk, run_app
 
@@ -131,3 +132,81 @@ def test_net_drop_and_fault_transitions_traced():
     assert ("net", "crash") in cats_kinds
     assert ("net", "restart") in cats_kinds
     assert ("net", "drop") in cats_kinds
+
+
+def _token_moves(trace, server):
+    """``(time, key, owner)`` for each ``token-grant`` / ``token-accept``
+    event ``server`` emitted; owner ``None`` is a return to the hub."""
+    moves = []
+    for _seq, t, cat, kind, node, detail in trace.events():
+        if cat != "wan" or node != server.name:
+            continue
+        if kind == "token-grant":
+            moves.append((t, detail["key"], detail["site"]))
+        elif kind == "token-accept":
+            moves.extend((t, key, None) for key in detail["keys"])
+    return moves
+
+
+def _traced_wankeeper():
+    env, topo, net = fresh_world()
+    deployment = build_wankeeper_deployment(env, net, topo)
+    trace = install_trace(deployment)
+    deployment.start()
+    deployment.stabilize()
+    return env, deployment, trace
+
+
+def test_token_events_record_migration_and_return():
+    env, deployment, trace = _traced_wankeeper()
+    ca = deployment.client(CALIFORNIA)
+    fr = deployment.client(FRANKFURT)
+
+    def app():
+        yield ca.connect()
+        yield fr.connect()
+        yield ca.create("/t", b"")
+        yield ca.set_data("/t", b"1")   # grant to CA
+        yield env.timeout(300.0)
+        yield fr.set_data("/t", b"2")   # recall to hub
+        yield env.timeout(2000.0)
+        return True
+
+    run_app(env, app())
+    moves = [move for move in _token_moves(trace, deployment.hub_leader)
+             if move[1] == "/t"]
+    owners = [owner for _t, _k, owner in moves]
+    assert owners[0] == CALIFORNIA
+    assert None in owners  # returned to the hub after the recall
+    times = [t for t, _k, _o in moves]
+    assert times == sorted(times)
+
+
+def test_the_replicas_of_a_site_emit_the_same_token_events():
+    """Each replica emits the grants and returns it applies, so in a
+    fault-free run the three replicas of a site list the same movements
+    (the times differ by when each applied)."""
+    env, deployment, trace = _traced_wankeeper()
+    ca = deployment.client(CALIFORNIA)
+    fr = deployment.client(FRANKFURT)
+
+    def app():
+        yield ca.connect()
+        yield fr.connect()
+        yield ca.create("/s", b"")
+        for _round in range(2):
+            yield ca.set_data("/s", b"ca")
+            yield fr.set_data("/s", b"fr")
+        yield env.timeout(2000.0)
+        return True
+
+    run_app(env, app())
+    for site in (VIRGINIA, CALIFORNIA, FRANKFURT):
+        replicas = deployment.by_site[site]
+        assert len(replicas) == 3
+        moves = [
+            [(key, owner) for _t, key, owner in _token_moves(trace, server)]
+            for server in replicas
+        ]
+        assert moves[0], site
+        assert moves[1:] == [moves[0], moves[0]], site

@@ -245,18 +245,6 @@ def test_deployment_client_custom_name():
     assert client.name == "my-app"
 
 
-# -- observability edge --------------------------------------------------------
-
-
-def test_message_stats_empty():
-    from repro.observability import MessageStats
-
-    stats = MessageStats()
-    assert stats.total == 0
-    assert stats.wan_fraction() == 0.0
-    assert "messages: 0" in stats.report()
-
-
 # -- wankeeper token edge cases --------------------------------------------------
 
 

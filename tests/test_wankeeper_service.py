@@ -256,6 +256,33 @@ def test_sequential_creates_from_two_sites_are_globally_ordered():
     assert len(set(names)) == 6
 
 
+def test_a_site_deletes_the_sequential_children_another_site_created():
+    """The children's bulk token (§III-B) moves with the deletes: Frankfurt
+    lists California's sequential items in order and removes each."""
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo)
+    ca = deployment.client(CALIFORNIA)
+    fr = deployment.client(FRANKFURT)
+
+    def app():
+        yield ca.connect()
+        yield fr.connect()
+        yield ca.create("/jobs")
+        for index in range(3):
+            yield ca.create("/jobs/item-", b"ca-%d" % index, sequential=True)
+        yield env.timeout(2000.0)
+        taken = []
+        for name in sorted((yield fr.get_children("/jobs"))):
+            data, _stat = yield fr.get_data(f"/jobs/{name}")
+            yield fr.delete(f"/jobs/{name}")
+            taken.append(data)
+        yield env.timeout(2000.0)
+        left = yield ca.get_children("/jobs")
+        return taken, left
+
+    assert run_app(env, app()) == ([b"ca-0", b"ca-1", b"ca-2"], [])
+
+
 def test_ephemeral_lifecycle_across_sites():
     env, topo, net = fresh_world()
     deployment = wankeeper(env, net, topo)
