@@ -50,7 +50,6 @@ def build_world(
     initial_tokens: Optional[Dict[str, str]] = None,
     policy_factory: Callable = ConsecutiveAccessPolicy,
     read_mode: str = "local",
-    processing_delay_ms: float = 0.02,
 ) -> World:
     """Build one of the paper's deployments on a fresh simulation."""
     if system not in SYSTEMS:
@@ -66,7 +65,6 @@ def build_world(
             topology,
             leader_site=VIRGINIA,
             voting_sites=(VIRGINIA, CALIFORNIA, FRANKFURT),
-            processing_delay_ms=processing_delay_ms,
         )
     elif system == "zk_observer":
         deployment = build_zk_deployment(
@@ -75,7 +73,6 @@ def build_world(
             topology,
             leader_site=VIRGINIA,
             observer_sites=(CALIFORNIA, FRANKFURT),
-            processing_delay_ms=processing_delay_ms,
         )
     elif system == "wpaxos":
         # Same node budget as WanKeeper (three voters per site), one flat
@@ -88,7 +85,6 @@ def build_world(
             topology,
             leader_site=VIRGINIA,
             voting_sites=(VIRGINIA,) * 3 + (CALIFORNIA,) * 3 + (FRANKFURT,) * 3,
-            processing_delay_ms=processing_delay_ms,
             substrate="wpaxos",
         )
     else:
@@ -100,7 +96,6 @@ def build_world(
             initial_tokens=initial_tokens if system == "wk_hot" else None,
             policy_factory=policy_factory,
             read_mode=read_mode,
-            processing_delay_ms=processing_delay_ms,
         )
     deployment.start()
     deployment.stabilize()

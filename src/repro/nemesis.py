@@ -85,8 +85,9 @@ class NemesisConfig:
 
 
 class Nemesis:
-    """Injects faults into a WanKeeper (or ZK) deployment, drawing one
-    schedule entry per interval."""
+    """Injects faults into a deployment of any stack
+    (:class:`~repro.zk.deployment.Deployment`), drawing one schedule entry
+    per interval."""
 
     #: Schedule entry kinds understood by :meth:`_apply_entry`.
     KINDS = (
@@ -294,16 +295,10 @@ class Nemesis:
         self._log("restore", f"{site_a}~{site_b}")
 
     def _sites(self) -> List[str]:
-        by_site = getattr(self.deployment, "by_site", None)
-        if by_site is not None:
-            return sorted(by_site)
-        return sorted({server.site for server in self.deployment.servers})
+        return sorted(self.deployment.by_site)
 
     def _servers_in(self, site: str) -> List[Any]:
-        by_site = getattr(self.deployment, "by_site", None)
-        if by_site is not None:
-            return by_site[site]
-        return [s for s in self.deployment.servers if s.site == site]
+        return self.deployment.by_site[site]
 
     # ------------------------------------------------------------- executor
     #

@@ -67,7 +67,7 @@ def run_soak(
     pace_ms: Tuple[float, float], settle_ms: float, quiesce_ms: float,
     horizon_ms: float,
 ) -> SoakRun:
-    """Run the soak on a started, stabilized ``deployment``.
+    """Run the soak on a started, stabilized ``deployment`` of any stack.
 
     ``actors`` is one ``(site, rng)`` pair per actor; the setup client
     creating the keys and their parent sits at the first actor's site. An
@@ -166,13 +166,10 @@ def run_soak(
     except InvariantViolation as exc:
         run.violation = exc
         return run
-    run.converged = len(set(deployment.content_fingerprints().values())) == 1
-    owners = {}
-    for site in deployment.by_site:
-        leader = deployment.site_leader(site)
-        for key in leader.site_tokens.owned if leader is not None else ():
-            owners.setdefault(key, []).append(site)
-    run.token_conflicts = sorted(k for k, held in owners.items() if len(held) > 1)
+    run.converged = len(set(deployment.tree_fingerprints().values())) == 1
+    run.token_conflicts = sorted(
+        key for key, held in deployment.token_owners().items() if len(held) > 1
+    )
     # Each checkable key's writes plus one final read of the value the
     # replicas converged on must admit a legal total order.
     tree = deployment.servers[0].tree

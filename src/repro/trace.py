@@ -186,9 +186,9 @@ def _strip_seq(event: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 def install_trace(deployment, trace: Optional[TraceBuffer] = None) -> TraceBuffer:
     """Wire a trace buffer into every component of a deployment.
 
-    Works for both :class:`~repro.zk.deployment.ZkDeployment` and
-    :class:`~repro.wankeeper.deployment.WanKeeperDeployment` (anything with
-    ``env``, ``net`` and ``servers``). Returns the installed buffer.
+    Works for any :class:`~repro.zk.deployment.Deployment` (anything with
+    ``env``, ``net`` and ``servers``); wiring the installed buffer again
+    reaches servers added since. Returns the installed buffer.
     """
     if trace is None:
         trace = TraceBuffer()

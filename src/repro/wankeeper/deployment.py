@@ -8,49 +8,35 @@ and local writes whenever their site holds the tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.invariants import maybe_attach_sentinel
-from repro.net.topology import NodeAddress, Topology, VIRGINIA
+from repro.net.topology import NodeAddress, Site, Topology, VIRGINIA
 from repro.net.transport import Network
-from repro.sim.kernel import Environment, SimulationError
+from repro.sim.kernel import Environment
+from repro.trace import install_trace
 from repro.wankeeper.policy import ConsecutiveAccessPolicy, MigrationPolicy
 from repro.wankeeper.server import WanConfig, WanKeeperServer
 from repro.zab.config import EnsembleConfig
-from repro.zk.client import ZkClient
+from repro.zk.deployment import Deployment
 
 __all__ = ["WanKeeperDeployment", "build_wankeeper_deployment"]
 
 
+def _client_addrs(topology: Topology, site: str, voters: int) -> List[NodeAddress]:
+    return [topology.site(site).address(f"wk{i}") for i in range(voters)]
+
+
 @dataclass
-class WanKeeperDeployment:
+class WanKeeperDeployment(Deployment):
     """A running WanKeeper system: one ensemble per site."""
 
-    env: Environment
-    net: Network
-    topology: Topology
     wan: WanConfig
-    servers: List[WanKeeperServer]
-    by_site: Dict[str, List[WanKeeperServer]]
-    sentinel: Optional[object] = None
-    _clients: List[ZkClient] = field(default_factory=list)
-    _client_counter: int = 0
-
-    def start(self) -> None:
-        for server in self.servers:
-            server.start()
-
-    def stabilize(self, max_ms: float = 60000.0) -> None:
-        """Run until every site has a leader and knows the level-2 broker."""
-        deadline = self.env.now + max_ms
-        while self.env.now < deadline:
-            if self._stable():
-                return
-            self.env.run(until=self.env.now + 50.0)
-        raise SimulationError("WanKeeper deployment failed to stabilize")
 
     def _stable(self) -> bool:
+        """Every site has a leader, and every site but the hub's knows the
+        level-2 broker."""
         for site, servers in self.by_site.items():
             leader = next((s for s in servers if s.is_leader), None)
             if leader is None:
@@ -58,12 +44,6 @@ class WanKeeperDeployment:
             if site != self.wan.l2_site and leader._l2_addr is None:
                 return False
         return True
-
-    def site_leader(self, site: str) -> Optional[WanKeeperServer]:
-        for server in self.by_site[site]:
-            if server.is_leader:
-                return server
-        return None
 
     @property
     def current_l2_site(self) -> str:
@@ -78,34 +58,17 @@ class WanKeeperDeployment:
     def hub_leader(self) -> Optional[WanKeeperServer]:
         return self.site_leader(self.current_l2_site)
 
-    def server_at(self, site: str) -> WanKeeperServer:
-        for server in self.by_site[site]:
-            if server.is_alive:
-                return server
-        raise ValueError(f"no live server in site {site!r}")
+    def token_owners(self) -> Dict[str, List[str]]:
+        owners: Dict[str, List[str]] = {}
+        for site in self.by_site:
+            leader = self.site_leader(site)
+            for key in leader.site_tokens.owned if leader is not None else ():
+                owners.setdefault(key, []).append(site)
+        return owners
 
-    def client(
-        self,
-        site: str,
-        name: str = "",
-        session_timeout_ms: float = 6000.0,
-        request_timeout_ms: float = 10000.0,
-    ) -> ZkClient:
-        """Create a client in ``site`` bound to that site's local server."""
-        self._client_counter += 1
-        client_name = name or f"client{self._client_counter}"
-        addr = self.topology.site(site).address(f"{client_name}@{site}")
-        client = ZkClient(
-            self.env,
-            self.net,
-            addr,
-            self.server_at(site).client_addr,
-            session_timeout_ms=session_timeout_ms,
-            request_timeout_ms=request_timeout_ms,
-            name=client_name,
-        )
-        self._clients.append(client)
-        return client
+    #: The benchmark ledger reads the replicas' digests under this name;
+    #: it exists only for the ledger.
+    content_fingerprints = Deployment.tree_fingerprints
 
     def pin_token(self, key: str, site: str) -> None:
         """Admin knob (paper §I): move/pin a record's token to ``site``."""
@@ -113,6 +76,31 @@ class WanKeeperDeployment:
         if hub is None:
             raise RuntimeError("no level-2 broker available")
         hub.assign_token(key, site)
+
+    def _add_ensemble(
+        self, site: str, voters: int, processing_delay_ms: float
+    ) -> List[WanKeeperServer]:
+        """Build ``site``'s ensemble of ``voters`` servers."""
+        zab_addrs = [
+            self.topology.site(site).address(f"wk{i}.zab") for i in range(voters)
+        ]
+        client_addrs = _client_addrs(self.topology, site, voters)
+        config = EnsembleConfig(
+            voters=zab_addrs, processing_delay_ms=processing_delay_ms
+        )
+        servers = [
+            WanKeeperServer(
+                self.env, self.net, zab_addr, client_addr, config, self.wan,
+                name=f"{site}/{client_addr.name}",
+            )
+            for zab_addr, client_addr in zip(zab_addrs, client_addrs)
+        ]
+        # Visible to every server (shared WanConfig instance): promotion
+        # broadcasts and L2Promoted reach a site added after the start.
+        self.wan.site_server_addrs[site] = tuple(client_addrs)
+        self.by_site[site] = servers
+        self.servers.extend(servers)
+        return servers
 
     def add_site(
         self,
@@ -129,8 +117,6 @@ class WanKeeperDeployment:
         migrate to it under the normal policy. Note: the site does not
         join the level-2 failover electorate (founding sites only).
         """
-        from repro.net.topology import Site
-
         if site_name in self.by_site:
             raise ValueError(f"site {site_name!r} already exists")
         if site_name not in self.topology.sites:
@@ -140,49 +126,19 @@ class WanKeeperDeployment:
                 raise ValueError(f"missing latency to existing site {other!r}")
             self.topology.set_one_way(site_name, other, one_way_ms[other])
 
-        zab_addrs = [
-            self.topology.site(site_name).address(f"wk{i}.zab")
-            for i in range(voters)
-        ]
         # The new site's servers cost what the founders' do.
-        config = EnsembleConfig(
-            voters=zab_addrs,
-            processing_delay_ms=self.servers[0].config.processing_delay_ms,
+        new_servers = self._add_ensemble(
+            site_name, voters, self.servers[0].config.processing_delay_ms
         )
-        client_addrs = []
-        new_servers: List[WanKeeperServer] = []
-        for zab_addr in zab_addrs:
-            client_name = zab_addr.name.replace(".zab", "")
-            client_addr = self.topology.site(site_name).address(client_name)
-            client_addrs.append(client_addr)
-            server = WanKeeperServer(
-                self.env,
-                self.net,
-                zab_addr,
-                client_addr,
-                config,
-                self.wan,
-                name=f"{site_name}/{client_name}",
-            )
-            new_servers.append(server)
-        # Visible to every existing server (shared WanConfig instance):
-        # promotion broadcasts and L2Promoted now reach the new site.
-        self.wan.site_server_addrs[site_name] = tuple(client_addrs)
-        self.by_site[site_name] = new_servers
-        self.servers.extend(new_servers)
+        # Late-joining servers write to the installed trace, with or
+        # without a sentinel reading it.
+        if self.env.trace is not None:
+            install_trace(self, self.env.trace)
         if self.sentinel is not None:
-            # Late-joining servers watch the same trace and invariants.
-            if self.env.trace is not None:
-                for server in new_servers:
-                    server._trace = self.env.trace
-                    server.peer._trace = self.env.trace
             self.sentinel.adopt(new_servers)
         for server in new_servers:
             server.start()
         return new_servers
-
-    def content_fingerprints(self) -> Dict[str, int]:
-        return {server.name: server.tree.fingerprint() for server in self.servers}
 
 
 def build_wankeeper_deployment(
@@ -210,58 +166,19 @@ def build_wankeeper_deployment(
     sites = tuple(sites if sites is not None else topology.site_names())
     if l2_site not in sites:
         raise ValueError(f"l2 site {l2_site!r} not among sites {sites}")
-
-    hub_client_addrs: List[NodeAddress] = []
-    site_server_addrs: Dict[str, tuple] = {}
-    site_configs: Dict[str, EnsembleConfig] = {}
-    addresses: Dict[str, List] = {}
-    for site in sites:
-        voters = [
-            topology.site(site).address(f"wk{i}.zab") for i in range(voters_per_site)
-        ]
-        site_configs[site] = EnsembleConfig(
-            voters=voters, processing_delay_ms=processing_delay_ms
-        )
-        addresses[site] = voters
-        client_addrs = []
-        for voter in voters:
-            client_addr = topology.site(site).address(voter.name.replace(".zab", ""))
-            client_addrs.append(client_addr)
-            if site == l2_site:
-                hub_client_addrs.append(client_addr)
-        site_server_addrs[site] = tuple(client_addrs)
-
     wan = WanConfig(
         sites=sites,
         l2_site=l2_site,
-        hub_server_addrs=tuple(hub_client_addrs),
+        hub_server_addrs=tuple(_client_addrs(topology, l2_site, voters_per_site)),
         policy_factory=policy_factory,
         initial_tokens=dict(initial_tokens or {}),
         read_mode=read_mode,
         read_lease_ms=read_lease_ms,
         enable_l2_failover=enable_l2_failover,
-        site_server_addrs=site_server_addrs,
         substrate=substrate,
     )
-
-    servers: List[WanKeeperServer] = []
-    by_site: Dict[str, List[WanKeeperServer]] = {site: [] for site in sites}
+    deployment = WanKeeperDeployment(env, net, topology, [], wan)
     for site in sites:
-        for zab_addr in addresses[site]:
-            client_name = zab_addr.name.replace(".zab", "")
-            client_addr = topology.site(site).address(client_name)
-            server = WanKeeperServer(
-                env,
-                net,
-                zab_addr,
-                client_addr,
-                site_configs[site],
-                wan,
-                name=f"{site}/{client_name}",
-            )
-            servers.append(server)
-            by_site[site].append(server)
-
-    deployment = WanKeeperDeployment(env, net, topology, wan, servers, by_site)
+        deployment._add_ensemble(site, voters_per_site, processing_delay_ms)
     deployment.sentinel = maybe_attach_sentinel(deployment)
     return deployment

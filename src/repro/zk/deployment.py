@@ -1,6 +1,11 @@
-"""Deployment builders for the paper's ZooKeeper baselines.
+"""The deployment contract, and the builders of the paper's ZooKeeper
+baselines.
 
-Two baseline shapes from §IV-A:
+:class:`Deployment` is what every stack exposes: WanKeeper's one-ensemble-
+per-site deployment (:mod:`repro.wankeeper.deployment`) subclasses it, as
+:class:`ZkDeployment` does.
+
+The two baseline shapes from §IV-A:
 
 * **plain ZK** — one ensemble whose voters span the WAN (leader pinned to
   the designated leader site by election priority: remote writes take ~2
@@ -23,55 +28,68 @@ from repro.zab.config import EnsembleConfig
 from repro.zk.client import ZkClient
 from repro.zk.server import ZkServer
 
-__all__ = ["ZkDeployment", "build_zk_deployment"]
+__all__ = ["Deployment", "ZkDeployment", "build_zk_deployment"]
 
 #: Voters of the observer baseline, all in the leader site.
 VOTERS_IN_LEADER_SITE = 3
 
 
 @dataclass
-class ZkDeployment:
-    """A running set of coordination servers plus client factory."""
+class Deployment:
+    """A running set of coordination servers plus client factory.
+
+    The one contract the soak, the nemesis, the sentinel and the
+    experiments read, whatever the stack: ``by_site`` lists each site's
+    servers in build order, and :meth:`_stable` is what :meth:`stabilize`
+    waits for.
+    """
 
     env: Environment
     net: Network
     topology: Topology
-    config: EnsembleConfig
     servers: List[ZkServer]
-    sentinel: Optional[object] = None
-    substrate: str = "zab"
-    _clients: List[ZkClient] = field(default_factory=list)
-    _client_counter: int = 0
+    by_site: Dict[str, List[ZkServer]] = field(init=False)
+    sentinel: Optional[object] = field(default=None, init=False)
+    _client_counter: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        self.by_site = {}
+        for server in self.servers:
+            self.by_site.setdefault(server.site, []).append(server)
 
     def start(self) -> None:
         for server in self.servers:
             server.start()
 
     def stabilize(self, max_ms: float = 60000.0) -> None:
-        """Run the simulation until a leader is active."""
+        """Run the simulation until the deployment is stable."""
         deadline = self.env.now + max_ms
         while self.env.now < deadline:
-            if any(server.is_leader for server in self.servers):
+            if self._stable():
                 return
             self.env.run(until=self.env.now + 50.0)
-        raise SimulationError("no leader elected within the stabilization window")
+        raise SimulationError(
+            f"{type(self).__name__} failed to stabilize within {max_ms} ms"
+        )
 
-    @property
-    def leader(self) -> Optional[ZkServer]:
-        for server in self.servers:
+    def _stable(self) -> bool:
+        return any(server.is_leader for server in self.servers)
+
+    def site_leader(self, site: str) -> Optional[ZkServer]:
+        """The first leader among ``site``'s servers, or ``None``: a zab
+        ensemble's one leader sits in one site, while under wpaxos every
+        live voter leads."""
+        for server in self.by_site[site]:
             if server.is_leader:
                 return server
         return None
 
     def server_at(self, site: str) -> ZkServer:
-        """The (first) server in ``site`` — where local clients connect."""
-        for server in self.servers:
-            if server.site == site and server.is_alive:
+        """The first live server in ``site`` — where local clients connect."""
+        for server in self.by_site.get(site, ()):
+            if server.is_alive:
                 return server
         raise ValueError(f"no live server in site {site!r}")
-
-    def servers_at(self, site: str) -> List[ZkServer]:
-        return [server for server in self.servers if server.site == site]
 
     def client(
         self,
@@ -84,7 +102,7 @@ class ZkDeployment:
         self._client_counter += 1
         client_name = name or f"client{self._client_counter}"
         addr = self.topology.site(site).address(f"{client_name}@{site}")
-        client = ZkClient(
+        return ZkClient(
             self.env,
             self.net,
             addr,
@@ -93,12 +111,26 @@ class ZkDeployment:
             request_timeout_ms=request_timeout_ms,
             name=client_name,
         )
-        self._clients.append(client)
-        return client
 
     def tree_fingerprints(self) -> Dict[str, int]:
         """Data-tree digests per server (replica-consistency checks)."""
         return {server.name: server.tree.fingerprint() for server in self.servers}
+
+    def token_owners(self) -> Dict[str, List[str]]:
+        """Each token key -> the sites whose leaders hold it; a plain
+        ensemble has no tokens."""
+        return {}
+
+
+class ZkDeployment(Deployment):
+    """One ensemble, voters (and observers) spread over the sites."""
+
+    @property
+    def leader(self) -> Optional[ZkServer]:
+        for server in self.servers:
+            if server.is_leader:
+                return server
+        return None
 
 
 def build_zk_deployment(
@@ -108,7 +140,6 @@ def build_zk_deployment(
     leader_site: str = VIRGINIA,
     voting_sites: Optional[Sequence[str]] = None,
     observer_sites: Sequence[str] = (),
-    processing_delay_ms: float = 0.02,
     substrate: str = "zab",
 ) -> ZkDeployment:
     """Build one of the two baseline deployments.
@@ -148,11 +179,7 @@ def build_zk_deployment(
         for site in observer_sites
     ]
 
-    config = EnsembleConfig(
-        voters=voter_addrs,
-        observers=observer_addrs,
-        processing_delay_ms=processing_delay_ms,
-    )
+    config = EnsembleConfig(voters=voter_addrs, observers=observer_addrs)
 
     servers = []
     for zab_addr in voter_addrs + observer_addrs:
@@ -166,8 +193,6 @@ def build_zk_deployment(
             )
         )
 
-    deployment = ZkDeployment(
-        env, net, topology, config, servers, substrate=substrate
-    )
+    deployment = ZkDeployment(env, net, topology, servers)
     deployment.sentinel = maybe_attach_sentinel(deployment)
     return deployment

@@ -143,11 +143,9 @@ def ops_of(observed, label):
 def test_reference_client_reproduces_the_golden_histories(
     monkeypatch, system, golden
 ):
-    import repro.wankeeper.deployment
     import repro.zk.deployment
 
     monkeypatch.setattr(repro.zk.deployment, "ZkClient", ReferenceClient)
-    monkeypatch.setattr(repro.wankeeper.deployment, "ZkClient", ReferenceClient)
     assert test_perf_golden.history_digest(system) == golden
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
+from repro.trace import install_trace
 from repro.wankeeper import build_wankeeper_deployment
 from repro.zk.errors import NoNodeError
 
@@ -74,6 +75,16 @@ def test_added_site_costs_what_the_founders_do():
     deployment = wankeeper(env, net, topo, processing_delay_ms=0.5)
     added = deployment.add_site(TOKYO, TOKYO_LATENCIES)
     assert [server.config.processing_delay_ms for server in added] == [0.5] * 3
+
+
+def test_added_site_writes_to_an_installed_trace_without_a_sentinel(monkeypatch):
+    monkeypatch.setenv("REPRO_SENTINEL", "0")
+    env, topo, net = fresh_world()
+    deployment = wankeeper(env, net, topo)
+    trace = install_trace(deployment)
+    assert deployment.sentinel is None
+    added = deployment.add_site(TOKYO, TOKYO_LATENCIES)
+    assert all(s._trace is trace and s.peer._trace is trace for s in added)
 
 
 def test_add_site_validation():

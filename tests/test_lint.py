@@ -282,18 +282,14 @@ OPTION_SURFACE = {
         "max_active_partitions", "max_active_degradations",
     ),
     "build_zk_deployment": (
-        "leader_site", "voting_sites", "observer_sites",
-        "processing_delay_ms", "substrate",
+        "leader_site", "voting_sites", "observer_sites", "substrate",
     ),
     "build_wankeeper_deployment": (
         "sites", "l2_site", "voters_per_site", "policy_factory",
         "initial_tokens", "processing_delay_ms", "read_mode", "read_lease_ms",
         "enable_l2_failover", "substrate",
     ),
-    "build_world": (
-        "seed", "initial_tokens", "policy_factory", "read_mode",
-        "processing_delay_ms",
-    ),
+    "build_world": ("seed", "initial_tokens", "policy_factory", "read_mode"),
 }
 
 
@@ -325,7 +321,7 @@ def test_the_option_surface_stays_pinned():
             if param.default is not param.empty
         )
     assert found == OPTION_SURFACE
-    assert sum(map(len, OPTION_SURFACE.values())) == 56
+    assert sum(map(len, OPTION_SURFACE.values())) == 54
 
 
 def test_no_source_file_over_a_thousand_lines():

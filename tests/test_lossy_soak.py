@@ -71,7 +71,7 @@ def test_lossy_soak_invariants_hold_with_reply_cache(seed):
     assert len(checkable) >= len(KEYS) - 2, indeterminate
 
     # 1. Replica convergence.
-    fingerprints = set(deployment.content_fingerprints().values())
+    fingerprints = set(deployment.tree_fingerprints().values())
     assert len(fingerprints) == 1
 
     # 2. Token exclusivity across site leaders.

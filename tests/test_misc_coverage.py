@@ -29,7 +29,7 @@ def test_topology_set_one_way_validation():
 def test_deployment_server_at_requires_live_server():
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
-    for server in deployment.servers_at(FRANKFURT):
+    for server in deployment.by_site[FRANKFURT]:
         server.crash()
     with pytest.raises(ValueError):
         deployment.server_at(FRANKFURT)

@@ -66,7 +66,7 @@ def run_world(seed, nemesis_cls, config):
         settle_ms=0.0, quiesce_ms=20000.0, horizon_ms=3.6e6,
     )
     assert run.finished and run.violation is None
-    return nemesis, env, sorted(deployment.content_fingerprints().items())
+    return nemesis, env, sorted(deployment.tree_fingerprints().items())
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

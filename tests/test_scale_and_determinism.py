@@ -131,7 +131,7 @@ def run_deterministic_trace(seed):
         return True
 
     run_app(env, app())
-    fingerprint = sorted(set(deployment.content_fingerprints().values()))
+    fingerprint = sorted(set(deployment.tree_fingerprints().values()))
     return (
         tuple(latencies),
         tuple(fingerprint),

@@ -74,7 +74,7 @@ def test_randomized_soak_converges(seed):
     run_app(env, app(), timeout_ms=1200000.0)
 
     # 1. All replicas converge to identical content.
-    fingerprints = set(deployment.content_fingerprints().values())
+    fingerprints = set(deployment.tree_fingerprints().values())
     assert len(fingerprints) == 1
 
     # 2. Single token owner per key across site leaders.

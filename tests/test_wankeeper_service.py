@@ -198,7 +198,7 @@ def test_all_sites_converge_after_mixed_workload():
         return True
 
     run_app(env, app())
-    fingerprints = set(deployment.content_fingerprints().values())
+    fingerprints = set(deployment.tree_fingerprints().values())
     assert len(fingerprints) == 1
 
 

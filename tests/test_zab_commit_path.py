@@ -37,6 +37,9 @@ SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
 AMBIENT = LinkProfile(loss=0.02, duplicate=0.02)
 #: Message fields that carry a zxid, whatever the message.
 ZXID_FIELDS = ("zxid", "last_zxid", "last_committed", "committed_to", "truncate_to")
+#: Whose leader the lossy run crashes: the zk ensemble's one leader, which
+#: election puts in its leader site, or California's site leader.
+VICTIM_SITE = {"zk": VIRGINIA, "wk": CALIFORNIA}
 
 
 def pair(zxid):
@@ -49,6 +52,7 @@ class World:
     the two implementations must agree on recorded."""
 
     def __init__(self, system, substrate, seed, lossy):
+        self.system = system
         self.lossy = lossy
         self.env, self.topo, self.net = fresh_world(
             seed=seed, jitter=0.1 if lossy else 0.0
@@ -92,9 +96,7 @@ class World:
         server.peer.on_commit = on_commit
 
     def leader_to_crash(self):
-        if hasattr(self.deployment, "site_leader"):
-            return self.deployment.site_leader(CALIFORNIA)
-        return self.deployment.leader
+        return self.deployment.site_leader(VICTIM_SITE[self.system])
 
     def run(self, seed, ops=60):
         env = self.env
