@@ -6,9 +6,11 @@ transactions into a committed, replicated stream. Any protocol that
 honors the contract below can slot under the same ZK service, WanKeeper
 layer, fleet driver, and experiment figures.
 
-Peer contract (duck-typed; :class:`repro.zab.peer.ZabPeer` is the
-reference implementation, :class:`repro.wpaxos.peer.WPaxosPeer` the
-first alternate):
+Peer contract. :class:`repro.substrate.peer.Peer` is the base both
+backends build on (:class:`repro.zab.peer.ZabPeer`, the reference, and
+:class:`repro.wpaxos.peer.WPaxosPeer`, the first alternate); it owns the
+identity, the hooks, the lifecycle skeleton and the observability
+attachment points below, and a backend adds its protocol:
 
 * construction — ``factory(env, net, addr, config, name="")`` where
   ``config`` is an :class:`repro.zab.config.EnsembleConfig` (voters +
@@ -21,7 +23,7 @@ first alternate):
   the ``on_commit(zxid, txn)`` hook, in an order that is total per
   ordering domain (the whole ensemble for zab; one object for wpaxos);
 * leadership + epoch change — ``is_leader``, ``leader_addr``, ``state``
-  (a :class:`repro.zab.peer.PeerState`), and ``current_epoch`` (a
+  (a :class:`repro.substrate.peer.PeerState`), and ``current_epoch`` (a
   non-decreasing regime number while the peer is up);
 * observer/learner hooks — non-voting members listed in
   ``config.observers`` follow the commit stream and serve reads;
@@ -32,6 +34,9 @@ first alternate):
   WPaxos's ``ResyncSnap``). No peer replays its log from zero;
 * observability — ``sentinel`` and ``_trace`` attributes (``None`` off),
   adopted by :mod:`repro.invariants` / :mod:`repro.trace`.
+
+The service layer reads only this surface and never checks a peer's
+class, so a test-only peer that is not a :class:`Peer` still plugs in.
 
 ``single_leader`` substrates serialize all objects through one elected
 proposer; WanKeeper's broker layer (site-local leader + L2 hub) requires
@@ -64,7 +69,6 @@ class SubstrateSpec:
     #: broker layer requires this shape. Multileader substrates (WPaxos)
     #: report every live voter as a proposer.
     single_leader: bool
-    description: str = ""
 
 
 SUBSTRATES: Dict[str, SubstrateSpec] = {}
@@ -94,28 +98,24 @@ def substrate_names() -> Tuple[str, ...]:
     return tuple(sorted(SUBSTRATES))
 
 
-def _register_builtins() -> None:
+# The built-in factories import their backend on first call: each
+# backend's peer module imports repro.substrate.peer, and with it this
+# package.
+
+
+def _zab(env, net, addr, config, name: str = ""):
     from repro.zab.peer import ZabPeer
+
+    return ZabPeer(env, net, addr, config, name)
+
+
+def _wpaxos(env, net, addr, config, name: str = ""):
     from repro.wpaxos.peer import WPaxosPeer
 
-    register_substrate(
-        SubstrateSpec(
-            name="zab",
-            factory=ZabPeer,
-            single_leader=True,
-            description="Zab atomic broadcast: elected leader, "
-            "majority quorums, one total order",
-        )
-    )
-    register_substrate(
-        SubstrateSpec(
-            name="wpaxos",
-            factory=WPaxosPeer,
-            single_leader=False,
-            description="WPaxos multileader: per-object ownership, "
-            "flexible grid quorums, phase-1 ballot steals",
-        )
-    )
+    return WPaxosPeer(env, net, addr, config, name)
 
 
-_register_builtins()
+register_substrate(SubstrateSpec(name="zab", factory=_zab, single_leader=True))
+register_substrate(
+    SubstrateSpec(name="wpaxos", factory=_wpaxos, single_leader=False)
+)

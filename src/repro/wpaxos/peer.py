@@ -41,9 +41,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.net.topology import NodeAddress
 from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
-from repro.zab import peer as zab_peer
+from repro.substrate import peer as substrate
+from repro.substrate.peer import Peer, PeerState, submit_dedup_id
 from repro.zab.config import EnsembleConfig
-from repro.zab.peer import PeerState, submit_dedup_id
 from repro.zab.zxid import Zxid
 from repro.wpaxos.messages import (
     Accept,
@@ -102,8 +102,10 @@ class _P2:
         self.sent = now
 
 
-class WPaxosPeer(Resync):
+class WPaxosPeer(Resync, Peer):
     """A single WPaxos voter or observer (learner)."""
+
+    layer = "wpaxos"
 
     def __init__(
         self,
@@ -113,14 +115,7 @@ class WPaxosPeer(Resync):
         config: EnsembleConfig,
         name: str = "",
     ):
-        if not (config.is_voter(addr) or config.is_observer(addr)):
-            raise ValueError(f"{addr} is not a member of the ensemble")
-        self.env = env
-        self.net = net
-        self.addr = addr
-        self.config = config
-        self.name = name or str(addr)
-        self.is_observer = config.is_observer(addr)
+        super().__init__(env, net, addr, config, name)
 
         # Grid shape: zones are sites, columns are each zone's voters, in
         # config order (deterministic; never derived from set iteration).
@@ -159,8 +154,6 @@ class WPaxosPeer(Resync):
             ResyncRsp: self._on_resync_rsp,
             ResyncSnap: self._on_resync_snap,
         }
-        self.inbox = net.register(addr)
-        self.inbox.consume(self._on_envelope)
 
         # Durable state (survives crash/restart), and the state machine
         # above it, which holds every slot below _applied.
@@ -178,45 +171,21 @@ class WPaxosPeer(Resync):
         self._base: Dict[str, int] = {}
         # The object of every apply the window holds, oldest first.
         self._window: Deque[str] = deque()
-        self.current_epoch = 0
 
-        # Volatile state.
-        self.state = PeerState.DOWN
+        # Volatile state, with the base's submit dedup table, which maps
+        # each id to its (obj, slot): at most one slot per request.
         self._owned: Dict[str, Ballot] = {}
         self._next_slot: Dict[str, int] = {}
         self._stealing: Dict[str, _Steal] = {}
         self._queued: Dict[str, List[Any]] = {}
         self._p2: Dict[Tuple[str, int], _P2] = {}
         self._gapped: Dict[str, None] = {}
-        # submit dedup id -> (obj, slot) for at-most-one-slot per request,
-        # and the ids oldest first for FIFO eviction.
-        self._recent_submits: Dict[Tuple[Any, ...], Tuple[str, int]] = {}
-        self._submit_order: Deque[Tuple[Any, ...]] = deque()
-
-        # Hooks (substrate contract). A requester below our window gets
-        # snapshot_state(); we take a sender's with install_state(state).
-        self.on_commit = None
-        self.snapshot_state = None
-        self.install_state = None
-        self.on_submit = None
-        self.on_state_change = None
-        self.on_leader_activated = None
 
         # Metrics.
-        self.commits_delivered = 0
         self.steals_started = 0
         self.steals_won = 0
         self.steals_rejected = 0
-        self.proposals_retransmitted = 0
-        self.duplicate_submits_dropped = 0
         self.snapshots_installed = 0
-
-        # Observability; None keeps every instrumentation point a no-op.
-        self._trace = None
-        self.sentinel = None
-
-        self._alive = False
-        self._ticker: Optional[Ticker] = None
 
     # ------------------------------------------------------------------ API
 
@@ -242,19 +211,16 @@ class WPaxosPeer(Resync):
     def last_zxid(self) -> Zxid:
         return Zxid(self.current_epoch, self.commits_delivered)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._alive
-
-    def start(self) -> None:
-        if self._alive:
-            raise RuntimeError(f"{self.name} already started")
-        self._alive = True
-        if self.current_epoch == 0:
+    def _resume(self, restarted: bool) -> None:
+        if self.current_epoch == 0:  # the first start
             self.current_epoch = 1
         self._set_state(
             PeerState.OBSERVING if self.is_observer else PeerState.LEADING
         )
+        if restarted:
+            # The state machine still holds every slot below the applied
+            # points: anti-entropy the committed suffix from the others.
+            self._send_resync_request()
         self._ticker = Ticker(
             self.env, self.config.heartbeat_interval_ms, self._on_tick
         )
@@ -262,39 +228,17 @@ class WPaxosPeer(Resync):
             self.on_leader_activated(self)
 
     def crash(self) -> None:
-        if not self._alive:
-            return
-        self._alive = False
-        self._set_state(PeerState.DOWN)
-        self.net.crash(self.addr)
-        # Volatile: ownership, steals, in-flight phase-2, queues.
-        self._owned = {}
-        self._next_slot = {}
-        self._stealing = {}
-        self._queued = {}
-        self._p2 = {}
-        self._gapped = {}
-        self._recent_submits = {}
-        self._submit_order = deque()
-        self._ticker.stop()
-
-    def restart(self) -> None:
-        """Rejoin after a crash: the state machine still holds every slot
-        below the applied points, so delivery resumes there; anti-entropy
-        the committed suffix from the other members."""
         if self._alive:
-            raise RuntimeError(f"{self.name} is running")
-        self.net.restart(self.addr)
-        self._alive = True
-        self._set_state(
-            PeerState.OBSERVING if self.is_observer else PeerState.LEADING
-        )
-        self._send_resync_request()
-        self._ticker = Ticker(
-            self.env, self.config.heartbeat_interval_ms, self._on_tick
-        )
-        if self.on_leader_activated is not None and not self.is_observer:
-            self.on_leader_activated(self)
+            # Volatile: ownership, steals, in-flight phase-2, queues.
+            self._owned = {}
+            self._next_slot = {}
+            self._stealing = {}
+            self._queued = {}
+            self._p2 = {}
+            self._gapped = {}
+            self._recent_submits = {}
+            self._submit_order = deque()
+        super().crash()
 
     def submit(self, txn: Any) -> Zxid:
         """Proposer entry point: commit ``txn`` in its object's log.
@@ -320,11 +264,11 @@ class WPaxosPeer(Resync):
         if obj in self._owned:
             slot = self._propose(obj, txn)
             if dedup is not None:
-                self._note_submit(dedup, obj, slot)
+                self._remember_submit(dedup, (obj, slot))
             return Zxid(self._owned[obj][0], slot)
         self._queued.setdefault(obj, []).append(txn)
         if dedup is not None:
-            self._note_submit(dedup, obj, -1)
+            self._remember_submit(dedup, (obj, -1))
         self._ensure_steal(obj)
         return Zxid.ZERO
 
@@ -342,22 +286,6 @@ class WPaxosPeer(Resync):
         if local:
             return local[0]
         return self.config.voters[0] if self.config.voters else None
-
-    def _send(self, dst: NodeAddress, body: Any) -> None:
-        if not self._alive:
-            return
-        self.net.send(self.addr, dst, body)
-
-    def _set_state(self, state: PeerState) -> None:
-        if state == self.state:
-            return
-        self.state = state
-        if self._trace is not None:
-            self._trace.emit(self.env.now, "wpaxos", "state", self.name,
-                             {"state": state.value,
-                              "epoch": self.current_epoch})
-        if self.on_state_change is not None:
-            self.on_state_change(self)
 
     def _on_envelope(self, msg: Message) -> None:
         # One hop to the handler; a crashed peer consumes and ignores.
@@ -380,15 +308,6 @@ class WPaxosPeer(Resync):
             if sub_path is not None:
                 return sub_path
         return META_OBJECT
-
-    def _note_submit(self, dedup: Tuple[Any, ...], obj: str, slot: int) -> None:
-        recent = self._recent_submits
-        if dedup not in recent:
-            order = self._submit_order
-            order.append(dedup)
-            if len(order) > zab_peer.SUBMIT_DEDUP_LIMIT:
-                del recent[order.popleft()]
-        recent[dedup] = (obj, slot)
 
     def _bump_epoch(self, n: int) -> None:
         if n > self.current_epoch:
@@ -574,7 +493,7 @@ class WPaxosPeer(Resync):
             slot = self._propose(obj, txn)
             dedup = submit_dedup_id(txn)
             if dedup is not None:
-                self._note_submit(dedup, obj, slot)
+                self._remember_submit(dedup, (obj, slot))
 
     # ------------------------------------------------------------ phase two
 
@@ -722,8 +641,8 @@ class WPaxosPeer(Resync):
         self._window.append(obj)
         self._applied[obj] = slot + 1
         self._gapped.pop(obj, None)
-        if len(self._window) > 2 * zab_peer.DIFF_WINDOW:
-            self._compact(len(self._window) - zab_peer.DIFF_WINDOW)
+        if len(self._window) > 2 * substrate.DIFF_WINDOW:
+            self._compact(len(self._window) - substrate.DIFF_WINDOW)
 
     def _apply_ready(self, obj: str) -> None:
         """Deliver the contiguous chosen prefix of one object."""
@@ -745,8 +664,8 @@ class WPaxosPeer(Resync):
             next_slot += 1
         self._applied[obj] = next_slot
         self._gapped.pop(obj, None)
-        if len(window) > 2 * zab_peer.DIFF_WINDOW:
-            self._compact(len(window) - zab_peer.DIFF_WINDOW)
+        if len(window) > 2 * substrate.DIFF_WINDOW:
+            self._compact(len(window) - substrate.DIFF_WINDOW)
 
     # ---------------------------------------------------------------- forward
 

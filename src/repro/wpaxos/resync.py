@@ -11,9 +11,9 @@ points (``ResyncRsp``), or, to a requester below its window, with its
 state (``ResyncSnap``, the sender's ``snapshot_state()``), which the
 requester takes with ``install_state`` only if the sender is at or above
 it on every object. The chosen log is a window: after each apply a peer
-keeps the entries of its last :data:`repro.zab.peer.DIFF_WINDOW` applies,
-plus each object's newest applied entry (a thief learns from it where the
-object's log ends).
+keeps the entries of its last :data:`repro.substrate.peer.DIFF_WINDOW`
+applies, plus each object's newest applied entry (a thief learns from it
+where the object's log ends).
 
 :class:`Resync` is a mixin of :class:`repro.wpaxos.peer.WPaxosPeer`; it
 reads and writes the peer's chosen log (``_chosen``, ``_applied``,

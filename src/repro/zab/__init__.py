@@ -22,13 +22,12 @@ path to implement token checks.
 
 from repro.zab.config import EnsembleConfig
 from repro.zab.log import LogEntry, TxnLog
-from repro.zab.peer import PeerState, ZabPeer
+from repro.zab.peer import ZabPeer
 from repro.zab.zxid import Zxid
 
 __all__ = [
     "EnsembleConfig",
     "LogEntry",
-    "PeerState",
     "TxnLog",
     "ZabPeer",
     "Zxid",

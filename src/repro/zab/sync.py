@@ -14,10 +14,10 @@ writes the peer's election, epoch and log state and calls back into its
 
 from __future__ import annotations
 
-import enum
 from typing import Any, List
 
 from repro.net.topology import NodeAddress
+from repro.substrate.peer import PeerState
 from repro.zab.messages import (
     AckEpoch,
     AckNewLeader,
@@ -36,15 +36,7 @@ from repro.zab.messages import (
 )
 from repro.zab.zxid import Zxid
 
-__all__ = ["PeerState", "Sync"]
-
-
-class PeerState(str, enum.Enum):
-    LOOKING = "looking"
-    FOLLOWING = "following"
-    LEADING = "leading"
-    OBSERVING = "observing"
-    DOWN = "down"
+__all__ = ["Sync"]
 
 
 class Sync:

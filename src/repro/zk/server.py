@@ -28,8 +28,8 @@ from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
 from repro.sim.store import StoreClosed
 from repro.substrate import create_peer
+from repro.substrate.peer import PeerState
 from repro.zab.config import EnsembleConfig
-from repro.zab.peer import PeerState
 from repro.zab.zxid import Zxid
 from repro.zk.data_tree import ApplyOutcome, DataTree
 from repro.zk.ops import (

@@ -38,12 +38,13 @@ from typing import List
 from repro.net.topology import NodeAddress
 from repro.sim.kernel import Ticker
 from repro.substrate import SubstrateSpec, register_substrate
+from repro.substrate.peer import PeerState
 from repro.wankeeper.server import WanKeeperServer
 from repro.wpaxos.messages import Prepare, Promise, Reject, ResyncReq, ResyncRsp
 from repro.wpaxos.peer import ZERO_BALLOT, WPaxosPeer
 from repro.zab.log import LogEntry
 from repro.zab.messages import Diff, NewLeader, Trunc
-from repro.zab.peer import PeerState, ZabPeer
+from repro.zab.peer import ZabPeer
 from repro.zab.zxid import Zxid
 from repro.zk.data_tree import DataTree
 
@@ -287,19 +288,11 @@ class ReplayWPaxosPeer(ReplayWPaxosFromZero, WPaxosPeer):
 
 def register() -> None:
     register_substrate(
-        SubstrateSpec(
-            "zab-replay", ReplayZabPeer, single_leader=True,
-            description="test oracle: Zab with replay-from-zero restart "
-            "and whole-log SNAP",
-        )
+        SubstrateSpec("zab-replay", ReplayZabPeer, single_leader=True)
     )
 
 
 def register_wpaxos() -> None:
     register_substrate(
-        SubstrateSpec(
-            "wpaxos-replay", ReplayWPaxosPeer, single_leader=False,
-            description="test oracle: WPaxos with replay-from-zero restart "
-            "and a chosen log that keeps every slot",
-        )
+        SubstrateSpec("wpaxos-replay", ReplayWPaxosPeer, single_leader=False)
     )

@@ -36,6 +36,7 @@ from repro.net.topology import NodeAddress
 from repro.net.transport import Network
 from repro.sim.kernel import Environment, Interrupt
 from repro.substrate import SubstrateSpec, register_substrate
+from repro.substrate.peer import SUBMIT_DEDUP_LIMIT, PeerState, submit_dedup_id
 from repro.zab.config import EnsembleConfig
 from repro.zab.messages import (
     Ack,
@@ -56,7 +57,6 @@ from repro.zab.messages import (
     Vote,
     VoteNotification,
 )
-from repro.zab.peer import SUBMIT_DEDUP_LIMIT, PeerState, submit_dedup_id
 
 from tests.reference_replay import forget_applied, reset_server_above
 
@@ -1090,11 +1090,5 @@ class ZabPeer:
 def register() -> None:
     """Register this peer as substrate ``"zab-reference"``."""
     register_substrate(
-        SubstrateSpec(
-            name="zab-reference",
-            factory=ZabPeer,
-            single_leader=True,
-            description="the pre-PR-18 Zab peer, log and zxid "
-            "(test-only differential oracle)",
-        )
+        SubstrateSpec(name="zab-reference", factory=ZabPeer, single_leader=True)
     )

@@ -25,7 +25,7 @@ from repro.wankeeper import build_wankeeper_deployment
 from repro.wankeeper import deployment as wk_deployment
 from repro.wankeeper.tokens import token_keys
 from repro.wpaxos.messages import ResyncSnap
-from repro.zab import peer as zab_peer
+from repro.substrate import peer as substrate_peer
 from repro.zab.messages import Snap
 from repro.zk import ConnectionLossError, SessionExpiredError
 from repro.zk import deployment as zk_deployment
@@ -271,7 +271,7 @@ def _lockstep(product, reference, until, cursors):
 def test_one_table_matches_the_two_it_replaced(stack, faulty, monkeypatch):
     seed = 61
     if faulty:
-        monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
+        monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 2)
     product = World(stack, reference=False, seed=seed, faulty=faulty)
     reference = World(stack, reference=True, seed=seed, faulty=faulty)
     twins = (product, reference)

@@ -22,9 +22,10 @@ import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.wankeeper import build_wankeeper_deployment
-from repro.zab import peer as zab_peer
-from repro.zab.peer import PeerState
+from repro.substrate import peer as substrate_peer
+from repro.substrate.peer import PeerState
 from repro.zk import SessionExpiredError
+from repro.zab.zxid import Zxid
 from repro.zk import server as zk_server
 
 from tests.support import fresh_world, plain_zk, run_app, wpaxos_grid
@@ -43,7 +44,7 @@ def _origin_write_inside_a_snapshot(monkeypatch, install=None):
     leader (one-way partition) while the write commits and the leader's log
     moves more than a window past it: it rejoins by SNAP, holding a pending
     write that is committed in the state it installs, with no reply."""
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 8)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 8)
     env, topo, net = fresh_world(seed=23)
     deployment = plain_zk(env, net, topo)
     leader = deployment.leader
@@ -120,7 +121,7 @@ def test_an_install_fires_the_watches_of_what_changed_under_them(monkeypatch):
     """The applies a SNAP jumps over would each have fired a watch: the
     install fires one for every watched path that changed, and none for
     one that did not."""
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 8)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 8)
     env, topo, net = fresh_world(seed=29)
     deployment = plain_zk(env, net, topo)
     learner = next(s for s in deployment.servers if s.site == FRANKFURT)
@@ -232,8 +233,8 @@ def _census(server):
 
 
 def _soak(stack, faulty, monkeypatch):
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", WINDOW)
-    monkeypatch.setattr(zab_peer, "SUBMIT_DEDUP_LIMIT", DEDUP)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", WINDOW)
+    monkeypatch.setattr(substrate_peer, "SUBMIT_DEDUP_LIMIT", DEDUP)
     env, topo, net = fresh_world(seed=5, jitter=0.1 if faulty else 0.0)
     if stack == "wk":
         deployment = build_wankeeper_deployment(env, net, topo)
@@ -320,7 +321,7 @@ def test_replica_state_stays_bounded(stack, faulty, monkeypatch):
             # twice it) plus what is not applied yet.
             assert peer._cursor <= 2 * WINDOW, server.name
             assert len(peer.log) - peer._cursor <= 8, server.name
-            assert peer.log.base > zab_peer.Zxid.ZERO, server.name
+            assert peer.log.base > Zxid.ZERO, server.name
             # Only the acting hub leader holds relay streams.
             if server is deployment.hub_leader:
                 assert server._relay_streams is not None

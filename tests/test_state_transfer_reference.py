@@ -37,7 +37,7 @@ from repro.substrate import SUBSTRATES, SubstrateSpec
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wpaxos.messages import ResyncRsp, ResyncSnap
 from repro.wpaxos.peer import WPaxosPeer
-from repro.zab import peer as zab_peer
+from repro.substrate import peer as substrate_peer
 from repro.zab.messages import Diff, Snap
 from repro.zk import ConnectionLossError, SessionExpiredError, ZkError
 
@@ -246,7 +246,7 @@ CASES += [("zk-wpaxos", case) for case in ("clean", "crash", "snap")]
 @pytest.mark.parametrize("stack,case", CASES, ids=[f"{s}-{c}" for s, c in CASES])
 def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
     if case == "snap":
-        monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 8)
+        monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 8)
     seed = 71
     substrate = "wpaxos" if stack == "zk-wpaxos" else "zab"
     product = World(stack, substrate, seed, case)

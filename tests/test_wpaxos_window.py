@@ -25,7 +25,7 @@ from repro.sim import Environment, seeded_rng
 from repro.wpaxos import WPaxosPeer
 from repro.wpaxos.messages import Accept, Accepted, ResyncRsp, ResyncSnap
 from repro.zab import EnsembleConfig
-from repro.zab import peer as zab_peer
+from repro.substrate import peer as substrate_peer
 from repro.zk import ConnectionLossError, SessionExpiredError, ZkError
 
 from tests.support import fresh_world, run_app, wpaxos_grid
@@ -131,7 +131,7 @@ def test_a_restart_keeps_the_state_and_resumes_where_it_stopped():
 
 
 def test_the_chosen_log_keeps_a_window_and_each_objects_newest(monkeypatch):
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 4)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 4)
     ensemble = Ensemble()
     owner = ensemble.peers[0]
     for obj, count in (("/a", 12), ("/b", 12), ("/c", 2)):
@@ -148,7 +148,7 @@ def test_the_chosen_log_keeps_a_window_and_each_objects_newest(monkeypatch):
 
 
 def test_a_voter_below_every_window_rejoins_by_snapshot(monkeypatch):
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 4)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 4)
     ensemble = Ensemble()
     owner, victim = ensemble.peers[0], ensemble.peers[8]
     ensemble.write(owner, "/a", 3, "before")
@@ -227,7 +227,7 @@ class DropsTheNewest(WPaxosPeer):
 def _stealer_below_every_window(peer_class, monkeypatch):
     """A voter rejoins below every window and, before its catch-up lands,
     steals an object whose entries all left the promisers' windows."""
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 4)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 4)
     ensemble = Ensemble(peer_class)
     owner, thief = ensemble.peers[0], ensemble.peers[8]
     ensemble.write(owner, "/a", 2, "before")

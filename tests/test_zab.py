@@ -4,7 +4,8 @@ import pytest
 
 from repro.net import Network, wan_topology, VIRGINIA, CALIFORNIA, FRANKFURT
 from repro.sim import Environment, seeded_rng
-from repro.zab import EnsembleConfig, PeerState, ZabPeer, Zxid
+from repro.substrate.peer import PeerState
+from repro.zab import EnsembleConfig, ZabPeer, Zxid
 
 
 def build_ensemble(
@@ -508,7 +509,7 @@ def test_apply_cursor_survives_trunc_snap_and_restart(monkeypatch):
     """TRUNC re-seeks the cursor, SNAP points it past the installed state,
     restart keeps it: after each, commits resume from exactly the first
     entry not yet delivered, and nothing is delivered twice."""
-    from repro.zab import peer as zab_peer
+    from repro.substrate import peer as substrate_peer
     from repro.zab.messages import Snap, Trunc
 
     env, topo, net = fresh()
@@ -543,7 +544,7 @@ def test_apply_cursor_survives_trunc_snap_and_restart(monkeypatch):
     assert applied_prefix_is_what_the_cursor_says(follower)
     # The leader's log keeps two entries below its cursor from here on:
     # the crashed peer's empty tail falls below it, so it rejoins by SNAP.
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 2)
     for i in range(6, 9):
         leader.submit(f"t{i}")
     env.run(until=3000.0)
@@ -596,9 +597,9 @@ def test_compaction_waits_for_the_outermost_apply(monkeypatch):
     """Compacting under a nested apply would shift the list the outer walk
     indexes: a one-voter ensemble whose ``on_commit`` proposes applies
     inside the call, and the log is cut only once the outer walk ends."""
-    from repro.zab import peer as zab_peer
+    from repro.substrate import peer as substrate_peer
 
-    monkeypatch.setattr(zab_peer, "DIFF_WINDOW", 2)
+    monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 2)
     env, topo, net = fresh()
     _config, (peer,) = build_ensemble(env, net, topo, voter_sites=(VIRGINIA,))
     env.run(until=100.0)

@@ -23,6 +23,7 @@ import sys
 
 import pytest
 
+import repro.substrate.peer
 import repro.zab
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
 from repro.substrate import SUBSTRATES, SubstrateSpec
@@ -236,16 +237,18 @@ def test_reference_zab_reproduces_the_golden_histories(
 
 # -- what one write costs in Python calls (counts, no wall clock) ----------------
 
+# The peer base is counted with the backend, as the ledger folds
+# repro.substrate frames into the backend under test.
 ZAB_FILES = {
     os.path.join(os.path.dirname(repro.zab.__file__), name)
     for name in os.listdir(os.path.dirname(repro.zab.__file__))
     if name.endswith(".py")
-} | {reference_zab.__file__}
+} | {repro.substrate.peer.__file__, reference_zab.__file__}
 
 
 def zab_calls_per_write(substrate, repeats=3):
-    """Python frames entered in ``repro/zab/*.py`` (or the reference) for
-    one write through a follower of a one-site three-voter ensemble."""
+    """Python frames entered in ``repro/zab/*.py`` and the peer base (or
+    the reference) for one write through a follower of a one-site three-voter ensemble."""
     env, topo, net = fresh_world()
     deployment = build_zk_deployment(
         env, net, topo, leader_site=VIRGINIA, substrate=substrate,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.sim import Environment
-from repro.zab import EnsembleConfig, PeerState, ZabPeer, Zxid
+from repro.substrate.peer import PeerState
+from repro.zab import EnsembleConfig, ZabPeer, Zxid
 
 from tests.test_zab import build_ensemble, fresh, leader_of
 
