@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.invariants import maybe_attach_sentinel
-from repro.net.topology import NodeAddress, Site, Topology, VIRGINIA
+from repro.net.topology import Site, Topology, VIRGINIA
 from repro.net.transport import Network
 from repro.sim.kernel import Environment
 from repro.trace import install_trace
@@ -22,10 +22,6 @@ from repro.zab.config import EnsembleConfig
 from repro.zk.deployment import Deployment
 
 __all__ = ["WanKeeperDeployment", "build_wankeeper_deployment"]
-
-
-def _client_addrs(topology: Topology, site: str, voters: int) -> List[NodeAddress]:
-    return [topology.site(site).address(f"wk{i}") for i in range(voters)]
 
 
 @dataclass
@@ -81,10 +77,9 @@ class WanKeeperDeployment(Deployment):
         self, site: str, voters: int, processing_delay_ms: float
     ) -> List[WanKeeperServer]:
         """Build ``site``'s ensemble of ``voters`` servers."""
-        zab_addrs = [
-            self.topology.site(site).address(f"wk{i}.zab") for i in range(voters)
-        ]
-        client_addrs = _client_addrs(self.topology, site, voters)
+        host = self.topology.site(site)
+        zab_addrs = [host.address(f"wk{i}.zab") for i in range(voters)]
+        client_addrs = [host.address(f"wk{i}") for i in range(voters)]
         config = EnsembleConfig(
             voters=zab_addrs, processing_delay_ms=processing_delay_ms
         )
@@ -169,7 +164,6 @@ def build_wankeeper_deployment(
     wan = WanConfig(
         sites=sites,
         l2_site=l2_site,
-        hub_server_addrs=tuple(_client_addrs(topology, l2_site, voters_per_site)),
         policy_factory=policy_factory,
         initial_tokens=dict(initial_tokens or {}),
         read_mode=read_mode,

@@ -203,7 +203,7 @@ class Broker:
         wan = WanConfig(
             sites=(VIRGINIA,) + REMOTE_SITES,
             l2_site=VIRGINIA,
-            hub_server_addrs=(self.addr,),
+            site_server_addrs={VIRGINIA: (self.addr,)},
             policy_factory=policy,
             read_mode="fractional",
             read_lease_ms=900.0,

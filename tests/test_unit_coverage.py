@@ -254,11 +254,10 @@ def test_wan_config_validation():
     from repro.wankeeper.server import WanConfig
 
     with _pytest.raises(ValueError):
-        WanConfig(sites=("a", "b"), l2_site="zz", hub_server_addrs=())
+        WanConfig(sites=("a", "b"), l2_site="zz")
     with _pytest.raises(ValueError):
         WanConfig(
             sites=("a", "b"),
             l2_site="a",
-            hub_server_addrs=(),
             initial_tokens={"/k": "mars"},
         )
