@@ -192,9 +192,6 @@ class Network:
     def inbox(self, addr: NodeAddress) -> Store:
         return self._inboxes[addr]
 
-    def is_registered(self, addr: NodeAddress) -> bool:
-        return addr in self._inboxes
-
     # -- failure injection ----------------------------------------------------
 
     def _refresh_fast_path(self) -> None:

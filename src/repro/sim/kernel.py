@@ -98,10 +98,6 @@ class Event:
         return self._ok is not None
 
     @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         if self._ok is None:
             raise SimulationError("event value not yet available")
@@ -433,9 +429,6 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -254,12 +254,6 @@ class ZkClient:
             CreateOp(path, data, ephemeral, sequential), max_retries, backoff_ms
         )
 
-    def delete_retrying(
-        self, path: str, version: int = -1,
-        max_retries: int = 6, backoff_ms: float = 250.0,
-    ) -> Event:
-        return self.submit_retrying(DeleteOp(path, version), max_retries, backoff_ms)
-
     def set_data_retrying(
         self, path: str, data: bytes, version: int = -1,
         max_retries: int = 6, backoff_ms: float = 250.0,
