@@ -18,7 +18,7 @@ attachment points below, and a backend adds its protocol:
 * lifecycle — ``start()``, ``crash()``, ``restart()`` (durable state
   survives a crash; volatile state does not);
 * propose/commit ordering — ``submit(txn)`` on a server that reports
-  ``is_leader``; ``forward_submit(txn, ctx=None)`` on one that does not;
+  ``is_leader``; ``forward_submit(txn)`` on one that does not;
   every committed txn is delivered exactly once per live replica through
   the ``on_commit(zxid, txn)`` hook, in an order that is total per
   ordering domain (the whole ensemble for zab; one object for wpaxos);

@@ -413,7 +413,6 @@ class HubBroker:
         host._propose(
             WanTxn(
                 txn=txn,
-                origin_site=origin_site,
                 serialized_at=HUB,
                 grants=tuple(grants),
             )

@@ -5,9 +5,10 @@ Two kinds of definitions live here:
 * **control messages** exchanged between level-1 site leaders and the
   level-2 broker over the WAN (submit, replicate, recall, heartbeat);
 * **replicated payloads** committed inside site/hub ensembles: the
-  :class:`WanTxn` wrapper around a client transaction (carrying origin and
-  piggybacked token grants, per protocol Fig. 2) and the token marker ops
-  that make token state recoverable from the log (§II-D fault tolerance).
+  :class:`WanTxn` wrapper around a client transaction (carrying where it
+  was serialized and piggybacked token grants, per protocol Fig. 2) and the
+  token marker ops that make token state recoverable from the log (§II-D
+  fault tolerance).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class WanTxn:
     """
 
     txn: Txn
-    origin_site: str
     serialized_at: str
     grants: Tuple[TokenGrant, ...] = ()
 
@@ -152,14 +152,12 @@ class SiteReplicate:
 class RemoteApply:
     """Hub -> site: a hub-ensemble commit to apply in the site ensemble.
 
-    Carries hub commit order in ``seq``; ``to_origin`` marks the copy going
-    back to the transaction's origin site (whose accepting server replies
-    to the client once the site ensemble applies it).
+    ``seq`` is the entry's position in the site's relay stream (dedup +
+    FIFO check); retried until the site acks.
     """
 
     seq: int
     wan_txn: WanTxn
-    to_origin: bool = False
 
 
 @record
@@ -212,19 +210,18 @@ class TokenReturn:
 
 @record
 class WanHeartbeat:
-    """Site leader -> hub leader: liveness + live client sessions.
+    """Site leader -> hub leader: the WAN heartbeater (paper §III-B).
 
-    Live-session piggybacking maintains cross-site ephemeral znodes (paper
-    §III-B, "WAN Heartbeater"). ``applied_relay_seq`` reports the site's
-    cumulative relay watermark so a newly elected hub leader can resume the
-    relay stream from the right position. ``owned_tokens`` is the site's
-    full token inventory, included when the hub requested it (a freshly
-    promoted level-2 site rebuilding its location map).
+    ``applied_relay_seq`` reports the site's cumulative relay watermark so
+    a newly elected hub leader can resume the relay stream from the right
+    position. ``owned_tokens`` is the site's full token inventory, included
+    when the hub requested it (a freshly promoted level-2 site rebuilding
+    its location map). Cross-site ephemerals do not ride here: the owning
+    server's hub-serialized session close removes them.
     """
 
     site: str
     sender: NodeAddress
-    live_sessions: Tuple[str, ...] = ()
     applied_relay_seq: int = 0
     owned_tokens: Optional[Tuple[str, ...]] = None
 
@@ -237,7 +234,6 @@ class WanHeartbeatAck:
     next heartbeat (level-2 promotion recovery)."""
 
     l2_addr: NodeAddress
-    known_sites: Tuple[str, ...] = ()
     absorbed: int = 0
     need_inventory: bool = False
 

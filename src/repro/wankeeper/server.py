@@ -25,16 +25,16 @@ are marker txns), so any newly elected leader recovers it from its log.
 Cross-site streams (site->hub replication, hub->site relay) are
 deterministic sequences derived from the committed logs with cumulative
 acks and go-back-N retransmission, so they survive leader changes on either
-end.
+end; their endpoints are the ``streams.Streams`` mixin.
 
 :class:`WanKeeperServer` is what every role shares: lifecycle, write routing,
 the commit appliers that derive token and stream state from the log, the
-recall/release/return handlers, both stream endpoints, message dispatch and
-the tick skeleton. Each role's volatile state and algorithm is a
-collaborator rebuilt by ``_reset_wan_leader_state`` (its constructor *is*
-its reset): ``hubqueue.HubBroker`` (level-2 write path), ``streams.GoBackN``
-(one per WAN stream), ``fractional.StrongReads`` (absent in "local" read
-mode) and ``failover.L2Failover`` (hub liveness and promotion).
+recall/release/return handlers, message dispatch and the tick skeleton.
+Each role's volatile state and algorithm is a collaborator rebuilt by
+``_reset_wan_leader_state`` (its constructor *is* its reset):
+``hubqueue.HubBroker`` (level-2 write path), ``streams.GoBackN`` (one per
+WAN stream), ``fractional.StrongReads`` (absent in "local" read mode) and
+``failover.L2Failover`` (hub liveness and promotion).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from repro.wankeeper.fractional import (
 )
 from repro.wankeeper.hubqueue import HubBroker
 from repro.wankeeper.policy import ConsecutiveAccessPolicy, MigrationPolicy
-from repro.wankeeper.streams import GoBackN
+from repro.wankeeper.streams import STREAM_STALL_MS, GoBackN, Streams
 from repro.wankeeper.tokens import HubTokenState, SiteTokenState, token_keys
 from repro.zab.config import EnsembleConfig
 from repro.zab.zxid import Zxid
@@ -88,12 +88,9 @@ from repro.zk.server import ZkServer
 
 __all__ = ["WanConfig", "WanKeeperServer", "HUB"]
 
-#: WAN duty period, submit resend and stream-stall timeouts, and the
-#: go-back-N window of every relay and replicate stream.
+#: WAN duty period and submit resend timeout.
 WAN_TICK_MS = 100.0
 SUBMIT_RETRY_MS = 800.0
-STREAM_STALL_MS = 800.0
-RELAY_WINDOW = 64
 #: The ~0.1 ms read overhead the paper measures and puts on marshalling (§IV-A).
 MARSHALLING_OVERHEAD_MS = 0.08
 
@@ -162,7 +159,7 @@ class WanConfig:
         }
 
 
-class WanKeeperServer(ZkServer):
+class WanKeeperServer(Streams, ZkServer):
     """A coordination server participating in a WanKeeper deployment."""
 
     def __init__(
@@ -204,12 +201,6 @@ class WanKeeperServer(ZkServer):
     def is_hub_site(self) -> bool:
         """Is this server's site the current level-2 (hub) site?"""
         return self.site == self.current_l2_site
-
-    def _probe_hub(self) -> None:
-        """Ask every server of the hub site who the level-2 leader is."""
-        hello = WanHello(self.site, self.client_addr, self.peer.is_leader)
-        for addr in self.wan.site_server_addrs[self.current_l2_site]:
-            self.net.send(self.client_addr, addr, hello)
 
     def _reset_wan_leader_state(self) -> None:
         """Leader-volatile state: each role's constructor is its reset."""
@@ -410,9 +401,7 @@ class WanKeeperServer(ZkServer):
                                  {"keys": sorted(needed),
                                   "session": txn.session_id,
                                   "cxid": txn.cxid})
-            self._propose(
-                WanTxn(txn=txn, origin_site=self.site, serialized_at=self.site)
-            )
+            self._propose(WanTxn(txn=txn, serialized_at=self.site))
         else:
             self._wan_submit(txn)
 
@@ -443,7 +432,6 @@ class WanKeeperServer(ZkServer):
             cxid=self._system_cxid,
             origin=self.client_addr,
             op=SyncOp("/"),
-            origin_site=self.site,
         )
         self._hub.pin(txn, key, site)
 
@@ -463,9 +451,6 @@ class WanKeeperServer(ZkServer):
             self._applied_relay_count += 1
         elif isinstance(payload, TokenSyncOp):
             self._commit_token_sync(payload)
-        elif isinstance(payload, Txn):
-            # Plain txn (defensive; everything should be wrapped).
-            self._commit_client_txn(zxid, payload)
         else:
             raise TypeError(f"{self.name}: unexpected commit payload {payload!r}")
 
@@ -578,12 +563,7 @@ class WanKeeperServer(ZkServer):
                 self._flush_replicates()
             else:
                 self._submit_unacked.pop(wan_id, None)
-                if self._l2_addr is not None:
-                    self.net.send(
-                        self.client_addr,
-                        self._l2_addr,
-                        WanAck(self.site, self._applied_relay_count),
-                    )
+                self._ack_hub()
 
     def _commit_release(self, op: TokenReleaseOp) -> None:
         if self._trace is not None:
@@ -704,57 +684,6 @@ class WanKeeperServer(ZkServer):
         self._accepts_in_flight.update(valid)
         self._propose(TokenAcceptOp(valid, msg.site))
 
-    # ------------------------------------------------------------ WAN streams
-
-    def _ack_site(self, site: str) -> None:
-        leader = self._site_leaders.get(site)
-        if leader is not None:
-            self.net.send(
-                self.client_addr,
-                leader,
-                WanAck(site, self._absorbed_from_site[site]),
-            )
-
-    def _hub_relay_streams(self) -> Dict[str, List[WanTxn]]:
-        """Hub leader: each site's relay stream, built on first use."""
-        streams = self._relay_streams
-        if streams is None:
-            history = self._wan_history
-            streams = self._relay_streams = {
-                site: [txn for txn in history if txn.serialized_at != site]
-                for site in self._relay_sites
-            }
-        return streams
-
-    def _flush_relays(self, rewind: bool = False) -> None:
-        """Hub leader: push relay streams to each site (go-back-N)."""
-        now = self.env.now
-        for site, stream in self._hub_relay_streams().items():
-            sender = self._relays.get(site)
-            leader = self._site_leaders.get(site)
-            if sender is None or leader is None:
-                continue
-            for seq in sender.due(len(stream), now, RELAY_WINDOW, rewind):
-                self.net.send(
-                    self.client_addr,
-                    leader,
-                    RemoteApply(seq, stream[seq - 1]),
-                )
-
-    def _flush_replicates(self, rewind: bool = False) -> None:
-        """Site leader: push locally-committed txns to the hub (go-back-N)."""
-        if self._l2_addr is None:
-            return
-        stream = self._replicate_stream
-        for seq in self._replicate.due(
-            len(stream), self.env.now, RELAY_WINDOW, rewind
-        ):
-            self.net.send(
-                self.client_addr,
-                self._l2_addr,
-                SiteReplicate(self.site, self.client_addr, seq, stream[seq - 1]),
-            )
-
     # ---------------------------------------------------------- WAN messages
 
     def _on_client_message(self, src: NodeAddress, msg: Any) -> None:
@@ -766,104 +695,6 @@ class WanKeeperServer(ZkServer):
             self.is_hub_site and self.peer.is_leader
         ):
             handler(src, msg)
-
-    def _on_wan_hello(self, src: NodeAddress, msg: WanHello) -> None:
-        if msg.is_site_leader:
-            self._site_leaders[msg.site] = msg.sender
-        self.net.send(self.client_addr, msg.sender, WanWelcome(self.client_addr))
-
-    def _on_wan_welcome(self, src: NodeAddress, msg: WanWelcome) -> None:
-        if src.site != self.current_l2_site:
-            return  # late welcome from a demoted hub
-        self._l2_addr = msg.l2_addr
-        self._failover.last_hub_contact = self.env.now
-
-    def _on_site_replicate(self, src: NodeAddress, msg: SiteReplicate) -> None:
-        self._site_leaders[msg.site] = msg.sender
-        absorbed = self._absorbed_from_site.get(msg.site, 0)
-        if msg.seq <= absorbed:
-            self._ack_site(msg.site)
-            return
-        pending = self._absorbing_counts.setdefault(msg.site, absorbed)
-        if msg.seq != pending + 1:
-            return  # out of order; go-back-N will retransmit
-        self._absorbing_counts[msg.site] = msg.seq
-        self._propose(msg.wan_txn)
-
-    def _on_remote_apply(self, src: NodeAddress, msg: RemoteApply) -> None:
-        if self.is_hub_site or not self.peer.is_leader:
-            return
-        if src.site != self.current_l2_site:
-            return  # relay from a demoted hub; ignore
-        if msg.seq <= self._applied_relay_count:
-            if self._l2_addr is not None:
-                self.net.send(
-                    self.client_addr,
-                    self._l2_addr,
-                    WanAck(self.site, self._applied_relay_count),
-                )
-            return
-        if msg.seq != self._relay_submitted + 1:
-            return  # gap; hub retransmits from our cumulative ack
-        self._relay_submitted = msg.seq
-        if msg.wan_txn.wan_id in self._seen_wan_ids:
-            # Post-promotion replay of an entry we already applied: commit
-            # a no-op marker so the derived relay watermark still advances.
-            self._propose(RelayNoopOp(msg.wan_txn.wan_id))
-        else:
-            self._propose(msg.wan_txn)
-
-    def _on_wan_ack(self, src: NodeAddress, msg: WanAck) -> None:
-        if not self.peer.is_leader:
-            return
-        if self.is_hub_site:
-            sender = self._relays.get(msg.site)
-            if sender is not None:
-                sender.ack(msg.seq)
-        else:
-            self._replicate.ack(msg.seq)
-            self._failover.last_hub_contact = self.env.now
-
-    def _on_wan_heartbeat(self, src: NodeAddress, msg: WanHeartbeat) -> None:
-        site = msg.site
-        self._site_leaders[site] = msg.sender
-        inventory_needed = self._failover.inventory_needed
-        if site != self.site:
-            streams = self._hub_relay_streams()
-            if site not in streams:
-                # A site added after this server started (paper §II-D: a
-                # new level-1 site joins with a fresh start and receives
-                # the full filtered history).
-                self._relay_sites.append(site)
-                streams[site] = [
-                    txn for txn in self._wan_history if txn.serialized_at != site
-                ]
-            if site not in self._relays:
-                self._relays[site] = GoBackN()
-            self._relays[site].ack(msg.applied_relay_seq)
-        if msg.owned_tokens is not None and site in inventory_needed:
-            inventory_needed.discard(site)
-            self._propose(TokenSyncOp(site, msg.owned_tokens))
-        self.net.send(
-            self.client_addr,
-            msg.sender,
-            WanHeartbeatAck(
-                l2_addr=self.client_addr,
-                known_sites=tuple(sorted(self._site_leaders)),
-                absorbed=self._absorbed_from_site.get(site, 0),
-                need_inventory=site in inventory_needed,
-            ),
-        )
-
-    def _on_wan_heartbeat_ack(self, src: NodeAddress, msg: WanHeartbeatAck) -> None:
-        if self.is_hub_site or not self.peer.is_leader:
-            return
-        if src.site != self.current_l2_site:
-            return  # stale ack from a demoted hub
-        self._l2_addr = msg.l2_addr
-        self._failover.last_hub_contact = self.env.now
-        self._failover.send_inventory_next = msg.need_inventory
-        self._replicate.ack(msg.absorbed)
 
     # --------------------------------------------------------------- ticker
 
@@ -903,8 +734,8 @@ class WanKeeperServer(ZkServer):
         if self._l2_addr is None:
             self._probe_hub()
             return
-        # Heartbeat with live sessions and our relay watermark (plus the
-        # token inventory when a freshly promoted hub asked for it).
+        # Heartbeat with our relay watermark (plus the token inventory
+        # when a freshly promoted hub asked for it).
         inventory = (
             tuple(sorted(self.site_tokens.owned))
             if failover.send_inventory_next
@@ -916,7 +747,6 @@ class WanKeeperServer(ZkServer):
             WanHeartbeat(
                 self.site,
                 self.client_addr,
-                live_sessions=self.sessions.live_ids_snapshot(),
                 applied_relay_seq=self._applied_relay_count,
                 owned_tokens=inventory,
             ),

@@ -272,7 +272,7 @@ class WPaxosPeer(Resync, Peer):
         self._ensure_steal(obj)
         return Zxid.ZERO
 
-    def forward_submit(self, txn: Any, ctx: Any = None) -> None:
+    def forward_submit(self, txn: Any) -> None:
         """Observer path: hand the transaction to a voter."""
         target = self._forward_target()
         if target is None:

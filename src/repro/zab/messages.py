@@ -156,15 +156,10 @@ class UpToDate:
 
 @record
 class SubmitRequest:
-    """Any server -> leader: please broadcast this transaction.
-
-    ``ctx`` is an opaque correlation value returned in the commit callback
-    so the request-processor layer can find the waiting client.
-    """
+    """Any server -> leader: please broadcast this transaction."""
 
     sender: NodeAddress
     txn: Any
-    ctx: Any = None
 
 
 @record

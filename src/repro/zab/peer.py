@@ -179,11 +179,11 @@ class ZabPeer(Sync, Peer):
             raise RuntimeError(f"{self.name} is not an active leader")
         return self._propose(txn)
 
-    def forward_submit(self, txn: Any, ctx: Any = None) -> None:
+    def forward_submit(self, txn: Any) -> None:
         """Follower/observer: forward a transaction to the current leader."""
         if self.leader_addr is None:
             raise RuntimeError(f"{self.name} knows no leader")
-        self._send(self.leader_addr, SubmitRequest(self.addr, txn, ctx))
+        self._send(self.leader_addr, SubmitRequest(self.addr, txn))
 
     # -------------------------------------------------------------- plumbing
 
@@ -236,7 +236,7 @@ class ZabPeer(Sync, Peer):
                 )
                 # Count ourselves; step down if we cannot reach a quorum.
                 if heard + 1 < self._quorum:
-                    self._abandon_leadership()
+                    self._enter_looking()
         elif self.state == PeerState.FOLLOWING:
             if now - self._last_leader_contact > timeout:
                 self._enter_looking()
@@ -248,10 +248,6 @@ class ZabPeer(Sync, Peer):
                         voter,
                         FollowerInfo(self.addr, self.accepted_epoch, self.last_zxid),
                     )
-
-    def _abandon_leadership(self) -> None:
-        self._reset_leader_state()
-        self._enter_looking()
 
     # -------------------------------------------------------------- broadcast
 

@@ -218,9 +218,6 @@ class Txn:
     cxid: int
     origin: Any  # NodeAddress of the accepting server
     op: Op
-    # WanKeeper cross-site metadata (None for plain ZooKeeper).
-    origin_site: Optional[str] = None
-    wan_seq: Optional[int] = None
     key: Tuple[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -228,11 +225,4 @@ class Txn:
 
     def replace_op(self, op: Op) -> "Txn":
         """A copy of this txn carrying ``op`` instead of the original."""
-        return Txn(
-            self.session_id,
-            self.cxid,
-            self.origin,
-            op,
-            self.origin_site,
-            self.wan_seq,
-        )
+        return Txn(self.session_id, self.cxid, self.origin, op)

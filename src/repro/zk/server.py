@@ -26,7 +26,6 @@ from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 from repro.net.topology import NodeAddress
 from repro.net.transport import Message, Network
 from repro.sim.kernel import Environment, Ticker
-from repro.sim.store import StoreClosed
 from repro.substrate import create_peer
 from repro.substrate.peer import PeerState
 from repro.zab.config import EnsembleConfig
@@ -392,7 +391,6 @@ class ZkServer:
             cxid=msg.cxid,
             origin=self.client_addr,
             op=msg.op,
-            origin_site=self.site,
         )
         self._pending_writes[txn.key] = src
         self._inflight_txns[txn.key] = (txn, self.env.now)
@@ -422,7 +420,6 @@ class ZkServer:
             cxid=self._system_cxid,
             origin=self.client_addr,
             op=op,
-            origin_site=self.site,
         )
         # System txns have no client to retry them; the inflight
         # retransmitter is their only recovery from a lost forward.

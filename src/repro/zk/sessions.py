@@ -52,9 +52,6 @@ class SessionTracker:
         # connect-dedup lookup stays O(1). Never iterated — lookups only —
         # so NodeAddress keys are hash-seed safe.
         self._by_client: Dict[Any, str] = {}
-        # Cached live_ids_snapshot() tuple; invalidated whenever live
-        # membership can change (create / mark_expired / remove).
-        self._live_snapshot: Optional[tuple] = None
 
     def create(self, client: Any, timeout_ms: float, now: float) -> Session:
         self._counter += 1
@@ -66,7 +63,6 @@ class SessionTracker:
         )
         self._sessions[session.session_id] = session
         self._by_client[client] = session.session_id
-        self._live_snapshot = None
         deadline = now + timeout_ms
         if deadline < self._next_deadline:
             self._next_deadline = deadline
@@ -142,33 +138,9 @@ class SessionTracker:
         session = self._sessions.get(session_id)
         if session is not None:
             session.expired = True
-            self._live_snapshot = None
 
     def remove(self, session_id: str) -> None:
-        if self._sessions.pop(session_id, None) is not None:
-            self._live_snapshot = None
-
-    def live_session_ids(self) -> List[str]:
-        return sorted(
-            session_id
-            for session_id, session in self._sessions.items()
-            if not session.expired
-        )
-
-    def live_ids_snapshot(self) -> tuple:
-        """``tuple(live_session_ids())``, cached between membership changes.
-
-        WanKeeper's site tick ships the live-session list to the hub every
-        ``WAN_TICK_MS``; re-sorting 10^4 idle fleet sessions per tick
-        dominated the ticker, while the set almost never changes. The
-        cache is invalidated on create/expire/remove, so the value is
-        always exactly what the uncached sort would produce.
-        """
-        snapshot = self._live_snapshot
-        if snapshot is None:
-            snapshot = tuple(self.live_session_ids())
-            self._live_snapshot = snapshot
-        return snapshot
+        self._sessions.pop(session_id, None)
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -74,7 +74,6 @@ class TwoTableAtMostOnce:
             cxid=msg.cxid,
             origin=self.client_addr,
             op=msg.op,
-            origin_site=self.site,
         )
         self._inflight_txns[key] = (txn, self.env.now)
         self._route_write(txn)
@@ -159,7 +158,6 @@ class NoAtMostOnce:
             cxid=msg.cxid,
             origin=self.client_addr,
             op=msg.op,
-            origin_site=self.site,
         )
         self._pending_writes[txn.key] = src
         self._route_write(txn)

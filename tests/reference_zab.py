@@ -27,7 +27,6 @@ under ``src/`` may import this.
 from __future__ import annotations
 
 import bisect
-import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Deque, Dict, List, Optional, Set, Tuple
@@ -447,11 +446,11 @@ class ZabPeer:
             raise RuntimeError(f"{self.name} is not an active leader")
         return self._propose(txn)
 
-    def forward_submit(self, txn: Any, ctx: Any = None) -> None:
+    def forward_submit(self, txn: Any) -> None:
         """Follower/observer: forward a transaction to the current leader."""
         if self.leader_addr is None:
             raise RuntimeError(f"{self.name} knows no leader")
-        self._send(self.leader_addr, SubmitRequest(self.addr, txn, ctx))
+        self._send(self.leader_addr, SubmitRequest(self.addr, txn))
 
     # -------------------------------------------------------------- plumbing
 

@@ -79,7 +79,6 @@ def test_duplicate_route_suppressed_at_apply_layer():
             cxid=9999,
             origin=leader.client_addr,
             op=SetDataOp("/twice", b"v1"),
-            origin_site=leader.site,
         )
         leader._route_write(txn)
         leader._route_write(txn)  # duplicate proposal of the same request
@@ -113,7 +112,6 @@ def test_reply_cache_disabled_restores_double_apply(monkeypatch):
             cxid=9999,
             origin=leader.client_addr,
             op=SetDataOp("/twice", b"v1"),
-            origin_site=leader.site,
         )
         leader._route_write(txn)
         leader._route_write(txn)

@@ -342,18 +342,3 @@ def test_find_by_client_uses_index_and_falls_back():
     assert tracker.find_by_client("c1") is first
     tracker.mark_expired(first.session_id)
     assert tracker.find_by_client("c1") is None
-
-
-def test_live_ids_snapshot_tracks_membership():
-    tracker = SessionTracker("s")
-    a = tracker.create("c1", timeout_ms=100.0, now=0.0)
-    b = tracker.create("c2", timeout_ms=100.0, now=0.0)
-    snap = tracker.live_ids_snapshot()
-    assert snap == tuple(tracker.live_session_ids())
-    assert tracker.live_ids_snapshot() is snap  # cached between changes
-    tracker.mark_expired(a.session_id)
-    assert tracker.live_ids_snapshot() == (b.session_id,)
-    tracker.remove(b.session_id)
-    assert tracker.live_ids_snapshot() == ()
-    c = tracker.create("c3", timeout_ms=100.0, now=0.0)
-    assert tracker.live_ids_snapshot() == (c.session_id,)

@@ -228,7 +228,7 @@ class Broker:
 
     def _txn(self, session, op, site):
         self.cxid += 1
-        return Txn(session, self.cxid, NodeAddress(site, "wk0"), op, site)
+        return Txn(session, self.cxid, NodeAddress(site, "wk0"), op)
 
     def hub_write(self, op, session="hub-s"):
         self.hub._leader_route(self._txn(session, op, VIRGINIA))

@@ -60,12 +60,10 @@ def test_injected_double_grant_is_caught_with_trace_tail():
         cxid=1,
         origin=hub.client_addr,
         op=SetDataOp("/k", b"x"),
-        origin_site=VIRGINIA,
     )
     hub._propose(
         WanTxn(
             txn=bogus,
-            origin_site=VIRGINIA,
             serialized_at=HUB,
             grants=(TokenGrant("/k", VIRGINIA),),
         )

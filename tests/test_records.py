@@ -65,22 +65,15 @@ UNHASHABLE = (Session,)  # mutated in place by the session tracker
 DEFAULTS = {
     "Trunc": {"entries": []},
     "UpToDate": {"committed_to": Zxid.ZERO},
-    "SubmitRequest": {"ctx": None},
     "Ping": {"last_committed": None},
     "WanTxn": {"grants": ()},
     "WanHello": {"is_site_leader": True},
-    "RemoteApply": {"to_origin": False},
     "TokenRecall": {"grant_counts": None},
     "TokenReturn": {"seq": 0, "grant_counts": None},
-    "WanHeartbeat": {
-        "live_sessions": (), "applied_relay_seq": 0, "owned_tokens": None,
-    },
-    "WanHeartbeatAck": {
-        "known_sites": (), "absorbed": 0, "need_inventory": False,
-    },
+    "WanHeartbeat": {"applied_relay_seq": 0, "owned_tokens": None},
+    "WanHeartbeatAck": {"absorbed": 0, "need_inventory": False},
     "AddAck": {"ok": True},
     "OpReply": {"value": None, "error_code": None, "error_path": ""},
-    "Txn": {"origin_site": None, "wan_seq": None},
     "Session": {"expired": False},
     "CreateOp": {"data": b"", "ephemeral": False, "sequential": False},
     "DeleteOp": {"version": -1},
@@ -221,7 +214,7 @@ def test_txn_key_is_derived_out_of_init_eq_hash_and_repr():
     with pytest.raises(TypeError):
         Txn("s#1", 7, "origin", "op", key=("s#1", 7))
     assert "key" not in repr(txn)
-    assert hash(txn) == hash(("s#1", 7, "origin", "op", None, None))
+    assert hash(txn) == hash(("s#1", 7, "origin", "op"))
     # A txn whose key somehow disagreed would still compare by its fields.
     twin = Txn("s#1", 7, "origin", "op")
     object.__setattr__(twin, "key", ("other", 0))
@@ -231,7 +224,7 @@ def test_txn_key_is_derived_out_of_init_eq_hash_and_repr():
 
 
 def test_every_txn_copy_rebuilds_its_key():
-    txn = Txn("s#1", 7, "origin", "op", "site", 3)
+    txn = Txn("s#1", 7, "origin", "op")
     copies = {
         "replace_op": txn.replace_op("other-op"),
         "dataclasses.replace": dataclasses.replace(txn, cxid=8),

@@ -139,7 +139,6 @@ def test_duplicate_commit_of_a_follower_origin_txn_is_suppressed_everywhere():
             cxid=7,
             origin=follower.client_addr,
             op=SetDataOp("/twice", b"v1"),
-            origin_site=follower.site,
         )
         before = len(replies)
         leader._route_write(txn)

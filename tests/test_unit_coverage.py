@@ -162,7 +162,7 @@ def test_session_tracker_lifecycle():
     assert [s.session_id for s in expired] == [session.session_id]
     tracker.mark_expired(session.session_id)
     assert not tracker.touch(session.session_id, now=210.0)
-    assert tracker.live_session_ids() == []
+    assert tracker.find_by_client("client-addr") is None
     tracker.remove(session.session_id)
     assert len(tracker) == 0
 
