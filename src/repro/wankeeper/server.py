@@ -172,14 +172,16 @@ class WanKeeperServer(Streams, ZkServer):
         wan: WanConfig,
         name: str = "",
     ):
+        # Before the base: its reset reads _initial_state, which reads wan.
+        self.wan = wan
         super().__init__(
             env, net, zab_addr, client_addr, config, name=name,
             substrate=wan.substrate,
         )
-        self.wan = wan
-        # Replicated-derived state (recovered by applying the log), then
-        # leader-volatile state (rebuilt on every leadership change).
-        self._reset_wan_derived_state()
+        # The sites a hub leader relays to, in stream order: the founding
+        # sites, then any added site as its first heartbeat arrives.
+        self._relay_sites = self._founding_relay_sites()
+        # Leader-volatile state, rebuilt on every leadership change.
         self._reset_wan_leader_state()
 
         self.peer.on_commit = self._on_commit
@@ -270,7 +272,7 @@ class WanKeeperServer(Streams, ZkServer):
         # peer's applied point. What the crash took is the leader's count
         # of admitted writes and pending recalls, and the added sites heard
         # of by heartbeat.
-        self.site_tokens = SiteTokenState(self.site, owned=self.site_tokens.owned)
+        self.site_tokens = self.site_tokens.copy()
         self._relay_sites = self._founding_relay_sites()
         super().restart()
         # Volatile WAN state is gone with the crash; rebuild and resume
@@ -278,65 +280,45 @@ class WanKeeperServer(Streams, ZkServer):
         self._reset_wan_leader_state()
         self._wan_ticker = Ticker(self.env, WAN_TICK_MS, self._wan_tick)
 
-    def snapshot(self) -> Dict[str, Any]:
-        state = super().snapshot()
-        state.update(
-            wan_epoch=self.wan_epoch,
-            current_l2_site=self.current_l2_site,
-            # Only the replicated half: a learner has no admitted writes.
-            site_tokens=SiteTokenState(
-                self.site, owned=set(self.site_tokens.owned)
-            ),
-            hub_tokens=HubTokenState(dict(self.hub_tokens.location)),
-            _grant_counts=dict(self._grant_counts),
-            _seen_wan_ids=set(self._seen_wan_ids),
-            _wan_history=list(self._wan_history),
-            _absorbed_from_site=dict(self._absorbed_from_site),
-            _replicate_stream=list(self._replicate_stream),
-            _applied_relay_count=self._applied_relay_count,
-        )
-        return state
-
     def install(self, state: Dict[str, Any]) -> None:
         super().install(state)
         self._relay_sites = self._founding_relay_sites()
         self._hub.queue.stale = True
 
-    def _reset_wan_derived_state(self) -> None:
-        """Replicated-derived state: empty, as before the log's first entry."""
+    def _initial_state(self) -> Dict[str, Any]:
+        """The base's replicated state plus the token and stream
+        bookkeeping every server derives by applying the log."""
         wan = self.wan
-        # WAN epoch and hub identity: bumped by committed WanEpochOp
-        # markers when level-2 failover promotes a successor site.
-        self.wan_epoch = 0
-        self.current_l2_site = wan.l2_site
-        self.site_tokens = SiteTokenState(
-            self.site,
-            owned={
-                key for key, site in wan.initial_tokens.items() if site == self.site
+        return {
+            **super()._initial_state(),
+            # WAN epoch and hub identity: bumped by committed WanEpochOp
+            # markers when level-2 failover promotes a successor site.
+            "wan_epoch": 0,
+            "current_l2_site": wan.l2_site,
+            "site_tokens": SiteTokenState(self.site, owned={
+                key for key, site in wan.initial_tokens.items()
+                if site == self.site
+            }),
+            "hub_tokens": HubTokenState(dict(wan.initial_tokens)),
+            # (key, site) -> number of committed grants, derived from the
+            # replicated WanTxn stream on every server (symmetric, so it
+            # survives restarts and level-2 failovers). Used to detect
+            # recalls that overtook their grant on the relay stream.
+            "_grant_counts": {},
+            "_seen_wan_ids": set(),
+            # Every applied WanTxn, in commit order, on *every* server
+            # (symmetric) so any site can take over as hub: a hub leader's
+            # per-site relay streams are built from it.
+            "_wan_history": [],
+            # Cumulative count of applied txns serialized at each other site.
+            "_absorbed_from_site": {
+                site: 0 for site in wan.sites if site != self.site
             },
-        )
-        self.hub_tokens = HubTokenState(dict(wan.initial_tokens))
-        # (key, site) -> number of committed grants, derived from the
-        # replicated WanTxn stream on every server (symmetric, so it
-        # survives restarts and level-2 failovers). Used to detect recalls
-        # that overtook their grant on the relay stream.
-        self._grant_counts: Dict[Tuple[str, str], int] = {}
-        self._seen_wan_ids: Set[Tuple[str, int]] = set()
-        # Every applied WanTxn, in commit order, on *every* server
-        # (symmetric) so any site can take over as hub: a hub leader's
-        # per-site relay streams are built from it.
-        self._wan_history: List[WanTxn] = []
-        # The sites a hub leader relays to, in stream order: the founding
-        # sites, then any added site as its first heartbeat arrives.
-        self._relay_sites = self._founding_relay_sites()
-        # Cumulative count of applied txns serialized at each other site.
-        self._absorbed_from_site: Dict[str, int] = {
-            site: 0 for site in wan.sites if site != self.site
+            # Locally-serialized txns, in commit order.
+            "_replicate_stream": [],
+            # Count of relayed (non-local) applies since the last epoch marker.
+            "_applied_relay_count": 0,
         }
-        # Locally-serialized txns, in commit order.
-        self._replicate_stream: List[WanTxn] = []
-        # Count of relayed (non-local) applies since the last epoch marker.
-        self._applied_relay_count = 0
 
     def _founding_relay_sites(self) -> List[str]:
         return [site for site in self.wan.sites if site != self.site]

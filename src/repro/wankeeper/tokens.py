@@ -136,6 +136,11 @@ class SiteTokenState:
         self.outgoing.discard(key)
         self.inflight.pop(key, None)
 
+    def copy(self) -> "SiteTokenState":
+        """The replicated half only: a learner or a restarted server has
+        admitted no writes and owes no recall."""
+        return SiteTokenState(self.site, owned=set(self.owned))
+
     def start_recall(self, key: str) -> bool:
         """Hub asked for ``key`` back. True if it can be released now
         (no inflight txns); otherwise it is marked outgoing and drained."""
@@ -171,6 +176,9 @@ class HubTokenState:
 
     def accept_return(self, key: str) -> None:
         self.location.pop(key, None)
+
+    def copy(self) -> "HubTokenState":
+        return HubTokenState(dict(self.location))
 
     def held_by(self, site: str) -> Set[str]:
         return {key for key, where in self.location.items() if where == site}

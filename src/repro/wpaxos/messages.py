@@ -99,14 +99,12 @@ class Learn:
     ballot: Ballot
     slot: int
     txn: Any
-    src: NodeAddress
 
 
 @record
 class SubmitReq:
     """A transaction forwarded by an observer (or any non-proposer)."""
 
-    src: NodeAddress
     txn: Any
 
 
@@ -124,7 +122,6 @@ class ResyncReq:
 class ResyncRsp:
     """Catch-up reply: chosen entries the requester was missing."""
 
-    src: NodeAddress
     entries: Tuple[Tuple[str, int, Ballot, Any], ...]
 
 
@@ -138,7 +135,6 @@ class ResyncSnap:
     chosen entries it still holds, as in :class:`ResyncRsp`.
     """
 
-    src: NodeAddress
     state: Any
     applied: Tuple[Tuple[str, int], ...]
     entries: Tuple[Tuple[str, int, Ballot, Any], ...]

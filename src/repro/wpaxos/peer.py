@@ -277,7 +277,7 @@ class WPaxosPeer(Resync, Peer):
         target = self._forward_target()
         if target is None:
             raise RuntimeError(f"{self.name} knows no voter to forward to")
-        self._send(target, SubmitReq(self.addr, txn))
+        self._send(target, SubmitReq(txn))
 
     # ------------------------------------------------------------- plumbing
 
@@ -597,7 +597,7 @@ class WPaxosPeer(Resync, Peer):
                       txn: Any) -> None:
         if self._alive:
             send, addr = self.net.send, self.addr
-            learn = Learn(obj, ballot, slot, txn, addr)
+            learn = Learn(obj, ballot, slot, txn)
             for member in self._learners:
                 send(addr, member, learn)
 

@@ -60,7 +60,7 @@ class Resync:
                 (obj,) + entry for entry in self._chosen_from(obj, floor)
             )
         if entries:
-            self._send(msg.src, ResyncRsp(self.addr, tuple(entries)))
+            self._send(msg.src, ResyncRsp(tuple(entries)))
 
     @staticmethod
     def _dominates(applied: Dict[str, int],
@@ -76,7 +76,7 @@ class Resync:
             for entry in self._chosen_from(obj, 0)
         )
         self._send(dst, ResyncSnap(
-            self.addr, hook() if hook is not None else None,
+            hook() if hook is not None else None,
             tuple(sorted(self._applied.items())), entries,
         ))
 

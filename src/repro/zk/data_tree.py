@@ -240,7 +240,7 @@ class DataTree:
         self, op: MultiOp, zxid: Zxid, session_id: str
     ) -> ApplyOutcome:
         """All-or-nothing: dry-run against a shadow copy, then apply."""
-        shadow = self.clone()
+        shadow = self.copy()
         results = []
         for sub in op.ops:
             outcome = shadow.apply(sub, zxid, session_id)
@@ -278,10 +278,10 @@ class DataTree:
             )
         return ApplyOutcome(ok=True, value=op.session_id, events=events)
 
-    # -- snapshot / clone ------------------------------------------------------
+    # -- snapshot / copy -------------------------------------------------------
 
-    def clone(self) -> "DataTree":
-        """Deep copy (used for multi() dry runs and SNAP resets)."""
+    def copy(self) -> "DataTree":
+        """Deep copy (multi() dry runs and snapshots)."""
         copy = DataTree.__new__(DataTree)
         copy._nodes = {}
         for path, node in self._nodes.items():

@@ -21,7 +21,7 @@ WanKeeper's level-1 broker extends this class and overrides the write path
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.net.topology import NodeAddress
 from repro.net.transport import Message, Network
@@ -101,27 +101,19 @@ class ZkServer:
 
         self.client_inbox = net.register(client_addr)
         self.client_inbox.consume(self._on_client_envelope)
-        self.tree = DataTree()
-        self.watches = WatchManager()
         # Session ids must stay unique across server incarnations (as in
         # ZooKeeper, where the id embeds the server epoch): apply_counts
         # outlives a restart, so a reborn "owner#1" session would inherit
         # the pre-crash session's cached replies and have its first writes
         # acked without applying.
         self._incarnation = 0
-        self.sessions = SessionTracker(self._session_owner())
-
-        # (session_id, cxid) -> client NodeAddress awaiting a commit reply.
-        self._pending_writes: Dict[Tuple[str, int], NodeAddress] = {}
-        # Clients that connected before this server could serve.
-        self._deferred_connects: list = []
-        # Write txns accepted while no leader was known; retried on tick.
-        self._unrouted_txns: list = []
+        self._reset_volatile()
         self._system_cxid = 0
         # One bound method reused for every scheduled read completion.
         self._serve_read_cb = self._serve_read
 
-        # At-most-once machinery. apply_counts maps every committed
+        # The replicated state (see _initial_state). Its at-most-once
+        # machinery: apply_counts maps every committed
         # (session_id, cxid) -- the txn's own ``key`` tuple -- to how many
         # times it reached the tree on this replica, on *every* replica,
         # rebuilt deterministically from the commit stream, so a duplicated
@@ -138,15 +130,8 @@ class ZkServer:
         # _accept_write reads the table; and a suppressed duplicate commit
         # answers only _pending_writes, which only the accepting server
         # (the origin) fills. A reply leaves with its key.
-        self._reset_at_most_once()
-        # Writes this server routed whose commit has not yet arrived;
-        # re-routed on the session ticker when overdue (a lost forward or a
-        # fallen leader), relying on downstream duplicate suppression.
-        self._inflight_txns: Dict[Tuple[str, int], Tuple[Txn, float]] = {}
-        # Sessions with a CloseSessionOp in flight (client-initiated or
-        # expiry-initiated): the expiry path must not submit a second close
-        # while the first one is still working through the broadcast layer.
-        self._closing: set = set()
+        self._reset_state()
+        self._replies: Dict[Tuple[str, int], OpReply] = {}
 
         # Observability (repro.trace / repro.invariants); None keeps every
         # instrumentation point a single-branch no-op.
@@ -197,6 +182,25 @@ class ZkServer:
         self.net.crash(self.client_addr)
         self._session_ticker.stop()
 
+    def _reset_volatile(self) -> None:
+        """This incarnation's own state: a restart starts it afresh."""
+        self.watches = WatchManager()
+        self.sessions = SessionTracker(self._session_owner())
+        # (session_id, cxid) -> client NodeAddress awaiting a commit reply.
+        self._pending_writes: Dict[Tuple[str, int], NodeAddress] = {}
+        # Clients that connected before this server could serve.
+        self._deferred_connects: list = []
+        # Write txns accepted while no leader was known; retried on tick.
+        self._unrouted_txns: list = []
+        # Writes this server routed whose commit has not yet arrived;
+        # re-routed on the session ticker when overdue (a lost forward or a
+        # fallen leader), relying on downstream duplicate suppression.
+        self._inflight_txns: Dict[Tuple[str, int], Tuple[Txn, float]] = {}
+        # Sessions with a CloseSessionOp in flight (client-initiated or
+        # expiry-initiated): the expiry path must not submit a second close
+        # while the first one is still working through the broadcast layer.
+        self._closing: set = set()
+
     def _session_owner(self) -> str:
         # Incarnation 0 keeps the historical "addr#N" id shape; restarts
         # get a distinct namespace so ids never collide across crashes.
@@ -208,16 +212,12 @@ class ZkServer:
         if self._alive:
             raise RuntimeError(f"{self.name} is running")
         self.net.restart(self.client_addr)
-        # Volatile server state is gone. The replicated state (the tree and
-        # the at-most-once table, with the origin's replies) is the
-        # snapshot: nothing applied while we were down, so it is still the
-        # state at the peer's applied point, and the peer resumes there.
-        self.watches = WatchManager()
+        # Volatile server state is gone. The replicated state
+        # (_initial_state), with the origin's replies, is the snapshot:
+        # nothing applied while we were down, so it is still the state at
+        # the peer's applied point, and the peer resumes there.
         self._incarnation += 1
-        self.sessions = SessionTracker(self._session_owner())
-        self._pending_writes = {}
-        self._inflight_txns = {}
-        self._closing = set()
+        self._reset_volatile()
         self.peer.restart()
         self._alive = True
         self._session_ticker = Ticker(
@@ -503,22 +503,33 @@ class ZkServer:
                     self.net.send(mine, client, reply)
         return outcome
 
-    def _reset_at_most_once(self) -> None:
-        """Empty the at-most-once table, as before the log's first entry."""
-        self.apply_counts: Dict[Tuple[str, int], int] = {}
-        self._apply_order: Deque[Tuple[str, int]] = deque()
-        self._replies: Dict[Tuple[str, int], OpReply] = {}
+    # ------------------------------------------------------ replicated state
 
-    # ------------------------------------------------------------- snapshots
+    def _initial_state(self) -> Dict[str, Any]:
+        """The replicated state, by attribute name, as before the log's
+        first entry: the one list behind reset and :meth:`snapshot` (and
+        so :meth:`install`, which sets what a snapshot holds). A restart
+        keeps every entry. A subclass extends it."""
+        return {
+            "tree": DataTree(),
+            "apply_counts": {},
+            "_apply_order": deque(),
+        }
+
+    def _reset_state(self) -> None:
+        for name, value in self._initial_state().items():
+            setattr(self, name, value)
 
     def snapshot(self) -> Dict[str, Any]:
         """A copy of the replicated state, attribute by attribute: what a
-        SNAP ships to a learner the leader's log no longer reaches."""
-        return {
-            "tree": self.tree.clone(),
-            "apply_counts": dict(self.apply_counts),
-            "_apply_order": deque(self._apply_order),
-        }
+        SNAP ships to a learner the leader's log no longer reaches. A
+        container is copied (a SNAP is passed by reference), an int or a
+        str is shared."""
+        state = {}
+        for name in self._initial_state():
+            value = getattr(self, name)
+            state[name] = value if isinstance(value, (int, str)) else value.copy()
+        return state
 
     def install(self, state: Dict[str, Any]) -> None:
         """Take a leader's :meth:`snapshot` (ours alone) as our state.

@@ -33,14 +33,13 @@ APPLY_COUNT_LIMIT = 2 * REPLY_CACHE_LIMIT
 class TwoTableAtMostOnce:
     """Mixin over a ``ZkServer``: the reply cache plus the count probe."""
 
-    def _reset_at_most_once(self):
-        super()._reset_at_most_once()
-        self.apply_counts = OrderedDict()
-        self._reply_cache = OrderedDict()
+    def _initial_state(self):
+        return {**super()._initial_state(), "apply_counts": OrderedDict(),
+                "_reply_cache": OrderedDict()}
 
     def snapshot(self):
         state = super().snapshot()
-        state["apply_counts"] = OrderedDict(self.apply_counts)
+        # Replies are the origin's own: a learner's cache maps to None.
         state["_reply_cache"] = OrderedDict.fromkeys(self._reply_cache)
         return state
 

@@ -46,7 +46,6 @@ from repro.zab.log import LogEntry
 from repro.zab.messages import Diff, NewLeader, Trunc
 from repro.zab.peer import ZabPeer
 from repro.zab.zxid import Zxid
-from repro.zk.data_tree import DataTree
 
 __all__ = [
     "ReplayFromZero", "ReplayZabPeer", "ReplayWPaxosFromZero",
@@ -60,20 +59,22 @@ def reset_server_above(peer) -> None:
     entry, so the replay from zero rebuilds it.
 
     The server is the owner of the peer's ``on_commit``, found through any
-    ``functools.wraps`` wrapper a test records commits with. The
-    at-most-once table is derived from the commit stream, so it resets
-    with the tree — a stale table would suppress the legitimate replay —
-    and so does a WanKeeper server's replicated WAN state.
+    ``functools.wraps`` wrapper a test records commits with. Everything
+    the server's ``_initial_state`` declares resets: the at-most-once
+    table is derived from the commit stream, so it resets with the tree —
+    a stale table would suppress the legitimate replay — and so does a
+    WanKeeper server's replicated WAN state, whose relay-site list goes
+    back to the founding sites as on an install. The origin's stored
+    replies stay; the replay stores each one again.
     """
     server = inspect.unwrap(peer.on_commit).__self__
-    server.tree = DataTree()
-    server._reset_at_most_once()
+    server._reset_state()
     sentinel = server.sentinel
     if sentinel is not None:
         for key in [key for key in sentinel._applies if key[0] == server.name]:
             del sentinel._applies[key]
     if isinstance(server, WanKeeperServer):
-        server._reset_wan_derived_state()
+        server._relay_sites = server._founding_relay_sites()
         server._hub.queue.stale = True
 
 
@@ -279,7 +280,7 @@ class ReplayWPaxosFromZero:
                 if slot >= floor:
                     entries.append((obj, slot, ballot, txn))
         if entries:
-            self._send(msg.src, ResyncRsp(self.addr, tuple(entries)))
+            self._send(msg.src, ResyncRsp(tuple(entries)))
 
 
 class ReplayWPaxosPeer(ReplayWPaxosFromZero, WPaxosPeer):

@@ -94,7 +94,7 @@ class World:
         if isinstance(body, Snap):
             body = (Snap, body.sender, body.zxid, body.entries)
         elif isinstance(body, ResyncSnap):
-            body = (ResyncSnap, body.src, body.applied, body.entries)
+            body = (ResyncSnap, body.applied, body.entries)
         self.sent.append((self.env.now, str(envelope.src), str(envelope.dst),
                           repr(body)))
 

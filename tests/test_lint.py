@@ -453,12 +453,15 @@ def test_no_wire_field_is_write_only():
     every message for nothing (``WanHeartbeat`` once carried a sorted
     live-session list every 100 ms that no hub read).
 
-    Reads are matched by attribute name across ``src/repro``, with two
-    exclusions: ``self.x`` (an object reading its own attribute, so a
-    record's methods copying itself do not count) and a load through a
-    parameter annotated with a class that is not one of these records
-    (the broker's ``entry: QueuedTxn`` reads the queue entry's own
-    ``origin_site``)."""
+    Reads are matched by attribute name across ``src/repro``, with three
+    narrowings: ``self.x`` does not count (an object reading its own
+    attribute, so a record's methods copying itself do not count); a load
+    through a parameter annotated with a class that is not one of these
+    records does not count (the broker's ``entry: QueuedTxn`` reads the
+    queue entry's own ``origin_site``); and a load through a parameter
+    annotated with one of these records counts for that record only
+    (``msg: ResyncReq`` reading ``msg.src`` vouches for no other
+    message's ``src``)."""
     src = REPO_ROOT / "src" / "repro"
     checked = sorted(src.glob("*/messages.py")) + [
         src / "wankeeper" / "fractional.py",
@@ -472,10 +475,11 @@ def test_no_wire_field_is_write_only():
                 fields += [(node.name, name) for name in _init_fields(node)]
     records = {cls for cls, _name in fields}
     read = {
-        name
+        (receiver, name)
         for path in sorted(src.rglob("*.py"))
         for receiver, name in _attribute_loads(ast.parse(path.read_text()))
         if receiver is None or receiver in records
     }
-    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if (None, name) not in read and (cls, name) not in read]
     assert unread == [], "\n".join(unread)

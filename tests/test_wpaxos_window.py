@@ -191,7 +191,7 @@ def _refuses_a_sender_behind_it(peer_class):
     state = ensemble.state[learner.name]
     before = {obj: list(tags) for obj, tags in state.items()}
     # Ahead on /a, behind on /b: its state would undo our /b.
-    behind = ResyncSnap(owner.addr, {"/a": ["a0", "a1", "x", "y"], "/b": ["b0"]},
+    behind = ResyncSnap({"/a": ["a0", "a1", "x", "y"], "/b": ["b0"]},
                         (("/a", 4), ("/b", 1)), ())
     learner._on_resync_snap(behind)
     assert learner.snapshots_installed == 0
@@ -285,7 +285,7 @@ def test_a_slot_chosen_through_a_resync_leaves_accepted():
     txn = PathTxn("/a", "a1")
     mate._on_accept(Accept("/a", ballot, 1, txn, owner.addr))
     assert list(mate._accepted["/a"]) == [1]
-    mate._on_resync_rsp(ResyncRsp(owner.addr, (("/a", 1, ballot, txn),)))
+    mate._on_resync_rsp(ResyncRsp((("/a", 1, ballot, txn),)))
     assert mate._applied["/a"] == 2
     assert not mate._accepted["/a"]
 

@@ -138,7 +138,7 @@ def test_clone_does_not_share_caches():
     apply(tree, CreateOp("/a/x"))
     tree.get_children("/a")
     tree.paths()
-    copy = tree.clone()
+    copy = tree.copy()
     apply(copy, CreateOp("/a/y"))
     assert copy.get_children("/a") == ["x", "y"]
     assert tree.get_children("/a") == ["x"]

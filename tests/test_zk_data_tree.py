@@ -206,7 +206,7 @@ def test_sync_op_is_noop():
 def test_clone_is_deep():
     tree = DataTree()
     apply(tree, CreateOp("/a", b"orig"))
-    copy = tree.clone()
+    copy = tree.copy()
     apply(tree, SetDataOp("/a", b"changed"))
     assert copy.get_data("/a")[0] == b"orig"
     assert tree.fingerprint() != copy.fingerprint()
