@@ -85,8 +85,11 @@ class Sync:
             return
 
         if msg.sender_state in (PeerState.FOLLOWING.value, PeerState.LEADING.value):
-            # An established regime exists: join it.
-            self._join_leader(msg.vote.node)
+            # An established regime exists: join it. One that names us
+            # was elected from our vote before a crash; following
+            # ourselves would strand it, so wait for a re-election.
+            if msg.vote.node != self.addr:
+                self._join_leader(msg.vote.node)
             return
 
         if msg.round > self._round:

@@ -18,7 +18,7 @@ core in one region plus observers in the others.
 
 from repro.zk.client import ZkClient
 from repro.zk.data_tree import DataTree, Znode
-from repro.zk.deployment import ZkDeployment, build_zk_deployment
+from repro.zk.deployment import Deployment, build_zk_deployment
 from repro.zk.errors import (
     ApiError,
     BadVersionError,
@@ -55,6 +55,7 @@ __all__ = [
     "CreateOp",
     "DataTree",
     "DeleteOp",
+    "Deployment",
     "ExistsOp",
     "GetChildrenOp",
     "GetDataOp",
@@ -71,7 +72,6 @@ __all__ = [
     "WatchEvent",
     "WatchType",
     "ZkClient",
-    "ZkDeployment",
     "ZkError",
     "ZkServer",
     "Znode",

@@ -2,8 +2,8 @@
 baselines.
 
 :class:`Deployment` is what every stack exposes: WanKeeper's one-ensemble-
-per-site deployment (:mod:`repro.wankeeper.deployment`) subclasses it, as
-:class:`ZkDeployment` does.
+per-site deployment (:mod:`repro.wankeeper.deployment`) subclasses it, and
+:func:`build_zk_deployment` returns one as it is.
 
 The two baseline shapes from §IV-A:
 
@@ -28,7 +28,7 @@ from repro.zab.config import EnsembleConfig
 from repro.zk.client import ZkClient
 from repro.zk.server import ZkServer
 
-__all__ = ["Deployment", "ZkDeployment", "build_zk_deployment"]
+__all__ = ["Deployment", "build_zk_deployment"]
 
 #: Voters of the observer baseline, all in the leader site.
 VOTERS_IN_LEADER_SITE = 3
@@ -122,17 +122,6 @@ class Deployment:
         return {}
 
 
-class ZkDeployment(Deployment):
-    """One ensemble, voters (and observers) spread over the sites."""
-
-    @property
-    def leader(self) -> Optional[ZkServer]:
-        for server in self.servers:
-            if server.is_leader:
-                return server
-        return None
-
-
 def build_zk_deployment(
     env: Environment,
     net: Network,
@@ -141,7 +130,7 @@ def build_zk_deployment(
     voting_sites: Optional[Sequence[str]] = None,
     observer_sites: Sequence[str] = (),
     substrate: str = "zab",
-) -> ZkDeployment:
+) -> Deployment:
     """Build one of the two baseline deployments.
 
     With ``voting_sites`` given, one voter is placed in each named site
@@ -193,6 +182,6 @@ def build_zk_deployment(
             )
         )
 
-    deployment = ZkDeployment(env, net, topology, servers)
+    deployment = Deployment(env, net, topology, servers)
     deployment.sentinel = maybe_attach_sentinel(deployment)
     return deployment

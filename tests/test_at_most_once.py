@@ -69,7 +69,7 @@ def test_duplicate_route_suppressed_at_apply_layer():
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
 
     def app():
         yield client.connect()
@@ -102,7 +102,7 @@ def test_reply_cache_disabled_restores_double_apply(monkeypatch):
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
 
     def app():
         yield client.connect()
@@ -123,7 +123,7 @@ def test_reply_cache_disabled_restores_double_apply(monkeypatch):
         run_app(env, app())
     assert caught.value.invariant == "no-double-apply"
     assert f"({client.session_id!r}, cxid=9999) 2 times" in caught.value.detail
-    _data, stat = deployment.leader.tree.get_data("/twice")
+    _data, stat = deployment.site_leader(VIRGINIA).tree.get_data("/twice")
     assert stat.version == 2  # applied twice: the at-most-once violation
 
 

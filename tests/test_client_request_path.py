@@ -539,7 +539,8 @@ def one_site_world(client_cls, clients=1):
     )
     deployment.start()
     deployment.stabilize()
-    follower = next(s for s in deployment.servers if s is not deployment.leader)
+    leader = deployment.site_leader(VIRGINIA)
+    follower = next(s for s in deployment.servers if s is not leader)
     made = [
         client_cls(
             env, net, topo.site(VIRGINIA).address(f"c{index}@virginia"),

@@ -177,8 +177,8 @@ def test_zk_partition_minority_leader_steps_down():
     serving writes; the majority side elects a new leader."""
     env, topo, net = fresh_world()
     deployment = plain_zk(env, net, topo)
-    old_leader = deployment.leader
-    assert old_leader.site == VIRGINIA
+    old_leader = deployment.site_leader(VIRGINIA)
+    assert old_leader is not None  # election put it in the leader site
 
     def app():
         net.partition(VIRGINIA, CALIFORNIA)

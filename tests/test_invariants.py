@@ -173,7 +173,7 @@ def test_forced_double_apply_is_caught():
     request: the second apply is a real double apply and must raise."""
     env, topo, net = fresh_world(seed=25)
     deployment = plain_zk(env, net, topo)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     client = deployment.client(VIRGINIA)
 
     def app():

@@ -126,7 +126,7 @@ def test_duplicate_commit_of_a_follower_origin_txn_is_suppressed_everywhere():
     env, topo, net = fresh_world(seed=35)
     deployment = plain_zk(env, net, topo)
     client = deployment.client(VIRGINIA)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     follower = next(s for s in deployment.servers if s.site == CALIFORNIA)
     replies = []
     net.tap(lambda e: replies.append(e) if isinstance(e.body, OpReply) else None)

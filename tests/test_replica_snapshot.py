@@ -47,7 +47,7 @@ def _origin_write_inside_a_snapshot(monkeypatch, install=None):
     monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 8)
     env, topo, net = fresh_world(seed=23)
     deployment = plain_zk(env, net, topo)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     origin = next(s for s in deployment.servers if s.site == CALIFORNIA)
     if install is not None:
         origin.peer.install_state = lambda state: install(origin, state)

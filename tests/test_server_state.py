@@ -68,7 +68,7 @@ def _world(stack, seed=31):
         victim = next(s for s in deployment.by_site[CALIFORNIA] if s is not home)
     else:
         deployment = plain_zk(env, net, topo)
-        home = deployment.leader
+        home = deployment.site_leader(VIRGINIA)
         victim = deployment.by_site[FRANKFURT][-1]
     return env, deployment, home, victim
 

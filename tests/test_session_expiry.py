@@ -67,7 +67,7 @@ def _count_close_submissions(server, counts):
 def test_expiry_during_inflight_close_submits_no_duplicate():
     env, topo, net = fresh_world(seed=31)
     deployment = plain_zk(env, net, topo)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     counts = {}
     _count_close_submissions(leader, counts)
     client = deployment.client(VIRGINIA, session_timeout_ms=6000.0)
@@ -103,7 +103,7 @@ def test_expiry_during_inflight_close_submits_no_duplicate():
 def test_expiry_without_inflight_close_submits_exactly_one():
     env, topo, net = fresh_world(seed=33)
     deployment = plain_zk(env, net, topo)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     counts = {}
     _count_close_submissions(leader, counts)
     client = deployment.client(VIRGINIA, session_timeout_ms=6000.0)

@@ -21,222 +21,98 @@ a restarted replica object by object, so only the contents), and
 ``replies_from_cache`` and ``duplicate_commits_suppressed`` — less what
 the reference counts again while it replays, and what the product's
 learner never applied because the state it installed already held it.
-The last test pins the oracles' own reset: a replaying restart empties
-the server above it, so the replay applies everything again.
+The twins are ``tests/twins.py``'s. The last test pins the oracles' own
+reset: a replaying restart empties the server above it, so the replay
+applies everything again.
 """
-
-import functools
-import itertools
-import random
 
 import pytest
 
 from repro.invariants import InvariantViolation
-from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
+from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
 from repro.substrate import SUBSTRATES, SubstrateSpec
 from repro.wankeeper import build_wankeeper_deployment
 from repro.wpaxos.messages import ResyncRsp, ResyncSnap
 from repro.wpaxos.peer import WPaxosPeer
 from repro.substrate import peer as substrate_peer
 from repro.zab.messages import Diff, Snap
-from repro.zk import ConnectionLossError, SessionExpiredError, ZkError
 
 from tests.reference_replay import WholeLogSnap
-from tests.support import fresh_world, plain_zk, run_app, wpaxos_grid
+from tests.support import fresh_world, run_app, wpaxos_grid
+from tests.twins import SITES, Twin, run_twins
 
 pytestmark = pytest.mark.usefixtures("zab_replay", "wpaxos_replay")
 
-SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
 KEYS = tuple(f"/st/k{i}" for i in range(6))
-OPS_PER_CLIENT = 50
-SLICE_MS = 250.0
-AMBIENT = LinkProfile(loss=0.02, duplicate=0.02)
 SYNC = (Diff, Snap, WholeLogSnap, ResyncRsp, ResyncSnap)
+#: Ops a client: 35 where a case takes down a server clients talk to. Their
+#: sessions expire there and they reconnect, so every op is a real one; 35
+#: keeps such a run no costlier than a clean one.
+OPS = {"clean": 50, "lossy": 35, "crash": 35, "snap": 50}
+#: The harness's stack under each case's name.
+STACK = {"wk": "wk-zab", "zk": "zk-zab", "zk-wpaxos": "zk-wpaxos-grid"}
 
 
-class World:
-    """One deployment, its clients, and everything the twins compare."""
-
-    def __init__(self, stack, substrate, seed, case):
-        env, topo, net = fresh_world(seed=seed, jitter=0.1 if case == "lossy" else 0.0)
-        if stack == "wk":
-            deployment = build_wankeeper_deployment(env, net, topo, substrate=substrate)
-            deployment.start()
-            deployment.stabilize()
-        elif stack == "zk":
-            deployment = plain_zk(env, net, topo, substrate=substrate)
-        else:
-            deployment = wpaxos_grid(env, net, topo, substrate=substrate)
-        self.stack, self.case, self.env, self.net = stack, case, env, net
-        self.deployment = deployment
-        self.servers = deployment.servers
-        # The server a SNAP case takes down: one no client talks to.
-        if stack == "wk":
-            leader = deployment.site_leader(CALIFORNIA)
-            self.victim = next(s for s in deployment.by_site[CALIFORNIA]
-                               if s is not leader)
-            self.homes = {site: deployment.site_leader(site) for site in SITES}
-        else:
-            self.victim = [s for s in self.servers if s.site == FRANKFURT][-1]
-            self.homes = {site: next(s for s in self.servers if s.site == site)
-                          for site in (VIRGINIA, CALIFORNIA)}
-        self.sent, self.history = [], []
-        net.tap(self._record_send)
-        self.applies = {server.name: [] for server in self.servers}
-        self.installs = {server.name: [] for server in self.servers}
-        for server in self.servers:
-            self._record_applies(server)
-        self.procs = [
-            env.process(self._client(i, site, random.Random(seed * 100 + i)))
-            for i, site in enumerate(sorted(self.homes) * 2)
-        ]
-
-    def _record_send(self, envelope):
-        body = envelope.body
-        kind = "sync" if isinstance(body, SYNC) else repr(body)
-        self.sent.append((self.env.now, str(envelope.src), str(envelope.dst), kind))
-
-    def _record_applies(self, server):
-        """Each apply as ``((domain, position), key, suppressed)``: one
-        domain and the zxid on zab, the object and its slot on wpaxos. An
-        install as ``(domain, low, high)``: it holds every position in
-        ``(low, high]``."""
-        log = self.applies[server.name]
-        installs = self.installs[server.name]
-        commit_client_txn = server._commit_client_txn
-        peer = server.peer
-        wpaxos = isinstance(peer, WPaxosPeer)
-
-        @functools.wraps(commit_client_txn)
-        def applied(zxid, txn):
-            outcome = commit_client_txn(zxid, txn)
-            where = (peer._object_of(txn), zxid.counter) if wpaxos else ("", zxid)
-            log.append((where, txn.key, outcome is None))
-            return outcome
-
-        server._commit_client_txn = applied
-        if peer.on_commit == commit_client_txn:
-            peer.on_commit = applied  # a ZkServer's peer hands its commits straight in
-        if wpaxos:
-            install = peer._install
-
-            def installed(msg, ahead):
-                before = {obj: peer._applied.get(obj, 0) for obj in ahead}
-                install(msg, ahead)
-                points = dict(msg.applied)
-                installs.extend((obj, before[obj] - 1, points[obj] - 1)
-                                for obj in ahead)
-
-            peer._install = installed
-            return
-        on_snap = peer._on_snap
-
-        def snapped(src, msg):
-            before = peer._last_applied
-            on_snap(src, msg)
-            if peer._last_applied != before:
-                installs.append(("", before, msg.zxid))
-
-        peer._handlers[Snap] = snapped
-
-    def _client(self, index, site, rng):
-        env = self.env
-        client = self.deployment.client(site, session_timeout_ms=30000.0,
-                                        request_timeout_ms=1000.0)
-        client.server_addr = self.homes[site].client_addr
-        yield client.connect_retrying(max_retries=10)
-        if index == 0:
-            for key in ("/st",) + KEYS:
-                yield client.create_retrying(key, b"", max_retries=10)
-        else:
-            yield env.timeout(1500.0)
-        for n in range(OPS_PER_CLIENT):
-            key = rng.choice(KEYS)
-            write = rng.random() < 0.6
-            try:
-                if write:
-                    result = yield client.set_data_retrying(
-                        key, f"{site}-{n}".encode(), max_retries=10
-                    )
-                    result = result.version
-                else:
-                    data, _stat = yield client.get_data_retrying(key, max_retries=10)
-                    result = data
-            except (ConnectionLossError, SessionExpiredError, ZkError) as exc:
-                result = type(exc).__name__
-            self.history.append((env.now, index, write, key, result))
-            yield env.timeout(rng.uniform(10.0, 120.0))
-
-    # -- faults ---------------------------------------------------------------
-
-    def lossy(self):
-        for a, b in itertools.combinations(SITES, 2):
-            self.net.degrade(a, b, AMBIENT)
-
-    def heal(self):
-        self.net.restore_all()
-
-    def crash_leader(self):
-        self.crashed = (self.deployment.site_leader(CALIFORNIA)
-                        if self.stack == "wk" else self.deployment.leader)
-        self.crashed.crash()
-
-    def crash_home(self):
-        """The voter California's clients talk to, and the owner of what
-        they last wrote."""
-        self.crashed = self.homes[CALIFORNIA]
-        self.crashed.crash()
-
-    def crash_victim(self):
-        self.crashed = self.victim
-        self.crashed.crash()
-
-    def restart_crashed(self):
-        self.crashed.restart()
-
-    # -- observations ---------------------------------------------------------
-
-    def first_applies(self, name):
-        """The apply events of one server less a replay's second delivery
-        of a position."""
-        seen = set()
-        kept = []
-        for event in self.applies[name]:
-            if event[0] not in seen:
-                seen.add(event[0])
-                kept.append(event)
-        return kept
+def sync_as_one(body):
+    """Every sync message is one message, whatever state it carries."""
+    return "sync" if isinstance(body, SYNC) else repr(body)
 
 
-def _first_divergence(name, ours, theirs, start):
-    for i in range(start, max(len(ours), len(theirs))):
-        a = ours[i] if i < len(ours) else "<missing>"
-        b = theirs[i] if i < len(theirs) else "<missing>"
-        if a != b:
-            return f"{name}[{i}]:\n  zab        {a!r}\n  zab-replay {b!r}"
-    return None
+def world(stack, substrate, seed, case):
+    """One twin, and where its clients connect: each site's leader on wk,
+    the first voter of Virginia and of California on zk. Its ``victim``
+    is a server no client talks to, which a SNAP case takes down."""
+    twin = Twin(STACK[stack], seed, substrate, normalize=sync_as_one,
+                jitter=0.1 if case == "lossy" else 0.0)
+    deployment = twin.deployment
+    if stack == "wk":
+        leader = deployment.site_leader(CALIFORNIA)
+        twin.victim = next(s for s in deployment.by_site[CALIFORNIA]
+                           if s is not leader)
+        twin.homes = {site: deployment.site_leader(site) for site in SITES}
+    else:
+        twin.victim = deployment.by_site[FRANKFURT][-1]
+        twin.homes = {site: deployment.by_site[site][0]
+                      for site in (VIRGINIA, CALIFORNIA)}
+    twin.start_clients(sorted(twin.homes) * 2, homes=twin.homes, keys=KEYS,
+                       ops=OPS[case], write_share=0.6, pace=(10.0, 120.0),
+                       timeout_ms=1000.0)
+    return twin
 
 
-def _lockstep(product, reference, until, cursors):
-    while product.env.now < until:
-        stop = min(until, product.env.now + SLICE_MS)
-        product.env.run(until=stop)
-        reference.env.run(until=stop)
-        for name in ("sent", "history"):
-            ours, theirs = getattr(product, name), getattr(reference, name)
-            found = _first_divergence(name, ours, theirs, cursors.get(name, 0))
-            assert found is None, f"t={stop}: {found}"
-            cursors[name] = len(ours)
-        assert product.env._seq == reference.env._seq, f"t={stop}"
+def crash_home(twin):
+    """The voter California's clients talk to, and the owner of what they
+    last wrote."""
+    twin.crash(twin.homes[CALIFORNIA])
+
+
+def crash_victim(twin):
+    twin.crash(twin.victim)
+
+
+def first_applies(twin, name):
+    """The apply events of one server less a replay's second delivery of
+    a position."""
+    seen = set()
+    kept = []
+    for event in twin.logs[name]:
+        if event[1] == "apply" and event[2] not in seen:
+            seen.add(event[2])
+            kept.append(event)
+    return kept
+
+
+def applies(twin, name):
+    return [event for event in twin.logs[name] if event[1] == "apply"]
 
 
 STEPS = {
     "clean": [],
-    "lossy": [(0.0, "lossy"), (3000.0, "crash_leader"),
-              (5500.0, "restart_crashed"), (14000.0, "heal")],
-    "crash": [(3000.0, "crash_home"), (5500.0, "restart_crashed"),
-              (7000.0, "crash_victim"), (9500.0, "restart_crashed")],
-    "snap": [(2000.0, "crash_victim"), (7000.0, "restart_crashed")],
+    "lossy": [(0.0, Twin.lossy), (3000.0, Twin.crash_leader),
+              (5500.0, Twin.restart_crashed), (14000.0, Twin.heal)],
+    "crash": [(3000.0, crash_home), (5500.0, Twin.restart_crashed),
+              (7000.0, crash_victim), (9500.0, Twin.restart_crashed)],
+    "snap": [(2000.0, crash_victim), (7000.0, Twin.restart_crashed)],
 }
 CASES = [(stack, case) for stack in ("wk", "zk")
          for case in ("clean", "lossy", "snap")]
@@ -249,18 +125,11 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
         monkeypatch.setattr(substrate_peer, "DIFF_WINDOW", 8)
     seed = 71
     substrate = "wpaxos" if stack == "zk-wpaxos" else "zab"
-    product = World(stack, substrate, seed, case)
-    reference = World(stack, f"{substrate}-replay", seed, case)
+    product = world(stack, substrate, seed, case)
+    reference = world(stack, f"{substrate}-replay", seed, case)
     twins = (product, reference)
-    cursors = {}
-    start = product.env.now
-    assert reference.env.now == start
-    for offset, action in STEPS[case]:
-        _lockstep(product, reference, start + offset, cursors)
-        for world in twins:
-            getattr(world, action)()
-    _lockstep(product, reference, start + 30000.0, cursors)
-    assert all(p.triggered and p.ok for world in twins for p in world.procs)
+    run_twins(product, reference, STEPS[case], 30000.0, ("sent", "history"))
+    assert all(p.triggered and p.ok for twin in twins for p in twin.procs)
 
     names = [s.name for s in product.servers]
     trees = [s.tree.fingerprint() for s in product.servers]
@@ -275,18 +144,18 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
     # Apply by apply: what the product applied is what the reference
     # applied the first time, less what a SNAP's state already held.
     for name, ours, theirs in zip(names, product.servers, reference.servers):
-        assert product.first_applies(name) == product.applies[name]
+        assert first_applies(product, name) == applies(product, name)
         skipped = [
-            event for event in reference.first_applies(name)
-            if any(domain == event[0][0] and low < event[0][1] <= high
-                   for domain, low, high in product.installs[name])
+            event for event in first_applies(reference, name)
+            if any(domain == event[2][0] and low < event[2][1] <= high
+                   for _now, domain, low, high in product.installs[name])
         ]
-        expected = [e for e in reference.first_applies(name) if e not in skipped]
-        assert product.applies[name] == expected, name
+        expected = [e for e in first_applies(reference, name) if e not in skipped]
+        assert applies(product, name) == expected, name
         # The counters count exactly these events, on either side.
         for server, events in ((ours, expected),
-                               (theirs, reference.applies[name])):
-            suppressed = sum(e[2] for e in events)
+                               (theirs, applies(reference, name))):
+            suppressed = sum(e[4] is None for e in events)
             assert server.duplicate_commits_suppressed == suppressed, name
             assert server.commits_applied == len(events) - suppressed, name
 
@@ -294,8 +163,8 @@ def test_state_transfer_matches_replay_from_zero(stack, case, monkeypatch):
     assert sum(s.commits_applied for s in product.servers) > 100
     if case != "clean":
         crashed = product.crashed.name
-        assert reference.applies[crashed] != reference.first_applies(crashed)
-        assert product.first_applies(crashed) == product.applies[crashed]
+        assert applies(reference, crashed) != first_applies(reference, crashed)
+        assert first_applies(product, crashed) == applies(product, crashed)
     installed = [name for name in names if product.installs[name]]
     if case == "snap":
         assert installed == [product.victim.name]

@@ -103,7 +103,7 @@ def test_watch_not_delivered_to_expired_session():
     been told the session is dead)."""
     env, topo, net = fresh_world(seed=47)
     deployment = plain_zk(env, net, topo)
-    leader = deployment.leader
+    leader = deployment.site_leader(VIRGINIA)
     watcher = deployment.client(VIRGINIA, name="watcher")
     writer = deployment.client(VIRGINIA, name="writer")
 

@@ -8,39 +8,51 @@ two must be indistinguishable from outside: the same seeded world sends
 the same messages at the same instants, delivers the same commits to every
 replica (the reference then delivers them again from zero after a restart,
 where the product resumes after what it delivered) and costs the kernel
-the same number of events (less the two a
-crash spends stopping the reference's generator ticker, which the product's
-``Ticker`` does with a flag) — only the number of Python calls it takes
-differs, and that is pinned at the bottom.
+the same number of events, slice by slice (less the two a crash spends
+stopping the reference's generator ticker, which the product's ``Ticker``
+does with a flag) — only the number of Python calls it takes differs, and
+that is pinned at the bottom. The twins are ``tests/twins.py``'s.
 (``tests/test_substrate_contract.py`` runs its scenarios over the
 reference as well.)
 """
 
-import functools
 import os
-import random
 import sys
 
 import pytest
 
 import repro.substrate.peer
 import repro.zab
-from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA, LinkProfile
+from repro.net import VIRGINIA
 from repro.substrate import SUBSTRATES, SubstrateSpec
-from repro.wankeeper import build_wankeeper_deployment
-from repro.zk import ConnectionLossError, ZkError, build_zk_deployment
+from repro.zk import build_zk_deployment
 from tests import reference_zab, test_perf_golden
 from tests.support import fresh_world
+from tests.twins import SITES, Twin, first_divergence, run_twins
 
 pytestmark = pytest.mark.usefixtures("zab_reference")
 
-SITES = (VIRGINIA, CALIFORNIA, FRANKFURT)
-AMBIENT = LinkProfile(loss=0.02, duplicate=0.02)
+KEYS = tuple(f"/d/k{index}" for index in range(12))
 #: Message fields that carry a zxid, whatever the message.
 ZXID_FIELDS = ("zxid", "last_zxid", "last_committed", "committed_to", "truncate_to")
-#: Whose leader the lossy run crashes: the zk ensemble's one leader, which
-#: election puts in its leader site, or California's site leader.
-VICTIM_SITE = {"zk": VIRGINIA, "wk": CALIFORNIA}
+#: The harness's stack under each system's name. Its crash_leader takes
+#: down the zk ensemble's one leader, which election puts in its leader
+#: site, or California's site leader.
+STACK = {"zk": "zk-zab", "wk": "wk-zab"}
+#: Kernel events the reference spends stopping a crashed peer's ticker:
+#: it keeps the generator ticker that ``Ticker`` replaced, and stopping a
+#: generator costs two entries a flag needs neither of, the interrupt and
+#: the process's completion.
+TICKER_STOP_EVENTS = 2
+#: Each run's steps and its end (ms): a clean run's clients are done by
+#: 9 s; a lossy one takes loss from the first op, inside the sites too (a
+#: WanKeeper ensemble never leaves one), a leader down and back, repair
+#: at 20 s, and a quiet tail after its clients are done (by 22 s).
+RUNS = {
+    False: ([], 10000.0),
+    True: ([(0.0, Twin.lossy_everywhere), (4000.0, Twin.crash_leader),
+            (5500.0, Twin.restart_crashed), (20000.0, Twin.heal)], 26000.0),
+}
 
 
 def pair(zxid):
@@ -48,129 +60,40 @@ def pair(zxid):
     return None if zxid is None else (zxid.epoch, zxid.counter)
 
 
-class World:
+def zxids_only(body):
+    """A message as its type and the zxids it carries: the one thing the
+    two implementations' message classes share."""
+    return (
+        type(body).__name__,
+        tuple(pair(getattr(body, name, None)) for name in ZXID_FIELDS),
+        tuple(pair(entry.zxid) for entry in getattr(body, "entries", ())),
+    )
+
+
+def world(system, substrate, seed, lossy):
     """One seeded deployment on one Zab implementation, with everything
     the two implementations must agree on recorded."""
+    twin = Twin(STACK[system], seed, substrate, normalize=zxids_only,
+                jitter=0.1 if lossy else 0.0)
+    twin.start_clients(SITES, keys=KEYS, ops=60, write_share=0.6,
+                       pace=(0.0, 40.0), timeout_ms=1000.0)
+    return twin
 
-    def __init__(self, system, substrate, seed, lossy):
-        self.system = system
-        self.lossy = lossy
-        self.env, self.topo, self.net = fresh_world(
-            seed=seed, jitter=0.1 if lossy else 0.0
-        )
-        if system == "zk":
-            self.deployment = build_zk_deployment(
-                self.env, self.net, self.topo, leader_site=VIRGINIA,
-                voting_sites=SITES, substrate=substrate,
-            )
-        else:
-            self.deployment = build_wankeeper_deployment(
-                self.env, self.net, self.topo, l2_site=VIRGINIA,
-                substrate=substrate,
-            )
-        self.sends = []  # (src, dst, message type, zxids, entry zxids, instant)
-        self.commits = {}  # server -> [(zxid, txn repr)]
-        self.net.tap(self._on_send)
-        for server in self.deployment.servers:
-            self._record_commits(server)
-        self.deployment.start()
-        self.deployment.stabilize()
 
-    def _on_send(self, envelope):
-        body = envelope.body
-        self.sends.append((
-            str(envelope.src), str(envelope.dst), type(body).__name__,
-            tuple(pair(getattr(body, name, None)) for name in ZXID_FIELDS),
-            tuple(pair(entry.zxid) for entry in getattr(body, "entries", ())),
-            envelope.send_time,
-        ))
-
-    def _record_commits(self, server):
-        log = self.commits[server.name] = []
-        deliver = server.peer.on_commit
-
-        @functools.wraps(deliver)
-        def on_commit(zxid, txn):
-            log.append((pair(zxid), repr(txn)))
-            deliver(zxid, txn)
-
-        server.peer.on_commit = on_commit
-
-    def leader_to_crash(self):
-        return self.deployment.site_leader(VICTIM_SITE[self.system])
-
-    def run(self, seed, ops=60):
-        env = self.env
-        keys = [f"/d/k{index}" for index in range(12)]
-        clients = [
-            self.deployment.client(site, request_timeout_ms=1000.0)
-            for site in SITES
-        ]
-
-        def boot():
-            for client in clients:
-                yield client.connect()
-            yield clients[0].create("/d", b"")
-            for key in keys:
-                yield clients[0].create(key, b"")
-
-        def actor(index, client):
-            rng = random.Random(f"{seed}.{index}")
-            for _ in range(ops):
-                # Mostly the site's own keys, sometimes anyone's.
-                own = keys[index * 4:index * 4 + 4]
-                key = rng.choice(own if rng.random() < 0.8 else keys)
-                try:
-                    if rng.random() < 0.6:
-                        yield client.set_data_retrying(
-                            key, b"%d" % rng.randrange(1000), max_retries=10
-                        )
-                    else:
-                        yield client.get_data_retrying(key, max_retries=10)
-                except (ConnectionLossError, ZkError):
-                    pass
-                yield env.timeout(rng.uniform(0.0, 40.0))
-
-        def nemesis():
-            yield env.timeout(700.0)
-            victim = self.leader_to_crash()
-            victim.crash()
-            yield env.timeout(1500.0)
-            victim.restart()
-
-        env.run(until=env.process(boot()))
-        if self.lossy:
-            # Inside the sites too: a WanKeeper ensemble never leaves one.
-            for index, site_a in enumerate(SITES):
-                for site_b in SITES[index:]:
-                    self.net.degrade(site_a, site_b, AMBIENT)
-            env.process(nemesis())
-        actors = [env.process(actor(i, c)) for i, c in enumerate(clients)]
-        env.run(until=env.all_of(actors))
-        self.net.restore_all()
-        env.run(until=env.now + 20000.0)
-        return self
+def commits(twin):
+    """Each server's commit deliveries."""
+    return {name: [event for event in log if event[1] == "commit"]
+            for name, log in twin.logs.items()}
 
 
 def first_deliveries(delivered):
     """Drop what a replay from zero delivers again: every delivery at or
-    below the newest zxid delivered before it."""
+    below the newest position delivered before it."""
     kept = []
-    for zxid, txn in delivered:
-        if not kept or zxid > kept[-1][0]:
-            kept.append((zxid, txn))
+    for event in delivered:
+        if not kept or event[2] > kept[-1][2]:
+            kept.append(event)
     return kept
-
-
-def first_divergence(label, new, old):
-    for index, (a, b) in enumerate(zip(new, old)):
-        if a != b:
-            return f"{label} #{index}: zab {a!r} != zab-reference {b!r}"
-    if len(new) != len(old):
-        longer, name = (new, "zab") if len(new) > len(old) else (old, "zab-reference")
-        at = min(len(new), len(old))
-        return f"{label} #{at}: only {name} goes on, with {longer[at]!r}"
-    return None
 
 
 @pytest.mark.parametrize("lossy", [False, True], ids=["clean", "lossy"])
@@ -179,31 +102,34 @@ def first_divergence(label, new, old):
 def test_same_seeded_world_sends_commits_and_schedules_identically(
     system, seed, lossy
 ):
-    new = World(system, "zab", seed, lossy).run(seed)
-    old = World(system, "zab-reference", seed, lossy).run(seed)
-    assert type(old.deployment.servers[0].peer) is reference_zab.ZabPeer
-    assert type(new.deployment.servers[0].peer) is repro.zab.ZabPeer
-    assert len(new.sends) > 1000 and all(new.commits.values())
-    assert not first_divergence("send", new.sends, old.sends)
-    assert sorted(new.commits) == sorted(old.commits)
-    for server, delivered in new.commits.items():
-        assert first_deliveries(delivered) == delivered
-        assert not first_divergence(
-            f"commit at {server}", delivered,
-            first_deliveries(old.commits[server]),
-        )
-    assert new.env.now == old.env.now
+    new = world(system, "zab", seed, lossy)
+    old = world(system, "zab-reference", seed, lossy)
     # The reference peer keeps the generator ticker that ``Ticker`` replaced
     # (the zk / wankeeper layers above it tick the same way in both worlds),
     # so this is also Ticker's differential test: same instants, same
-    # sequence numbers, until a crash. Stopping a generator costs two
-    # entries a flag needs neither of, the interrupt and the process's
-    # completion; the lossy worlds crash one peer, once.
+    # sequence numbers, until a crash; the lossy worlds crash one peer, once.
+    steps, until = RUNS[lossy]
+    run_twins(new, old, steps, until, ("sent", "history"),
+              crash_events=TICKER_STOP_EVENTS)
+    assert all(p.triggered and p.ok for twin in (new, old) for p in twin.procs)
+    assert type(old.deployment.servers[0].peer) is reference_zab.ZabPeer
+    assert type(new.deployment.servers[0].peer) is repro.zab.ZabPeer
+    new_commits, old_commits = commits(new), commits(old)
+    assert len(new.sent) > 1000 and all(new_commits.values())
+    assert not first_divergence("sent", new.sent, old.sent)
+    assert sorted(new_commits) == sorted(old_commits)
+    for server, delivered in new_commits.items():
+        assert first_deliveries(delivered) == delivered
+        assert not first_divergence(
+            f"commits at {server}", delivered,
+            first_deliveries(old_commits[server]),
+        )
+    assert new.env.now == old.env.now
     peer_tickers_crashed = 1 if lossy else 0
-    assert old.env._seq - new.env._seq == 2 * peer_tickers_crashed
+    assert old.env._seq - new.env._seq == TICKER_STOP_EVENTS * peer_tickers_crashed
     # And the run was a real one: every replica ends on the same tree.
-    for world in (new, old):
-        trees = {s.tree.fingerprint() for s in world.deployment.servers}
+    for twin in (new, old):
+        trees = {s.tree.fingerprint() for s in twin.deployment.servers}
         assert len(trees) == 1
     if lossy:
         assert new.net.messages_dropped > 0 and new.net.messages_duplicated > 0
@@ -255,7 +181,8 @@ def zab_calls_per_write(substrate, repeats=3):
     )
     deployment.start()
     deployment.stabilize()
-    follower = next(s for s in deployment.servers if s is not deployment.leader)
+    leader = deployment.site_leader(VIRGINIA)
+    follower = next(s for s in deployment.servers if s is not leader)
     client = deployment.client(VIRGINIA)
     client.server_addr = follower.client_addr
     calls = [0]

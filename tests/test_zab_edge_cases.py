@@ -3,9 +3,8 @@
 import pytest
 
 from repro.net import CALIFORNIA, FRANKFURT, VIRGINIA
-from repro.sim import Environment
 from repro.substrate.peer import PeerState
-from repro.zab import EnsembleConfig, ZabPeer, Zxid
+from repro.zab import Zxid
 
 from tests.test_zab import build_ensemble, fresh, leader_of
 
@@ -176,7 +175,7 @@ def test_observer_that_loses_informs_resyncs_and_converges(seed):
     run_app(env, app())
     net.restore_all()
     env.run(until=env.now + 60000.0)
-    leader = deployment.leader.peer
+    leader = deployment.site_leader(VIRGINIA).peer
     observers = [s.peer for s in deployment.servers if s.peer.is_observer]
     assert len(observers) == 2 and len(leader.log) >= 220
     assert [len(peer.log) for peer in observers] == [len(leader.log)] * 2
@@ -209,3 +208,31 @@ def test_observer_that_loses_the_last_inform_learns_it_from_a_ping():
     env.run(until=env.now + 2000.0)
     assert [entry.txn for entry in observer.log] == ["first", "lost"]
     assert applied == ["first", "lost"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("victim_site", [VIRGINIA, FRANKFURT])
+def test_a_voter_restarted_mid_election_is_not_told_to_follow_itself(
+    seed, victim_site
+):
+    """Crashed and restarted within a millisecond of the first election,
+    a voter whose vote from before the crash the others elected hears
+    from them that it leads. Joining "itself" as a follower sent it a
+    FollowerInfo, and from then on the peers vouched for each other's
+    phantom leaders: the ensemble stayed leaderless, every epoch 0. It
+    must vote again instead, and the ensemble elect."""
+    from repro.zk import build_zk_deployment
+    from tests.support import fresh_world
+
+    env, topo, net = fresh_world(seed=seed)
+    deployment = build_zk_deployment(
+        env, net, topo, voting_sites=(VIRGINIA, CALIFORNIA, FRANKFURT)
+    )
+    deployment.start()
+    victim = deployment.by_site[victim_site][0]
+    victim.crash()
+    env.run(until=1.0)
+    victim.restart()
+    env.run(until=60000.0)
+    assert any(server.is_leader for server in deployment.servers)
+    assert all(server.peer.current_epoch > 0 for server in deployment.servers)

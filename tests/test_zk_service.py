@@ -318,7 +318,7 @@ def test_leader_crash_write_survives_via_server_retry():
     def app():
         yield client.connect()
         yield client.create("/before", b"x")
-        deployment.leader.crash()
+        deployment.site_leader(VIRGINIA).crash()
         # The accepting server's forward dies with the leader, but the
         # server re-routes the in-flight write once a new leader is
         # elected — the client never observes the crash.
